@@ -110,8 +110,7 @@ class ChannelVerdict:
 
 def validate_channel(ch: ChoiChannel, tol: float = DEFAULT_TOL) -> ChannelVerdict:
     """CP iff the Choi is PSD; TP iff the output marginal equals the identity."""
-    cp_ok, min_eig = psd_report(ch.choi.mat, tol)
-    herm = hermiticity_deviation(ch.choi.mat)
+    cp_ok, min_eig, herm = psd_report(ch.choi.mat, tol)
     marg = partial_trace(ch.choi, 1).mat - np.eye(ch.d_in)
     marg_dev = float(np.abs(marg).max())
     return ChannelVerdict(cp_ok, marg_dev <= tol, min_eig, marg_dev, herm)
@@ -207,7 +206,7 @@ def check_covariance_matrix(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("covariance matrix must be square")
-    ok, min_eig = psd_report(m, tol)
+    ok, min_eig, _ = psd_report(m, tol)
     if not ok:
         raise ValueError(f"covariance matrix is not PSD (min eig {min_eig:.3e})")
     if np.abs(np.diagonal(m) - 1.0).max() > tol:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -444,20 +445,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _check_args(args) -> None:
+    """Reject flag values that parse but that no command can use."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise SchemaError(f"--tol must be finite and non-negative, got {tol!r}")
     if args.command == "example":
         if args.name == "bit-flip":
             if len(args.p) != 1:
-                print("status: invalid-input")
-                print("error: bit-flip takes one probability")
-                return INVALID_INPUT
+                raise SchemaError("bit-flip takes one probability")
             args.p = args.p[0]
         elif args.name == "pauli" and len(args.p) != 4:
-            print("status: invalid-input")
-            print("error: pauli takes four probabilities")
-            return INVALID_INPUT
+            raise SchemaError("pauli takes four probabilities")
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
+        _check_args(args)
         result = args.func(args)
     except (SchemaError, ValueError) as exc:
         print("status: invalid-input")

@@ -95,6 +95,12 @@ def _conjugation_deviation(mat: np.ndarray, w: np.ndarray) -> float:
     return float(np.abs(w @ mat @ w.conj().T - mat).max())
 
 
+def _check_samples(n: int) -> None:
+    """A covariance verdict over no samples would pass vacuously."""
+    if n < 1:
+        raise ValueError(f"the number of samples must be positive, got {n}")
+
+
 def channel_covariance_check(
     ch: ChoiChannel,
     u_sampler: GroupSampler,
@@ -109,6 +115,7 @@ def channel_covariance_check(
     """
     if u_sampler.d != ch.d_in or v_sampler.d != ch.d_out:
         raise ValueError("sampler dimensions do not match the channel")
+    _check_samples(n)
     worst, worst_idx = 0.0, 0
     for k in range(n):
         w = np.kron(u_sampler.draw().conj(), v_sampler.draw())
@@ -130,6 +137,7 @@ def superchannel_covariance_check(
     dims = (u.d, v.d, up.d, vp.d)
     if dims != (s.dA0, s.dA1, s.dB0, s.dB1):
         raise ValueError(f"sampler dims {dims} do not match {s.choi.dims}")
+    _check_samples(n)
     worst, worst_idx = 0.0, 0
     for k in range(n):
         w = np.kron(

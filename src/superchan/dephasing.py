@@ -31,6 +31,8 @@ class DephasingSuperParams:
         m = np.asarray(self.M_big, dtype=complex)
         if m.shape != (self.d * self.d, self.d * self.d):
             raise ValueError(f"M_big must be {self.d**2}x{self.d**2}")
+        if not np.isfinite(m).all():
+            raise ValueError("M_big has non-finite entries (NaN or Inf)")
         m.setflags(write=False)
         object.__setattr__(self, "M_big", m)
 
@@ -106,7 +108,7 @@ def dephasing_validate(p: DephasingSuperParams, tol: float = DEFAULT_TOL) -> Dep
     test suite asserts that equivalence rather than this function.
     """
     d = p.d
-    psd_ok, min_eig = psd_report(p.M_big, tol)
+    psd_ok, min_eig, _ = psd_report(p.M_big, tol)
     m4 = p.m4()
     m = covariance_fibers(p)
     worst = 0.0

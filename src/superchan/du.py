@@ -21,7 +21,15 @@ from itertools import product
 import numpy as np
 
 from .channels import ChoiChannel, DUChannelParams, du_channel
-from .linalg import DEFAULT_TOL, MultipartiteOperator, psd_report
+from .linalg import (
+    DEFAULT_TOL,
+    MultipartiteOperator,
+    charge_sectors,
+    hermitian_eigenvalues,
+    hermiticity_deviation,
+    psd_accepts,
+    psd_report,
+)
 from .superchannels import SuperChoi, super_choi
 
 
@@ -50,7 +58,10 @@ def _support_masks(d: int):
     }
 
 
-def _check_support(name: str, table: np.ndarray, mask: np.ndarray) -> None:
+def _check_table(name: str, table: np.ndarray, mask: np.ndarray) -> None:
+    """Reject non-finite entries and nonzero entries outside the support."""
+    if not np.isfinite(table).all():
+        raise ValueError(f"table {name} has non-finite entries (NaN or Inf)")
     off = table.reshape(mask.shape)[~mask]
     if off.size and np.abs(off).max() > 0:
         raise ValueError(f"table {name} has nonzero entries outside its support")
@@ -84,7 +95,7 @@ class DUSuperParams:
             tables[name] = t
         masks = _support_masks(d)
         for name, t in tables.items():
-            _check_support(name, t, masks[name])
+            _check_table(name, t, masks[name])
             t.setflags(write=False)
             object.__setattr__(self, name, t)
 
@@ -303,25 +314,32 @@ def du_cp_check(
     """Complete positivity via the permuted-basis closed form.
 
     Requires every M_ab with a != b to be PSD together with the coupled
-    d^3 x d^3 block matrix.  With oracle=True the full Choi spectrum is also
-    checked and a disagreement raises OracleMismatchError instead of being
-    papered over.
+    d^3 x d^3 block matrix.  Those blocks hold exactly the Choi entries in a
+    permuted basis, so together they carry the Choi spectrum and its scale:
+    the closed form applies psd_accepts to their union, on the same scale as
+    the oracle, without assembling the Choi.  With oracle=True the Choi
+    spectrum is also read sector by sector, and a disagreement raises
+    OracleMismatchError instead of being papered over.
     """
     d = p.d
     m, _ = _cp_blocks(p)
-    off_min = np.inf
-    closed = True
-    for a, b in product(range(d), repeat=2):
-        if a != b:
-            ok, min_eig = psd_report(m[a, b], tol)
-            off_min = min(off_min, min_eig)
-            closed = closed and ok
-    block_ok, block_min = psd_report(cp_block_matrix(p), tol)
-    closed = closed and block_ok
+    off = m[~np.eye(d, dtype=bool)]  # the M_ab with a != b, stacked
+    block = cp_block_matrix(p)
+    off_evals, block_evals = hermitian_eigenvalues(off), hermitian_eigenvalues(block)
+    closed = psd_accepts(
+        np.concatenate([off_evals.reshape(-1), block_evals]),
+        max(float(np.abs(off).max(initial=0.0)), float(np.abs(block).max())),
+        max(hermiticity_deviation(off), hermiticity_deviation(block)),
+        tol,
+    )
+    off_min = float(off_evals.min(initial=np.inf))
+    block_min = float(block_evals[0])
     choi_min = np.nan
     oracle_ok = closed
     if oracle:
-        oracle_ok, choi_min = psd_report(build_choi(p).choi.mat, tol)
+        oracle_ok, choi_min, _ = psd_report(
+            build_choi(p).choi.mat, tol, charge_sectors(d, "ordered")
+        )
         if oracle_ok != closed:
             raise OracleMismatchError(
                 f"closed-form CP verdict {closed} disagrees with spectral oracle "

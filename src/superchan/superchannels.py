@@ -14,8 +14,8 @@ import numpy as np
 from .channels import ChoiChannel, choi_channel
 from .linalg import (
     DEFAULT_TOL,
+    ChargeSectors,
     MultipartiteOperator,
-    hermiticity_deviation,
     kron,
     max_entangled_projector,
     partial_trace,
@@ -147,15 +147,18 @@ class SuperchannelVerdict:
         }
 
 
-def validate_superchannel(s: SuperChoi, tol: float = DEFAULT_TOL) -> SuperchannelVerdict:
+def validate_superchannel(
+    s: SuperChoi, tol: float = DEFAULT_TOL, sectors: ChargeSectors | None = None
+) -> SuperchannelVerdict:
     """Check positivity plus the two marginal conditions of a superchannel Choi.
 
     The reduced operator C0 on (A0, B0) is reconstructed by averaging the A1
     blocks of Tr_B1 C, which keeps the check well-defined for invalid inputs;
     the factorization residual then measures || Tr_B1 C - C0 (x) I_A1 ||_max.
+    Callers that know the Choi's charge sectors pass them to read its spectrum
+    sector by sector; see psd_report.
     """
-    cp_ok, min_eig = psd_report(s.choi.mat, tol)
-    herm = hermiticity_deviation(s.choi.mat)
+    cp_ok, min_eig, herm = psd_report(s.choi.mat, tol, sectors)
     reduced = partial_trace(s.choi, 3)  # on (A0, A1, B0)
     c0 = partial_trace(reduced, 1)      # on (A0, B0), trace over A1
     c0_mat = c0.mat / s.dA1

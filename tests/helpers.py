@@ -67,6 +67,13 @@ def random_realization(rng: np.random.Generator, d: int, e: int):
     return us, vs, random_state_vector(rng, e)
 
 
+def full_eigvalsh_psd(mat: np.ndarray, tol: float = 1e-10) -> bool:
+    """Independent PSD oracle for a Hermitian matrix: one dense eigvalsh of the
+    whole matrix, accepted at -tol * max(1, spectral radius)."""
+    evals = np.linalg.eigvalsh(mat)
+    return bool(evals[0] >= -tol * max(1.0, float(np.abs(evals).max())))
+
+
 def random_hermitian_du_params(rng: np.random.Generator, d: int) -> DUSuperParams:
     """Random tables satisfying the Hermiticity pairings (usually not CP/TP)."""
     n = d * d

@@ -62,6 +62,7 @@ from superchan.superchannels import (
 )
 
 from helpers import (
+    full_eigvalsh_psd,
     haar_unitary,
     random_hermitian_du_params,
     random_realization,
@@ -190,7 +191,8 @@ def test_criterion_03_cp_closed_form_equivalence():
     for d in (2, 3):
         for p in mixed_hermitian_corpus(rng, d, 200):
             verdict = du_cp_check(p, tol=1e-10)  # raises on oracle mismatch
-            agree += verdict.closed_form == verdict.oracle
+            independent = full_eigvalsh_psd(build_choi(p).choi.mat, tol=1e-10)
+            agree += verdict.closed_form == verdict.oracle == independent
             total += 1
     elapsed = time.perf_counter() - start
     record(

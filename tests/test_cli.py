@@ -9,7 +9,7 @@ from superchan import jsonio
 from superchan.channels import amplitude_damping, bit_flip, choi_channel
 from superchan.cli import default_du_params, main
 from superchan.dephasing import dephasing_from_realization
-from superchan.du import build_choi, du_cp_check, du_identity, du_tp_check
+from superchan.du import DUSuperParams, build_choi, du_cp_check, du_identity, du_tp_check
 from superchan.pauli import PauliSuperParams
 from superchan.superchannels import identity_superchannel
 
@@ -66,6 +66,28 @@ def test_validate_du_identity(paths, capsys):
     path = write("du.json", jsonio.du_params_to_json(du_identity(2)))
     code, out = run_cli(capsys, "validate", "du", path)
     assert code == 0 and "status: ok" in out
+
+
+def test_validate_du_tolerance_boundary_gives_a_verdict(paths, capsys):
+    # closed form and oracle used to scale the tolerance differently here
+    tmp, write = paths
+    p = du_identity(2)
+    a = p.A.copy()
+    a[0, 3] = -1.5e-10
+    path = write("du.json", jsonio.du_params_to_json(DUSuperParams(2, a, p.B, p.C, p.D)))
+    code, out = run_cli(capsys, "validate", "du", path)
+    assert code == 0 and "error:" not in out
+    assert report_value(out, "cp") == "true"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_malformed_tolerance_is_invalid_input(paths, capsys, tol):
+    tmp, write = paths
+    path = write("du.json", jsonio.du_params_to_json(du_identity(2)))
+    code, out = run_cli(capsys, "validate", "du", path, "--tol", tol)
+    assert code == 2 and "status: invalid-input" in out
+    code, out = run_cli(capsys, "example", "bit-flip", "--tol", tol)
+    assert code == 2 and "status: invalid-input" in out
 
 
 def test_validate_pauli_reports_covariance(paths, capsys):
@@ -176,6 +198,15 @@ def test_covariance_command(paths, capsys):
     assert float(report_value(out, "max_deviation")) > 1e-3
     code, _ = run_cli(capsys, "covariance", pauli, "--group", "do")
     assert code == 0
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_covariance_without_samples_is_invalid_input(paths, capsys, samples):
+    tmp, write = paths
+    du = write("du.json", jsonio.du_params_to_json(du_identity(2)))
+    code, out = run_cli(capsys, "covariance", du, "--group", "du", "--samples", samples)
+    assert code == 2 and "status: invalid-input" in out
+    assert "covariant" not in out
 
 
 def test_example_amplitude_damping(paths, capsys):

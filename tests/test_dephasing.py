@@ -204,6 +204,14 @@ def test_closure_under_composition():
             assert np.abs(getattr(composed, name) - getattr(expected, name)).max() <= 1e-13
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_table_rejected(value):
+    m = np.ones((4, 4), dtype=complex)
+    m[1, 2] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        DephasingSuperParams(2, m)
+
+
 def test_apply_dimension_mismatch():
     p = all_ones_params(2)
     with pytest.raises(ValueError):

@@ -14,9 +14,10 @@ from superchan.do import (
 )
 from superchan.du import build_choi, du_identity
 from superchan.pauli import PauliSuperParams, pauli_super_choi
-from superchan.superchannels import sandwich_superchannel
+from superchan.superchannels import sandwich_superchannel, super_choi, validate_superchannel
 
 from helpers import (
+    full_eigvalsh_psd,
     haar_unitary,
     random_hermitian_du_params,
     random_valid_du_params,
@@ -106,6 +107,14 @@ def test_support_masks_enforced():
         )
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_tables_rejected(value):
+    tables = {name: np.zeros((4, 4)) for name in TABLE_NAMES}
+    tables["E"] = np.where(do_mask_tables(2, E=np.ones((4, 4))).E != 0, value, 0)
+    with pytest.raises(ValueError, match="non-finite"):
+        DOSuperParams(2, **tables)
+
+
 def test_pauli_superchannel_extracts_with_nonzero_extra_tables():
     pi = rng.dirichlet(np.ones(16)).reshape(4, 4)
     s = pauli_super_choi(PauliSuperParams(pi))
@@ -142,3 +151,34 @@ def test_do_validate():
     assert do_validate(do_from_choi(pauli_super_choi(PauliSuperParams(pi)))).ok
     # generic sentinel tables fail positivity
     assert not do_validate(random_do_params(2)).ok
+
+
+def hermitian_do_params(d, psd):
+    """Random sign-symmetric tables with a Hermitian Choi; with psd=True the
+    Choi is projected onto its positive part, which keeps the pattern."""
+    m = do_build_choi(random_do_params(d)).choi.mat
+    m = (m + m.conj().T) / 2
+    if psd:
+        evals, vecs = np.linalg.eigh(m)
+        m = (vecs * np.clip(evals, 0.0, None)) @ vecs.conj().T
+    return do_from_choi(super_choi(m, (d, d, d, d)), tol=1e-8)
+
+
+def test_do_validate_matches_dense_generic_validation():
+    # sector-spectrum verdicts against the whole-Choi eigensolve, on a corpus
+    # of valid, CP-only and indefinite parameter sets
+    outcomes = set()
+    for d in (2, 3):
+        for k in range(30):
+            if k % 3 == 0:
+                p = from_du_params(random_valid_du_params(rng, d))
+            else:
+                p = hermitian_do_params(d, psd=k % 3 == 1)
+            verdict = do_validate(p)
+            dense = validate_superchannel(do_build_choi(p))
+            assert verdict.choi_verdict.is_cp == dense.is_cp
+            assert verdict.choi_verdict.ok == dense.ok
+            assert verdict.choi_verdict.hermiticity_deviation == dense.hermiticity_deviation
+            assert dense.is_cp == full_eigvalsh_psd(do_build_choi(p).choi.mat)
+            outcomes.add((dense.is_cp, verdict.ok))
+    assert outcomes == {(True, True), (True, False), (False, False)}

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superchan.channels import (
     amplitude_damping,
@@ -36,6 +37,7 @@ from superchan.superchannels import (
 )
 
 from helpers import (
+    full_eigvalsh_psd,
     haar_unitary,
     random_hermitian_du_params,
     random_valid_du_params,
@@ -98,6 +100,16 @@ def test_support_masks_enforced():
     bad = np.ones((4, 4))
     with pytest.raises(ValueError):
         DUSuperParams(d, np.ones((4, 4)), bad, np.zeros((4, 4)), np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_tables_rejected(value):
+    p = du_identity(2)
+    for name in "ABCD":
+        tables = {n: getattr(p, n).copy() for n in "ABCD"}
+        tables[name][0, 3] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            DUSuperParams(2, **tables)
 
 
 def test_build_choi_sentinel_pattern_matches_displayed_grid():
@@ -221,17 +233,56 @@ def test_du_cp_equivalence_with_spectral_oracle():
                 p = from_choi(super_choi(psd, (d, d, d, d)), tol=1e-8)
             verdict = du_cp_check(p)
             assert verdict.closed_form == verdict.oracle
+            assert verdict.closed_form == full_eigvalsh_psd(build_choi(p).choi.mat)
             if k % 2:
                 assert verdict.ok
+
+
+def test_closed_form_and_oracle_share_the_choi_scale():
+    # min eig -1.5e-10 sits on a 1 x 1 block of its own, while the Choi's
+    # spectral radius is 4: both routes must accept at tol = 1e-10
+    p = du_identity(2)
+    a = p.A.copy()
+    a[0, 3] = -1.5e-10
+    q = DUSuperParams(2, a, p.B, p.C, p.D)
+    verdict = du_cp_check(q, tol=1e-10)
+    assert verdict.closed_form and verdict.oracle
+    assert verdict.offdiag_min_eigenvalue == -1.5e-10
+    assert du_cp_check(q, tol=1e-10, oracle=False).closed_form
+    assert full_eigvalsh_psd(build_choi(q).choi.mat, tol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=3),
+    st.floats(min_value=0.5, max_value=2.0).filter(lambda c: abs(c - 1.0) > 1e-3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_cp_verdict_at_the_tolerance_boundary(d, c, seed):
+    # plant a min eigenvalue of -c * tol * scale on a 1 x 1 charge sector of
+    # a Choi whose spectral radius (the scale) is d^2
+    tol = 1e-10
+    rng = np.random.default_rng(seed)
+    i, j = rng.choice(d, size=2, replace=False)
+    a_, b_ = rng.choice(d, size=2, replace=False)
+    p = du_identity(d)
+    a = p.A.copy()
+    a[i * d + a_, j * d + b_] = -c * tol * d * d
+    q = DUSuperParams(d, a, p.B, p.C, p.D)
+    verdict = du_cp_check(q, tol=tol)  # raises on oracle mismatch
+    assert verdict.closed_form == (c < 1.0)
+    assert full_eigvalsh_psd(build_choi(q).choi.mat, tol=tol) == (c < 1.0)
 
 
 def test_validity_equivalence_with_generic_superchannel_checks():
     for d in (2, 3):
         for k in range(200):
             p = random_valid_du_params(rng, d) if k % 3 == 0 else random_hermitian_du_params(rng, d)
-            param_ok = du_tp_check(p)[0].ok and du_cp_check(p).ok
+            cp = du_cp_check(p)
+            param_ok = du_tp_check(p)[0].ok and cp.ok
             choi_ok = validate_superchannel(build_choi(p)).ok
             assert param_ok == choi_ok
+            assert cp.closed_form == full_eigvalsh_psd(build_choi(p).choi.mat)
 
 
 def test_du_compose_matches_choi_composition():

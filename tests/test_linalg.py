@@ -1,9 +1,13 @@
+from collections import Counter
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from superchan.linalg import (
     NonHermitianMatrixError,
+    charge_sectors,
     hermiticity_deviation,
     identity_operator,
     is_hermitian,
@@ -17,7 +21,9 @@ from superchan.linalg import (
     partial_trace,
     partial_transpose,
     permute_subsystems,
+    psd_report,
     schur_product,
+    sector_eigenvalues,
     swap_operator,
 )
 
@@ -255,3 +261,75 @@ def test_hermiticity_deviation():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert hermiticity_deviation(m) == 1.0
     assert hermiticity_deviation(np.eye(3)) == 0.0
+
+
+def sector_labels(d, pairs):
+    """The charge label of every basis vector (p, q, r, s), written out from
+    the definition: (p != r ? (p, r) : 0, q != s ? (q, s) : 0)."""
+
+    def pair(x, y):
+        if x == y:
+            return 0
+        return (x, y) if pairs == "ordered" else frozenset((x, y))
+
+    return [(pair(p, r), pair(q, s)) for p, q, r, s in product(range(d), repeat=4)]
+
+
+def random_sector_hermitian(rng, d, pairs):
+    """Random Hermitian matrix with no weight between charge sectors."""
+    labels = sector_labels(d, pairs)
+    mask = np.array([[x == y for y in labels] for x in labels])
+    return random_hermitian(rng, d**4) * mask
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_charge_sector_sizes(d):
+    expected = {
+        "ordered": [(1, d * d * (d - 1) ** 2), (d, 2 * d * (d - 1)), (d * d, 1)],
+        "unordered": [(4, (d * (d - 1) // 2) ** 2), (2 * d, d * (d - 1)), (d * d, 1)],
+    }
+    for pairs, counts in expected.items():
+        sectors = charge_sectors(d, pairs)
+        sizes = Counter()
+        for rows in sectors.blocks:
+            sizes[rows.shape[1]] += rows.shape[0]
+        want = Counter()
+        for size, count in counts:  # at d = 2 the unordered sizes coincide
+            want[size] += count
+        assert sizes == want
+        flat = np.concatenate([rows.reshape(-1) for rows in sectors.blocks])
+        assert np.array_equal(np.sort(flat), np.arange(d**4))
+        labels = sector_labels(d, pairs)
+        sector_ids = [{labels[k] for k in row} for rows in sectors.blocks for row in rows]
+        assert all(len(ids) == 1 for ids in sector_ids)
+        assert len(set.union(*sector_ids)) == len(sector_ids)
+
+
+@pytest.mark.parametrize("pairs", ["ordered", "unordered"])
+def test_sector_spectrum_matches_full_eigvalsh(pairs):
+    rng = np.random.default_rng(11)
+    for d in (2, 3, 4):
+        h = random_sector_hermitian(rng, d, pairs)
+        for m in (h, h @ h):  # indefinite, then PSD
+            full = np.linalg.eigvalsh(m)
+            scale = max(1.0, np.abs(full).max())
+            sectors = charge_sectors(d, pairs)
+            evals = np.sort(sector_eigenvalues(m, sectors))
+            assert np.abs(evals - full).max() <= 1e-12 * scale
+            ok, min_eig, herm = psd_report(m, 1e-10, sectors)
+            assert (ok, herm) == psd_report(m, 1e-10)[::2]
+            assert min_eig == pytest.approx(full[0], abs=1e-12 * scale)
+
+
+def test_planted_off_sector_weight_raises():
+    rng = np.random.default_rng(12)
+    d = 3
+    sectors = charge_sectors(d, "ordered")
+    m = random_sector_hermitian(rng, d, "ordered")
+    sector_eigenvalues(m, sectors)
+    i, j = sectors.blocks[0][0, 0], sectors.blocks[-1][0, 0]
+    m[i, j] = m[j, i] = 1e-300
+    with pytest.raises(ValueError, match="outside its charge sectors"):
+        sector_eigenvalues(m, sectors)
+    with pytest.raises(ValueError):
+        charge_sectors(d, "sorted")
