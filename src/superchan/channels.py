@@ -80,8 +80,22 @@ def compose_channels(f: ChoiChannel, g: ChoiChannel) -> ChoiChannel:
     """Choi matrix of f o g, by pushing matrix units through g then f."""
     if g.d_out != f.d_in:
         raise ValueError(f"cannot compose: g.d_out={g.d_out} != f.d_in={f.d_in}")
-    c = np.einsum("kmln,manb->kalb", g.choi4(), f.choi4())
-    return choi_channel(c.reshape(g.d_in * f.d_out, g.d_in * f.d_out), g.d_in, f.d_out)
+    return choi_channel(compose_choi4(g.choi4(), f.choi4()), g.d_in, f.d_out)
+
+
+def compose_choi4(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Choi matrix of (second o first) from the Choi 4-tensors [in, out, in', out'].
+
+    Contracts out = in2 and out' = in2' (einsum "kmln,manb->kalb") as one
+    matrix product of the operands realigned to [(k, l), (m, n)] and
+    [(m, n), (a, b)].
+    """
+    k, m = first.shape[:2]
+    a = second.shape[1]
+    lhs = first.transpose(0, 2, 1, 3).reshape(k * k, m * m)
+    rhs = second.transpose(0, 2, 1, 3).reshape(m * m, a * a)
+    out = (lhs @ rhs).reshape(k, k, a, a).transpose(0, 2, 1, 3)
+    return out.reshape(k * a, k * a)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,18 @@
 
 All matrices use one format: {"dims": [d1, ..., dn], "data": [[re, im], ...]}
 with data row-major over the flattened index.  Serialization uses Python's
-shortest round-trip float printing, so dump -> load is exact.
+shortest round-trip float printing, so dump -> load is exact.  dump_json's
+output equals ``json.dumps(obj, indent=2)`` byte for byte; it renders each
+list of [float, float] pairs in bulk instead of through the pure-Python
+encoder that ``json`` falls back to whenever ``indent`` is set.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +39,13 @@ def _require(obj: dict, keys, what: str) -> None:
         raise SchemaError(f"{what} is missing keys {missing}")
 
 
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{what} must be an integer: {exc}") from exc
+
+
 def _matrix(obj, what: str) -> MultipartiteOperator:
     try:
         return matrix_from_json(obj)
@@ -53,7 +66,7 @@ def channel_to_json(ch: ChoiChannel) -> dict:
 
 def channel_from_json(obj: dict) -> ChoiChannel:
     _require(obj, ("d_in", "d_out", "choi"), "channel")
-    d_in, d_out = int(obj["d_in"]), int(obj["d_out"])
+    d_in, d_out = _int(obj["d_in"], "d_in"), _int(obj["d_out"], "d_out")
     choi = _matrix(obj["choi"], "channel choi")
     if choi.dims != (d_in, d_out):
         raise SchemaError(
@@ -72,7 +85,7 @@ def superchannel_to_json(s: SuperChoi) -> dict:
 def superchannel_from_json(obj: dict) -> SuperChoi:
     _require(obj, ("dims", "choi"), "superchannel")
     _require(obj["dims"], ("A0", "A1", "B0", "B1"), "superchannel dims")
-    dims = tuple(int(obj["dims"][k]) for k in ("A0", "A1", "B0", "B1"))
+    dims = tuple(_int(obj["dims"][k], f"dims {k}") for k in ("A0", "A1", "B0", "B1"))
     choi = _matrix(obj["choi"], "superchannel choi")
     if choi.dims != dims:
         raise SchemaError(f"choi dims {choi.dims} do not match declared {dims}")
@@ -92,7 +105,7 @@ def du_params_to_json(p: DUSuperParams) -> dict:
 
 def du_params_from_json(obj: dict) -> DUSuperParams:
     _require(obj, ("d", "A", "B", "C", "D"), "du parameters")
-    d = int(obj["d"])
+    d = _int(obj["d"], "d")
     tables = [_table(obj[name], d, f"table {name}") for name in "ABCD"]
     if np.abs(tables[0].imag).max() > 0:
         raise SchemaError("table A must be real")
@@ -111,7 +124,7 @@ def do_params_to_json(p: DOSuperParams) -> dict:
 
 def do_params_from_json(obj: dict) -> DOSuperParams:
     _require(obj, ("d",) + DO_TABLE_NAMES, "do parameters")
-    d = int(obj["d"])
+    d = _int(obj["d"], "d")
     tables = [_table(obj[name], d, f"table {name}") for name in DO_TABLE_NAMES]
     if np.abs(tables[0].imag).max() > 0:
         raise SchemaError("table A must be real")
@@ -127,20 +140,23 @@ def dephasing_to_json(p: DephasingSuperParams) -> dict:
 
 def dephasing_from_json(obj: dict) -> DephasingSuperParams:
     _require(obj, ("d", "M_big"), "dephasing parameters")
-    d = int(obj["d"])
+    d = _int(obj["d"], "d")
     return DephasingSuperParams(d, _table(obj["M_big"], d, "M_big"))
 
 
 def realization_from_json(obj: dict):
     """Block-unitary dilation data: environment unitaries and state."""
     _require(obj, ("e", "U", "V", "psi"), "realization")
-    e = int(obj["e"])
+    e = _int(obj["e"], "e")
     us = [_matrix(u, "U").mat for u in obj["U"]]
     vs = [_matrix(v, "V").mat for v in obj["V"]]
     for w in (*us, *vs):
         if w.shape != (e, e):
             raise SchemaError(f"realization unitaries must be {e}x{e}")
-    psi = np.array([complex(re, im) for re, im in obj["psi"]])
+    try:
+        psi = np.array([complex(re, im) for re, im in obj["psi"]])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"bad psi: {exc}") from exc
     if psi.shape != (e,):
         raise SchemaError(f"psi must have {e} entries")
     return us, vs, psi
@@ -152,10 +168,9 @@ def pauli_to_json(p: PauliSuperParams) -> dict:
 
 def pauli_from_json(obj: dict) -> PauliSuperParams:
     _require(obj, ("pi",), "pauli parameters")
-    pi = np.asarray(obj["pi"], dtype=float)
     try:
-        return PauliSuperParams(pi)
-    except ValueError as exc:
+        return PauliSuperParams(np.asarray(obj["pi"], dtype=float))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(str(exc)) from exc
 
 
@@ -187,8 +202,87 @@ def load_json(path) -> dict:
 
 
 def dump_json(obj: dict, path=None) -> str:
-    """Deterministic serialization (fixed key order, shortest-float repr)."""
-    text = json.dumps(obj, indent=2)
+    """Deterministic serialization (fixed key order, shortest-float repr).
+
+    The text equals ``json.dumps(obj, indent=2)`` byte for byte.  Object keys
+    must be strings, as in every document this package writes.
+    """
+    chunks: list[str] = []
+    _encode(obj, 0, chunks)
+    text = "".join(chunks)
     if path is not None:
-        Path(path).write_text(text + "\n")
+        with Path(path).open("w") as f:  # two writes spare a copy of a large text
+            f.write(text)
+            f.write("\n")
     return text
+
+
+def _encode(o, level: int, out: list) -> None:
+    """Append json's indent=2 encoding of ``o``, nested ``level`` deep, to out."""
+    newline = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level
+    if isinstance(o, (list, tuple)) and o:
+        out.append("[" + newline)
+        if not _pairs(o, level + 1, out):
+            for i, v in enumerate(o):
+                if i:
+                    out.append("," + newline)
+                _encode(v, level + 1, out)
+        out.append(close + "]")
+    elif isinstance(o, dict) and o:
+        out.append("{" + newline)
+        for i, (k, v) in enumerate(o.items()):
+            if i:
+                out.append("," + newline)
+            out.append(encode_basestring_ascii(k) + ": ")
+            _encode(v, level + 1, out)
+        out.append(close + "}")
+    else:
+        out.append(_scalar(o))
+
+
+def _scalar(o) -> str:
+    """json's spelling of a scalar or an empty list or object."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    if isinstance(o, (list, tuple)):
+        return "[]"
+    if isinstance(o, dict):
+        return "{}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _pairs(items, level: int, out: list) -> bool:
+    """Append the items of a list of finite [float, float] pairs nested
+    ``level`` deep, in bulk: one repr per float, then two fixed separators
+    joined in C.  For any other list append nothing and return False.
+    """
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return False
+    pad = "\n" + "  " * level
+    inner = pad + "  "
+    reprs = map(float.__repr__, chain.from_iterable(items))
+    try:  # float.__repr__ rejects ints, bools, None, strings and lists
+        body = (pad + "]," + pad + "[" + inner).join(map(("," + inner).join, zip(reprs, reprs)))
+    except TypeError:
+        return False
+    if "n" in body:  # nan or inf, which json spells NaN and Infinity
+        return False
+    out += ("[" + inner, body, pad + "]")
+    return True

@@ -9,6 +9,7 @@ reshape of ``dims + dims``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -340,24 +341,28 @@ def psd_report(
 
 def matrix_to_json(x: MultipartiteOperator) -> dict:
     """JSON form {"dims": [...], "data": [[re, im], ...]} (row-major)."""
-    flat = x.mat.reshape(-1)
-    return {
-        "dims": list(x.dims),
-        "data": [[float(v.real), float(v.imag)] for v in flat],
-    }
+    pairs = x.mat.reshape(-1).view(np.float64).reshape(-1, 2)
+    return {"dims": list(x.dims), "data": pairs.tolist()}
 
 
 def matrix_from_json(obj: dict) -> MultipartiteOperator:
+    """Inverse of matrix_to_json; every malformed input raises ValueError or
+    TypeError, including numbers too large for a float or an int."""
     if not isinstance(obj, dict) or "dims" not in obj or "data" not in obj:
         raise ValueError("matrix JSON must contain 'dims' and 'data'")
-    dims = tuple(int(d) for d in obj["dims"])
-    side = math.prod(dims)
-    data = obj["data"]
-    if len(data) != side * side:
-        raise ValueError(
-            f"matrix JSON data has {len(data)} entries, expected {side * side}"
+    try:
+        dims = tuple(int(d) for d in obj["dims"])
+        side = math.prod(dims)
+        data = obj["data"]
+        if len(data) != side * side:
+            raise ValueError(
+                f"matrix JSON data has {len(data)} entries, expected {side * side}"
+            )
+        if set(map(len, data)) - {2}:
+            raise ValueError("matrix JSON data entries must be [re, im] pairs")
+        flat = np.fromiter(
+            map(float, itertools.chain.from_iterable(data)), np.float64, count=2 * len(data)
         )
-    flat = np.array(
-        [complex(float(re), float(im)) for re, im in data], dtype=complex
-    )
-    return MultipartiteOperator(dims, flat.reshape(side, side))
+    except OverflowError as exc:
+        raise ValueError(f"matrix JSON number out of range: {exc}") from exc
+    return MultipartiteOperator(dims, flat.view(np.complex128).reshape(side, side))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChoiChannel, choi_channel
+from .channels import ChoiChannel, choi_channel, compose_choi4
 from .linalg import (
     DEFAULT_TOL,
     ChargeSectors,
@@ -94,9 +94,8 @@ def compose_superchannels(s2: SuperChoi, s1: SuperChoi) -> SuperChoi:
             f"cannot compose: s1 output dims ({s1.dB0}, {s1.dB1}) != "
             f"s2 input dims ({s2.dA0}, {s2.dA1})"
         )
-    c = np.einsum("kmln,manb->kalb", s1.choi4(), s2.choi4())
-    side = s1.d_in * s2.d_out
-    return super_choi(c.reshape(side, side), (s1.dA0, s1.dA1, s2.dB0, s2.dB1))
+    c = compose_choi4(s1.choi4(), s2.choi4())
+    return super_choi(c, (s1.dA0, s1.dA1, s2.dB0, s2.dB1))
 
 
 def sandwich_superchannel(n0: ChoiChannel, n1: ChoiChannel) -> SuperChoi:

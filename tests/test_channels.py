@@ -151,6 +151,23 @@ def test_compose_matches_pointwise_application():
         compose_channels(g, f)
 
 
+@pytest.mark.parametrize(
+    "dims", [(2, 2, 2), (4, 2, 3), (3, 5, 1), (16, 16, 16)], ids=["2-2-2", "4-2-3", "3-5-1", "16-16-16"]
+)
+def test_compose_channels_matches_the_einsum_contraction(dims):
+    d_in, d_mid, d_out = dims
+    g = choi_channel(_random_matrix(d_in * d_mid), d_in, d_mid)
+    f = choi_channel(_random_matrix(d_mid * d_out), d_mid, d_out)
+    ref = np.einsum("kmln,manb->kalb", g.choi4(), f.choi4())  # the former kernel
+    ref = ref.reshape(d_in * d_out, d_in * d_out)
+    got = compose_channels(f, g).choi.mat
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _random_matrix(side):
+    return rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+
+
 def test_unitary_covariant_family():
     assert np.allclose(unitary_covariant(1.0, 3).choi.mat, identity_channel(3).choi.mat)
     assert np.allclose(unitary_covariant(0.0, 3).choi.mat, depolarizing(3).choi.mat)

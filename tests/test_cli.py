@@ -113,6 +113,43 @@ def test_validate_parse_error_reports_position(paths, capsys):
     assert code == 2 and "line" in out
 
 
+def _malformed_number_text(case):
+    huge = 10**400  # a float() or int() of it from JSON overflowed
+    if case == "du-huge-table-entry":
+        doc = jsonio.du_params_to_json(du_identity(2))
+        doc["A"]["data"][0][0] = huge
+    elif case in ("du-null-d", "du-infinite-d"):
+        doc = jsonio.du_params_to_json(du_identity(2))
+        doc["d"] = None if case == "du-null-d" else float("inf")
+    elif case == "channel-overflowing-dims":
+        doc = jsonio.channel_to_json(amplitude_damping(0.3))
+        doc["choi"]["dims"] = [2, "BIG"]
+        return "channel", json.dumps(doc).replace('"BIG"', "1e999")
+    else:
+        doc = jsonio.pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16)))
+        doc["pi"][0][0] = huge
+    return case.split("-")[0], json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "du-huge-table-entry",
+        "du-null-d",
+        "du-infinite-d",
+        "channel-overflowing-dims",
+        "pauli-huge-pi-entry",
+    ],
+)
+def test_malformed_number_is_invalid_input(paths, capsys, case):
+    tmp, _ = paths
+    kind, text = _malformed_number_text(case)
+    path = tmp / "bad.json"
+    path.write_text(text)
+    code, out = run_cli(capsys, "validate", kind, str(path))
+    assert code == 2 and "status: invalid-input" in out
+
+
 def test_apply_identity_superchannel(paths, capsys):
     tmp, write = paths
     sup = write("s.json", jsonio.superchannel_to_json(identity_superchannel(2, 2)))

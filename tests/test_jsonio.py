@@ -1,16 +1,20 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superchan import jsonio
 from superchan.channels import amplitude_damping
 from superchan.dephasing import dephasing_from_realization
+from superchan.do import from_du_params
 from superchan.jsonio import SchemaError
+from superchan.linalg import MultipartiteOperator, matrix_from_json
 from superchan.pauli import PauliSuperParams
-from superchan.superchannels import identity_superchannel
+from superchan.superchannels import identity_superchannel, super_choi
 
-from helpers import random_hermitian_du_params, random_realization
+from helpers import random_channel, random_hermitian_du_params, random_realization
 
 rng = np.random.default_rng(43)
 
@@ -114,3 +118,186 @@ def test_schema_errors_carry_context():
         doc = jsonio.channel_to_json(amplitude_damping(0.1))
         doc["d_in"] = 3
         jsonio.channel_from_json(doc)
+
+
+# Floats whose spelling is easy to get wrong: signed zero, the smallest
+# subnormal, other subnormals, where repr switches to exponent form, and huge.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-310, -2.5e-320, 1e16, -1e16, 1e300, 0.1, 1 / 3]
+
+
+def _with_special_values(doc):
+    """Overwrite the leading entries of every matrix in doc with SPECIAL_FLOATS."""
+    if isinstance(doc, dict):
+        if set(doc) == {"dims", "data"}:
+            specials = SPECIAL_FLOATS + SPECIAL_FLOATS[::-1]
+            for k, (re, im) in enumerate(zip(specials[::2], specials[1::2])):
+                if k < len(doc["data"]):
+                    doc["data"][k] = [re, im]
+        for value in doc.values():
+            _with_special_values(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            _with_special_values(value)
+    return doc
+
+
+def _every_document_kind():
+    rng = np.random.default_rng(5)  # its own stream: also called at collection
+    d = 2
+    du = random_hermitian_du_params(rng, d)
+    us, vs, psi = random_realization(rng, d, 3)
+    mat = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    docs = {
+        "superchannel": jsonio.superchannel_to_json(super_choi(mat, (2, 2, 2, 2))),
+        "channel": jsonio.channel_to_json(random_channel(rng, 2, 3)),
+        "du": jsonio.du_params_to_json(du),
+        "do": jsonio.do_params_to_json(from_du_params(du)),
+        "dephasing": jsonio.dephasing_to_json(dephasing_from_realization(us, vs, psi)),
+        "pauli": jsonio.pauli_to_json(PauliSuperParams(rng.dirichlet(np.ones(16)).reshape(4, 4))),
+        "realization": {
+            "e": 3,
+            "U": [jsonio.matrix_to_json(_wrap(u)) for u in us],
+            "V": [jsonio.matrix_to_json(_wrap(v)) for v in vs],
+            "psi": [[float(z.real), float(z.imag)] for z in psi],
+        },
+    }
+    docs["pauli"]["pi"][0] = SPECIAL_FLOATS[:4]
+    docs = {kind: _with_special_values(doc) for kind, doc in docs.items()}
+    docs["edge"] = {
+        "empty_object": {},
+        "empty_list": [],
+        "nested_empty": [{}, [], [[]]],
+        "name": "Choi \u03c8 \u2014 d\u00fcr \U0001d4aa \"q\"\\n\t\x00",
+        "\u00e9t\u00e9": None,
+        "flags": [True, False],
+        "non_finite": [math.nan, math.inf, -math.inf],
+        "pairs_with_non_finite": [[1.0, math.nan], [math.inf, -math.inf]],
+        "pairs_of_ints": [[1, 2], [3, 4]],
+        "pairs_mixed": [[1.0, 2], [True, 0.5], [None, 1.0], ["a", "b"]],
+        "ragged_pairs": [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]],
+        "tuple_pairs": ((1.0, -0.0), (5e-324, 1e300)),
+        "integer_dims": [2, 3, 10**20],
+    }
+    return docs
+
+
+@pytest.mark.parametrize("kind", list(_every_document_kind()))
+def test_dump_equals_json_dumps_indent_2(kind, tmp_path):
+    doc = _every_document_kind()[kind]
+    assert jsonio.dump_json(doc) == json.dumps(doc, indent=2)
+    path = tmp_path / "doc.json"
+    jsonio.dump_json(doc, path)
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+_json_floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+_json_pair_lists = st.lists(st.lists(_json_floats, min_size=2, max_size=2), max_size=6)
+_json_scalars = st.none() | st.booleans() | st.integers() | _json_floats | st.text(max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.recursive(
+        _json_scalars | _json_pair_lists,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        max_leaves=24,
+    )
+)
+def test_dump_equals_json_dumps_on_random_documents(doc):
+    assert jsonio.dump_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_dump_rejects_what_json_rejects():
+    for doc in ({"x": np.int64(3)}, {(1, 2): 1.0}, [object()], {"x": {1j: 0}}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            jsonio.dump_json(doc)
+
+
+def _per_entry_matrix_from_json(obj):
+    """The per-entry parser that matrix_from_json replaced, kept as its oracle."""
+    if not isinstance(obj, dict) or "dims" not in obj or "data" not in obj:
+        raise ValueError("matrix JSON must contain 'dims' and 'data'")
+    dims = tuple(int(d) for d in obj["dims"])
+    side = math.prod(dims)
+    data = obj["data"]
+    if len(data) != side * side:
+        raise ValueError("wrong entry count")
+    flat = np.array([complex(float(re), float(im)) for re, im in data], dtype=complex)
+    return MultipartiteOperator(dims, flat.reshape(side, side))
+
+
+_GOOD_ENTRIES = [[1.0, 0.0], [0.5, -0.0], [5e-324, 2], [-3, 1e300]]
+_ENTRY_CORPUS = [
+    [1.0],
+    [],
+    [1.0, 2.0, 3.0],
+    None,
+    7,
+    1.5,
+    True,
+    "12",
+    "1x",
+    "1",
+    "123",
+    [True, False],
+    ["1", "2.5"],
+    ["nan", 0.0],
+    [None, 1.0],
+    [[1.0], [2.0]],
+    [1e999, 0.0],
+    [10**400, 0.0],
+    {"1": 0.0, "2": 0.0},
+    {"re": 1.0, "im": 0.0},
+    {"1": 0.0},
+]
+_DOCUMENT_CORPUS = (
+    [{"dims": [2], "data": _GOOD_ENTRIES}]
+    + [{"dims": [2], "data": _GOOD_ENTRIES[:3] + [entry]} for entry in _ENTRY_CORPUS]
+    + [
+        {"dims": [2], "data": _GOOD_ENTRIES[:3]},
+        {"dims": [2], "data": "abcd"},
+        {"dims": [2], "data": {"12": 0, "34": 0, "56": 0, "78": 0}},
+        {"dims": [2], "data": 4},
+        {"dims": [1], "data": "12"},
+        {"dims": ["2"], "data": _GOOD_ENTRIES},
+        {"dims": [2.7], "data": _GOOD_ENTRIES},
+        {"dims": [True, 2], "data": _GOOD_ENTRIES},
+        {"dims": [0], "data": []},
+        {"dims": [2, None], "data": _GOOD_ENTRIES},
+        {"dims": [2, 1e999], "data": _GOOD_ENTRIES},
+        {"dims": [math.nan], "data": _GOOD_ENTRIES},
+        {"dims": 2, "data": _GOOD_ENTRIES},
+        {"dims": [2]},
+        [[1.0, 0.0]],
+    ]
+)
+
+
+@pytest.mark.parametrize("doc", _DOCUMENT_CORPUS, ids=range(len(_DOCUMENT_CORPUS)))
+def test_matrix_from_json_accepts_exactly_what_the_per_entry_parser_did(doc):
+    try:
+        expected = _per_entry_matrix_from_json(doc)
+    except (ValueError, TypeError, OverflowError):
+        expected = None
+    if expected is None:  # rejected, and as an error jsonio turns into SchemaError
+        with pytest.raises((ValueError, TypeError)):
+            matrix_from_json(doc)
+        with pytest.raises(SchemaError):
+            jsonio._matrix(doc, "corpus")
+    else:
+        got = matrix_from_json(doc)
+        assert got.dims == expected.dims
+        assert np.array_equal(got.mat, expected.mat)
+        assert np.array_equal(np.signbit(got.mat.view(float)), np.signbit(expected.mat.view(float)))
+
+
+def test_matrix_to_json_matches_per_entry_floats():
+    mat = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    mat.reshape(-1)[: len(SPECIAL_FLOATS)] = np.array(SPECIAL_FLOATS) * (1 - 1j)
+    x = MultipartiteOperator((3, 3), mat)
+    per_entry = [[float(v.real), float(v.imag)] for v in x.mat.reshape(-1)]
+    data = jsonio.matrix_to_json(x)["data"]
+    assert json.dumps(data) == json.dumps(per_entry)
+    assert all(type(v) is float for pair in data for v in pair)

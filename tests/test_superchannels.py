@@ -193,6 +193,29 @@ def test_compose_superchannels_associative():
         assert np.abs(left.choi.mat - right.choi.mat).max() <= 1e-12
 
 
+def _einsum_compose(first4, second4):
+    """The four-index contraction compose_superchannels used to run, as its oracle."""
+    c = np.einsum("kmln,manb->kalb", first4, second4)
+    side = c.shape[0] * c.shape[1]
+    return c.reshape(side, side)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_compose_superchannels_matches_the_einsum_contraction(d):
+    def random_super(dims):
+        side = int(np.prod(dims))
+        mat = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        return super_choi(mat, dims)
+
+    s1 = random_super((d, d - 1, d, d))
+    s2 = random_super((d, d, d - 1, d))
+    ref = _einsum_compose(s1.choi4(), s2.choi4())
+    got = compose_superchannels(s2, s1)
+    assert got.choi.dims == (d, d - 1, d - 1, d)
+    scale = np.abs(ref).max()
+    assert np.abs(got.choi.mat - ref).max() <= 1e-12 * scale
+
+
 def test_compose_dimension_mismatch():
     with pytest.raises(ValueError):
         compose_superchannels(identity_superchannel(3, 3), identity_superchannel(2, 2))
