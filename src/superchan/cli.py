@@ -379,7 +379,7 @@ def cmd_example(args) -> CommandResult:
     else:
         raise SchemaError(f"unknown example {args.name!r}")
 
-    out = choi_channel(du_block_action(params, ch.choi).mat, 2, 2)
+    out = choi_channel(out4.reshape(4, 4), 2, 2)
     ok = _report_output_channel(report, out, tol) and ok
     artifacts = []
     if args.out:

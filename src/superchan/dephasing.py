@@ -53,10 +53,8 @@ def to_super_choi(p: DephasingSuperParams) -> SuperChoi:
     d = p.d
     n = d * d
     c = np.zeros((n * n, n * n), dtype=complex)
-    c4 = c.reshape(n, n, n, n)
-    for k in range(n):
-        for l in range(n):
-            c4[k, k, l, l] = p.M_big[k, l]
+    kk = np.arange(n) * (n + 1)  # the basis vectors e_K (x) e_K
+    c[kk[:, None], kk] = p.M_big
     return super_choi(c, (d, d, d, d))
 
 
@@ -107,19 +105,16 @@ def dephasing_validate(p: DephasingSuperParams, tol: float = DEFAULT_TOL) -> Dep
     Equivalent to the generic Choi-level validation of to_super_choi(p); the
     test suite asserts that equivalence rather than this function.
     """
-    d = p.d
     psd_ok, min_eig, _ = psd_report(p.M_big, tol)
-    m4 = p.m4()
-    m = covariance_fibers(p)
-    worst = 0.0
-    witness = (0, 0, 0, 0)
-    for i, j in product(range(d), repeat=2):
-        fiber = np.array([m4[i, aa, j, aa] for aa in range(d)])
-        dev = np.abs(fiber - m[i, j])
-        if dev.max() > worst:
-            worst = float(dev.max())
-            a = int(np.argmax(dev))
-            witness = (i, j, a, int(np.argmax(np.abs(fiber - fiber[a]))))
+    fibers = np.einsum("iaja->ija", p.m4())
+    m = fibers.mean(axis=2)
+    dev = np.abs(fibers - m[:, :, None])
+    # witness: the first (i, j) in row-major order attaining the maximum, its
+    # first such a, and the a' whose entry is farthest from that one
+    i, j, a = (int(k) for k in np.unravel_index(int(np.argmax(dev)), dev.shape))
+    fiber = fibers[i, j]
+    witness = (i, j, a, int(np.argmax(np.abs(fiber - fiber[a]))))
+    worst = float(dev[i, j, a])
     diag_dev = float(np.abs(np.diagonal(m) - 1.0).max())
     return DephasingVerdict(psd_ok, min_eig, worst, witness, diag_dev, tol)
 
@@ -169,15 +164,13 @@ def dephasing_on_dephasing(p: DephasingSuperParams, m_chan) -> np.ndarray:
     m_chan = check_covariance_matrix(m_chan)
     if m_chan.shape != (p.d, p.d):
         raise ValueError(f"covariance matrix side {m_chan.shape} does not match d={p.d}")
-    m4 = p.m4()
-    scale = np.array([[m4[i, i, j, j] for j in range(p.d)] for i in range(p.d)])
-    return scale * m_chan
+    return superdecoherence_matrix(p) * m_chan
 
 
 def superdecoherence_matrix(p: DephasingSuperParams) -> np.ndarray:
     """Covariance matrix of the channel produced from the identity channel."""
-    m4 = p.m4()
-    return np.array([[m4[i, i, j, j] for j in range(p.d)] for i in range(p.d)])
+    k = np.arange(p.d)
+    return p.m4()[k[:, None], k[:, None], k, k]
 
 
 def dephasing_embed_du(p: DephasingSuperParams) -> DUSuperParams:
@@ -188,18 +181,12 @@ def dephasing_embed_du(p: DephasingSuperParams) -> DUSuperParams:
     """
     d = p.d
     m4 = p.m4()
-    a = np.zeros((d, d, d, d))
-    b = np.zeros((d, d, d, d), dtype=complex)
-    c = np.zeros((d, d, d, d), dtype=complex)
-    dd = np.zeros((d, d, d, d), dtype=complex)
-    for i, a_, j, b_ in product(range(d), repeat=4):
-        if i == j and a_ == b_:
-            a[i, a_, i, a_] = m4[i, a_, i, a_].real
-        elif i == j:
-            b[i, a_, i, b_] = m4[i, a_, i, b_]
-        elif a_ == b_:
-            c[i, a_, j, a_] = m4[i, a_, j, a_]
-        else:
-            dd[i, a_, j, b_] = m4[i, a_, j, b_]
-    n = d * d
-    return mask_tables(d, a.reshape(n, n), b.reshape(n, n), c.reshape(n, n), dd.reshape(n, n))
+    i, a, j, b = np.ogrid[:d, :d, :d, :d]
+    # mask_tables cuts B, C and D down to their supports
+    tables = (
+        np.where((i == j) & (a == b), m4.real, 0.0),
+        np.where(i == j, m4, 0.0),
+        np.where(a == b, m4, 0.0),
+        m4,
+    )
+    return mask_tables(d, *(t.reshape(d * d, d * d) for t in tables))

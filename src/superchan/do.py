@@ -12,12 +12,12 @@ Choi is block diagonal over them, with blocks of side 4, 2d and d^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .du import DUSuperParams, _support_masks, _check_table
+from .du import DUSuperParams
 from .linalg import DEFAULT_TOL, charge_sectors
+from .positions import check_table, choi_from_tables, table_positions, tables_from_choi
 from .superchannels import (
     SuperChoi,
     SuperchannelVerdict,
@@ -37,21 +37,6 @@ class NotDOCovariantError(ValueError):
         super().__init__(
             f"off-pattern residual {residual:.3e} exceeds tolerance {tol:.1e}"
         )
-
-
-def _do_support_masks(d: int):
-    i, a, j, b = np.ogrid[:d, :d, :d, :d]
-    masks = _support_masks(d)
-    masks.update(
-        {
-            "E": np.broadcast_to(i != j, (d, d, d, d)),
-            "P": np.broadcast_to((i != j) & (a != b), (d, d, d, d)),
-            "Q": np.broadcast_to((i != j) & (a != b), (d, d, d, d)),
-            "R": np.broadcast_to(a != b, (d, d, d, d)),
-            "S": np.broadcast_to((i != j) & (a != b), (d, d, d, d)),
-        }
-    )
-    return masks
 
 
 TABLE_NAMES = ("A", "B", "C", "D", "E", "P", "Q", "R", "S")
@@ -79,14 +64,13 @@ class DOSuperParams:
 
     def __post_init__(self) -> None:
         d = self.d
-        masks = _do_support_masks(d)
         for name in TABLE_NAMES:
             t = np.asarray(
                 getattr(self, name), dtype=float if name == "A" else complex
             )
             if t.shape != (d * d, d * d):
                 raise ValueError(f"{name} must be {d * d}x{d * d}")
-            _check_table(name, t, masks[name])
+            check_table(d, name, t)
             t.setflags(write=False)
             object.__setattr__(self, name, t)
 
@@ -100,7 +84,6 @@ def do_mask_tables(d: int, **tables) -> DOSuperParams:
 
     Missing tables default to zero.
     """
-    masks = _do_support_masks(d)
     out = {}
     for name in TABLE_NAMES:
         t = tables.get(name)
@@ -108,7 +91,7 @@ def do_mask_tables(d: int, **tables) -> DOSuperParams:
             t = np.zeros((d * d, d * d))
         dtype = float if name == "A" else complex
         t = np.asarray(t, dtype=dtype)
-        out[name] = np.where(masks[name].reshape(d * d, d * d), t, 0.0)
+        out[name] = np.where(table_positions(d, name).mask, t, 0.0)
     return DOSuperParams(d, **out)
 
 
@@ -121,29 +104,10 @@ def do_build_choi(p: DOSuperParams) -> SuperChoi:
     """Assemble the nine-component Choi matrix on (A0, A1, B0, B1).
 
     The first four tables land exactly where the diagonal-unitary build puts
-    them; the extra five occupy the additional sign-symmetric positions:
-      E_{ia,jb} at ((i,a,j,b), (j,a,i,b))    P_{ia,jb} at ((i,a,j,a), (j,b,i,b))
-      Q_{ia,jb} at ((i,a,j,b), (j,b,i,a))    R_{ia,jb} at ((i,a,j,b), (i,b,j,a))
-      S_{ia,jb} at ((i,a,i,b), (j,b,j,a))
+    them and the extra five on the further sign-symmetric positions, all as
+    listed in positions.POSITIONS.
     """
-    d = p.d
-    a4, b4, c4, d4, e4, p4, q4, r4, s4 = (p.t4(n) for n in TABLE_NAMES)
-    c = np.zeros((d**4, d**4), dtype=complex)
-    c8 = c.reshape((d,) * 8)
-    for i, a, j, b in product(range(d), repeat=4):
-        c8[j, b, i, a, j, b, i, a] += a4[i, a, j, b]
-        if a != b:
-            c8[j, a, i, a, j, b, i, b] += b4[i, a, j, b]
-            c8[i, a, j, b, i, b, j, a] += r4[i, a, j, b]
-        if i != j:
-            c8[i, b, i, a, j, b, j, a] += c4[i, a, j, b]
-            c8[i, a, j, b, j, a, i, b] += e4[i, a, j, b]
-            if a != b:
-                c8[i, a, i, a, j, b, j, b] += d4[i, a, j, b]
-                c8[i, a, j, a, j, b, i, b] += p4[i, a, j, b]
-                c8[i, a, j, b, j, b, i, a] += q4[i, a, j, b]
-                c8[i, a, i, b, j, b, j, a] += s4[i, a, j, b]
-    return super_choi(c, (d, d, d, d))
+    return super_choi(choi_from_tables(p, TABLE_NAMES), (p.d,) * 4)
 
 
 def do_from_choi(s: SuperChoi, tol: float = DEFAULT_TOL) -> DOSuperParams:
@@ -151,25 +115,8 @@ def do_from_choi(s: SuperChoi, tol: float = DEFAULT_TOL) -> DOSuperParams:
     if not (s.dA0 == s.dA1 == s.dB0 == s.dB1):
         raise ValueError("extraction requires equal subsystem dimensions")
     d = s.dA0
-    c8 = s.choi.mat.reshape((d,) * 8)
-    t = {name: np.zeros((d, d, d, d), dtype=complex) for name in TABLE_NAMES}
-    for i, a, j, b in product(range(d), repeat=4):
-        t["A"][i, a, j, b] = c8[j, b, i, a, j, b, i, a]
-        if a != b:
-            t["B"][i, a, j, b] = c8[j, a, i, a, j, b, i, b]
-            t["R"][i, a, j, b] = c8[i, a, j, b, i, b, j, a]
-        if i != j:
-            t["C"][i, a, j, b] = c8[i, b, i, a, j, b, j, a]
-            t["E"][i, a, j, b] = c8[i, a, j, b, j, a, i, b]
-            if a != b:
-                t["D"][i, a, j, b] = c8[i, a, i, a, j, b, j, b]
-                t["P"][i, a, j, b] = c8[i, a, j, a, j, b, i, b]
-                t["Q"][i, a, j, b] = c8[i, a, j, b, j, b, i, a]
-                t["S"][i, a, j, b] = c8[i, a, i, b, j, b, j, a]
-    params = DOSuperParams(
-        d, t["A"].reshape(d * d, d * d).real,
-        *(t[name].reshape(d * d, d * d) for name in TABLE_NAMES[1:]),
-    )
+    t = tables_from_choi(s.choi.mat, d, TABLE_NAMES)
+    params = DOSuperParams(d, **{**t, "A": t["A"].real})
     residual = float(np.abs(do_build_choi(params).choi.mat - s.choi.mat).max())
     if residual > tol:
         raise NotDOCovariantError(residual, tol)

@@ -30,6 +30,13 @@ from .linalg import (
     psd_accepts,
     psd_report,
 )
+from .positions import (
+    check_table,
+    choi_from_tables,
+    principal_blocks,
+    table_positions,
+    tables_from_choi,
+)
 from .superchannels import SuperChoi, super_choi
 
 
@@ -46,25 +53,6 @@ class NotDUCovariantError(ValueError):
 
 class OracleMismatchError(RuntimeError):
     """Closed-form verdict disagrees with the spectral oracle on the same input."""
-
-
-def _support_masks(d: int):
-    i, a, j, b = np.ogrid[:d, :d, :d, :d]
-    return {
-        "A": np.ones((d, d, d, d), dtype=bool),
-        "B": np.broadcast_to(a != b, (d, d, d, d)),
-        "C": np.broadcast_to(i != j, (d, d, d, d)),
-        "D": np.broadcast_to((i != j) & (a != b), (d, d, d, d)),
-    }
-
-
-def _check_table(name: str, table: np.ndarray, mask: np.ndarray) -> None:
-    """Reject non-finite entries and nonzero entries outside the support."""
-    if not np.isfinite(table).all():
-        raise ValueError(f"table {name} has non-finite entries (NaN or Inf)")
-    off = table.reshape(mask.shape)[~mask]
-    if off.size and np.abs(off).max() > 0:
-        raise ValueError(f"table {name} has nonzero entries outside its support")
 
 
 @dataclass(frozen=True)
@@ -93,9 +81,8 @@ class DUSuperParams:
             if t.shape != (d * d, d * d):
                 raise ValueError(f"{name} must be {d * d}x{d * d}")
             tables[name] = t
-        masks = _support_masks(d)
         for name, t in tables.items():
-            _check_table(name, t, masks[name])
+            check_table(d, name, t)
             t.setflags(write=False)
             object.__setattr__(self, name, t)
 
@@ -107,13 +94,10 @@ class DUSuperParams:
 
 def mask_tables(d: int, A, B, C, D) -> DUSuperParams:
     """Build params from unmasked arrays, zeroing out-of-support entries."""
-    masks = _support_masks(d)
-    a = np.where(masks["A"].reshape(d * d, d * d), np.asarray(A, dtype=float), 0.0)
-    out = [a]
-    for name, t in (("B", B), ("C", C), ("D", D)):
-        t = np.asarray(t, dtype=complex)
-        out.append(np.where(masks[name].reshape(d * d, d * d), t, 0.0))
-    return DUSuperParams(d, *out)
+    tables = (np.asarray(A, dtype=float), *(np.asarray(t, dtype=complex) for t in (B, C, D)))
+    return DUSuperParams(
+        d, *(np.where(table_positions(d, n).mask, t, 0.0) for n, t in zip("ABCD", tables))
+    )
 
 
 def du_identity(d: int) -> DUSuperParams:
@@ -144,23 +128,9 @@ def hermiticity_violation(p: DUSuperParams) -> float:
 def build_choi(p: DUSuperParams) -> SuperChoi:
     """Assemble the superchannel Choi matrix on subsystems (A0, A1, B0, B1).
 
-    Table entries land on disjoint positions:
-      A_{ia,jb} at ((j,b,i,a), (j,b,i,a))        B_{ia,jb} at ((j,a,i,a), (j,b,i,b))
-      C_{ia,jb} at ((i,b,i,a), (j,b,j,a))        D_{ia,jb} at ((i,a,i,a), (j,b,j,b))
+    Table entries land on the disjoint positions of positions.POSITIONS.
     """
-    d = p.d
-    a4, b4, c4, d4 = (p.t4(n) for n in "ABCD")
-    c = np.zeros((d**4, d**4), dtype=complex)
-    c8 = c.reshape((d,) * 8)
-    for i, a, j, b in product(range(d), repeat=4):
-        c8[j, b, i, a, j, b, i, a] += a4[i, a, j, b]
-        if a != b:
-            c8[j, a, i, a, j, b, i, b] += b4[i, a, j, b]
-        if i != j:
-            c8[i, b, i, a, j, b, j, a] += c4[i, a, j, b]
-            if a != b:
-                c8[i, a, i, a, j, b, j, b] += d4[i, a, j, b]
-    return super_choi(c, (d, d, d, d))
+    return super_choi(choi_from_tables(p, "ABCD"), (p.d,) * 4)
 
 
 def from_choi(s: SuperChoi, tol: float = DEFAULT_TOL) -> DUSuperParams:
@@ -171,26 +141,8 @@ def from_choi(s: SuperChoi, tol: float = DEFAULT_TOL) -> DUSuperParams:
     if not (s.dA0 == s.dA1 == s.dB0 == s.dB1):
         raise ValueError("extraction requires equal subsystem dimensions")
     d = s.dA0
-    c8 = s.choi.mat.reshape((d,) * 8)
-    A = np.zeros((d, d, d, d))
-    B = np.zeros((d, d, d, d), dtype=complex)
-    C = np.zeros((d, d, d, d), dtype=complex)
-    D = np.zeros((d, d, d, d), dtype=complex)
-    for i, a, j, b in product(range(d), repeat=4):
-        A[i, a, j, b] = c8[j, b, i, a, j, b, i, a].real
-        if a != b:
-            B[i, a, j, b] = c8[j, a, i, a, j, b, i, b]
-        if i != j:
-            C[i, a, j, b] = c8[i, b, i, a, j, b, j, a]
-            if a != b:
-                D[i, a, j, b] = c8[i, a, i, a, j, b, j, b]
-    params = DUSuperParams(
-        d,
-        A.reshape(d * d, d * d),
-        B.reshape(d * d, d * d),
-        C.reshape(d * d, d * d),
-        D.reshape(d * d, d * d),
-    )
+    t = tables_from_choi(s.choi.mat, d, "ABCD")
+    params = DUSuperParams(d, t["A"].real, t["B"], t["C"], t["D"])
     residual = float(np.abs(build_choi(params).choi.mat - s.choi.mat).max())
     if residual > tol:
         raise NotDUCovariantError(residual, tol)
@@ -256,34 +208,35 @@ def du_tp_check(
     return verdict, DUTPWitness(alpha, gamma)
 
 
+def _cp_bases(d: int):
+    """Choi basis indices of the closed form's principal blocks.
+
+    Row a*d + b is M_ab, the block on {A1 = b, B1 = a} ordered (A0, B0); the
+    coupled block is the one on {A1 = B1}, ordered (A1, A0, B0).
+    """
+    a, b, x, y = np.ogrid[:d, :d, :d, :d]
+    k, x3, y3 = np.ogrid[:d, :d, :d]
+    return (
+        (((x * d + b) * d + y) * d + a).reshape(d * d, d * d),
+        (((x3 * d + k) * d + y3) * d + k).reshape(1, d**3),
+    )
+
+
 def _cp_blocks(p: DUSuperParams):
-    """The permuted-basis blocks M_ab (from A, C) and N_ab (from B, D)."""
+    """The permuted-basis blocks M_ab (from A, C) and N_ab (from B, D).
+
+    N_ab is the (a, b) block of the coupled block; N_aa is zero.
+    """
     d = p.d
-    a4, b4, c4, d4 = (p.t4(n) for n in "ABCD")
-    m = np.zeros((d, d, d * d, d * d), dtype=complex)
-    n = np.zeros((d, d, d * d, d * d), dtype=complex)
-    m4 = m.reshape(d, d, d, d, d, d)
-    n4 = n.reshape(d, d, d, d, d, d)
-    for a, b in product(range(d), repeat=2):
-        for i, j in product(range(d), repeat=2):
-            m4[a, b, j, i, j, i] += a4[i, a, j, b]
-            n4[a, b, j, i, j, i] += b4[i, a, j, b]
-            if i != j:
-                m4[a, b, i, i, j, j] += c4[i, a, j, b]
-                n4[a, b, i, i, j, j] += d4[i, a, j, b]
-    return m, n
+    m_basis, coupled = _cp_bases(d)
+    m = principal_blocks(p, "AC", m_basis).reshape(d, d, d * d, d * d)
+    n = principal_blocks(p, "BD", coupled).reshape(d, d * d, d, d * d)
+    return m, n.transpose(0, 2, 1, 3)
 
 
 def cp_block_matrix(p: DUSuperParams) -> np.ndarray:
     """The d^3 x d^3 coupled block sum_a e_aa (x) M_aa + sum_{a!=b} e_ab (x) N_ab."""
-    d = p.d
-    m, n = _cp_blocks(p)
-    block = np.zeros((d * d * d, d * d * d), dtype=complex)
-    b4 = block.reshape(d, d * d, d, d * d)
-    for a in range(d):
-        for b in range(d):
-            b4[a, :, b, :] = m[a, a] if a == b else n[a, b]
-    return block
+    return principal_blocks(p, "ABCD", _cp_bases(p.d)[1])[0]
 
 
 @dataclass(frozen=True)
@@ -381,25 +334,21 @@ def du_block_action(p: DUSuperParams, x) -> MultipartiteOperator:
         raise ValueError(f"input side {m.shape} does not match d^2={d * d}")
     x4 = m.reshape(d, d, d, d)
     a4, b4, c4, d4 = (p.t4(n) for n in "ABCD")
-    y4 = np.zeros_like(x4)
-
     xdiag = np.einsum("jbjb->jb", x4)
     ydiag = np.einsum("iajb,jb->ia", a4, xdiag)
     w = np.einsum("jajb->jab", x4)
     yb = np.einsum("iajb,jab->iab", b4, w)
     v = np.einsum("ibjb->ijb", x4)
     yc = np.einsum("iajb,ijb->iaj", c4, v)
-    yd = d4 * x4
 
-    for i, a, j, b in product(range(d), repeat=4):
-        if i == j and a == b:
-            y4[i, a, i, a] = ydiag[i, a]
-        elif i == j:
-            y4[i, a, i, b] = yb[i, a, b]
-        elif a == b:
-            y4[i, a, j, a] = yc[i, a, j]
-        else:
-            y4[i, a, j, b] = yd[i, a, j, b]
+    # D scales every entry; then the i = j blocks take B's image, the a = b
+    # entries C's and the diagonal A's, each write overriding the one before
+    k = np.arange(d)
+    i, a, b = k[:, None, None], k[:, None], k
+    y4 = d4 * x4
+    y4[i, a, i, b] = yb
+    y4[i, a, b, a] = yc
+    y4[k[:, None], k, k[:, None], k] = ydiag
     return MultipartiteOperator((d, d), y4.reshape(d * d, d * d))
 
 
@@ -451,13 +400,11 @@ def random_do_invariant(d: int, rng: np.random.Generator) -> MultipartiteOperato
     pt = rng.normal(size=(d, d))
     qt = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rt = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m, n = np.ogrid[:d, :d]
     x4 = np.zeros((d, d, d, d), dtype=complex)
-    for m in range(d):
-        for n in range(d):
-            x4[m, n, m, n] += pt[m, n]
-            if m != n:
-                x4[m, m, n, n] += qt[m, n]
-                x4[m, n, n, m] += rt[m, n]
+    x4[m, n, m, n] += pt
+    x4[m, m, n, n] += np.where(m != n, qt, 0.0)
+    x4[m, n, n, m] += np.where(m != n, rt, 0.0)
     mat = x4.reshape(d * d, d * d)
     return MultipartiteOperator((d, d), (mat + mat.conj().T) / 2)
 
@@ -466,22 +413,13 @@ def _do_pattern_split(x4: np.ndarray):
     """Split an operator on (d, d) into the sign-symmetric pattern components
     (P on e_mm (x) e_nn, Q on e_mn (x) e_mn, R on e_mn (x) e_nm) plus the
     maximal off-pattern magnitude."""
-    d = x4.shape[0]
-    p = np.zeros((d, d), dtype=complex)
-    q = np.zeros((d, d), dtype=complex)
-    r = np.zeros((d, d), dtype=complex)
-    off = 0.0
-    for m, n, mm, nn in product(range(d), repeat=4):
-        v = x4[m, n, mm, nn]
-        if (m, n) == (mm, nn):
-            p[m, n] = v
-        elif m == n and mm == nn and m != mm:
-            q[m, mm] = v
-        elif m == nn and n == mm and m != n:
-            r[m, n] = v
-        else:
-            off = max(off, abs(v))
-    return p, q, r, off
+    m, n = np.ogrid[: x4.shape[0], : x4.shape[0]]
+    on = np.zeros(x4.shape, dtype=bool)
+    on[m, n, m, n] = on[m, m, n, n] = on[m, n, n, m] = True
+    p = x4[m, n, m, n]
+    q = np.where(m != n, x4[m, m, n, n], 0.0)
+    r = np.where(m != n, x4[m, n, n, m], 0.0)
+    return p, q, r, float(np.abs(x4[~on]).max(initial=0.0))
 
 
 def du_preserves_do_check(
@@ -503,8 +441,7 @@ def du_preserves_do_check(
         y = du_block_action(p, x)
         pout, qout, rout, off = _do_pattern_split(y.mat.reshape(d, d, d, d))
         worst_off = max(worst_off, off)
-        pvec = np.array([pin[j, b] for j in range(d) for b in range(d)])
-        expect_p = (amat @ pvec).reshape(d, d)
+        expect_p = (amat @ pin.reshape(-1)).reshape(d, d)
         worst_coeff = max(worst_coeff, float(np.abs(pout - expect_p).max()))
         for i, j in product(range(d), repeat=2):
             if i != j:

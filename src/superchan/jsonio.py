@@ -40,10 +40,10 @@ def _require(obj: dict, keys, what: str) -> None:
 
 
 def _int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{what} must be an integer: {exc}") from exc
+    """A JSON integer field; floats (even 2.0), booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be a JSON integer, not {type(value).__name__}")
+    return value
 
 
 def _matrix(obj, what: str) -> MultipartiteOperator:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from superchan.channels import ChoiChannel, choi_from_kraus
 from superchan.dephasing import dephasing_embed_du, dephasing_from_realization
+from superchan.do import TABLE_NAMES, DOSuperParams
 from superchan.du import DUSuperParams, from_choi, mask_tables
 from superchan.superchannels import SuperChoi, sandwich_superchannel, super_choi
 
@@ -137,3 +140,92 @@ def random_valid_superchoi(rng: np.random.Generator, d0: int, d1: int,
         )
         acc = w * s.choi.mat if acc is None else acc + w * s.choi.mat
     return super_choi(acc, (d0, d1, d0, d1))
+
+
+# ---------------------------------------------------------------------------
+# per-entry reference for the table position map
+# ---------------------------------------------------------------------------
+
+
+def loop_build_choi(p: DUSuperParams) -> np.ndarray:
+    """Reference DU Choi assembly, one table entry at a time."""
+    d = p.d
+    a4, b4, c4, d4 = (p.t4(n) for n in "ABCD")
+    c = np.zeros((d**4, d**4), dtype=complex)
+    c8 = c.reshape((d,) * 8)
+    for i, a, j, b in product(range(d), repeat=4):
+        c8[j, b, i, a, j, b, i, a] += a4[i, a, j, b]
+        if a != b:
+            c8[j, a, i, a, j, b, i, b] += b4[i, a, j, b]
+        if i != j:
+            c8[i, b, i, a, j, b, j, a] += c4[i, a, j, b]
+            if a != b:
+                c8[i, a, i, a, j, b, j, b] += d4[i, a, j, b]
+    return c
+
+
+def loop_do_build_choi(p: DOSuperParams) -> np.ndarray:
+    """Reference nine-table Choi assembly, one table entry at a time."""
+    d = p.d
+    a4, b4, c4, d4, e4, p4, q4, r4, s4 = (p.t4(n) for n in TABLE_NAMES)
+    c = np.zeros((d**4, d**4), dtype=complex)
+    c8 = c.reshape((d,) * 8)
+    for i, a, j, b in product(range(d), repeat=4):
+        c8[j, b, i, a, j, b, i, a] += a4[i, a, j, b]
+        if a != b:
+            c8[j, a, i, a, j, b, i, b] += b4[i, a, j, b]
+            c8[i, a, j, b, i, b, j, a] += r4[i, a, j, b]
+        if i != j:
+            c8[i, b, i, a, j, b, j, a] += c4[i, a, j, b]
+            c8[i, a, j, b, j, a, i, b] += e4[i, a, j, b]
+            if a != b:
+                c8[i, a, i, a, j, b, j, b] += d4[i, a, j, b]
+                c8[i, a, j, a, j, b, i, b] += p4[i, a, j, b]
+                c8[i, a, j, b, j, b, i, a] += q4[i, a, j, b]
+                c8[i, a, i, b, j, b, j, a] += s4[i, a, j, b]
+    return c
+
+
+def loop_do_tables(mat: np.ndarray, d: int) -> dict:
+    """Reference extraction of the nine tables (complex, d^2 x d^2); the
+    first four are the DU tables."""
+    c8 = mat.reshape((d,) * 8)
+    t = {name: np.zeros((d, d, d, d), dtype=complex) for name in TABLE_NAMES}
+    for i, a, j, b in product(range(d), repeat=4):
+        t["A"][i, a, j, b] = c8[j, b, i, a, j, b, i, a]
+        if a != b:
+            t["B"][i, a, j, b] = c8[j, a, i, a, j, b, i, b]
+            t["R"][i, a, j, b] = c8[i, a, j, b, i, b, j, a]
+        if i != j:
+            t["C"][i, a, j, b] = c8[i, b, i, a, j, b, j, a]
+            t["E"][i, a, j, b] = c8[i, a, j, b, j, a, i, b]
+            if a != b:
+                t["D"][i, a, j, b] = c8[i, a, i, a, j, b, j, b]
+                t["P"][i, a, j, b] = c8[i, a, j, a, j, b, i, b]
+                t["Q"][i, a, j, b] = c8[i, a, j, b, j, b, i, a]
+                t["S"][i, a, j, b] = c8[i, a, i, b, j, b, j, a]
+    return {name: x.reshape(d * d, d * d) for name, x in t.items()}
+
+
+def loop_cp_blocks(p: DUSuperParams):
+    """Reference M_ab (from A, C), N_ab (from B, D) and the coupled block
+    sum_a e_aa (x) M_aa + sum_{a!=b} e_ab (x) N_ab."""
+    d = p.d
+    a4, b4, c4, d4 = (p.t4(n) for n in "ABCD")
+    m = np.zeros((d, d, d * d, d * d), dtype=complex)
+    n = np.zeros((d, d, d * d, d * d), dtype=complex)
+    m4 = m.reshape(d, d, d, d, d, d)
+    n4 = n.reshape(d, d, d, d, d, d)
+    for a, b in product(range(d), repeat=2):
+        for i, j in product(range(d), repeat=2):
+            m4[a, b, j, i, j, i] += a4[i, a, j, b]
+            n4[a, b, j, i, j, i] += b4[i, a, j, b]
+            if i != j:
+                m4[a, b, i, i, j, j] += c4[i, a, j, b]
+                n4[a, b, i, i, j, j] += d4[i, a, j, b]
+    block = np.zeros((d * d * d, d * d * d), dtype=complex)
+    blk4 = block.reshape(d, d * d, d, d * d)
+    for a in range(d):
+        for b in range(d):
+            blk4[a, :, b, :] = m[a, a] if a == b else n[a, b]
+    return m, n, block

@@ -113,6 +113,15 @@ def test_validate_parse_error_reports_position(paths, capsys):
     assert code == 2 and "line" in out
 
 
+# integer fields must be JSON integers: these used to read as d=2 or d=1
+NON_INTEGER_D = {
+    "du-fractional-d": 2.7,
+    "du-integral-float-d": 2.0,
+    "du-string-d": "2",
+    "du-bool-d": True,
+}
+
+
 def _malformed_number_text(case):
     huge = 10**400  # a float() or int() of it from JSON overflowed
     if case == "du-huge-table-entry":
@@ -121,10 +130,16 @@ def _malformed_number_text(case):
     elif case in ("du-null-d", "du-infinite-d"):
         doc = jsonio.du_params_to_json(du_identity(2))
         doc["d"] = None if case == "du-null-d" else float("inf")
+    elif case in NON_INTEGER_D:
+        doc = jsonio.du_params_to_json(default_du_params())
+        doc["d"] = NON_INTEGER_D[case]
     elif case == "channel-overflowing-dims":
         doc = jsonio.channel_to_json(amplitude_damping(0.3))
         doc["choi"]["dims"] = [2, "BIG"]
         return "channel", json.dumps(doc).replace('"BIG"', "1e999")
+    elif case == "channel-fractional-d-in":
+        doc = jsonio.channel_to_json(amplitude_damping(0.3))
+        doc["d_in"] = 2.5
     else:
         doc = jsonio.pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16)))
         doc["pi"][0][0] = huge
@@ -137,7 +152,12 @@ def _malformed_number_text(case):
         "du-huge-table-entry",
         "du-null-d",
         "du-infinite-d",
+        "du-fractional-d",
+        "du-integral-float-d",
+        "du-string-d",
+        "du-bool-d",
         "channel-overflowing-dims",
+        "channel-fractional-d-in",
         "pauli-huge-pi-entry",
     ],
 )

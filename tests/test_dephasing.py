@@ -142,6 +142,51 @@ def test_validator_fiber_witness():
     assert verdict.fiber_witness[:2] == (0, 1)
 
 
+def _loop_fiber_witness(p):
+    """Reference fiber scan: row-major over (i, j), replaced only on a strictly
+    larger deviation."""
+    d, m4 = p.d, p.m4()
+    m = covariance_fibers(p)
+    worst, witness = 0.0, (0, 0, 0, 0)
+    for i in range(d):
+        for j in range(d):
+            fiber = np.array([m4[i, aa, j, aa] for aa in range(d)])
+            dev = np.abs(fiber - m[i, j])
+            if dev.max() > worst:
+                worst = float(dev.max())
+                a = int(np.argmax(dev))
+                witness = (i, j, a, int(np.argmax(np.abs(fiber - fiber[a]))))
+    return worst, witness
+
+
+def test_fiber_witness_is_the_first_of_tied_fibers():
+    d = 3
+    m4 = np.zeros((d, d, d, d), dtype=complex)
+    for i in range(d):
+        m4[i, :, i, :] = np.eye(d)  # constant diagonal fibers
+    m4[2, :, 0, :] = np.diag([0.0, 1.0, 0.0])  # fiber (2, 0): deviation 2/3 at a=1
+    m4[0, :, 2, :] = np.diag([1.0, 0.0, 0.0])  # fiber (0, 2): the same, at a=0
+    m4[1, :, 0, :] = np.diag([1.0, -1.0, 0.0])  # fiber (1, 0): ties a=0, a=1 at 1.0
+    m4[1, :, 2, :] = np.diag([0.0, 1.0, -1.0])  # fiber (1, 2): ties it, later in order
+    p = DephasingSuperParams(d, m4.reshape(d * d, d * d))
+    verdict = dephasing_validate(p)
+    assert (verdict.fiber_deviation, verdict.fiber_witness) == (1.0, (1, 0, 0, 1))
+    assert _loop_fiber_witness(p) == (1.0, (1, 0, 0, 1))
+    m4[1, :, 0, :] = m4[1, :, 2, :] = 0
+    verdict = dephasing_validate(DephasingSuperParams(d, m4.reshape(d * d, d * d)))
+    assert verdict.fiber_witness == (0, 2, 0, 1)
+
+
+def test_fiber_witness_matches_the_per_fiber_scan():
+    for d in (2, 3, 4):
+        for _ in range(5):
+            p = random_psd_m_big(d, enforce_fibers=False)
+            verdict = dephasing_validate(p)
+            assert (verdict.fiber_deviation, verdict.fiber_witness) == _loop_fiber_witness(p)
+        p = dephasing_from_realization(*random_realization(rng, d, 2))
+        assert dephasing_validate(p).fiber_witness == _loop_fiber_witness(p)[1]
+
+
 def test_dephasing_on_dephasing_matches_schur_route():
     for d in (2, 3):
         for _ in range(10):
