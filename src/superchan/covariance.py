@@ -5,7 +5,9 @@ conditions.
 Covariance is linear in the Choi matrix, so violations are generic: a small
 number of seeded samples suffices, and the verdict is reproducible from the
 seed.  Samplers own their generator and are not meant to be shared across
-threads.
+threads.  Conjugation by a diagonal group element only rephases each entry of
+the Choi, so the diagonal groups (du, do) are tested on its nonzero entries
+alone; the Haar groups conjugate the whole matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .channels import (
 from .linalg import DEFAULT_TOL, max_entangled_projector, swap_operator
 from .superchannels import SuperChoi, super_choi
 
-SAMPLER_KINDS = ("diagonal-unitary", "diagonal-orthogonal", "haar-unitary")
+DIAGONAL_KINDS = ("diagonal-unitary", "diagonal-orthogonal")
+SAMPLER_KINDS = (*DIAGONAL_KINDS, "haar-unitary")
 
 
 @dataclass
@@ -91,14 +94,34 @@ class CovarianceVerdict:
         }
 
 
-def _conjugation_deviation(mat: np.ndarray, w: np.ndarray) -> float:
-    return float(np.abs(w @ mat @ w.conj().T - mat).max())
+def _sampled_check(mat, samplers, combine, n, tol) -> CovarianceVerdict:
+    """Worst deviation |W X W^dag - X| over n samples, W = combine(draws).
 
-
-def _check_samples(n: int) -> None:
-    """A covariance verdict over no samples would pass vacuously."""
-    if n < 1:
+    Each sample draws one element from every sampler, in order.  When every
+    sampler is diagonal, W is diagonal and conjugation only rephases each
+    entry, (W X W^dag)_rc = w_r x_rc conj(w_c): combine is applied to the
+    diagonals, the nonzero entries of X are gathered once, and a sample costs
+    O(nnz).  A zero entry cannot deviate, so skipping it is exact.  Any other
+    sampler makes W dense, and it is conjugated as a matrix.
+    """
+    if n < 1:  # a verdict over no samples would pass vacuously
         raise ValueError(f"the number of samples must be positive, got {n}")
+    diagonal = all(s.kind in DIAGONAL_KINDS for s in samplers)
+    if diagonal:
+        rows, cols = np.nonzero(mat)
+        x = mat[rows, cols]
+    worst, worst_idx = 0.0, 0
+    for k in range(n):
+        draws = [s.draw() for s in samplers]
+        if diagonal:
+            w = combine(*(np.diagonal(u) for u in draws))
+            dev = float(np.abs(w[rows] * x * w[cols].conj() - x).max(initial=0.0))
+        else:
+            w = combine(*draws)
+            dev = float(np.abs(w @ mat @ w.conj().T - mat).max())
+        if dev > worst:
+            worst, worst_idx = dev, k
+    return CovarianceVerdict(worst, worst_idx, n, tol)
 
 
 def channel_covariance_check(
@@ -112,17 +135,14 @@ def channel_covariance_check(
 
     U and V are drawn in lockstep from the two samplers; construct them with
     the same seed to realize two representations of the same group element.
+    Diagonal groups rephase the Choi's nonzero entries, Haar groups conjugate
+    it densely (see _sampled_check).
     """
     if u_sampler.d != ch.d_in or v_sampler.d != ch.d_out:
         raise ValueError("sampler dimensions do not match the channel")
-    _check_samples(n)
-    worst, worst_idx = 0.0, 0
-    for k in range(n):
-        w = np.kron(u_sampler.draw().conj(), v_sampler.draw())
-        dev = _conjugation_deviation(ch.choi.mat, w)
-        if dev > worst:
-            worst, worst_idx = dev, k
-    return CovarianceVerdict(worst, worst_idx, n, tol)
+    return _sampled_check(
+        ch.choi.mat, (u_sampler, v_sampler), lambda u, v: np.kron(u.conj(), v), n, tol
+    )
 
 
 def superchannel_covariance_check(
@@ -132,22 +152,20 @@ def superchannel_covariance_check(
     tol: float = DEFAULT_TOL,
 ) -> CovarianceVerdict:
     """Test invariance of a superchannel Choi under the four-fold conjugation
-    U (x) conj(V) (x) conj(U') (x) V' with (U, V, U', V') drawn per sample."""
+    U (x) conj(V) (x) conj(U') (x) V' with (U, V, U', V') drawn per sample.
+
+    Diagonal groups rephase the Choi's nonzero entries, Haar groups conjugate
+    it densely (see _sampled_check).
+    """
     u, v, up, vp = samplers
     dims = (u.d, v.d, up.d, vp.d)
     if dims != (s.dA0, s.dA1, s.dB0, s.dB1):
         raise ValueError(f"sampler dims {dims} do not match {s.choi.dims}")
-    _check_samples(n)
-    worst, worst_idx = 0.0, 0
-    for k in range(n):
-        w = np.kron(
-            np.kron(u.draw(), v.draw().conj()),
-            np.kron(up.draw().conj(), vp.draw()),
-        )
-        dev = _conjugation_deviation(s.choi.mat, w)
-        if dev > worst:
-            worst, worst_idx = dev, k
-    return CovarianceVerdict(worst, worst_idx, n, tol)
+
+    def combine(u, v, up, vp):
+        return np.kron(np.kron(u, v.conj()), np.kron(up.conj(), vp))
+
+    return _sampled_check(s.choi.mat, samplers, combine, n, tol)
 
 
 def covariance_sampler_tuple(group: str, d: int, seed: int = 0):

@@ -17,7 +17,13 @@ import numpy as np
 
 from .du import DUSuperParams
 from .linalg import DEFAULT_TOL, charge_sectors
-from .positions import check_table, choi_from_tables, table_positions, tables_from_choi
+from .positions import (
+    check_table,
+    choi_from_tables,
+    extraction_residual,
+    table_positions,
+    tables_from_choi,
+)
 from .superchannels import (
     SuperChoi,
     SuperchannelVerdict,
@@ -111,13 +117,16 @@ def do_build_choi(p: DOSuperParams) -> SuperChoi:
 
 
 def do_from_choi(s: SuperChoi, tol: float = DEFAULT_TOL) -> DOSuperParams:
-    """Read the nine tables off their unique positions; reject off-pattern weight."""
+    """Read the nine tables off their unique positions; reject off-pattern weight.
+
+    The residual is the largest modulus in do_build_choi(params) - s.
+    """
     if not (s.dA0 == s.dA1 == s.dB0 == s.dB1):
         raise ValueError("extraction requires equal subsystem dimensions")
     d = s.dA0
     t = tables_from_choi(s.choi.mat, d, TABLE_NAMES)
     params = DOSuperParams(d, **{**t, "A": t["A"].real})
-    residual = float(np.abs(do_build_choi(params).choi.mat - s.choi.mat).max())
+    residual = extraction_residual(s.choi.mat, d, TABLE_NAMES)
     if residual > tol:
         raise NotDOCovariantError(residual, tol)
     return params

@@ -33,6 +33,7 @@ from .linalg import (
 from .positions import (
     check_table,
     choi_from_tables,
+    extraction_residual,
     principal_blocks,
     table_positions,
     tables_from_choi,
@@ -136,14 +137,15 @@ def build_choi(p: DUSuperParams) -> SuperChoi:
 def from_choi(s: SuperChoi, tol: float = DEFAULT_TOL) -> DUSuperParams:
     """Read the tables off their Choi positions; reject off-pattern weight.
 
-    Raises NotDUCovariantError when the reconstruction residual exceeds tol.
+    Raises NotDUCovariantError when the reconstruction residual, the largest
+    modulus in build_choi(params) - s, exceeds tol.
     """
     if not (s.dA0 == s.dA1 == s.dB0 == s.dB1):
         raise ValueError("extraction requires equal subsystem dimensions")
     d = s.dA0
     t = tables_from_choi(s.choi.mat, d, "ABCD")
     params = DUSuperParams(d, t["A"].real, t["B"], t["C"], t["D"])
-    residual = float(np.abs(build_choi(params).choi.mat - s.choi.mat).max())
+    residual = extraction_residual(s.choi.mat, d, "ABCD")
     if residual > tol:
         raise NotDUCovariantError(residual, tol)
     return params
@@ -247,6 +249,7 @@ class DUCPVerdict:
     block_min_eigenvalue: float
     choi_min_eigenvalue: float
     tol: float
+    offdiag_witness: tuple[int, int] | None = None  # (a, b) of the M_ab holding the min
 
     @property
     def ok(self) -> bool:
@@ -256,6 +259,7 @@ class DUCPVerdict:
         return {
             "cp": self.closed_form,
             "offdiag_min_eig": self.offdiag_min_eigenvalue,
+            "offdiag_witness": self.offdiag_witness or "none",
             "block_min_eig": self.block_min_eigenvalue,
             "choi_min_eig": self.choi_min_eigenvalue,
         }
@@ -286,6 +290,10 @@ def du_cp_check(
         tol,
     )
     off_min = float(off_evals.min(initial=np.inf))
+    witness = None  # at d = 1 there is no M_ab with a != b
+    if off_evals.size:
+        a, b = np.argwhere(~np.eye(d, dtype=bool))[np.argmin(off_evals) // (d * d)]
+        witness = (int(a), int(b))
     block_min = float(block_evals[0])
     choi_min = np.nan
     oracle_ok = closed
@@ -300,7 +308,7 @@ def du_cp_check(
                 f"{off_min:.3e}, Choi min eig {choi_min:.3e})"
             )
     return DUCPVerdict(
-        closed, oracle_ok, float(off_min), float(block_min), float(choi_min), tol
+        closed, oracle_ok, off_min, float(block_min), float(choi_min), tol, witness
     )
 
 

@@ -104,6 +104,31 @@ def tables_from_choi(mat: np.ndarray, d: int, names: Iterable[str]) -> dict:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def off_pattern_mask(d: int, names: Iterable[str]) -> np.ndarray:
+    """The d^4 x d^4 Choi entries where none of the tables ``names`` sits (read-only)."""
+    off = np.ones((d**4, d**4), dtype=bool)
+    for name in names:
+        pos = table_positions(d, name)
+        off[pos.rows, pos.cols] = False
+    off.setflags(write=False)
+    return off
+
+
+def extraction_residual(mat: np.ndarray, d: int, names: Iterable[str]) -> float:
+    """max |rebuilt - mat|, with rebuilt the Choi holding the tables ``names``
+    read off mat and table A taken real, in one masked pass over mat.
+
+    Rebuilt agrees with mat exactly on the other table positions, so this is
+    the largest |entry| off the positions or |imaginary part| on A's.  A NaN
+    in either part is the residual, as it would be in the difference.
+    """
+    pos = table_positions(d, "A")
+    off = np.abs(mat).max(where=off_pattern_mask(d, names), initial=0.0)
+    imag = np.abs(mat[pos.rows, pos.cols].imag).max(initial=0.0)
+    return float(np.max([off, imag]))
+
+
 def principal_blocks(p, names: Iterable[str], basis: np.ndarray) -> np.ndarray:
     """Principal blocks of choi_from_tables(p, names), read straight off the tables.
 

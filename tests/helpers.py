@@ -8,7 +8,7 @@ import numpy as np
 
 from superchan.channels import ChoiChannel, choi_from_kraus
 from superchan.dephasing import dephasing_embed_du, dephasing_from_realization
-from superchan.do import TABLE_NAMES, DOSuperParams
+from superchan.do import TABLE_NAMES, DOSuperParams, do_mask_tables
 from superchan.du import DUSuperParams, from_choi, mask_tables
 from superchan.superchannels import SuperChoi, sandwich_superchannel, super_choi
 
@@ -87,6 +87,14 @@ def random_hermitian_du_params(rng: np.random.Generator, d: int) -> DUSuperParam
         return ((t + t.transpose(axes).conj()) / 2).reshape(n, n)
 
     return mask_tables(d, a, sym((0, 3, 2, 1)), sym((2, 1, 0, 3)), sym((2, 3, 0, 1)))
+
+
+def random_do_params(rng: np.random.Generator, d: int) -> DOSuperParams:
+    """Random nine tables on their supports (A real, the rest complex)."""
+    n = d * d
+    t = {name: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for name in TABLE_NAMES}
+    t["A"] = t["A"].real
+    return do_mask_tables(d, **t)
 
 
 def classical_du_params(rng: np.random.Generator, d: int) -> DUSuperParams:
@@ -229,3 +237,38 @@ def loop_cp_blocks(p: DUSuperParams):
         for b in range(d):
             blk4[a, :, b, :] = m[a, a] if a == b else n[a, b]
     return m, n, block
+
+
+def rebuild_residual(mat: np.ndarray, d: int, names) -> float:
+    """Reference extraction residual: read the tables ``names`` ("ABCD" or
+    TABLE_NAMES) off mat with A taken real, rebuild the Choi entry by entry
+    and take the largest modulus of the difference."""
+    t = loop_do_tables(mat, d)
+    t["A"] = t["A"].real
+    if tuple(names) == tuple("ABCD"):
+        rebuilt = loop_build_choi(DUSuperParams(d, *(t[n] for n in "ABCD")))
+    else:
+        rebuilt = loop_do_build_choi(DOSuperParams(d, **t))
+    return float(np.abs(rebuilt - mat).max())
+
+
+# ---------------------------------------------------------------------------
+# dense reference for the sampled covariance test
+# ---------------------------------------------------------------------------
+
+
+def dense_covariance_reference(mat: np.ndarray, samplers, n: int):
+    """(max deviation, worst sample) of |W X W^dag - X| over n samples, with W
+    formed densely: conj(U) (x) V for two samplers, U (x) conj(V) (x) conj(U')
+    (x) V' for four."""
+    worst, worst_idx = 0.0, 0
+    for k in range(n):
+        f = [s.draw() for s in samplers]
+        if len(f) == 2:
+            w = np.kron(f[0].conj(), f[1])
+        else:
+            w = np.kron(np.kron(f[0], f[1].conj()), np.kron(f[2].conj(), f[3]))
+        dev = float(np.abs(w @ mat @ w.conj().T - mat).max())
+        if dev > worst:
+            worst, worst_idx = dev, k
+    return worst, worst_idx

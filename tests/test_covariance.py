@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superchan.channels import (
+    DOChannelParams,
+    DUChannelParams,
     amplitude_damping,
     bit_flip,
+    choi_channel,
     depolarizing,
+    do_channel,
+    du_channel,
     holevo_werner,
     identity_channel,
     pauli_channel,
@@ -25,16 +31,26 @@ from superchan.covariance import (
     uu_induced_map,
     uu_superchannel,
 )
-from superchan.linalg import is_psd
+from superchan.do import do_build_choi
+from superchan.du import build_choi
+from superchan.linalg import DEFAULT_TOL, is_psd
 from superchan.superchannels import (
     apply_to_channel,
     identity_superchannel,
     sandwich_superchannel,
+    super_choi,
     tp_preserving_check,
     validate_superchannel,
 )
 
-from helpers import haar_unitary, random_channel, unitary_conjugation
+from helpers import (
+    dense_covariance_reference,
+    haar_unitary,
+    random_channel,
+    random_do_params,
+    random_hermitian_du_params,
+    unitary_conjugation,
+)
 
 rng = np.random.default_rng(19)
 
@@ -237,3 +253,97 @@ def test_covariance_verdict_reporting():
     v = superchannel_covariance_check(s, covariance_sampler_tuple("haar", 2, 0), n=5)
     rep = v.report()
     assert rep["covariant"] and rep["samples"] == 5
+
+
+# ---------------------------------------------------------------------------
+# diagonal groups: rephasing the nonzero entries against dense conjugation
+# ---------------------------------------------------------------------------
+
+KIND = {"du": "diagonal-unitary", "do": "diagonal-orthogonal"}
+
+
+def _complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _covariant_choi(rng, group, d, channel):
+    """A Choi matrix invariant under the group, with generic nonzero entries."""
+    if channel:
+        off = np.where(np.eye(d, dtype=bool), 0.0, _complex(rng, (d, d)))
+        if group == "du":
+            return du_channel(DUChannelParams(d, rng.normal(size=(d, d)), off)).choi.mat
+        c = np.where(np.eye(d, dtype=bool), 0.0, _complex(rng, (d, d)))
+        return do_channel(DOChannelParams(d, rng.normal(size=(d, d)), off, c)).choi.mat
+    if group == "du":
+        return build_choi(random_hermitian_du_params(rng, d)).choi.mat
+    return do_build_choi(random_do_params(rng, d)).choi.mat
+
+
+def _samplers(group, d, seed, channel):
+    if channel:  # two representations of the same group element
+        return tuple(GroupSampler(KIND[group], d, seed) for _ in range(2))
+    return covariance_sampler_tuple(group, d, seed)
+
+
+def _check(mat, group, d, seed, channel, n):
+    samplers = _samplers(group, d, seed, channel)
+    if channel:
+        return channel_covariance_check(choi_channel(mat, d, d), *samplers, n=n)
+    return superchannel_covariance_check(super_choi(mat, (d,) * 4), samplers, n=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    group=st.sampled_from(["du", "do"]),
+    d=st.integers(2, 4),
+    channel=st.booleans(),
+    kind=st.sampled_from(["covariant", "generic", "planted"]),
+    scale=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**16),
+)
+def test_diagonal_route_matches_dense_conjugation(group, d, channel, kind, scale, seed):
+    rng = np.random.default_rng(seed)
+    mat = _covariant_choi(rng, group, d, channel).copy()
+    if kind == "generic":
+        mat = _complex(rng, mat.shape)
+    elif kind == "planted":  # off-pattern weight at the tolerance boundary
+        zeros = np.argwhere(mat == 0)
+        r, c = zeros[rng.integers(len(zeros))]
+        mat[r, c] = scale * DEFAULT_TOL * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    n = 8
+    v = _check(mat, group, d, seed, channel, n)
+    ref, ref_idx = dense_covariance_reference(mat, _samplers(group, d, seed, channel), n)
+    assert v.ok == (ref <= DEFAULT_TOL)
+    if group == "do":  # products of +-1 are exact, so both routes agree bit for bit
+        assert (v.max_deviation, v.worst_sample) == (ref, ref_idx)
+        return
+    assert abs(v.max_deviation - ref) <= 1e-12 * max(1.0, float(np.abs(mat).max()))
+    if kind != "covariant":
+        assert v.worst_sample == ref_idx
+
+
+@pytest.mark.parametrize("group", ["du", "do"])
+@pytest.mark.parametrize("channel", [True, False])
+def test_diagonal_route_on_an_all_zero_choi(group, channel):
+    d = 3
+    mat = np.zeros((d**2, d**2) if channel else (d**4, d**4), dtype=complex)
+    v = _check(mat, group, d, 5, channel, 4)
+    assert (v.ok, v.max_deviation, v.worst_sample) == (True, 0.0, 0)
+
+
+def test_mixed_diagonal_and_haar_samplers_take_the_dense_route():
+    d = 2
+    mat = _complex(rng, (d**4, d**4))
+
+    def samplers():
+        kinds = ("diagonal-unitary", "haar-unitary", "diagonal-orthogonal", "haar-unitary")
+        return tuple(GroupSampler(k, d, 3 + i) for i, k in enumerate(kinds))
+
+    v = superchannel_covariance_check(super_choi(mat, (d,) * 4), samplers(), n=6)
+    assert (v.max_deviation, v.worst_sample) == dense_covariance_reference(mat, samplers(), 6)
+
+    def pair():
+        return GroupSampler("diagonal-unitary", 4, 1), GroupSampler("haar-unitary", 4, 1)
+
+    v = channel_covariance_check(choi_channel(mat[:16, :16], 4, 4), *pair(), n=6)
+    assert (v.max_deviation, v.worst_sample) == dense_covariance_reference(mat[:16, :16], pair(), 6)

@@ -238,6 +238,21 @@ def test_du_cp_equivalence_with_spectral_oracle():
                 assert verdict.ok
 
 
+def test_cp_verdict_names_the_failing_m_ab():
+    # A[i=1, a=2, j=0, b=0] lands on the diagonal of M_20 alone; every other
+    # M_ab with a != b stays zero
+    p = du_identity(3)
+    a = p.A.copy()
+    a[1 * 3 + 2, 0] = -0.5
+    verdict = du_cp_check(DUSuperParams(3, a, p.B, p.C, p.D))
+    assert not verdict.ok
+    assert verdict.offdiag_min_eigenvalue == -0.5
+    assert verdict.offdiag_witness == (2, 0)
+    assert verdict.report()["offdiag_witness"] == (2, 0)
+    one = DUSuperParams(1, np.ones((1, 1)), *(np.zeros((1, 1)),) * 3)
+    assert du_cp_check(one).report()["offdiag_witness"] == "none"
+
+
 def test_closed_form_and_oracle_share_the_choi_scale():
     # min eig -1.5e-10 sits on a 1 x 1 block of its own, while the Choi's
     # spectral radius is 4: both routes must accept at tol = 1e-10

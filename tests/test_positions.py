@@ -3,10 +3,23 @@
 import numpy as np
 import pytest
 
-from superchan.do import TABLE_NAMES, DOSuperParams, do_build_choi, do_from_choi
-from superchan.du import DUSuperParams, _cp_blocks, build_choi, cp_block_matrix, from_choi
+from superchan.do import (
+    TABLE_NAMES,
+    DOSuperParams,
+    NotDOCovariantError,
+    do_build_choi,
+    do_from_choi,
+)
+from superchan.du import (
+    DUSuperParams,
+    NotDUCovariantError,
+    _cp_blocks,
+    build_choi,
+    cp_block_matrix,
+    from_choi,
+)
 from superchan.linalg import charge_sectors
-from superchan.positions import table_positions
+from superchan.positions import extraction_residual, table_positions
 from superchan.superchannels import super_choi
 
 from helpers import (
@@ -14,6 +27,9 @@ from helpers import (
     loop_cp_blocks,
     loop_do_build_choi,
     loop_do_tables,
+    random_do_params,
+    random_hermitian_du_params,
+    rebuild_residual,
 )
 
 rng = np.random.default_rng(53)
@@ -96,3 +112,34 @@ def test_positions_are_disjoint_and_fill_the_charge_sectors(d, names, pairs, cou
     inside = sector[:, None] == sector[None, :]
     assert np.array_equal(owner >= 0, inside)
     assert int(inside.sum()) == count(d)
+
+
+def _residual_inputs(d, names):
+    """Generic matrices, covariant ones with planted off-pattern weight, and
+    covariant ones with imaginary parts at the A positions (the diagonal)."""
+    shape = (d**4, d**4)
+    generic = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if names == "ABCD":
+        covariant = build_choi(random_hermitian_du_params(rng, d)).choi.mat
+    else:
+        covariant = do_build_choi(random_do_params(rng, d)).choi.mat
+    planted = covariant.copy()
+    zeros = np.argwhere(covariant == 0)
+    r, c = zeros[rng.choice(len(zeros), size=5, replace=False)].T
+    planted[r, c] = rng.normal(size=5) * 10.0 ** rng.uniform(-12, 0, size=5)
+    imag_a = covariant + np.diag(1j * rng.normal(size=d**4) * 1e-9)
+    return generic, planted, imag_a
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("names", ["ABCD", TABLE_NAMES], ids=["du", "do"])
+def test_extraction_residual_is_bit_identical_to_rebuild_and_subtract(d, names):
+    extract, error = (from_choi, NotDUCovariantError) if names == "ABCD" else (
+        do_from_choi, NotDOCovariantError)
+    for mat in _residual_inputs(d, names):
+        ref = rebuild_residual(mat, d, names)
+        assert ref > 0
+        assert extraction_residual(mat, d, names) == ref
+        with pytest.raises(error) as info:
+            extract(super_choi(mat, (d,) * 4), tol=0.0)
+        assert info.value.residual == ref
