@@ -32,7 +32,6 @@ from .covariance import covariance_sampler_tuple, superchannel_covariance_check
 from .dephasing import DephasingSuperParams, dephasing_validate, to_super_choi
 from .do import do_build_choi, do_validate
 from .du import (
-    OracleMismatchError,
     build_choi,
     du_block_action,
     du_cp_check,
@@ -468,10 +467,6 @@ def main(argv=None) -> int:
         print("status: invalid-input")
         print(f"error: {exc}")
         return INVALID_INPUT
-    except OracleMismatchError as exc:
-        print("status: check-failed")
-        print(f"error: {exc}")
-        return CHECK_FAILED
     return _emit(result)
 
 

@@ -217,21 +217,14 @@ def tp_preserving_check(
     c6 = s.choi.mat.reshape(d0, d1, s.dB0, s.dB1, d0, d1, s.dB0, s.dB1)
     # Delta(e_ij (x) e_ab)[pq, rs] = choi[(i,a,p,q), (j,b,r,s)]; trace q = s
     images = np.einsum("iapqjbrq->ijabpr", c6)
-    leak = 0.0
-    for a in range(d1):
-        for b in range(d1):
-            if a != b:
-                leak = max(leak, float(np.abs(images[:, :, a, b]).max()))
+    leak = float(np.abs(images[:, :, ~np.eye(d1, dtype=bool)]).max(initial=0.0))
     diag = images[:, :, range(d1), range(d1)]  # [i, j, a, p, r]
     mean = diag.mean(axis=2)
     fiber = float(np.abs(diag - mean[:, :, None]).max()) if d1 > 1 else 0.0
     unital = sum(mean[i, i] for i in range(d0))
     unit_dev = float(np.abs(unital - np.eye(b0)).max())
-    choi = np.zeros((d0 * b0, d0 * b0), dtype=complex)
-    c4 = choi.reshape(d0, b0, d0, b0)
-    for i in range(d0):
-        for j in range(d0):
-            c4[i, :, j, :] = mean[i, j]
+    # the induced Choi's (i, j) block is mean[i, j]
+    choi = mean.transpose(0, 2, 1, 3).reshape(d0 * b0, d0 * b0)
     induced = choi_channel(choi, d0, b0)
     verdict = TPPreservingVerdict(leak, fiber, unit_dev, induced, tol)
     return verdict, induced
@@ -254,13 +247,8 @@ class ClassicalSuperchannel:
 
 def classical_superchannel_extract(s: SuperChoi) -> ClassicalSuperchannel:
     d0, d1, b0, b1 = s.dA0, s.dA1, s.dB0, s.dB1
-    c8 = s.choi.mat.reshape(d0, d1, b0, b1, d0, d1, b0, b1)
-    T = np.empty((b0 * b1, d0 * d1))
-    for i in range(d0):
-        for a in range(d1):
-            for j in range(b0):
-                for b in range(b1):
-                    T[j * b1 + b, i * d1 + a] = c8[i, a, j, b, i, a, j, b].real
+    # the diagonal Choi entry at (i, a, j, b) is T[(j, b), (i, a)]
+    T = s.choi.mat.diagonal().real.reshape(d0 * d1, b0 * b1).T.copy()
     # fiber sums over b must be a-independent; then sum_i t[j, i] = 1
     fibers = T.reshape(b0, b1, d0, d1).sum(axis=1)  # [j, i, a]
     t = fibers.mean(axis=2)

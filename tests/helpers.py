@@ -6,10 +6,23 @@ from itertools import product
 
 import numpy as np
 
-from superchan.channels import ChoiChannel, choi_from_kraus
+from superchan.channels import (
+    ChoiChannel,
+    DUChannelParams,
+    choi_from_kraus,
+    du_channel,
+)
 from superchan.dephasing import dephasing_embed_du, dephasing_from_realization
 from superchan.do import TABLE_NAMES, DOSuperParams, do_mask_tables
-from superchan.du import DUSuperParams, from_choi, mask_tables
+from superchan.du import (
+    DUSuperParams,
+    _do_pattern_split,
+    du_block_action,
+    from_choi,
+    mask_tables,
+    random_do_invariant,
+)
+from superchan.positions import principal_blocks
 from superchan.superchannels import SuperChoi, sandwich_superchannel, super_choi
 
 
@@ -239,6 +252,36 @@ def loop_cp_blocks(p: DUSuperParams):
     return m, n, block
 
 
+def cp_bases(d: int):
+    """Choi basis indices of the closed form's principal blocks.
+
+    Row a*d + b is M_ab, the block on {A1 = b, B1 = a} ordered (A0, B0); the
+    coupled block is the one on {A1 = B1}, ordered (A1, A0, B0).
+    """
+    a, b, x, y = np.ogrid[:d, :d, :d, :d]
+    k, x3, y3 = np.ogrid[:d, :d, :d]
+    return (
+        (((x * d + b) * d + y) * d + a).reshape(d * d, d * d),
+        (((x3 * d + k) * d + y3) * d + k).reshape(1, d**3),
+    )
+
+
+def cp_blocks(p: DUSuperParams):
+    """The permuted-basis blocks M_ab (from A, C) and N_ab (from B, D), read
+    off the tables by principal_blocks.  N_ab is the (a, b) block of the
+    coupled block; N_aa is zero."""
+    d = p.d
+    m_basis, coupled = cp_bases(d)
+    m = principal_blocks(p, "AC", m_basis).reshape(d, d, d * d, d * d)
+    n = principal_blocks(p, "BD", coupled).reshape(d, d * d, d, d * d)
+    return m, n.transpose(0, 2, 1, 3)
+
+
+def cp_block_matrix(p: DUSuperParams) -> np.ndarray:
+    """The d^3 x d^3 coupled block sum_a e_aa (x) M_aa + sum_{a!=b} e_ab (x) N_ab."""
+    return principal_blocks(p, "ABCD", cp_bases(p.d)[1])[0]
+
+
 def rebuild_residual(mat: np.ndarray, d: int, names) -> float:
     """Reference extraction residual: read the tables ``names`` ("ABCD" or
     TABLE_NAMES) off mat with A taken real, rebuild the Choi entry by entry
@@ -272,3 +315,80 @@ def dense_covariance_reference(mat: np.ndarray, samplers, n: int):
         if dev > worst:
             worst, worst_idx = dev, k
     return worst, worst_idx
+
+
+# ---------------------------------------------------------------------------
+# per-entry references for loops the library replaced with array operations
+# ---------------------------------------------------------------------------
+
+
+def loop_tp_preserving_parts(s: SuperChoi):
+    """(offdiagonal leak, induced Choi matrix) of tp_preserving_check, by the
+    double loops it used to run."""
+    d0, d1, b0 = s.dA0, s.dA1, s.dB0
+    c6 = s.choi.mat.reshape(d0, d1, s.dB0, s.dB1, d0, d1, s.dB0, s.dB1)
+    images = np.einsum("iapqjbrq->ijabpr", c6)
+    leak = 0.0
+    for a in range(d1):
+        for b in range(d1):
+            if a != b:
+                leak = max(leak, float(np.abs(images[:, :, a, b]).max()))
+    mean = images[:, :, range(d1), range(d1)].mean(axis=2)
+    choi = np.zeros((d0 * b0, d0 * b0), dtype=complex)
+    c4 = choi.reshape(d0, b0, d0, b0)
+    for i in range(d0):
+        for j in range(d0):
+            c4[i, :, j, :] = mean[i, j]
+    return leak, choi
+
+
+def loop_classical_table(s: SuperChoi) -> np.ndarray:
+    """T of classical_superchannel_extract, one diagonal Choi entry at a time."""
+    d0, d1, b0, b1 = s.dA0, s.dA1, s.dB0, s.dB1
+    c8 = s.choi.mat.reshape(d0, d1, b0, b1, d0, d1, b0, b1)
+    T = np.empty((b0 * b1, d0 * d1))
+    for i in range(d0):
+        for a in range(d1):
+            for j in range(b0):
+                for b in range(b1):
+                    T[j * b1 + b, i * d1 + a] = c8[i, a, j, b, i, a, j, b].real
+    return T
+
+
+def loop_du_action_on_identity(p: DUSuperParams) -> ChoiChannel:
+    """du_action_on_identity, reading the tables one entry at a time."""
+    d = p.d
+    a4, d4 = p.t4("A"), p.t4("D")
+    s = np.empty((d, d))
+    for i in range(d):
+        for j in range(d):
+            s[i, j] = sum(a4[j, i, k, k] for k in range(d))
+    b = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                b[i, j] = d4[i, i, j, j]
+    return du_channel(DUChannelParams(d, s, b))
+
+
+def loop_du_preserves_do(p: DUSuperParams, n: int = 20, seed: int = 0):
+    """(off_pattern_max, coefficient_deviation) of du_preserves_do_check, with
+    the coefficient maps compared one (i, j) at a time."""
+    d = p.d
+    rng = np.random.default_rng(seed)
+    d4 = p.t4("D")
+    worst_off = 0.0
+    worst_coeff = 0.0
+    for _ in range(n):
+        x = random_do_invariant(d, rng)
+        pin, qin, rin, _ = _do_pattern_split(x.mat.reshape(d, d, d, d))
+        y = du_block_action(p, x)
+        pout, qout, rout, off = _do_pattern_split(y.mat.reshape(d, d, d, d))
+        worst_off = max(worst_off, off)
+        expect_p = (p.A @ pin.reshape(-1)).reshape(d, d)
+        worst_coeff = max(worst_coeff, float(np.abs(pout - expect_p).max()))
+        for i, j in product(range(d), repeat=2):
+            if i != j:
+                worst_coeff = max(worst_coeff, abs(qout[i, j] - d4[i, i, j, j] * qin[i, j]))
+                worst_coeff = max(worst_coeff, abs(rout[i, j] - d4[i, j, j, i] * rin[i, j]))
+    return worst_off, worst_coeff

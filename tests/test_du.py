@@ -12,7 +12,6 @@ from superchan.du import (
     DUSuperParams,
     NotDUCovariantError,
     build_choi,
-    cp_block_matrix,
     du_action_on_identity,
     du_block_action,
     du_compose,
@@ -25,7 +24,8 @@ from superchan.du import (
     mask_tables,
     random_do_invariant,
 )
-from superchan.linalg import max_entangled_projector, operator
+from superchan import du as du_module, positions
+from superchan.linalg import charge_sectors, max_entangled_projector, operator, psd_report
 from superchan.superchannels import (
     classical_superchannel_extract,
     compose_superchannels,
@@ -37,8 +37,13 @@ from superchan.superchannels import (
 )
 
 from helpers import (
+    cp_block_matrix,
+    cp_blocks,
     full_eigvalsh_psd,
     haar_unitary,
+    loop_cp_blocks,
+    loop_du_action_on_identity,
+    loop_du_preserves_do,
     random_hermitian_du_params,
     random_valid_du_params,
     unitary_conjugation,
@@ -209,10 +214,8 @@ def test_b_and_d_images_are_traceless_on_output_pair():
 
 def test_du_cp_check_block_structure_d2():
     # the coupled block has the displayed 2x2-of-4x4 arrangement
-    from superchan.du import _cp_blocks
-
     p = random_hermitian_du_params(rng, 2)
-    m, n = _cp_blocks(p)
+    m, n = cp_blocks(p)
     block = cp_block_matrix(p)
     assert np.array_equal(block[:4, :4], m[0, 0])
     assert np.array_equal(block[4:, 4:], m[1, 1])
@@ -221,7 +224,6 @@ def test_du_cp_check_block_structure_d2():
 
 
 def test_du_cp_equivalence_with_spectral_oracle():
-    # du_cp_check raises if the closed form and the oracle ever disagree
     for d in (2, 3):
         for k in range(40):
             p = random_hermitian_du_params(rng, d)
@@ -232,7 +234,6 @@ def test_du_cp_equivalence_with_spectral_oracle():
 
                 p = from_choi(super_choi(psd, (d, d, d, d)), tol=1e-8)
             verdict = du_cp_check(p)
-            assert verdict.closed_form == verdict.oracle
             assert verdict.closed_form == full_eigvalsh_psd(build_choi(p).choi.mat)
             if k % 2:
                 assert verdict.ok
@@ -255,15 +256,15 @@ def test_cp_verdict_names_the_failing_m_ab():
 
 def test_closed_form_and_oracle_share_the_choi_scale():
     # min eig -1.5e-10 sits on a 1 x 1 block of its own, while the Choi's
-    # spectral radius is 4: both routes must accept at tol = 1e-10
+    # spectral radius is 4: the closed form must accept at tol = 1e-10, as
+    # the full-Choi eigensolve does
     p = du_identity(2)
     a = p.A.copy()
     a[0, 3] = -1.5e-10
     q = DUSuperParams(2, a, p.B, p.C, p.D)
     verdict = du_cp_check(q, tol=1e-10)
-    assert verdict.closed_form and verdict.oracle
+    assert verdict.closed_form
     assert verdict.offdiag_min_eigenvalue == -1.5e-10
-    assert du_cp_check(q, tol=1e-10, oracle=False).closed_form
     assert full_eigvalsh_psd(build_choi(q).choi.mat, tol=1e-10)
 
 
@@ -284,7 +285,7 @@ def test_cp_verdict_at_the_tolerance_boundary(d, c, seed):
     a = p.A.copy()
     a[i * d + a_, j * d + b_] = -c * tol * d * d
     q = DUSuperParams(d, a, p.B, p.C, p.D)
-    verdict = du_cp_check(q, tol=tol)  # raises on oracle mismatch
+    verdict = du_cp_check(q, tol=tol)
     assert verdict.closed_form == (c < 1.0)
     assert full_eigvalsh_psd(build_choi(q).choi.mat, tol=tol) == (c < 1.0)
 
@@ -298,6 +299,118 @@ def test_validity_equivalence_with_generic_superchannel_checks():
             choi_ok = validate_superchannel(build_choi(p)).ok
             assert param_ok == choi_ok
             assert cp.closed_form == full_eigvalsh_psd(build_choi(p).choi.mat)
+
+
+def _cp_corpus(rng, d):
+    """Indefinite Hermitian tables, valid ones, and tables shifted by a
+    multiple of the identity Choi (table A all ones, every position on the
+    diagonal) so that the minimum eigenvalue sits at -c * tol * scale, with c
+    at 0.5-0.95 and at 1.05-2."""
+    out = [random_hermitian_du_params(rng, d), random_valid_du_params(rng, d)]
+    for c in (rng.uniform(0.5, 0.95), rng.uniform(1.05, 2.0)):
+        p = random_hermitian_du_params(rng, d)
+        evals = np.linalg.eigvalsh(build_choi(p).choi.mat)
+        t = -evals[0] - c * 1e-10 * max(1.0, evals[-1] - evals[0])
+        out.append(DUSuperParams(d, p.A + t, p.B, p.C, p.D))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_cp_check_reads_the_choi_spectrum_off_the_tables(d):
+    tol = 1e-10
+    for p in _cp_corpus(np.random.default_rng(100 + d), d):
+        choi = build_choi(p).choi.mat
+        verdict = du_cp_check(p, tol=tol)
+        sector_route = psd_report(choi, tol, charge_sectors(d, "ordered"))
+        assert np.float64(verdict.choi_min_eigenvalue).tobytes() == np.float64(
+            sector_route[1]).tobytes()
+        assert verdict.closed_form == sector_route[0]
+        if d <= 4:
+            assert verdict.closed_form == full_eigvalsh_psd(choi, tol=tol)
+        m, _, block = loop_cp_blocks(p)
+        off = np.linalg.eigvalsh(m[~np.eye(d, dtype=bool)])
+        block_evals = np.linalg.eigvalsh(block)
+        scale = max(1.0, float(np.abs(block_evals).max()), float(np.abs(off).max()))
+        assert abs(verdict.offdiag_min_eigenvalue - off.min()) <= 1e-12 * scale
+        assert abs(verdict.block_min_eigenvalue - block_evals[0]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_cp_check_never_assembles_the_choi(d, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("du_cp_check assembled the Choi")
+
+    monkeypatch.setattr(positions, "choi_from_tables", refuse)
+    monkeypatch.setattr(du_module, "choi_from_tables", refuse)
+    # the identity map's Choi: every M_ab with a != b is zero, and the coupled
+    # block has eigenvalues 0 and d^2
+    verdict = du_cp_check(du_identity(d))
+    assert verdict.ok
+    assert verdict.offdiag_min_eigenvalue == 0.0
+    assert abs(verdict.block_min_eigenvalue) <= 1e-12 * d * d
+    p = du_identity(d)
+    a = p.A.copy()
+    a[1 * d + 2, 0] = -0.5  # lands on the diagonal of M_20 alone
+    verdict = du_cp_check(DUSuperParams(d, a, p.B, p.C, p.D))
+    assert not verdict.ok
+    assert verdict.offdiag_min_eigenvalue == verdict.choi_min_eigenvalue == -0.5
+    assert verdict.offdiag_witness == (2, 0)
+    if d == 8:
+        q = random_hermitian_du_params(np.random.default_rng(8), d)
+        verdict = du_cp_check(q)
+        m, _ = cp_blocks(q)
+        off = np.linalg.eigvalsh(m[~np.eye(d, dtype=bool)])
+        block_evals = np.linalg.eigvalsh(cp_block_matrix(q))
+        scale = max(1.0, float(np.abs(block_evals).max()), float(np.abs(off).max()))
+        assert abs(verdict.offdiag_min_eigenvalue - off.min()) <= 1e-12 * scale
+        assert abs(verdict.block_min_eigenvalue - block_evals[0]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["unit", "scaled"])
+def test_cp_check_uses_the_choi_hermiticity_and_entry_scale(scaled):
+    # C_{01,12} without its partner C_{11,02} is a Hermiticity defect h in
+    # the side-d sector of M_12, whose diagonal A_{i1,i2} is set to 1 so its
+    # eigenvalues (1 +- h/2) pass.  At unit scale h = 1e-8 exceeds
+    # tol = 1e-10 and the verdict is no.  With entries of 1000 on 1 x 1
+    # sectors (A_{ia,jb}, i != j, a != b) the allowance is 1e-7 and the
+    # verdict is yes.  Neither the defect nor the largest entry sits in the
+    # side-d^2 sector.
+    d, tol, h = 3, 1e-10, 1e-8
+    p = du_identity(d)
+    i, a, j, b = np.ogrid[:d, :d, :d, :d]
+    big = np.where((i != j) & (a != b), 1000.0 * scaled, 0.0).reshape(d * d, d * d)
+    a_table = p.A + big
+    a_table[0 * d + 1, 0 * d + 2] = a_table[1 * d + 1, 1 * d + 2] = 1.0
+    c = p.C.copy()
+    c[0 * d + 1, 1 * d + 2] = h
+    q = DUSuperParams(d, a_table, p.B, c, p.D)
+    verdict = du_cp_check(q, tol=tol)
+    assert verdict.closed_form == scaled
+    assert verdict.closed_form == psd_report(
+        build_choi(q).choi.mat, tol, charge_sectors(d, "ordered"))[0]
+
+
+def test_cp_witness_in_a_side_d_sector():
+    # On the side-d sector {A0 = B0} of M_ab, A_{ia,ib} is the diagonal and
+    # C_{ia,jb} the off-diagonal.  Plant [[1, 2], [2, 1]] (eigenvalues -1, 3)
+    # there for M_21 and M_12: every diagonal Choi entry stays >= 0, so no
+    # 1 x 1 sector shows the failure, and the tie goes to (1, 2).
+    d = 3
+    p = du_identity(d)
+    a, c = p.A.copy(), p.C.copy()
+    for x, y in ((2, 1), (1, 2)):
+        a[0 * d + x, 0 * d + y] = a[1 * d + x, 1 * d + y] = 1.0
+        c[0 * d + x, 1 * d + y] = c[1 * d + x, 0 * d + y] = 2.0
+    q = DUSuperParams(d, a, p.B, c, p.D)
+    assert hermiticity_violation(q) == 0.0
+    verdict = du_cp_check(q)
+    assert not verdict.ok
+    assert verdict.offdiag_witness == (1, 2)
+    assert abs(verdict.offdiag_min_eigenvalue + 1.0) <= 1e-14
+    m, _, _ = loop_cp_blocks(q)
+    per_ab = np.linalg.eigvalsh(m).min(axis=-1)
+    assert abs(per_ab[1, 2] + 1.0) <= 1e-14 and abs(per_ab[2, 1] + 1.0) <= 1e-14
+    assert np.diagonal(build_choi(q).choi.mat).real.min() >= 0.0
 
 
 def test_du_compose_matches_choi_composition():
@@ -431,6 +544,18 @@ def test_du_preserves_do_pattern():
         p = random_valid_du_params(rng, 2)
         verdict = du_preserves_do_check(p, n=10, seed=3)
         assert verdict.ok, verdict.report()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_action_on_identity_and_do_check_match_the_per_entry_loops(d):
+    # the array forms sum and round in another order: 1e-12 relative
+    p = random_hermitian_du_params(np.random.default_rng(200 + d), d)
+    got, ref = du_action_on_identity(p).choi.mat, loop_du_action_on_identity(p).choi.mat
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    verdict = du_preserves_do_check(p, n=5, seed=d)
+    off, coeff = loop_du_preserves_do(p, n=5, seed=d)
+    assert abs(verdict.off_pattern_max - off) <= 1e-12 * max(off, 1e-300)
+    assert abs(verdict.coefficient_deviation - coeff) <= 1e-12 * max(coeff, 1e-300)
 
 
 def test_do_invariant_sampler_has_the_pattern():

@@ -13,9 +13,7 @@ from superchan.do import (
 from superchan.du import (
     DUSuperParams,
     NotDUCovariantError,
-    _cp_blocks,
     build_choi,
-    cp_block_matrix,
     from_choi,
 )
 from superchan.linalg import charge_sectors
@@ -23,6 +21,8 @@ from superchan.positions import extraction_residual, table_positions
 from superchan.superchannels import super_choi
 
 from helpers import (
+    cp_block_matrix,
+    cp_blocks,
     loop_build_choi,
     loop_cp_blocks,
     loop_do_build_choi,
@@ -67,7 +67,7 @@ def test_du_map_is_bit_identical_to_the_per_entry_reference(d):
     for name in "BCD":
         assert getattr(q, name).tobytes() == ref[name].tobytes()
 
-    m, n = _cp_blocks(p)
+    m, n = cp_blocks(p)
     ref_m, ref_n, ref_block = loop_cp_blocks(p)
     assert m.tobytes() == ref_m.tobytes()
     assert n.tobytes() == ref_n.tobytes()

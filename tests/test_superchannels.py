@@ -24,6 +24,8 @@ from superchan.superchannels import (
 
 from helpers import (
     haar_unitary,
+    loop_classical_table,
+    loop_tp_preserving_parts,
     random_channel,
     random_density,
     random_valid_superchoi,
@@ -240,6 +242,29 @@ def test_classical_superchannel_extract_properties_on_valid_instances():
         assert cs.fiber_deviation <= 1e-12
         assert cs.normalization_deviation <= 1e-12
         assert cs.T.min() >= -1e-13
+
+
+_UNEQUAL_DIMS = [(2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4), (2, 3, 4, 2), (3, 1, 2, 4), (4, 2, 1, 3)]
+
+
+def _generic_super(dims):
+    side = int(np.prod(dims))
+    return super_choi(rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)), dims)
+
+
+@pytest.mark.parametrize("dims", _UNEQUAL_DIMS)
+def test_tp_preserving_check_is_bit_identical_to_the_loops(dims):
+    for s in (_generic_super(dims), random_valid_superchoi(rng, dims[0], dims[1])):
+        leak, choi = loop_tp_preserving_parts(s)
+        verdict, induced = tp_preserving_check(s)
+        assert verdict.offdiagonal_leak == leak
+        assert induced.choi.mat.tobytes() == choi.tobytes()
+
+
+@pytest.mark.parametrize("dims", _UNEQUAL_DIMS)
+def test_classical_superchannel_extract_is_bit_identical_to_the_loop(dims):
+    s = _generic_super(dims)
+    assert classical_superchannel_extract(s).T.tobytes() == loop_classical_table(s).tobytes()
 
 
 def test_classical_superchannel_maps_stochastic_to_stochastic():

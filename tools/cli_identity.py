@@ -1,0 +1,119 @@
+"""Print what every CLI op of a benchmark plan outputs, one JSON line per op.
+
+    python3 tools/cli_identity.py --workload {tables,dense,qubit,du-corpus}
+                                  --seed N [--src DIR]
+
+The tables, dense and qubit plans are the benchmark's own
+(perfbench/inputs.py, imported unchanged); du-corpus is `validate du` and
+`compose du` on DU tables at d = 2..6: valid, not CP, not TP and indefinite
+Hermitian.  Each op runs in process through ``superchan.cli.main`` from
+``--src`` (default: this checkout's src), on one BLAS thread, and prints
+{"kind", "argv", "status", "stdout", "artifact_sha256"}.  Inputs are
+generated from the seed alone, so running the script with the ``--src`` of
+two checkouts and diffing the two outputs shows every exit status, report
+line and artifact byte that changed between them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import inputs  # noqa: E402  (after the BLAS thread settings; it imports numpy)
+
+
+def build_du_corpus(b: inputs.InputSet) -> list:
+    """validate du and compose du on DU tables at d = 2..6."""
+    validate, compose = [], []
+    for d in range(2, 7):
+        valid = [
+            inputs.tables_from_choi(inputs.random_superchannel(b.rng, d), d, inputs.DU_TABLES)
+            for _ in range(2)
+        ]
+        g = b.rng.normal(size=(d**4, d**4)) + 1j * b.rng.normal(size=(d**4, d**4))
+        cases = {
+            "valid0": valid[0],
+            "valid1": valid[1],
+            "not-cp": inputs._not_cp(b, valid[0]),
+            "not-tp": inputs._not_tp(valid[1]),
+            "hermitian": inputs.tables_from_choi(g + g.conj().T, d, inputs.DU_TABLES),
+        }
+        files = {
+            label: b.input(f"du{d}_{label}.json", inputs.tables_doc(d, t))
+            for label, t in cases.items()
+        }
+        validate += [inputs._entry(["validate", "du", f], label=lb) for lb, f in files.items()]
+        compose.append(inputs._entry(
+            ["compose", "du", files["valid0"], files["valid1"], "--out", "out/compose_du.json"],
+            out="out/compose_du.json",
+        ))
+    return [
+        inputs._kind("validate_du", "op1", 1, validate),
+        inputs._kind("compose_du", "op2", 1, compose),
+    ]
+
+
+def plan(workload: str, seed: int, work: Path) -> list:
+    if workload == "du-corpus":
+        return build_du_corpus(inputs.InputSet(work, seed, workload))
+    return inputs.build(workload, seed, work)["kinds"]
+
+
+def run_op(cli, entry: dict, work: Path) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            status = cli.main(list(entry["argv"]))
+        except SystemExit as exc:  # argparse rejects the command line
+            status = exc.code
+    digest = None
+    if entry["out"]:
+        artifact = work / entry["out"]
+        if artifact.is_file():
+            digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
+            artifact.unlink()
+    return {"argv": entry["argv"], "status": status, "stdout": out.getvalue(),
+            "artifact_sha256": digest}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True,
+                        choices=(*inputs.WORKLOADS, "du-corpus"))
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the src directory of the checkout to run")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    from superchan import cli
+
+    here = Path.cwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        kinds = plan(args.workload, args.seed, work)
+        os.chdir(work)  # plan paths are relative to the work directory
+        try:
+            for kind in kinds:
+                for entry in kind["pool"]:
+                    line = {"kind": kind["name"], **run_op(cli, entry, work)}
+                    print(json.dumps(line, sort_keys=True), flush=True)
+        finally:
+            os.chdir(here)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
