@@ -315,6 +315,17 @@ def _cp_corpus(rng, d):
     return out
 
 
+def _assert_block_minima(verdict, m, block):
+    """offdiag_min_eig and block_min_eig against one eigvalsh of each M_ab
+    (a != b) and of the coupled block, within 1e-12 * scale."""
+    d = m.shape[0]
+    off = np.linalg.eigvalsh(m[~np.eye(d, dtype=bool)])
+    block_evals = np.linalg.eigvalsh(block)
+    scale = max(1.0, float(np.abs(block_evals).max()), float(np.abs(off).max()))
+    assert abs(verdict.offdiag_min_eigenvalue - off.min()) <= 1e-12 * scale
+    assert abs(verdict.block_min_eigenvalue - block_evals[0]) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_cp_check_reads_the_choi_spectrum_off_the_tables(d):
     tol = 1e-10
@@ -328,11 +339,7 @@ def test_cp_check_reads_the_choi_spectrum_off_the_tables(d):
         if d <= 4:
             assert verdict.closed_form == full_eigvalsh_psd(choi, tol=tol)
         m, _, block = loop_cp_blocks(p)
-        off = np.linalg.eigvalsh(m[~np.eye(d, dtype=bool)])
-        block_evals = np.linalg.eigvalsh(block)
-        scale = max(1.0, float(np.abs(block_evals).max()), float(np.abs(off).max()))
-        assert abs(verdict.offdiag_min_eigenvalue - off.min()) <= 1e-12 * scale
-        assert abs(verdict.block_min_eigenvalue - block_evals[0]) <= 1e-12 * scale
+        _assert_block_minima(verdict, m, block)
 
 
 @pytest.mark.parametrize("d", [8, 12])
@@ -357,13 +364,7 @@ def test_cp_check_never_assembles_the_choi(d, monkeypatch):
     assert verdict.offdiag_witness == (2, 0)
     if d == 8:
         q = random_hermitian_du_params(np.random.default_rng(8), d)
-        verdict = du_cp_check(q)
-        m, _ = cp_blocks(q)
-        off = np.linalg.eigvalsh(m[~np.eye(d, dtype=bool)])
-        block_evals = np.linalg.eigvalsh(cp_block_matrix(q))
-        scale = max(1.0, float(np.abs(block_evals).max()), float(np.abs(off).max()))
-        assert abs(verdict.offdiag_min_eigenvalue - off.min()) <= 1e-12 * scale
-        assert abs(verdict.block_min_eigenvalue - block_evals[0]) <= 1e-12 * scale
+        _assert_block_minima(du_cp_check(q), cp_blocks(q)[0], cp_block_matrix(q))
 
 
 @pytest.mark.parametrize("scaled", [False, True], ids=["unit", "scaled"])
