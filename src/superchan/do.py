@@ -3,10 +3,10 @@
 The sign-symmetric class strictly contains the diagonal-unitary one: on top of
 the four tables {A, B, C, D} it carries five more {E, P, Q, R, S} whose Choi
 positions pick up phases under generic diagonal unitaries but are immune to
-signs.  Validation assembles the Choi and runs the generic Choi-level
-checks, except that positivity is decided exactly from the charge sectors of
-the sign-symmetric group (linalg.charge_sectors with unordered pairs): the
-Choi is block diagonal over them, with blocks of side 4, 2d and d^2.
+signs.  Validation never assembles the d^4 x d^4 Choi: the table positions
+fill the sign-symmetric charge sectors (linalg.charge_sectors with unordered
+pairs; blocks of side 4, 2d and d^2) exactly, so the spectrum is read off
+the tables sector by sector, and every marginal is one partial trace over B1.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ import numpy as np
 from .du import DUSuperParams
 from .linalg import DEFAULT_TOL, charge_sectors
 from .positions import (
+    b1_partial_trace,
     check_table,
     choi_from_tables,
     extraction_residual,
+    sector_spectrum,
     table_positions,
     tables_from_choi,
 )
@@ -29,8 +31,7 @@ from .superchannels import (
     SuperchannelVerdict,
     TPPreservingVerdict,
     super_choi,
-    tp_preserving_check,
-    validate_superchannel,
+    tp_preserving_verdict,
 )
 
 
@@ -54,7 +55,7 @@ class DOSuperParams:
 
     A is real and the remaining eight are complex, all d^2 x d^2 over the pair
     flattening (i, a) -> i*d + a.  Hermiticity of the assembled Choi has no
-    tabulated closed form here; check it numerically on the Choi when needed.
+    tabulated closed form here; do_validate reads it off the sector blocks.
     """
 
     d: int
@@ -150,13 +151,17 @@ class DOVerdict:
 
 
 def do_validate(p: DOSuperParams, tol: float = DEFAULT_TOL) -> DOVerdict:
-    """Positivity and trace conditions checked on the assembled Choi.
+    """validate_superchannel and tp_preserving_check on the Choi of p, with
+    the same values, read off the tables in O(d^6) time and O(d^5) memory.
 
-    The spectrum for positivity is read sector by sector over the
-    sign-symmetric charge sectors, which gives the same verdict as a dense
-    eigensolve of the whole Choi at a small fraction of its cost.
+    validate_superchannel's C0 is the induced Choi of the trace check, so its
+    factorization residual is max(offdiagonal_leak, fiber_deviation) and its
+    marginal residual the unitality deviation.
     """
-    s = do_build_choi(p)
-    verdict = validate_superchannel(s, tol, charge_sectors(p.d, "unordered"))
-    tp, _ = tp_preserving_check(s, tol)
-    return DOVerdict(verdict, tp)
+    is_psd, evals, _, herm = sector_spectrum(
+        p, TABLE_NAMES, charge_sectors(p.d, "unordered"), tol)
+    leak, diag = b1_partial_trace(p, TABLE_NAMES)
+    tp = tp_preserving_verdict(leak, diag, tol)
+    fact_dev = max(leak, tp.fiber_deviation)
+    return DOVerdict(SuperchannelVerdict(
+        is_psd, float(evals.min()), fact_dev, tp.unitality_deviation, herm, tol), tp)

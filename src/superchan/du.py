@@ -20,19 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChoiChannel, DUChannelParams, du_channel
-from .linalg import (
-    DEFAULT_TOL,
-    MultipartiteOperator,
-    charge_sectors,
-    hermitian_eigenvalues,
-    hermiticity_deviation,
-    psd_accepts,
-)
+from .linalg import DEFAULT_TOL, MultipartiteOperator, charge_sectors
 from .positions import (
     check_table,
     choi_from_tables,
     extraction_residual,
-    principal_blocks,
+    sector_spectrum,
     table_positions,
     tables_from_choi,
 )
@@ -234,41 +227,28 @@ def du_cp_check(p: DUSuperParams, tol: float = DEFAULT_TOL) -> DUCPVerdict:
     {A1 = b, B1 = a}) to be PSD together with the coupled block on
     {A1 = B1}.  Those blocks split exactly into the ordered charge sectors:
     a sector whose first basis index has A1 digit q and B1 digit s lies in
-    M_sq when q != s and in the coupled block when q = s.  So each sector's
-    principal block is gathered straight from the tables and diagonalized,
-    one batched call per sector size, in O(d^6) time and O(d^4) memory; the
-    d^4 x d^4 Choi is never assembled.  The positions fill the sectors
-    exactly, so psd_accepts sees the Choi's spectrum, entry maximum and
-    Hermiticity deviation, and choi_min_eig is the Choi's minimum eigenvalue
-    as psd_report reads it sector by sector.
+    M_sq when q != s and in the coupled block when q = s.  So the spectrum
+    is read off the tables sector by sector (positions.sector_spectrum) in
+    O(d^6) time and O(d^4) memory, without assembling the Choi.
+    offdiag_witness is the first (a, b) in row-major order whose M_ab minimum
+    is within tol * max(1, spectral radius) of the smallest, so roundoff
+    among tied minima does not move it.
     """
     d = p.d
-    parts, sector_min, first = [], [], []
-    max_entry = herm = 0.0
-    for rows in charge_sectors(d, "ordered").blocks:
-        stack = principal_blocks(p, "ABCD", rows)
-        evals = stack[:, :, 0].real if rows.shape[1] == 1 else hermitian_eigenvalues(stack)
-        parts.append(evals.reshape(-1))
-        sector_min.append(evals[:, 0])
-        first.append(rows[:, 0])
-        max_entry = max(max_entry, float(np.abs(stack).max()))
-        herm = max(herm, hermiticity_deviation(stack))
-    evals = np.concatenate(parts)
-    sector_min, first = np.concatenate(sector_min), np.concatenate(first)
+    sectors = charge_sectors(d, "ordered")
+    is_psd, evals, sector_min, _ = sector_spectrum(p, "ABCD", sectors, tol)
+    first = np.concatenate([rows[:, 0] for rows in sectors.blocks])
     q, s = first // (d * d) % d, first % d
     off = q != s
     off_min = float(sector_min[off].min(initial=np.inf))
     witness = None  # at d = 1 there is no M_ab with a != b
     if off.any():
-        ab = (s * d + q)[off][sector_min[off] == off_min].min()
+        # minima within tol * max(1, spectral radius) of the smallest are tied
+        tied = sector_min[off] <= off_min + tol * max(1.0, float(np.abs(evals).max()))
+        ab = (s * d + q)[off][tied].min()
         witness = (int(ab // d), int(ab % d))
     return DUCPVerdict(
-        psd_accepts(evals, max_entry, herm, tol),
-        off_min,
-        float(sector_min[~off].min()),
-        float(evals.min()),
-        tol,
-        witness,
+        is_psd, off_min, float(sector_min[~off].min()), float(evals.min()), tol, witness
     )
 
 

@@ -271,38 +271,6 @@ def charge_sectors(d: int, pairs: str) -> ChargeSectors:
     return ChargeSectors(d**4, tuple(blocks))
 
 
-def sector_eigenvalues(x, sectors: ChargeSectors) -> np.ndarray:
-    """Spectrum of the symmetrized matrix, read sector by sector (unsorted).
-
-    The principal blocks of each sector size are gathered at once and
-    diagonalized in one batched call; 1 x 1 sectors are read off the diagonal.
-    Raises ValueError if any entry between two different sectors is nonzero,
-    since the block spectra would then not be the spectrum of the matrix.
-    """
-    m = _as_matrix(x)
-    if m.shape != (sectors.side, sectors.side):
-        raise ValueError(f"matrix shape {m.shape} does not match sector side {sectors.side}")
-    parts = []
-    inside = 0  # nonzero entries that lie within some sector
-    for rows in sectors.blocks:
-        if rows.shape[1] == 1:
-            diag = m[rows[:, 0], rows[:, 0]]
-            inside += np.count_nonzero(diag)
-            parts.append(diag.real)
-        else:
-            stack = m[rows[:, :, None], rows[:, None, :]]
-            inside += np.count_nonzero(stack)
-            parts.append(hermitian_eigenvalues(stack).reshape(-1))
-    if np.count_nonzero(m) != inside:
-        off = np.array(m)
-        for rows in sectors.blocks:
-            off[rows[:, :, None], rows[:, None, :]] = 0
-        raise ValueError(
-            f"matrix has weight {np.abs(off).max():.3e} outside its charge sectors"
-        )
-    return np.concatenate(parts)
-
-
 def psd_accepts(
     evals: np.ndarray, max_entry: float, hermiticity: float, tol: float
 ) -> bool:
@@ -318,22 +286,15 @@ def psd_accepts(
     return hermitian_ok and float(evals.min()) >= -tol * max(1.0, radius)
 
 
-def psd_report(
-    x, tol: float = DEFAULT_TOL, sectors: ChargeSectors | None = None
-) -> tuple[bool, float, float]:
+def psd_report(x, tol: float = DEFAULT_TOL) -> tuple[bool, float, float]:
     """(is_psd, min eigenvalue, Hermiticity deviation), never raising on
     non-Hermitian input.
 
     Hermiticity is folded into the verdict: a matrix further than tol from its
-    adjoint is reported as not PSD.  With ``sectors`` the spectrum is read
-    sector by sector (see sector_eigenvalues); otherwise one dense eigensolve
-    runs on the whole matrix.
+    adjoint is reported as not PSD.
     """
     m = _as_matrix(x)
-    if sectors is None:
-        evals = hermitian_eigenvalues(m)
-    else:
-        evals = sector_eigenvalues(m, sectors)
+    evals = hermitian_eigenvalues(m)
     herm = hermiticity_deviation(m)
     max_entry = float(np.abs(m).max()) if m.size else 0.0
     return psd_accepts(evals, max_entry, herm, tol), float(evals.min()), herm

@@ -22,6 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .linalg import ChargeSectors, hermitian_eigenvalues, hermiticity_deviation, psd_accepts
+
 POSITIONS = {
     "A": ("jbia", "jbia", ""),
     "B": ("jaia", "jbib", "ab"),
@@ -145,3 +147,52 @@ def principal_blocks(p, names: Iterable[str], basis: np.ndarray) -> np.ndarray:
         keep = (r >= 0) & (c >= 0) & (r // side == c // side)
         out[r[keep] * side + c[keep] % side] += getattr(p, name).reshape(-1)[pos.flat[keep]]
     return out.reshape(blocks, side, side)
+
+
+def sector_spectrum(p, names: Iterable[str], sectors: ChargeSectors, tol: float):
+    """(is_psd, eigenvalues, each sector's minimum, Hermiticity deviation) of
+    choi_from_tables(p, names), read off the tables sector by sector.
+
+    One batched eigensolve per sector size; 1 x 1 sectors are read off as
+    their real part.  The positions fill the sectors exactly, so the entry
+    maximum and Hermiticity deviation over the blocks are the Choi's, and
+    psd_accepts decides on the Choi's own scale.  Minima follow sectors.blocks.
+    """
+    evals, sector_min = [], []
+    max_entry = herm = 0.0
+    for rows in sectors.blocks:
+        stack = principal_blocks(p, names, rows)
+        e = stack[:, :, 0].real if rows.shape[1] == 1 else hermitian_eigenvalues(stack)
+        evals.append(e.reshape(-1))
+        sector_min.append(e[:, 0])
+        max_entry = max(max_entry, float(np.abs(stack).max()))
+        herm = max(herm, hermiticity_deviation(stack))
+    evals = np.concatenate(evals)
+    return psd_accepts(evals, max_entry, herm, tol), evals, np.concatenate(sector_min), herm
+
+
+def b1_partial_trace(p, names: Iterable[str]) -> tuple[float, np.ndarray]:
+    """Tr_B1 of choi_from_tables(p, names) as (largest |images| with a != b,
+    diag[i, j, a, p, r] = images[i, j, a, a, p, r]), with images as in
+    superchannels.tp_preserving_check, in O(d^5) memory.  The terms are the
+    table entries whose row and column B1 digits agree, summed in increasing
+    q from zero as the einsum there does, so both are bit-identical to it
+    (the nine positions put every such term at a = b).
+    """
+    d = p.d
+    pos = [table_positions(d, name) for name in names]
+    rows, cols = (np.concatenate([getattr(x, f) for x in pos]) for f in ("rows", "cols"))
+    vals = np.concatenate([getattr(p, n).reshape(-1)[x.flat] for n, x in zip(names, pos)])
+    keep = rows % d == cols % d
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    # A0, A1, B0 digits: (i, a, p) of each row and (j, b, r) of each column
+    (i, a, pr), (j, b, pc) = (np.unravel_index(x // d, (d,) * 3) for x in (rows, cols))
+    key = np.ravel_multi_index((i, j, a, b, pr, pc), (d,) * 6)
+    diag_index = np.ravel_multi_index((i, j, a, pr, pc), (d,) * 5)
+    order = np.lexsort((rows % d, key))  # by image, then by q
+    on, key, diag_index, vals = (x[order] for x in (a == b, key, diag_index, vals))
+    diag = np.bincount(diag_index[on], vals[on].real, d**5)
+    diag = diag + 1j * np.bincount(diag_index[on], vals[on].imag, d**5)
+    k, v = key[~on], vals[~on]
+    leak = np.abs(np.add.reduceat(v, np.flatnonzero(np.diff(k, prepend=-1)))).max(initial=0.0)
+    return float(leak), diag.reshape((d,) * 5)

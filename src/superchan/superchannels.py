@@ -14,7 +14,6 @@ import numpy as np
 from .channels import ChoiChannel, choi_channel, compose_choi4
 from .linalg import (
     DEFAULT_TOL,
-    ChargeSectors,
     MultipartiteOperator,
     kron,
     max_entangled_projector,
@@ -146,18 +145,16 @@ class SuperchannelVerdict:
         }
 
 
-def validate_superchannel(
-    s: SuperChoi, tol: float = DEFAULT_TOL, sectors: ChargeSectors | None = None
-) -> SuperchannelVerdict:
+def validate_superchannel(s: SuperChoi, tol: float = DEFAULT_TOL) -> SuperchannelVerdict:
     """Check positivity plus the two marginal conditions of a superchannel Choi.
 
     The reduced operator C0 on (A0, B0) is reconstructed by averaging the A1
     blocks of Tr_B1 C, which keeps the check well-defined for invalid inputs;
     the factorization residual then measures || Tr_B1 C - C0 (x) I_A1 ||_max.
-    Callers that know the Choi's charge sectors pass them to read its spectrum
-    sector by sector; see psd_report.
+    C0 is the induced Choi of tp_preserving_check, so these residuals are its
+    max(offdiagonal_leak, fiber_deviation) and unitality_deviation.
     """
-    cp_ok, min_eig, herm = psd_report(s.choi.mat, tol, sectors)
+    cp_ok, min_eig, herm = psd_report(s.choi.mat, tol)
     reduced = partial_trace(s.choi, 3)  # on (A0, A1, B0)
     c0 = partial_trace(reduced, 1)      # on (A0, B0), trace over A1
     c0_mat = c0.mat / s.dA1
@@ -212,22 +209,27 @@ def tp_preserving_check(
     a-independent for a = b, and the induced map on (A0 -> B0) is unital.
     Returns the induced map assembled from the a-averaged images.
     """
-    d0, d1, b0 = s.dA0, s.dA1, s.dB0
+    d0, d1 = s.dA0, s.dA1
     # L[i, j, a, b] = Tr_B1 Delta(e_ij (x) e_ab), each a b0 x b0 matrix
     c6 = s.choi.mat.reshape(d0, d1, s.dB0, s.dB1, d0, d1, s.dB0, s.dB1)
     # Delta(e_ij (x) e_ab)[pq, rs] = choi[(i,a,p,q), (j,b,r,s)]; trace q = s
     images = np.einsum("iapqjbrq->ijabpr", c6)
     leak = float(np.abs(images[:, :, ~np.eye(d1, dtype=bool)]).max(initial=0.0))
-    diag = images[:, :, range(d1), range(d1)]  # [i, j, a, p, r]
+    verdict = tp_preserving_verdict(leak, images[:, :, range(d1), range(d1)], tol)
+    return verdict, verdict.induced
+
+
+def tp_preserving_verdict(leak: float, diag: np.ndarray, tol: float) -> TPPreservingVerdict:
+    """The verdict of tp_preserving_check from the largest |image| with
+    a != b and the images diag[i, j, a, p, r] with a = b."""
+    d0, d1, b0 = diag.shape[0], diag.shape[2], diag.shape[3]
     mean = diag.mean(axis=2)
     fiber = float(np.abs(diag - mean[:, :, None]).max()) if d1 > 1 else 0.0
     unital = sum(mean[i, i] for i in range(d0))
     unit_dev = float(np.abs(unital - np.eye(b0)).max())
     # the induced Choi's (i, j) block is mean[i, j]
     choi = mean.transpose(0, 2, 1, 3).reshape(d0 * b0, d0 * b0)
-    induced = choi_channel(choi, d0, b0)
-    verdict = TPPreservingVerdict(leak, fiber, unit_dev, induced, tol)
-    return verdict, induced
+    return TPPreservingVerdict(leak, fiber, unit_dev, choi_channel(choi, d0, b0), tol)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,13 @@ from superchan.du import (
     mask_tables,
     random_do_invariant,
 )
-from superchan.positions import principal_blocks
+from superchan.linalg import (
+    ChargeSectors,
+    hermitian_eigenvalues,
+    hermiticity_deviation,
+    psd_accepts,
+)
+from superchan.positions import principal_blocks, tables_from_choi
 from superchan.superchannels import SuperChoi, sandwich_superchannel, super_choi
 
 
@@ -88,6 +94,48 @@ def full_eigvalsh_psd(mat: np.ndarray, tol: float = 1e-10) -> bool:
     whole matrix, accepted at -tol * max(1, spectral radius)."""
     evals = np.linalg.eigvalsh(mat)
     return bool(evals[0] >= -tol * max(1.0, float(np.abs(evals).max())))
+
+
+def sector_eigenvalues(m: np.ndarray, sectors: ChargeSectors) -> np.ndarray:
+    """Spectrum of the symmetrized matrix, read sector by sector (unsorted).
+
+    The principal blocks of each sector size are gathered at once and
+    diagonalized in one batched call; 1 x 1 sectors are read off the diagonal.
+    Raises ValueError if any entry between two different sectors is nonzero,
+    since the block spectra would then not be the spectrum of the matrix.
+    This is the byte-identity oracle for positions.sector_spectrum, which
+    gathers the same blocks from the tables instead of the assembled Choi.
+    """
+    if m.shape != (sectors.side, sectors.side):
+        raise ValueError(f"matrix shape {m.shape} does not match sector side {sectors.side}")
+    parts = []
+    inside = 0  # nonzero entries that lie within some sector
+    for rows in sectors.blocks:
+        if rows.shape[1] == 1:
+            diag = m[rows[:, 0], rows[:, 0]]
+            inside += np.count_nonzero(diag)
+            parts.append(diag.real)
+        else:
+            stack = m[rows[:, :, None], rows[:, None, :]]
+            inside += np.count_nonzero(stack)
+            parts.append(hermitian_eigenvalues(stack).reshape(-1))
+    if np.count_nonzero(m) != inside:
+        off = np.array(m)
+        for rows in sectors.blocks:
+            off[rows[:, :, None], rows[:, None, :]] = 0
+        raise ValueError(
+            f"matrix has weight {np.abs(off).max():.3e} outside its charge sectors"
+        )
+    return np.concatenate(parts)
+
+
+def sector_psd_report(m: np.ndarray, tol: float, sectors: ChargeSectors):
+    """psd_report with the spectrum read by sector_eigenvalues: (is_psd, min
+    eigenvalue, Hermiticity deviation) over the whole assembled matrix."""
+    evals = sector_eigenvalues(m, sectors)
+    herm = hermiticity_deviation(m)
+    max_entry = float(np.abs(m).max()) if m.size else 0.0
+    return psd_accepts(evals, max_entry, herm, tol), float(evals.min()), herm
 
 
 def random_hermitian_du_params(rng: np.random.Generator, d: int) -> DUSuperParams:
@@ -161,6 +209,13 @@ def random_valid_superchoi(rng: np.random.Generator, d0: int, d1: int,
         )
         acc = w * s.choi.mat if acc is None else acc + w * s.choi.mat
     return super_choi(acc, (d0, d1, d0, d1))
+
+
+def random_valid_do_params(rng: np.random.Generator, d: int) -> DOSuperParams:
+    """A random valid superchannel averaged over diagonal signs: its nine
+    tables read off the Choi of random_valid_superchoi (A taken real)."""
+    t = tables_from_choi(random_valid_superchoi(rng, d, d).choi.mat, d, TABLE_NAMES)
+    return DOSuperParams(d, **{**t, "A": t["A"].real})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from superchan import do as do_module, positions
 from superchan.covariance import covariance_sampler_tuple, superchannel_covariance_check
 from superchan.do import (
     DOSuperParams,
@@ -13,14 +14,22 @@ from superchan.do import (
     from_du_params,
 )
 from superchan.du import build_choi, du_identity
+from superchan.linalg import charge_sectors
 from superchan.pauli import PauliSuperParams, pauli_super_choi
-from superchan.superchannels import sandwich_superchannel, super_choi, validate_superchannel
+from superchan.superchannels import (
+    sandwich_superchannel,
+    super_choi,
+    tp_preserving_check,
+    validate_superchannel,
+)
 
 from helpers import (
     full_eigvalsh_psd,
     haar_unitary,
     random_hermitian_du_params,
+    random_valid_do_params,
     random_valid_du_params,
+    sector_psd_report,
     unitary_conjugation,
 )
 
@@ -182,3 +191,97 @@ def test_do_validate_matches_dense_generic_validation():
             assert dense.is_cp == full_eigvalsh_psd(do_build_choi(p).choi.mat)
             outcomes.add((dense.is_cp, verdict.ok))
     assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def _replace(p, **tables):
+    return DOSuperParams(p.d, **{n: tables.get(n, getattr(p, n)) for n in TABLE_NAMES})
+
+
+def _do_corpus(gen, d):
+    """label -> (tables, expected (is_cp, ok)): valid (twirled and embedded
+    DU), not CP, not TP, non-Hermitian (generic and one entry without its
+    adjoint partner), indefinite Hermitian, and Hermitian tables shifted by a
+    multiple of the identity Choi (table A all ones) so that the minimum
+    eigenvalue sits at -c * tol * scale, c in 0.5-0.95 and in 1.05-2."""
+    valid = random_valid_do_params(gen, d)
+    a = valid.A.copy()
+    a[gen.integers(d * d), gen.integers(d * d)] = -gen.uniform(0.02, 0.05)
+    out = {
+        "valid": (valid, (True, True)),
+        "not-cp": (_replace(valid, A=a), (False, False)),
+        "not-tp": (_replace(valid, **{n: 1.25 * getattr(valid, n) for n in TABLE_NAMES}),
+                   (True, False)),
+        "hermitian": (hermitian_do_params(d, psd=False), (False, False) if d > 1 else None),
+    }
+    if d > 1:  # at d = 1 the Choi is 1 x 1
+        e = valid.E.copy()
+        e[0, d + 1] += 1e-7j  # E_{00,11} without its adjoint partner
+        out["valid-du"] = (from_du_params(random_valid_du_params(gen, d)), (True, True))
+        out["non-hermitian"] = (random_do_params(d), (False, False))
+        out["noisy"] = (_replace(valid, E=e), (False, False))
+    for label, c in (("planted-in", gen.uniform(0.5, 0.95)), ("planted-out", gen.uniform(1.05, 2))):
+        p = hermitian_do_params(d, psd=False)
+        evals = np.linalg.eigvalsh(do_build_choi(p).choi.mat)
+        t = -evals[0] - c * 1e-10 * max(1.0, evals[-1] - evals[0])
+        out[label] = (_replace(p, A=p.A + t), (c < 1, False))
+    return out
+
+
+def _bytes(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_do_validate_matches_the_dense_route_byte_for_byte(d):
+    # every report value against validate_superchannel + tp_preserving_check
+    # on the assembled Choi, with the spectrum read sector by sector from the
+    # assembled Choi by the reference sector_psd_report
+    tol = 1e-10
+    for label, (p, expected) in _do_corpus(np.random.default_rng(700 + d), d).items():
+        s = do_build_choi(p)
+        verdict = do_validate(p, tol)
+        dense = validate_superchannel(s, tol)
+        tp, induced = tp_preserving_check(s, tol)
+        is_psd, min_eig, herm = sector_psd_report(
+            s.choi.mat, tol, charge_sectors(d, "unordered"))
+        got = verdict.report()
+        assert got["is_cp"] == is_psd, label
+        assert _bytes(got["min_eig"]) == _bytes(min_eig), label
+        assert _bytes(got["hermiticity_deviation"]) == _bytes(herm), label
+        for key in ("factorization_deviation", "marginal_deviation", "hermiticity_deviation"):
+            assert _bytes(got[key]) == _bytes(dense.report()[key]), (label, key)
+        assert got["is_tp"] == dense.is_tp, label
+        for key, value in tp.report().items():
+            assert _bytes(got[key]) == _bytes(value), (label, key)
+        assert np.array_equal(verdict.tp_verdict.induced.choi.mat, induced.choi.mat), label
+        if d <= 3 and herm <= tol:
+            assert verdict.choi_verdict.is_cp == full_eigvalsh_psd(s.choi.mat, tol), label
+        if expected is not None:
+            assert (verdict.choi_verdict.is_cp, verdict.ok) == expected, label
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_do_validate_never_assembles_the_choi(d, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("do_validate assembled the Choi")
+
+    monkeypatch.setattr(positions, "choi_from_tables", refuse)
+    monkeypatch.setattr(do_module, "choi_from_tables", refuse)
+    monkeypatch.setattr(do_module, "do_build_choi", refuse)
+    # the identity map's Choi has eigenvalues 0 and d^2 and exact marginals
+    p = from_du_params(du_identity(d))
+    verdict = do_validate(p)
+    assert verdict.ok
+    assert abs(verdict.choi_verdict.min_eigenvalue) <= 1e-12 * d * d
+    report = verdict.report()
+    for key in ("factorization_deviation", "marginal_deviation", "hermiticity_deviation",
+                "offdiagonal_leak", "fiber_deviation", "unitality_deviation"):
+        assert report[key] == 0.0, key
+    a = p.A.copy()
+    a[1 * d + 2, 0] = -0.5  # a diagonal Choi entry in a side-4 sector that is otherwise zero
+    verdict = do_validate(_replace(p, A=a))
+    assert not verdict.choi_verdict.is_cp
+    assert verdict.choi_verdict.min_eigenvalue == -0.5
+    scaled = do_validate(_replace(p, **{n: 1.25 * getattr(p, n) for n in TABLE_NAMES}))
+    assert scaled.choi_verdict.is_cp and not scaled.ok
+    assert scaled.choi_verdict.marginal_deviation == scaled.tp_verdict.unitality_deviation > 0.2

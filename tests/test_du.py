@@ -25,7 +25,7 @@ from superchan.du import (
     random_do_invariant,
 )
 from superchan import du as du_module, positions
-from superchan.linalg import charge_sectors, max_entangled_projector, operator, psd_report
+from superchan.linalg import ChargeSectors, charge_sectors, max_entangled_projector, operator
 from superchan.superchannels import (
     classical_superchannel_extract,
     compose_superchannels,
@@ -46,6 +46,7 @@ from helpers import (
     loop_du_preserves_do,
     random_hermitian_du_params,
     random_valid_du_params,
+    sector_psd_report,
     unitary_conjugation,
 )
 
@@ -332,7 +333,7 @@ def test_cp_check_reads_the_choi_spectrum_off_the_tables(d):
     for p in _cp_corpus(np.random.default_rng(100 + d), d):
         choi = build_choi(p).choi.mat
         verdict = du_cp_check(p, tol=tol)
-        sector_route = psd_report(choi, tol, charge_sectors(d, "ordered"))
+        sector_route = sector_psd_report(choi, tol, charge_sectors(d, "ordered"))
         assert np.float64(verdict.choi_min_eigenvalue).tobytes() == np.float64(
             sector_route[1]).tobytes()
         assert verdict.closed_form == sector_route[0]
@@ -387,7 +388,7 @@ def test_cp_check_uses_the_choi_hermiticity_and_entry_scale(scaled):
     q = DUSuperParams(d, a_table, p.B, c, p.D)
     verdict = du_cp_check(q, tol=tol)
     assert verdict.closed_form == scaled
-    assert verdict.closed_form == psd_report(
+    assert verdict.closed_form == sector_psd_report(
         build_choi(q).choi.mat, tol, charge_sectors(d, "ordered"))[0]
 
 
@@ -412,6 +413,38 @@ def test_cp_witness_in_a_side_d_sector():
     per_ab = np.linalg.eigvalsh(m).min(axis=-1)
     assert abs(per_ab[1, 2] + 1.0) <= 1e-14 and abs(per_ab[2, 1] + 1.0) <= 1e-14
     assert np.diagonal(build_choi(q).choi.mat).real.min() >= 0.0
+
+
+def test_cp_witness_ignores_roundoff_among_tied_minima(monkeypatch):
+    # A perfbench-style valid input: unitary sandwiches blended with
+    # eps * I / d^2, twirled to DU.  Every M_ab then has eps / d^2 as its
+    # minimum up to roundoff, so the witness is the first (a, b) with a != b.
+    # Reordering the sectors and the basis within each sector changes the
+    # eigensolver's input, and with it the roundoff, but not the witness.
+    d = 4
+    gen = np.random.default_rng(61)
+    n, eps = d * d, 0.2
+    x = np.eye(n * n, dtype=complex) * (eps / n)
+    for w in gen.dirichlet(np.ones(3)):
+        v = np.kron(haar_unitary(gen, d).T, haar_unitary(gen, d)).T.reshape(-1)
+        x += ((1 - eps) * w) * np.outer(v, v.conj())
+    t = positions.tables_from_choi(x, d, "ABCD")
+    p = DUSuperParams(d, t["A"].real, t["B"], t["C"], t["D"])
+    verdict = du_cp_check(p)
+    assert verdict.ok and verdict.offdiag_witness == (0, 1)
+    per_ab = np.linalg.eigvalsh(loop_cp_blocks(p)[0]).min(axis=-1)[~np.eye(d, dtype=bool)]
+    assert np.ptp(per_ab) <= 1e-15 and len(set(per_ab.tolist())) > 1
+    sectors = charge_sectors(d, "ordered")
+    minima = set()
+    for seed in range(6):
+        perm = np.random.default_rng(seed)
+        blocks = tuple(perm.permuted(perm.permutation(rows), axis=1) for rows in sectors.blocks)
+        monkeypatch.setattr(du_module, "charge_sectors",
+                            lambda d_, pairs: ChargeSectors(sectors.side, blocks))
+        permuted = du_cp_check(p)
+        assert permuted.offdiag_witness == (0, 1)
+        minima.add(permuted.offdiag_min_eigenvalue)
+    assert len(minima) > 1  # the permutations did move the roundoff
 
 
 def test_du_compose_matches_choi_composition():

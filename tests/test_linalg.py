@@ -23,11 +23,10 @@ from superchan.linalg import (
     permute_subsystems,
     psd_report,
     schur_product,
-    sector_eigenvalues,
     swap_operator,
 )
 
-from helpers import random_hermitian
+from helpers import random_hermitian, sector_eigenvalues, sector_psd_report
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -316,7 +315,7 @@ def test_sector_spectrum_matches_full_eigvalsh(pairs):
             sectors = charge_sectors(d, pairs)
             evals = np.sort(sector_eigenvalues(m, sectors))
             assert np.abs(evals - full).max() <= 1e-12 * scale
-            ok, min_eig, herm = psd_report(m, 1e-10, sectors)
+            ok, min_eig, herm = sector_psd_report(m, 1e-10, sectors)
             assert (ok, herm) == psd_report(m, 1e-10)[::2]
             assert min_eig == pytest.approx(full[0], abs=1e-12 * scale)
 

@@ -262,6 +262,20 @@ def test_tp_preserving_check_is_bit_identical_to_the_loops(dims):
 
 
 @pytest.mark.parametrize("dims", _UNEQUAL_DIMS)
+def test_validate_and_tp_check_measure_the_same_marginals(dims):
+    # validate_superchannel's C0 is tp_preserving_check's induced Choi, so its
+    # factorization residual is max(leak, fiber) and its marginal residual the
+    # unitality deviation: bit for bit, on generic, Hermitian and valid Chois
+    g = _generic_super(dims)
+    h = super_choi(g.choi.mat + g.choi.mat.conj().T, dims)
+    for s in (g, h, random_valid_superchoi(rng, dims[0], dims[1])):
+        verdict = validate_superchannel(s)
+        tp, _ = tp_preserving_check(s)
+        assert verdict.factorization_deviation == max(tp.offdiagonal_leak, tp.fiber_deviation)
+        assert verdict.marginal_deviation == tp.unitality_deviation
+
+
+@pytest.mark.parametrize("dims", _UNEQUAL_DIMS)
 def test_classical_superchannel_extract_is_bit_identical_to_the_loop(dims):
     s = _generic_super(dims)
     assert classical_superchannel_extract(s).T.tobytes() == loop_classical_table(s).tobytes()

@@ -1,13 +1,15 @@
 """Print what every CLI op of a benchmark plan outputs, one JSON line per op.
 
-    python3 tools/cli_identity.py --workload {tables,dense,qubit,du-corpus}
+    python3 tools/cli_identity.py --workload {tables,dense,qubit,du-corpus,do-corpus}
                                   --seed N [--src DIR]
 
 The tables, dense and qubit plans are the benchmark's own
-(perfbench/inputs.py, imported unchanged); du-corpus is `validate du` and
-`compose du` on DU tables at d = 2..6: valid, not CP, not TP and indefinite
-Hermitian.  Each op runs in process through ``superchan.cli.main`` from
-``--src`` (default: this checkout's src), on one BLAS thread, and prints
+(perfbench/inputs.py, imported unchanged).  du-corpus is `validate du` and
+`compose du` on DU tables at d = 2..6, do-corpus is `validate do` on
+sign-symmetric tables at d = 2..6; each d has six cases: two valid, not CP,
+not TP (1.25x), non-Hermitian and indefinite Hermitian.  Each op runs in
+process through ``superchan.cli.main`` from ``--src`` (default: this
+checkout's src), on one BLAS thread, and prints
 {"kind", "argv", "status", "stdout", "artifact_sha256"}.  Inputs are
 generated from the seed alone, so running the script with the ``--src`` of
 two checkouts and diffing the two outputs shows every exit status, report
@@ -35,25 +37,30 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import inputs  # noqa: E402  (after the BLAS thread settings; it imports numpy)
 
 
+def corpus_cases(b: inputs.InputSet, d: int, names: str) -> dict:
+    """The six table sets of one corpus dimension, label -> tables."""
+    valid = [
+        inputs.tables_from_choi(inputs.random_superchannel(b.rng, d), d, names)
+        for _ in range(2)
+    ]
+    g = b.rng.normal(size=(d**4, d**4)) + 1j * b.rng.normal(size=(d**4, d**4))
+    return {
+        "valid0": valid[0],
+        "valid1": valid[1],
+        "not-cp": inputs._not_cp(b, valid[0]),
+        "not-tp": inputs._not_tp(valid[1]),
+        "hermitian": inputs.tables_from_choi(g + g.conj().T, d, names),
+        "non-hermitian": inputs.tables_from_choi(g, d, names),
+    }
+
+
 def build_du_corpus(b: inputs.InputSet) -> list:
     """validate du and compose du on DU tables at d = 2..6."""
     validate, compose = [], []
     for d in range(2, 7):
-        valid = [
-            inputs.tables_from_choi(inputs.random_superchannel(b.rng, d), d, inputs.DU_TABLES)
-            for _ in range(2)
-        ]
-        g = b.rng.normal(size=(d**4, d**4)) + 1j * b.rng.normal(size=(d**4, d**4))
-        cases = {
-            "valid0": valid[0],
-            "valid1": valid[1],
-            "not-cp": inputs._not_cp(b, valid[0]),
-            "not-tp": inputs._not_tp(valid[1]),
-            "hermitian": inputs.tables_from_choi(g + g.conj().T, d, inputs.DU_TABLES),
-        }
         files = {
             label: b.input(f"du{d}_{label}.json", inputs.tables_doc(d, t))
-            for label, t in cases.items()
+            for label, t in corpus_cases(b, d, inputs.DU_TABLES).items()
         }
         validate += [inputs._entry(["validate", "du", f], label=lb) for lb, f in files.items()]
         compose.append(inputs._entry(
@@ -66,9 +73,22 @@ def build_du_corpus(b: inputs.InputSet) -> list:
     ]
 
 
+def build_do_corpus(b: inputs.InputSet) -> list:
+    """validate do on sign-symmetric tables at d = 2..6."""
+    validate = []
+    for d in range(2, 7):
+        for label, t in corpus_cases(b, d, inputs.DO_TABLES).items():
+            path = b.input(f"do{d}_{label}.json", inputs.tables_doc(d, t))
+            validate.append(inputs._entry(["validate", "do", path], label=label))
+    return [inputs._kind("validate_do", "op1", 1, validate)]
+
+
+CORPORA = {"du-corpus": build_du_corpus, "do-corpus": build_do_corpus}
+
+
 def plan(workload: str, seed: int, work: Path) -> list:
-    if workload == "du-corpus":
-        return build_du_corpus(inputs.InputSet(work, seed, workload))
+    if workload in CORPORA:
+        return CORPORA[workload](inputs.InputSet(work, seed, workload))
     return inputs.build(workload, seed, work)["kinds"]
 
 
@@ -92,7 +112,7 @@ def run_op(cli, entry: dict, work: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True,
-                        choices=(*inputs.WORKLOADS, "du-corpus"))
+                        choices=(*inputs.WORKLOADS, *CORPORA))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the src directory of the checkout to run")
