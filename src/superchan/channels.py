@@ -23,6 +23,7 @@ from .linalg import (
     psd_report,
     swap_operator,
 )
+from .positions import choi_from_tables, init_tables, table_positions
 
 PARAM_EDGE_TOL = 1e-12  # slack for closed parameter intervals
 
@@ -135,12 +136,7 @@ def classical_channel_extract(ch: ChoiChannel) -> np.ndarray:
 
     For a valid channel S is column stochastic (columns indexed by the input).
     """
-    c4 = ch.choi4()
-    s = np.empty((ch.d_out, ch.d_in))
-    for i in range(ch.d_in):
-        for a in range(ch.d_out):
-            s[a, i] = c4[i, a, i, a].real
-    return s
+    return np.diagonal(ch.choi.mat).real.reshape(ch.d_in, ch.d_out).T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +229,8 @@ def dephasing_channel(m) -> ChoiChannel:
     m = check_covariance_matrix(m)
     d = m.shape[0]
     c = np.zeros((d * d, d * d), dtype=complex)
-    c4 = c.reshape(d, d, d, d)
-    for i in range(d):
-        for j in range(d):
-            c4[i, i, j, j] = m[i, j]
+    k = np.arange(d)
+    c.reshape(d, d, d, d)[k[:, None], k[:, None], k, k] = m
     return choi_channel(c, d, d)
 
 
@@ -297,25 +291,13 @@ def orthogonal_covariant(alpha: float, beta: float, d: int) -> ChoiChannel:
 # ---------------------------------------------------------------------------
 
 
-def _check_table(name: str, t, d: int, real: bool = False) -> np.ndarray:
-    arr = np.asarray(t, dtype=float if real else complex)
-    if arr.shape != (d, d):
-        raise ValueError(f"{name} must be {d}x{d}, got {arr.shape}")
-    return arr
-
-
-def _zero_diagonal(name: str, arr: np.ndarray) -> np.ndarray:
-    if np.abs(np.diagonal(arr)).max() > 0:
-        raise ValueError(f"{name} must vanish on the diagonal (off-diagonal support)")
-    return arr
-
-
 @dataclass(frozen=True)
 class DUChannelParams:
     """Tables (A, B) of a diagonal-unitary covariant map.
 
     The map acts as X -> sum_ij A_ij e_ij X e_ji + sum_{i!=j} B_ij e_ii X e_jj.
-    B has off-diagonal support only.
+    B has off-diagonal support only; the Choi positions are
+    positions.CHANNEL_POSITIONS.
     """
 
     d: int
@@ -323,8 +305,7 @@ class DUChannelParams:
     B: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "A", _check_table("A", self.A, self.d, real=True))
-        object.__setattr__(self, "B", _zero_diagonal("B", _check_table("B", self.B, self.d)))
+        init_tables(self, "AB", "channel")
 
 
 @dataclass(frozen=True)
@@ -339,8 +320,7 @@ class ConjDUChannelParams:
     C: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "A", _check_table("A", self.A, self.d, real=True))
-        object.__setattr__(self, "C", _zero_diagonal("C", _check_table("C", self.C, self.d)))
+        init_tables(self, "AC", "channel")
 
 
 @dataclass(frozen=True)
@@ -353,9 +333,7 @@ class DOChannelParams:
     C: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "A", _check_table("A", self.A, self.d, real=True))
-        object.__setattr__(self, "B", _zero_diagonal("B", _check_table("B", self.B, self.d)))
-        object.__setattr__(self, "C", _zero_diagonal("C", _check_table("C", self.C, self.d)))
+        init_tables(self, "ABC", "channel")
 
 
 def du_identity_channel_params(d: int) -> DUChannelParams:
@@ -363,35 +341,16 @@ def du_identity_channel_params(d: int) -> DUChannelParams:
     return DUChannelParams(d, np.eye(d), ones.astype(complex))
 
 
-def _diagonal_family_choi(d, a, b=None, c=None) -> ChoiChannel:
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    c4 = choi.reshape(d, d, d, d)
-    for k in range(d):
-        for i in range(d):
-            c4[k, i, k, i] = a[i, k]
-    if b is not None:
-        for k in range(d):
-            for l in range(d):
-                if k != l:
-                    c4[k, k, l, l] = b[k, l]
-    if c is not None:
-        for k in range(d):
-            for l in range(d):
-                if k != l:
-                    c4[k, l, l, k] = c[l, k]
-    return choi_channel(choi, d, d)
-
-
 def du_channel(params: DUChannelParams) -> ChoiChannel:
-    return _diagonal_family_choi(params.d, params.A, b=params.B)
+    return choi_channel(choi_from_tables(params, "AB", "channel"), params.d, params.d)
 
 
 def conj_du_channel(params: ConjDUChannelParams) -> ChoiChannel:
-    return _diagonal_family_choi(params.d, params.A, c=params.C)
+    return choi_channel(choi_from_tables(params, "AC", "channel"), params.d, params.d)
 
 
 def do_channel(params: DOChannelParams) -> ChoiChannel:
-    return _diagonal_family_choi(params.d, params.A, b=params.B, c=params.C)
+    return choi_channel(choi_from_tables(params, "ABC", "channel"), params.d, params.d)
 
 
 @dataclass(frozen=True)
@@ -438,17 +397,6 @@ def _b_with_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return bb
 
 
-def _pair_violation(a: np.ndarray, c: np.ndarray) -> float:
-    """Worst violation of |C_ij|^2 <= A_ij A_ji over i != j."""
-    worst = 0.0
-    d = a.shape[0]
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                worst = max(worst, abs(c[i, j]) ** 2 - a[i, j] * a[j, i])
-    return worst
-
-
 def _table_verdict(a, b, c, tol: float) -> DUChannelVerdict:
     min_a = float(a.min())
     if b is not None:
@@ -462,7 +410,9 @@ def _table_verdict(a, b, c, tol: float) -> DUChannelVerdict:
     else:
         b_min, b_ok = 0.0, True
     if c is not None:
-        pair = _pair_violation(a, c)
+        # worst violation of |C_ij|^2 <= A_ij A_ji over C's support i != j
+        off = table_positions(len(a), "C", "channel").mask
+        pair = float((np.abs(c) ** 2 - a * a.T).max(where=off, initial=0.0))
         pair_ok = pair <= tol and hermiticity_deviation(c) <= tol * max(
             1.0, float(np.abs(c).max()) if c.size else 1.0
         )

@@ -30,7 +30,7 @@ from .channels import (
 )
 from .covariance import covariance_sampler_tuple, superchannel_covariance_check
 from .dephasing import DephasingSuperParams, dephasing_validate, to_super_choi
-from .do import do_build_choi, do_validate
+from .do import TABLE_NAMES as DO_TABLE_NAMES, do_build_choi, do_validate
 from .du import (
     build_choi,
     du_block_action,
@@ -41,6 +41,7 @@ from .du import (
 )
 from .jsonio import SchemaError
 from .linalg import DEFAULT_TOL
+from .positions import apply_tables
 from .pauli import pauli_du_check, pauli_induced_bistochastic, pauli_super_choi
 from .superchannels import (
     SuperChoi,
@@ -114,13 +115,16 @@ def _as_super_choi(kind: str, parsed) -> SuperChoi:
     raise SchemaError(f"{kind} does not describe a superchannel")
 
 
-def _load_super(path) -> tuple[str, object, SuperChoi]:
+# table kinds act straight from their positions, without assembling the Choi
+_TABLE_NAMES = {"du": "ABCD", "do": DO_TABLE_NAMES}
+
+
+def _load_super(path) -> tuple[str, object]:
     obj = _load(path)
     kind = jsonio.detect_kind(obj)
     if kind not in _SUPER_PARSERS:
         raise SchemaError(f"{path} holds a {kind}, expected a superchannel form")
-    parsed = _SUPER_PARSERS[kind](obj)
-    return kind, parsed, _as_super_choi(kind, parsed)
+    return kind, _SUPER_PARSERS[kind](obj)
 
 
 def default_du_params():
@@ -192,14 +196,20 @@ def cmd_validate(args) -> CommandResult:
 
 
 def cmd_apply(args) -> CommandResult:
-    kind, _, s = _load_super(args.superchannel)
+    kind, parsed = _load_super(args.superchannel)
     ch = jsonio.channel_from_json(_load(args.channel))
-    if (ch.d_in, ch.d_out) != (s.dA0, s.dA1):
+    names = _TABLE_NAMES.get(kind)
+    s = None if names else _as_super_choi(kind, parsed)
+    pair = (parsed.d, parsed.d) if names else (s.dA0, s.dA1)
+    if (ch.d_in, ch.d_out) != pair:
         raise SchemaError(
             f"channel dims ({ch.d_in}, {ch.d_out}) do not match superchannel "
-            f"input pair ({s.dA0}, {s.dA1})"
+            f"input pair {pair}"
         )
-    out = apply_to_channel(s, ch)
+    if names:
+        out = choi_channel(apply_tables(parsed, names, ch.choi.mat), parsed.d, parsed.d)
+    else:
+        out = apply_to_channel(s, ch)
     report = {"superchannel_kind": kind}
     for label, c in (("input", ch), ("output", out)):
         table = classical_channel_extract(c)
@@ -259,7 +269,8 @@ def cmd_compose(args) -> CommandResult:
 
 
 def cmd_covariance(args) -> CommandResult:
-    kind, _, s = _load_super(args.superchannel)
+    kind, parsed = _load_super(args.superchannel)
+    s = _as_super_choi(kind, parsed)
     if not (s.dA0 == s.dA1 == s.dB0 == s.dB1):
         raise SchemaError("covariance groups are defined for equal subsystem dims")
     samplers = covariance_sampler_tuple(args.group, s.dA0, args.seed)

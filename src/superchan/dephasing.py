@@ -10,8 +10,6 @@ diagonal of the resulting d x d covariance matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-
 import numpy as np
 
 from .channels import ChoiChannel, check_covariance_matrix, choi_channel
@@ -147,11 +145,8 @@ def dephasing_from_realization(u_list, v_list, psi, tol: float = 1e-12) -> Depha
         raise ValueError(f"psi must have the environment dimension {e}")
     if abs(np.linalg.norm(psi) - 1.0) > tol:
         raise ValueError("psi must be normalized")
-    vectors = [[v @ (u @ psi) for v in vs] for u in us]  # vectors[j][b] = V_b U_j psi
-    m = np.empty((d * d, d * d), dtype=complex)
-    for i, a, j, b in product(range(d), repeat=4):
-        m[i * d + a, j * d + b] = np.vdot(vectors[j][b], vectors[i][a])
-    return DephasingSuperParams(d, m)
+    flat = np.array([v @ (u @ psi) for u in us for v in vs])  # row j*d + b: V_b U_j psi
+    return DephasingSuperParams(d, flat @ flat.conj().T)
 
 
 def dephasing_on_dephasing(p: DephasingSuperParams, m_chan) -> np.ndarray:

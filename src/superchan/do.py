@@ -19,9 +19,9 @@ from .du import DUSuperParams
 from .linalg import DEFAULT_TOL, charge_sectors
 from .positions import (
     b1_partial_trace,
-    check_table,
     choi_from_tables,
     extraction_residual,
+    init_tables,
     sector_spectrum,
     table_positions,
     tables_from_choi,
@@ -70,16 +70,7 @@ class DOSuperParams:
     S: np.ndarray
 
     def __post_init__(self) -> None:
-        d = self.d
-        for name in TABLE_NAMES:
-            t = np.asarray(
-                getattr(self, name), dtype=float if name == "A" else complex
-            )
-            if t.shape != (d * d, d * d):
-                raise ValueError(f"{name} must be {d * d}x{d * d}")
-            check_table(d, name, t)
-            t.setflags(write=False)
-            object.__setattr__(self, name, t)
+        init_tables(self, TABLE_NAMES)
 
     def t4(self, name: str) -> np.ndarray:
         d = self.d

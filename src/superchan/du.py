@@ -19,12 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChoiChannel, DUChannelParams, du_channel
+from .channels import ChoiChannel, DOChannelParams, choi_channel, do_channel, identity_channel
 from .linalg import DEFAULT_TOL, MultipartiteOperator, charge_sectors
 from .positions import (
-    check_table,
+    apply_tables,
     choi_from_tables,
     extraction_residual,
+    init_tables,
+    off_pattern_weight,
     sector_spectrum,
     table_positions,
     tables_from_choi,
@@ -59,20 +61,7 @@ class DUSuperParams:
     D: np.ndarray
 
     def __post_init__(self) -> None:
-        d = self.d
-        a = np.asarray(self.A, dtype=float)
-        if a.shape != (d * d, d * d):
-            raise ValueError(f"A must be {d * d}x{d * d}")
-        tables = {"A": a}
-        for name in ("B", "C", "D"):
-            t = np.asarray(getattr(self, name), dtype=complex)
-            if t.shape != (d * d, d * d):
-                raise ValueError(f"{name} must be {d * d}x{d * d}")
-            tables[name] = t
-        for name, t in tables.items():
-            check_table(d, name, t)
-            t.setflags(write=False)
-            object.__setattr__(self, name, t)
+        init_tables(self, "ABCD")
 
     def t4(self, name: str) -> np.ndarray:
         """A table as a 4-tensor [i, a, j, b]."""
@@ -270,47 +259,27 @@ def du_compose(p: DUSuperParams, q: DUSuperParams) -> DUSuperParams:
 
 
 def du_block_action(p: DUSuperParams, x) -> MultipartiteOperator:
-    """Fast path for the representing map: act blockwise on X = sum e_ij (x) X_ij.
+    """The representing map of build_choi(p) applied to X = sum e_ij (x) X_ij,
+    read straight off the tables (positions.apply_tables).
 
     Diagonal blocks mix through A (their diagonals) and B (their off-diagonal
     entries); off-diagonal blocks mix through C (diagonals) and scale through
-    D (entrywise).  Must agree with representing_apply on the assembled Choi.
+    D (entrywise).
     """
     d = p.d
     m = x.mat if isinstance(x, MultipartiteOperator) else np.asarray(x, dtype=complex)
     if m.shape != (d * d, d * d):
         raise ValueError(f"input side {m.shape} does not match d^2={d * d}")
-    x4 = m.reshape(d, d, d, d)
-    a4, b4, c4, d4 = (p.t4(n) for n in "ABCD")
-    xdiag = np.einsum("jbjb->jb", x4)
-    ydiag = np.einsum("iajb,jb->ia", a4, xdiag)
-    w = np.einsum("jajb->jab", x4)
-    yb = np.einsum("iajb,jab->iab", b4, w)
-    v = np.einsum("ibjb->ijb", x4)
-    yc = np.einsum("iajb,ijb->iaj", c4, v)
-
-    # D scales every entry; then the i = j blocks take B's image, the a = b
-    # entries C's and the diagonal A's, each write overriding the one before
-    k = np.arange(d)
-    i, a, b = k[:, None, None], k[:, None], k
-    y4 = d4 * x4
-    y4[i, a, i, b] = yb
-    y4[i, a, b, a] = yc
-    y4[k[:, None], k, k[:, None], k] = ydiag
-    return MultipartiteOperator((d, d), y4.reshape(d * d, d * d))
+    return MultipartiteOperator((d, d), apply_tables(p, "ABCD", m))
 
 
 def du_action_on_identity(p: DUSuperParams) -> ChoiChannel:
-    """The channel produced by acting on the identity channel.
+    """The channel produced by acting on the identity channel (its Choi is Omega).
 
-    Its tables are S_ij = sum_k A_{ji,kk} (column stochastic for valid params)
-    and the off-diagonal slice D_{ii,jj}.
+    It is a DU channel with tables S_ij = sum_k A_{ji,kk} (column stochastic
+    for valid params) and the off-diagonal slice D_{ii,jj}.
     """
-    d = p.d
-    s = np.einsum("jikk->ij", p.t4("A"))
-    i, j = np.ogrid[:d, :d]
-    b = np.where(i != j, p.t4("D")[i, i, j, j], 0.0)
-    return du_channel(DUChannelParams(d, s, b))
+    return choi_channel(du_block_action(p, identity_channel(p.d).choi).mat, p.d, p.d)
 
 
 @dataclass(frozen=True)
@@ -337,56 +306,41 @@ class DOPreservationVerdict:
 
 def random_do_invariant(d: int, rng: np.random.Generator) -> MultipartiteOperator:
     """Random Hermitian operator with the sign-symmetric invariant pattern:
-    weight on e_mm (x) e_nn (all m, n), e_mn (x) e_mn and e_mn (x) e_nm (m != n)."""
+    the Choi of a DO channel, weight on e_mm (x) e_nn (all m, n), e_mn (x)
+    e_mn and e_mn (x) e_nm (m != n)."""
     pt = rng.normal(size=(d, d))
     qt = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rt = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m, n = np.ogrid[:d, :d]
-    x4 = np.zeros((d, d, d, d), dtype=complex)
-    x4[m, n, m, n] += pt
-    x4[m, m, n, n] += np.where(m != n, qt, 0.0)
-    x4[m, n, n, m] += np.where(m != n, rt, 0.0)
-    mat = x4.reshape(d * d, d * d)
+    off = table_positions(d, "B", "channel").mask
+    ch = do_channel(DOChannelParams(d, pt.T, np.where(off, qt, 0.0), np.where(off, rt.T, 0.0)))
+    mat = ch.choi.mat
     return MultipartiteOperator((d, d), (mat + mat.conj().T) / 2)
-
-
-def _do_pattern_split(x4: np.ndarray):
-    """Split an operator on (d, d) into the sign-symmetric pattern components
-    (P on e_mm (x) e_nn, Q on e_mn (x) e_mn, R on e_mn (x) e_nm) plus the
-    maximal off-pattern magnitude."""
-    m, n = np.ogrid[: x4.shape[0], : x4.shape[0]]
-    on = np.zeros(x4.shape, dtype=bool)
-    on[m, n, m, n] = on[m, m, n, n] = on[m, n, n, m] = True
-    p = x4[m, n, m, n]
-    q = np.where(m != n, x4[m, m, n, n], 0.0)
-    r = np.where(m != n, x4[m, n, n, m], 0.0)
-    return p, q, r, float(np.abs(x4[~on]).max(initial=0.0))
 
 
 def du_preserves_do_check(
     p: DUSuperParams, n: int = 20, tol: float = DEFAULT_TOL, seed: int = 0
 ) -> DOPreservationVerdict:
     """Verify the image of sign-symmetric Chois keeps the pattern, with the
-    three displayed coefficient maps: diagonal weights through A, the e_mn (x)
-    e_mn weights scaled by D_{mm,nn}, and the e_mn (x) e_nm weights by D_{mn,nm}."""
+    three displayed coefficient maps on the DO channel tables read off input
+    and output: the diagonal weights A^T through A, the e_mn (x) e_mn weights
+    B scaled by D_{mm,nn}, and the e_mn (x) e_nm weights C^T by D_{mn,nm}."""
     d = p.d
     rng = np.random.default_rng(seed)
     d4 = p.t4("D")
-    i, j = np.ogrid[:d, :d]  # Q and R are zero on i = j, so the diagonal adds 0
+    i, j = np.ogrid[:d, :d]  # B and C are zero on i = j, so the diagonal adds 0
     worst_off = 0.0
     worst_coeff = 0.0
     for _ in range(n):
         x = random_do_invariant(d, rng)
-        x4 = x.mat.reshape(d, d, d, d)
-        pin, qin, rin, _ = _do_pattern_split(x4)
-        y = du_block_action(p, x)
-        pout, qout, rout, off = _do_pattern_split(y.mat.reshape(d, d, d, d))
-        worst_off = max(worst_off, off)
-        expect_p = (p.A @ pin.reshape(-1)).reshape(d, d)
+        t_in = tables_from_choi(x.mat, d, "ABC", "channel")
+        y = du_block_action(p, x).mat
+        t_out = tables_from_choi(y, d, "ABC", "channel")
+        worst_off = max(worst_off, off_pattern_weight(y, d, "ABC", "channel"))
+        expect_a = (p.A @ t_in["A"].T.reshape(-1)).reshape(d, d).T
         worst_coeff = max(
             worst_coeff,
-            float(np.abs(pout - expect_p).max()),
-            float(np.abs(qout - d4[i, i, j, j] * qin).max()),
-            float(np.abs(rout - d4[i, j, j, i] * rin).max()),
+            float(np.abs(t_out["A"] - expect_a).max()),
+            float(np.abs(t_out["B"] - d4[i, i, j, j] * t_in["B"]).max()),
+            float(np.abs(t_out["C"] - d4[j, i, i, j] * t_in["C"]).max()),
         )
     return DOPreservationVerdict(worst_off, worst_coeff, n, tol)

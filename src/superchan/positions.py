@@ -1,17 +1,25 @@
-"""Where the coefficient tables of DU and sign-symmetric superchannels sit.
+"""Where the coefficient tables of the diagonal families sit in their Choi matrices.
 
-Each table T is d^2 x d^2 over the pair index (i, a) -> i*d + a and is read
-as T[i, a, j, b].  Entry T_{ia,jb} occupies one entry of the Choi matrix on
-(A0, A1, B0, B1): POSITIONS spells its row and column as four labels each,
-so "jbia" is the basis vector (A0, A1, B0, B1) = (j, b, i, a).  The support
-string names the labels that must differ: "ij" requires i != j, "ab"
-requires a != b.  Entries outside the support are exact zeros.
+Two families share one set of helpers, chosen by ``family``:
 
-The nine positions are pairwise disjoint.  The first four tables make up a
-diagonal-unitary covariant Choi, all nine a sign-symmetric one, and the
-positions fill exactly the charge sectors of the respective group (block
-structure as in Singh & Nechita, arXiv:2010.07898).  So assembling a Choi
-is one scatter per table and reading the tables off it one gather.
+* "super": the nine tables of DU and sign-symmetric superchannels.  Each
+  table T is d^2 x d^2 over the pair index (i, a) -> i*d + a and is read as
+  T[i, a, j, b].  Entry T_{ia,jb} occupies one entry of the Choi matrix on
+  (A0, A1, B0, B1), so "jbia" is the basis vector (A0, A1, B0, B1) =
+  (j, b, i, a).  The first four tables make up a diagonal-unitary covariant
+  Choi, all nine a sign-symmetric one.
+* "channel": the tables (A, B, C) of DUC, CDUC and DOC channels in Singh &
+  Nechita's notation.  Each is d x d, read as T[i, j], on the Choi of a map
+  M_d -> M_d over (in, out).
+
+POSITIONS spells each entry's Choi row and column as one label per
+subsystem.  The support string names the labels that must differ: "ij"
+requires i != j, "ab" requires a != b.  Entries outside the support are
+exact zeros.  The positions of one family are pairwise disjoint and fill
+exactly the charge sectors of its group (block structure as in Singh &
+Nechita, arXiv:2010.07898), so assembling a Choi is one scatter per table,
+reading the tables off it one gather, and the action of the assembled map
+one gather-multiply-add per table.
 """
 
 from __future__ import annotations
@@ -36,20 +44,30 @@ POSITIONS = {
     "S": ("iaib", "jbja", "ijab"),
 }
 
+CHANNEL_POSITIONS = {
+    "A": ("ji", "ji", ""),
+    "B": ("ii", "jj", "ij"),
+    "C": ("ji", "ij", "ij"),
+}
+
+# family -> (the labels of a table entry in index order, its positions)
+FAMILIES = {"super": ("iajb", POSITIONS), "channel": ("ij", CHANNEL_POSITIONS)}
+
 
 class TablePositions(NamedTuple):
-    mask: np.ndarray  # (d^2, d^2) support of the table
+    mask: np.ndarray  # support of the table, in its shape
     flat: np.ndarray  # flat table indices inside the support
     rows: np.ndarray  # Choi row of each of those entries
     cols: np.ndarray  # Choi column of each of those entries
 
 
 @functools.lru_cache(maxsize=128)
-def table_positions(d: int, name: str) -> TablePositions:
+def table_positions(d: int, name: str, family: str = "super") -> TablePositions:
     """Support and Choi positions of table ``name`` at dimension d (read-only)."""
-    row_digits, col_digits, support = POSITIONS[name]
-    label = dict(zip("iajb", np.indices((d,) * 4).reshape(4, -1)))
-    mask = np.ones(d**4, dtype=bool)
+    labels, positions = FAMILIES[family]
+    row_digits, col_digits, support = positions[name]
+    label = dict(zip(labels, np.indices((d,) * len(labels)).reshape(len(labels), -1)))
+    mask = np.ones(d ** len(labels), dtype=bool)
     if "i" in support:
         mask &= label["i"] != label["j"]
     if "a" in support:
@@ -61,8 +79,9 @@ def table_positions(d: int, name: str) -> TablePositions:
             idx = idx * d + label[ch][mask]
         return idx
 
+    side = d ** (len(labels) // 2)
     out = TablePositions(
-        mask.reshape(d * d, d * d),
+        mask.reshape(side, side),
         np.flatnonzero(mask),
         choi_index(row_digits),
         choi_index(col_digits),
@@ -72,49 +91,78 @@ def table_positions(d: int, name: str) -> TablePositions:
     return out
 
 
-def check_table(d: int, name: str, table: np.ndarray) -> None:
+def check_table(d: int, name: str, table: np.ndarray, family: str = "super") -> None:
     """Reject non-finite entries and nonzero entries outside the support."""
     if not np.isfinite(table).all():
         raise ValueError(f"table {name} has non-finite entries (NaN or Inf)")
-    off = table[~table_positions(d, name).mask]
+    off = table[~table_positions(d, name, family).mask]
     if off.size and np.abs(off).max() > 0:
         raise ValueError(f"table {name} has nonzero entries outside its support")
 
 
-def choi_from_tables(p, names: Iterable[str]) -> np.ndarray:
-    """The d^4 x d^4 Choi matrix holding the tables ``names`` of p.
+def init_tables(p, names: Iterable[str], family: str = "super") -> None:
+    """Set each table ``names`` of the frozen dataclass p to a read-only copy,
+    real for A and complex otherwise, after checking its shape and entries.
+    The caller's arrays stay writable."""
+    side = p.d ** (len(FAMILIES[family][0]) // 2)
+    for name in names:
+        t = np.array(getattr(p, name), dtype=float if name == "A" else complex)
+        if t.shape != (side, side):
+            raise ValueError(f"{name} must be {side}x{side}")
+        check_table(p.d, name, t, family)
+        t.setflags(write=False)
+        object.__setattr__(p, name, t)
+
+
+def _entries(p, names: Iterable[str]):
+    """(Choi rows, Choi columns, values) of every entry of the tables ``names``."""
+    pos = [table_positions(p.d, name) for name in names]
+    rows, cols = (np.concatenate([getattr(x, f) for x in pos]) for f in ("rows", "cols"))
+    vals = np.concatenate([getattr(p, n).reshape(-1)[x.flat] for n, x in zip(names, pos)])
+    return rows, cols, vals
+
+
+def choi_from_tables(p, names: Iterable[str], family: str = "super") -> np.ndarray:
+    """The Choi matrix holding the tables ``names`` of p.
 
     Each entry is added into zeros, as a sum over tables would, so a -0.0
     table entry lands as +0.0.
     """
-    d = p.d
-    c = np.zeros((d**4, d**4), dtype=complex)
+    side = p.d ** len(FAMILIES[family][0])
+    c = np.zeros((side, side), dtype=complex)
     for name in names:
-        pos = table_positions(d, name)
+        pos = table_positions(p.d, name, family)
         c[pos.rows, pos.cols] += getattr(p, name).reshape(-1)[pos.flat]
     return c
 
 
-def tables_from_choi(mat: np.ndarray, d: int, names: Iterable[str]) -> dict:
-    """Each table of ``names`` read off its Choi positions, as complex d^2 x d^2."""
+def tables_from_choi(mat: np.ndarray, d: int, names: Iterable[str],
+                     family: str = "super") -> dict:
+    """Each table of ``names`` read off its Choi positions, as a complex square array."""
     out = {}
     for name in names:
-        pos = table_positions(d, name)
-        t = np.zeros(d**4, dtype=complex)
-        t[pos.flat] = mat[pos.rows, pos.cols]
-        out[name] = t.reshape(d * d, d * d)
+        pos = table_positions(d, name, family)
+        out[name] = np.zeros(pos.mask.shape, dtype=complex)
+        out[name].flat[pos.flat] = mat[pos.rows, pos.cols]
     return out
 
 
 @functools.lru_cache(maxsize=16)
-def off_pattern_mask(d: int, names: Iterable[str]) -> np.ndarray:
-    """The d^4 x d^4 Choi entries where none of the tables ``names`` sits (read-only)."""
-    off = np.ones((d**4, d**4), dtype=bool)
+def off_pattern_mask(d: int, names: Iterable[str], family: str = "super") -> np.ndarray:
+    """The Choi entries where none of the tables ``names`` sits (read-only)."""
+    side = d ** len(FAMILIES[family][0])
+    off = np.ones((side, side), dtype=bool)
     for name in names:
-        pos = table_positions(d, name)
+        pos = table_positions(d, name, family)
         off[pos.rows, pos.cols] = False
     off.setflags(write=False)
     return off
+
+
+def off_pattern_weight(mat: np.ndarray, d: int, names: Iterable[str],
+                       family: str = "super") -> float:
+    """Largest |entry| of mat off the positions of the tables ``names`` (0 if none)."""
+    return float(np.abs(mat).max(where=off_pattern_mask(d, names, family), initial=0.0))
 
 
 def extraction_residual(mat: np.ndarray, d: int, names: Iterable[str]) -> float:
@@ -126,9 +174,31 @@ def extraction_residual(mat: np.ndarray, d: int, names: Iterable[str]) -> float:
     in either part is the residual, as it would be in the difference.
     """
     pos = table_positions(d, "A")
-    off = np.abs(mat).max(where=off_pattern_mask(d, names), initial=0.0)
     imag = np.abs(mat[pos.rows, pos.cols].imag).max(initial=0.0)
-    return float(np.max([off, imag]))
+    return float(np.max([off_pattern_weight(mat, d, names), imag]))
+
+
+def apply_tables(p, names: Iterable[str], x: np.ndarray) -> np.ndarray:
+    """The representing map of choi_from_tables(p, names) applied to the
+    d^2 x d^2 operator x, without assembling the Choi.
+
+    As superchannels.representing_apply, y[a, b] = sum_ij x[i, j] C[ia, jb]
+    over the pair indices of (A0, A1) and (B0, B1): each table entry at Choi
+    (row, col) reads x at (row // d^2, col // d^2) and its product is added
+    into y at (row % d^2, col % d^2), in O(d^4) time and memory.  Sums start
+    from +0.0, and an entry of y fed by one product alone is that product, so
+    a -0.0 from an entrywise scaling (table D) stays -0.0.
+    """
+    n = p.d * p.d
+    rows, cols, vals = _entries(p, names)
+    terms = vals * x[rows // n, cols // n]
+    out = (rows % n) * n + cols % n
+    y = np.empty(n * n, dtype=complex)
+    y.real = np.bincount(out, terms.real, n * n)
+    y.imag = np.bincount(out, terms.imag, n * n)
+    single = np.bincount(out, minlength=n * n)[out] == 1
+    y[out[single]] = terms[single]
+    return y.reshape(n, n)
 
 
 def principal_blocks(p, names: Iterable[str], basis: np.ndarray) -> np.ndarray:
@@ -180,9 +250,7 @@ def b1_partial_trace(p, names: Iterable[str]) -> tuple[float, np.ndarray]:
     (the nine positions put every such term at a = b).
     """
     d = p.d
-    pos = [table_positions(d, name) for name in names]
-    rows, cols = (np.concatenate([getattr(x, f) for x in pos]) for f in ("rows", "cols"))
-    vals = np.concatenate([getattr(p, n).reshape(-1)[x.flat] for n, x in zip(names, pos)])
+    rows, cols, vals = _entries(p, names)
     keep = rows % d == cols % d
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
     # A0, A1, B0 digits: (i, a, p) of each row and (j, b, r) of each column

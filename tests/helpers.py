@@ -14,14 +14,7 @@ from superchan.channels import (
 )
 from superchan.dephasing import dephasing_embed_du, dephasing_from_realization
 from superchan.do import TABLE_NAMES, DOSuperParams, do_mask_tables
-from superchan.du import (
-    DUSuperParams,
-    _do_pattern_split,
-    du_block_action,
-    from_choi,
-    mask_tables,
-    random_do_invariant,
-)
+from superchan.du import DUSuperParams, from_choi, mask_tables
 from superchan.linalg import (
     ChargeSectors,
     hermitian_eigenvalues,
@@ -428,17 +421,18 @@ def loop_du_action_on_identity(p: DUSuperParams) -> ChoiChannel:
 
 def loop_du_preserves_do(p: DUSuperParams, n: int = 20, seed: int = 0):
     """(off_pattern_max, coefficient_deviation) of du_preserves_do_check, with
-    the coefficient maps compared one (i, j) at a time."""
+    the pattern placed and split by hand, the action taken by the scatter
+    reference and the coefficient maps compared one (i, j) at a time."""
     d = p.d
     rng = np.random.default_rng(seed)
     d4 = p.t4("D")
     worst_off = 0.0
     worst_coeff = 0.0
     for _ in range(n):
-        x = random_do_invariant(d, rng)
-        pin, qin, rin, _ = _do_pattern_split(x.mat.reshape(d, d, d, d))
-        y = du_block_action(p, x)
-        pout, qout, rout, off = _do_pattern_split(y.mat.reshape(d, d, d, d))
+        x = loop_random_do_invariant(d, rng)
+        pin, qin, rin, _ = loop_do_pattern_split(x.reshape(d, d, d, d))
+        y = scatter_block_action(p, x)
+        pout, qout, rout, off = loop_do_pattern_split(y.reshape(d, d, d, d))
         worst_off = max(worst_off, off)
         expect_p = (p.A @ pin.reshape(-1)).reshape(d, d)
         worst_coeff = max(worst_coeff, float(np.abs(pout - expect_p).max()))
@@ -447,3 +441,116 @@ def loop_du_preserves_do(p: DUSuperParams, n: int = 20, seed: int = 0):
                 worst_coeff = max(worst_coeff, abs(qout[i, j] - d4[i, i, j, j] * qin[i, j]))
                 worst_coeff = max(worst_coeff, abs(rout[i, j] - d4[i, j, j, i] * rin[i, j]))
     return worst_off, worst_coeff
+
+
+def loop_random_do_invariant(d: int, rng: np.random.Generator) -> np.ndarray:
+    """random_do_invariant's matrix, each pattern component placed by hand."""
+    pt = rng.normal(size=(d, d))
+    qt = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rt = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m, n = np.ogrid[:d, :d]
+    x4 = np.zeros((d, d, d, d), dtype=complex)
+    x4[m, n, m, n] += pt
+    x4[m, m, n, n] += np.where(m != n, qt, 0.0)
+    x4[m, n, n, m] += np.where(m != n, rt, 0.0)
+    mat = x4.reshape(d * d, d * d)
+    return (mat + mat.conj().T) / 2
+
+
+def loop_do_pattern_split(x4: np.ndarray):
+    """Sign-symmetric pattern components of an operator on (d, d), P on
+    e_mm (x) e_nn, Q on e_mn (x) e_mn and R on e_mn (x) e_nm (the DO channel
+    tables A^T, B and C^T), plus the largest off-pattern magnitude, from a
+    hand-built mask."""
+    m, n = np.ogrid[: x4.shape[0], : x4.shape[0]]
+    on = np.zeros(x4.shape, dtype=bool)
+    on[m, n, m, n] = on[m, m, n, n] = on[m, n, n, m] = True
+    p = x4[m, n, m, n]
+    q = np.where(m != n, x4[m, m, n, n], 0.0)
+    r = np.where(m != n, x4[m, n, n, m], 0.0)
+    return p, q, r, float(np.abs(x4[~on]).max(initial=0.0))
+
+
+def scatter_block_action(p: DUSuperParams, x: np.ndarray) -> np.ndarray:
+    """du_block_action by three einsum contractions and three scatters."""
+    d = p.d
+    x4 = np.asarray(x, dtype=complex).reshape(d, d, d, d)
+    a4, b4, c4, d4 = (p.t4(n) for n in "ABCD")
+    xdiag = np.einsum("jbjb->jb", x4)
+    ydiag = np.einsum("iajb,jb->ia", a4, xdiag)
+    w = np.einsum("jajb->jab", x4)
+    yb = np.einsum("iajb,jab->iab", b4, w)
+    v = np.einsum("ibjb->ijb", x4)
+    yc = np.einsum("iajb,ijb->iaj", c4, v)
+    # D scales every entry; then the i = j blocks take B's image, the a = b
+    # entries C's and the diagonal A's, each write overriding the one before
+    k = np.arange(d)
+    i, a, b = k[:, None, None], k[:, None], k
+    y4 = d4 * x4
+    y4[i, a, i, b] = yb
+    y4[i, a, b, a] = yc
+    y4[k[:, None], k, k[:, None], k] = ydiag
+    return y4.reshape(d * d, d * d)
+
+
+def loop_channel_choi(d: int, a, b=None, c=None) -> np.ndarray:
+    """Choi of the DUC (a, b), CDUC (a, c) or DOC (a, b, c) channel tables,
+    one entry at a time."""
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    c4 = choi.reshape(d, d, d, d)
+    for k in range(d):
+        for i in range(d):
+            c4[k, i, k, i] = a[i, k]
+    if b is not None:
+        for k in range(d):
+            for l in range(d):
+                if k != l:
+                    c4[k, k, l, l] = b[k, l]
+    if c is not None:
+        for k in range(d):
+            for l in range(d):
+                if k != l:
+                    c4[k, l, l, k] = c[l, k]
+    return choi
+
+
+def loop_pair_violation(a: np.ndarray, c: np.ndarray) -> float:
+    """Worst violation of |C_ij|^2 <= A_ij A_ji over i != j."""
+    worst = 0.0
+    d = a.shape[0]
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                worst = max(worst, abs(c[i, j]) ** 2 - a[i, j] * a[j, i])
+    return worst
+
+
+def loop_classical_channel_extract(ch: ChoiChannel) -> np.ndarray:
+    """S[a, i] = <i a|C|i a>, one diagonal Choi entry at a time."""
+    c4 = ch.choi4()
+    s = np.empty((ch.d_out, ch.d_in))
+    for i in range(ch.d_in):
+        for a in range(ch.d_out):
+            s[a, i] = c4[i, a, i, a].real
+    return s
+
+
+def loop_dephasing_choi(m: np.ndarray) -> np.ndarray:
+    """Choi of the Schur-product channel X -> M o X, one entry at a time."""
+    d = m.shape[0]
+    c = np.zeros((d * d, d * d), dtype=complex)
+    c4 = c.reshape(d, d, d, d)
+    for i in range(d):
+        for j in range(d):
+            c4[i, i, j, j] = m[i, j]
+    return c
+
+
+def loop_realization_table(u_list, v_list, psi) -> np.ndarray:
+    """M_big of dephasing_from_realization, one inner product at a time."""
+    d = len(u_list)
+    vectors = [[v @ (u @ psi) for v in v_list] for u in u_list]  # [j][b] = V_b U_j psi
+    m = np.empty((d * d, d * d), dtype=complex)
+    for i, a, j, b in product(range(d), repeat=4):
+        m[i * d + a, j * d + b] = np.vdot(vectors[j][b], vectors[i][a])
+    return m

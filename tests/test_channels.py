@@ -32,8 +32,18 @@ from superchan.channels import (
     conjugate_covariant,
 )
 from superchan.linalg import is_psd, max_entangled_projector, swap_operator
+from superchan.positions import off_pattern_weight, tables_from_choi
 
-from helpers import random_channel, random_covariance_matrix, random_density
+from helpers import (
+    loop_channel_choi,
+    loop_classical_channel_extract,
+    loop_dephasing_choi,
+    loop_do_pattern_split,
+    loop_pair_violation,
+    random_channel,
+    random_covariance_matrix,
+    random_density,
+)
 
 
 rng = np.random.default_rng(42)
@@ -337,3 +347,119 @@ def test_classical_channel_extract():
 def test_apply_channel_dimension_mismatch():
     with pytest.raises(ValueError):
         apply_channel(identity_channel(2), np.eye(3))
+
+
+# ---------------------------------------------------------------------------
+# the channel tables on the shared position map, against the per-entry loops
+# ---------------------------------------------------------------------------
+
+CHANNEL_FAMILIES = [
+    (DUChannelParams, du_channel, "AB"),
+    (ConjDUChannelParams, conj_du_channel, "AC"),
+    (DOChannelParams, do_channel, "ABC"),
+]
+
+
+def _plant_negative_zeros(x):
+    """x with -0.0 in a random share of its real (and imaginary) parts."""
+    x = np.array(x)
+    parts = x.view(float)  # x itself, or its interleaved real and imaginary parts
+    parts[rng.random(parts.shape) < 0.3] = -0.0
+    return x
+
+
+def _channel_tables(d, names):
+    """Random tables, zero on the diagonal where the support excludes it, with
+    -0.0 planted inside the support and, on the diagonal, outside it."""
+    off = ~np.eye(d, dtype=bool)
+    tables = {"A": _plant_negative_zeros(rng.normal(size=(d, d)))}
+    for name in names[1:]:
+        t = _plant_negative_zeros(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        tables[name] = np.where(off, t, complex(-0.0, -0.0))
+    return tables
+
+
+def _positive_zeros(x):
+    """x with every -0.0 part turned to +0.0, as a scatter-add into zeros leaves it."""
+    parts = x.view(float)
+    return np.where(parts == 0, 0.0, parts).view(complex)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cls, build, names", CHANNEL_FAMILIES, ids=["duc", "cduc", "doc"])
+def test_channel_map_is_bit_identical_to_the_per_entry_loops(d, cls, build, names):
+    tables = _channel_tables(d, names)
+    params = cls(d, **tables)
+    choi = build(params).choi.mat
+    ref = loop_channel_choi(d, tables["A"], tables.get("B"), tables.get("C"))
+    # scatter-add turns a -0.0 table entry into +0.0; every other bit agrees
+    assert choi.tobytes() == _positive_zeros(ref).tobytes()
+
+    # extraction is a gather, so it keeps -0.0; A and C are P and R transposed
+    mat = _plant_negative_zeros(rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d)))
+    t = tables_from_choi(mat, d, "ABC", "channel")
+    p_ref, q_ref, r_ref, off_ref = loop_do_pattern_split(mat.reshape(d, d, d, d))
+    assert t["A"].tobytes() == np.ascontiguousarray(p_ref.T).tobytes()
+    assert t["B"].tobytes() == q_ref.tobytes()
+    assert t["C"].tobytes() == np.ascontiguousarray(r_ref.T).tobytes()
+    assert off_pattern_weight(mat, d, "ABC", "channel") == off_ref
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_pair_violation_matches_the_loop(d):
+    for scale in (0.5, 2.0):
+        a = np.abs(rng.normal(size=(d, d)))
+        c = scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        c = np.where(np.eye(d, dtype=bool), 0.0, (c + c.conj().T) / 2)
+        got = conj_du_channel_validate(ConjDUChannelParams(d, a, c)).pair_violation
+        ref = loop_pair_violation(a, c)
+        # |C_ij| rounds differently for an array than for a scalar
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("cls, build, names", CHANNEL_FAMILIES, ids=["duc", "cduc", "doc"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["A", "second"])
+def test_channel_tables_reject_non_finite_entries(cls, build, names, bad, where):
+    d = 2
+    tables = {name: np.zeros((d, d)) for name in names}
+    name = "A" if where == "A" else names[1]
+    tables[name][0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        cls(d, **tables)
+
+
+def test_parameter_classes_copy_and_freeze_their_tables():
+    from superchan.do import TABLE_NAMES, DOSuperParams
+    from superchan.du import DUSuperParams
+
+    for cls, d, names in ((DUChannelParams, 2, "AB"), (ConjDUChannelParams, 2, "AC"),
+                          (DOChannelParams, 2, "ABC"), (DUSuperParams, 2, "ABCD"),
+                          (DOSuperParams, 2, TABLE_NAMES)):
+        side = d if cls.__module__.endswith("channels") else d * d
+        given = {n: np.zeros((side, side), dtype=float if n == "A" else complex) for n in names}
+        p = cls(d, **given)
+        for n in names:
+            assert given[n].flags.writeable and not getattr(p, n).flags.writeable
+            given[n][0, 0] = 1.0  # the caller's array stays theirs
+            assert getattr(p, n)[0, 0] == 0
+
+
+@pytest.mark.parametrize("cls, build, names", CHANNEL_FAMILIES, ids=["duc", "cduc", "doc"])
+def test_channel_tables_reject_weight_off_their_support(cls, build, names):
+    d = 3
+    tables = {name: np.zeros((d, d)) for name in names}
+    tables[names[1]][1, 1] = 0.5
+    with pytest.raises(ValueError, match="outside its support"):
+        cls(d, **tables)
+    with pytest.raises(ValueError, match="must be 3x3"):
+        cls(d, **{**tables, "A": np.zeros((2, 2))})
+
+
+def test_classical_extract_and_dephasing_choi_match_the_loops():
+    for d_in, d_out in ((1, 1), (2, 3), (3, 2), (4, 4)):
+        ch = random_channel(rng, d_in, d_out)
+        assert classical_channel_extract(ch).tobytes() == loop_classical_channel_extract(ch).tobytes()
+    for d in (1, 2, 3, 5):
+        m = random_covariance_matrix(rng, d)
+        assert dephasing_channel(m).choi.mat.tobytes() == loop_dephasing_choi(m).tobytes()

@@ -5,15 +5,21 @@ import sys
 import numpy as np
 import pytest
 
-from superchan import jsonio
+from superchan import cli, do as do_module, du as du_module, jsonio, positions
 from superchan.channels import amplitude_damping, bit_flip, choi_channel
 from superchan.cli import default_du_params, main
 from superchan.dephasing import dephasing_from_realization
+from superchan.do import from_du_params
 from superchan.du import DUSuperParams, build_choi, du_cp_check, du_identity, du_tp_check
 from superchan.pauli import PauliSuperParams
 from superchan.superchannels import identity_superchannel
 
-from helpers import random_hermitian_du_params, random_realization, random_valid_du_params
+from helpers import (
+    random_channel,
+    random_hermitian_du_params,
+    random_realization,
+    random_valid_du_params,
+)
 
 rng = np.random.default_rng(47)
 
@@ -199,10 +205,40 @@ def test_apply_accepts_parameter_forms(paths, capsys):
 
 def test_apply_dimension_mismatch(paths, capsys):
     tmp, write = paths
-    sup = write("s.json", jsonio.superchannel_to_json(identity_superchannel(3, 3)))
     chan = write("c.json", jsonio.channel_to_json(bit_flip(0.1)))
-    code, out = run_cli(capsys, "apply", sup, chan)
-    assert code == 2
+    for name, doc in (
+        ("s.json", jsonio.superchannel_to_json(identity_superchannel(3, 3))),
+        ("du.json", jsonio.du_params_to_json(du_identity(3))),
+        ("do.json", jsonio.do_params_to_json(from_du_params(du_identity(3)))),
+    ):
+        code, out = run_cli(capsys, "apply", write(name, doc), chan)
+        assert code == 2
+        assert "do not match superchannel input pair (3, 3)" in out
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_apply_on_tables_never_assembles_the_choi(paths, capsys, monkeypatch, d):
+    def refuse(*args, **kwargs):
+        raise AssertionError("apply assembled the Choi")
+
+    for module, name in ((positions, "choi_from_tables"), (du_module, "choi_from_tables"),
+                         (do_module, "choi_from_tables"), (du_module, "build_choi"),
+                         (do_module, "do_build_choi"), (cli, "build_choi"),
+                         (cli, "do_build_choi")):
+        monkeypatch.setattr(module, name, refuse)
+    tmp, write = paths
+    ch = random_channel(rng, d)
+    chan = write("c.json", jsonio.channel_to_json(ch))
+    # the identity superchannel, as four and as nine tables, echoes the channel
+    unit = du_identity(d)
+    for name, doc in (("du.json", jsonio.du_params_to_json(unit)),
+                      ("do.json", jsonio.do_params_to_json(from_du_params(unit)))):
+        out_path = tmp / "out.json"
+        code, out = run_cli(capsys, "apply", write(name, doc), chan, "--out", str(out_path))
+        assert code == 0
+        assert report_value(out, "output_classical") == report_value(out, "input_classical")
+        written = jsonio.channel_from_json(json.loads(out_path.read_text()))
+        assert np.array_equal(written.choi.mat, ch.choi.mat)
 
 
 def test_compose_du_with_identity_echoes(paths, capsys):

@@ -24,6 +24,7 @@ from superchan.superchannels import (
 )
 
 from helpers import (
+    loop_realization_table,
     random_covariance_matrix,
     random_realization,
 )
@@ -261,3 +262,12 @@ def test_apply_dimension_mismatch():
     p = all_ones_params(2)
     with pytest.raises(ValueError):
         dephasing_super_apply(p, identity_channel(3))
+
+
+def test_realization_table_matches_the_inner_product_loop():
+    # one Gram product sums in another order than np.vdot: 1e-12 relative
+    for d, e in ((1, 2), (2, 3), (3, 2), (4, 5)):
+        us, vs, psi = random_realization(rng, d, e)
+        got = dephasing_from_realization(us, vs, psi).M_big
+        ref = loop_realization_table(us, vs, psi)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

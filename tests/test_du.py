@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from superchan.channels import (
     amplitude_damping,
+    bit_flip,
     du_channel_validate,
+    pauli_channel,
     validate_channel,
 )
 from superchan.covariance import covariance_sampler_tuple, superchannel_covariance_check
@@ -44,8 +46,11 @@ from helpers import (
     loop_cp_blocks,
     loop_du_action_on_identity,
     loop_du_preserves_do,
+    loop_random_do_invariant,
+    random_hermitian,
     random_hermitian_du_params,
     random_valid_du_params,
+    scatter_block_action,
     sector_psd_report,
     unitary_conjugation,
 )
@@ -590,6 +595,33 @@ def test_action_on_identity_and_do_check_match_the_per_entry_loops(d):
     off, coeff = loop_du_preserves_do(p, n=5, seed=d)
     assert abs(verdict.off_pattern_max - off) <= 1e-12 * max(off, 1e-300)
     assert abs(verdict.coefficient_deviation - coeff) <= 1e-12 * max(coeff, 1e-300)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_block_action_and_do_sampler_match_the_scatter_references(d):
+    # the table action sums in another order than the einsum contractions
+    n = d * d
+    p = random_hermitian_du_params(rng, d)
+    generic = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    signed_zeros = np.where(rng.random((n, n)) < 0.5, generic, complex(-0.0, -0.0))
+    for x in (random_hermitian(rng, n), generic, signed_zeros):
+        got = du_block_action(p, x).mat
+        ref = scatter_block_action(p, x)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    # the DO channel map places the sampler's draws exactly where the loop does
+    got = random_do_invariant(d, np.random.default_rng(d)).mat
+    assert got.tobytes() == loop_random_do_invariant(d, np.random.default_rng(d)).tobytes()
+
+
+def test_block_action_is_bit_identical_to_the_scatters_on_the_qubit_examples():
+    # `example` writes the output Choi, -0.0 included: an entry fed by one
+    # product alone (table D) must be that product, the others sum from +0.0
+    for _ in range(20):
+        p = random_hermitian_du_params(rng, 2)
+        q = rng.uniform()
+        for ch in (amplitude_damping(q), bit_flip(q), pauli_channel(rng.dirichlet(np.ones(4)))):
+            got = du_block_action(p, ch.choi).mat
+            assert got.tobytes() == scatter_block_action(p, ch.choi.mat).tobytes()
 
 
 def test_do_invariant_sampler_has_the_pattern():

@@ -17,8 +17,8 @@ from superchan.du import (
     from_choi,
 )
 from superchan.linalg import charge_sectors
-from superchan.positions import extraction_residual, table_positions
-from superchan.superchannels import super_choi
+from superchan.positions import apply_tables, extraction_residual, table_positions
+from superchan.superchannels import representing_apply, super_choi
 
 from helpers import (
     cp_block_matrix,
@@ -28,6 +28,7 @@ from helpers import (
     loop_do_build_choi,
     loop_do_tables,
     random_do_params,
+    random_hermitian,
     random_hermitian_du_params,
     rebuild_residual,
 )
@@ -143,3 +144,21 @@ def test_extraction_residual_is_bit_identical_to_rebuild_and_subtract(d, names):
         with pytest.raises(error) as info:
             extract(super_choi(mat, (d,) * 4), tol=0.0)
         assert info.value.residual == ref
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("names", ["ABCD", TABLE_NAMES], ids=["du", "do"])
+def test_apply_tables_matches_the_representing_map_of_the_choi(d, names):
+    # the Choi route stays the oracle; the sums run in another order
+    n = d * d
+    if names == "ABCD":
+        p, build = random_hermitian_du_params(rng, d), build_choi
+    else:
+        p, build = random_do_params(rng, d), do_build_choi
+    s = build(p)
+    generic = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    signed_zeros = _with_negative_zeros(np.where(rng.random((n, n)) < 0.5, generic, 0.0))
+    for x in (random_hermitian(rng, n), generic, signed_zeros):
+        got = apply_tables(p, names, x)
+        ref = representing_apply(s, x).mat
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))

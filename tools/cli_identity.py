@@ -4,10 +4,11 @@
                                   --seed N [--src DIR]
 
 The tables, dense and qubit plans are the benchmark's own
-(perfbench/inputs.py, imported unchanged).  du-corpus is `validate du` and
-`compose du` on DU tables at d = 2..6, do-corpus is `validate do` on
-sign-symmetric tables at d = 2..6; each d has six cases: two valid, not CP,
-not TP (1.25x), non-Hermitian and indefinite Hermitian.  Each op runs in
+(perfbench/inputs.py, imported unchanged).  du-corpus is `validate du`,
+`compose du` and `apply` on DU tables at d = 2..6, do-corpus is `validate do`
+and `apply` on sign-symmetric tables at d = 2..6; each d has six cases: two
+valid, not CP, not TP (1.25x), non-Hermitian and indefinite Hermitian, and
+each case is applied to one seeded generic channel per d.  Each op runs in
 process through ``superchan.cli.main`` from ``--src`` (default: this
 checkout's src), on one BLAS thread, and prints
 {"kind", "argv", "status", "stdout", "artifact_sha256"}.  Inputs are
@@ -54,33 +55,53 @@ def corpus_cases(b: inputs.InputSet, d: int, names: str) -> dict:
     }
 
 
+def apply_ops(b: inputs.InputSet, files: dict) -> list:
+    """`apply` of every case file (d -> label -> path) to one generic channel
+    per d, drawn after all cases so that the case inputs stay put."""
+    ops = []
+    for d, cases in files.items():
+        choi = inputs.random_channel(b.rng, d)
+        channel = b.input(f"ch{d}.json", {"d_in": d, "d_out": d,
+                                          "choi": inputs.matrix_json((d, d), choi)})
+        ops += [inputs._entry(["apply", f, channel, "--out", "out/apply.json"], label=lb,
+                              out="out/apply.json") for lb, f in cases.items()]
+    return ops
+
+
 def build_du_corpus(b: inputs.InputSet) -> list:
-    """validate du and compose du on DU tables at d = 2..6."""
-    validate, compose = [], []
+    """validate du, compose du and apply on DU tables at d = 2..6."""
+    validate, compose, files = [], [], {}
     for d in range(2, 7):
-        files = {
+        files[d] = {
             label: b.input(f"du{d}_{label}.json", inputs.tables_doc(d, t))
             for label, t in corpus_cases(b, d, inputs.DU_TABLES).items()
         }
-        validate += [inputs._entry(["validate", "du", f], label=lb) for lb, f in files.items()]
+        validate += [inputs._entry(["validate", "du", f], label=lb) for lb, f in files[d].items()]
         compose.append(inputs._entry(
-            ["compose", "du", files["valid0"], files["valid1"], "--out", "out/compose_du.json"],
+            ["compose", "du", files[d]["valid0"], files[d]["valid1"],
+             "--out", "out/compose_du.json"],
             out="out/compose_du.json",
         ))
     return [
         inputs._kind("validate_du", "op1", 1, validate),
         inputs._kind("compose_du", "op2", 1, compose),
+        inputs._kind("apply_du", "op3", 1, apply_ops(b, files)),
     ]
 
 
 def build_do_corpus(b: inputs.InputSet) -> list:
-    """validate do on sign-symmetric tables at d = 2..6."""
-    validate = []
+    """validate do and apply on sign-symmetric tables at d = 2..6."""
+    validate, files = [], {}
     for d in range(2, 7):
-        for label, t in corpus_cases(b, d, inputs.DO_TABLES).items():
-            path = b.input(f"do{d}_{label}.json", inputs.tables_doc(d, t))
-            validate.append(inputs._entry(["validate", "do", path], label=label))
-    return [inputs._kind("validate_do", "op1", 1, validate)]
+        files[d] = {
+            label: b.input(f"do{d}_{label}.json", inputs.tables_doc(d, t))
+            for label, t in corpus_cases(b, d, inputs.DO_TABLES).items()
+        }
+        validate += [inputs._entry(["validate", "do", f], label=lb) for lb, f in files[d].items()]
+    return [
+        inputs._kind("validate_do", "op1", 1, validate),
+        inputs._kind("apply_do", "op2", 1, apply_ops(b, files)),
+    ]
 
 
 CORPORA = {"du-corpus": build_du_corpus, "do-corpus": build_do_corpus}
