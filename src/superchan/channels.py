@@ -23,7 +23,7 @@ from .linalg import (
     psd_report,
     swap_operator,
 )
-from .positions import choi_from_tables, init_tables, table_positions
+from .positions import TableParams, choi_from_tables, table_positions
 
 PARAM_EDGE_TOL = 1e-12  # slack for closed parameter intervals
 
@@ -292,7 +292,7 @@ def orthogonal_covariant(alpha: float, beta: float, d: int) -> ChoiChannel:
 
 
 @dataclass(frozen=True)
-class DUChannelParams:
+class DUChannelParams(TableParams):
     """Tables (A, B) of a diagonal-unitary covariant map.
 
     The map acts as X -> sum_ij A_ij e_ij X e_ji + sum_{i!=j} B_ij e_ii X e_jj.
@@ -300,40 +300,40 @@ class DUChannelParams:
     positions.CHANNEL_POSITIONS.
     """
 
+    NAMES = ("A", "B")
+    FAMILY = "channel"
+
     d: int
     A: np.ndarray
     B: np.ndarray
 
-    def __post_init__(self) -> None:
-        init_tables(self, "AB", "channel")
-
 
 @dataclass(frozen=True)
-class ConjDUChannelParams:
+class ConjDUChannelParams(TableParams):
     """Tables (A, C) of a conjugate diagonal-unitary covariant map.
 
     The map acts as X -> sum_ij A_ij e_ij X e_ji + sum_{i!=j} C_ij e_ii X^T e_jj.
     """
 
+    NAMES = ("A", "C")
+    FAMILY = "channel"
+
     d: int
     A: np.ndarray
     C: np.ndarray
 
-    def __post_init__(self) -> None:
-        init_tables(self, "AC", "channel")
-
 
 @dataclass(frozen=True)
-class DOChannelParams:
+class DOChannelParams(TableParams):
     """Tables (A, B, C) of a diagonal-orthogonal covariant map (both terms)."""
+
+    NAMES = ("A", "B", "C")
+    FAMILY = "channel"
 
     d: int
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-
-    def __post_init__(self) -> None:
-        init_tables(self, "ABC", "channel")
 
 
 def du_identity_channel_params(d: int) -> DUChannelParams:
@@ -341,16 +341,13 @@ def du_identity_channel_params(d: int) -> DUChannelParams:
     return DUChannelParams(d, np.eye(d), ones.astype(complex))
 
 
-def du_channel(params: DUChannelParams) -> ChoiChannel:
-    return choi_channel(choi_from_tables(params, "AB", "channel"), params.d, params.d)
+def table_channel(params: TableParams) -> ChoiChannel:
+    """The channel of DUC, CDUC or DOC tables, their entries on the Choi
+    positions of positions.CHANNEL_POSITIONS."""
+    return choi_channel(choi_from_tables(params), params.d, params.d)
 
 
-def conj_du_channel(params: ConjDUChannelParams) -> ChoiChannel:
-    return choi_channel(choi_from_tables(params, "AC", "channel"), params.d, params.d)
-
-
-def do_channel(params: DOChannelParams) -> ChoiChannel:
-    return choi_channel(choi_from_tables(params, "ABC", "channel"), params.d, params.d)
+du_channel = conj_du_channel = do_channel = table_channel
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .channels import (
 )
 from .covariance import covariance_sampler_tuple, superchannel_covariance_check
 from .dephasing import DephasingSuperParams, dephasing_validate, to_super_choi
-from .do import TABLE_NAMES as DO_TABLE_NAMES, do_build_choi, do_validate
+from .do import do_validate
 from .du import (
     build_choi,
     du_block_action,
@@ -41,7 +41,7 @@ from .du import (
 )
 from .jsonio import SchemaError
 from .linalg import DEFAULT_TOL
-from .positions import apply_tables
+from .positions import TableParams, apply_tables
 from .pauli import pauli_du_check, pauli_induced_bistochastic, pauli_super_choi
 from .superchannels import (
     SuperChoi,
@@ -76,8 +76,7 @@ def _emit(result: CommandResult) -> int:
     print(f"status: {_STATUS[result.status]}")
     for key, value in result.report.items():
         print(f"{key}: {_fmt(value)}")
-    for path, doc in result.artifacts:
-        jsonio.dump_json(doc, path)
+    for path, _ in result.artifacts:
         print(f"wrote: {path}")
     return result.status
 
@@ -89,6 +88,15 @@ def _load(path):
         raise SchemaError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}")
+    return obj
+
+
+def _load_kind(path, kind: str) -> dict:
+    """The JSON object in the file at path, which must hold a ``kind`` object."""
+    obj = _load(path)
+    found = jsonio.detect_kind(obj)
+    if found != kind:
+        raise SchemaError(f"{path} holds a {found} object, not {kind}")
     return obj
 
 
@@ -104,19 +112,13 @@ _SUPER_PARSERS = {
 def _as_super_choi(kind: str, parsed) -> SuperChoi:
     if kind == "superchannel":
         return parsed
-    if kind == "du":
+    if isinstance(parsed, TableParams):
         return build_choi(parsed)
-    if kind == "do":
-        return do_build_choi(parsed)
     if kind == "dephasing":
         return to_super_choi(parsed)
     if kind == "pauli":
         return pauli_super_choi(parsed)
     raise SchemaError(f"{kind} does not describe a superchannel")
-
-
-# table kinds act straight from their positions, without assembling the Choi
-_TABLE_NAMES = {"du": "ABCD", "do": DO_TABLE_NAMES}
 
 
 def _load_super(path) -> tuple[str, object]:
@@ -139,10 +141,8 @@ def default_du_params():
 
 
 def cmd_validate(args) -> CommandResult:
-    obj = _load(args.path)
-    kind = jsonio.detect_kind(obj)
-    if kind != args.kind:
-        raise SchemaError(f"{args.path} holds a {kind} object, not {args.kind}")
+    kind = args.kind
+    obj = _load_kind(args.path, kind)
     tol = args.tol
     report: dict = {"kind": kind}
     if kind == "channel":
@@ -198,16 +198,17 @@ def cmd_validate(args) -> CommandResult:
 def cmd_apply(args) -> CommandResult:
     kind, parsed = _load_super(args.superchannel)
     ch = jsonio.channel_from_json(_load(args.channel))
-    names = _TABLE_NAMES.get(kind)
-    s = None if names else _as_super_choi(kind, parsed)
-    pair = (parsed.d, parsed.d) if names else (s.dA0, s.dA1)
+    # table kinds act straight from their positions, without assembling the Choi
+    tables = isinstance(parsed, TableParams)
+    s = None if tables else _as_super_choi(kind, parsed)
+    pair = (parsed.d, parsed.d) if tables else (s.dA0, s.dA1)
     if (ch.d_in, ch.d_out) != pair:
         raise SchemaError(
             f"channel dims ({ch.d_in}, {ch.d_out}) do not match superchannel "
             f"input pair {pair}"
         )
-    if names:
-        out = choi_channel(apply_tables(parsed, names, ch.choi.mat), parsed.d, parsed.d)
+    if tables:
+        out = choi_channel(apply_tables(parsed, ch.choi.mat), parsed.d, parsed.d)
     else:
         out = apply_to_channel(s, ch)
     report = {"superchannel_kind": kind}
@@ -287,7 +288,7 @@ def cmd_covariance(args) -> CommandResult:
 
 def _example_superparams(args):
     if args.superchannel:
-        return jsonio.du_params_from_json(_load(args.superchannel))
+        return jsonio.du_params_from_json(_load_kind(args.superchannel, "du"))
     return default_du_params()
 
 
@@ -308,9 +309,10 @@ def cmd_example(args) -> CommandResult:
         from .covariance import holevo_werner_superchannel
 
         s = holevo_werner_superchannel(d)
-        report.update({f"channel_{k}": v for k, v in validate_channel(ch, tol).report().items()})
-        report.update({f"superchannel_{k}": v for k, v in validate_superchannel(s, tol).report().items()})
-        ok = validate_channel(ch, tol).ok and validate_superchannel(s, tol).ok
+        channel, superchannel = validate_channel(ch, tol), validate_superchannel(s, tol)
+        report.update({f"channel_{k}": v for k, v in channel.report().items()})
+        report.update({f"superchannel_{k}": v for k, v in superchannel.report().items()})
+        ok = channel.ok and superchannel.ok
         if args.out:
             artifacts.append((args.out, jsonio.channel_to_json(ch)))
         return CommandResult(OK if ok else CHECK_FAILED, report, artifacts)
@@ -339,48 +341,33 @@ def cmd_example(args) -> CommandResult:
             and abs(report["a3_plus_a4"] - 1) <= tol
             and abs(report["corner"] - report["corner_expected"]) <= tol
         )
-    elif args.name == "bit-flip":
-        p = args.p
-        ch = bit_flip(p)
+    elif args.name in ("bit-flip", "pauli"):
+        # Both inputs are Pauli channels; w_id and w_x weigh the identity and
+        # flip parts of the classical output, w_corner and w_center scale D.
+        if args.name == "bit-flip":
+            p = args.p
+            ch = bit_flip(p)
+            w_id, w_x, w_corner, w_center = 1 - p, p, 1 - p, p
+        else:
+            ch = pauli_channel(args.p)
+            p0, p1, p2, p3 = args.p
+            w_id, w_x, w_corner, w_center = p0 + p3, p1 + p2, p0 - p3, p1 - p2
+            report["input_corner"] = w_corner
+            report["input_center"] = w_center
         out4 = du_block_action(params, ch.choi).mat.reshape(2, 2, 2, 2)
         ok = True
         for i in range(2):
             for j in range(2):
-                formula = p * (a4[i, j, 0, 1] + a4[i, j, 1, 0]) + (1 - p) * (
-                    a4[i, j, 0, 0] + a4[i, j, 1, 1]
-                )
-                actual = out4[i, j, i, j].real
-                report[f"p_{i + 1}{j + 1}"] = formula
-                ok = ok and abs(actual - formula) <= tol
-        report["corner"] = complex(out4[0, 0, 1, 1])
-        report["corner_expected"] = complex(d4[0, 0, 1, 1] * (1 - p))
-        report["center"] = complex(out4[0, 1, 1, 0])
-        report["center_expected"] = complex(d4[0, 1, 1, 0] * p)
-        ok = (
-            ok
-            and abs(report["corner"] - report["corner_expected"]) <= tol
-            and abs(report["center"] - report["center_expected"]) <= tol
-        )
-    elif args.name == "pauli":
-        probs = args.p
-        ch = pauli_channel(probs)
-        p0, p1, p2, p3 = probs
-        report["input_corner"] = p0 - p3
-        report["input_center"] = p1 - p2
-        out4 = du_block_action(params, ch.choi).mat.reshape(2, 2, 2, 2)
-        ok = True
-        for i in range(2):
-            for j in range(2):
-                formula = (a4[i, j, 0, 0] + a4[i, j, 1, 1]) * (p0 + p3) + (
+                formula = (a4[i, j, 0, 0] + a4[i, j, 1, 1]) * w_id + (
                     a4[i, j, 0, 1] + a4[i, j, 1, 0]
-                ) * (p1 + p2)
+                ) * w_x
                 actual = out4[i, j, i, j].real
                 report[f"p_{i + 1}{j + 1}"] = formula
                 ok = ok and abs(actual - formula) <= tol
         report["corner"] = complex(out4[0, 0, 1, 1])
-        report["corner_expected"] = complex(d4[0, 0, 1, 1] * (p0 - p3))
+        report["corner_expected"] = complex(d4[0, 0, 1, 1] * w_corner)
         report["center"] = complex(out4[0, 1, 1, 0])
-        report["center_expected"] = complex(d4[0, 1, 1, 0] * (p1 - p2))
+        report["center_expected"] = complex(d4[0, 1, 1, 0] * w_center)
         ok = (
             ok
             and abs(report["corner"] - report["corner_expected"]) <= tol
@@ -391,7 +378,6 @@ def cmd_example(args) -> CommandResult:
 
     out = choi_channel(out4.reshape(4, 4), 2, 2)
     ok = _report_output_channel(report, out, tol) and ok
-    artifacts = []
     if args.out:
         artifacts.append((args.out, jsonio.channel_to_json(out)))
     return CommandResult(OK if ok else CHECK_FAILED, report, artifacts)
@@ -474,7 +460,9 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         result = args.func(args)
-    except (SchemaError, ValueError) as exc:
+        for path, doc in result.artifacts:  # written before the report is printed
+            jsonio.dump_json(doc, path)
+    except (SchemaError, ValueError, OSError) as exc:  # OSError: unreadable or unwritable path
         print("status: invalid-input")
         print(f"error: {exc}")
         return INVALID_INPUT

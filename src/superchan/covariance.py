@@ -218,6 +218,8 @@ class UUFamilyParams:
     def __post_init__(self) -> None:
         if self.variant not in UU_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        if not np.isfinite(self.p).all():
+            raise ValueError("weights must be finite")
         if abs(self.p0 + self.p1 + self.p2 + self.p3 - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
 

@@ -11,52 +11,39 @@ the tables sector by sector, and every marginal is one partial trace over B1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .du import DUSuperParams
+from .du import DUSuperParams, NotDUCovariantError, build_choi, from_choi
 from .linalg import DEFAULT_TOL, charge_sectors
-from .positions import (
-    b1_partial_trace,
-    choi_from_tables,
-    extraction_residual,
-    init_tables,
-    sector_spectrum,
-    table_positions,
-    tables_from_choi,
-)
+from .positions import TableParams, b1_partial_trace, sector_spectrum, table_positions
 from .superchannels import (
-    SuperChoi,
     SuperchannelVerdict,
     TPPreservingVerdict,
-    super_choi,
+    superchannel_verdict,
     tp_preserving_verdict,
 )
 
 
-class NotDOCovariantError(ValueError):
-    """The Choi matrix has weight outside the sign-symmetric pattern."""
-
-    def __init__(self, residual: float, tol: float):
-        self.residual = residual
-        self.tol = tol
-        super().__init__(
-            f"off-pattern residual {residual:.3e} exceeds tolerance {tol:.1e}"
-        )
-
-
-TABLE_NAMES = ("A", "B", "C", "D", "E", "P", "Q", "R", "S")
+class NotDOCovariantError(NotDUCovariantError):
+    """The Choi matrix has weight outside the sign-symmetric pattern, and so
+    outside the diagonal-unitary one too."""
 
 
 @dataclass(frozen=True)
-class DOSuperParams:
+class DOSuperParams(TableParams):
     """Nine coefficient tables of a sign-symmetric superchannel.
 
     A is real and the remaining eight are complex, all d^2 x d^2 over the pair
     flattening (i, a) -> i*d + a.  Hermiticity of the assembled Choi has no
     tabulated closed form here; do_validate reads it off the sector blocks.
     """
+
+    NAMES = ("A", "B", "C", "D", "E", "P", "Q", "R", "S")
+    FAMILY = "super"
+    OFF_PATTERN_ERROR = NotDOCovariantError  # raised by from_choi
 
     d: int
     A: np.ndarray
@@ -69,12 +56,14 @@ class DOSuperParams:
     R: np.ndarray
     S: np.ndarray
 
-    def __post_init__(self) -> None:
-        init_tables(self, TABLE_NAMES)
-
     def t4(self, name: str) -> np.ndarray:
         d = self.d
         return getattr(self, name).reshape(d, d, d, d)
+
+
+TABLE_NAMES = DOSuperParams.NAMES
+do_build_choi = build_choi
+do_from_choi = functools.partial(from_choi, cls=DOSuperParams)
 
 
 def do_mask_tables(d: int, **tables) -> DOSuperParams:
@@ -98,32 +87,6 @@ def from_du_params(p: DUSuperParams) -> DOSuperParams:
     return do_mask_tables(p.d, A=p.A, B=p.B, C=p.C, D=p.D)
 
 
-def do_build_choi(p: DOSuperParams) -> SuperChoi:
-    """Assemble the nine-component Choi matrix on (A0, A1, B0, B1).
-
-    The first four tables land exactly where the diagonal-unitary build puts
-    them and the extra five on the further sign-symmetric positions, all as
-    listed in positions.POSITIONS.
-    """
-    return super_choi(choi_from_tables(p, TABLE_NAMES), (p.d,) * 4)
-
-
-def do_from_choi(s: SuperChoi, tol: float = DEFAULT_TOL) -> DOSuperParams:
-    """Read the nine tables off their unique positions; reject off-pattern weight.
-
-    The residual is the largest modulus in do_build_choi(params) - s.
-    """
-    if not (s.dA0 == s.dA1 == s.dB0 == s.dB1):
-        raise ValueError("extraction requires equal subsystem dimensions")
-    d = s.dA0
-    t = tables_from_choi(s.choi.mat, d, TABLE_NAMES)
-    params = DOSuperParams(d, **{**t, "A": t["A"].real})
-    residual = extraction_residual(s.choi.mat, d, TABLE_NAMES)
-    if residual > tol:
-        raise NotDOCovariantError(residual, tol)
-    return params
-
-
 @dataclass(frozen=True)
 class DOVerdict:
     """Generic Choi-level validity of a nine-table parameter set."""
@@ -144,15 +107,7 @@ class DOVerdict:
 def do_validate(p: DOSuperParams, tol: float = DEFAULT_TOL) -> DOVerdict:
     """validate_superchannel and tp_preserving_check on the Choi of p, with
     the same values, read off the tables in O(d^6) time and O(d^5) memory.
-
-    validate_superchannel's C0 is the induced Choi of the trace check, so its
-    factorization residual is max(offdiagonal_leak, fiber_deviation) and its
-    marginal residual the unitality deviation.
     """
-    is_psd, evals, _, herm = sector_spectrum(
-        p, TABLE_NAMES, charge_sectors(p.d, "unordered"), tol)
-    leak, diag = b1_partial_trace(p, TABLE_NAMES)
-    tp = tp_preserving_verdict(leak, diag, tol)
-    fact_dev = max(leak, tp.fiber_deviation)
-    return DOVerdict(SuperchannelVerdict(
-        is_psd, float(evals.min()), fact_dev, tp.unitality_deviation, herm, tol), tp)
+    is_psd, evals, _, herm = sector_spectrum(p, charge_sectors(p.d, "unordered"), tol)
+    tp = tp_preserving_verdict(*b1_partial_trace(p), tol)
+    return DOVerdict(superchannel_verdict(is_psd, float(evals.min()), herm, tp), tp)

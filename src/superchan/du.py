@@ -22,10 +22,10 @@ import numpy as np
 from .channels import ChoiChannel, DOChannelParams, choi_channel, do_channel, identity_channel
 from .linalg import DEFAULT_TOL, MultipartiteOperator, charge_sectors
 from .positions import (
+    TableParams,
     apply_tables,
     choi_from_tables,
     extraction_residual,
-    init_tables,
     off_pattern_weight,
     sector_spectrum,
     table_positions,
@@ -46,7 +46,7 @@ class NotDUCovariantError(ValueError):
 
 
 @dataclass(frozen=True)
-class DUSuperParams:
+class DUSuperParams(TableParams):
     """Coefficient tables of a diagonal-unitary covariant superchannel.
 
     A is real; B, C, D are complex.  Hermiticity of the assembled Choi holds
@@ -54,14 +54,15 @@ class DUSuperParams:
     D_{ia,jb} = conj(D_{jb,ia}); see hermiticity_violation.
     """
 
+    NAMES = ("A", "B", "C", "D")
+    FAMILY = "super"
+    OFF_PATTERN_ERROR = NotDUCovariantError  # raised by from_choi
+
     d: int
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-
-    def __post_init__(self) -> None:
-        init_tables(self, "ABCD")
 
     def t4(self, name: str) -> np.ndarray:
         """A table as a 4-tensor [i, a, j, b]."""
@@ -102,28 +103,31 @@ def hermiticity_violation(p: DUSuperParams) -> float:
     return dev
 
 
-def build_choi(p: DUSuperParams) -> SuperChoi:
-    """Assemble the superchannel Choi matrix on subsystems (A0, A1, B0, B1).
+def build_choi(p: TableParams) -> SuperChoi:
+    """Assemble the superchannel Choi matrix of DU or sign-symmetric tables
+    on subsystems (A0, A1, B0, B1).
 
     Table entries land on the disjoint positions of positions.POSITIONS.
     """
-    return super_choi(choi_from_tables(p, "ABCD"), (p.d,) * 4)
+    return super_choi(choi_from_tables(p), (p.d,) * 4)
 
 
-def from_choi(s: SuperChoi, tol: float = DEFAULT_TOL) -> DUSuperParams:
-    """Read the tables off their Choi positions; reject off-pattern weight.
+def from_choi(s: SuperChoi, tol: float = DEFAULT_TOL,
+              cls: type[TableParams] = DUSuperParams) -> TableParams:
+    """Read the tables of cls (DUSuperParams or do.DOSuperParams) off their
+    Choi positions, A taken real; reject off-pattern weight.
 
-    Raises NotDUCovariantError when the reconstruction residual, the largest
+    Raises cls.OFF_PATTERN_ERROR when the reconstruction residual, the largest
     modulus in build_choi(params) - s, exceeds tol.
     """
     if not (s.dA0 == s.dA1 == s.dB0 == s.dB1):
         raise ValueError("extraction requires equal subsystem dimensions")
     d = s.dA0
-    t = tables_from_choi(s.choi.mat, d, "ABCD")
-    params = DUSuperParams(d, t["A"].real, t["B"], t["C"], t["D"])
-    residual = extraction_residual(s.choi.mat, d, "ABCD")
+    t = tables_from_choi(s.choi.mat, d, cls)
+    params = cls(d, **{**t, "A": t["A"].real})
+    residual = extraction_residual(s.choi.mat, d, cls)
     if residual > tol:
-        raise NotDUCovariantError(residual, tol)
+        raise cls.OFF_PATTERN_ERROR(residual, tol)
     return params
 
 
@@ -225,7 +229,7 @@ def du_cp_check(p: DUSuperParams, tol: float = DEFAULT_TOL) -> DUCPVerdict:
     """
     d = p.d
     sectors = charge_sectors(d, "ordered")
-    is_psd, evals, sector_min, _ = sector_spectrum(p, "ABCD", sectors, tol)
+    is_psd, evals, sector_min, _ = sector_spectrum(p, sectors, tol)
     first = np.concatenate([rows[:, 0] for rows in sectors.blocks])
     q, s = first // (d * d) % d, first % d
     off = q != s
@@ -270,7 +274,7 @@ def du_block_action(p: DUSuperParams, x) -> MultipartiteOperator:
     m = x.mat if isinstance(x, MultipartiteOperator) else np.asarray(x, dtype=complex)
     if m.shape != (d * d, d * d):
         raise ValueError(f"input side {m.shape} does not match d^2={d * d}")
-    return MultipartiteOperator((d, d), apply_tables(p, "ABCD", m))
+    return MultipartiteOperator((d, d), apply_tables(p, m))
 
 
 def du_action_on_identity(p: DUSuperParams) -> ChoiChannel:
@@ -332,10 +336,10 @@ def du_preserves_do_check(
     worst_coeff = 0.0
     for _ in range(n):
         x = random_do_invariant(d, rng)
-        t_in = tables_from_choi(x.mat, d, "ABC", "channel")
+        t_in = tables_from_choi(x.mat, d, DOChannelParams)
         y = du_block_action(p, x).mat
-        t_out = tables_from_choi(y, d, "ABC", "channel")
-        worst_off = max(worst_off, off_pattern_weight(y, d, "ABC", "channel"))
+        t_out = tables_from_choi(y, d, DOChannelParams)
+        worst_off = max(worst_off, off_pattern_weight(y, d, DOChannelParams))
         expect_a = (p.A @ t_in["A"].T.reshape(-1)).reshape(d, d).T
         worst_coeff = max(
             worst_coeff,

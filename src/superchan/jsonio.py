@@ -10,6 +10,7 @@ encoder that ``json`` falls back to whenever ``indent`` is set.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from itertools import chain
@@ -20,10 +21,11 @@ import numpy as np
 
 from .channels import ChoiChannel
 from .dephasing import DephasingSuperParams
-from .do import DOSuperParams, TABLE_NAMES as DO_TABLE_NAMES
+from .do import DOSuperParams
 from .du import DUSuperParams
 from .linalg import MultipartiteOperator, matrix_from_json, matrix_to_json
 from .pauli import PauliSuperParams
+from .positions import TableParams
 from .superchannels import SuperChoi, super_choi
 
 
@@ -96,42 +98,35 @@ def _pair_table_json(d: int, table: np.ndarray) -> dict:
     return matrix_to_json(MultipartiteOperator((d, d), table))
 
 
-def du_params_to_json(p: DUSuperParams) -> dict:
+# the superchannel table kinds and the parameter class each one holds
+TABLE_KINDS = {"du": DUSuperParams, "do": DOSuperParams}
+
+
+def params_to_json(p: TableParams) -> dict:
+    """du or do parameters: d, then each table as a matrix on dims (d, d)."""
     out = {"d": p.d}
-    for name in "ABCD":
+    for name in p.NAMES:
         out[name] = _pair_table_json(p.d, getattr(p, name).astype(complex))
     return out
 
 
-def du_params_from_json(obj: dict) -> DUSuperParams:
-    _require(obj, ("d", "A", "B", "C", "D"), "du parameters")
+def params_from_json(obj: dict, kind: str) -> TableParams:
+    """Parameters of the table kind ("du" or "do"); table A must be real."""
+    cls = TABLE_KINDS[kind]
+    _require(obj, ("d", *cls.NAMES), f"{kind} parameters")
     d = _int(obj["d"], "d")
-    tables = [_table(obj[name], d, f"table {name}") for name in "ABCD"]
-    if np.abs(tables[0].imag).max() > 0:
+    tables = {name: _table(obj[name], d, f"table {name}") for name in cls.NAMES}
+    if np.abs(tables["A"].imag).max() > 0:
         raise SchemaError("table A must be real")
     try:
-        return DUSuperParams(d, tables[0].real, *tables[1:])
+        return cls(d, **{**tables, "A": tables["A"].real})
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
-def do_params_to_json(p: DOSuperParams) -> dict:
-    out = {"d": p.d}
-    for name in DO_TABLE_NAMES:
-        out[name] = _pair_table_json(p.d, getattr(p, name).astype(complex))
-    return out
-
-
-def do_params_from_json(obj: dict) -> DOSuperParams:
-    _require(obj, ("d",) + DO_TABLE_NAMES, "do parameters")
-    d = _int(obj["d"], "d")
-    tables = [_table(obj[name], d, f"table {name}") for name in DO_TABLE_NAMES]
-    if np.abs(tables[0].imag).max() > 0:
-        raise SchemaError("table A must be real")
-    try:
-        return DOSuperParams(d, tables[0].real, *tables[1:])
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+du_params_to_json = do_params_to_json = params_to_json
+du_params_from_json = functools.partial(params_from_json, kind="du")
+do_params_from_json = functools.partial(params_from_json, kind="do")
 
 
 def dephasing_to_json(p: DephasingSuperParams) -> dict:
@@ -177,8 +172,7 @@ def pauli_from_json(obj: dict) -> PauliSuperParams:
 _KIND_KEYS = {
     "superchannel": {"dims", "choi"},
     "channel": {"d_in", "d_out", "choi"},
-    "du": {"d", "A", "B", "C", "D"},
-    "do": {"d"} | set(DO_TABLE_NAMES),
+    **{kind: {"d", *cls.NAMES} for kind, cls in TABLE_KINDS.items()},
     "dephasing": {"d", "M_big"},
     "pauli": {"pi"},
 }

@@ -30,6 +30,8 @@ class PauliSuperParams:
         pi = np.asarray(self.pi, dtype=float)
         if pi.shape != (4, 4):
             raise ValueError("pi must be a 4x4 table")
+        if not np.isfinite(pi).all():
+            raise ValueError("pi has non-finite entries (NaN or Inf)")
         if pi.min() < -PROB_TOL:
             raise ValueError(f"pi must be nonnegative (min entry {pi.min()})")
         if abs(pi.sum() - 1.0) > PROB_TOL:

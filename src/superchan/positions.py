@@ -1,6 +1,7 @@
 """Where the coefficient tables of the diagonal families sit in their Choi matrices.
 
-Two families share one set of helpers, chosen by ``family``:
+Two families share one set of helpers, chosen by the FAMILY of a
+TableParams class:
 
 * "super": the nine tables of DU and sign-symmetric superchannels.  Each
   table T is d^2 x d^2 over the pair index (i, a) -> i*d + a and is read as
@@ -25,8 +26,7 @@ one gather-multiply-add per table.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -91,95 +91,105 @@ def table_positions(d: int, name: str, family: str = "super") -> TablePositions:
     return out
 
 
-def check_table(d: int, name: str, table: np.ndarray, family: str = "super") -> None:
-    """Reject non-finite entries and nonzero entries outside the support."""
-    if not np.isfinite(table).all():
-        raise ValueError(f"table {name} has non-finite entries (NaN or Inf)")
-    off = table[~table_positions(d, name, family).mask]
-    if off.size and np.abs(off).max() > 0:
-        raise ValueError(f"table {name} has nonzero entries outside its support")
+class TableParams:
+    """Base of the frozen dataclasses that hold one family's coefficient tables.
+
+    NAMES lists the tables in field order and FAMILY ("super" or "channel")
+    selects their positions; every helper below that takes such an object,
+    or its class, reads both from it.  Construction checks the tables
+    (init_tables).
+    """
+
+    NAMES: ClassVar[tuple[str, ...]]
+    FAMILY: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        init_tables(self)
 
 
-def init_tables(p, names: Iterable[str], family: str = "super") -> None:
-    """Set each table ``names`` of the frozen dataclass p to a read-only copy,
-    real for A and complex otherwise, after checking its shape and entries.
-    The caller's arrays stay writable."""
-    side = p.d ** (len(FAMILIES[family][0]) // 2)
-    for name in names:
+def init_tables(p: TableParams) -> None:
+    """Set each table of the frozen dataclass p to a read-only copy, real for
+    A and complex otherwise, after checking its shape and entries: non-finite
+    entries and nonzero entries outside the support are rejected.  The
+    caller's arrays stay writable."""
+    side = p.d ** (len(FAMILIES[p.FAMILY][0]) // 2)
+    for name in p.NAMES:
         t = np.array(getattr(p, name), dtype=float if name == "A" else complex)
         if t.shape != (side, side):
             raise ValueError(f"{name} must be {side}x{side}")
-        check_table(p.d, name, t, family)
+        if not np.isfinite(t).all():
+            raise ValueError(f"table {name} has non-finite entries (NaN or Inf)")
+        off = t[~table_positions(p.d, name, p.FAMILY).mask]
+        if off.size and np.abs(off).max() > 0:
+            raise ValueError(f"table {name} has nonzero entries outside its support")
         t.setflags(write=False)
         object.__setattr__(p, name, t)
 
 
-def _entries(p, names: Iterable[str]):
-    """(Choi rows, Choi columns, values) of every entry of the tables ``names``."""
-    pos = [table_positions(p.d, name) for name in names]
+def _entries(p: TableParams):
+    """(Choi rows, Choi columns, values) of every table entry of p."""
+    pos = [table_positions(p.d, name, p.FAMILY) for name in p.NAMES]
     rows, cols = (np.concatenate([getattr(x, f) for x in pos]) for f in ("rows", "cols"))
-    vals = np.concatenate([getattr(p, n).reshape(-1)[x.flat] for n, x in zip(names, pos)])
+    vals = np.concatenate([getattr(p, n).reshape(-1)[x.flat] for n, x in zip(p.NAMES, pos)])
     return rows, cols, vals
 
 
-def choi_from_tables(p, names: Iterable[str], family: str = "super") -> np.ndarray:
-    """The Choi matrix holding the tables ``names`` of p.
+def choi_from_tables(p: TableParams) -> np.ndarray:
+    """The Choi matrix holding the tables of p.
 
     Each entry is added into zeros, as a sum over tables would, so a -0.0
     table entry lands as +0.0.
     """
-    side = p.d ** len(FAMILIES[family][0])
+    side = p.d ** len(FAMILIES[p.FAMILY][0])
     c = np.zeros((side, side), dtype=complex)
-    for name in names:
-        pos = table_positions(p.d, name, family)
+    for name in p.NAMES:
+        pos = table_positions(p.d, name, p.FAMILY)
         c[pos.rows, pos.cols] += getattr(p, name).reshape(-1)[pos.flat]
     return c
 
 
-def tables_from_choi(mat: np.ndarray, d: int, names: Iterable[str],
-                     family: str = "super") -> dict:
-    """Each table of ``names`` read off its Choi positions, as a complex square array."""
+def tables_from_choi(mat: np.ndarray, d: int, cls: type[TableParams]) -> dict:
+    """Each table of cls read off its Choi positions, as a complex square array."""
     out = {}
-    for name in names:
-        pos = table_positions(d, name, family)
+    for name in cls.NAMES:
+        pos = table_positions(d, name, cls.FAMILY)
         out[name] = np.zeros(pos.mask.shape, dtype=complex)
         out[name].flat[pos.flat] = mat[pos.rows, pos.cols]
     return out
 
 
 @functools.lru_cache(maxsize=16)
-def off_pattern_mask(d: int, names: Iterable[str], family: str = "super") -> np.ndarray:
-    """The Choi entries where none of the tables ``names`` sits (read-only)."""
-    side = d ** len(FAMILIES[family][0])
+def off_pattern_mask(d: int, cls: type[TableParams]) -> np.ndarray:
+    """The Choi entries where no table of cls sits (read-only)."""
+    side = d ** len(FAMILIES[cls.FAMILY][0])
     off = np.ones((side, side), dtype=bool)
-    for name in names:
-        pos = table_positions(d, name, family)
+    for name in cls.NAMES:
+        pos = table_positions(d, name, cls.FAMILY)
         off[pos.rows, pos.cols] = False
     off.setflags(write=False)
     return off
 
 
-def off_pattern_weight(mat: np.ndarray, d: int, names: Iterable[str],
-                       family: str = "super") -> float:
-    """Largest |entry| of mat off the positions of the tables ``names`` (0 if none)."""
-    return float(np.abs(mat).max(where=off_pattern_mask(d, names, family), initial=0.0))
+def off_pattern_weight(mat: np.ndarray, d: int, cls: type[TableParams]) -> float:
+    """Largest |entry| of mat off the positions of the tables of cls (0 if none)."""
+    return float(np.abs(mat).max(where=off_pattern_mask(d, cls), initial=0.0))
 
 
-def extraction_residual(mat: np.ndarray, d: int, names: Iterable[str]) -> float:
-    """max |rebuilt - mat|, with rebuilt the Choi holding the tables ``names``
+def extraction_residual(mat: np.ndarray, d: int, cls: type[TableParams]) -> float:
+    """max |rebuilt - mat|, with rebuilt the Choi holding the tables of cls
     read off mat and table A taken real, in one masked pass over mat.
 
     Rebuilt agrees with mat exactly on the other table positions, so this is
     the largest |entry| off the positions or |imaginary part| on A's.  A NaN
     in either part is the residual, as it would be in the difference.
     """
-    pos = table_positions(d, "A")
+    pos = table_positions(d, "A", cls.FAMILY)
     imag = np.abs(mat[pos.rows, pos.cols].imag).max(initial=0.0)
-    return float(np.max([off_pattern_weight(mat, d, names), imag]))
+    return float(np.max([off_pattern_weight(mat, d, cls), imag]))
 
 
-def apply_tables(p, names: Iterable[str], x: np.ndarray) -> np.ndarray:
-    """The representing map of choi_from_tables(p, names) applied to the
+def apply_tables(p: TableParams, x: np.ndarray) -> np.ndarray:
+    """The representing map of choi_from_tables(p) applied to the
     d^2 x d^2 operator x, without assembling the Choi.
 
     As superchannels.representing_apply, y[a, b] = sum_ij x[i, j] C[ia, jb]
@@ -190,7 +200,7 @@ def apply_tables(p, names: Iterable[str], x: np.ndarray) -> np.ndarray:
     a -0.0 from an entrywise scaling (table D) stays -0.0.
     """
     n = p.d * p.d
-    rows, cols, vals = _entries(p, names)
+    rows, cols, vals = _entries(p)
     terms = vals * x[rows // n, cols // n]
     out = (rows % n) * n + cols % n
     y = np.empty(n * n, dtype=complex)
@@ -201,27 +211,27 @@ def apply_tables(p, names: Iterable[str], x: np.ndarray) -> np.ndarray:
     return y.reshape(n, n)
 
 
-def principal_blocks(p, names: Iterable[str], basis: np.ndarray) -> np.ndarray:
-    """Principal blocks of choi_from_tables(p, names), read straight off the tables.
+def principal_blocks(p: TableParams, basis: np.ndarray) -> np.ndarray:
+    """Principal blocks of choi_from_tables(p), read straight off the tables.
 
     ``basis`` has shape (blocks, side): row k lists the Choi basis indices of
     block k in order, and no index appears twice.  Returns (blocks, side, side).
     """
     blocks, side = basis.shape
-    slot = np.full(p.d**4, -1)
+    slot = np.full(p.d ** len(FAMILIES[p.FAMILY][0]), -1)
     slot[basis.reshape(-1)] = np.arange(basis.size)
     out = np.zeros(basis.size * side, dtype=complex)
-    for name in names:
-        pos = table_positions(p.d, name)
+    for name in p.NAMES:
+        pos = table_positions(p.d, name, p.FAMILY)
         r, c = slot[pos.rows], slot[pos.cols]
         keep = (r >= 0) & (c >= 0) & (r // side == c // side)
         out[r[keep] * side + c[keep] % side] += getattr(p, name).reshape(-1)[pos.flat[keep]]
     return out.reshape(blocks, side, side)
 
 
-def sector_spectrum(p, names: Iterable[str], sectors: ChargeSectors, tol: float):
+def sector_spectrum(p: TableParams, sectors: ChargeSectors, tol: float):
     """(is_psd, eigenvalues, each sector's minimum, Hermiticity deviation) of
-    choi_from_tables(p, names), read off the tables sector by sector.
+    choi_from_tables(p), read off the tables sector by sector.
 
     One batched eigensolve per sector size; 1 x 1 sectors are read off as
     their real part.  The positions fill the sectors exactly, so the entry
@@ -231,7 +241,7 @@ def sector_spectrum(p, names: Iterable[str], sectors: ChargeSectors, tol: float)
     evals, sector_min = [], []
     max_entry = herm = 0.0
     for rows in sectors.blocks:
-        stack = principal_blocks(p, names, rows)
+        stack = principal_blocks(p, rows)
         e = stack[:, :, 0].real if rows.shape[1] == 1 else hermitian_eigenvalues(stack)
         evals.append(e.reshape(-1))
         sector_min.append(e[:, 0])
@@ -241,8 +251,8 @@ def sector_spectrum(p, names: Iterable[str], sectors: ChargeSectors, tol: float)
     return psd_accepts(evals, max_entry, herm, tol), evals, np.concatenate(sector_min), herm
 
 
-def b1_partial_trace(p, names: Iterable[str]) -> tuple[float, np.ndarray]:
-    """Tr_B1 of choi_from_tables(p, names) as (largest |images| with a != b,
+def b1_partial_trace(p: TableParams) -> tuple[float, np.ndarray]:
+    """Tr_B1 of choi_from_tables(p) as (largest |images| with a != b,
     diag[i, j, a, p, r] = images[i, j, a, a, p, r]), with images as in
     superchannels.tp_preserving_check, in O(d^5) memory.  The terms are the
     table entries whose row and column B1 digits agree, summed in increasing
@@ -250,7 +260,7 @@ def b1_partial_trace(p, names: Iterable[str]) -> tuple[float, np.ndarray]:
     (the nine positions put every such term at a = b).
     """
     d = p.d
-    rows, cols, vals = _entries(p, names)
+    rows, cols, vals = _entries(p)
     keep = rows % d == cols % d
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
     # A0, A1, B0 digits: (i, a, p) of each row and (j, b, r) of each column

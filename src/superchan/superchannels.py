@@ -17,7 +17,6 @@ from .linalg import (
     MultipartiteOperator,
     kron,
     max_entangled_projector,
-    partial_trace,
     permute_subsystems,
     psd_report,
 )
@@ -148,25 +147,24 @@ class SuperchannelVerdict:
 def validate_superchannel(s: SuperChoi, tol: float = DEFAULT_TOL) -> SuperchannelVerdict:
     """Check positivity plus the two marginal conditions of a superchannel Choi.
 
-    The reduced operator C0 on (A0, B0) is reconstructed by averaging the A1
-    blocks of Tr_B1 C, which keeps the check well-defined for invalid inputs;
-    the factorization residual then measures || Tr_B1 C - C0 (x) I_A1 ||_max.
-    C0 is the induced Choi of tp_preserving_check, so these residuals are its
-    max(offdiagonal_leak, fiber_deviation) and unitality_deviation.
+    The reduced operator C0 on (A0, B0) averages the A1 blocks of Tr_B1 C,
+    which keeps the check well-defined for invalid inputs; the factorization
+    residual measures || Tr_B1 C - C0 (x) I_A1 ||_max.  C0 is the induced
+    Choi of tp_preserving_check, so both residuals are read off its verdict
+    (superchannel_verdict).
     """
     cp_ok, min_eig, herm = psd_report(s.choi.mat, tol)
-    reduced = partial_trace(s.choi, 3)  # on (A0, A1, B0)
-    c0 = partial_trace(reduced, 1)      # on (A0, B0), trace over A1
-    c0_mat = c0.mat / s.dA1
-    target = kron(
-        MultipartiteOperator((s.dA0, s.dB0), c0_mat),
-        MultipartiteOperator((s.dA1,), np.eye(s.dA1, dtype=complex)),
-    )
-    target = permute_subsystems(target, (0, 2, 1))  # (A0, B0, A1) -> (A0, A1, B0)
-    fact_dev = float(np.abs(reduced.mat - target.mat).max())
-    marg = partial_trace(MultipartiteOperator((s.dA0, s.dB0), c0_mat), 0)
-    marg_dev = float(np.abs(marg.mat - np.eye(s.dB0)).max())
-    return SuperchannelVerdict(cp_ok, min_eig, fact_dev, marg_dev, herm, tol)
+    tp, _ = tp_preserving_check(s, tol)
+    return superchannel_verdict(cp_ok, min_eig, herm, tp)
+
+
+def superchannel_verdict(is_cp: bool, min_eig: float, herm: float,
+                         tp: TPPreservingVerdict) -> SuperchannelVerdict:
+    """The verdict of validate_superchannel from the spectrum and the trace
+    check: the factorization residual is max(offdiagonal_leak,
+    fiber_deviation) and the marginal residual the unitality deviation."""
+    fact_dev = max(tp.offdiagonal_leak, tp.fiber_deviation)
+    return SuperchannelVerdict(is_cp, min_eig, fact_dev, tp.unitality_deviation, herm, tp.tol)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,12 +18,22 @@ from superchan.do import TABLE_NAMES, DOSuperParams, do_mask_tables
 from superchan.du import DUSuperParams, from_choi, mask_tables
 from superchan.linalg import (
     ChargeSectors,
+    MultipartiteOperator,
     hermitian_eigenvalues,
     hermiticity_deviation,
+    kron,
+    partial_trace,
+    permute_subsystems,
     psd_accepts,
+    psd_report,
 )
 from superchan.positions import principal_blocks, tables_from_choi
-from superchan.superchannels import SuperChoi, sandwich_superchannel, super_choi
+from superchan.superchannels import (
+    SuperchannelVerdict,
+    SuperChoi,
+    sandwich_superchannel,
+    super_choi,
+)
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -207,7 +218,7 @@ def random_valid_superchoi(rng: np.random.Generator, d0: int, d1: int,
 def random_valid_do_params(rng: np.random.Generator, d: int) -> DOSuperParams:
     """A random valid superchannel averaged over diagonal signs: its nine
     tables read off the Choi of random_valid_superchoi (A taken real)."""
-    t = tables_from_choi(random_valid_superchoi(rng, d, d).choi.mat, d, TABLE_NAMES)
+    t = tables_from_choi(random_valid_superchoi(rng, d, d).choi.mat, d, DOSuperParams)
     return DOSuperParams(d, **{**t, "A": t["A"].real})
 
 
@@ -314,20 +325,26 @@ def cp_bases(d: int):
     )
 
 
+def _tables_only(p: DUSuperParams, names: str) -> SimpleNamespace:
+    """The tables ``names`` of p alone, as the positions helpers read them."""
+    return SimpleNamespace(d=p.d, NAMES=tuple(names), FAMILY=p.FAMILY,
+                           **{name: getattr(p, name) for name in names})
+
+
 def cp_blocks(p: DUSuperParams):
     """The permuted-basis blocks M_ab (from A, C) and N_ab (from B, D), read
     off the tables by principal_blocks.  N_ab is the (a, b) block of the
     coupled block; N_aa is zero."""
     d = p.d
     m_basis, coupled = cp_bases(d)
-    m = principal_blocks(p, "AC", m_basis).reshape(d, d, d * d, d * d)
-    n = principal_blocks(p, "BD", coupled).reshape(d, d * d, d, d * d)
+    m = principal_blocks(_tables_only(p, "AC"), m_basis).reshape(d, d, d * d, d * d)
+    n = principal_blocks(_tables_only(p, "BD"), coupled).reshape(d, d * d, d, d * d)
     return m, n.transpose(0, 2, 1, 3)
 
 
 def cp_block_matrix(p: DUSuperParams) -> np.ndarray:
     """The d^3 x d^3 coupled block sum_a e_aa (x) M_aa + sum_{a!=b} e_ab (x) N_ab."""
-    return principal_blocks(p, "ABCD", cp_bases(p.d)[1])[0]
+    return principal_blocks(p, cp_bases(p.d)[1])[0]
 
 
 def rebuild_residual(mat: np.ndarray, d: int, names) -> float:
@@ -341,6 +358,27 @@ def rebuild_residual(mat: np.ndarray, d: int, names) -> float:
     else:
         rebuilt = loop_do_build_choi(DOSuperParams(d, **t))
     return float(np.abs(rebuilt - mat).max())
+
+
+def dense_validate_superchannel(s: SuperChoi, tol: float) -> SuperchannelVerdict:
+    """Reference validate_superchannel: C0 on (A0, B0) averages the A1 blocks
+    of Tr_B1 C through partial_trace, and the factorization residual is
+    || Tr_B1 C - C0 (x) I_A1 ||_max with the product formed by kron and
+    permute_subsystems, independently of tp_preserving_check, from which
+    validate_superchannel and do_validate read both residuals."""
+    cp_ok, min_eig, herm = psd_report(s.choi.mat, tol)
+    reduced = partial_trace(s.choi, 3)  # on (A0, A1, B0)
+    c0 = partial_trace(reduced, 1)      # on (A0, B0), trace over A1
+    c0_mat = c0.mat / s.dA1
+    target = kron(
+        MultipartiteOperator((s.dA0, s.dB0), c0_mat),
+        MultipartiteOperator((s.dA1,), np.eye(s.dA1, dtype=complex)),
+    )
+    target = permute_subsystems(target, (0, 2, 1))  # (A0, B0, A1) -> (A0, A1, B0)
+    fact_dev = float(np.abs(reduced.mat - target.mat).max())
+    marg = partial_trace(MultipartiteOperator((s.dA0, s.dB0), c0_mat), 0)
+    marg_dev = float(np.abs(marg.mat - np.eye(s.dB0)).max())
+    return SuperchannelVerdict(cp_ok, min_eig, fact_dev, marg_dev, herm, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -397,12 +397,12 @@ def test_channel_map_is_bit_identical_to_the_per_entry_loops(d, cls, build, name
 
     # extraction is a gather, so it keeps -0.0; A and C are P and R transposed
     mat = _plant_negative_zeros(rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d)))
-    t = tables_from_choi(mat, d, "ABC", "channel")
+    t = tables_from_choi(mat, d, DOChannelParams)
     p_ref, q_ref, r_ref, off_ref = loop_do_pattern_split(mat.reshape(d, d, d, d))
     assert t["A"].tobytes() == np.ascontiguousarray(p_ref.T).tobytes()
     assert t["B"].tobytes() == q_ref.tobytes()
     assert t["C"].tobytes() == np.ascontiguousarray(r_ref.T).tobytes()
-    assert off_pattern_weight(mat, d, "ABC", "channel") == off_ref
+    assert off_pattern_weight(mat, d, DOChannelParams) == off_ref
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])

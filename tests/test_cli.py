@@ -222,9 +222,8 @@ def test_apply_on_tables_never_assembles_the_choi(paths, capsys, monkeypatch, d)
         raise AssertionError("apply assembled the Choi")
 
     for module, name in ((positions, "choi_from_tables"), (du_module, "choi_from_tables"),
-                         (do_module, "choi_from_tables"), (du_module, "build_choi"),
-                         (do_module, "do_build_choi"), (cli, "build_choi"),
-                         (cli, "do_build_choi")):
+                         (du_module, "build_choi"), (do_module, "do_build_choi"),
+                         (cli, "build_choi")):
         monkeypatch.setattr(module, name, refuse)
     tmp, write = paths
     ch = random_channel(rng, d)
@@ -327,6 +326,29 @@ def test_example_holevo_werner(capsys):
     code, out = run_cli(capsys, "example", "holevo-werner", "--d", "3")
     assert code == 0
     assert report_value(out, "superchannel_is_cp") == "true"
+
+
+def test_example_super_must_hold_du_tables(paths, capsys):
+    # a sign-symmetric file is rejected as by validate du, not read as its
+    # first four tables
+    tmp, write = paths
+    do_path = write("do.json", jsonio.do_params_to_json(from_du_params(default_du_params())))
+    for argv in (("validate", "du", do_path), ("example", "bit-flip", "--super", do_path)):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == f"status: invalid-input\nerror: {do_path} holds a do object, not du\n"
+
+
+def test_unreadable_input_and_unwritable_out_are_invalid_input(paths, capsys):
+    tmp, write = paths
+    code, out = run_cli(capsys, "validate", "du", str(tmp))
+    assert code == 2 and out.startswith("status: invalid-input\nerror: ")
+    code, out = run_cli(capsys, "validate", "du", str(tmp / "missing.json"))
+    assert code == 2 and f"error: no such file: {tmp / 'missing.json'}" in out
+    # a failed write prints no report
+    code, out = run_cli(capsys, "example", "bit-flip", "--out", str(tmp))
+    assert code == 2
+    assert out.startswith("status: invalid-input\nerror: ") and out.count("\n") == 2
 
 
 def test_example_rejects_bad_arguments(capsys):

@@ -140,6 +140,12 @@ def test_uu_params_normalization_enforced():
         UUFamilyParams("sideways", 1.0, 0.0, 0.0, 0.0, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_uu_params_reject_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite"):
+        UUFamilyParams("covariant", bad, 0.0, 0.0, 1.0, 2)
+
+
 def test_uu_cp_closed_form_matches_spectral_oracle():
     for variant in ("covariant", "conjugate", "mixed"):
         for d in (2, 3):

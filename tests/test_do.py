@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from superchan import do as do_module, positions
+from superchan import do as do_module, du as du_module, positions
 from superchan.covariance import covariance_sampler_tuple, superchannel_covariance_check
 from superchan.do import (
     DOSuperParams,
@@ -24,6 +24,7 @@ from superchan.superchannels import (
 )
 
 from helpers import (
+    dense_validate_superchannel,
     full_eigvalsh_psd,
     haar_unitary,
     random_hermitian_du_params,
@@ -240,7 +241,7 @@ def test_do_validate_matches_the_dense_route_byte_for_byte(d):
     for label, (p, expected) in _do_corpus(np.random.default_rng(700 + d), d).items():
         s = do_build_choi(p)
         verdict = do_validate(p, tol)
-        dense = validate_superchannel(s, tol)
+        dense = dense_validate_superchannel(s, tol)
         tp, induced = tp_preserving_check(s, tol)
         is_psd, min_eig, herm = sector_psd_report(
             s.choi.mat, tol, charge_sectors(d, "unordered"))
@@ -266,7 +267,7 @@ def test_do_validate_never_assembles_the_choi(d, monkeypatch):
         raise AssertionError("do_validate assembled the Choi")
 
     monkeypatch.setattr(positions, "choi_from_tables", refuse)
-    monkeypatch.setattr(do_module, "choi_from_tables", refuse)
+    monkeypatch.setattr(du_module, "choi_from_tables", refuse)
     monkeypatch.setattr(do_module, "do_build_choi", refuse)
     # the identity map's Choi has eigenvalues 0 and d^2 and exact marginals
     p = from_du_params(du_identity(d))

@@ -433,7 +433,7 @@ def test_cp_witness_ignores_roundoff_among_tied_minima(monkeypatch):
     for w in gen.dirichlet(np.ones(3)):
         v = np.kron(haar_unitary(gen, d).T, haar_unitary(gen, d)).T.reshape(-1)
         x += ((1 - eps) * w) * np.outer(v, v.conj())
-    t = positions.tables_from_choi(x, d, "ABCD")
+    t = positions.tables_from_choi(x, d, DUSuperParams)
     p = DUSuperParams(d, t["A"].real, t["B"], t["C"], t["D"])
     verdict = du_cp_check(p)
     assert verdict.ok and verdict.offdiag_witness == (0, 1)

@@ -102,6 +102,17 @@ def test_params_validation():
         PauliSuperParams(bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite_entries(bad):
+    # comparisons with NaN are false, so the range checks alone let it through
+    with pytest.raises(ValueError, match="non-finite"):
+        PauliSuperParams(np.full((4, 4), bad))
+    pi = np.full((4, 4), 1 / 16)
+    pi[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        PauliSuperParams(pi)
+
+
 def test_choi_blocks_match_transcribed_structure():
     for _ in range(20):
         p = random_pi()

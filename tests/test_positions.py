@@ -120,7 +120,7 @@ def _residual_inputs(d, names):
     covariant ones with imaginary parts at the A positions (the diagonal)."""
     shape = (d**4, d**4)
     generic = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    if names == "ABCD":
+    if names == DUSuperParams.NAMES:
         covariant = build_choi(random_hermitian_du_params(rng, d)).choi.mat
     else:
         covariant = do_build_choi(random_do_params(rng, d)).choi.mat
@@ -133,25 +133,26 @@ def _residual_inputs(d, names):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-@pytest.mark.parametrize("names", ["ABCD", TABLE_NAMES], ids=["du", "do"])
-def test_extraction_residual_is_bit_identical_to_rebuild_and_subtract(d, names):
-    extract, error = (from_choi, NotDUCovariantError) if names == "ABCD" else (
+@pytest.mark.parametrize("cls", [DUSuperParams, DOSuperParams], ids=["du", "do"])
+def test_extraction_residual_is_bit_identical_to_rebuild_and_subtract(d, cls):
+    names = cls.NAMES
+    extract, error = (from_choi, NotDUCovariantError) if cls is DUSuperParams else (
         do_from_choi, NotDOCovariantError)
     for mat in _residual_inputs(d, names):
         ref = rebuild_residual(mat, d, names)
         assert ref > 0
-        assert extraction_residual(mat, d, names) == ref
+        assert extraction_residual(mat, d, cls) == ref
         with pytest.raises(error) as info:
             extract(super_choi(mat, (d,) * 4), tol=0.0)
         assert info.value.residual == ref
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("names", ["ABCD", TABLE_NAMES], ids=["du", "do"])
-def test_apply_tables_matches_the_representing_map_of_the_choi(d, names):
+@pytest.mark.parametrize("cls", [DUSuperParams, DOSuperParams], ids=["du", "do"])
+def test_apply_tables_matches_the_representing_map_of_the_choi(d, cls):
     # the Choi route stays the oracle; the sums run in another order
     n = d * d
-    if names == "ABCD":
+    if cls is DUSuperParams:
         p, build = random_hermitian_du_params(rng, d), build_choi
     else:
         p, build = random_do_params(rng, d), do_build_choi
@@ -159,6 +160,6 @@ def test_apply_tables_matches_the_representing_map_of_the_choi(d, names):
     generic = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     signed_zeros = _with_negative_zeros(np.where(rng.random((n, n)) < 0.5, generic, 0.0))
     for x in (random_hermitian(rng, n), generic, signed_zeros):
-        got = apply_tables(p, names, x)
+        got = apply_tables(p, x)
         ref = representing_apply(s, x).mat
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))

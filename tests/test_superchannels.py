@@ -9,7 +9,7 @@ from superchan.channels import (
     identity_channel,
     validate_channel,
 )
-from superchan.linalg import max_entangled_projector
+from superchan.linalg import DEFAULT_TOL, max_entangled_projector
 from superchan.superchannels import (
     apply_to_channel,
     classical_superchannel_extract,
@@ -23,6 +23,7 @@ from superchan.superchannels import (
 )
 
 from helpers import (
+    dense_validate_superchannel,
     haar_unitary,
     loop_classical_table,
     loop_tp_preserving_parts,
@@ -263,16 +264,18 @@ def test_tp_preserving_check_is_bit_identical_to_the_loops(dims):
 
 @pytest.mark.parametrize("dims", _UNEQUAL_DIMS)
 def test_validate_and_tp_check_measure_the_same_marginals(dims):
-    # validate_superchannel's C0 is tp_preserving_check's induced Choi, so its
+    # the dense reference's C0 is tp_preserving_check's induced Choi, so its
     # factorization residual is max(leak, fiber) and its marginal residual the
     # unitality deviation: bit for bit, on generic, Hermitian and valid Chois
     g = _generic_super(dims)
     h = super_choi(g.choi.mat + g.choi.mat.conj().T, dims)
     for s in (g, h, random_valid_superchoi(rng, dims[0], dims[1])):
         verdict = validate_superchannel(s)
+        ref = dense_validate_superchannel(s, DEFAULT_TOL)
         tp, _ = tp_preserving_check(s)
-        assert verdict.factorization_deviation == max(tp.offdiagonal_leak, tp.fiber_deviation)
-        assert verdict.marginal_deviation == tp.unitality_deviation
+        assert verdict == ref
+        assert ref.factorization_deviation == max(tp.offdiagonal_leak, tp.fiber_deviation)
+        assert ref.marginal_deviation == tp.unitality_deviation
 
 
 @pytest.mark.parametrize("dims", _UNEQUAL_DIMS)

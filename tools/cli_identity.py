@@ -1,14 +1,19 @@
 """Print what every CLI op of a benchmark plan outputs, one JSON line per op.
 
-    python3 tools/cli_identity.py --workload {tables,dense,qubit,du-corpus,do-corpus}
-                                  --seed N [--src DIR]
+    python3 tools/cli_identity.py
+        --workload {tables,dense,qubit,du-corpus,do-corpus,examples} --seed N [--src DIR]
 
 The tables, dense and qubit plans are the benchmark's own
 (perfbench/inputs.py, imported unchanged).  du-corpus is `validate du`,
 `compose du` and `apply` on DU tables at d = 2..6, do-corpus is `validate do`
 and `apply` on sign-symmetric tables at d = 2..6; each d has six cases: two
 valid, not CP, not TP (1.25x), non-Hermitian and indefinite Hermitian, and
-each case is applied to one seeded generic channel per d.  Each op runs in
+each case is applied to one seeded generic channel per d.  examples is every
+`example` (holevo-werner at d = 2, 3, 4; bit-flip at p = 0, 0.2, 1, -0.0;
+Pauli weights with zeros; amplitude-damping at gamma = 0, 0.3, 1), each with
+the default and with a seeded `--super` DU table, one `--super` given a
+sign-symmetric table, and `covariance` on seeded DU and sign-symmetric
+tables at d = 2, 3 under all five groups.  Each op runs in
 process through ``superchan.cli.main`` from ``--src`` (default: this
 checkout's src), on one BLAS thread, and prints
 {"kind", "argv", "status", "stdout", "artifact_sha256"}.  Inputs are
@@ -104,7 +109,33 @@ def build_do_corpus(b: inputs.InputSet) -> list:
     ]
 
 
-CORPORA = {"du-corpus": build_du_corpus, "do-corpus": build_do_corpus}
+def build_examples(b: inputs.InputSet) -> list:
+    """example with and without --super, and covariance on DU and DO tables."""
+    tables = {
+        (kind, d): b.input(f"{kind}{d}.json", inputs.tables_doc(d, inputs.tables_from_choi(
+            inputs.random_superchannel(b.rng, d), d, names)))
+        for d in (2, 3) for kind, names in (("du", inputs.DU_TABLES), ("do", inputs.DO_TABLES))
+    }
+    cases = [["holevo-werner", "--d", d] for d in ("2", "3", "4")]
+    cases += [["bit-flip", "--p", p] for p in ("0", "0.2", "1", "-0.0")]
+    cases += [["pauli", "--p", *w] for w in (("1", "0", "0", "0"), ("0", "0.5", "0", "0.5"),
+                                             ("0.25", "0", "0.75", "0"), ("0", "0", "0", "1"))]
+    cases += [["amplitude-damping", "--gamma", g] for g in ("0", "0.3", "1")]
+    supers = ([], ["--super", tables["du", 2]])
+    example = [inputs._entry(["example", *case, *extra, "--out", "out/example.json"],
+                             out="out/example.json") for case in cases for extra in supers]
+    example.append(inputs._entry(["example", "bit-flip", "--super", tables["do", 2]],
+                                 label="not-du"))
+    covariance = [
+        inputs._entry(["covariance", path, "--group", group, "--samples", "10", "--seed", "5"])
+        for path in tables.values() for group in ("du", "do", "haar", "conj-haar", "mixed")
+    ]
+    return [inputs._kind("example", "op1", 1, example),
+            inputs._kind("covariance", "op2", 1, covariance)]
+
+
+CORPORA = {"du-corpus": build_du_corpus, "do-corpus": build_do_corpus,
+           "examples": build_examples}
 
 
 def plan(workload: str, seed: int, work: Path) -> list:
