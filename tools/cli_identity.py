@@ -1,7 +1,8 @@
 """Print what every CLI op of a benchmark plan outputs, one JSON line per op.
 
     python3 tools/cli_identity.py
-        --workload {tables,dense,qubit,du-corpus,do-corpus,examples} --seed N [--src DIR]
+        --workload {tables,dense,qubit,du-corpus,do-corpus,examples,dephasing}
+        --seed N [--src DIR]
 
 The tables, dense and qubit plans are the benchmark's own
 (perfbench/inputs.py, imported unchanged).  du-corpus is `validate du`,
@@ -13,7 +14,12 @@ each case is applied to one seeded generic channel per d.  examples is every
 Pauli weights with zeros; amplitude-damping at gamma = 0, 0.3, 1), each with
 the default and with a seeded `--super` DU table, one `--super` given a
 sign-symmetric table, and `covariance` on seeded DU and sign-symmetric
-tables at d = 2, 3 under all five groups.  Each op runs in
+tables at d = 2, 3 under all five groups.  dephasing is, at d = 2..5,
+`validate dephasing` on two valid multiplier tables
+(perfbench/inputs.random_dephasing), a not-CP and a not-TP one and one of
+the wrong side, `compose dephasing` of the two valid ones (and one pair of
+mismatched dimensions), `apply` of a valid table and of one with -0.0
+planted, and `covariance` of both under all five groups.  Each op runs in
 process through ``superchan.cli.main`` from ``--src`` (default: this
 checkout's src), on one BLAS thread, and prints
 {"kind", "argv", "status", "stdout", "artifact_sha256"}.  Inputs are
@@ -41,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402  (after the BLAS thread settings; it imports numpy)
+import numpy as np  # noqa: E402
 
 
 def corpus_cases(b: inputs.InputSet, d: int, names: str) -> dict:
@@ -134,8 +141,49 @@ def build_examples(b: inputs.InputSet) -> list:
             inputs._kind("covariance", "op2", 1, covariance)]
 
 
+def build_dephasing(b: inputs.InputSet) -> list:
+    """validate, compose, apply and covariance on dephasing tables at d = 2..5."""
+    validate, compose, apply, covariance, valid = [], [], [], [], {}
+    for d in range(2, 6):
+        n = d * d
+        m0, m1 = (inputs.random_dephasing(b.rng, d) for _ in range(2))
+        not_cp = m0.copy()
+        k = b.rng.integers(0, n)
+        not_cp[k, k] = -b.rng.uniform(0.02, 0.05)
+        signed = np.where(b.rng.random((n, n)) < 0.3, complex(-0.0, -0.0), m0)
+        cases = {"valid0": (d, m0), "valid1": (d, m1), "not-cp": (d, not_cp),
+                 "not-tp": (d, 1.25 * m1), "signed-zeros": (d, signed),
+                 "wrong-side": (d + 1, np.eye((d + 1) ** 2))}
+        files = {label: b.input(f"deph{d}_{label}.json",
+                                {"d": d, "M_big": inputs.matrix_json((side, side), m)})
+                 for label, (side, m) in cases.items()}
+        valid[d] = files["valid0"]
+        validate += [inputs._entry(["validate", "dephasing", files[label]], label=label)
+                     for label in ("valid0", "valid1", "not-cp", "not-tp", "wrong-side")]
+        compose.append(inputs._entry(
+            ["compose", "dephasing", files["valid0"], files["valid1"],
+             "--out", "out/compose.json"], out="out/compose.json"))
+        channel = b.input(f"ch{d}.json", {"d_in": d, "d_out": d, "choi": inputs.matrix_json(
+            (d, d), inputs.random_channel(b.rng, d))})
+        apply += [inputs._entry(["apply", files[label], channel, "--out", "out/apply.json"],
+                                label=label, out="out/apply.json")
+                  for label in ("valid0", "signed-zeros")]
+        covariance += [
+            inputs._entry(["covariance", files[label], "--group", group,
+                           "--samples", "10", "--seed", "5"], label=label)
+            for label in ("valid0", "signed-zeros")
+            for group in ("du", "do", "haar", "conj-haar", "mixed")
+        ]
+    compose.append(inputs._entry(["compose", "dephasing", valid[2], valid[3]],
+                                 label="dimension-mismatch"))
+    return [inputs._kind("validate_dephasing", "op1", 1, validate),
+            inputs._kind("compose_dephasing", "op2", 1, compose),
+            inputs._kind("apply_dephasing", "op3", 1, apply),
+            inputs._kind("covariance", "op4", 1, covariance)]
+
+
 CORPORA = {"du-corpus": build_du_corpus, "do-corpus": build_do_corpus,
-           "examples": build_examples}
+           "examples": build_examples, "dephasing": build_dephasing}
 
 
 def plan(workload: str, seed: int, work: Path) -> list:
