@@ -17,13 +17,12 @@ from .linalg import (
     DEFAULT_TOL,
     MultipartiteOperator,
     hermiticity_deviation,
-    hermitian_eigenvalues,
     max_entangled_projector,
     partial_trace,
     psd_report,
     swap_operator,
 )
-from .positions import TableParams, choi_from_tables, table_positions
+from .positions import TableParams, choi_from_tables, principal_blocks, table_positions
 
 PARAM_EDGE_TOL = 1e-12  # slack for closed parameter intervals
 
@@ -388,27 +387,18 @@ class DUChannelVerdict:
         }
 
 
-def _b_with_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    bb = np.array(b, dtype=complex)
-    np.fill_diagonal(bb, np.diagonal(a))
-    return bb
-
-
-def _table_verdict(a, b, c, tol: float) -> DUChannelVerdict:
+def _table_verdict(p: TableParams, tol: float) -> DUChannelVerdict:
+    a, c = p.A, getattr(p, "C", None)
     min_a = float(a.min())
-    if b is not None:
-        evals = hermitian_eigenvalues(_b_with_diagonal(a, b))
-        b_min = float(evals[0])
-        b_ok = b_min >= -tol * max(1.0, float(np.abs(evals).max()))
-        b_herm = hermiticity_deviation(_b_with_diagonal(a, b)) <= tol * max(
-            1.0, float(np.abs(b).max()) if b.size else 1.0
-        )
-        b_ok = b_ok and b_herm
+    if "B" in p.NAMES:
+        # B with A's diagonal: the principal block of the channel Choi on {ii}
+        block = principal_blocks(p, np.arange(p.d)[None, :] * (p.d + 1))[0]
+        b_ok, b_min, _ = psd_report(block, tol)
     else:
         b_min, b_ok = 0.0, True
     if c is not None:
         # worst violation of |C_ij|^2 <= A_ij A_ji over C's support i != j
-        off = table_positions(len(a), "C", "channel").mask
+        off = table_positions(p.d, "C", "channel").mask
         pair = float((np.abs(c) ** 2 - a * a.T).max(where=off, initial=0.0))
         pair_ok = pair <= tol and hermiticity_deviation(c) <= tol * max(
             1.0, float(np.abs(c).max()) if c.size else 1.0
@@ -430,19 +420,19 @@ def _table_verdict(a, b, c, tol: float) -> DUChannelVerdict:
 
 def du_channel_validate(params: DUChannelParams, tol: float = DEFAULT_TOL) -> DUChannelVerdict:
     """CP iff A >= 0 entrywise and B-with-A-diagonal is PSD; TP iff A columns sum to 1."""
-    return _table_verdict(params.A, params.B, None, tol)
+    return _table_verdict(params, tol)
 
 
 def conj_du_channel_validate(
     params: ConjDUChannelParams, tol: float = DEFAULT_TOL
 ) -> DUChannelVerdict:
     """CP iff A >= 0 and |C_ij|^2 <= A_ij A_ji; TP iff A columns sum to 1."""
-    return _table_verdict(params.A, None, params.C, tol)
+    return _table_verdict(params, tol)
 
 
 def do_channel_validate(params: DOChannelParams, tol: float = DEFAULT_TOL) -> DUChannelVerdict:
     """Union of the two diagonal-family closed forms."""
-    return _table_verdict(params.A, params.B, params.C, tol)
+    return _table_verdict(params, tol)
 
 
 def du_channel_compose(p: DUChannelParams, q: DUChannelParams) -> DUChannelParams:

@@ -29,7 +29,7 @@ from .channels import (
     validate_channel,
 )
 from .covariance import covariance_sampler_tuple, superchannel_covariance_check
-from .dephasing import DephasingSuperParams, dephasing_validate, to_super_choi
+from .dephasing import dephasing_compose, dephasing_validate
 from .do import do_validate
 from .du import (
     build_choi,
@@ -114,8 +114,6 @@ def _as_super_choi(kind: str, parsed) -> SuperChoi:
         return parsed
     if isinstance(parsed, TableParams):
         return build_choi(parsed)
-    if kind == "dephasing":
-        return to_super_choi(parsed)
     if kind == "pauli":
         return pauli_super_choi(parsed)
     raise SchemaError(f"{kind} does not describe a superchannel")
@@ -226,6 +224,9 @@ def cmd_apply(args) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
+_TABLE_COMPOSE = {"du": du_compose, "dephasing": dephasing_compose}
+
+
 def cmd_compose(args) -> CommandResult:
     obj1, obj2 = _load(args.path1), _load(args.path2)
     kind1, kind2 = jsonio.detect_kind(obj1), jsonio.detect_kind(obj2)
@@ -234,20 +235,9 @@ def cmd_compose(args) -> CommandResult:
             f"compose {args.kind}: inputs are {kind1} and {kind2}"
         )
     report = {"kind": args.kind}
-    if args.kind == "du":
-        p1 = jsonio.du_params_from_json(obj1)
-        p2 = jsonio.du_params_from_json(obj2)
-        if p1.d != p2.d:
-            raise SchemaError(f"dimension mismatch: {p1.d} vs {p2.d}")
-        doc = jsonio.du_params_to_json(du_compose(p1, p2))
-    elif args.kind == "dephasing":
-        p1 = jsonio.dephasing_from_json(obj1)
-        p2 = jsonio.dephasing_from_json(obj2)
-        if p1.d != p2.d:
-            raise SchemaError(f"dimension mismatch: {p1.d} vs {p2.d}")
-        doc = jsonio.dephasing_to_json(
-            DephasingSuperParams(p1.d, p1.M_big * p2.M_big)
-        )
+    if args.kind in _TABLE_COMPOSE:
+        p1, p2 = (_SUPER_PARSERS[args.kind](obj) for obj in (obj1, obj2))
+        doc = jsonio.params_to_json(_TABLE_COMPOSE[args.kind](p1, p2))
     elif args.kind == "superchannel":
         s1 = jsonio.superchannel_from_json(obj1)
         s2 = jsonio.superchannel_from_json(obj2)

@@ -5,6 +5,11 @@ d^2 x d^2 table over the pair flattening (i, a) -> i*d + a.  Complete
 positivity is exactly positivity of M_big; trace preservation is the
 a-independence of the fibers M_big[(i,a),(j,a)] together with a unit
 diagonal of the resulting d x d covariance matrix.
+
+M_big is one more table of the position map: M_big[K, L] sits at Choi row
+e_K (x) e_K and column e_L (x) e_L (positions.POSITIONS["M_big"]), so the
+Choi, the table checks, the JSON codec and the fast action are the shared
+ones.
 """
 
 from __future__ import annotations
@@ -13,30 +18,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChoiChannel, check_covariance_matrix, choi_channel
-from .du import DUSuperParams, mask_tables
+from .du import DUSuperParams, build_choi, mask_tables
 from .linalg import DEFAULT_TOL, psd_report
-from .superchannels import SuperChoi, super_choi
+from .positions import TableParams
 
 
 @dataclass(frozen=True)
-class DephasingSuperParams:
+class DephasingSuperParams(TableParams):
     """The Schur-multiplier table of a dephasing superchannel."""
+
+    NAMES = ("M_big",)
+    FAMILY = "super"
 
     d: int
     M_big: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.M_big, dtype=complex)
-        if m.shape != (self.d * self.d, self.d * self.d):
-            raise ValueError(f"M_big must be {self.d**2}x{self.d**2}")
-        if not np.isfinite(m).all():
-            raise ValueError("M_big has non-finite entries (NaN or Inf)")
-        m.setflags(write=False)
-        object.__setattr__(self, "M_big", m)
-
-    def m4(self) -> np.ndarray:
-        d = self.d
-        return self.M_big.reshape(d, d, d, d)
 
 
 def dephasing_super_apply(p: DephasingSuperParams, c: ChoiChannel) -> ChoiChannel:
@@ -46,14 +41,14 @@ def dephasing_super_apply(p: DephasingSuperParams, c: ChoiChannel) -> ChoiChanne
     return choi_channel(p.M_big * c.choi.mat, p.d, p.d)
 
 
-def to_super_choi(p: DephasingSuperParams) -> SuperChoi:
-    """Choi matrix of the Schur multiplier: M_big entries on e_KL (x) e_KL."""
-    d = p.d
-    n = d * d
-    c = np.zeros((n * n, n * n), dtype=complex)
-    kk = np.arange(n) * (n + 1)  # the basis vectors e_K (x) e_K
-    c[kk[:, None], kk] = p.M_big
-    return super_choi(c, (d, d, d, d))
+def dephasing_compose(p: DephasingSuperParams, q: DephasingSuperParams) -> DephasingSuperParams:
+    """Table of the composition (p after q): the Schur product of the multipliers."""
+    if p.d != q.d:
+        raise ValueError(f"dimension mismatch: {p.d} vs {q.d}")
+    return DephasingSuperParams(p.d, p.M_big * q.M_big)
+
+
+to_super_choi = build_choi  # the Choi of the Schur multiplier
 
 
 @dataclass(frozen=True)
@@ -93,8 +88,7 @@ class DephasingVerdict:
 
 def covariance_fibers(p: DephasingSuperParams) -> np.ndarray:
     """The a-averaged covariance matrix M[i, j] = mean_a M_big[(i,a),(j,a)]."""
-    m4 = p.m4()
-    return np.einsum("iaja->ija", m4).mean(axis=2)
+    return np.einsum("iaja->ija", p.t4("M_big")).mean(axis=2)
 
 
 def dephasing_validate(p: DephasingSuperParams, tol: float = DEFAULT_TOL) -> DephasingVerdict:
@@ -104,7 +98,7 @@ def dephasing_validate(p: DephasingSuperParams, tol: float = DEFAULT_TOL) -> Dep
     test suite asserts that equivalence rather than this function.
     """
     psd_ok, min_eig, _ = psd_report(p.M_big, tol)
-    fibers = np.einsum("iaja->ija", p.m4())
+    fibers = np.einsum("iaja->ija", p.t4("M_big"))
     m = fibers.mean(axis=2)
     dev = np.abs(fibers - m[:, :, None])
     # witness: the first (i, j) in row-major order attaining the maximum, its
@@ -165,7 +159,7 @@ def dephasing_on_dephasing(p: DephasingSuperParams, m_chan) -> np.ndarray:
 def superdecoherence_matrix(p: DephasingSuperParams) -> np.ndarray:
     """Covariance matrix of the channel produced from the identity channel."""
     k = np.arange(p.d)
-    return p.m4()[k[:, None], k[:, None], k, k]
+    return p.t4("M_big")[k[:, None], k[:, None], k, k]
 
 
 def dephasing_embed_du(p: DephasingSuperParams) -> DUSuperParams:
@@ -175,7 +169,7 @@ def dephasing_embed_du(p: DephasingSuperParams) -> DUSuperParams:
     the rest; assembling the result gives exactly to_super_choi(p).
     """
     d = p.d
-    m4 = p.m4()
+    m4 = p.t4("M_big")
     i, a, j, b = np.ogrid[:d, :d, :d, :d]
     # mask_tables cuts B, C and D down to their supports
     tables = (

@@ -18,7 +18,7 @@ import numpy as np
 
 from .du import DUSuperParams, NotDUCovariantError, build_choi, from_choi
 from .linalg import DEFAULT_TOL, charge_sectors
-from .positions import TableParams, b1_partial_trace, sector_spectrum, table_positions
+from .positions import TableParams, b1_partial_trace, sector_spectrum
 from .superchannels import (
     SuperchannelVerdict,
     TPPreservingVerdict,
@@ -56,30 +56,11 @@ class DOSuperParams(TableParams):
     R: np.ndarray
     S: np.ndarray
 
-    def t4(self, name: str) -> np.ndarray:
-        d = self.d
-        return getattr(self, name).reshape(d, d, d, d)
-
 
 TABLE_NAMES = DOSuperParams.NAMES
 do_build_choi = build_choi
 do_from_choi = functools.partial(from_choi, cls=DOSuperParams)
-
-
-def do_mask_tables(d: int, **tables) -> DOSuperParams:
-    """Build params from unmasked arrays, zeroing out-of-support entries.
-
-    Missing tables default to zero.
-    """
-    out = {}
-    for name in TABLE_NAMES:
-        t = tables.get(name)
-        if t is None:
-            t = np.zeros((d * d, d * d))
-        dtype = float if name == "A" else complex
-        t = np.asarray(t, dtype=dtype)
-        out[name] = np.where(table_positions(d, name).mask, t, 0.0)
-    return DOSuperParams(d, **out)
+do_mask_tables = DOSuperParams.masked  # (d, **tables), missing tables zero
 
 
 def from_du_params(p: DUSuperParams) -> DOSuperParams:

@@ -64,18 +64,8 @@ class DUSuperParams(TableParams):
     C: np.ndarray
     D: np.ndarray
 
-    def t4(self, name: str) -> np.ndarray:
-        """A table as a 4-tensor [i, a, j, b]."""
-        d = self.d
-        return getattr(self, name).reshape(d, d, d, d)
 
-
-def mask_tables(d: int, A, B, C, D) -> DUSuperParams:
-    """Build params from unmasked arrays, zeroing out-of-support entries."""
-    tables = (np.asarray(A, dtype=float), *(np.asarray(t, dtype=complex) for t in (B, C, D)))
-    return DUSuperParams(
-        d, *(np.where(table_positions(d, n).mask, t, 0.0) for n, t in zip("ABCD", tables))
-    )
+mask_tables = DUSuperParams.masked  # (d, A, B, C, D) with out-of-support entries zeroed
 
 
 def du_identity(d: int) -> DUSuperParams:

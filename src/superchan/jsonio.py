@@ -99,11 +99,11 @@ def _pair_table_json(d: int, table: np.ndarray) -> dict:
 
 
 # the superchannel table kinds and the parameter class each one holds
-TABLE_KINDS = {"du": DUSuperParams, "do": DOSuperParams}
+TABLE_KINDS = {"du": DUSuperParams, "do": DOSuperParams, "dephasing": DephasingSuperParams}
 
 
 def params_to_json(p: TableParams) -> dict:
-    """du or do parameters: d, then each table as a matrix on dims (d, d)."""
+    """du, do or dephasing parameters: d, then each table as a matrix on dims (d, d)."""
     out = {"d": p.d}
     for name in p.NAMES:
         out[name] = _pair_table_json(p.d, getattr(p, name).astype(complex))
@@ -111,32 +111,25 @@ def params_to_json(p: TableParams) -> dict:
 
 
 def params_from_json(obj: dict, kind: str) -> TableParams:
-    """Parameters of the table kind ("du" or "do"); table A must be real."""
+    """Parameters of the table kind (a key of TABLE_KINDS); a table A must be real."""
     cls = TABLE_KINDS[kind]
     _require(obj, ("d", *cls.NAMES), f"{kind} parameters")
     d = _int(obj["d"], "d")
     tables = {name: _table(obj[name], d, f"table {name}") for name in cls.NAMES}
-    if np.abs(tables["A"].imag).max() > 0:
-        raise SchemaError("table A must be real")
+    if "A" in tables:
+        if np.abs(tables["A"].imag).max() > 0:
+            raise SchemaError("table A must be real")
+        tables["A"] = tables["A"].real
     try:
-        return cls(d, **{**tables, "A": tables["A"].real})
+        return cls(d, **tables)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
-du_params_to_json = do_params_to_json = params_to_json
+du_params_to_json = do_params_to_json = dephasing_to_json = params_to_json
 du_params_from_json = functools.partial(params_from_json, kind="du")
 do_params_from_json = functools.partial(params_from_json, kind="do")
-
-
-def dephasing_to_json(p: DephasingSuperParams) -> dict:
-    return {"d": p.d, "M_big": _pair_table_json(p.d, p.M_big)}
-
-
-def dephasing_from_json(obj: dict) -> DephasingSuperParams:
-    _require(obj, ("d", "M_big"), "dephasing parameters")
-    d = _int(obj["d"], "d")
-    return DephasingSuperParams(d, _table(obj["M_big"], d, "M_big"))
+dephasing_from_json = functools.partial(params_from_json, kind="dephasing")
 
 
 def realization_from_json(obj: dict):
@@ -173,7 +166,6 @@ _KIND_KEYS = {
     "superchannel": {"dims", "choi"},
     "channel": {"d_in", "d_out", "choi"},
     **{kind: {"d", *cls.NAMES} for kind, cls in TABLE_KINDS.items()},
-    "dephasing": {"d", "M_big"},
     "pauli": {"pi"},
 }
 

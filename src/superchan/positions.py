@@ -3,12 +3,13 @@
 Two families share one set of helpers, chosen by the FAMILY of a
 TableParams class:
 
-* "super": the nine tables of DU and sign-symmetric superchannels.  Each
-  table T is d^2 x d^2 over the pair index (i, a) -> i*d + a and is read as
-  T[i, a, j, b].  Entry T_{ia,jb} occupies one entry of the Choi matrix on
-  (A0, A1, B0, B1), so "jbia" is the basis vector (A0, A1, B0, B1) =
-  (j, b, i, a).  The first four tables make up a diagonal-unitary covariant
-  Choi, all nine a sign-symmetric one.
+* "super": the nine tables of DU and sign-symmetric superchannels and the
+  multiplier table M_big of a dephasing one.  Each table T is d^2 x d^2
+  over the pair index (i, a) -> i*d + a and is read as T[i, a, j, b].  Entry
+  T_{ia,jb} occupies one entry of the Choi matrix on (A0, A1, B0, B1), so
+  "jbia" is the basis vector (A0, A1, B0, B1) = (j, b, i, a).  The first
+  four tables make up a diagonal-unitary covariant Choi, all nine a
+  sign-symmetric one; M_big alone sits where D does, on its full support.
 * "channel": the tables (A, B, C) of DUC, CDUC and DOC channels in Singh &
   Nechita's notation.  Each is d x d, read as T[i, j], on the Choi of a map
   M_d -> M_d over (in, out).
@@ -16,9 +17,11 @@ TableParams class:
 POSITIONS spells each entry's Choi row and column as one label per
 subsystem.  The support string names the labels that must differ: "ij"
 requires i != j, "ab" requires a != b.  Entries outside the support are
-exact zeros.  The positions of one family are pairwise disjoint and fill
-exactly the charge sectors of its group (block structure as in Singh &
-Nechita, arXiv:2010.07898), so assembling a Choi is one scatter per table,
+exact zeros.  The positions of the tables of one TableParams class (its
+NAMES) are pairwise disjoint; tables of different classes may share
+positions.  The nine superchannel tables, like the three channel tables,
+fill exactly the charge sectors of their group (block structure as in Singh
+& Nechita, arXiv:2010.07898), so assembling a Choi is one scatter per table,
 reading the tables off it one gather, and the action of the assembled map
 one gather-multiply-add per table.
 """
@@ -42,6 +45,7 @@ POSITIONS = {
     "Q": ("iajb", "jbia", "ijab"),
     "R": ("iajb", "ibja", "ab"),
     "S": ("iaib", "jbja", "ijab"),
+    "M_big": ("iaia", "jbjb", ""),
 }
 
 CHANNEL_POSITIONS = {
@@ -105,6 +109,22 @@ class TableParams:
 
     def __post_init__(self) -> None:
         init_tables(self)
+
+    @classmethod
+    def masked(cls, d: int, *tables, **named):
+        """Params from unmasked arrays, given in NAMES order or by name, with
+        out-of-support entries zeroed; missing tables are zero."""
+        given = {**dict(zip(cls.NAMES, tables)), **named}
+        out = {}
+        for name in cls.NAMES:
+            t = np.asarray(given.get(name, 0.0), dtype=float if name == "A" else complex)
+            out[name] = np.where(table_positions(d, name, cls.FAMILY).mask, t, 0.0)
+        return cls(d, **out)
+
+    def t4(self, name: str) -> np.ndarray:
+        """A superchannel table as a 4-tensor [i, a, j, b]."""
+        d = self.d
+        return getattr(self, name).reshape(d, d, d, d)
 
 
 def init_tables(p: TableParams) -> None:

@@ -13,7 +13,11 @@ from superchan.channels import (
     choi_from_kraus,
     du_channel,
 )
-from superchan.dephasing import dephasing_embed_du, dephasing_from_realization
+from superchan.dephasing import (
+    DephasingSuperParams,
+    dephasing_embed_du,
+    dephasing_from_realization,
+)
 from superchan.do import TABLE_NAMES, DOSuperParams, do_mask_tables
 from superchan.du import DUSuperParams, from_choi, mask_tables
 from superchan.linalg import (
@@ -263,6 +267,15 @@ def loop_do_build_choi(p: DOSuperParams) -> np.ndarray:
                 c8[i, a, j, a, j, b, i, b] += p4[i, a, j, b]
                 c8[i, a, j, b, j, b, i, a] += q4[i, a, j, b]
                 c8[i, a, i, b, j, b, j, a] += s4[i, a, j, b]
+    return c
+
+
+def scatter_dephasing_choi(p: DephasingSuperParams) -> np.ndarray:
+    """Reference dephasing Choi: M_big[K, L] assigned to e_KK, e_LL."""
+    n = p.d * p.d
+    c = np.zeros((n * n, n * n), dtype=complex)
+    kk = np.arange(n) * (n + 1)  # the basis vectors e_K (x) e_K
+    c[kk[:, None], kk] = p.M_big
     return c
 
 

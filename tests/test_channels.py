@@ -430,12 +430,14 @@ def test_channel_tables_reject_non_finite_entries(cls, build, names, bad, where)
 
 
 def test_parameter_classes_copy_and_freeze_their_tables():
+    from superchan.dephasing import DephasingSuperParams
     from superchan.do import TABLE_NAMES, DOSuperParams
     from superchan.du import DUSuperParams
 
     for cls, d, names in ((DUChannelParams, 2, "AB"), (ConjDUChannelParams, 2, "AC"),
                           (DOChannelParams, 2, "ABC"), (DUSuperParams, 2, "ABCD"),
-                          (DOSuperParams, 2, TABLE_NAMES)):
+                          (DOSuperParams, 2, TABLE_NAMES),
+                          (DephasingSuperParams, 2, ("M_big",))):
         side = d if cls.__module__.endswith("channels") else d * d
         given = {n: np.zeros((side, side), dtype=float if n == "A" else complex) for n in names}
         p = cls(d, **given)
@@ -443,6 +445,17 @@ def test_parameter_classes_copy_and_freeze_their_tables():
             assert given[n].flags.writeable and not getattr(p, n).flags.writeable
             given[n][0, 0] = 1.0  # the caller's array stays theirs
             assert getattr(p, n)[0, 0] == 0
+
+
+def test_closed_form_b_psd_uses_the_scale_of_the_choi():
+    # the Hermiticity slack of the {ii} block scales with its largest entry,
+    # here A's diagonal, as it does for the whole Choi
+    a = 100.0 * np.eye(2)
+    b = np.array([[0, 0], [1e-9, 0]], dtype=complex)
+    for params, validate in ((DUChannelParams(2, a, b), du_channel_validate),
+                             (DOChannelParams(2, a, b, np.zeros((2, 2))), do_channel_validate)):
+        assert validate_channel(do_channel(params)).is_cp
+        assert validate(params).is_cp
 
 
 @pytest.mark.parametrize("cls, build, names", CHANNEL_FAMILIES, ids=["duc", "cduc", "doc"])

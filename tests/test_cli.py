@@ -5,10 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from superchan import cli, do as do_module, du as du_module, jsonio, positions
+from superchan import cli, dephasing as dephasing_module, do as do_module, du as du_module
+from superchan import jsonio, positions
 from superchan.channels import amplitude_damping, bit_flip, choi_channel
 from superchan.cli import default_du_params, main
-from superchan.dephasing import dephasing_from_realization
+from superchan.dephasing import (
+    DephasingSuperParams,
+    dephasing_from_realization,
+    dephasing_super_apply,
+)
 from superchan.do import from_du_params
 from superchan.du import DUSuperParams, build_choi, du_cp_check, du_identity, du_tp_check
 from superchan.pauli import PauliSuperParams
@@ -223,21 +228,39 @@ def test_apply_on_tables_never_assembles_the_choi(paths, capsys, monkeypatch, d)
 
     for module, name in ((positions, "choi_from_tables"), (du_module, "choi_from_tables"),
                          (du_module, "build_choi"), (do_module, "do_build_choi"),
-                         (cli, "build_choi")):
+                         (dephasing_module, "to_super_choi"), (cli, "build_choi")):
         monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(cli, "to_super_choi", refuse, raising=False)  # if the CLI holds it
     tmp, write = paths
     ch = random_channel(rng, d)
     chan = write("c.json", jsonio.channel_to_json(ch))
-    # the identity superchannel, as four and as nine tables, echoes the channel
+    # the identity superchannel, as four and nine tables and as the all-ones
+    # multiplier, echoes the channel
     unit = du_identity(d)
+    ones = DephasingSuperParams(d, np.ones((d * d, d * d)))
     for name, doc in (("du.json", jsonio.du_params_to_json(unit)),
-                      ("do.json", jsonio.do_params_to_json(from_du_params(unit)))):
+                      ("do.json", jsonio.do_params_to_json(from_du_params(unit))),
+                      ("dephasing.json", jsonio.dephasing_to_json(ones))):
         out_path = tmp / "out.json"
         code, out = run_cli(capsys, "apply", write(name, doc), chan, "--out", str(out_path))
         assert code == 0
         assert report_value(out, "output_classical") == report_value(out, "input_classical")
         written = jsonio.channel_from_json(json.loads(out_path.read_text()))
         assert np.array_equal(written.choi.mat, ch.choi.mat)
+
+
+def test_apply_on_dephasing_is_the_schur_product(paths, capsys):
+    tmp, write = paths
+    for d in (2, 3):
+        m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        p = DephasingSuperParams(d, np.where(rng.random(m.shape) < 0.3, -0.0, m))
+        ch = random_channel(rng, d)
+        out_path = tmp / "out.json"
+        code, _ = run_cli(capsys, "apply", write("m.json", jsonio.dephasing_to_json(p)),
+                          write("c.json", jsonio.channel_to_json(ch)), "--out", str(out_path))
+        assert code == 0
+        written = jsonio.channel_from_json(json.loads(out_path.read_text()))
+        assert written.choi.mat.tobytes() == dephasing_super_apply(p, ch).choi.mat.tobytes()
 
 
 def test_compose_du_with_identity_echoes(paths, capsys):

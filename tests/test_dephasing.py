@@ -9,6 +9,7 @@ from superchan.channels import (
 from superchan.dephasing import (
     DephasingSuperParams,
     covariance_fibers,
+    dephasing_compose,
     dephasing_embed_du,
     dephasing_from_realization,
     dephasing_on_dephasing,
@@ -68,7 +69,7 @@ def test_schur_action_preserves_diagonal_scales_corners():
     ch = amplitude_damping(gamma)
     out = dephasing_super_apply(p, ch)
     assert np.allclose(np.diagonal(out.choi.mat), np.diagonal(ch.choi.mat), atol=1e-12)
-    m4 = p.m4()
+    m4 = p.t4("M_big")
     assert np.isclose(out.choi.mat[0, 3], m4[0, 0, 1, 1] * np.sqrt(1 - gamma))
 
 
@@ -80,6 +81,13 @@ def test_realizations_always_validate():
             assert verdict.ok, verdict.report()
             s = to_super_choi(p)
             assert validate_superchannel(s).ok
+
+
+def test_compose_is_the_schur_product_of_the_tables():
+    p, q = (dephasing_from_realization(*random_realization(rng, 2, 3)) for _ in range(2))
+    assert np.array_equal(dephasing_compose(p, q).M_big, p.M_big * q.M_big)
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        dephasing_compose(p, all_ones_params(3))
 
 
 def test_realization_input_validation():
@@ -146,7 +154,7 @@ def test_validator_fiber_witness():
 def _loop_fiber_witness(p):
     """Reference fiber scan: row-major over (i, j), replaced only on a strictly
     larger deviation."""
-    d, m4 = p.d, p.m4()
+    d, m4 = p.d, p.t4("M_big")
     m = covariance_fibers(p)
     worst, witness = 0.0, (0, 0, 0, 0)
     for i in range(d):

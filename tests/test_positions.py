@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from superchan.dephasing import DephasingSuperParams
 from superchan.do import (
     TABLE_NAMES,
     DOSuperParams,
@@ -31,6 +32,7 @@ from helpers import (
     random_hermitian,
     random_hermitian_du_params,
     rebuild_residual,
+    scatter_dephasing_choi,
 )
 
 rng = np.random.default_rng(53)
@@ -87,6 +89,18 @@ def test_do_map_is_bit_identical_to_the_per_entry_reference(d):
     assert q.A.tobytes() == ref["A"].real.tobytes()
     for name in TABLE_NAMES[1:]:
         assert getattr(q, name).tobytes() == ref[name].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_dephasing_map_is_bit_identical_to_the_scatter_reference(d):
+    m = _tables_with_negative_zeros(d, ("M_big",))["M_big"]
+    m[-1, 0] = -0.0
+    p = DephasingSuperParams(d, m)
+    choi = build_choi(p).choi.mat
+    ref = scatter_dephasing_choi(p)
+    assert np.signbit(ref[ref == 0].real).any()
+    # the scatter assigns each entry, the map adds it into zeros: a -0.0 lands as +0.0
+    assert choi.tobytes() == (ref + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
