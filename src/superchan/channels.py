@@ -16,6 +16,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     MultipartiteOperator,
+    hermitian_eigenvalues,
     hermiticity_deviation,
     max_entangled_projector,
     partial_trace,
@@ -388,26 +389,38 @@ class DUChannelVerdict:
 
 
 def _table_verdict(p: TableParams, tol: float) -> DUChannelVerdict:
-    a, c = p.A, getattr(p, "C", None)
+    """The closed forms, with A's sign and the pair condition judged on the
+    scale validate_channel takes, tol * max(1, spectral radius of the Choi).
+
+    The Choi splits into the {ii} sector (B with A's diagonal) and one
+    {ji, ij} sector per pair i < j ([[A_ij, C_ij], [C_ji, A_ji]]), so the
+    radius is read off their spectra.  The pair condition also holds where
+    the unscaled rule |C_ij|^2 - A_ij A_ji <= tol does.
+    """
+    d, a, c = p.d, p.A, getattr(p, "C", None)
+    i, j = np.triu_indices(d, 1)
+    block = principal_blocks(p, np.arange(d)[None, :] * (d + 1))[0]
+    pairs = hermitian_eigenvalues(principal_blocks(p, np.stack([j * d + i, i * d + j], 1)))
+    radius = max(float(np.abs(hermitian_eigenvalues(block)).max()),
+                 float(np.abs(pairs).max(initial=0.0)))
+    slack = tol * max(1.0, radius)
     min_a = float(a.min())
     if "B" in p.NAMES:
-        # B with A's diagonal: the principal block of the channel Choi on {ii}
-        block = principal_blocks(p, np.arange(p.d)[None, :] * (p.d + 1))[0]
         b_ok, b_min, _ = psd_report(block, tol)
     else:
         b_min, b_ok = 0.0, True
     if c is not None:
         # worst violation of |C_ij|^2 <= A_ij A_ji over C's support i != j
-        off = table_positions(p.d, "C", "channel").mask
+        off = table_positions(d, "C", "channel").mask
         pair = float((np.abs(c) ** 2 - a * a.T).max(where=off, initial=0.0))
-        pair_ok = pair <= tol and hermiticity_deviation(c) <= tol * max(
-            1.0, float(np.abs(c).max()) if c.size else 1.0
+        pair_ok = (pair <= tol or float(pairs.min(initial=0.0)) >= -slack) and (
+            hermiticity_deviation(c) <= tol * max(1.0, float(np.abs(c).max()) if c.size else 1.0)
         )
     else:
         pair, pair_ok = 0.0, True
     col_dev = float(np.abs(a.sum(axis=0) - 1.0).max())
     return DUChannelVerdict(
-        a_nonnegative=min_a >= -tol,
+        a_nonnegative=min_a >= -slack,
         b_psd=b_ok,
         pair_condition=pair_ok,
         column_stochastic=col_dev <= tol,

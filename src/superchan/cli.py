@@ -32,7 +32,6 @@ from .covariance import covariance_sampler_tuple, superchannel_covariance_check
 from .dephasing import dephasing_compose, dephasing_validate
 from .do import do_validate
 from .du import (
-    build_choi,
     du_block_action,
     du_cp_check,
     du_compose,
@@ -112,8 +111,6 @@ _SUPER_PARSERS = {
 def _as_super_choi(kind: str, parsed) -> SuperChoi:
     if kind == "superchannel":
         return parsed
-    if isinstance(parsed, TableParams):
-        return build_choi(parsed)
     if kind == "pauli":
         return pauli_super_choi(parsed)
     raise SchemaError(f"{kind} does not describe a superchannel")
@@ -261,10 +258,13 @@ def cmd_compose(args) -> CommandResult:
 
 def cmd_covariance(args) -> CommandResult:
     kind, parsed = _load_super(args.superchannel)
-    s = _as_super_choi(kind, parsed)
-    if not (s.dA0 == s.dA1 == s.dB0 == s.dB1):
+    # table kinds go as they are: diagonal groups rephase their entries
+    tables = isinstance(parsed, TableParams)
+    s = parsed if tables else _as_super_choi(kind, parsed)
+    dims = (parsed.d,) * 4 if tables else s.choi.dims
+    if len(set(dims)) > 1:
         raise SchemaError("covariance groups are defined for equal subsystem dims")
-    samplers = covariance_sampler_tuple(args.group, s.dA0, args.seed)
+    samplers = covariance_sampler_tuple(args.group, dims[0], args.seed)
     verdict = superchannel_covariance_check(s, samplers, n=args.samples, tol=args.tol)
     report = {"superchannel_kind": kind, "group": args.group}
     report.update(verdict.report())

@@ -6,8 +6,11 @@ Covariance is linear in the Choi matrix, so violations are generic: a small
 number of seeded samples suffices, and the verdict is reproducible from the
 seed.  Samplers own their generator and are not meant to be shared across
 threads.  Conjugation by a diagonal group element only rephases each entry of
-the Choi, so the diagonal groups (du, do) are tested on its nonzero entries
-alone; the Haar groups conjugate the whole matrix.
+the Choi, so the diagonal groups (du, do) are tested on the entries the input
+already holds: the nonzero entries of a Choi matrix, or the table entries of
+a TableParams, whose Choi is never assembled.  All samples are drawn and
+rephased in batches.  The Haar groups conjugate the whole matrix, one sample
+at a time, and assemble the Choi of a TableParams.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .channels import (
     transpose_map,
 )
 from .linalg import DEFAULT_TOL, max_entangled_projector, swap_operator
+from .positions import TableParams, _entries, choi_from_tables
 from .superchannels import SuperChoi, super_choi
 
 DIAGONAL_KINDS = ("diagonal-unitary", "diagonal-orthogonal")
@@ -55,20 +59,26 @@ class GroupSampler:
         """Fresh sampler emitting the conjugates of this sampler's stream."""
         return GroupSampler(self.kind, self.d, self.seed, not self.conjugate)
 
-    def draw(self) -> np.ndarray:
+    def diagonals(self, n: int) -> np.ndarray:
+        """The diagonals of the next n elements of a diagonal group, as an
+        (n, d) array: the stream of n successive draw() calls."""
         if self.kind == "diagonal-unitary":
-            phases = self._rng.uniform(0.0, 2.0 * np.pi, self.d)
-            u = np.diag(np.exp(1j * phases))
+            u = np.exp(1j * self._rng.uniform(0.0, 2.0 * np.pi, (n, self.d)))
         elif self.kind == "diagonal-orthogonal":
-            signs = self._rng.integers(0, 2, self.d) * 2 - 1
-            u = np.diag(signs.astype(complex))
-        else:  # haar-unitary: QR of a complex Gaussian with phase-fixed diagonal
-            z = self._rng.normal(size=(self.d, self.d)) + 1j * self._rng.normal(
-                size=(self.d, self.d)
-            )
-            q, r = np.linalg.qr(z / np.sqrt(2.0))
-            phases = np.diagonal(r) / np.abs(np.diagonal(r))
-            u = q * phases
+            u = (self._rng.integers(0, 2, (n, self.d)) * 2 - 1).astype(complex)
+        else:
+            raise ValueError(f"{self.kind} elements are not diagonal")
+        return u.conj() if self.conjugate else u
+
+    def draw(self) -> np.ndarray:
+        if self.kind in DIAGONAL_KINDS:
+            return np.diag(self.diagonals(1)[0])
+        # haar-unitary: QR of a complex Gaussian with phase-fixed diagonal
+        z = self._rng.normal(size=(self.d, self.d)) + 1j * self._rng.normal(
+            size=(self.d, self.d)
+        )
+        q, r = np.linalg.qr(z / np.sqrt(2.0))
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
         return u.conj() if self.conjugate else u
 
 
@@ -94,34 +104,88 @@ class CovarianceVerdict:
         }
 
 
-def _sampled_check(mat, samplers, combine, n, tol) -> CovarianceVerdict:
-    """Worst deviation |W X W^dag - X| over n samples, W = combine(draws).
+# A chunk of samples is rephased at once while its temporaries hold no more
+# entries than the input, or than this floor for small inputs.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _row_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product of two stacks of vectors."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+
+
+def _diagonal_draws(samplers, n: int) -> list:
+    """Per sampler, the (n, d) diagonals it yields in n rounds of one draw
+    from each sampler in turn; a sampler passed twice alternates its stream."""
+    slots: dict[int, list[int]] = {}
+    for k, s in enumerate(samplers):
+        slots.setdefault(id(s), []).append(k)
+    out = [None] * len(samplers)
+    for ks in slots.values():
+        batch = samplers[ks[0]].diagonals(n * len(ks)).reshape(n, len(ks), -1)
+        for t, k in enumerate(ks):
+            out[k] = batch[:, t]
+    return out
+
+
+def _rephasing_deviations(w, x, rows, cols) -> np.ndarray:
+    """max |w_r x_rc conj(w_c) - x_rc| for each row w of the stack w, over
+    the entries x at (rows, cols), or over every entry of the matrix x when
+    rows is None."""
+    if rows is None:
+        t = w[:, :, None] * x
+        t *= w.conj()[:, None, :]
+    else:
+        t = w[:, rows] * x
+        t *= w[:, cols].conj()
+    t -= x
+    return np.abs(t).reshape(len(w), -1).max(axis=1, initial=0.0)
+
+
+def _sampled_check(x, samplers, combine, n, tol) -> CovarianceVerdict:
+    """Worst deviation |W X W^dag - X| over n samples, W = combine(kron,
+    draws), for X the Choi matrix x or the Choi of the TableParams x.
 
     Each sample draws one element from every sampler, in order.  When every
     sampler is diagonal, W is diagonal and conjugation only rephases each
-    entry, (W X W^dag)_rc = w_r x_rc conj(w_c): combine is applied to the
-    diagonals, the nonzero entries of X are gathered once, and a sample costs
-    O(nnz).  A zero entry cannot deviate, so skipping it is exact.  Any other
-    sampler makes W dense, and it is conjugated as a matrix.
+    entry, (W X W^dag)_rc = w_r x_rc conj(w_c).  All n diagonals are then
+    drawn at once, combined row-wise (combine with _row_kron), and applied in
+    chunks of samples to the entries x holds: its table entries, the nonzero
+    entries of a sparse Choi, or every entry of a dense one, which spares the
+    gathers.  A zero entry cannot deviate, so skipping it is exact, and the
+    products are those of one sample at a time, so the verdict is too.  Any
+    other sampler makes W dense, and it is conjugated as a matrix.
     """
     if n < 1:  # a verdict over no samples would pass vacuously
         raise ValueError(f"the number of samples must be positive, got {n}")
-    diagonal = all(s.kind in DIAGONAL_KINDS for s in samplers)
-    if diagonal:
-        rows, cols = np.nonzero(mat)
-        x = mat[rows, cols]
-    worst, worst_idx = 0.0, 0
-    for k in range(n):
-        draws = [s.draw() for s in samplers]
-        if diagonal:
-            w = combine(*(np.diagonal(u) for u in draws))
-            dev = float(np.abs(w[rows] * x * w[cols].conj() - x).max(initial=0.0))
-        else:
-            w = combine(*draws)
+    if not all(s.kind in DIAGONAL_KINDS for s in samplers):
+        mat = choi_from_tables(x) if isinstance(x, TableParams) else x
+        worst, worst_idx = 0.0, 0
+        for k in range(n):
+            w = combine(np.kron, *(s.draw() for s in samplers))
             dev = float(np.abs(w @ mat @ w.conj().T - mat).max())
-        if dev > worst:
-            worst, worst_idx = dev, k
-    return CovarianceVerdict(worst, worst_idx, n, tol)
+            if dev > worst:
+                worst, worst_idx = dev, k
+        return CovarianceVerdict(worst, worst_idx, n, tol)
+    size = x.size if isinstance(x, np.ndarray) else 0
+    if isinstance(x, TableParams):
+        rows, cols, x = _entries(x)
+    elif 2 * np.count_nonzero(x) < size:
+        rows, cols = np.nonzero(x)
+        x = x[rows, cols]
+    else:
+        rows = cols = None
+    # a sample's temporaries are about three arrays of x's size
+    chunk = max(1, max(size, x.size, _CHUNK_ENTRIES) // max(1, 3 * x.size))
+    draws = _diagonal_draws(samplers, n)
+    devs = np.concatenate([
+        _rephasing_deviations(combine(_row_kron, *(a[lo:lo + chunk] for a in draws)),
+                              x, rows, cols)
+        for lo in range(0, n, chunk)
+    ])
+    devs[np.isnan(devs)] = 0.0  # a NaN sample never beats a running maximum
+    k = int(devs.argmax())  # the first worst sample
+    return CovarianceVerdict(float(devs[k]), k, n, tol)
 
 
 def channel_covariance_check(
@@ -141,12 +205,12 @@ def channel_covariance_check(
     if u_sampler.d != ch.d_in or v_sampler.d != ch.d_out:
         raise ValueError("sampler dimensions do not match the channel")
     return _sampled_check(
-        ch.choi.mat, (u_sampler, v_sampler), lambda u, v: np.kron(u.conj(), v), n, tol
+        ch.choi.mat, (u_sampler, v_sampler), lambda kron, u, v: kron(u.conj(), v), n, tol
     )
 
 
 def superchannel_covariance_check(
-    s: SuperChoi,
+    s: SuperChoi | TableParams,
     samplers,
     n: int = 50,
     tol: float = DEFAULT_TOL,
@@ -154,18 +218,20 @@ def superchannel_covariance_check(
     """Test invariance of a superchannel Choi under the four-fold conjugation
     U (x) conj(V) (x) conj(U') (x) V' with (U, V, U', V') drawn per sample.
 
-    Diagonal groups rephase the Choi's nonzero entries, Haar groups conjugate
-    it densely (see _sampled_check).
+    s is a SuperChoi, or the tables of a superchannel (DU, sign-symmetric or
+    dephasing), whose Choi only the Haar groups assemble.  Diagonal groups
+    rephase the entries s holds, Haar groups conjugate the Choi densely (see
+    _sampled_check).
     """
-    u, v, up, vp = samplers
-    dims = (u.d, v.d, up.d, vp.d)
-    if dims != (s.dA0, s.dA1, s.dB0, s.dB1):
-        raise ValueError(f"sampler dims {dims} do not match {s.choi.dims}")
+    tables = isinstance(s, TableParams)
+    dims, got = (s.d,) * 4 if tables else s.choi.dims, tuple(u.d for u in samplers)
+    if got != dims:
+        raise ValueError(f"sampler dims {got} do not match {dims}")
 
-    def combine(u, v, up, vp):
-        return np.kron(np.kron(u, v.conj()), np.kron(up.conj(), vp))
+    def combine(kron, u, v, up, vp):
+        return kron(kron(u, v.conj()), kron(up.conj(), vp))
 
-    return _sampled_check(s.choi.mat, samplers, combine, n, tol)
+    return _sampled_check(s if tables else s.choi.mat, samplers, combine, n, tol)
 
 
 def covariance_sampler_tuple(group: str, d: int, seed: int = 0):

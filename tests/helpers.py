@@ -416,6 +416,25 @@ def dense_covariance_reference(mat: np.ndarray, samplers, n: int):
     return worst, worst_idx
 
 
+def rephasing_covariance_reference(mat: np.ndarray, samplers, n: int):
+    """dense_covariance_reference for diagonal samplers, with W X W^dag
+    formed entrywise from the diagonal w of W, as (w_r x_rc) conj(w_c), one
+    sample at a time.  A matrix product may round that triple product
+    differently (fused or reordered operations in the BLAS kernel), so only
+    products of +-1 are certain to agree with the dense reference bit for bit."""
+    worst, worst_idx = 0.0, 0
+    for k in range(n):
+        f = [np.diagonal(s.draw()) for s in samplers]
+        if len(f) == 2:
+            w = np.kron(f[0].conj(), f[1])
+        else:
+            w = np.kron(np.kron(f[0], f[1].conj()), np.kron(f[2].conj(), f[3]))
+        dev = float(np.abs(w[:, None] * mat * w.conj()[None, :] - mat).max())
+        if dev > worst:
+            worst, worst_idx = dev, k
+    return worst, worst_idx
+
+
 # ---------------------------------------------------------------------------
 # per-entry references for loops the library replaced with array operations
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from superchan.channels import (
     validate_channel,
     conjugate_covariant,
 )
-from superchan.linalg import is_psd, max_entangled_projector, swap_operator
+from superchan.linalg import DEFAULT_TOL, is_psd, max_entangled_projector, swap_operator
 from superchan.positions import off_pattern_weight, tables_from_choi
 
 from helpers import (
@@ -456,6 +456,50 @@ def test_closed_form_b_psd_uses_the_scale_of_the_choi():
                              (DOChannelParams(2, a, b, np.zeros((2, 2))), do_channel_validate)):
         assert validate_channel(do_channel(params)).is_cp
         assert validate(params).is_cp
+
+
+def test_closed_forms_judge_a_and_the_pair_condition_on_the_scale_of_the_choi():
+    # roundoff-sized violations on large tables: the Choi check accepts both
+    # and so do the closed forms, whose readouts stay unscaled
+    p = DUChannelParams(2, np.array([[1e4, -1e-9], [0.0, 1e4]]), np.zeros((2, 2)))
+    v = du_channel_validate(p)
+    assert validate_channel(du_channel(p)).is_cp
+    assert v.a_nonnegative and v.is_cp and v.min_a_entry == -1e-9
+    c = (100 + 1e-9) * (np.ones((2, 2)) - np.eye(2))
+    q = ConjDUChannelParams(2, 100.0 * np.ones((2, 2)), c)
+    v = conj_du_channel_validate(q)
+    assert validate_channel(conj_du_channel(q)).is_cp
+    assert v.pair_condition and v.is_cp and v.pair_violation > 1e-7
+    # a violation beyond tol * spectral radius still fails
+    p = DUChannelParams(2, np.array([[1e4, -1e-5], [0.0, 1e4]]), np.zeros((2, 2)))
+    assert not du_channel_validate(p).a_nonnegative
+    assert not validate_channel(du_channel(p)).is_cp
+    q = ConjDUChannelParams(2, 100.0 * np.ones((2, 2)), (100 + 1e-6) * (1 - np.eye(2)))
+    assert not conj_du_channel_validate(q).pair_condition
+    assert not validate_channel(conj_du_channel(q)).is_cp
+
+
+def test_closed_forms_agree_with_the_choi_check_at_the_boundary():
+    """Tables of scale 1..1e4 with one A entry or every C pair off by about
+    tol * scale, either way: the closed forms and validate_channel agree."""
+    r = np.random.default_rng(23)
+    for t in range(300):
+        d = int(r.integers(2, 5))
+        scale = 10 ** r.uniform(0, 4)
+        a = (0.5 + r.random((d, d))) * scale
+        if t % 2:
+            i, j = r.choice(d, 2, replace=False)
+            a[i, j] = -DEFAULT_TOL * scale * 10 ** r.uniform(-1, 1)
+        c = np.sqrt(np.clip(a * a.T, 0, None)) * np.exp(1j * r.uniform(0, 2 * np.pi, (d, d)))
+        c = np.triu(c, 1)
+        c = (c + c.conj().T) * (1 + DEFAULT_TOL * 10 ** r.uniform(-1, 1) * r.choice([-1, 1]))
+        zero = np.zeros((d, d))
+        params, build, validate = (
+            (DUChannelParams(d, a, zero), du_channel, du_channel_validate),
+            (ConjDUChannelParams(d, a, c), conj_du_channel, conj_du_channel_validate),
+            (DOChannelParams(d, a, zero, c), do_channel, do_channel_validate),
+        )[t % 3]
+        assert validate(params).is_cp == validate_channel(build(params)).is_cp
 
 
 @pytest.mark.parametrize("cls, build, names", CHANNEL_FAMILIES, ids=["duc", "cduc", "doc"])

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from superchan import cli, dephasing as dephasing_module, do as do_module, du as du_module
+from superchan import cli, covariance as covariance_module, dephasing as dephasing_module
+from superchan import do as do_module, du as du_module
 from superchan import jsonio, positions
 from superchan.channels import amplitude_damping, bit_flip, choi_channel
 from superchan.cli import default_du_params, main
@@ -21,6 +22,7 @@ from superchan.superchannels import identity_superchannel
 
 from helpers import (
     random_channel,
+    random_do_params,
     random_hermitian_du_params,
     random_realization,
     random_valid_du_params,
@@ -221,32 +223,60 @@ def test_apply_dimension_mismatch(paths, capsys):
         assert "do not match superchannel input pair (3, 3)" in out
 
 
-@pytest.mark.parametrize("d", [8, 12])
-def test_apply_on_tables_never_assembles_the_choi(paths, capsys, monkeypatch, d):
+def refuse_choi_builders(monkeypatch, command):
+    """Make every way to assemble a Choi from tables raise."""
     def refuse(*args, **kwargs):
-        raise AssertionError("apply assembled the Choi")
+        raise AssertionError(f"{command} assembled the Choi")
 
     for module, name in ((positions, "choi_from_tables"), (du_module, "choi_from_tables"),
                          (du_module, "build_choi"), (do_module, "do_build_choi"),
-                         (dephasing_module, "to_super_choi"), (cli, "build_choi")):
+                         (dephasing_module, "to_super_choi"),
+                         (covariance_module, "choi_from_tables")):
         monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(cli, "to_super_choi", refuse, raising=False)  # if the CLI holds it
+    for name in ("build_choi", "to_super_choi"):  # if the CLI holds them
+        monkeypatch.setattr(cli, name, refuse, raising=False)
+
+
+def identity_table_docs(d):
+    """The identity superchannel as four and nine tables and as the all-ones
+    multiplier, as (file name, JSON) pairs."""
+    unit = du_identity(d)
+    ones = DephasingSuperParams(d, np.ones((d * d, d * d)))
+    return (("du.json", jsonio.du_params_to_json(unit)),
+            ("do.json", jsonio.do_params_to_json(from_du_params(unit))),
+            ("dephasing.json", jsonio.dephasing_to_json(ones)))
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_apply_on_tables_never_assembles_the_choi(paths, capsys, monkeypatch, d):
+    refuse_choi_builders(monkeypatch, "apply")
     tmp, write = paths
     ch = random_channel(rng, d)
     chan = write("c.json", jsonio.channel_to_json(ch))
-    # the identity superchannel, as four and nine tables and as the all-ones
-    # multiplier, echoes the channel
-    unit = du_identity(d)
-    ones = DephasingSuperParams(d, np.ones((d * d, d * d)))
-    for name, doc in (("du.json", jsonio.du_params_to_json(unit)),
-                      ("do.json", jsonio.do_params_to_json(from_du_params(unit))),
-                      ("dephasing.json", jsonio.dephasing_to_json(ones))):
+    # the identity superchannel echoes the channel
+    for name, doc in identity_table_docs(d):
         out_path = tmp / "out.json"
         code, out = run_cli(capsys, "apply", write(name, doc), chan, "--out", str(out_path))
         assert code == 0
         assert report_value(out, "output_classical") == report_value(out, "input_classical")
         written = jsonio.channel_from_json(json.loads(out_path.read_text()))
         assert np.array_equal(written.choi.mat, ch.choi.mat)
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_covariance_on_tables_never_assembles_the_choi(paths, capsys, monkeypatch, d):
+    refuse_choi_builders(monkeypatch, "covariance")
+    tmp, write = paths
+    # the identity superchannel is covariant under both groups; generic
+    # sign-symmetric tables are under do only
+    docs = (*identity_table_docs(d), ("generic.json", jsonio.do_params_to_json(
+        random_do_params(rng, d))))
+    for name, doc in docs:
+        path = write(name, doc)
+        for group in ("du", "do"):
+            code, out = run_cli(capsys, "covariance", path, "--group", group, "--samples", "20")
+            assert code == (3 if (name, group) == ("generic.json", "du") else 0)
+            assert report_value(out, "samples") == "20"
 
 
 def test_apply_on_dephasing_is_the_schur_product(paths, capsys):

@@ -18,6 +18,7 @@ from superchan.channels import (
     unitary_covariant,
     validate_channel,
 )
+from superchan import covariance
 from superchan.covariance import (
     GroupSampler,
     UUFamilyParams,
@@ -31,6 +32,7 @@ from superchan.covariance import (
     uu_induced_map,
     uu_superchannel,
 )
+from superchan.dephasing import DephasingSuperParams
 from superchan.do import do_build_choi
 from superchan.du import build_choi
 from superchan.linalg import DEFAULT_TOL, is_psd
@@ -49,6 +51,7 @@ from helpers import (
     random_channel,
     random_do_params,
     random_hermitian_du_params,
+    rephasing_covariance_reference,
     unitary_conjugation,
 )
 
@@ -86,6 +89,23 @@ def test_diagonal_samplers_are_diagonal():
         assert np.abs(u - np.diag(np.diagonal(u))).max() == 0.0
     signs = GroupSampler("diagonal-orthogonal", 4, seed=1).draw()
     assert set(np.diagonal(signs).real).issubset({-1.0, 1.0})
+
+
+@pytest.mark.parametrize("kind", ["diagonal-unitary", "diagonal-orthogonal"])
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_diagonals_are_the_stream_of_successive_draws(kind, conjugate):
+    for d, n in ((1, 3), (3, 1), (4, 7)):
+        batched = GroupSampler(kind, d, 11, conjugate)
+        single = GroupSampler(kind, d, 11, conjugate)
+        rows = batched.diagonals(n)
+        assert rows.shape == (n, d)
+        assert np.array_equal(rows, [np.diagonal(single.draw()) for _ in range(n)])
+        assert np.array_equal(batched.draw(), single.draw())  # both streams moved on by n
+
+
+def test_haar_sampler_has_no_diagonals():
+    with pytest.raises(ValueError, match="not diagonal"):
+        GroupSampler("haar-unitary", 2, 0).diagonals(3)
 
 
 def test_channel_covariance_families():
@@ -353,3 +373,64 @@ def test_mixed_diagonal_and_haar_samplers_take_the_dense_route():
 
     v = channel_covariance_check(choi_channel(mat[:16, :16], 4, 4), *pair(), n=6)
     assert (v.max_deviation, v.worst_sample) == dense_covariance_reference(mat[:16, :16], pair(), 6)
+
+
+@pytest.mark.parametrize("group", ["du", "do"])
+@pytest.mark.parametrize("channel", [True, False])
+@pytest.mark.parametrize("kind", ["covariant", "generic", "planted", "zeros40", "zeros70"])
+@pytest.mark.parametrize("floor", [True, False])
+def test_batched_route_is_bit_identical_to_per_sample_conjugation(
+    monkeypatch, group, channel, kind, floor
+):
+    """n runs from one sample to several chunks.  With the chunk floor a
+    generic d=3 superchannel Choi takes three samples per chunk; without it
+    the chunks of every input shrink to a few samples, so most n split them
+    unevenly.  Zeroing 40 % of the entries mostly keeps the dense route,
+    zeroing 70 % takes the gathers."""
+    if not floor:
+        monkeypatch.setattr(covariance, "_CHUNK_ENTRIES", 0)
+    r = np.random.default_rng(5)
+    for d in (2, 3):
+        mat = _covariant_choi(r, group, d, channel).copy()
+        if kind != "covariant":
+            mat = _complex(r, mat.shape) if kind != "planted" else mat
+        if kind == "planted":
+            zeros = np.argwhere(mat == 0)
+            mat[tuple(zeros[r.integers(len(zeros))])] = DEFAULT_TOL * np.exp(1j * r.uniform(0, 6))
+        elif kind.startswith("zeros"):
+            mat[r.random(mat.shape) < int(kind[5:]) / 100] = 0.0
+        for n in (1, 2, 5, 8, 31):
+            seed = 100 + n
+            v = _check(mat, group, d, seed, channel, n)
+            got = (v.max_deviation, v.worst_sample)
+            assert got == rephasing_covariance_reference(mat, _samplers(group, d, seed, channel), n)
+            if group == "do":  # products of +-1 are exact, so the matrix product agrees too
+                assert got == dense_covariance_reference(mat, _samplers(group, d, seed, channel), n)
+
+
+def test_a_sampler_passed_twice_alternates_its_stream():
+    mat = _complex(rng, (9, 9))
+    s, t = (GroupSampler("diagonal-unitary", 3, 4) for _ in range(2))
+    v = channel_covariance_check(choi_channel(mat, 3, 3), s, s, n=6)
+    assert (v.max_deviation, v.worst_sample) == rephasing_covariance_reference(mat, (t, t), 6)
+    assert np.array_equal(s.draw(), t.draw())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_table_route_is_bit_identical_to_the_choi_route(d):
+    r = np.random.default_rng(d)
+    m = _complex(r, (d * d, d * d))
+    tables = (random_hermitian_du_params(r, d), random_do_params(r, d),
+              DephasingSuperParams(d, np.where(r.random(m.shape) < 0.3, -0.0, m)))
+    for p in tables:
+        for group in ("du", "do") + (("haar", "mixed") if d == 2 else ()):
+            on_tables, on_choi = (
+                superchannel_covariance_check(x, covariance_sampler_tuple(group, d, 7), 9)
+                for x in (p, build_choi(p))
+            )
+            assert on_tables == on_choi
+
+
+def test_table_route_checks_the_sampler_dims():
+    with pytest.raises(ValueError, match="do not match"):
+        superchannel_covariance_check(random_do_params(rng, 2), covariance_sampler_tuple("du", 3))

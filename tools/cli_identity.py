@@ -1,7 +1,8 @@
 """Print what every CLI op of a benchmark plan outputs, one JSON line per op.
 
     python3 tools/cli_identity.py
-        --workload {tables,dense,qubit,du-corpus,do-corpus,examples,dephasing}
+        --workload {tables,dense,qubit,du-corpus,do-corpus,examples,dephasing,
+                    covariance}
         --seed N [--src DIR]
 
 The tables, dense and qubit plans are the benchmark's own
@@ -19,7 +20,11 @@ tables at d = 2, 3 under all five groups.  dephasing is, at d = 2..5,
 (perfbench/inputs.random_dephasing), a not-CP and a not-TP one and one of
 the wrong side, `compose dephasing` of the two valid ones (and one pair of
 mismatched dimensions), `apply` of a valid table and of one with -0.0
-planted, and `covariance` of both under all five groups.  Each op runs in
+planted, and `covariance` of both under all five groups.  covariance is
+`covariance` under all five groups, at d = 2..5, on seeded DU,
+sign-symmetric and dephasing tables and on three Choi files: DU-covariant
+(a twirled random superchannel), generic, and covariant with one entry of
+size 1e-10 planted off the pattern.  Each op runs in
 process through ``superchan.cli.main`` from ``--src`` (default: this
 checkout's src), on one BLAS thread, and prints
 {"kind", "argv", "status", "stdout", "artifact_sha256"}.  Inputs are
@@ -182,8 +187,39 @@ def build_dephasing(b: inputs.InputSet) -> list:
             inputs._kind("covariance", "op4", 1, covariance)]
 
 
+def build_covariance(b: inputs.InputSet) -> list:
+    """covariance under all five groups on tables and Chois at d = 2..5."""
+    ops = []
+    for d in range(2, 6):
+        tables = {kind: inputs.tables_from_choi(inputs.random_superchannel(b.rng, d), d, names)
+                  for kind, names in (("du", inputs.DU_TABLES), ("do", inputs.DO_TABLES))}
+        generic = inputs.random_superchannel(b.rng, d)
+        covariant = inputs.twirl(inputs.random_superchannel(b.rng, d), d, inputs.DU_TABLES)
+        planted = covariant.copy()
+        zeros = np.argwhere(planted == 0)
+        planted[tuple(zeros[b.rng.integers(len(zeros))])] = 1e-10 * np.exp(
+            2j * np.pi * b.rng.random())
+        docs = {
+            "du": inputs.tables_doc(d, tables["du"]),
+            "do": inputs.tables_doc(d, tables["do"]),
+            "dephasing": {"d": d, "M_big": inputs.matrix_json(
+                (d, d), inputs.random_dephasing(b.rng, d))},
+            "covariant": inputs._super_doc(d, covariant),
+            "generic": inputs._super_doc(d, generic),
+            "planted": inputs._super_doc(d, planted),
+        }
+        ops += [
+            inputs._entry(["covariance", b.input(f"cov{d}_{label}.json", doc), "--group", group,
+                           "--samples", "10", "--seed", str(d)], label=label)
+            for label, doc in docs.items()
+            for group in ("du", "do", "haar", "conj-haar", "mixed")
+        ]
+    return [inputs._kind("covariance", "op1", 1, ops)]
+
+
 CORPORA = {"du-corpus": build_du_corpus, "do-corpus": build_do_corpus,
-           "examples": build_examples, "dephasing": build_dephasing}
+           "examples": build_examples, "dephasing": build_dephasing,
+           "covariance": build_covariance}
 
 
 def plan(workload: str, seed: int, work: Path) -> list:
