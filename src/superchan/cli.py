@@ -18,7 +18,6 @@ import numpy as np
 
 from . import jsonio
 from .channels import (
-    ChoiChannel,
     amplitude_damping,
     bit_flip,
     choi_channel,
@@ -29,18 +28,12 @@ from .channels import (
     validate_channel,
 )
 from .covariance import covariance_sampler_tuple, superchannel_covariance_check
-from .dephasing import dephasing_compose, dephasing_validate
+from .dephasing import dephasing_validate
 from .do import do_validate
-from .du import (
-    du_block_action,
-    du_cp_check,
-    du_compose,
-    du_tp_check,
-    hermiticity_violation,
-)
+from .du import du_block_action, du_cp_check, du_tp_check, hermiticity_violation
 from .jsonio import SchemaError
 from .linalg import DEFAULT_TOL
-from .positions import TableParams, apply_tables
+from .positions import TableParams, apply_tables, compose_tables
 from .pauli import pauli_du_check, pauli_induced_bistochastic, pauli_super_choi
 from .superchannels import (
     SuperChoi,
@@ -221,9 +214,6 @@ def cmd_apply(args) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
-_TABLE_COMPOSE = {"du": du_compose, "dephasing": dephasing_compose}
-
-
 def cmd_compose(args) -> CommandResult:
     obj1, obj2 = _load(args.path1), _load(args.path2)
     kind1, kind2 = jsonio.detect_kind(obj1), jsonio.detect_kind(obj2)
@@ -232,19 +222,17 @@ def cmd_compose(args) -> CommandResult:
             f"compose {args.kind}: inputs are {kind1} and {kind2}"
         )
     report = {"kind": args.kind}
-    if args.kind in _TABLE_COMPOSE:
+    if args.kind in jsonio.TABLE_KINDS:
         p1, p2 = (_SUPER_PARSERS[args.kind](obj) for obj in (obj1, obj2))
-        doc = jsonio.params_to_json(_TABLE_COMPOSE[args.kind](p1, p2))
+        doc = jsonio.params_to_json(compose_tables(p1, p2))
     elif args.kind == "superchannel":
         s1 = jsonio.superchannel_from_json(obj1)
         s2 = jsonio.superchannel_from_json(obj2)
         doc = jsonio.superchannel_to_json(compose_superchannels(s1, s2))
-    elif args.kind == "channel":
+    else:  # channel
         c1 = jsonio.channel_from_json(obj1)
         c2 = jsonio.channel_from_json(obj2)
         doc = jsonio.channel_to_json(compose_channels(c1, c2))
-    else:
-        raise SchemaError(f"compose does not support kind {args.kind!r}")
     artifacts = [(args.out, doc)] if args.out else []
     if not artifacts:
         report["result"] = json.dumps(doc)
@@ -276,18 +264,6 @@ def cmd_covariance(args) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
-def _example_superparams(args):
-    if args.superchannel:
-        return jsonio.du_params_from_json(_load_kind(args.superchannel, "du"))
-    return default_du_params()
-
-
-def _report_output_channel(report: dict, out: ChoiChannel, tol: float) -> bool:
-    verdict = validate_channel(out, tol)
-    report["output_is_channel"] = verdict.ok
-    return verdict.ok
-
-
 def cmd_example(args) -> CommandResult:
     tol = args.tol
     report: dict = {"example": args.name}
@@ -307,7 +283,8 @@ def cmd_example(args) -> CommandResult:
             artifacts.append((args.out, jsonio.channel_to_json(ch)))
         return CommandResult(OK if ok else CHECK_FAILED, report, artifacts)
 
-    params = _example_superparams(args)
+    params = (jsonio.du_params_from_json(_load_kind(args.superchannel, "du"))
+              if args.superchannel else default_du_params())
     if params.d != 2:
         raise SchemaError("qubit examples need a d=2 parameter set")
     a4 = params.t4("A")
@@ -331,7 +308,7 @@ def cmd_example(args) -> CommandResult:
             and abs(report["a3_plus_a4"] - 1) <= tol
             and abs(report["corner"] - report["corner_expected"]) <= tol
         )
-    elif args.name in ("bit-flip", "pauli"):
+    else:  # bit-flip or pauli
         # Both inputs are Pauli channels; w_id and w_x weigh the identity and
         # flip parts of the classical output, w_corner and w_center scale D.
         if args.name == "bit-flip":
@@ -363,11 +340,10 @@ def cmd_example(args) -> CommandResult:
             and abs(report["corner"] - report["corner_expected"]) <= tol
             and abs(report["center"] - report["center_expected"]) <= tol
         )
-    else:
-        raise SchemaError(f"unknown example {args.name!r}")
 
     out = choi_channel(out4.reshape(4, 4), 2, 2)
-    ok = _report_output_channel(report, out, tol) and ok
+    report["output_is_channel"] = validate_channel(out, tol).ok
+    ok = report["output_is_channel"] and ok
     if args.out:
         artifacts.append((args.out, jsonio.channel_to_json(out)))
     return CommandResult(OK if ok else CHECK_FAILED, report, artifacts)
@@ -403,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("compose", help="compose two objects of the same kind")
-    p.add_argument("kind", choices=("du", "dephasing", "superchannel", "channel"))
+    p.add_argument("kind", choices=("du", "do", "dephasing", "superchannel", "channel"))
     p.add_argument("path1")
     p.add_argument("path2")
     p.add_argument("--out", help="write the composed JSON here")

@@ -8,8 +8,9 @@ diagonal of the resulting d x d covariance matrix.
 
 M_big is one more table of the position map: M_big[K, L] sits at Choi row
 e_K (x) e_K and column e_L (x) e_L (positions.POSITIONS["M_big"]), so the
-Choi, the table checks, the JSON codec and the fast action are the shared
-ones.
+Choi, the table checks, the JSON codec, the fast action and composition
+(positions.compose_tables: the Schur product of the multipliers) are the
+shared ones.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChoiChannel, check_covariance_matrix, choi_channel
-from .du import DUSuperParams, build_choi, mask_tables
+from .du import DUSuperParams, build_choi
 from .linalg import DEFAULT_TOL, psd_report
 from .positions import TableParams
 
@@ -39,13 +40,6 @@ def dephasing_super_apply(p: DephasingSuperParams, c: ChoiChannel) -> ChoiChanne
     if (c.d_in, c.d_out) != (p.d, p.d):
         raise ValueError(f"channel dims ({c.d_in}, {c.d_out}) do not match d={p.d}")
     return choi_channel(p.M_big * c.choi.mat, p.d, p.d)
-
-
-def dephasing_compose(p: DephasingSuperParams, q: DephasingSuperParams) -> DephasingSuperParams:
-    """Table of the composition (p after q): the Schur product of the multipliers."""
-    if p.d != q.d:
-        raise ValueError(f"dimension mismatch: {p.d} vs {q.d}")
-    return DephasingSuperParams(p.d, p.M_big * q.M_big)
 
 
 to_super_choi = build_choi  # the Choi of the Schur multiplier
@@ -171,11 +165,11 @@ def dephasing_embed_du(p: DephasingSuperParams) -> DUSuperParams:
     d = p.d
     m4 = p.t4("M_big")
     i, a, j, b = np.ogrid[:d, :d, :d, :d]
-    # mask_tables cuts B, C and D down to their supports
+    # masked cuts B, C and D down to their supports
     tables = (
         np.where((i == j) & (a == b), m4.real, 0.0),
         np.where(i == j, m4, 0.0),
         np.where(a == b, m4, 0.0),
         m4,
     )
-    return mask_tables(d, *(t.reshape(d * d, d * d) for t in tables))
+    return DUSuperParams.masked(d, *(t.reshape(d * d, d * d) for t in tables))

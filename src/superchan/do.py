@@ -11,12 +11,11 @@ the tables sector by sector, and every marginal is one partial trace over B1.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .du import DUSuperParams, NotDUCovariantError, build_choi, from_choi
+from .du import DUSuperParams, NotDUCovariantError, build_choi
 from .linalg import DEFAULT_TOL, charge_sectors
 from .positions import TableParams, b1_partial_trace, sector_spectrum
 from .superchannels import (
@@ -57,15 +56,12 @@ class DOSuperParams(TableParams):
     S: np.ndarray
 
 
-TABLE_NAMES = DOSuperParams.NAMES
 do_build_choi = build_choi
-do_from_choi = functools.partial(from_choi, cls=DOSuperParams)
-do_mask_tables = DOSuperParams.masked  # (d, **tables), missing tables zero
 
 
 def from_du_params(p: DUSuperParams) -> DOSuperParams:
     """Embed a diagonal-unitary covariant parameter set (extra tables zero)."""
-    return do_mask_tables(p.d, A=p.A, B=p.B, C=p.C, D=p.D)
+    return DOSuperParams.masked(p.d, A=p.A, B=p.B, C=p.C, D=p.D)
 
 
 @dataclass(frozen=True)

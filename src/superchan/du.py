@@ -11,6 +11,9 @@ with i the A0/B0 label and a the A1/B1 label:
 
 Out-of-support entries are stored as exact zeros and rejected on ingest.
 Everything here is for square superchannels (dA0 = dA1 = dB0 = dB1 = d).
+Composition is positions.compose_tables, whose plan derives the paper's rule
+from the positions: A multiplies as a matrix over the pair index, B and C
+contract over one label each, and D multiplies entrywise.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChoiChannel, DOChannelParams, choi_channel, do_channel, identity_channel
+from .channels import ChoiChannel, DOChannelParams, choi_channel, identity_channel, table_channel
 from .linalg import DEFAULT_TOL, MultipartiteOperator, charge_sectors
 from .positions import (
     TableParams,
@@ -63,9 +66,6 @@ class DUSuperParams(TableParams):
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-
-
-mask_tables = DUSuperParams.masked  # (d, A, B, C, D) with out-of-support entries zeroed
 
 
 def du_identity(d: int) -> DUSuperParams:
@@ -235,23 +235,6 @@ def du_cp_check(p: DUSuperParams, tol: float = DEFAULT_TOL) -> DUCPVerdict:
     )
 
 
-def du_compose(p: DUSuperParams, q: DUSuperParams) -> DUSuperParams:
-    """Tables of the composition (p after q).
-
-    A multiplies as a matrix over the pair index, D multiplies entrywise, and
-    B and C contract over one label each.  The Choi-level composition is the
-    independent oracle for these formulas and is never bypassed in the tests.
-    """
-    if p.d != q.d:
-        raise ValueError(f"dimension mismatch: {p.d} vs {q.d}")
-    d = p.d
-    a = p.A @ q.A
-    dd = p.D * q.D
-    b = np.einsum("iakb,kajb->iajb", p.t4("B"), q.t4("B")).reshape(d * d, d * d)
-    c = np.einsum("iajb,ibjc->iajc", p.t4("C"), q.t4("C")).reshape(d * d, d * d)
-    return mask_tables(d, a, b, c, dd)
-
-
 def du_block_action(p: DUSuperParams, x) -> MultipartiteOperator:
     """The representing map of build_choi(p) applied to X = sum e_ij (x) X_ij,
     read straight off the tables (positions.apply_tables).
@@ -306,7 +289,7 @@ def random_do_invariant(d: int, rng: np.random.Generator) -> MultipartiteOperato
     qt = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rt = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     off = table_positions(d, "B", "channel").mask
-    ch = do_channel(DOChannelParams(d, pt.T, np.where(off, qt, 0.0), np.where(off, rt.T, 0.0)))
+    ch = table_channel(DOChannelParams(d, pt.T, np.where(off, qt, 0.0), np.where(off, rt.T, 0.0)))
     mat = ch.choi.mat
     return MultipartiteOperator((d, d), (mat + mat.conj().T) / 2)
 

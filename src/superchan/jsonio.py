@@ -94,10 +94,6 @@ def superchannel_from_json(obj: dict) -> SuperChoi:
     return super_choi(choi.mat, dims)
 
 
-def _pair_table_json(d: int, table: np.ndarray) -> dict:
-    return matrix_to_json(MultipartiteOperator((d, d), table))
-
-
 # the superchannel table kinds and the parameter class each one holds
 TABLE_KINDS = {"du": DUSuperParams, "do": DOSuperParams, "dephasing": DephasingSuperParams}
 
@@ -106,7 +102,7 @@ def params_to_json(p: TableParams) -> dict:
     """du, do or dephasing parameters: d, then each table as a matrix on dims (d, d)."""
     out = {"d": p.d}
     for name in p.NAMES:
-        out[name] = _pair_table_json(p.d, getattr(p, name).astype(complex))
+        out[name] = matrix_to_json(MultipartiteOperator((p.d, p.d), getattr(p, name)))
     return out
 
 

@@ -22,13 +22,15 @@ NAMES) are pairwise disjoint; tables of different classes may share
 positions.  The nine superchannel tables, like the three channel tables,
 fill exactly the charge sectors of their group (block structure as in Singh
 & Nechita, arXiv:2010.07898), so assembling a Choi is one scatter per table,
-reading the tables off it one gather, and the action of the assembled map
-one gather-multiply-add per table.
+reading the tables off it one gather, the action of the assembled map one
+gather-multiply-add per table, and composing two sets of tables one product
+(matrix, entrywise or einsum) per table triple of composition_plan.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import product
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -72,10 +74,8 @@ def table_positions(d: int, name: str, family: str = "super") -> TablePositions:
     row_digits, col_digits, support = positions[name]
     label = dict(zip(labels, np.indices((d,) * len(labels)).reshape(len(labels), -1)))
     mask = np.ones(d ** len(labels), dtype=bool)
-    if "i" in support:
-        mask &= label["i"] != label["j"]
-    if "a" in support:
-        mask &= label["a"] != label["b"]
+    for s, t in zip(support[::2], support[1::2]):  # "ijab": i != j and a != b
+        mask &= label[s] != label[t]
 
     def choi_index(digits):
         idx = 0
@@ -122,9 +122,8 @@ class TableParams:
         return cls(d, **out)
 
     def t4(self, name: str) -> np.ndarray:
-        """A superchannel table as a 4-tensor [i, a, j, b]."""
-        d = self.d
-        return getattr(self, name).reshape(d, d, d, d)
+        """A table with one axis per label: [i, a, j, b], or [i, j] for a channel."""
+        return getattr(self, name).reshape((self.d,) * len(FAMILIES[self.FAMILY][0]))
 
 
 def init_tables(p: TableParams) -> None:
@@ -294,3 +293,75 @@ def b1_partial_trace(p: TableParams) -> tuple[float, np.ndarray]:
     k, v = key[~on], vals[~on]
     leak = np.abs(np.add.reduceat(v, np.flatnonzero(np.diff(k, prepend=-1)))).max(initial=0.0)
     return float(leak), diag.reshape((d,) * 5)
+
+
+
+
+@functools.lru_cache(maxsize=None)
+def composition_plan(cls: type[TableParams]) -> tuple:
+    """(R, P, Q, einsum labels of P, Q and R) for each table triple through
+    which compose_tables feeds table R of cls from P of p and Q of q.
+
+    p after q is the link product of the Chois (Chiribella, D'Ariano &
+    Perinotti, arXiv:0804.0180): q's out-digits meet p's in-digits, and the
+    result sits on q's in-digits and p's out-digits, rows and columns alike.
+    The labels ("Pi" is label i of P) are unified under those equalities; a
+    triple that forces a support pair equal adds nothing.  Raises ValueError
+    if the terms of a (P, Q) pair feed no table: cls is not closed.
+    """
+    labels, pos = FAMILIES[cls.FAMILY]
+    half = len(labels) // 2  # digits per side: A0 A1 | B0 B1, or in | out
+
+    def join(**roles):  # find() of the label classes, None if a support pair is forced equal
+        parent = {}
+
+        def find(k):
+            return find(parent[k]) if k in parent else k
+
+        for side in (0, 1):
+            p, q, r = ([x + c for c in pos[roles[x]][side]] if x in roles else [] for x in "PQR")
+            for a, b in [*zip(q[half:], p[:half]), *zip(r, q[:half] + p[half:])]:
+                if find(a) != find(b):
+                    parent[find(a)] = find(b)
+        support = [(x + s, x + t) for x, n in roles.items()
+                   for s, t in zip(pos[n][2][::2], pos[n][2][1::2])]
+        return None if any(find(s) == find(t) for s, t in support) else find
+
+    plan = []
+    for pn, qn in product(cls.NAMES, repeat=2):
+        if not join(P=pn, Q=qn):
+            continue  # no entry of p's table meets one of q's
+        fed = [(rn, find) for rn in cls.NAMES if (find := join(P=pn, Q=qn, R=rn))]
+        if not fed:
+            raise ValueError(f"{cls.__name__} is not closed under composition: "
+                             f"{pn} after {qn} lands on none of its tables")
+        for rn, find in fed:
+            letter = {}  # label class -> einsum letter
+            subs = ("".join(letter.setdefault(find(x + c), "klmnopqrstuv"[len(letter)])
+                            for c in labels) for x in "PQR")
+            plan.append((rn, pn, qn, *subs))
+    return tuple(plan)
+
+
+def compose_tables(p: TableParams, q: TableParams) -> TableParams:
+    """The tables of p after q, one product per triple of composition_plan
+    (O(d^6) time, O(d^4) memory), each table started from its first term.
+    A matrix product over the pair index is x @ y; a term with no summed
+    label is the product of transposed views, so an entrywise rule (D,
+    M_big, channel B) keeps its bits and a -0.0 stays -0.0, as in apply_tables.
+    """
+    if type(p) is not type(q):
+        raise ValueError(f"cannot compose {type(p).__name__} with {type(q).__name__}")
+    if p.d != q.d:
+        raise ValueError(f"dimension mismatch: {p.d} vs {q.d}")
+    out = {}
+    for rn, pn, qn, sp, sq, sr in composition_plan(type(p)):
+        h = len(sr) // 2
+        if sp[:h] + sq[h:] == sr and sp[h:] == sq[:h]:
+            term = getattr(p, pn) @ getattr(q, qn)
+        elif set(sp + sq) == set(sr):
+            term = np.einsum(f"{sp}->{sr}", p.t4(pn)) * np.einsum(f"{sq}->{sr}", q.t4(qn))
+        else:
+            term = np.einsum(f"{sp},{sq}->{sr}", p.t4(pn), q.t4(qn))
+        out[rn] = out[rn] + term if rn in out else term
+    return type(p).masked(p.d, **{n: t.reshape(getattr(p, n).shape) for n, t in out.items()})

@@ -11,15 +11,15 @@ from superchan.channels import (
     ChoiChannel,
     DUChannelParams,
     choi_from_kraus,
-    du_channel,
+    table_channel,
 )
 from superchan.dephasing import (
     DephasingSuperParams,
     dephasing_embed_du,
     dephasing_from_realization,
 )
-from superchan.do import TABLE_NAMES, DOSuperParams, do_mask_tables
-from superchan.du import DUSuperParams, from_choi, mask_tables
+from superchan.do import DOSuperParams
+from superchan.du import DUSuperParams, from_choi
 from superchan.linalg import (
     ChargeSectors,
     MultipartiteOperator,
@@ -155,15 +155,16 @@ def random_hermitian_du_params(rng: np.random.Generator, d: int) -> DUSuperParam
         t = rng.normal(size=(d, d, d, d)) + 1j * rng.normal(size=(d, d, d, d))
         return ((t + t.transpose(axes).conj()) / 2).reshape(n, n)
 
-    return mask_tables(d, a, sym((0, 3, 2, 1)), sym((2, 1, 0, 3)), sym((2, 3, 0, 1)))
+    return DUSuperParams.masked(d, a, sym((0, 3, 2, 1)), sym((2, 1, 0, 3)), sym((2, 3, 0, 1)))
 
 
 def random_do_params(rng: np.random.Generator, d: int) -> DOSuperParams:
     """Random nine tables on their supports (A real, the rest complex)."""
     n = d * d
-    t = {name: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for name in TABLE_NAMES}
+    t = {name: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+         for name in DOSuperParams.NAMES}
     t["A"] = t["A"].real
-    return do_mask_tables(d, **t)
+    return DOSuperParams.masked(d, **t)
 
 
 def classical_du_params(rng: np.random.Generator, d: int) -> DUSuperParams:
@@ -173,7 +174,7 @@ def classical_du_params(rng: np.random.Generator, d: int) -> DUSuperParams:
     w = rng.dirichlet(np.ones(d), size=d).T            # columns sum to 1
     a = np.einsum("ij,ab->iajb", alpha, w).reshape(d * d, d * d)
     z = np.zeros((d * d, d * d))
-    return mask_tables(d, a, z, z, z)
+    return DUSuperParams.masked(d, a, z, z, z)
 
 
 def du_sandwich_params(rng: np.random.Generator, d: int) -> DUSuperParams:
@@ -201,7 +202,7 @@ def random_valid_du_params(rng: np.random.Generator, d: int) -> DUSuperParams:
     tables = {}
     for name in "ABCD":
         tables[name] = sum(w * getattr(p, name) for w, p in zip(weights, parts))
-    return mask_tables(d, tables["A"], tables["B"], tables["C"], tables["D"])
+    return DUSuperParams.masked(d, tables["A"], tables["B"], tables["C"], tables["D"])
 
 
 def random_valid_superchoi(rng: np.random.Generator, d0: int, d1: int,
@@ -224,6 +225,16 @@ def random_valid_do_params(rng: np.random.Generator, d: int) -> DOSuperParams:
     tables read off the Choi of random_valid_superchoi (A taken real)."""
     t = tables_from_choi(random_valid_superchoi(rng, d, d).choi.mat, d, DOSuperParams)
     return DOSuperParams(d, **{**t, "A": t["A"].real})
+
+
+def du_compose_reference(p: DUSuperParams, q: DUSuperParams) -> DUSuperParams:
+    """The paper's parameter-level rule for the tables of p after q: A
+    multiplies as a matrix over the pair index, D entrywise, and B and C
+    contract over one label each."""
+    d = p.d
+    b = np.einsum("iakb,kajb->iajb", p.t4("B"), q.t4("B")).reshape(d * d, d * d)
+    c = np.einsum("iajb,ibjc->iajc", p.t4("C"), q.t4("C")).reshape(d * d, d * d)
+    return DUSuperParams.masked(d, p.A @ q.A, b, c, p.D * q.D)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +262,7 @@ def loop_build_choi(p: DUSuperParams) -> np.ndarray:
 def loop_do_build_choi(p: DOSuperParams) -> np.ndarray:
     """Reference nine-table Choi assembly, one table entry at a time."""
     d = p.d
-    a4, b4, c4, d4, e4, p4, q4, r4, s4 = (p.t4(n) for n in TABLE_NAMES)
+    a4, b4, c4, d4, e4, p4, q4, r4, s4 = (p.t4(n) for n in DOSuperParams.NAMES)
     c = np.zeros((d**4, d**4), dtype=complex)
     c8 = c.reshape((d,) * 8)
     for i, a, j, b in product(range(d), repeat=4):
@@ -283,7 +294,7 @@ def loop_do_tables(mat: np.ndarray, d: int) -> dict:
     """Reference extraction of the nine tables (complex, d^2 x d^2); the
     first four are the DU tables."""
     c8 = mat.reshape((d,) * 8)
-    t = {name: np.zeros((d, d, d, d), dtype=complex) for name in TABLE_NAMES}
+    t = {name: np.zeros((d, d, d, d), dtype=complex) for name in DOSuperParams.NAMES}
     for i, a, j, b in product(range(d), repeat=4):
         t["A"][i, a, j, b] = c8[j, b, i, a, j, b, i, a]
         if a != b:
@@ -362,7 +373,7 @@ def cp_block_matrix(p: DUSuperParams) -> np.ndarray:
 
 def rebuild_residual(mat: np.ndarray, d: int, names) -> float:
     """Reference extraction residual: read the tables ``names`` ("ABCD" or
-    TABLE_NAMES) off mat with A taken real, rebuild the Choi entry by entry
+    DOSuperParams.NAMES) off mat with A taken real, rebuild the Choi entry by entry
     and take the largest modulus of the difference."""
     t = loop_do_tables(mat, d)
     t["A"] = t["A"].real
@@ -486,7 +497,7 @@ def loop_du_action_on_identity(p: DUSuperParams) -> ChoiChannel:
         for j in range(d):
             if i != j:
                 b[i, j] = d4[i, i, j, j]
-    return du_channel(DUChannelParams(d, s, b))
+    return table_channel(DUChannelParams(d, s, b))
 
 
 def loop_du_preserves_do(p: DUSuperParams, n: int = 20, seed: int = 0):

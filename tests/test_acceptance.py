@@ -31,18 +31,18 @@ from superchan.dephasing import (
     dephasing_validate,
     to_super_choi,
 )
-from superchan.do import TABLE_NAMES as DO_TABLE_NAMES, do_mask_tables, do_build_choi
+from superchan.do import DOSuperParams, do_build_choi
 from superchan.du import (
+    DUSuperParams,
     build_choi,
     du_block_action,
-    du_compose,
     du_cp_check,
     du_preserves_do_check,
     du_tp_check,
     from_choi,
-    mask_tables,
 )
 from superchan.linalg import is_psd
+from superchan.positions import compose_tables
 from superchan.pauli import (
     PauliSuperParams,
     bell_weights,
@@ -111,7 +111,7 @@ def mixed_tp_corpus(rng, d, count):
             v = rng.dirichlet(np.ones(d), size=d).T
             c = np.einsum("ij,ab->iajb", gamma, v).reshape(d * d, d * d)
             base = random_hermitian_du_params(rng, d)
-            out.append(mask_tables(d, a, base.B, c, base.D))
+            out.append(DUSuperParams.masked(d, a, base.B, c, base.D))
     return out
 
 
@@ -222,7 +222,7 @@ def test_criterion_05_composition_rule():
         for _ in range(50):
             p = random_hermitian_du_params(rng, d)
             q = random_hermitian_du_params(rng, d)
-            lhs = build_choi(du_compose(p, q)).choi.mat
+            lhs = build_choi(compose_tables(p, q)).choi.mat
             rhs = compose_superchannels(build_choi(p), build_choi(q)).choi.mat
             dev = float(np.abs(lhs - rhs).max())
             if dev > worst:
@@ -295,11 +295,11 @@ def test_criterion_07_covariance_suites():
         )
         devs[f"du-d{d}"] = v.max_deviation
 
-    do_params = do_mask_tables(
+    do_params = DOSuperParams.masked(
         2,
         **{
             n: rng.normal(size=(4, 4)) + (0 if n == "A" else 1j) * rng.normal(size=(4, 4))
-            for n in DO_TABLE_NAMES
+            for n in DOSuperParams.NAMES
         },
     )
     v = superchannel_covariance_check(
@@ -396,7 +396,7 @@ def test_criterion_09_dephasing_pipeline():
     for d in (2, 3):
         p1 = dephasing_from_realization(*random_realization(rng, d, 3))
         p2 = dephasing_from_realization(*random_realization(rng, d, 2))
-        composed = du_compose(dephasing_embed_du(p1), dephasing_embed_du(p2))
+        composed = compose_tables(dephasing_embed_du(p1), dephasing_embed_du(p2))
         product = dephasing_embed_du(DephasingSuperParams(d, p1.M_big * p2.M_big))
         for name in "ABCD":
             closure_ok &= (
@@ -426,7 +426,7 @@ def test_criterion_10_sign_symmetric_preservation():
 
 
 def test_criterion_11_structural_goldens():
-    du_filled = mask_tables(2, *(np.full((4, 4), DU_SENTINELS[n]) for n in "ABCD"))
+    du_filled = DUSuperParams.masked(2, *(np.full((4, 4), DU_SENTINELS[n]) for n in "ABCD"))
     expected = np.zeros((16, 16), dtype=complex)
     for r, row in enumerate(PATTERN_D2):
         for c, letter in enumerate(row):
@@ -434,8 +434,8 @@ def test_criterion_11_structural_goldens():
                 expected[r, c] = DU_SENTINELS[letter]
     du_ok = np.array_equal(build_choi(du_filled).choi.mat, expected)
 
-    do_filled = do_mask_tables(
-        2, **{n: np.full((4, 4), DO_SENTINELS[n]) for n in DO_TABLE_NAMES}
+    do_filled = DOSuperParams.masked(
+        2, **{n: np.full((4, 4), DO_SENTINELS[n]) for n in DOSuperParams.NAMES}
     )
     expected = np.zeros((16, 16), dtype=complex)
     for r, row in enumerate(PATTERN_DO_D2):

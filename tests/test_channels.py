@@ -12,27 +12,24 @@ from superchan.channels import (
     choi_from_kraus,
     classical_channel_extract,
     compose_channels,
-    conj_du_channel,
     conj_du_channel_validate,
     dephasing_channel,
     depolarizing,
-    do_channel,
     do_channel_validate,
-    du_channel,
-    du_channel_compose,
     du_channel_validate,
     du_identity_channel_params,
     holevo_werner,
     identity_channel,
     orthogonal_covariant,
     pauli_channel,
+    table_channel,
     transpose_map,
     unitary_covariant,
     validate_channel,
     conjugate_covariant,
 )
 from superchan.linalg import DEFAULT_TOL, is_psd, max_entangled_projector, swap_operator
-from superchan.positions import off_pattern_weight, tables_from_choi
+from superchan.positions import compose_tables, off_pattern_weight, tables_from_choi
 
 from helpers import (
     loop_channel_choi,
@@ -231,7 +228,7 @@ def test_orthogonal_covariant_family():
 
 def test_du_channel_identity_and_validation():
     params = du_identity_channel_params(3)
-    assert np.allclose(du_channel(params).choi.mat, identity_channel(3).choi.mat)
+    assert np.allclose(table_channel(params).choi.mat, identity_channel(3).choi.mat)
     verdict = du_channel_validate(params)
     assert verdict.ok and verdict.is_cp and verdict.is_tp
 
@@ -244,7 +241,7 @@ def test_amplitude_damping_is_du_channel():
         np.array([[1.0, gamma], [0.0, 1 - gamma]]),
         np.array([[0.0, s], [s, 0.0]], dtype=complex),
     )
-    assert np.allclose(du_channel(params).choi.mat, amplitude_damping(gamma).choi.mat)
+    assert np.allclose(table_channel(params).choi.mat, amplitude_damping(gamma).choi.mat)
     assert du_channel_validate(params).ok
 
 
@@ -253,7 +250,7 @@ def test_dephasing_channel_is_du_channel_with_identity_table():
     b = np.array(m)
     np.fill_diagonal(b, 0.0)
     params = DUChannelParams(3, np.eye(3), b)
-    assert np.allclose(du_channel(params).choi.mat, dephasing_channel(m).choi.mat)
+    assert np.allclose(table_channel(params).choi.mat, dephasing_channel(m).choi.mat)
 
 
 def test_du_channel_cp_closed_form_matches_spectral_oracle():
@@ -265,7 +262,7 @@ def test_du_channel_cp_closed_form_matches_spectral_oracle():
             np.fill_diagonal(b, 0.0)
             params = DUChannelParams(d, a, b)
             closed = du_channel_validate(params).is_cp
-            spectral = is_psd(du_channel(params).choi.mat)
+            spectral = is_psd(table_channel(params).choi.mat)
             assert closed == spectral
 
 
@@ -274,9 +271,9 @@ def test_du_channel_compose_matches_choi_composition():
         for _ in range(50):
             p = _random_du_channel_params(d)
             q = _random_du_channel_params(d)
-            combined = du_channel_compose(p, q)
-            direct = compose_channels(du_channel(p), du_channel(q))
-            assert np.abs(du_channel(combined).choi.mat - direct.choi.mat).max() <= 1e-12
+            combined = compose_tables(p, q)
+            direct = compose_channels(table_channel(p), table_channel(q))
+            assert np.abs(table_channel(combined).choi.mat - direct.choi.mat).max() <= 1e-12
 
 
 def _random_du_channel_params(d):
@@ -291,8 +288,8 @@ def test_du_channel_compose_identity_and_dephasings():
     d = 3
     p = _random_du_channel_params(d)
     unit = du_identity_channel_params(d)
-    assert np.allclose(du_channel_compose(p, unit).A, p.A)
-    assert np.allclose(du_channel_compose(p, unit).B, p.B)
+    assert np.allclose(compose_tables(p, unit).A, p.A)
+    assert np.allclose(compose_tables(p, unit).B, p.B)
     m1 = random_covariance_matrix(rng, d)
     m2 = random_covariance_matrix(rng, d)
     out = compose_channels(dephasing_channel(m1), dephasing_channel(m2))
@@ -309,12 +306,12 @@ def test_conj_du_channel_closed_form():
             c[j, i] = np.conj(c[i, j])
     params = ConjDUChannelParams(d, a, c)
     assert conj_du_channel_validate(params).is_cp
-    assert is_psd(conj_du_channel(params).choi.mat)
+    assert is_psd(table_channel(params).choi.mat)
     # violating the pair condition breaks positivity
     c_bad = 5.0 * c
     bad = ConjDUChannelParams(d, a, c_bad)
     assert not conj_du_channel_validate(bad).is_cp
-    assert not is_psd(conj_du_channel(bad).choi.mat)
+    assert not is_psd(table_channel(bad).choi.mat)
 
 
 def test_do_channel_closed_form_matches_spectral():
@@ -328,7 +325,7 @@ def test_do_channel_closed_form_matches_spectral():
         c = 0.4 * (g2 + g2.conj().T) / 2
         np.fill_diagonal(c, 0.0)
         params = DOChannelParams(d, a, b, c)
-        assert do_channel_validate(params).is_cp == is_psd(do_channel(params).choi.mat)
+        assert do_channel_validate(params).is_cp == is_psd(table_channel(params).choi.mat)
 
 
 def test_classical_channel_extract():
@@ -354,9 +351,9 @@ def test_apply_channel_dimension_mismatch():
 # ---------------------------------------------------------------------------
 
 CHANNEL_FAMILIES = [
-    (DUChannelParams, du_channel, "AB"),
-    (ConjDUChannelParams, conj_du_channel, "AC"),
-    (DOChannelParams, do_channel, "ABC"),
+    (DUChannelParams, table_channel, "AB"),
+    (ConjDUChannelParams, table_channel, "AC"),
+    (DOChannelParams, table_channel, "ABC"),
 ]
 
 
@@ -431,12 +428,12 @@ def test_channel_tables_reject_non_finite_entries(cls, build, names, bad, where)
 
 def test_parameter_classes_copy_and_freeze_their_tables():
     from superchan.dephasing import DephasingSuperParams
-    from superchan.do import TABLE_NAMES, DOSuperParams
+    from superchan.do import DOSuperParams
     from superchan.du import DUSuperParams
 
     for cls, d, names in ((DUChannelParams, 2, "AB"), (ConjDUChannelParams, 2, "AC"),
                           (DOChannelParams, 2, "ABC"), (DUSuperParams, 2, "ABCD"),
-                          (DOSuperParams, 2, TABLE_NAMES),
+                          (DOSuperParams, 2, DOSuperParams.NAMES),
                           (DephasingSuperParams, 2, ("M_big",))):
         side = d if cls.__module__.endswith("channels") else d * d
         given = {n: np.zeros((side, side), dtype=float if n == "A" else complex) for n in names}
@@ -454,7 +451,7 @@ def test_closed_form_b_psd_uses_the_scale_of_the_choi():
     b = np.array([[0, 0], [1e-9, 0]], dtype=complex)
     for params, validate in ((DUChannelParams(2, a, b), du_channel_validate),
                              (DOChannelParams(2, a, b, np.zeros((2, 2))), do_channel_validate)):
-        assert validate_channel(do_channel(params)).is_cp
+        assert validate_channel(table_channel(params)).is_cp
         assert validate(params).is_cp
 
 
@@ -463,20 +460,33 @@ def test_closed_forms_judge_a_and_the_pair_condition_on_the_scale_of_the_choi():
     # and so do the closed forms, whose readouts stay unscaled
     p = DUChannelParams(2, np.array([[1e4, -1e-9], [0.0, 1e4]]), np.zeros((2, 2)))
     v = du_channel_validate(p)
-    assert validate_channel(du_channel(p)).is_cp
+    assert validate_channel(table_channel(p)).is_cp
     assert v.a_nonnegative and v.is_cp and v.min_a_entry == -1e-9
     c = (100 + 1e-9) * (np.ones((2, 2)) - np.eye(2))
     q = ConjDUChannelParams(2, 100.0 * np.ones((2, 2)), c)
     v = conj_du_channel_validate(q)
-    assert validate_channel(conj_du_channel(q)).is_cp
+    assert validate_channel(table_channel(q)).is_cp
     assert v.pair_condition and v.is_cp and v.pair_violation > 1e-7
     # a violation beyond tol * spectral radius still fails
     p = DUChannelParams(2, np.array([[1e4, -1e-5], [0.0, 1e4]]), np.zeros((2, 2)))
     assert not du_channel_validate(p).a_nonnegative
-    assert not validate_channel(du_channel(p)).is_cp
+    assert not validate_channel(table_channel(p)).is_cp
     q = ConjDUChannelParams(2, 100.0 * np.ones((2, 2)), (100 + 1e-6) * (1 - np.eye(2)))
     assert not conj_du_channel_validate(q).pair_condition
-    assert not validate_channel(conj_du_channel(q)).is_cp
+    assert not validate_channel(table_channel(q)).is_cp
+
+
+def test_closed_forms_have_no_unscaled_pair_arm_and_judge_b_on_the_choi_scale():
+    # |C_ij| = 1e-6 where A_ij A_ji = 0: the Choi has eigenvalue -1e-6
+    q = ConjDUChannelParams(2, np.eye(2), 1e-6 * (np.ones((2, 2)) - np.eye(2)))
+    assert validate_channel(table_channel(q)).min_eigenvalue < -9e-7
+    assert not conj_du_channel_validate(q).pair_condition
+    assert not conj_du_channel_validate(q).is_cp
+    # a diagonal A entry of -5e-9 is roundoff on a Choi of spectral radius 1e3
+    p = DUChannelParams(2, np.array([[1, 1e3], [0, -5e-9]]), np.zeros((2, 2)))
+    assert validate_channel(table_channel(p)).is_cp
+    v = du_channel_validate(p)
+    assert v.b_psd and v.is_cp and v.b_min_eigenvalue == -5e-9
 
 
 def test_closed_forms_agree_with_the_choi_check_at_the_boundary():
@@ -495,9 +505,9 @@ def test_closed_forms_agree_with_the_choi_check_at_the_boundary():
         c = (c + c.conj().T) * (1 + DEFAULT_TOL * 10 ** r.uniform(-1, 1) * r.choice([-1, 1]))
         zero = np.zeros((d, d))
         params, build, validate = (
-            (DUChannelParams(d, a, zero), du_channel, du_channel_validate),
-            (ConjDUChannelParams(d, a, c), conj_du_channel, conj_du_channel_validate),
-            (DOChannelParams(d, a, zero, c), do_channel, do_channel_validate),
+            (DUChannelParams(d, a, zero), table_channel, du_channel_validate),
+            (ConjDUChannelParams(d, a, c), table_channel, conj_du_channel_validate),
+            (DOChannelParams(d, a, zero, c), table_channel, do_channel_validate),
         )[t % 3]
         assert validate(params).is_cp == validate_channel(build(params)).is_cp
 

@@ -18,7 +18,7 @@ from superchan.dephasing import (
 from superchan.do import from_du_params
 from superchan.du import DUSuperParams, build_choi, du_cp_check, du_identity, du_tp_check
 from superchan.pauli import PauliSuperParams
-from superchan.superchannels import identity_superchannel
+from superchan.superchannels import compose_superchannels, identity_superchannel
 
 from helpers import (
     random_channel,
@@ -277,6 +277,30 @@ def test_covariance_on_tables_never_assembles_the_choi(paths, capsys, monkeypatc
             code, out = run_cli(capsys, "covariance", path, "--group", group, "--samples", "20")
             assert code == (3 if (name, group) == ("generic.json", "du") else 0)
             assert report_value(out, "samples") == "20"
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_compose_on_tables_never_assembles_the_choi(paths, capsys, monkeypatch, d):
+    refuse_choi_builders(monkeypatch, "compose")
+    tmp, write = paths
+    # the identity superchannel composed with itself is itself, exactly
+    for name, doc in identity_table_docs(d):
+        path, out_path = write(name, doc), tmp / "out.json"
+        code, _ = run_cli(capsys, "compose", name.split(".")[0], path, path, "--out", str(out_path))
+        assert code == 0
+        assert json.loads(out_path.read_text()) == doc
+
+
+def test_compose_do_is_the_choi_link_product(paths, capsys):
+    tmp, write = paths
+    p, q = random_do_params(rng, 3), random_do_params(rng, 3)
+    out_path = tmp / "pq.json"
+    code, out = run_cli(capsys, "compose", "do", write("p.json", jsonio.do_params_to_json(p)),
+                        write("q.json", jsonio.do_params_to_json(q)), "--out", str(out_path))
+    assert code == 0 and report_value(out, "kind") == "do"
+    got = build_choi(jsonio.do_params_from_json(json.loads(out_path.read_text()))).choi.mat
+    ref = compose_superchannels(build_choi(p), build_choi(q)).choi.mat
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_apply_on_dephasing_is_the_schur_product(paths, capsys):

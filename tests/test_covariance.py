@@ -9,11 +9,10 @@ from superchan.channels import (
     bit_flip,
     choi_channel,
     depolarizing,
-    do_channel,
-    du_channel,
     holevo_werner,
     identity_channel,
     pauli_channel,
+    table_channel,
     transpose_map,
     unitary_covariant,
     validate_channel,
@@ -297,9 +296,9 @@ def _covariant_choi(rng, group, d, channel):
     if channel:
         off = np.where(np.eye(d, dtype=bool), 0.0, _complex(rng, (d, d)))
         if group == "du":
-            return du_channel(DUChannelParams(d, rng.normal(size=(d, d)), off)).choi.mat
+            return table_channel(DUChannelParams(d, rng.normal(size=(d, d)), off)).choi.mat
         c = np.where(np.eye(d, dtype=bool), 0.0, _complex(rng, (d, d)))
-        return do_channel(DOChannelParams(d, rng.normal(size=(d, d)), off, c)).choi.mat
+        return table_channel(DOChannelParams(d, rng.normal(size=(d, d)), off, c)).choi.mat
     if group == "du":
         return build_choi(random_hermitian_du_params(rng, d)).choi.mat
     return do_build_choi(random_do_params(rng, d)).choi.mat

@@ -9,7 +9,6 @@ from superchan.channels import (
 from superchan.dephasing import (
     DephasingSuperParams,
     covariance_fibers,
-    dephasing_compose,
     dephasing_embed_du,
     dephasing_from_realization,
     dephasing_on_dephasing,
@@ -18,7 +17,8 @@ from superchan.dephasing import (
     superdecoherence_matrix,
     to_super_choi,
 )
-from superchan.du import build_choi, du_compose, du_identity, from_choi
+from superchan.du import build_choi, du_identity, from_choi
+from superchan.positions import compose_tables
 from superchan.superchannels import (
     tp_preserving_check,
     validate_superchannel,
@@ -85,9 +85,9 @@ def test_realizations_always_validate():
 
 def test_compose_is_the_schur_product_of_the_tables():
     p, q = (dephasing_from_realization(*random_realization(rng, 2, 3)) for _ in range(2))
-    assert np.array_equal(dephasing_compose(p, q).M_big, p.M_big * q.M_big)
+    assert np.array_equal(compose_tables(p, q).M_big, p.M_big * q.M_big)
     with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
-        dephasing_compose(p, all_ones_params(3))
+        compose_tables(p, all_ones_params(3))
 
 
 def test_realization_input_validation():
@@ -250,7 +250,7 @@ def test_closure_under_composition():
     for d in (2, 3):
         p1 = dephasing_from_realization(*random_realization(rng, d, 3))
         p2 = dephasing_from_realization(*random_realization(rng, d, 2))
-        composed = du_compose(dephasing_embed_du(p1), dephasing_embed_du(p2))
+        composed = compose_tables(dephasing_embed_du(p1), dephasing_embed_du(p2))
         expected = dephasing_embed_du(
             DephasingSuperParams(d, p1.M_big * p2.M_big)
         )

@@ -6,14 +6,11 @@ from superchan.covariance import covariance_sampler_tuple, superchannel_covarian
 from superchan.do import (
     DOSuperParams,
     NotDOCovariantError,
-    TABLE_NAMES,
     do_build_choi,
-    do_from_choi,
-    do_mask_tables,
     do_validate,
     from_du_params,
 )
-from superchan.du import build_choi, du_identity
+from superchan.du import build_choi, du_identity, from_choi
 from superchan.linalg import charge_sectors
 from superchan.pauli import PauliSuperParams, pauli_super_choi
 from superchan.superchannels import (
@@ -56,17 +53,17 @@ PATTERN_DO_D2 = [
     "D....C....B....A",
 ]
 
-SENTINELS = dict(zip(TABLE_NAMES, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)))
+SENTINELS = dict(zip(DOSuperParams.NAMES, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)))
 
 
 def random_do_params(d):
     tables = {}
-    for name in TABLE_NAMES:
+    for name in DOSuperParams.NAMES:
         t = rng.normal(size=(d * d, d * d))
         if name != "A":
             t = t + 1j * rng.normal(size=(d * d, d * d))
         tables[name] = t
-    return do_mask_tables(d, **tables)
+    return DOSuperParams.masked(d, **tables)
 
 
 def test_embedded_du_params_build_identically():
@@ -77,7 +74,8 @@ def test_embedded_du_params_build_identically():
 
 
 def test_sentinel_pattern_matches_displayed_grid():
-    filled = do_mask_tables(2, **{n: np.full((4, 4), SENTINELS[n]) for n in TABLE_NAMES})
+    filled = DOSuperParams.masked(
+        2, **{n: np.full((4, 4), SENTINELS[n]) for n in DOSuperParams.NAMES})
     mat = do_build_choi(filled).choi.mat
     expected = np.zeros((16, 16), dtype=complex)
     for r, row in enumerate(PATTERN_DO_D2):
@@ -90,15 +88,15 @@ def test_sentinel_pattern_matches_displayed_grid():
 def test_round_trip_exact():
     for d in (2, 3):
         p = random_do_params(d)
-        again = do_from_choi(do_build_choi(p), tol=1e-9)
-        for name in TABLE_NAMES:
+        again = from_choi(do_build_choi(p), tol=1e-9, cls=DOSuperParams)
+        for name in DOSuperParams.NAMES:
             assert np.array_equal(getattr(p, name), getattr(again, name)), name
 
 
 def test_du_within_do_extraction():
     for d in (2, 3):
         p = random_valid_du_params(rng, d)
-        extracted = do_from_choi(build_choi(p))
+        extracted = from_choi(build_choi(p), cls=DOSuperParams)
         for name in "ABCD":
             assert np.array_equal(getattr(extracted, name), getattr(p, name))
         for name in ("E", "P", "Q", "R", "S"):
@@ -119,8 +117,8 @@ def test_support_masks_enforced():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_tables_rejected(value):
-    tables = {name: np.zeros((4, 4)) for name in TABLE_NAMES}
-    tables["E"] = np.where(do_mask_tables(2, E=np.ones((4, 4))).E != 0, value, 0)
+    tables = {name: np.zeros((4, 4)) for name in DOSuperParams.NAMES}
+    tables["E"] = np.where(DOSuperParams.masked(2, E=np.ones((4, 4))).E != 0, value, 0)
     with pytest.raises(ValueError, match="non-finite"):
         DOSuperParams(2, **tables)
 
@@ -128,7 +126,7 @@ def test_non_finite_tables_rejected(value):
 def test_pauli_superchannel_extracts_with_nonzero_extra_tables():
     pi = rng.dirichlet(np.ones(16)).reshape(4, 4)
     s = pauli_super_choi(PauliSuperParams(pi))
-    p = do_from_choi(s)
+    p = from_choi(s, cls=DOSuperParams)
     extra_weight = sum(np.abs(getattr(p, n)).max() for n in ("E", "P", "Q", "R", "S"))
     assert extra_weight > 1e-3
 
@@ -139,7 +137,7 @@ def test_generic_sandwich_is_rejected():
         unitary_conjugation(haar_unitary(rng, 2)),
     )
     with pytest.raises(NotDOCovariantError):
-        do_from_choi(s)
+        from_choi(s, cls=DOSuperParams)
 
 
 def test_do_covariance_sampling():
@@ -158,7 +156,7 @@ def test_do_validate():
     assert do_validate(p).ok
     # every Pauli probability table passes
     pi = rng.dirichlet(np.ones(16)).reshape(4, 4)
-    assert do_validate(do_from_choi(pauli_super_choi(PauliSuperParams(pi)))).ok
+    assert do_validate(from_choi(pauli_super_choi(PauliSuperParams(pi)), cls=DOSuperParams)).ok
     # generic sentinel tables fail positivity
     assert not do_validate(random_do_params(2)).ok
 
@@ -171,7 +169,7 @@ def hermitian_do_params(d, psd):
     if psd:
         evals, vecs = np.linalg.eigh(m)
         m = (vecs * np.clip(evals, 0.0, None)) @ vecs.conj().T
-    return do_from_choi(super_choi(m, (d, d, d, d)), tol=1e-8)
+    return from_choi(super_choi(m, (d, d, d, d)), tol=1e-8, cls=DOSuperParams)
 
 
 def test_do_validate_matches_dense_generic_validation():
@@ -195,7 +193,7 @@ def test_do_validate_matches_dense_generic_validation():
 
 
 def _replace(p, **tables):
-    return DOSuperParams(p.d, **{n: tables.get(n, getattr(p, n)) for n in TABLE_NAMES})
+    return DOSuperParams(p.d, **{n: tables.get(n, getattr(p, n)) for n in DOSuperParams.NAMES})
 
 
 def _do_corpus(gen, d):
@@ -210,7 +208,7 @@ def _do_corpus(gen, d):
     out = {
         "valid": (valid, (True, True)),
         "not-cp": (_replace(valid, A=a), (False, False)),
-        "not-tp": (_replace(valid, **{n: 1.25 * getattr(valid, n) for n in TABLE_NAMES}),
+        "not-tp": (_replace(valid, **{n: 1.25 * getattr(valid, n) for n in DOSuperParams.NAMES}),
                    (True, False)),
         "hermitian": (hermitian_do_params(d, psd=False), (False, False) if d > 1 else None),
     }
@@ -283,6 +281,6 @@ def test_do_validate_never_assembles_the_choi(d, monkeypatch):
     verdict = do_validate(_replace(p, A=a))
     assert not verdict.choi_verdict.is_cp
     assert verdict.choi_verdict.min_eigenvalue == -0.5
-    scaled = do_validate(_replace(p, **{n: 1.25 * getattr(p, n) for n in TABLE_NAMES}))
+    scaled = do_validate(_replace(p, **{n: 1.25 * getattr(p, n) for n in DOSuperParams.NAMES}))
     assert scaled.choi_verdict.is_cp and not scaled.ok
     assert scaled.choi_verdict.marginal_deviation == scaled.tp_verdict.unitality_deviation > 0.2

@@ -16,17 +16,16 @@ from superchan.du import (
     build_choi,
     du_action_on_identity,
     du_block_action,
-    du_compose,
     du_cp_check,
     du_identity,
     du_preserves_do_check,
     du_tp_check,
     from_choi,
     hermiticity_violation,
-    mask_tables,
     random_do_invariant,
 )
 from superchan import du as du_module, positions
+from superchan.positions import compose_tables
 from superchan.linalg import ChargeSectors, charge_sectors, max_entangled_projector, operator
 from superchan.superchannels import (
     classical_superchannel_extract,
@@ -93,7 +92,7 @@ def test_du_identity_is_compose_unit():
     for d in (2, 3):
         unit = du_identity(d)
         p = random_valid_du_params(rng, d)
-        for composed in (du_compose(p, unit), du_compose(unit, p)):
+        for composed in (compose_tables(p, unit), compose_tables(unit, p)):
             for name in "ABCD":
                 assert np.allclose(getattr(composed, name), getattr(p, name), atol=1e-14)
 
@@ -127,7 +126,7 @@ def test_build_choi_sentinel_pattern_matches_displayed_grid():
     # Hermiticity-compatible sentinel fill: every in-support entry of table T
     # set to the real sentinel value(T) keeps the pairing symmetries intact
     d = 2
-    filled = mask_tables(
+    filled = DUSuperParams.masked(
         d, *(np.full((4, 4), SENTINELS[n]) for n in "ABCD")
     )
     mat = build_choi(filled).choi.mat
@@ -172,7 +171,7 @@ def test_du_tp_check_constructed_instance():
     w = rng.dirichlet(np.ones(d), size=d).T
     a = np.einsum("ij,ab->iajb", alpha, w).reshape(d * d, d * d)
     z = np.zeros((d * d, d * d))
-    p = mask_tables(d, a, z, z, z)
+    p = DUSuperParams.masked(d, a, z, z, z)
     verdict, witness = du_tp_check(p)
     assert verdict.ok
     assert np.allclose(witness.alpha, alpha, atol=1e-13)
@@ -207,8 +206,8 @@ def test_b_and_d_images_are_traceless_on_output_pair():
     # driven by B and D never contribute to the traced output
     d = 3
     z = np.zeros((d * d, d * d))
-    b_only = mask_tables(d, z, random_hermitian_du_params(rng, d).B, z, z)
-    d_only = mask_tables(d, z, z, z, random_hermitian_du_params(rng, d).D)
+    b_only = DUSuperParams.masked(d, z, random_hermitian_du_params(rng, d).B, z, z)
+    d_only = DUSuperParams.masked(d, z, z, z, random_hermitian_du_params(rng, d).D)
     for p in (b_only, d_only):
         s = build_choi(p)
         for _ in range(5):
@@ -457,7 +456,7 @@ def test_du_compose_matches_choi_composition():
         for _ in range(20):
             p = random_hermitian_du_params(rng, d)
             q = random_hermitian_du_params(rng, d)
-            lhs = build_choi(du_compose(p, q)).choi.mat
+            lhs = build_choi(compose_tables(p, q)).choi.mat
             rhs = compose_superchannels(build_choi(p), build_choi(q)).choi.mat
             assert np.abs(lhs - rhs).max() <= 1e-10
 
@@ -465,8 +464,8 @@ def test_du_compose_matches_choi_composition():
 def test_du_compose_associative():
     d = 2
     a, b, c = (random_hermitian_du_params(rng, d) for _ in range(3))
-    left = du_compose(du_compose(a, b), c)
-    right = du_compose(a, du_compose(b, c))
+    left = compose_tables(compose_tables(a, b), c)
+    right = compose_tables(a, compose_tables(b, c))
     for name in "ABCD":
         assert np.abs(getattr(left, name) - getattr(right, name)).max() <= 1e-12
 
@@ -477,10 +476,10 @@ def test_component_orthogonality():
     z = np.zeros((d * d, d * d))
     parts = {}
     base = random_hermitian_du_params(rng, d)
-    parts["A"] = mask_tables(d, base.A, z, z, z)
-    parts["B"] = mask_tables(d, z, base.B, z, z)
-    parts["C"] = mask_tables(d, z, z, base.C, z)
-    parts["D"] = mask_tables(d, z, z, z, base.D)
+    parts["A"] = DUSuperParams.masked(d, base.A, z, z, z)
+    parts["B"] = DUSuperParams.masked(d, z, base.B, z, z)
+    parts["C"] = DUSuperParams.masked(d, z, z, base.C, z)
+    parts["D"] = DUSuperParams.masked(d, z, z, z, base.D)
     for first in "ABCD":
         for second in "ABCD":
             if first == second:

@@ -3,7 +3,7 @@ import pytest
 
 from superchan.channels import depolarizing, identity_channel, pauli_channel
 from superchan.covariance import covariance_sampler_tuple, superchannel_covariance_check
-from superchan.do import do_from_choi
+from superchan.do import DOSuperParams
 from superchan.du import NotDUCovariantError, from_choi
 from superchan.pauli import (
     PauliSuperParams,
@@ -235,6 +235,6 @@ def test_every_pauli_superchannel_is_sign_symmetric():
     for _ in range(10):
         p = random_pi()
         s = pauli_super_choi(p)
-        do_from_choi(s)  # extraction must succeed
+        from_choi(s, cls=DOSuperParams)  # extraction must succeed
         v = superchannel_covariance_check(s, covariance_sampler_tuple("do", 2, 9), n=50)
         assert v.max_deviation <= 1e-12

@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
+from superchan.channels import (
+    ConjDUChannelParams,
+    DOChannelParams,
+    DUChannelParams,
+    compose_channels,
+    table_channel,
+)
 from superchan.dephasing import DephasingSuperParams
 from superchan.do import (
-    TABLE_NAMES,
     DOSuperParams,
     NotDOCovariantError,
     do_build_choi,
-    do_from_choi,
 )
 from superchan.du import (
     DUSuperParams,
@@ -18,12 +23,19 @@ from superchan.du import (
     from_choi,
 )
 from superchan.linalg import charge_sectors
-from superchan.positions import apply_tables, extraction_residual, table_positions
-from superchan.superchannels import representing_apply, super_choi
+from superchan.positions import (
+    apply_tables,
+    compose_tables,
+    composition_plan,
+    extraction_residual,
+    table_positions,
+)
+from superchan.superchannels import compose_superchannels, representing_apply, super_choi
 
 from helpers import (
     cp_block_matrix,
     cp_blocks,
+    du_compose_reference,
     loop_build_choi,
     loop_cp_blocks,
     loop_do_build_choi,
@@ -79,15 +91,15 @@ def test_du_map_is_bit_identical_to_the_per_entry_reference(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_do_map_is_bit_identical_to_the_per_entry_reference(d):
-    p = DOSuperParams(d, **_tables_with_negative_zeros(d, TABLE_NAMES))
+    p = DOSuperParams(d, **_tables_with_negative_zeros(d, DOSuperParams.NAMES))
     choi = do_build_choi(p).choi.mat
     assert choi.tobytes() == loop_do_build_choi(p).tobytes()
 
     mat = _with_negative_zeros(choi)
-    q = do_from_choi(super_choi(mat, (d,) * 4))
+    q = from_choi(super_choi(mat, (d,) * 4), cls=DOSuperParams)
     ref = loop_do_tables(mat, d)
     assert q.A.tobytes() == ref["A"].real.tobytes()
-    for name in TABLE_NAMES[1:]:
+    for name in DOSuperParams.NAMES[1:]:
         assert getattr(q, name).tobytes() == ref[name].tobytes()
 
 
@@ -108,7 +120,7 @@ def test_dephasing_map_is_bit_identical_to_the_scatter_reference(d):
     "names, pairs, count",
     [
         ("ABCD", "ordered", lambda d: d**2 * (2 * d - 1) ** 2),
-        (TABLE_NAMES, "unordered", lambda d: d**2 * (3 * d - 2) ** 2),
+        (DOSuperParams.NAMES, "unordered", lambda d: d**2 * (3 * d - 2) ** 2),
     ],
     ids=["du", "do"],
 )
@@ -150,14 +162,13 @@ def _residual_inputs(d, names):
 @pytest.mark.parametrize("cls", [DUSuperParams, DOSuperParams], ids=["du", "do"])
 def test_extraction_residual_is_bit_identical_to_rebuild_and_subtract(d, cls):
     names = cls.NAMES
-    extract, error = (from_choi, NotDUCovariantError) if cls is DUSuperParams else (
-        do_from_choi, NotDOCovariantError)
+    error = NotDUCovariantError if cls is DUSuperParams else NotDOCovariantError
     for mat in _residual_inputs(d, names):
         ref = rebuild_residual(mat, d, names)
         assert ref > 0
         assert extraction_residual(mat, d, cls) == ref
         with pytest.raises(error) as info:
-            extract(super_choi(mat, (d,) * 4), tol=0.0)
+            from_choi(super_choi(mat, (d,) * 4), tol=0.0, cls=cls)
         assert info.value.residual == ref
 
 
@@ -177,3 +188,69 @@ def test_apply_tables_matches_the_representing_map_of_the_choi(d, cls):
         got = apply_tables(p, x)
         ref = representing_apply(s, x).mat
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def _random_tables(cls, d):
+    """Random tables of cls on their supports, A real and the rest complex."""
+    n = d * d if cls.FAMILY == "super" else d
+    t = {name: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for name in cls.NAMES}
+    return cls.masked(d, **{n: t[n].real if n == "A" else t[n] for n in t})
+
+
+@pytest.mark.parametrize("cls, dims", [
+    (DUSuperParams, (2, 3, 4)), (DOSuperParams, (2, 3, 4)), (DephasingSuperParams, (2, 3, 4)),
+    (DUChannelParams, (2, 3, 4, 5)), (DOChannelParams, (2, 3, 4, 5)),
+], ids=["du", "do", "dephasing", "duc", "doc"])
+def test_compose_tables_matches_the_choi_link_product(cls, dims):
+    build, link = ((table_channel, compose_channels) if cls.FAMILY == "channel"
+                   else (build_choi, compose_superchannels))
+    for d in dims:
+        p, q = _random_tables(cls, d), _random_tables(cls, d)
+        got = build(compose_tables(p, q)).choi.mat
+        ref = link(build(p), build(q)).choi.mat
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_composition_plan_derives_the_papers_table_rules():
+    rules = {cls: [t[:3] for t in composition_plan(cls)] for cls in (
+        DUSuperParams, DOSuperParams, DephasingSuperParams, DUChannelParams, DOChannelParams)}
+    # DU: A.A, B.B, C.C, D.D; dephasing: the Schur product; DUC: A @ A and B o B
+    assert rules[DUSuperParams] == [(n, n, n) for n in "ABCD"]
+    assert rules[DephasingSuperParams] == [("M_big",) * 3]
+    assert rules[DUChannelParams] == [("A", "A", "A"), ("B", "B", "B")]
+    assert len(rules[DOSuperParams]) == 25 and len(rules[DOChannelParams]) == 5
+    # every (P, Q) pair of sign-symmetric tables whose entries meet feeds one table
+    assert len({t[1:] for t in rules[DOSuperParams]}) == 25
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_compose_tables_follows_the_papers_four_table_rule(d):
+    p, q = random_hermitian_du_params(rng, d), random_hermitian_du_params(rng, d)
+    got, ref = compose_tables(p, q), du_compose_reference(p, q)
+    for name in "ABCD":
+        a, b = getattr(got, name), getattr(ref, name)
+        assert np.all(np.abs(a - b) <= 1e-15 * np.maximum(1.0, np.abs(b))), name
+    assert got.D.tobytes() == ref.D.tobytes()  # entrywise, so bit for bit
+
+
+def test_compose_tables_keeps_a_negative_zero_of_an_entrywise_rule():
+    # -0.0 times a positive real is -0.0; a sum starting from 0.0 would lose it
+    d = 3
+    p, q = random_hermitian_du_params(rng, d), random_hermitian_du_params(rng, d)
+    pd, qd = p.D.copy(), q.D.copy()
+    pd[0, 4], qd[0, 4] = -0.0, 2.0
+    out = compose_tables(DUSuperParams(d, p.A, p.B, p.C, pd), DUSuperParams(d, q.A, q.B, q.C, qd))
+    assert out.D[0, 4] == 0 and np.signbit(out.D[0, 4].real)
+    m = DephasingSuperParams(d, np.where(rng.random((d * d, d * d)) < 0.3, -0.0, 1.0))
+    assert compose_tables(m, m).M_big.tobytes() == (m.M_big * m.M_big).tobytes()
+
+
+def test_compose_tables_refuses_a_class_it_cannot_close():
+    # conjugate-covariant after conjugate-covariant is covariant: C o C lands on B
+    p = _random_tables(ConjDUChannelParams, 3)
+    with pytest.raises(ValueError, match="not closed under composition: C after C"):
+        compose_tables(p, p)
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        compose_tables(_random_tables(DUSuperParams, 2), _random_tables(DUSuperParams, 3))
+    with pytest.raises(ValueError, match="cannot compose DUSuperParams with DOSuperParams"):
+        compose_tables(_random_tables(DUSuperParams, 2), _random_tables(DOSuperParams, 2))

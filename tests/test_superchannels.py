@@ -131,7 +131,7 @@ def test_all_families_send_channel_corpus_to_channels():
     from superchan.dephasing import dephasing_from_realization, to_super_choi
     from superchan.du import build_choi
     from superchan.pauli import PauliSuperParams, pauli_super_choi
-    from superchan.channels import amplitude_damping, bit_flip, du_channel, pauli_channel
+    from superchan.channels import amplitude_damping, bit_flip, pauli_channel, table_channel
 
     from helpers import random_realization, random_valid_du_params
 
@@ -156,7 +156,7 @@ def test_all_families_send_channel_corpus_to_channels():
         amplitude_damping(0.3),
         bit_flip(0.2),
         pauli_channel(local.dirichlet(np.ones(4))),
-        du_channel(DUChannelParams(2, a_table, b_table)),
+        table_channel(DUChannelParams(2, a_table, b_table)),
     ]
     for s in supers:
         assert validate_superchannel(s).ok

@@ -7,10 +7,11 @@
 
 The tables, dense and qubit plans are the benchmark's own
 (perfbench/inputs.py, imported unchanged).  du-corpus is `validate du`,
-`compose du` and `apply` on DU tables at d = 2..6, do-corpus is `validate do`
-and `apply` on sign-symmetric tables at d = 2..6; each d has six cases: two
-valid, not CP, not TP (1.25x), non-Hermitian and indefinite Hermitian, and
-each case is applied to one seeded generic channel per d.  examples is every
+`compose du` and `apply` on DU tables at d = 2..6, do-corpus is `validate do`,
+`compose do` and `apply` on sign-symmetric tables at d = 2..6; each d has six
+cases: two valid (the two that `compose` takes), not CP, not TP (1.25x),
+non-Hermitian and indefinite Hermitian, and each case is applied to one
+seeded generic channel per d.  examples is every
 `example` (holevo-werner at d = 2, 3, 4; bit-flip at p = 0, 0.2, 1, -0.0;
 Pauli weights with zeros; amplitude-damping at gamma = 0, 0.3, 1), each with
 the default and with a seeded `--super` DU table, one `--super` given a
@@ -107,17 +108,23 @@ def build_du_corpus(b: inputs.InputSet) -> list:
 
 
 def build_do_corpus(b: inputs.InputSet) -> list:
-    """validate do and apply on sign-symmetric tables at d = 2..6."""
-    validate, files = [], {}
+    """validate do, compose do and apply on sign-symmetric tables at d = 2..6."""
+    validate, compose, files = [], [], {}
     for d in range(2, 7):
         files[d] = {
             label: b.input(f"do{d}_{label}.json", inputs.tables_doc(d, t))
             for label, t in corpus_cases(b, d, inputs.DO_TABLES).items()
         }
         validate += [inputs._entry(["validate", "do", f], label=lb) for lb, f in files[d].items()]
+        compose.append(inputs._entry(
+            ["compose", "do", files[d]["valid0"], files[d]["valid1"],
+             "--out", "out/compose_do.json"],
+            out="out/compose_do.json",
+        ))
     return [
         inputs._kind("validate_do", "op1", 1, validate),
-        inputs._kind("apply_do", "op2", 1, apply_ops(b, files)),
+        inputs._kind("compose_do", "op2", 1, compose),
+        inputs._kind("apply_do", "op3", 1, apply_ops(b, files)),
     ]
 
 
