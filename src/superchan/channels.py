@@ -16,14 +16,12 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     MultipartiteOperator,
-    hermitian_eigenvalues,
-    is_hermitian,
     max_entangled_projector,
     partial_trace,
     psd_report,
     swap_operator,
 )
-from .positions import TableParams, choi_from_tables, principal_blocks, table_positions
+from .positions import TableParams, choi_from_tables, sector_spectrum, table_positions
 
 PARAM_EDGE_TOL = 1e-12  # slack for closed parameter intervals
 
@@ -351,6 +349,7 @@ def table_channel(params: TableParams) -> ChoiChannel:
 class DUChannelVerdict:
     """Named closed-form checks for table-parameterized channels."""
 
+    is_cp: bool
     a_nonnegative: bool
     b_psd: bool
     pair_condition: bool
@@ -359,10 +358,6 @@ class DUChannelVerdict:
     b_min_eigenvalue: float
     pair_violation: float
     column_deviation: float
-
-    @property
-    def is_cp(self) -> bool:
-        return self.a_nonnegative and self.b_psd and self.pair_condition
 
     @property
     def is_tp(self) -> bool:
@@ -385,57 +380,45 @@ class DUChannelVerdict:
         }
 
 
-def _table_verdict(p: TableParams, tol: float) -> DUChannelVerdict:
-    """The closed forms, with A's sign, B's spectrum and the pair condition
-    judged on the scale validate_channel takes, tol * max(1, spectral radius
-    of the Choi).
+def table_channel_validate(p: TableParams, tol: float = DEFAULT_TOL) -> DUChannelVerdict:
+    """CP and TP of table_channel(p) for DUC, CDUC or DOC tables, read off
+    the tables by one positions.sector_spectrum call.
 
-    The Choi splits into the {ii} sector (B with A's diagonal) and one
-    {ji, ij} sector per pair i < j ([[A_ij, C_ij], [C_ji, A_ji]]), so the
-    radius is read off their spectra.  Hermiticity of B and C is judged on
-    their own largest entries (is_hermitian), as psd_report judges a matrix.
+    The Choi's sectors are the {ii} block (B with A's diagonal), one block
+    [[A_ij, C_ij], [C_ji, A_ji]] on (ji, ij) per pair i < j, and single A_ij.
+    So the closed forms read
+      DUC (A, B):     CP iff A >= 0 entrywise and B with A's diagonal is PSD;
+      CDUC (A, C):    CP iff A >= 0, C is Hermitian and |C_ij|^2 <= A_ij A_ji;
+      DOC (A, B, C):  CP iff both hold;
+    and each is TP iff the columns of A sum to 1.  is_cp is the sector
+    verdict, the one validate_channel reaches on the Choi.  The readouts
+    a_nonnegative (A), b_psd ({ii}; true without B) and pair_condition (the
+    pairs; true without C) judge eigenvalues on tol * max(1, spectral radius)
+    and each sector's Hermiticity on tol * max(1, largest |entry|).
     """
     d, a, c = p.d, p.A, getattr(p, "C", None)
-    i, j = np.triu_indices(d, 1)
-    block = principal_blocks(p, np.arange(d)[None, :] * (d + 1))[0]
-    evals = hermitian_eigenvalues(block)
-    pairs = hermitian_eigenvalues(principal_blocks(p, np.stack([j * d + i, i * d + j], 1)))
-    slack = tol * max(1.0, float(np.abs(evals).max()), float(np.abs(pairs).max(initial=0.0)))
+    s = sector_spectrum(p, tol)
+    slack = tol * max(1.0, float(np.abs(s.evals).max()))
+
+    def holds(where):  # every sector picked by where is PSD on the Choi's scales
+        return bool(s.minimum.min(where=where, initial=np.inf) >= -slack
+                    and s.hermiticity.max(where=where, initial=0.0) <= tol * max(1.0, s.max_entry))
+
+    pair = s.first // d != s.first % d  # the pair sectors with C; without C, single A_ij
     min_a = float(a.min())
-    b_min = float(evals.min()) if "B" in p.NAMES else 0.0
-    b_ok = "B" not in p.NAMES or (b_min >= -slack and is_hermitian(block, tol))
-    pair, pair_ok = 0.0, True
-    if c is not None:
-        # worst violation of |C_ij|^2 <= A_ij A_ji over C's support i != j
-        off = table_positions(d, "C", "channel").mask
-        pair = float((np.abs(c) ** 2 - a * a.T).max(where=off, initial=0.0))
-        pair_ok = float(pairs.min(initial=0.0)) >= -slack and is_hermitian(c, tol)
+    b_min = float(s.minimum[~pair].min()) if "B" in p.NAMES else 0.0
+    # worst violation of |C_ij|^2 <= A_ij A_ji over C's support i != j
+    pair_violation = 0.0 if c is None else float(
+        (np.abs(c) ** 2 - a * a.T).max(where=table_positions(d, "C", "channel").mask, initial=0.0))
     col_dev = float(np.abs(a.sum(axis=0) - 1.0).max())
     return DUChannelVerdict(
+        is_cp=s.is_psd,
         a_nonnegative=min_a >= -slack,
-        b_psd=b_ok,
-        pair_condition=pair_ok,
+        b_psd="B" not in p.NAMES or holds(~pair),
+        pair_condition=c is None or holds(pair),
         column_stochastic=col_dev <= tol,
         min_a_entry=min_a,
         b_min_eigenvalue=b_min,
-        pair_violation=pair,
+        pair_violation=pair_violation,
         column_deviation=col_dev,
     )
-
-
-def du_channel_validate(params: DUChannelParams, tol: float = DEFAULT_TOL) -> DUChannelVerdict:
-    """CP iff A >= 0 entrywise and B-with-A-diagonal is PSD; TP iff A columns sum to 1."""
-    return _table_verdict(params, tol)
-
-
-def conj_du_channel_validate(
-    params: ConjDUChannelParams, tol: float = DEFAULT_TOL
-) -> DUChannelVerdict:
-    """CP iff A >= 0 and |C_ij|^2 <= A_ij A_ji; TP iff A columns sum to 1."""
-    return _table_verdict(params, tol)
-
-
-def do_channel_validate(params: DOChannelParams, tol: float = DEFAULT_TOL) -> DUChannelVerdict:
-    """Union of the two diagonal-family closed forms."""
-    return _table_verdict(params, tol)
-

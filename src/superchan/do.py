@@ -3,10 +3,10 @@
 The sign-symmetric class strictly contains the diagonal-unitary one: on top of
 the four tables {A, B, C, D} it carries five more {E, P, Q, R, S} whose Choi
 positions pick up phases under generic diagonal unitaries but are immune to
-signs.  Validation never assembles the d^4 x d^4 Choi: the table positions
-fill the sign-symmetric charge sectors (linalg.charge_sectors with unordered
-pairs; blocks of side 4, 2d and d^2) exactly, so the spectrum is read off
-the tables sector by sector, and every marginal is one partial trace over B1.
+signs.  Validation never assembles the d^4 x d^4 Choi: the nine tables'
+positions connect the sign-symmetric charge sectors (positions.sectors;
+blocks of side 4, 2d and d^2) and fill them, so the spectrum is read off the
+tables sector by sector, and every marginal is one partial trace over B1.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .du import DUSuperParams, NotDUCovariantError, build_choi
-from .linalg import DEFAULT_TOL, charge_sectors
+from .linalg import DEFAULT_TOL
 from .positions import TableParams, b1_partial_trace, sector_spectrum
 from .superchannels import (
     SuperchannelVerdict,
@@ -85,6 +85,7 @@ def do_validate(p: DOSuperParams, tol: float = DEFAULT_TOL) -> DOVerdict:
     """validate_superchannel and tp_preserving_check on the Choi of p, with
     the same values, read off the tables in O(d^6) time and O(d^5) memory.
     """
-    is_psd, evals, _, herm = sector_spectrum(p, charge_sectors(p.d, "unordered"), tol)
+    s = sector_spectrum(p, tol)
     tp = tp_preserving_verdict(*b1_partial_trace(p), tol)
-    return DOVerdict(superchannel_verdict(is_psd, float(evals.min()), herm, tp), tp)
+    return DOVerdict(superchannel_verdict(s.is_psd, float(s.evals.min()),
+                                          float(s.hermiticity.max()), tp), tp)

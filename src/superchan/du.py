@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChoiChannel, DOChannelParams, choi_channel, identity_channel, table_channel
-from .linalg import DEFAULT_TOL, MultipartiteOperator, charge_sectors
+from .linalg import DEFAULT_TOL, MultipartiteOperator
 from .positions import (
     TableParams,
     apply_tables,
@@ -204,35 +204,32 @@ class DUCPVerdict:
 
 
 def du_cp_check(p: DUSuperParams, tol: float = DEFAULT_TOL) -> DUCPVerdict:
-    """Complete positivity from the Choi's ordered charge sectors, read off the tables.
+    """Complete positivity from the Choi's charge sectors, read off the tables.
 
     The closed form asks every M_ab with a != b (the principal block on
     {A1 = b, B1 = a}) to be PSD together with the coupled block on
-    {A1 = B1}.  Those blocks split exactly into the ordered charge sectors:
-    a sector whose first basis index has A1 digit q and B1 digit s lies in
-    M_sq when q != s and in the coupled block when q = s.  So the spectrum
-    is read off the tables sector by sector (positions.sector_spectrum) in
-    O(d^6) time and O(d^4) memory, without assembling the Choi.
+    {A1 = B1}.  Those blocks split exactly into the sectors the DU positions
+    connect (positions.sectors): one whose first index has A1 digit q and B1
+    digit s lies in M_sq when q != s and in the coupled block when q = s.  So
+    the spectrum is read off the tables sector by sector
+    (positions.sector_spectrum) in O(d^6) time and O(d^4) memory.
     offdiag_witness is the first (a, b) in row-major order whose M_ab minimum
     is within tol * max(1, spectral radius) of the smallest, so roundoff
     among tied minima does not move it.
     """
     d = p.d
-    sectors = charge_sectors(d, "ordered")
-    is_psd, evals, sector_min, _ = sector_spectrum(p, sectors, tol)
-    first = np.concatenate([rows[:, 0] for rows in sectors.blocks])
-    q, s = first // (d * d) % d, first % d
-    off = q != s
-    off_min = float(sector_min[off].min(initial=np.inf))
+    s = sector_spectrum(p, tol)
+    q, b1 = s.first // (d * d) % d, s.first % d
+    off = q != b1
+    off_min = float(s.minimum[off].min(initial=np.inf))
     witness = None  # at d = 1 there is no M_ab with a != b
     if off.any():
         # minima within tol * max(1, spectral radius) of the smallest are tied
-        tied = sector_min[off] <= off_min + tol * max(1.0, float(np.abs(evals).max()))
-        ab = (s * d + q)[off][tied].min()
+        tied = s.minimum[off] <= off_min + tol * max(1.0, float(np.abs(s.evals).max()))
+        ab = (b1 * d + q)[off][tied].min()
         witness = (int(ab // d), int(ab % d))
-    return DUCPVerdict(
-        is_psd, off_min, float(sector_min[~off].min()), float(evals.min()), tol, witness
-    )
+    return DUCPVerdict(s.is_psd, off_min, float(s.minimum[~off].min()),
+                       float(s.evals.min()), tol, witness)
 
 
 def du_block_action(p: DUSuperParams, x) -> MultipartiteOperator:

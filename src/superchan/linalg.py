@@ -8,7 +8,6 @@ reshape of ``dims + dims``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -221,54 +220,6 @@ def is_psd(x, tol: float = DEFAULT_TOL) -> bool:
             f"matrix is not Hermitian within tolerance {tol}"
         )
     return psd_report(m, tol)[0]
-
-
-@dataclass(frozen=True)
-class ChargeSectors:
-    """A partition of the basis of (A0, A1, B0, B1), each of dimension d, into
-    charge sectors.
-
-    ``blocks`` holds one read-only integer array per sector size s, of shape
-    (number of sectors of that size, s); each row lists the flat basis indices
-    of one sector in ascending order.
-    """
-
-    side: int
-    blocks: tuple[np.ndarray, ...]
-
-
-@functools.lru_cache(maxsize=32)
-def charge_sectors(d: int, pairs: str) -> ChargeSectors:
-    """Charge sectors of a diagonal-symmetric Choi matrix on (A0, A1, B0, B1).
-
-    The basis vector (p, q, r, s) is labelled (p != r ? (p, r) : 0,
-    q != s ? (q, s) : 0).  With pairs="ordered" the pairs are ordered and the
-    sectors are those of a diagonal-unitary covariant Choi: d^2 (d-1)^2
-    scalars, 2 d (d-1) blocks of side d and one block of side d^2.  With
-    pairs="unordered" they are the sign-symmetric sectors: (d (d-1) / 2)^2
-    blocks of side 4, d (d-1) blocks of side 2d and one of side d^2.  A Choi
-    matrix covariant under the group has no weight between sectors.
-    """
-    if pairs not in ("ordered", "unordered"):
-        raise ValueError(f"pairs must be 'ordered' or 'unordered', got {pairs!r}")
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    p, q, r, s = np.indices((d,) * 4).reshape(4, -1)
-
-    def pair_label(x, y):
-        if pairs == "unordered":
-            x, y = np.minimum(x, y), np.maximum(x, y)
-        return np.where(x != y, x * d + y + 1, 0)
-
-    label = pair_label(p, r) * (d * d + 1) + pair_label(q, s)
-    order = np.argsort(label, kind="stable")
-    _, starts, counts = np.unique(label[order], return_index=True, return_counts=True)
-    blocks = []
-    for size in np.unique(counts):
-        rows = order[starts[counts == size][:, None] + np.arange(size)]
-        rows.setflags(write=False)
-        blocks.append(rows)
-    return ChargeSectors(d**4, tuple(blocks))
 
 
 def psd_accepts(

@@ -19,12 +19,13 @@ subsystem.  The support string names the labels that must differ: "ij"
 requires i != j, "ab" requires a != b.  Entries outside the support are
 exact zeros.  The positions of the tables of one TableParams class (its
 NAMES) are pairwise disjoint; tables of different classes may share
-positions.  The nine superchannel tables, like the three channel tables,
-fill exactly the charge sectors of their group (block structure as in Singh
-& Nechita, arXiv:2010.07898), so assembling a Choi is one scatter per table,
-reading the tables off it one gather, the action of the assembled map one
-gather-multiply-add per table, and composing two sets of tables one product
-(matrix, entrywise or einsum) per table triple of composition_plan.
+positions.  They also give the block structure of the Choi (the charge
+sectors of Singh & Nechita, arXiv:2010.07898, derived by sectors), so
+assembling a Choi is one scatter per table, reading the tables off it one
+gather, its spectrum one batched eigensolve per sector size, the action of
+the assembled map one gather-multiply-add per table, and composing two sets
+of tables one product (matrix, entrywise or einsum) per table triple of
+composition_plan.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .linalg import ChargeSectors, hermitian_eigenvalues, hermiticity_deviation, psd_accepts
+from .linalg import hermitian_eigenvalues, psd_accepts
 
 POSITIONS = {
     "A": ("jbia", "jbia", ""),
@@ -128,9 +129,11 @@ class TableParams:
 
 def init_tables(p: TableParams) -> None:
     """Set each table of the frozen dataclass p to a read-only copy, real for
-    A and complex otherwise, after checking its shape and entries: non-finite
-    entries and nonzero entries outside the support are rejected.  The
-    caller's arrays stay writable."""
+    A and complex otherwise, after checking d >= 1 and each table's shape and
+    entries: non-finite entries and nonzero entries outside the support are
+    rejected.  The caller's arrays stay writable."""
+    if p.d < 1:
+        raise ValueError(f"dimension d must be positive, got {p.d}")
     side = p.d ** (len(FAMILIES[p.FAMILY][0]) // 2)
     for name in p.NAMES:
         t = np.array(getattr(p, name), dtype=float if name == "A" else complex)
@@ -230,6 +233,33 @@ def apply_tables(p: TableParams, x: np.ndarray) -> np.ndarray:
     return y.reshape(n, n)
 
 
+@functools.lru_cache(maxsize=32)
+def sectors(d: int, cls: type[TableParams]) -> tuple[np.ndarray, ...]:
+    """The charge sectors of the Choi of cls's tables at dimension d, the
+    blocks its positions connect: one read-only (count, side) array per
+    sector size, sizes ascending, each row a sector's indices in ascending
+    order and rows ordered by their first index.
+
+    The positions fill their blocks, so each index's least partner (one
+    np.minimum.at per table) is its block's first index.  Raises ValueError
+    if a position joins two blocks so found; principal_blocks would drop it.
+    """
+    root = np.arange(d ** len(FAMILIES[cls.FAMILY][0]))
+    pos = [table_positions(d, name, cls.FAMILY) for name in cls.NAMES]
+    for x in pos:
+        np.minimum.at(root, x.rows, x.cols)
+    if any((root[x.rows] != root[x.cols]).any() for x in pos):
+        raise ValueError(f"a position of {cls.__name__} joins two blocks at d={d}")
+    order = np.argsort(root, kind="stable")
+    _, starts, counts = np.unique(root[order], return_index=True, return_counts=True)
+    blocks = []
+    for size in np.unique(counts):
+        rows = order[starts[counts == size][:, None] + np.arange(size)]
+        rows.setflags(write=False)
+        blocks.append(rows)
+    return tuple(blocks)
+
+
 def principal_blocks(p: TableParams, basis: np.ndarray) -> np.ndarray:
     """Principal blocks of choi_from_tables(p), read straight off the tables.
 
@@ -248,26 +278,37 @@ def principal_blocks(p: TableParams, basis: np.ndarray) -> np.ndarray:
     return out.reshape(blocks, side, side)
 
 
-def sector_spectrum(p: TableParams, sectors: ChargeSectors, tol: float):
-    """(is_psd, eigenvalues, each sector's minimum, Hermiticity deviation) of
-    choi_from_tables(p), read off the tables sector by sector.
+class SectorSpectrum(NamedTuple):
+    """What sector_spectrum reads; per-sector arrays follow sectors(d, cls)."""
 
-    One batched eigensolve per sector size; 1 x 1 sectors are read off as
-    their real part.  The positions fill the sectors exactly, so the entry
-    maximum and Hermiticity deviation over the blocks are the Choi's, and
-    psd_accepts decides on the Choi's own scale.  Minima follow sectors.blocks.
+    is_psd: bool
+    evals: np.ndarray  # every eigenvalue, sector by sector
+    first: np.ndarray  # each sector's first index,
+    minimum: np.ndarray  # its least eigenvalue
+    hermiticity: np.ndarray  # and its Hermiticity deviation
+    max_entry: float  # the Choi's largest |entry|
+
+
+def sector_spectrum(p: TableParams, tol: float) -> SectorSpectrum:
+    """The spectrum of choi_from_tables(p), read off the tables sector by
+    sector (sectors(p.d, type(p))) in one batched eigensolve per sector size,
+    1 x 1 sectors as their real part.  No position lies between sectors, so
+    the entry maximum and the largest Hermiticity deviation over them are
+    the Choi's, and psd_accepts decides on the Choi's own scale.
     """
-    evals, sector_min = [], []
-    max_entry = herm = 0.0
-    for rows in sectors.blocks:
+    evals, first, minimum, herm = [], [], [], []
+    max_entry = 0.0
+    for rows in sectors(p.d, type(p)):
         stack = principal_blocks(p, rows)
         e = stack[:, :, 0].real if rows.shape[1] == 1 else hermitian_eigenvalues(stack)
         evals.append(e.reshape(-1))
-        sector_min.append(e[:, 0])
+        first.append(rows[:, 0])
+        minimum.append(e[:, 0])
+        herm.append(np.abs(stack - stack.transpose(0, 2, 1).conj()).max(axis=(1, 2)))
         max_entry = max(max_entry, float(np.abs(stack).max()))
-        herm = max(herm, hermiticity_deviation(stack))
-    evals = np.concatenate(evals)
-    return psd_accepts(evals, max_entry, herm, tol), evals, np.concatenate(sector_min), herm
+    evals, herm = np.concatenate(evals), np.concatenate(herm)
+    return SectorSpectrum(psd_accepts(evals, max_entry, float(herm.max()), tol), evals,
+                          np.concatenate(first), np.concatenate(minimum), herm, max_entry)
 
 
 def b1_partial_trace(p: TableParams) -> tuple[float, np.ndarray]:
@@ -293,8 +334,6 @@ def b1_partial_trace(p: TableParams) -> tuple[float, np.ndarray]:
     k, v = key[~on], vals[~on]
     leak = np.abs(np.add.reduceat(v, np.flatnonzero(np.diff(k, prepend=-1)))).max(initial=0.0)
     return float(leak), diag.reshape((d,) * 5)
-
-
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import product
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,6 @@ from superchan.dephasing import (
 from superchan.do import DOSuperParams
 from superchan.du import DUSuperParams, from_choi
 from superchan.linalg import (
-    ChargeSectors,
     MultipartiteOperator,
     hermitian_eigenvalues,
     hermiticity_deviation,
@@ -102,6 +102,54 @@ def full_eigvalsh_psd(mat: np.ndarray, tol: float = 1e-10) -> bool:
     whole matrix, accepted at -tol * max(1, spectral radius)."""
     evals = np.linalg.eigvalsh(mat)
     return bool(evals[0] >= -tol * max(1.0, float(np.abs(evals).max())))
+
+
+@dataclass(frozen=True)
+class ChargeSectors:
+    """A partition of the basis of (A0, A1, B0, B1), each of dimension d, into
+    charge sectors.
+
+    ``blocks`` holds one read-only integer array per sector size s, of shape
+    (number of sectors of that size, s); each row lists the flat basis indices
+    of one sector in ascending order.
+    """
+
+    side: int
+    blocks: tuple[np.ndarray, ...]
+
+
+def charge_sectors(d: int, pairs: str) -> ChargeSectors:
+    """Charge sectors of a diagonal-symmetric Choi matrix on (A0, A1, B0, B1),
+    from digit labels alone: the independent oracle for positions.sectors.
+
+    The basis vector (p, q, r, s) is labelled (p != r ? (p, r) : 0,
+    q != s ? (q, s) : 0).  With pairs="ordered" the pairs are ordered and the
+    sectors are those of a diagonal-unitary covariant Choi: d^2 (d-1)^2
+    scalars, 2 d (d-1) blocks of side d and one block of side d^2.  With
+    pairs="unordered" they are the sign-symmetric sectors: (d (d-1) / 2)^2
+    blocks of side 4, d (d-1) blocks of side 2d and one of side d^2.  A Choi
+    matrix covariant under the group has no weight between sectors.
+    """
+    if pairs not in ("ordered", "unordered"):
+        raise ValueError(f"pairs must be 'ordered' or 'unordered', got {pairs!r}")
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    p, q, r, s = np.indices((d,) * 4).reshape(4, -1)
+
+    def pair_label(x, y):
+        if pairs == "unordered":
+            x, y = np.minimum(x, y), np.maximum(x, y)
+        return np.where(x != y, x * d + y + 1, 0)
+
+    label = pair_label(p, r) * (d * d + 1) + pair_label(q, s)
+    order = np.argsort(label, kind="stable")
+    _, starts, counts = np.unique(label[order], return_index=True, return_counts=True)
+    blocks = []
+    for size in np.unique(counts):
+        rows = order[starts[counts == size][:, None] + np.arange(size)]
+        rows.setflags(write=False)
+        blocks.append(rows)
+    return ChargeSectors(d**4, tuple(blocks))
 
 
 def sector_eigenvalues(m: np.ndarray, sectors: ChargeSectors) -> np.ndarray:

@@ -12,17 +12,15 @@ from superchan.channels import (
     choi_from_kraus,
     classical_channel_extract,
     compose_channels,
-    conj_du_channel_validate,
     dephasing_channel,
     depolarizing,
-    do_channel_validate,
-    du_channel_validate,
     du_identity_channel_params,
     holevo_werner,
     identity_channel,
     orthogonal_covariant,
     pauli_channel,
     table_channel,
+    table_channel_validate,
     transpose_map,
     unitary_covariant,
     validate_channel,
@@ -229,7 +227,7 @@ def test_orthogonal_covariant_family():
 def test_du_channel_identity_and_validation():
     params = du_identity_channel_params(3)
     assert np.allclose(table_channel(params).choi.mat, identity_channel(3).choi.mat)
-    verdict = du_channel_validate(params)
+    verdict = table_channel_validate(params)
     assert verdict.ok and verdict.is_cp and verdict.is_tp
 
 
@@ -242,7 +240,7 @@ def test_amplitude_damping_is_du_channel():
         np.array([[0.0, s], [s, 0.0]], dtype=complex),
     )
     assert np.allclose(table_channel(params).choi.mat, amplitude_damping(gamma).choi.mat)
-    assert du_channel_validate(params).ok
+    assert table_channel_validate(params).ok
 
 
 def test_dephasing_channel_is_du_channel_with_identity_table():
@@ -261,7 +259,7 @@ def test_du_channel_cp_closed_form_matches_spectral_oracle():
             b = (g + g.conj().T) / 2
             np.fill_diagonal(b, 0.0)
             params = DUChannelParams(d, a, b)
-            closed = du_channel_validate(params).is_cp
+            closed = table_channel_validate(params).is_cp
             spectral = is_psd(table_channel(params).choi.mat)
             assert closed == spectral
 
@@ -305,12 +303,12 @@ def test_conj_du_channel_closed_form():
             c[i, j] = 0.9 * np.sqrt(a[i, j] * a[j, i]) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             c[j, i] = np.conj(c[i, j])
     params = ConjDUChannelParams(d, a, c)
-    assert conj_du_channel_validate(params).is_cp
+    assert table_channel_validate(params).is_cp
     assert is_psd(table_channel(params).choi.mat)
     # violating the pair condition breaks positivity
     c_bad = 5.0 * c
     bad = ConjDUChannelParams(d, a, c_bad)
-    assert not conj_du_channel_validate(bad).is_cp
+    assert not table_channel_validate(bad).is_cp
     assert not is_psd(table_channel(bad).choi.mat)
 
 
@@ -325,7 +323,7 @@ def test_do_channel_closed_form_matches_spectral():
         c = 0.4 * (g2 + g2.conj().T) / 2
         np.fill_diagonal(c, 0.0)
         params = DOChannelParams(d, a, b, c)
-        assert do_channel_validate(params).is_cp == is_psd(table_channel(params).choi.mat)
+        assert table_channel_validate(params).is_cp == is_psd(table_channel(params).choi.mat)
 
 
 def test_classical_channel_extract():
@@ -408,7 +406,7 @@ def test_pair_violation_matches_the_loop(d):
         a = np.abs(rng.normal(size=(d, d)))
         c = scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         c = np.where(np.eye(d, dtype=bool), 0.0, (c + c.conj().T) / 2)
-        got = conj_du_channel_validate(ConjDUChannelParams(d, a, c)).pair_violation
+        got = table_channel_validate(ConjDUChannelParams(d, a, c)).pair_violation
         ref = loop_pair_violation(a, c)
         # |C_ij| rounds differently for an array than for a scalar
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
@@ -444,35 +442,57 @@ def test_parameter_classes_copy_and_freeze_their_tables():
             assert getattr(p, n)[0, 0] == 0
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_parameter_classes_reject_a_dimension_below_one(d):
+    from superchan.dephasing import DephasingSuperParams
+    from superchan.do import DOSuperParams
+    from superchan.du import DUSuperParams
+
+    for cls in (DUChannelParams, ConjDUChannelParams, DOChannelParams, DUSuperParams,
+                DOSuperParams, DephasingSuperParams):
+        with pytest.raises(ValueError, match=f"dimension d must be positive, got {d}"):
+            cls(d, **{n: np.zeros((1, 1)) for n in cls.NAMES})
+
+
 def test_closed_form_b_psd_uses_the_scale_of_the_choi():
     # the Hermiticity slack of the {ii} block scales with its largest entry,
-    # here A's diagonal, as it does for the whole Choi
+    # here A's diagonal, as it does for the whole Choi; and so does that of
+    # a pair block, where a defect of 1e-9 in C is large beside C's own
+    # largest entry but within tol * 100
     a = 100.0 * np.eye(2)
     b = np.array([[0, 0], [1e-9, 0]], dtype=complex)
-    for params, validate in ((DUChannelParams(2, a, b), du_channel_validate),
-                             (DOChannelParams(2, a, b, np.zeros((2, 2))), do_channel_validate)):
+    ones, c, zero = 100.0 * np.ones((2, 2)), b.T, np.zeros((2, 2))
+    for params in (DUChannelParams(2, a, b), DOChannelParams(2, a, b, zero),
+                   ConjDUChannelParams(2, ones, c), DOChannelParams(2, ones, zero, c)):
         assert validate_channel(table_channel(params)).is_cp
-        assert validate(params).is_cp
+        v = table_channel_validate(params)
+        assert v.is_cp and v.b_psd and v.pair_condition
+    # beyond tol * 100 a defect fails the readout of its own sector alone
+    for params, b_ok in ((DOChannelParams(2, ones, 1e3 * b, zero), False),
+                         (DOChannelParams(2, ones, zero, 1e3 * c), True)):
+        assert not validate_channel(table_channel(params)).is_cp
+        v = table_channel_validate(params)
+        assert not v.is_cp and v.a_nonnegative and (v.b_psd, v.pair_condition) == (b_ok, not b_ok)
 
 
 def test_closed_forms_judge_a_and_the_pair_condition_on_the_scale_of_the_choi():
     # roundoff-sized violations on large tables: the Choi check accepts both
     # and so do the closed forms, whose readouts stay unscaled
     p = DUChannelParams(2, np.array([[1e4, -1e-9], [0.0, 1e4]]), np.zeros((2, 2)))
-    v = du_channel_validate(p)
+    v = table_channel_validate(p)
     assert validate_channel(table_channel(p)).is_cp
     assert v.a_nonnegative and v.is_cp and v.min_a_entry == -1e-9
     c = (100 + 1e-9) * (np.ones((2, 2)) - np.eye(2))
     q = ConjDUChannelParams(2, 100.0 * np.ones((2, 2)), c)
-    v = conj_du_channel_validate(q)
+    v = table_channel_validate(q)
     assert validate_channel(table_channel(q)).is_cp
     assert v.pair_condition and v.is_cp and v.pair_violation > 1e-7
     # a violation beyond tol * spectral radius still fails
     p = DUChannelParams(2, np.array([[1e4, -1e-5], [0.0, 1e4]]), np.zeros((2, 2)))
-    assert not du_channel_validate(p).a_nonnegative
+    assert not table_channel_validate(p).a_nonnegative
     assert not validate_channel(table_channel(p)).is_cp
     q = ConjDUChannelParams(2, 100.0 * np.ones((2, 2)), (100 + 1e-6) * (1 - np.eye(2)))
-    assert not conj_du_channel_validate(q).pair_condition
+    assert not table_channel_validate(q).pair_condition
     assert not validate_channel(table_channel(q)).is_cp
 
 
@@ -480,36 +500,45 @@ def test_closed_forms_have_no_unscaled_pair_arm_and_judge_b_on_the_choi_scale():
     # |C_ij| = 1e-6 where A_ij A_ji = 0: the Choi has eigenvalue -1e-6
     q = ConjDUChannelParams(2, np.eye(2), 1e-6 * (np.ones((2, 2)) - np.eye(2)))
     assert validate_channel(table_channel(q)).min_eigenvalue < -9e-7
-    assert not conj_du_channel_validate(q).pair_condition
-    assert not conj_du_channel_validate(q).is_cp
+    assert not table_channel_validate(q).pair_condition
+    assert not table_channel_validate(q).is_cp
     # a diagonal A entry of -5e-9 is roundoff on a Choi of spectral radius 1e3
     p = DUChannelParams(2, np.array([[1, 1e3], [0, -5e-9]]), np.zeros((2, 2)))
     assert validate_channel(table_channel(p)).is_cp
-    v = du_channel_validate(p)
+    v = table_channel_validate(p)
     assert v.b_psd and v.is_cp and v.b_min_eigenvalue == -5e-9
 
 
 def test_closed_forms_agree_with_the_choi_check_at_the_boundary():
     """Tables of scale 1..1e4 with one A entry or every C pair off by about
-    tol * scale, either way: the closed forms and validate_channel agree."""
-    r = np.random.default_rng(23)
-    for t in range(300):
-        d = int(r.integers(2, 5))
-        scale = 10 ** r.uniform(0, 4)
-        a = (0.5 + r.random((d, d))) * scale
-        if t % 2:
-            i, j = r.choice(d, 2, replace=False)
-            a[i, j] = -DEFAULT_TOL * scale * 10 ** r.uniform(-1, 1)
-        c = np.sqrt(np.clip(a * a.T, 0, None)) * np.exp(1j * r.uniform(0, 2 * np.pi, (d, d)))
-        c = np.triu(c, 1)
-        c = (c + c.conj().T) * (1 + DEFAULT_TOL * 10 ** r.uniform(-1, 1) * r.choice([-1, 1]))
-        zero = np.zeros((d, d))
-        params, build, validate = (
-            (DUChannelParams(d, a, zero), table_channel, du_channel_validate),
-            (ConjDUChannelParams(d, a, c), table_channel, conj_du_channel_validate),
-            (DOChannelParams(d, a, zero, c), table_channel, do_channel_validate),
-        )[t % 3]
-        assert validate(params).is_cp == validate_channel(build(params)).is_cp
+    tol * scale, either way; then the same with a Hermiticity defect of about
+    tol * scale in one entry of B and of C, half of them with C otherwise
+    zero: the closed forms and validate_channel agree, and is_cp is the
+    conjunction of the three readouts."""
+    for seed, defect in ((23, False), (29, True)):
+        r = np.random.default_rng(seed)
+        for t in range(300):
+            d = int(r.integers(2, 5))
+            scale = 10 ** r.uniform(0, 4)
+            a = (0.5 + r.random((d, d))) * scale
+            if t % 2:
+                i, j = r.choice(d, 2, replace=False)
+                a[i, j] = -DEFAULT_TOL * scale * 10 ** r.uniform(-1, 1)
+            c = np.sqrt(np.clip(a * a.T, 0, None)) * np.exp(1j * r.uniform(0, 2 * np.pi, (d, d)))
+            c = np.triu(c, 1)
+            c = (c + c.conj().T) * (1 + DEFAULT_TOL * 10 ** r.uniform(-1, 1) * r.choice([-1, 1]))
+            b = np.zeros((d, d), dtype=complex)
+            if defect:  # one entry without its conjugate partner, in B and in C
+                c *= t % 4 < 2
+                for x in (b, c):
+                    i, j = r.choice(d, 2, replace=False)
+                    x[i, j] += (DEFAULT_TOL * scale * 10 ** r.uniform(-2, 1)
+                                * np.exp(1j * r.uniform(0, 2 * np.pi)))
+            params = (DUChannelParams(d, a, b), ConjDUChannelParams(d, a, c),
+                      DOChannelParams(d, a, b, c))[t % 3]
+            v = table_channel_validate(params)
+            assert v.is_cp == validate_channel(table_channel(params)).is_cp
+            assert v.is_cp == (v.a_nonnegative and v.b_psd and v.pair_condition)
 
 
 @pytest.mark.parametrize("cls, build, names", CHANNEL_FAMILIES, ids=["duc", "cduc", "doc"])

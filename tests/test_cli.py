@@ -343,6 +343,20 @@ def test_compose_dephasing_multiplies_tables(paths, capsys):
     assert np.allclose(composed.M_big, p1.M_big * p2.M_big)
 
 
+@pytest.mark.parametrize("kind", ["du", "do", "dephasing"])
+def test_table_dimension_below_one_is_invalid_input(paths, capsys, kind):
+    # d = -1 asks for tables of side 1, so the parser passes them on and the
+    # parameter class names d
+    tmp, write = paths
+    one = {"dims": [1, 1], "data": [[0.0, 0.0]]}
+    path = write("t.json", {"d": -1, **{n: one for n in jsonio.TABLE_KINDS[kind].NAMES}})
+    for argv in (("validate", kind, path), ("compose", kind, path, path),
+                 ("covariance", path, "--group", "du")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2 and "status: invalid-input" in out
+        assert "error: dimension d must be positive, got -1" in out
+
+
 def test_compose_kind_mismatch(paths, capsys):
     tmp, write = paths
     du = write("du.json", jsonio.du_params_to_json(du_identity(2)))

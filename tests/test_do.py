@@ -11,7 +11,6 @@ from superchan.do import (
     from_du_params,
 )
 from superchan.du import build_choi, du_identity, from_choi
-from superchan.linalg import charge_sectors
 from superchan.pauli import PauliSuperParams, pauli_super_choi
 from superchan.superchannels import (
     sandwich_superchannel,
@@ -21,6 +20,7 @@ from superchan.superchannels import (
 )
 
 from helpers import (
+    charge_sectors,
     dense_validate_superchannel,
     full_eigvalsh_psd,
     haar_unitary,

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from superchan.channels import (
     amplitude_damping,
     bit_flip,
-    du_channel_validate,
     pauli_channel,
+    table_channel_validate,
     validate_channel,
 )
 from superchan.covariance import covariance_sampler_tuple, superchannel_covariance_check
@@ -26,7 +26,7 @@ from superchan.du import (
 )
 from superchan import du as du_module, positions
 from superchan.positions import compose_tables
-from superchan.linalg import ChargeSectors, charge_sectors, max_entangled_projector, operator
+from superchan.linalg import max_entangled_projector, operator
 from superchan.superchannels import (
     classical_superchannel_extract,
     compose_superchannels,
@@ -38,6 +38,7 @@ from superchan.superchannels import (
 )
 
 from helpers import (
+    charge_sectors,
     cp_block_matrix,
     cp_blocks,
     full_eigvalsh_psd,
@@ -443,8 +444,7 @@ def test_cp_witness_ignores_roundoff_among_tied_minima(monkeypatch):
     for seed in range(6):
         perm = np.random.default_rng(seed)
         blocks = tuple(perm.permuted(perm.permutation(rows), axis=1) for rows in sectors.blocks)
-        monkeypatch.setattr(du_module, "charge_sectors",
-                            lambda d_, pairs: ChargeSectors(sectors.side, blocks))
+        monkeypatch.setattr(positions, "sectors", lambda d_, cls: blocks)
         permuted = du_cp_check(p)
         assert permuted.offdiag_witness == (0, 1)
         minima.add(permuted.offdiag_min_eigenvalue)
@@ -549,7 +549,7 @@ def test_du_action_on_identity():
         assert np.abs(ch.choi.mat - direct.mat).max() <= 1e-13
         assert validate_channel(ch).ok
         # the induced channel is itself of the two-table covariant form
-        verdict = du_channel_validate(DUChannelParams(d, _s_table(p), _b_table(p)))
+        verdict = table_channel_validate(DUChannelParams(d, _s_table(p), _b_table(p)))
         assert verdict.ok
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from superchan.linalg import (
     NonHermitianMatrixError,
-    charge_sectors,
     hermiticity_deviation,
     identity_operator,
     is_hermitian,
@@ -26,7 +25,7 @@ from superchan.linalg import (
     swap_operator,
 )
 
-from helpers import random_hermitian, sector_eigenvalues, sector_psd_report
+from helpers import charge_sectors, random_hermitian, sector_eigenvalues, sector_psd_report
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 

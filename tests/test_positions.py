@@ -22,17 +22,19 @@ from superchan.du import (
     build_choi,
     from_choi,
 )
-from superchan.linalg import charge_sectors
 from superchan.positions import (
+    FAMILIES,
     apply_tables,
     compose_tables,
     composition_plan,
     extraction_residual,
+    sectors,
     table_positions,
 )
 from superchan.superchannels import compose_superchannels, representing_apply, super_choi
 
 from helpers import (
+    charge_sectors,
     cp_block_matrix,
     cp_blocks,
     du_compose_reference,
@@ -139,6 +141,54 @@ def test_positions_are_disjoint_and_fill_the_charge_sectors(d, names, pairs, cou
     inside = sector[:, None] == sector[None, :]
     assert np.array_equal(owner >= 0, inside)
     assert int(inside.sum()) == count(d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("cls, pairs", [(DUSuperParams, "ordered"), (DOSuperParams, "unordered")],
+                         ids=["du", "do"])
+def test_sectors_are_the_charge_sectors_of_the_digit_labels(d, cls, pairs):
+    # the same rows, size by size; derived rows come ordered by first index
+    got, want = sectors(d, cls), charge_sectors(d, pairs).blocks
+    assert [rows.shape[1] for rows in got] == [rows.shape[1] for rows in want]
+    for rows, ref in zip(got, want):
+        assert not rows.flags.writeable
+        assert np.array_equal(rows, np.sort(rows, axis=1))
+        assert np.array_equal(rows, ref[np.argsort(ref[:, 0])])
+    assert sectors(d, cls) is got  # cached per (d, class)
+
+
+TABLE_CLASSES = [DUSuperParams, DOSuperParams, DUChannelParams, ConjDUChannelParams,
+                 DOChannelParams]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cls", TABLE_CLASSES, ids=["du", "do", "duc", "cduc", "doc"])
+def test_positions_fill_their_sectors_and_never_cross_them(d, cls):
+    side = d ** len(FAMILIES[cls.FAMILY][0])
+    blocks = sectors(d, cls)
+    flat = np.concatenate([rows.reshape(-1) for rows in blocks])
+    assert np.array_equal(np.sort(flat), np.arange(side))  # a partition of the basis
+    sector = np.empty(side, dtype=int)
+    first = 0
+    for rows in blocks:
+        sector[rows] = first + np.arange(len(rows))[:, None]
+        first += len(rows)
+    held = np.zeros((side, side), dtype=bool)
+    for name in cls.NAMES:
+        pos = table_positions(d, name, cls.FAMILY)
+        held[pos.rows, pos.cols] = True
+    # every entry of a block is a position, and every position is in a block
+    assert np.array_equal(held, sector[:, None] == sector[None, :])
+
+
+def test_sectors_refuse_a_position_that_joins_two_blocks(monkeypatch):
+    # L links ii to ij and R links ij to jj: the positions chain indices
+    # together without filling the blocks they connect
+    monkeypatch.setitem(FAMILIES, "chain", ("ij", {"L": ("ii", "ij", "ij"),
+                                                   "R": ("ij", "jj", "ij")}))
+    chain = type("Chain", (), {"NAMES": ("L", "R"), "FAMILY": "chain"})
+    with pytest.raises(ValueError, match="a position of Chain joins two blocks at d=3"):
+        sectors(3, chain)
 
 
 def _residual_inputs(d, names):
