@@ -142,6 +142,15 @@ def classical_channel_extract(ch: ChoiChannel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def check_probability_vector(p: np.ndarray) -> None:
+    """Reject p unless its entries are finite, nonnegative and sum to 1,
+    each up to PARAM_EDGE_TOL."""
+    if not np.isfinite(p).all():
+        raise ValueError(f"{p} is not a probability vector: non-finite entries (NaN or Inf)")
+    if p.min() < -PARAM_EDGE_TOL or abs(p.sum() - 1.0) > PARAM_EDGE_TOL:
+        raise ValueError(f"{p} is not a probability vector")
+
+
 def _check_unit_interval(name: str, value: float) -> float:
     if not -PARAM_EDGE_TOL <= value <= 1.0 + PARAM_EDGE_TOL:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
@@ -204,8 +213,7 @@ def pauli_channel(probs) -> ChoiChannel:
     p = np.asarray(probs, dtype=float)
     if p.shape != (4,):
         raise ValueError("pauli_channel expects four probabilities")
-    if p.min() < -PARAM_EDGE_TOL or abs(p.sum() - 1.0) > PARAM_EDGE_TOL:
-        raise ValueError(f"{p} is not a probability vector")
+    check_probability_vector(p)
     return choi_from_kraus([math.sqrt(max(v, 0.0)) * s for v, s in zip(p, PAULI)])
 
 

@@ -35,13 +35,7 @@ from .jsonio import SchemaError
 from .linalg import DEFAULT_TOL
 from .positions import TableParams, apply_tables, compose_tables
 from .pauli import pauli_du_check, pauli_induced_bistochastic, pauli_super_choi
-from .superchannels import (
-    SuperChoi,
-    apply_to_channel,
-    compose_superchannels,
-    tp_preserving_check,
-    validate_superchannel,
-)
+from .superchannels import apply_to_channel, compose_superchannels, validate_superchannel
 
 OK, INVALID_INPUT, CHECK_FAILED = 0, 2, 3
 _STATUS = {OK: "ok", INVALID_INPUT: "invalid-input", CHECK_FAILED: "check-failed"}
@@ -73,7 +67,7 @@ def _emit(result: CommandResult) -> int:
     return result.status
 
 
-def _load(path):
+def _read(path) -> dict:
     try:
         obj = jsonio.load_json(path)
     except FileNotFoundError:
@@ -83,44 +77,22 @@ def _load(path):
     return obj
 
 
-def _load_kind(path, kind: str) -> dict:
-    """The JSON object in the file at path, which must hold a ``kind`` object."""
-    obj = _load(path)
+def _load(path, kind: str | None = None) -> tuple[str, object]:
+    """(kind, parsed object) of the JSON file at path, which must hold a
+    ``kind`` object, or any superchannel form when kind is None."""
+    obj = _read(path)
     found = jsonio.detect_kind(obj)
-    if found != kind:
+    if kind is not None and found != kind:
         raise SchemaError(f"{path} holds a {found} object, not {kind}")
-    return obj
-
-
-_SUPER_PARSERS = {
-    "superchannel": jsonio.superchannel_from_json,
-    "du": jsonio.du_params_from_json,
-    "do": jsonio.do_params_from_json,
-    "dephasing": jsonio.dephasing_from_json,
-    "pauli": jsonio.pauli_from_json,
-}
-
-
-def _as_super_choi(kind: str, parsed) -> SuperChoi:
-    if kind == "superchannel":
-        return parsed
-    if kind == "pauli":
-        return pauli_super_choi(parsed)
-    raise SchemaError(f"{kind} does not describe a superchannel")
-
-
-def _load_super(path) -> tuple[str, object]:
-    obj = _load(path)
-    kind = jsonio.detect_kind(obj)
-    if kind not in _SUPER_PARSERS:
-        raise SchemaError(f"{path} holds a {kind}, expected a superchannel form")
-    return kind, _SUPER_PARSERS[kind](obj)
+    if kind is None and found == "channel":
+        raise SchemaError(f"{path} holds a {found}, expected a superchannel form")
+    return found, jsonio.from_json(obj, found)
 
 
 def default_du_params():
     """The documented valid d=2 parameter set shipped with the package."""
     text = resources.files("superchan.data").joinpath("default_du_d2.json").read_text()
-    return jsonio.du_params_from_json(json.loads(text))
+    return jsonio.params_from_json(json.loads(text), "du")
 
 
 # ---------------------------------------------------------------------------
@@ -129,23 +101,19 @@ def default_du_params():
 
 
 def cmd_validate(args) -> CommandResult:
-    kind = args.kind
-    obj = _load_kind(args.path, kind)
+    kind, p = _load(args.path, args.kind)
     tol = args.tol
     report: dict = {"kind": kind}
     if kind == "channel":
-        verdict = validate_channel(jsonio.channel_from_json(obj), tol)
+        verdict = validate_channel(p, tol)
         report.update(verdict.report())
         ok = verdict.ok
-    elif kind == "superchannel":
-        s = jsonio.superchannel_from_json(obj)
-        verdict = validate_superchannel(s, tol)
-        tp, _ = tp_preserving_check(s, tol)
+    elif kind in ("superchannel", "do"):  # the dense Choi or the nine tables
+        verdict = (validate_superchannel if kind == "superchannel" else do_validate)(p, tol)
         report.update(verdict.report())
-        report.update(tp.report())
+        report.update(verdict.tp.report())
         ok = verdict.ok
     elif kind == "du":
-        p = jsonio.du_params_from_json(obj)
         herm = hermiticity_violation(p)
         report["hermiticity_violation"] = herm
         if herm > tol:
@@ -156,16 +124,11 @@ def cmd_validate(args) -> CommandResult:
             report.update(tp_verdict.report())
             report.update(cp_verdict.report())
             ok = tp_verdict.ok and cp_verdict.ok
-    elif kind == "do":
-        verdict = do_validate(jsonio.do_params_from_json(obj), tol)
-        report.update(verdict.report())
-        ok = verdict.ok
     elif kind == "dephasing":
-        verdict = dephasing_validate(jsonio.dephasing_from_json(obj), tol)
+        verdict = dephasing_validate(p, tol)
         report.update(verdict.report())
         ok = verdict.ok
     else:  # pauli
-        p = jsonio.pauli_from_json(obj)
         verdict = validate_superchannel(pauli_super_choi(p), tol)
         du_verdict = pauli_du_check(p, tol)
         m = pauli_induced_bistochastic(p)
@@ -184,19 +147,19 @@ def cmd_validate(args) -> CommandResult:
 
 
 def cmd_apply(args) -> CommandResult:
-    kind, parsed = _load_super(args.superchannel)
-    ch = jsonio.channel_from_json(_load(args.channel))
+    kind, parsed = _load(args.superchannel)
+    s = pauli_super_choi(parsed) if kind == "pauli" else parsed
+    ch = jsonio.channel_from_json(_read(args.channel))
     # table kinds act straight from their positions, without assembling the Choi
-    tables = isinstance(parsed, TableParams)
-    s = None if tables else _as_super_choi(kind, parsed)
-    pair = (parsed.d, parsed.d) if tables else (s.dA0, s.dA1)
+    tables = isinstance(s, TableParams)
+    pair = (s.d, s.d) if tables else (s.dA0, s.dA1)
     if (ch.d_in, ch.d_out) != pair:
         raise SchemaError(
             f"channel dims ({ch.d_in}, {ch.d_out}) do not match superchannel "
             f"input pair {pair}"
         )
     if tables:
-        out = choi_channel(apply_tables(parsed, ch.choi.mat), parsed.d, parsed.d)
+        out = choi_channel(apply_tables(s, ch.choi.mat), s.d, s.d)
     else:
         out = apply_to_channel(s, ch)
     report = {"superchannel_kind": kind}
@@ -215,24 +178,22 @@ def cmd_apply(args) -> CommandResult:
 
 
 def cmd_compose(args) -> CommandResult:
-    obj1, obj2 = _load(args.path1), _load(args.path2)
+    # read and identify both files before parsing either, so errors keep their order
+    obj1, obj2 = _read(args.path1), _read(args.path2)
     kind1, kind2 = jsonio.detect_kind(obj1), jsonio.detect_kind(obj2)
     if kind1 != args.kind or kind2 != args.kind:
         raise SchemaError(
             f"compose {args.kind}: inputs are {kind1} and {kind2}"
         )
-    report = {"kind": args.kind}
+    p1, p2 = (jsonio.from_json(obj, args.kind) for obj in (obj1, obj2))
     if args.kind in jsonio.TABLE_KINDS:
-        p1, p2 = (_SUPER_PARSERS[args.kind](obj) for obj in (obj1, obj2))
-        doc = jsonio.params_to_json(compose_tables(p1, p2))
+        compose, to_json = compose_tables, jsonio.params_to_json
     elif args.kind == "superchannel":
-        s1 = jsonio.superchannel_from_json(obj1)
-        s2 = jsonio.superchannel_from_json(obj2)
-        doc = jsonio.superchannel_to_json(compose_superchannels(s1, s2))
+        compose, to_json = compose_superchannels, jsonio.superchannel_to_json
     else:  # channel
-        c1 = jsonio.channel_from_json(obj1)
-        c2 = jsonio.channel_from_json(obj2)
-        doc = jsonio.channel_to_json(compose_channels(c1, c2))
+        compose, to_json = compose_channels, jsonio.channel_to_json
+    doc = to_json(compose(p1, p2))
+    report = {"kind": args.kind}
     artifacts = [(args.out, doc)] if args.out else []
     if not artifacts:
         report["result"] = json.dumps(doc)
@@ -245,11 +206,10 @@ def cmd_compose(args) -> CommandResult:
 
 
 def cmd_covariance(args) -> CommandResult:
-    kind, parsed = _load_super(args.superchannel)
+    kind, parsed = _load(args.superchannel)
     # table kinds go as they are: diagonal groups rephase their entries
-    tables = isinstance(parsed, TableParams)
-    s = parsed if tables else _as_super_choi(kind, parsed)
-    dims = (parsed.d,) * 4 if tables else s.choi.dims
+    s = pauli_super_choi(parsed) if kind == "pauli" else parsed
+    dims = (s.d,) * 4 if isinstance(s, TableParams) else s.choi.dims
     if len(set(dims)) > 1:
         raise SchemaError("covariance groups are defined for equal subsystem dims")
     samplers = covariance_sampler_tuple(args.group, dims[0], args.seed)
@@ -283,8 +243,7 @@ def cmd_example(args) -> CommandResult:
             artifacts.append((args.out, jsonio.channel_to_json(ch)))
         return CommandResult(OK if ok else CHECK_FAILED, report, artifacts)
 
-    params = (jsonio.du_params_from_json(_load_kind(args.superchannel, "du"))
-              if args.superchannel else default_du_params())
+    params = _load(args.superchannel, "du")[1] if args.superchannel else default_du_params()
     if params.d != 2:
         raise SchemaError("qubit examples need a d=2 parameter set")
     a4 = params.t4("A")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChoiChannel, check_covariance_matrix, choi_channel
-from .du import DUSuperParams, build_choi
+from .du import DUSuperParams
 from .linalg import DEFAULT_TOL, psd_report
 from .positions import TableParams
 
@@ -40,9 +40,6 @@ def dephasing_super_apply(p: DephasingSuperParams, c: ChoiChannel) -> ChoiChanne
     if (c.d_in, c.d_out) != (p.d, p.d):
         raise ValueError(f"channel dims ({c.d_in}, {c.d_out}) do not match d={p.d}")
     return choi_channel(p.M_big * c.choi.mat, p.d, p.d)
-
-
-to_super_choi = build_choi  # the Choi of the Schur multiplier
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,7 @@ def covariance_fibers(p: DephasingSuperParams) -> np.ndarray:
 def dephasing_validate(p: DephasingSuperParams, tol: float = DEFAULT_TOL) -> DephasingVerdict:
     """Run the three named checks.
 
-    Equivalent to the generic Choi-level validation of to_super_choi(p); the
+    Equivalent to the generic Choi-level validation of build_choi(p); the
     test suite asserts that equivalence rather than this function.
     """
     psd_ok, min_eig, _ = psd_report(p.M_big, tol)
@@ -160,7 +157,7 @@ def dephasing_embed_du(p: DephasingSuperParams) -> DUSuperParams:
     """Reindex the multiplier table into the four-table parameterization.
 
     A takes the diagonal fibers, B the i = j fibers, C the a = b fibers and D
-    the rest; assembling the result gives exactly to_super_choi(p).
+    the rest; assembling the result gives exactly build_choi(p).
     """
     d = p.d
     m4 = p.t4("M_big")

@@ -15,15 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .du import DUSuperParams, NotDUCovariantError, build_choi
+from .du import DUSuperParams, NotDUCovariantError
 from .linalg import DEFAULT_TOL
 from .positions import TableParams, b1_partial_trace, sector_spectrum
-from .superchannels import (
-    SuperchannelVerdict,
-    TPPreservingVerdict,
-    superchannel_verdict,
-    tp_preserving_verdict,
-)
+from .superchannels import SuperchannelVerdict, tp_preserving_verdict
 
 
 class NotDOCovariantError(NotDUCovariantError):
@@ -56,36 +51,15 @@ class DOSuperParams(TableParams):
     S: np.ndarray
 
 
-do_build_choi = build_choi
-
-
 def from_du_params(p: DUSuperParams) -> DOSuperParams:
     """Embed a diagonal-unitary covariant parameter set (extra tables zero)."""
     return DOSuperParams.masked(p.d, A=p.A, B=p.B, C=p.C, D=p.D)
 
 
-@dataclass(frozen=True)
-class DOVerdict:
-    """Generic Choi-level validity of a nine-table parameter set."""
-
-    choi_verdict: SuperchannelVerdict
-    tp_verdict: TPPreservingVerdict
-
-    @property
-    def ok(self) -> bool:
-        return self.choi_verdict.ok and self.tp_verdict.ok
-
-    def report(self) -> dict:
-        out = self.choi_verdict.report()
-        out.update(self.tp_verdict.report())
-        return out
-
-
-def do_validate(p: DOSuperParams, tol: float = DEFAULT_TOL) -> DOVerdict:
-    """validate_superchannel and tp_preserving_check on the Choi of p, with
-    the same values, read off the tables in O(d^6) time and O(d^5) memory.
+def do_validate(p: DOSuperParams, tol: float = DEFAULT_TOL) -> SuperchannelVerdict:
+    """validate_superchannel on the Choi of p, with the same values, read off
+    the tables in O(d^6) time and O(d^5) memory.
     """
     s = sector_spectrum(p, tol)
     tp = tp_preserving_verdict(*b1_partial_trace(p), tol)
-    return DOVerdict(superchannel_verdict(s.is_psd, float(s.evals.min()),
-                                          float(s.hermiticity.max()), tp), tp)
+    return SuperchannelVerdict(s.is_psd, float(s.evals.min()), float(s.hermiticity.max()), tp)

@@ -10,7 +10,6 @@ encoder that ``json`` falls back to whenever ``indent`` is set.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from itertools import chain
@@ -122,12 +121,6 @@ def params_from_json(obj: dict, kind: str) -> TableParams:
         raise SchemaError(str(exc)) from exc
 
 
-du_params_to_json = do_params_to_json = dephasing_to_json = params_to_json
-du_params_from_json = functools.partial(params_from_json, kind="du")
-do_params_from_json = functools.partial(params_from_json, kind="do")
-dephasing_from_json = functools.partial(params_from_json, kind="dephasing")
-
-
 def realization_from_json(obj: dict):
     """Block-unitary dilation data: environment unitaries and state."""
     _require(obj, ("e", "U", "V", "psi"), "realization")
@@ -175,6 +168,17 @@ def detect_kind(obj: dict) -> str:
         if _KIND_KEYS[kind] <= keys:
             return kind
     raise SchemaError(f"cannot identify object with keys {sorted(keys)}")
+
+
+_PARSERS = {"superchannel": superchannel_from_json, "channel": channel_from_json,
+            "pauli": pauli_from_json}
+
+
+def from_json(obj: dict, kind: str):
+    """Parse obj as a ``kind`` object, for each kind detect_kind returns."""
+    if kind in TABLE_KINDS:
+        return params_from_json(obj, kind)
+    return _PARSERS[kind](obj)
 
 
 def load_json(path) -> dict:

@@ -12,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PAULI, ChoiChannel, pauli_channel
+from .channels import PARAM_EDGE_TOL, PAULI, ChoiChannel, check_probability_vector, pauli_channel
 from .du import NotDUCovariantError, from_choi
 from .linalg import DEFAULT_TOL, MultipartiteOperator, max_entangled_projector
 from .superchannels import SuperChoi, super_choi
-
-PROB_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -32,9 +30,9 @@ class PauliSuperParams:
             raise ValueError("pi must be a 4x4 table")
         if not np.isfinite(pi).all():
             raise ValueError("pi has non-finite entries (NaN or Inf)")
-        if pi.min() < -PROB_TOL:
+        if pi.min() < -PARAM_EDGE_TOL:
             raise ValueError(f"pi must be nonnegative (min entry {pi.min()})")
-        if abs(pi.sum() - 1.0) > PROB_TOL:
+        if abs(pi.sum() - 1.0) > PARAM_EDGE_TOL:
             raise ValueError(f"pi must sum to 1 (sum {pi.sum()})")
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
@@ -89,19 +87,13 @@ def pauli_du_check(p: PauliSuperParams, tol: float = DEFAULT_TOL) -> PauliDUVerd
     return PauliDUVerdict(violation, extraction_ok, tol)
 
 
-def xor_label(alpha: int, beta: int) -> int:
-    """Two-bit XOR of Pauli labels (0..3)."""
-    return alpha ^ beta
-
-
 def pauli_induced_bistochastic(p: PauliSuperParams) -> np.ndarray:
     """The 4x4 bistochastic matrix M[alpha, beta] = sum of pi over label pairs
     with mu XOR nu = alpha XOR beta (summed in fixed mu order)."""
     m = np.zeros((4, 4))
     for alpha in range(4):
         for beta in range(4):
-            target = xor_label(alpha, beta)
-            m[alpha, beta] = sum(p.pi[mu, mu ^ target] for mu in range(4))
+            m[alpha, beta] = sum(p.pi[mu, mu ^ alpha ^ beta] for mu in range(4))
     return m
 
 
@@ -110,8 +102,7 @@ def pauli_apply(p: PauliSuperParams, q_in) -> np.ndarray:
     q = np.asarray(q_in, dtype=float)
     if q.shape != (4,):
         raise ValueError("expected a probability 4-vector")
-    if q.min() < -PROB_TOL or abs(q.sum() - 1.0) > PROB_TOL:
-        raise ValueError(f"{q} is not a probability vector")
+    check_probability_vector(q)
     return pauli_induced_bistochastic(p) @ q
 
 

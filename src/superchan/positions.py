@@ -71,6 +71,8 @@ class TablePositions(NamedTuple):
 @functools.lru_cache(maxsize=128)
 def table_positions(d: int, name: str, family: str = "super") -> TablePositions:
     """Support and Choi positions of table ``name`` at dimension d (read-only)."""
+    if d < 1:
+        raise ValueError(f"dimension d must be positive, got {d}")
     labels, positions = FAMILIES[family]
     row_digits, col_digits, support = positions[name]
     label = dict(zip(labels, np.indices((d,) * len(labels)).reshape(len(labels), -1)))

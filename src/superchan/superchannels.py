@@ -112,62 +112,6 @@ def sandwich_superchannel(n0: ChoiChannel, n1: ChoiChannel) -> SuperChoi:
 
 
 @dataclass(frozen=True)
-class SuperchannelVerdict:
-    """Diagnostic result of the Choi-level superchannel conditions."""
-
-    is_cp: bool
-    min_eigenvalue: float
-    factorization_deviation: float
-    marginal_deviation: float
-    hermiticity_deviation: float
-    tol: float
-
-    @property
-    def is_tp(self) -> bool:
-        return (
-            self.factorization_deviation <= self.tol
-            and self.marginal_deviation <= self.tol
-        )
-
-    @property
-    def ok(self) -> bool:
-        return self.is_cp and self.is_tp
-
-    def report(self) -> dict:
-        return {
-            "is_cp": self.is_cp,
-            "is_tp": self.is_tp,
-            "min_eig": self.min_eigenvalue,
-            "factorization_deviation": self.factorization_deviation,
-            "marginal_deviation": self.marginal_deviation,
-            "hermiticity_deviation": self.hermiticity_deviation,
-        }
-
-
-def validate_superchannel(s: SuperChoi, tol: float = DEFAULT_TOL) -> SuperchannelVerdict:
-    """Check positivity plus the two marginal conditions of a superchannel Choi.
-
-    The reduced operator C0 on (A0, B0) averages the A1 blocks of Tr_B1 C,
-    which keeps the check well-defined for invalid inputs; the factorization
-    residual measures || Tr_B1 C - C0 (x) I_A1 ||_max.  C0 is the induced
-    Choi of tp_preserving_check, so both residuals are read off its verdict
-    (superchannel_verdict).
-    """
-    cp_ok, min_eig, herm = psd_report(s.choi.mat, tol)
-    tp, _ = tp_preserving_check(s, tol)
-    return superchannel_verdict(cp_ok, min_eig, herm, tp)
-
-
-def superchannel_verdict(is_cp: bool, min_eig: float, herm: float,
-                         tp: TPPreservingVerdict) -> SuperchannelVerdict:
-    """The verdict of validate_superchannel from the spectrum and the trace
-    check: the factorization residual is max(offdiagonal_leak,
-    fiber_deviation) and the marginal residual the unitality deviation."""
-    fact_dev = max(tp.offdiagonal_leak, tp.fiber_deviation)
-    return SuperchannelVerdict(is_cp, min_eig, fact_dev, tp.unitality_deviation, herm, tp.tol)
-
-
-@dataclass(frozen=True)
 class TPPreservingVerdict:
     """Result of the induced-map test for trace-preservation of outputs.
 
@@ -198,14 +142,68 @@ class TPPreservingVerdict:
         }
 
 
-def tp_preserving_check(
-    s: SuperChoi, tol: float = DEFAULT_TOL
-) -> tuple[TPPreservingVerdict, ChoiChannel]:
+@dataclass(frozen=True)
+class SuperchannelVerdict:
+    """The superchannel conditions: the Choi spectrum and the trace check tp.
+
+    The reduced operator C0 on (A0, B0) is tp's induced Choi, so the
+    factorization residual || Tr_B1 C - C0 (x) I_A1 ||_max is
+    max(offdiagonal_leak, fiber_deviation) and the marginal residual the
+    unitality deviation.  ok requires tp.ok, which is stricter than is_tp
+    only where a residual is NaN: max() can drop a NaN, tp.ok cannot.
+    """
+
+    is_cp: bool
+    min_eigenvalue: float
+    hermiticity_deviation: float
+    tp: TPPreservingVerdict
+
+    @property
+    def factorization_deviation(self) -> float:
+        return max(self.tp.offdiagonal_leak, self.tp.fiber_deviation)
+
+    @property
+    def marginal_deviation(self) -> float:
+        return self.tp.unitality_deviation
+
+    @property
+    def tol(self) -> float:
+        return self.tp.tol
+
+    @property
+    def is_tp(self) -> bool:
+        return (
+            self.factorization_deviation <= self.tol
+            and self.marginal_deviation <= self.tol
+        )
+
+    @property
+    def ok(self) -> bool:
+        return self.is_cp and self.tp.ok
+
+    def report(self) -> dict:
+        return {
+            "is_cp": self.is_cp,
+            "is_tp": self.is_tp,
+            "min_eig": self.min_eigenvalue,
+            "factorization_deviation": self.factorization_deviation,
+            "marginal_deviation": self.marginal_deviation,
+            "hermiticity_deviation": self.hermiticity_deviation,
+        }
+
+
+def validate_superchannel(s: SuperChoi, tol: float = DEFAULT_TOL) -> SuperchannelVerdict:
+    """Check positivity plus the two marginal conditions of a superchannel Choi."""
+    cp_ok, min_eig, herm = psd_report(s.choi.mat, tol)
+    return SuperchannelVerdict(cp_ok, min_eig, herm, tp_preserving_check(s, tol))
+
+
+def tp_preserving_check(s: SuperChoi, tol: float = DEFAULT_TOL) -> TPPreservingVerdict:
     """Probe Tr_B1 after the representing map on the matrix-unit basis.
 
     Passing requires: images of e_ij (x) e_ab vanish for a != b, are
     a-independent for a = b, and the induced map on (A0 -> B0) is unital.
-    Returns the induced map assembled from the a-averaged images.
+    The verdict carries the induced map assembled from the a-averaged images.
     """
     d0, d1 = s.dA0, s.dA1
     # L[i, j, a, b] = Tr_B1 Delta(e_ij (x) e_ab), each a b0 x b0 matrix
@@ -213,8 +211,7 @@ def tp_preserving_check(
     # Delta(e_ij (x) e_ab)[pq, rs] = choi[(i,a,p,q), (j,b,r,s)]; trace q = s
     images = np.einsum("iapqjbrq->ijabpr", c6)
     leak = float(np.abs(images[:, :, ~np.eye(d1, dtype=bool)]).max(initial=0.0))
-    verdict = tp_preserving_verdict(leak, images[:, :, range(d1), range(d1)], tol)
-    return verdict, verdict.induced
+    return tp_preserving_verdict(leak, images[:, :, range(d1), range(d1)], tol)
 
 
 def tp_preserving_verdict(leak: float, diag: np.ndarray, tol: float) -> TPPreservingVerdict:

@@ -33,7 +33,6 @@ from superchan.linalg import (
 )
 from superchan.positions import principal_blocks, tables_from_choi
 from superchan.superchannels import (
-    SuperchannelVerdict,
     SuperChoi,
     sandwich_superchannel,
     super_choi,
@@ -432,7 +431,38 @@ def rebuild_residual(mat: np.ndarray, d: int, names) -> float:
     return float(np.abs(rebuilt - mat).max())
 
 
-def dense_validate_superchannel(s: SuperChoi, tol: float) -> SuperchannelVerdict:
+@dataclass(frozen=True)
+class DenseSuperchannelVerdict:
+    """What dense_validate_superchannel measures, under the names and with
+    the report of the library's SuperchannelVerdict."""
+
+    is_cp: bool
+    min_eigenvalue: float
+    factorization_deviation: float
+    marginal_deviation: float
+    hermiticity_deviation: float
+    tol: float
+
+    @property
+    def is_tp(self) -> bool:
+        return self.factorization_deviation <= self.tol and self.marginal_deviation <= self.tol
+
+    @property
+    def ok(self) -> bool:
+        return self.is_cp and self.is_tp
+
+    def report(self) -> dict:
+        return {
+            "is_cp": self.is_cp,
+            "is_tp": self.is_tp,
+            "min_eig": self.min_eigenvalue,
+            "factorization_deviation": self.factorization_deviation,
+            "marginal_deviation": self.marginal_deviation,
+            "hermiticity_deviation": self.hermiticity_deviation,
+        }
+
+
+def dense_validate_superchannel(s: SuperChoi, tol: float) -> DenseSuperchannelVerdict:
     """Reference validate_superchannel: C0 on (A0, B0) averages the A1 blocks
     of Tr_B1 C through partial_trace, and the factorization residual is
     || Tr_B1 C - C0 (x) I_A1 ||_max with the product formed by kron and
@@ -450,7 +480,7 @@ def dense_validate_superchannel(s: SuperChoi, tol: float) -> SuperchannelVerdict
     fact_dev = float(np.abs(reduced.mat - target.mat).max())
     marg = partial_trace(MultipartiteOperator((s.dA0, s.dB0), c0_mat), 0)
     marg_dev = float(np.abs(marg.mat - np.eye(s.dB0)).max())
-    return SuperchannelVerdict(cp_ok, min_eig, fact_dev, marg_dev, herm, tol)
+    return DenseSuperchannelVerdict(cp_ok, min_eig, fact_dev, marg_dev, herm, tol)
 
 
 # ---------------------------------------------------------------------------

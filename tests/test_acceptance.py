@@ -29,9 +29,8 @@ from superchan.dephasing import (
     dephasing_on_dephasing,
     dephasing_super_apply,
     dephasing_validate,
-    to_super_choi,
 )
-from superchan.do import DOSuperParams, do_build_choi
+from superchan.do import DOSuperParams
 from superchan.du import (
     DUSuperParams,
     build_choi,
@@ -208,7 +207,7 @@ def test_criterion_04_tp_closed_form_equivalence():
     for d in (2, 3):
         for p in mixed_tp_corpus(rng, d, 200):
             params_ok = du_tp_check(p, tol=1e-10)[0].ok
-            choi_ok = tp_preserving_check(build_choi(p), tol=1e-10)[0].ok
+            choi_ok = tp_preserving_check(build_choi(p), tol=1e-10).ok
             agree += params_ok == choi_ok
             total += 1
     record(4, agree == total, f"{agree}/{total} agreements")
@@ -303,13 +302,13 @@ def test_criterion_07_covariance_suites():
         },
     )
     v = superchannel_covariance_check(
-        do_build_choi(do_params), covariance_sampler_tuple("do", 2, 13), n=50, tol=tol
+        build_choi(do_params), covariance_sampler_tuple("do", 2, 13), n=50, tol=tol
     )
     devs["do"] = v.max_deviation
 
     deph = dephasing_from_realization(*random_realization(rng, 2, 3))
     v = superchannel_covariance_check(
-        to_super_choi(deph), covariance_sampler_tuple("du", 2, 17), n=50, tol=tol
+        build_choi(deph), covariance_sampler_tuple("du", 2, 17), n=50, tol=tol
     )
     devs["dephasing"] = v.max_deviation
 
@@ -442,7 +441,7 @@ def test_criterion_11_structural_goldens():
         for c, letter in enumerate(row):
             if letter != ".":
                 expected[r, c] = DO_SENTINELS[letter]
-    do_ok = np.array_equal(do_build_choi(do_filled).choi.mat, expected)
+    do_ok = np.array_equal(build_choi(do_filled).choi.mat, expected)
 
     rng = np.random.default_rng(111)
     blocks_ok = True
@@ -467,7 +466,7 @@ def test_criterion_12_classical_layer():
         instances.append(random_valid_superchoi(rng, 2, 2))
         instances.append(random_valid_superchoi(rng, 2, 3))
         instances.append(pauli_super_choi(PauliSuperParams(rng.dirichlet(np.ones(16)).reshape(4, 4))))
-        instances.append(to_super_choi(dephasing_from_realization(*random_realization(rng, 2, 3))))
+        instances.append(build_choi(dephasing_from_realization(*random_realization(rng, 2, 3))))
     for s in instances:
         cs = classical_superchannel_extract(s)
         prop_ok &= cs.fiber_deviation <= 1e-12 and cs.normalization_deviation <= 1e-12

@@ -452,6 +452,8 @@ def test_parameter_classes_reject_a_dimension_below_one(d):
                 DOSuperParams, DephasingSuperParams):
         with pytest.raises(ValueError, match=f"dimension d must be positive, got {d}"):
             cls(d, **{n: np.zeros((1, 1)) for n in cls.NAMES})
+        with pytest.raises(ValueError, match=f"dimension d must be positive, got {d}"):
+            cls.masked(d)
 
 
 def test_closed_form_b_psd_uses_the_scale_of_the_choi():

@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from superchan import cli, covariance as covariance_module, dephasing as dephasing_module
-from superchan import do as do_module, du as du_module
+from superchan import cli, covariance as covariance_module, du as du_module
+from superchan import do as do_module, superchannels as superchannels_module
 from superchan import jsonio, positions
 from superchan.channels import amplitude_damping, bit_flip, choi_channel
 from superchan.cli import default_du_params, main
@@ -76,7 +76,7 @@ def test_validate_channel_ok_and_failed(paths, capsys):
 
 def test_validate_du_identity(paths, capsys):
     tmp, write = paths
-    path = write("du.json", jsonio.du_params_to_json(du_identity(2)))
+    path = write("du.json", jsonio.params_to_json(du_identity(2)))
     code, out = run_cli(capsys, "validate", "du", path)
     assert code == 0 and "status: ok" in out
 
@@ -87,7 +87,7 @@ def test_validate_du_tolerance_boundary_gives_a_verdict(paths, capsys):
     p = du_identity(2)
     a = p.A.copy()
     a[0, 3] = -1.5e-10
-    path = write("du.json", jsonio.du_params_to_json(DUSuperParams(2, a, p.B, p.C, p.D)))
+    path = write("du.json", jsonio.params_to_json(DUSuperParams(2, a, p.B, p.C, p.D)))
     code, out = run_cli(capsys, "validate", "du", path)
     assert code == 0 and "error:" not in out
     assert report_value(out, "cp") == "true"
@@ -96,7 +96,7 @@ def test_validate_du_tolerance_boundary_gives_a_verdict(paths, capsys):
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_malformed_tolerance_is_invalid_input(paths, capsys, tol):
     tmp, write = paths
-    path = write("du.json", jsonio.du_params_to_json(du_identity(2)))
+    path = write("du.json", jsonio.params_to_json(du_identity(2)))
     code, out = run_cli(capsys, "validate", "du", path, "--tol", tol)
     assert code == 2 and "status: invalid-input" in out
     code, out = run_cli(capsys, "example", "bit-flip", "--tol", tol)
@@ -113,7 +113,7 @@ def test_validate_pauli_reports_covariance(paths, capsys):
 
 def test_validate_kind_mismatch_is_invalid_input(paths, capsys):
     tmp, write = paths
-    path = write("du.json", jsonio.du_params_to_json(du_identity(2)))
+    path = write("du.json", jsonio.params_to_json(du_identity(2)))
     code, out = run_cli(capsys, "validate", "pauli", path)
     assert code == 2 and "status: invalid-input" in out
 
@@ -138,13 +138,13 @@ NON_INTEGER_D = {
 def _malformed_number_text(case):
     huge = 10**400  # a float() or int() of it from JSON overflowed
     if case == "du-huge-table-entry":
-        doc = jsonio.du_params_to_json(du_identity(2))
+        doc = jsonio.params_to_json(du_identity(2))
         doc["A"]["data"][0][0] = huge
     elif case in ("du-null-d", "du-infinite-d"):
-        doc = jsonio.du_params_to_json(du_identity(2))
+        doc = jsonio.params_to_json(du_identity(2))
         doc["d"] = None if case == "du-null-d" else float("inf")
     elif case in NON_INTEGER_D:
-        doc = jsonio.du_params_to_json(default_du_params())
+        doc = jsonio.params_to_json(default_du_params())
         doc["d"] = NON_INTEGER_D[case]
     elif case == "channel-overflowing-dims":
         doc = jsonio.channel_to_json(amplitude_damping(0.3))
@@ -198,7 +198,7 @@ def test_apply_identity_superchannel(paths, capsys):
 def test_apply_accepts_parameter_forms(paths, capsys):
     tmp, write = paths
     p = random_valid_du_params(rng, 2)
-    sup = write("du.json", jsonio.du_params_to_json(p))
+    sup = write("du.json", jsonio.params_to_json(p))
     chan = write("c.json", jsonio.channel_to_json(amplitude_damping(0.3)))
     out_path = str(tmp / "out.json")
     code, _ = run_cli(capsys, "apply", sup, chan, "--out", out_path)
@@ -215,8 +215,8 @@ def test_apply_dimension_mismatch(paths, capsys):
     chan = write("c.json", jsonio.channel_to_json(bit_flip(0.1)))
     for name, doc in (
         ("s.json", jsonio.superchannel_to_json(identity_superchannel(3, 3))),
-        ("du.json", jsonio.du_params_to_json(du_identity(3))),
-        ("do.json", jsonio.do_params_to_json(from_du_params(du_identity(3)))),
+        ("du.json", jsonio.params_to_json(du_identity(3))),
+        ("do.json", jsonio.params_to_json(from_du_params(du_identity(3)))),
     ):
         code, out = run_cli(capsys, "apply", write(name, doc), chan)
         assert code == 2
@@ -229,12 +229,9 @@ def refuse_choi_builders(monkeypatch, command):
         raise AssertionError(f"{command} assembled the Choi")
 
     for module, name in ((positions, "choi_from_tables"), (du_module, "choi_from_tables"),
-                         (du_module, "build_choi"), (do_module, "do_build_choi"),
-                         (dephasing_module, "to_super_choi"),
-                         (covariance_module, "choi_from_tables")):
+                         (du_module, "build_choi"), (covariance_module, "choi_from_tables")):
         monkeypatch.setattr(module, name, refuse)
-    for name in ("build_choi", "to_super_choi"):  # if the CLI holds them
-        monkeypatch.setattr(cli, name, refuse, raising=False)
+    monkeypatch.setattr(cli, "build_choi", refuse, raising=False)  # if the CLI holds it
 
 
 def identity_table_docs(d):
@@ -242,9 +239,9 @@ def identity_table_docs(d):
     multiplier, as (file name, JSON) pairs."""
     unit = du_identity(d)
     ones = DephasingSuperParams(d, np.ones((d * d, d * d)))
-    return (("du.json", jsonio.du_params_to_json(unit)),
-            ("do.json", jsonio.do_params_to_json(from_du_params(unit))),
-            ("dephasing.json", jsonio.dephasing_to_json(ones)))
+    return (("du.json", jsonio.params_to_json(unit)),
+            ("do.json", jsonio.params_to_json(from_du_params(unit))),
+            ("dephasing.json", jsonio.params_to_json(ones)))
 
 
 @pytest.mark.parametrize("d", [8, 12])
@@ -269,7 +266,7 @@ def test_covariance_on_tables_never_assembles_the_choi(paths, capsys, monkeypatc
     tmp, write = paths
     # the identity superchannel is covariant under both groups; generic
     # sign-symmetric tables are under do only
-    docs = (*identity_table_docs(d), ("generic.json", jsonio.do_params_to_json(
+    docs = (*identity_table_docs(d), ("generic.json", jsonio.params_to_json(
         random_do_params(rng, d))))
     for name, doc in docs:
         path = write(name, doc)
@@ -295,10 +292,10 @@ def test_compose_do_is_the_choi_link_product(paths, capsys):
     tmp, write = paths
     p, q = random_do_params(rng, 3), random_do_params(rng, 3)
     out_path = tmp / "pq.json"
-    code, out = run_cli(capsys, "compose", "do", write("p.json", jsonio.do_params_to_json(p)),
-                        write("q.json", jsonio.do_params_to_json(q)), "--out", str(out_path))
+    code, out = run_cli(capsys, "compose", "do", write("p.json", jsonio.params_to_json(p)),
+                        write("q.json", jsonio.params_to_json(q)), "--out", str(out_path))
     assert code == 0 and report_value(out, "kind") == "do"
-    got = build_choi(jsonio.do_params_from_json(json.loads(out_path.read_text()))).choi.mat
+    got = build_choi(jsonio.params_from_json(json.loads(out_path.read_text()), "do")).choi.mat
     ref = compose_superchannels(build_choi(p), build_choi(q)).choi.mat
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -310,7 +307,7 @@ def test_apply_on_dephasing_is_the_schur_product(paths, capsys):
         p = DephasingSuperParams(d, np.where(rng.random(m.shape) < 0.3, -0.0, m))
         ch = random_channel(rng, d)
         out_path = tmp / "out.json"
-        code, _ = run_cli(capsys, "apply", write("m.json", jsonio.dephasing_to_json(p)),
+        code, _ = run_cli(capsys, "apply", write("m.json", jsonio.params_to_json(p)),
                           write("c.json", jsonio.channel_to_json(ch)), "--out", str(out_path))
         assert code == 0
         written = jsonio.channel_from_json(json.loads(out_path.read_text()))
@@ -320,12 +317,12 @@ def test_apply_on_dephasing_is_the_schur_product(paths, capsys):
 def test_compose_du_with_identity_echoes(paths, capsys):
     tmp, write = paths
     p = random_hermitian_du_params(rng, 2)
-    first = write("p.json", jsonio.du_params_to_json(p))
-    unit = write("unit.json", jsonio.du_params_to_json(du_identity(2)))
+    first = write("p.json", jsonio.params_to_json(p))
+    unit = write("unit.json", jsonio.params_to_json(du_identity(2)))
     out_path = str(tmp / "composed.json")
     code, _ = run_cli(capsys, "compose", "du", first, unit, "--out", out_path)
     assert code == 0
-    composed = jsonio.du_params_from_json(json.loads((tmp / "composed.json").read_text()))
+    composed = jsonio.params_from_json(json.loads((tmp / "composed.json").read_text()), "du")
     for name in "ABCD":
         assert np.allclose(getattr(composed, name), getattr(p, name), atol=1e-14)
 
@@ -334,12 +331,12 @@ def test_compose_dephasing_multiplies_tables(paths, capsys):
     tmp, write = paths
     p1 = dephasing_from_realization(*random_realization(rng, 2, 3))
     p2 = dephasing_from_realization(*random_realization(rng, 2, 2))
-    f1 = write("m1.json", jsonio.dephasing_to_json(p1))
-    f2 = write("m2.json", jsonio.dephasing_to_json(p2))
+    f1 = write("m1.json", jsonio.params_to_json(p1))
+    f2 = write("m2.json", jsonio.params_to_json(p2))
     out_path = str(tmp / "m.json")
     code, _ = run_cli(capsys, "compose", "dephasing", f1, f2, "--out", out_path)
     assert code == 0
-    composed = jsonio.dephasing_from_json(json.loads((tmp / "m.json").read_text()))
+    composed = jsonio.params_from_json(json.loads((tmp / "m.json").read_text()), "dephasing")
     assert np.allclose(composed.M_big, p1.M_big * p2.M_big)
 
 
@@ -359,7 +356,7 @@ def test_table_dimension_below_one_is_invalid_input(paths, capsys, kind):
 
 def test_compose_kind_mismatch(paths, capsys):
     tmp, write = paths
-    du = write("du.json", jsonio.du_params_to_json(du_identity(2)))
+    du = write("du.json", jsonio.params_to_json(du_identity(2)))
     pauli = write("pi.json", jsonio.pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))))
     code, _ = run_cli(capsys, "compose", "du", du, pauli)
     assert code == 2
@@ -367,7 +364,7 @@ def test_compose_kind_mismatch(paths, capsys):
 
 def test_covariance_command(paths, capsys):
     tmp, write = paths
-    du = write("du.json", jsonio.du_params_to_json(random_hermitian_du_params(rng, 2)))
+    du = write("du.json", jsonio.params_to_json(random_hermitian_du_params(rng, 2)))
     code, out = run_cli(capsys, "covariance", du, "--group", "du", "--seed", "5")
     assert code == 0
     assert float(report_value(out, "max_deviation")) <= 1e-12
@@ -386,7 +383,7 @@ def test_covariance_command(paths, capsys):
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_covariance_without_samples_is_invalid_input(paths, capsys, samples):
     tmp, write = paths
-    du = write("du.json", jsonio.du_params_to_json(du_identity(2)))
+    du = write("du.json", jsonio.params_to_json(du_identity(2)))
     code, out = run_cli(capsys, "covariance", du, "--group", "du", "--samples", samples)
     assert code == 2 and "status: invalid-input" in out
     assert "covariant" not in out
@@ -423,7 +420,7 @@ def test_example_super_must_hold_du_tables(paths, capsys):
     # a sign-symmetric file is rejected as by validate du, not read as its
     # first four tables
     tmp, write = paths
-    do_path = write("do.json", jsonio.do_params_to_json(from_du_params(default_du_params())))
+    do_path = write("do.json", jsonio.params_to_json(from_du_params(default_du_params())))
     for argv in (("validate", "du", do_path), ("example", "bit-flip", "--super", do_path)):
         code, out = run_cli(capsys, *argv)
         assert code == 2
@@ -447,6 +444,35 @@ def test_example_rejects_bad_arguments(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "example", "amplitude-damping", "--gamma", "1.5")
     assert code == 2
+
+
+def test_example_pauli_names_a_non_finite_weight(capsys):
+    code, out = run_cli(capsys, "example", "pauli", "--p", "nan", "0", "0", "1")
+    assert code == 2
+    assert out == ("status: invalid-input\nerror: [nan  0.  0.  1.] is not a probability "
+                   "vector: non-finite entries (NaN or Inf)\n")
+
+
+def test_validate_superchannel_and_do_build_one_trace_verdict(paths, capsys, monkeypatch):
+    # the trace check runs once and its verdict feeds both report blocks
+    tmp, write = paths
+    calls = []
+    real = superchannels_module.tp_preserving_verdict
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (superchannels_module, do_module):
+        monkeypatch.setattr(module, "tp_preserving_verdict", spy)
+    for kind, doc in (
+        ("superchannel", jsonio.superchannel_to_json(identity_superchannel(2, 2))),
+        ("do", jsonio.params_to_json(from_du_params(du_identity(2)))),
+    ):
+        calls.clear()
+        code, out = run_cli(capsys, "validate", kind, write(f"{kind}.json", doc))
+        assert code == 0 and "tp_preserving: true" in out
+        assert len(calls) == 1, kind
 
 
 def test_cli_output_is_byte_identical(paths, capsys):

@@ -32,7 +32,6 @@ from superchan.covariance import (
     uu_superchannel,
 )
 from superchan.dephasing import DephasingSuperParams
-from superchan.do import do_build_choi
 from superchan.du import build_choi
 from superchan.linalg import DEFAULT_TOL, is_psd
 from superchan.superchannels import (
@@ -219,9 +218,9 @@ def test_uu_induced_map_matches_tp_check():
     for variant in ("covariant", "conjugate", "mixed"):
         p = UUFamilyParams(variant, 0.05, 0.15, 0.1, 0.7, 3)
         s = uu_superchannel(p)
-        verdict, induced = tp_preserving_check(s)
+        verdict = tp_preserving_check(s)
         assert verdict.ok
-        assert np.abs(induced.choi.mat - uu_induced_map(p).choi.mat).max() <= 1e-12
+        assert np.abs(verdict.induced.choi.mat - uu_induced_map(p).choi.mat).max() <= 1e-12
 
 
 def test_uu_induced_map_displayed_mixture():
@@ -301,7 +300,7 @@ def _covariant_choi(rng, group, d, channel):
         return table_channel(DOChannelParams(d, rng.normal(size=(d, d)), off, c)).choi.mat
     if group == "du":
         return build_choi(random_hermitian_du_params(rng, d)).choi.mat
-    return do_build_choi(random_do_params(rng, d)).choi.mat
+    return build_choi(random_do_params(rng, d)).choi.mat
 
 
 def _samplers(group, d, seed, channel):

@@ -15,7 +15,6 @@ from superchan.dephasing import (
     dephasing_super_apply,
     dephasing_validate,
     superdecoherence_matrix,
-    to_super_choi,
 )
 from superchan.du import build_choi, du_identity, from_choi
 from superchan.positions import compose_tables
@@ -79,7 +78,7 @@ def test_realizations_always_validate():
             p = dephasing_from_realization(*random_realization(rng, d, e))
             verdict = dephasing_validate(p)
             assert verdict.ok, verdict.report()
-            s = to_super_choi(p)
+            s = build_choi(p)
             assert validate_superchannel(s).ok
 
 
@@ -119,8 +118,8 @@ def test_validator_equivalence_with_generic_checks():
         for k in range(50):
             p = random_psd_m_big(d, enforce_fibers=bool(k % 2))
             named = dephasing_validate(p)
-            s = to_super_choi(p)
-            generic = validate_superchannel(s).ok and tp_preserving_check(s)[0].ok
+            s = build_choi(p)
+            generic = validate_superchannel(s).ok and tp_preserving_check(s).ok
             assert named.ok == generic
 
 
@@ -225,7 +224,7 @@ def test_embed_du_reproduces_superchannel():
     for d in (2, 3):
         p = dephasing_from_realization(*random_realization(rng, d, 3))
         emb = dephasing_embed_du(p)
-        assert np.abs(build_choi(emb).choi.mat - to_super_choi(p).choi.mat).max() <= 1e-15
+        assert np.abs(build_choi(emb).choi.mat - build_choi(p).choi.mat).max() <= 1e-15
 
 
 def test_embed_all_ones_is_du_identity():

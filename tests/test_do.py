@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from superchan import do as do_module, du as du_module, positions
+from superchan import du as du_module, positions
 from superchan.covariance import covariance_sampler_tuple, superchannel_covariance_check
 from superchan.do import (
     DOSuperParams,
     NotDOCovariantError,
-    do_build_choi,
     do_validate,
     from_du_params,
 )
@@ -70,13 +69,13 @@ def test_embedded_du_params_build_identically():
     for d in (2, 3):
         for p in (du_identity(d), random_hermitian_du_params(rng, d)):
             emb = from_du_params(p)
-            assert np.array_equal(do_build_choi(emb).choi.mat, build_choi(p).choi.mat)
+            assert np.array_equal(build_choi(emb).choi.mat, build_choi(p).choi.mat)
 
 
 def test_sentinel_pattern_matches_displayed_grid():
     filled = DOSuperParams.masked(
         2, **{n: np.full((4, 4), SENTINELS[n]) for n in DOSuperParams.NAMES})
-    mat = do_build_choi(filled).choi.mat
+    mat = build_choi(filled).choi.mat
     expected = np.zeros((16, 16), dtype=complex)
     for r, row in enumerate(PATTERN_DO_D2):
         for c, letter in enumerate(row):
@@ -88,7 +87,7 @@ def test_sentinel_pattern_matches_displayed_grid():
 def test_round_trip_exact():
     for d in (2, 3):
         p = random_do_params(d)
-        again = from_choi(do_build_choi(p), tol=1e-9, cls=DOSuperParams)
+        again = from_choi(build_choi(p), tol=1e-9, cls=DOSuperParams)
         for name in DOSuperParams.NAMES:
             assert np.array_equal(getattr(p, name), getattr(again, name)), name
 
@@ -143,7 +142,7 @@ def test_generic_sandwich_is_rejected():
 def test_do_covariance_sampling():
     for d in (2, 3):
         p = random_do_params(d)
-        s = do_build_choi(p)
+        s = build_choi(p)
         v = superchannel_covariance_check(s, covariance_sampler_tuple("do", d, 17), n=50)
         assert v.max_deviation <= 1e-12
         v = superchannel_covariance_check(s, covariance_sampler_tuple("du", d, 17), n=20)
@@ -164,7 +163,7 @@ def test_do_validate():
 def hermitian_do_params(d, psd):
     """Random sign-symmetric tables with a Hermitian Choi; with psd=True the
     Choi is projected onto its positive part, which keeps the pattern."""
-    m = do_build_choi(random_do_params(d)).choi.mat
+    m = build_choi(random_do_params(d)).choi.mat
     m = (m + m.conj().T) / 2
     if psd:
         evals, vecs = np.linalg.eigh(m)
@@ -183,11 +182,11 @@ def test_do_validate_matches_dense_generic_validation():
             else:
                 p = hermitian_do_params(d, psd=k % 3 == 1)
             verdict = do_validate(p)
-            dense = validate_superchannel(do_build_choi(p))
-            assert verdict.choi_verdict.is_cp == dense.is_cp
-            assert verdict.choi_verdict.ok == dense.ok
-            assert verdict.choi_verdict.hermiticity_deviation == dense.hermiticity_deviation
-            assert dense.is_cp == full_eigvalsh_psd(do_build_choi(p).choi.mat)
+            dense = validate_superchannel(build_choi(p))
+            assert verdict.is_cp == dense.is_cp
+            assert verdict.ok == dense.ok
+            assert verdict.hermiticity_deviation == dense.hermiticity_deviation
+            assert dense.is_cp == full_eigvalsh_psd(build_choi(p).choi.mat)
             outcomes.add((dense.is_cp, verdict.ok))
     assert outcomes == {(True, True), (True, False), (False, False)}
 
@@ -220,7 +219,7 @@ def _do_corpus(gen, d):
         out["noisy"] = (_replace(valid, E=e), (False, False))
     for label, c in (("planted-in", gen.uniform(0.5, 0.95)), ("planted-out", gen.uniform(1.05, 2))):
         p = hermitian_do_params(d, psd=False)
-        evals = np.linalg.eigvalsh(do_build_choi(p).choi.mat)
+        evals = np.linalg.eigvalsh(build_choi(p).choi.mat)
         t = -evals[0] - c * 1e-10 * max(1.0, evals[-1] - evals[0])
         out[label] = (_replace(p, A=p.A + t), (c < 1, False))
     return out
@@ -237,13 +236,13 @@ def test_do_validate_matches_the_dense_route_byte_for_byte(d):
     # assembled Choi by the reference sector_psd_report
     tol = 1e-10
     for label, (p, expected) in _do_corpus(np.random.default_rng(700 + d), d).items():
-        s = do_build_choi(p)
+        s = build_choi(p)
         verdict = do_validate(p, tol)
         dense = dense_validate_superchannel(s, tol)
-        tp, induced = tp_preserving_check(s, tol)
+        tp = tp_preserving_check(s, tol)
         is_psd, min_eig, herm = sector_psd_report(
             s.choi.mat, tol, charge_sectors(d, "unordered"))
-        got = verdict.report()
+        got = {**verdict.report(), **verdict.tp.report()}
         assert got["is_cp"] == is_psd, label
         assert _bytes(got["min_eig"]) == _bytes(min_eig), label
         assert _bytes(got["hermiticity_deviation"]) == _bytes(herm), label
@@ -252,11 +251,31 @@ def test_do_validate_matches_the_dense_route_byte_for_byte(d):
         assert got["is_tp"] == dense.is_tp, label
         for key, value in tp.report().items():
             assert _bytes(got[key]) == _bytes(value), (label, key)
-        assert np.array_equal(verdict.tp_verdict.induced.choi.mat, induced.choi.mat), label
+        assert np.array_equal(verdict.tp.induced.choi.mat, tp.induced.choi.mat), label
         if d <= 3 and herm <= tol:
-            assert verdict.choi_verdict.is_cp == full_eigvalsh_psd(s.choi.mat, tol), label
+            assert verdict.is_cp == full_eigvalsh_psd(s.choi.mat, tol), label
         if expected is not None:
-            assert (verdict.choi_verdict.is_cp, verdict.ok) == expected, label
+            assert (verdict.is_cp, verdict.ok) == expected, label
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_do_validate_is_validate_superchannel_on_the_choi(d):
+    # one verdict class for both routes: every report and trace-report value
+    # equal bit for bit, but the minimum eigenvalue, which the sector and the
+    # whole-Choi eigensolves round differently
+    tol = 1e-10
+    for label, (p, _) in _do_corpus(np.random.default_rng(900 + d), d).items():
+        verdict, dense = do_validate(p, tol), validate_superchannel(build_choi(p), tol)
+        assert type(verdict) is type(dense)
+        assert verdict.ok == dense.ok, label
+        for got, want in ((verdict.report(), dense.report()),
+                          (verdict.tp.report(), dense.tp.report())):
+            assert got.keys() == want.keys()
+            for key in got:
+                if key == "min_eig":
+                    assert abs(got[key] - want[key]) <= 1e-12 * d ** 4, label
+                else:
+                    assert _bytes(got[key]) == _bytes(want[key]), (label, key)
 
 
 @pytest.mark.parametrize("d", [8, 12])
@@ -266,21 +285,21 @@ def test_do_validate_never_assembles_the_choi(d, monkeypatch):
 
     monkeypatch.setattr(positions, "choi_from_tables", refuse)
     monkeypatch.setattr(du_module, "choi_from_tables", refuse)
-    monkeypatch.setattr(do_module, "do_build_choi", refuse)
+    monkeypatch.setattr(du_module, "build_choi", refuse)
     # the identity map's Choi has eigenvalues 0 and d^2 and exact marginals
     p = from_du_params(du_identity(d))
     verdict = do_validate(p)
     assert verdict.ok
-    assert abs(verdict.choi_verdict.min_eigenvalue) <= 1e-12 * d * d
-    report = verdict.report()
+    assert abs(verdict.min_eigenvalue) <= 1e-12 * d * d
+    report = {**verdict.report(), **verdict.tp.report()}
     for key in ("factorization_deviation", "marginal_deviation", "hermiticity_deviation",
                 "offdiagonal_leak", "fiber_deviation", "unitality_deviation"):
         assert report[key] == 0.0, key
     a = p.A.copy()
     a[1 * d + 2, 0] = -0.5  # a diagonal Choi entry in a side-4 sector that is otherwise zero
     verdict = do_validate(_replace(p, A=a))
-    assert not verdict.choi_verdict.is_cp
-    assert verdict.choi_verdict.min_eigenvalue == -0.5
+    assert not verdict.is_cp
+    assert verdict.min_eigenvalue == -0.5
     scaled = do_validate(_replace(p, **{n: 1.25 * getattr(p, n) for n in DOSuperParams.NAMES}))
-    assert scaled.choi_verdict.is_cp and not scaled.ok
-    assert scaled.choi_verdict.marginal_deviation == scaled.tp_verdict.unitality_deviation > 0.2
+    assert scaled.is_cp and not scaled.ok
+    assert scaled.marginal_deviation == scaled.tp.unitality_deviation > 0.2

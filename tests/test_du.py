@@ -198,7 +198,7 @@ def test_du_tp_equivalence_with_choi_level_check():
             else:
                 p = random_valid_du_params(rng, d)
             v_params, _ = du_tp_check(p)
-            v_choi, _ = tp_preserving_check(build_choi(p))
+            v_choi = tp_preserving_check(build_choi(p))
             assert v_params.ok == v_choi.ok
 
 

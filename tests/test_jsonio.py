@@ -35,22 +35,22 @@ def test_superchannel_round_trip():
 
 def test_du_params_round_trip():
     p = random_hermitian_du_params(rng, 2)
-    again = jsonio.du_params_from_json(jsonio.du_params_to_json(p))
+    again = jsonio.params_from_json(jsonio.params_to_json(p), "du")
     for name in "ABCD":
         assert np.array_equal(getattr(again, name), getattr(p, name))
 
 
 def test_du_params_support_mask_rejected_on_load():
     p = random_hermitian_du_params(rng, 2)
-    doc = jsonio.du_params_to_json(p)
+    doc = jsonio.params_to_json(p)
     doc["B"]["data"][0] = [1.0, 0.0]  # B may not have weight at (0, 0)
     with pytest.raises(SchemaError):
-        jsonio.du_params_from_json(doc)
+        jsonio.params_from_json(doc, "du")
 
 
 def test_dephasing_round_trip():
     p = dephasing_from_realization(*random_realization(rng, 2, 3))
-    again = jsonio.dephasing_from_json(jsonio.dephasing_to_json(p))
+    again = jsonio.params_from_json(jsonio.params_to_json(p), "dephasing")
     assert np.array_equal(again.M_big, p.M_big)
 
 
@@ -91,7 +91,7 @@ def test_detect_kind():
         == "superchannel"
     )
     p = random_hermitian_du_params(rng, 2)
-    assert jsonio.detect_kind(jsonio.du_params_to_json(p)) == "du"
+    assert jsonio.detect_kind(jsonio.params_to_json(p)) == "du"
     assert jsonio.detect_kind({"pi": []}) == "pauli"
     assert jsonio.detect_kind({"d": 2, "M_big": {}}) == "dephasing"
     with pytest.raises(SchemaError):
@@ -100,13 +100,13 @@ def test_detect_kind():
 
 def test_dump_is_deterministic_and_exact(tmp_path):
     p = random_hermitian_du_params(rng, 2)
-    doc = jsonio.du_params_to_json(p)
+    doc = jsonio.params_to_json(p)
     path1 = tmp_path / "a.json"
     path2 = tmp_path / "b.json"
     jsonio.dump_json(doc, path1)
     jsonio.dump_json(doc, path2)
     assert path1.read_bytes() == path2.read_bytes()
-    again = jsonio.du_params_from_json(json.loads(path1.read_text()))
+    again = jsonio.params_from_json(json.loads(path1.read_text()), "du")
     for name in "ABCD":
         assert np.array_equal(getattr(again, name), getattr(p, name))
 
@@ -141,6 +141,31 @@ def _with_special_values(doc):
     return doc
 
 
+_TO_JSON = {"superchannel": jsonio.superchannel_to_json, "channel": jsonio.channel_to_json,
+            "du": jsonio.params_to_json, "do": jsonio.params_to_json,
+            "dephasing": jsonio.params_to_json, "pauli": jsonio.pauli_to_json}
+
+
+@pytest.mark.parametrize("kind", list(_TO_JSON))
+def test_from_json_round_trips_every_detected_kind(kind):
+    gen = np.random.default_rng(11)
+    du = random_hermitian_du_params(gen, 2)
+    mat = gen.normal(size=(16, 16)) + 1j * gen.normal(size=(16, 16))
+    obj = {
+        "superchannel": super_choi(mat, (2, 2, 2, 2)),
+        "channel": random_channel(gen, 2, 3),
+        "du": du,
+        "do": from_du_params(du),
+        "dephasing": dephasing_from_realization(*random_realization(gen, 2, 3)),
+        "pauli": PauliSuperParams(gen.dirichlet(np.ones(16)).reshape(4, 4)),
+    }[kind]
+    doc = json.loads(jsonio.dump_json(_TO_JSON[kind](obj)))
+    assert jsonio.detect_kind(doc) == kind
+    again = jsonio.from_json(doc, kind)
+    assert type(again) is type(obj)
+    assert jsonio.dump_json(_TO_JSON[kind](again)) == jsonio.dump_json(doc)
+
+
 def _every_document_kind():
     rng = np.random.default_rng(5)  # its own stream: also called at collection
     d = 2
@@ -150,9 +175,9 @@ def _every_document_kind():
     docs = {
         "superchannel": jsonio.superchannel_to_json(super_choi(mat, (2, 2, 2, 2))),
         "channel": jsonio.channel_to_json(random_channel(rng, 2, 3)),
-        "du": jsonio.du_params_to_json(du),
-        "do": jsonio.do_params_to_json(from_du_params(du)),
-        "dephasing": jsonio.dephasing_to_json(dephasing_from_realization(us, vs, psi)),
+        "du": jsonio.params_to_json(du),
+        "do": jsonio.params_to_json(from_du_params(du)),
+        "dephasing": jsonio.params_to_json(dephasing_from_realization(us, vs, psi)),
         "pauli": jsonio.pauli_to_json(PauliSuperParams(rng.dirichlet(np.ones(16)).reshape(4, 4))),
         "realization": {
             "e": 3,

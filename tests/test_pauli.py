@@ -25,6 +25,15 @@ from superchan.superchannels import (
 rng = np.random.default_rng(41)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_probability_vectors_reject_non_finite_entries(bad):
+    # a NaN passes both comparisons of the range check, so it is named first
+    uniform = PauliSuperParams(np.full((4, 4), 1 / 16))
+    for build in (lambda q: pauli_apply(uniform, q), pauli_channel):
+        with pytest.raises(ValueError, match=r"not a probability vector: non-finite entries"):
+            build([bad, 0.0, 0.0, 1.0])
+
+
 def random_pi():
     return PauliSuperParams(rng.dirichlet(np.ones(16)).reshape(4, 4))
 
@@ -198,7 +207,7 @@ def test_marginal_channel():
     assert np.allclose(pauli_marginal_channel(uniform).choi.mat, depolarizing(2).choi.mat)
     for _ in range(10):
         p = random_pi()
-        _, induced = tp_preserving_check(pauli_super_choi(p))
+        induced = tp_preserving_check(pauli_super_choi(p)).induced
         assert np.abs(pauli_marginal_channel(p).choi.mat - induced.choi.mat).max() <= 1e-12
 
 

@@ -11,11 +11,7 @@ from superchan.channels import (
     table_channel,
 )
 from superchan.dephasing import DephasingSuperParams
-from superchan.do import (
-    DOSuperParams,
-    NotDOCovariantError,
-    do_build_choi,
-)
+from superchan.do import DOSuperParams, NotDOCovariantError
 from superchan.du import (
     DUSuperParams,
     NotDUCovariantError,
@@ -94,7 +90,7 @@ def test_du_map_is_bit_identical_to_the_per_entry_reference(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_do_map_is_bit_identical_to_the_per_entry_reference(d):
     p = DOSuperParams(d, **_tables_with_negative_zeros(d, DOSuperParams.NAMES))
-    choi = do_build_choi(p).choi.mat
+    choi = build_choi(p).choi.mat
     assert choi.tobytes() == loop_do_build_choi(p).tobytes()
 
     mat = _with_negative_zeros(choi)
@@ -199,7 +195,7 @@ def _residual_inputs(d, names):
     if names == DUSuperParams.NAMES:
         covariant = build_choi(random_hermitian_du_params(rng, d)).choi.mat
     else:
-        covariant = do_build_choi(random_do_params(rng, d)).choi.mat
+        covariant = build_choi(random_do_params(rng, d)).choi.mat
     planted = covariant.copy()
     zeros = np.argwhere(covariant == 0)
     r, c = zeros[rng.choice(len(zeros), size=5, replace=False)].T
@@ -230,7 +226,7 @@ def test_apply_tables_matches_the_representing_map_of_the_choi(d, cls):
     if cls is DUSuperParams:
         p, build = random_hermitian_du_params(rng, d), build_choi
     else:
-        p, build = random_do_params(rng, d), do_build_choi
+        p, build = random_do_params(rng, d), build_choi
     s = build(p)
     generic = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     signed_zeros = _with_negative_zeros(np.where(rng.random((n, n)) < 0.5, generic, 0.0))

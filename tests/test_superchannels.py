@@ -119,7 +119,7 @@ def test_tp_preserving_check_matches_marginal_conditions():
             mat = 0.7 * s.choi.mat + 0.3 * psd * 4
             s = super_choi(mat, (2, 2, 2, 2))
         v1 = validate_superchannel(s)
-        v2, _ = tp_preserving_check(s)
+        v2 = tp_preserving_check(s)
         assert v1.is_tp == v2.ok
         agreements += v1.is_tp == v2.ok
     assert agreements == 100
@@ -128,7 +128,7 @@ def test_tp_preserving_check_matches_marginal_conditions():
 def test_all_families_send_channel_corpus_to_channels():
     # superchannels map channels to channels, across every family constructor
     from superchan.covariance import UUFamilyParams, uu_superchannel
-    from superchan.dephasing import dephasing_from_realization, to_super_choi
+    from superchan.dephasing import dephasing_from_realization
     from superchan.du import build_choi
     from superchan.pauli import PauliSuperParams, pauli_super_choi
     from superchan.channels import amplitude_damping, bit_flip, pauli_channel, table_channel
@@ -141,7 +141,7 @@ def test_all_families_send_channel_corpus_to_channels():
         uu_superchannel(UUFamilyParams("conjugate", 0.05, 0.1, 0.1, 0.75, 2)),
         uu_superchannel(UUFamilyParams("mixed", 0.02, 0.28, 0.1, 0.6, 2)),
         build_choi(random_valid_du_params(local, 2)),
-        to_super_choi(dephasing_from_realization(*random_realization(local, 2, 3))),
+        build_choi(dephasing_from_realization(*random_realization(local, 2, 3))),
         pauli_super_choi(PauliSuperParams(local.dirichlet(np.ones(16)).reshape(4, 4))),
     ]
     # random valid two-table channel: mix a dephasing part with a classical one
@@ -166,9 +166,9 @@ def test_all_families_send_channel_corpus_to_channels():
 
 def test_tp_preserving_check_returns_induced_map():
     s = identity_superchannel(3, 2)
-    verdict, induced = tp_preserving_check(s)
+    verdict = tp_preserving_check(s)
     assert verdict.ok
-    assert np.allclose(induced.choi.mat, identity_channel(3).choi.mat)
+    assert np.allclose(verdict.induced.choi.mat, identity_channel(3).choi.mat)
 
 
 def test_compose_superchannels():
@@ -257,9 +257,9 @@ def _generic_super(dims):
 def test_tp_preserving_check_is_bit_identical_to_the_loops(dims):
     for s in (_generic_super(dims), random_valid_superchoi(rng, dims[0], dims[1])):
         leak, choi = loop_tp_preserving_parts(s)
-        verdict, induced = tp_preserving_check(s)
+        verdict = tp_preserving_check(s)
         assert verdict.offdiagonal_leak == leak
-        assert induced.choi.mat.tobytes() == choi.tobytes()
+        assert verdict.induced.choi.mat.tobytes() == choi.tobytes()
 
 
 @pytest.mark.parametrize("dims", _UNEQUAL_DIMS)
@@ -267,13 +267,17 @@ def test_validate_and_tp_check_measure_the_same_marginals(dims):
     # the dense reference's C0 is tp_preserving_check's induced Choi, so its
     # factorization residual is max(leak, fiber) and its marginal residual the
     # unitality deviation: bit for bit, on generic, Hermitian and valid Chois
+    def bits(report):
+        return {key: np.float64(value).tobytes() for key, value in report.items()}
+
     g = _generic_super(dims)
     h = super_choi(g.choi.mat + g.choi.mat.conj().T, dims)
     for s in (g, h, random_valid_superchoi(rng, dims[0], dims[1])):
         verdict = validate_superchannel(s)
         ref = dense_validate_superchannel(s, DEFAULT_TOL)
-        tp, _ = tp_preserving_check(s)
-        assert verdict == ref
+        tp = tp_preserving_check(s)
+        assert bits(verdict.report()) == bits(ref.report())
+        assert verdict.ok == ref.ok
         assert ref.factorization_deviation == max(tp.offdiagonal_leak, tp.fiber_deviation)
         assert ref.marginal_deviation == tp.unitality_deviation
 

@@ -2,7 +2,7 @@
 
     python3 tools/cli_identity.py
         --workload {tables,dense,qubit,du-corpus,do-corpus,examples,dephasing,
-                    covariance}
+                    covariance,kinds}
         --seed N [--src DIR]
 
 The tables, dense and qubit plans are the benchmark's own
@@ -25,7 +25,14 @@ planted, and `covariance` of both under all five groups.  covariance is
 `covariance` under all five groups, at d = 2..5, on seeded DU,
 sign-symmetric and dephasing tables and on three Choi files: DU-covariant
 (a twirled random superchannel), generic, and covariant with one entry of
-size 1e-10 planted off the pattern.  Each op runs in
+size 1e-10 planted off the pattern.  kinds is every command on every kind
+of file, at d = 2: one seeded channel, superchannel Choi, DU, sign-symmetric,
+dephasing and Pauli table each, one du object with a table of the wrong
+side, an object of no kind, a JSON list, a file that does not parse and a
+missing path.  It runs `validate` of each kind on each file, `apply`,
+`covariance --group du` and `example bit-flip --super` with each file as the
+superchannel, `apply` with each file as the channel, and `compose` of each
+kind on each ordered pair of files.  Each op runs in
 process through ``superchan.cli.main`` from ``--src`` (default: this
 checkout's src), on one BLAS thread, and prints
 {"kind", "argv", "status", "stdout", "artifact_sha256"}.  Inputs are
@@ -224,9 +231,47 @@ def build_covariance(b: inputs.InputSet) -> list:
     return [inputs._kind("covariance", "op1", 1, ops)]
 
 
+def build_kinds(b: inputs.InputSet) -> list:
+    """Every command on every kind of file, and on files of no kind."""
+    d = 2
+    du = inputs.tables_from_choi(inputs.random_superchannel(b.rng, d), d, inputs.DU_TABLES)
+    docs = {
+        "channel": {"d_in": d, "d_out": d,
+                    "choi": inputs.matrix_json((d, d), inputs.random_channel(b.rng, d))},
+        "superchannel": inputs._super_doc(d, inputs.random_superchannel(b.rng, d)),
+        "du": inputs.tables_doc(d, du),
+        "do": inputs.tables_doc(d, inputs.tables_from_choi(
+            inputs.random_superchannel(b.rng, d), d, inputs.DO_TABLES)),
+        "dephasing": {"d": d, "M_big": inputs.matrix_json((d, d), inputs.random_dephasing(b.rng, d))},
+        "pauli": {"pi": b.rng.dirichlet(np.ones(16)).reshape(4, 4).tolist()},
+        "wrong-side": inputs.tables_doc(d, {**du, "A": np.eye(d + 1)}),
+        "no-kind": {"d": d, "tables": []},
+        "list": [1, 2],
+    }
+    files = {label: b.input(f"{label}.json", doc) for label, doc in docs.items()}
+    (b.work / "in" / "parse-error.json").write_text('{"d": 2,\n  "A": [}\n')
+    files["parse-error"] = "in/parse-error.json"
+    files["missing"] = "in/missing.json"
+    out = ["--out", "out/k.json"]
+    validate, apply, compose, other = [], [], [], []
+    for label, f in files.items():
+        validate += [inputs._entry(["validate", kind, f], label=label)
+                     for kind in ("channel", "superchannel", "du", "do", "dephasing", "pauli")]
+        apply += [inputs._entry(["apply", f, files["channel"], *out], label=label, out=out[1]),
+                  inputs._entry(["apply", files["du"], f, *out], label=label, out=out[1])]
+        other += [inputs._entry(["covariance", f, "--group", "du", "--samples", "3"], label=label),
+                  inputs._entry(["example", "bit-flip", "--super", f, *out], label=label,
+                                out=out[1])]
+        compose += [inputs._entry(["compose", kind, f, g, *out], label=label, out=out[1])
+                    for kind in ("du", "do", "dephasing", "superchannel", "channel")
+                    for g in files.values()]
+    return [inputs._kind("validate", "op1", 1, validate), inputs._kind("apply", "op2", 1, apply),
+            inputs._kind("compose", "op3", 1, compose), inputs._kind("other", "op4", 1, other)]
+
+
 CORPORA = {"du-corpus": build_du_corpus, "do-corpus": build_do_corpus,
            "examples": build_examples, "dephasing": build_dephasing,
-           "covariance": build_covariance}
+           "covariance": build_covariance, "kinds": build_kinds}
 
 
 def plan(workload: str, seed: int, work: Path) -> list:
