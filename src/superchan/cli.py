@@ -8,6 +8,7 @@ given the flags (and seed, where sampling is involved).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -119,7 +120,7 @@ def cmd_validate(args) -> CommandResult:
         if herm > tol:
             ok = False
         else:
-            tp_verdict, _ = du_tp_check(p, tol)
+            tp_verdict = du_tp_check(p, tol)
             cp_verdict = du_cp_check(p, tol)
             report.update(tp_verdict.report())
             report.update(cp_verdict.report())
@@ -149,7 +150,7 @@ def cmd_validate(args) -> CommandResult:
 def cmd_apply(args) -> CommandResult:
     kind, parsed = _load(args.superchannel)
     s = pauli_super_choi(parsed) if kind == "pauli" else parsed
-    ch = jsonio.channel_from_json(_read(args.channel))
+    ch = _load(args.channel, "channel")[1]
     # table kinds act straight from their positions, without assembling the Choi
     tables = isinstance(s, TableParams)
     pair = (s.d, s.d) if tables else (s.dA0, s.dA1)
@@ -313,7 +314,10 @@ def cmd_example(args) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.  parse_args leaves it as it
+    is and returns a fresh Namespace per call; every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="superchan",
         description="Validate, apply, compose and covariance-test quantum "
@@ -355,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example", help="reproduce a worked qubit example")
     p.add_argument("name", choices=("amplitude-damping", "bit-flip", "pauli", "holevo-werner"))
     p.add_argument("--gamma", type=float, default=0.3, help="damping parameter")
-    p.add_argument("--p", type=float, nargs="+", default=[0.2],
+    p.add_argument("--p", type=float, nargs="+", default=(0.2,),
                    help="flip probability, or four Pauli weights")
     p.add_argument("--d", type=int, default=2, help="dimension (holevo-werner)")
     p.add_argument("--super", dest="superchannel", help="du parameter JSON to apply")

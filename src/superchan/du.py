@@ -122,19 +122,16 @@ def from_choi(s: SuperChoi, tol: float = DEFAULT_TOL,
 
 
 @dataclass(frozen=True)
-class DUTPWitness:
-    """The b-independent fiber sums found by the trace-preservation check."""
-
-    alpha: np.ndarray  # real d x d, rows sum to 1 when the check passes
-    gamma: np.ndarray  # complex d x d, off-diagonal support
-
-
-@dataclass(frozen=True)
 class DUTPVerdict:
+    """Result of the DU trace-preservation check, with the b-averaged fiber
+    sums it found."""
+
     alpha_fiber_deviation: float
     gamma_fiber_deviation: float
     row_sum_deviation: float
     worst_fiber: tuple[int, int, int]  # (i, j, b) with the largest fiber deviation
+    alpha: np.ndarray  # real d x d, rows sum to 1 when the check passes
+    gamma: np.ndarray  # complex d x d, off-diagonal support
     tol: float
 
     @property
@@ -155,9 +152,7 @@ class DUTPVerdict:
         }
 
 
-def du_tp_check(
-    p: DUSuperParams, tol: float = DEFAULT_TOL
-) -> tuple[DUTPVerdict, DUTPWitness]:
+def du_tp_check(p: DUSuperParams, tol: float = DEFAULT_TOL) -> DUTPVerdict:
     """Trace preservation: the a-sums of A and C must not depend on b, and the
     resulting alpha table must have unit row sums."""
     a_sums = p.t4("A").sum(axis=1)  # [i, j, b]
@@ -170,14 +165,15 @@ def du_tp_check(
     if g_dev.size and g_dev.max() > a_dev.max():
         worst = np.unravel_index(int(np.argmax(g_dev)), g_dev.shape)
     row_dev = float(np.abs(alpha.sum(axis=1) - 1.0).max())
-    verdict = DUTPVerdict(
+    return DUTPVerdict(
         float(a_dev.max()),
         float(g_dev.max()),
         row_dev,
         tuple(int(w) for w in worst),
+        alpha,
+        gamma,
         tol,
     )
-    return verdict, DUTPWitness(alpha, gamma)
 
 
 @dataclass(frozen=True)

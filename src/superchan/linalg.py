@@ -187,11 +187,14 @@ def hermiticity_deviation(x) -> float:
 def hermitian_eigenvalues(x) -> np.ndarray:
     """Eigenvalues of the symmetrization (x + x^dag)/2, ascending.
 
-    A stack of matrices gives one ascending row per matrix.
+    A stack of matrices gives one ascending row per matrix.  Each term is
+    halved before the sum, so finite entries near the float maximum do not
+    overflow.
     """
     m = _as_matrix(x)
     try:
-        return np.linalg.eigvalsh((m + _adjoint(m)) / 2)
+        h = m / 2
+        return np.linalg.eigvalsh(h + _adjoint(h))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise EigensolverError(f"Hermitian eigensolver failed: {exc}") from exc
 

@@ -8,7 +8,9 @@ two-bit XOR of Pauli labels acting on the Bell-diagonal probability vector.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -38,14 +40,29 @@ class PauliSuperParams:
         object.__setattr__(self, "pi", pi)
 
 
-def pauli_super_choi(p: PauliSuperParams) -> SuperChoi:
-    """16x16 Choi matrix of the two-sided Pauli mixture (dims 2,2,2,2)."""
+@functools.lru_cache(maxsize=None)
+def _conjugation_terms() -> np.ndarray:
+    """Read-only (16, 16, 16) stack whose entry 4 mu + nu is w P+ w^dag, with
+    w = 1 (x) sigma_mu (x) sigma_nu and P+ the unnormalized maximally
+    entangled projector on C^4 (x) C^4."""
     p_plus = max_entangled_projector(4).mat
+    terms = np.empty((16, 16, 16), dtype=complex)
+    for k, (s_mu, s_nu) in enumerate(product(PAULI, repeat=2)):
+        w = np.kron(np.eye(4), np.kron(s_mu, s_nu))
+        terms[k] = w @ p_plus @ w.conj().T
+    terms.setflags(write=False)
+    return terms
+
+
+def pauli_super_choi(p: PauliSuperParams) -> SuperChoi:
+    """16x16 Choi matrix of the two-sided Pauli mixture (dims 2,2,2,2).
+
+    The cached terms are added one at a time in row-major (mu, nu) order; a
+    BLAS product would reorder the sum and move the last digits of the Choi.
+    """
     acc = np.zeros((16, 16), dtype=complex)
-    for mu in range(4):
-        for nu in range(4):
-            w = np.kron(np.eye(4), np.kron(PAULI[mu], PAULI[nu]))
-            acc += p.pi[mu, nu] * (w @ p_plus @ w.conj().T)
+    for weight, term in zip(p.pi.reshape(-1), _conjugation_terms()):
+        acc += weight * term
     return super_choi(acc, (2, 2, 2, 2))
 
 

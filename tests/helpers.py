@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from superchan.channels import (
+    PAULI,
     ChoiChannel,
     DUChannelParams,
     choi_from_kraus,
@@ -26,6 +27,7 @@ from superchan.linalg import (
     hermitian_eigenvalues,
     hermiticity_deviation,
     kron,
+    max_entangled_projector,
     partial_trace,
     permute_subsystems,
     psd_accepts,
@@ -713,3 +715,16 @@ def loop_realization_table(u_list, v_list, psi) -> np.ndarray:
     for i, a, j, b in product(range(d), repeat=4):
         m[i * d + a, j * d + b] = np.vdot(vectors[j][b], vectors[i][a])
     return m
+
+
+def loop_pauli_super_choi(pi: np.ndarray) -> np.ndarray:
+    """The Pauli superchannel Choi term by term: each conjugation
+    w P+ w^dag, w = 1 (x) sigma_mu (x) sigma_nu, built from its krons and
+    added in (mu, nu) order."""
+    p_plus = max_entangled_projector(4).mat
+    acc = np.zeros((16, 16), dtype=complex)
+    for mu in range(4):
+        for nu in range(4):
+            w = np.kron(np.eye(4), np.kron(PAULI[mu], PAULI[nu]))
+            acc += pi[mu, nu] * (w @ p_plus @ w.conj().T)
+    return acc

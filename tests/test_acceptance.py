@@ -206,7 +206,7 @@ def test_criterion_04_tp_closed_form_equivalence():
     agree = total = 0
     for d in (2, 3):
         for p in mixed_tp_corpus(rng, d, 200):
-            params_ok = du_tp_check(p, tol=1e-10)[0].ok
+            params_ok = du_tp_check(p, tol=1e-10).ok
             choi_ok = tp_preserving_check(build_choi(p), tol=1e-10).ok
             agree += params_ok == choi_ok
             total += 1

@@ -18,7 +18,7 @@ from superchan.dephasing import (
 from superchan.do import from_du_params
 from superchan.du import DUSuperParams, build_choi, du_cp_check, du_identity, du_tp_check
 from superchan.pauli import PauliSuperParams
-from superchan.superchannels import compose_superchannels, identity_superchannel
+from superchan.superchannels import compose_superchannels, identity_superchannel, super_choi
 
 from helpers import (
     random_channel,
@@ -56,7 +56,7 @@ def report_value(out, key):
 
 def test_default_params_are_valid():
     p = default_du_params()
-    assert du_tp_check(p)[0].ok
+    assert du_tp_check(p).ok
     assert du_cp_check(p).ok
 
 
@@ -208,6 +208,36 @@ def test_apply_accepts_parameter_forms(paths, capsys):
     expected = apply_to_channel(build_choi(p), amplitude_damping(0.3))
     written = jsonio.channel_from_json(json.loads((tmp / "out.json").read_text()))
     assert np.allclose(written.choi.mat, expected.choi.mat)
+
+
+@pytest.mark.parametrize("kind", ["du", "do", "dephasing", "pauli", "superchannel"])
+def test_apply_channel_must_hold_a_channel(paths, capsys, kind):
+    tmp, write = paths
+    docs = {
+        "du": jsonio.params_to_json(du_identity(2)),
+        "do": jsonio.params_to_json(from_du_params(du_identity(2))),
+        "dephasing": jsonio.params_to_json(dephasing_from_realization(
+            *random_realization(np.random.default_rng(3), 2, 2))),
+        "pauli": jsonio.pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))),
+        "superchannel": jsonio.superchannel_to_json(identity_superchannel(2, 2)),
+    }
+    sup = write("s.json", docs["superchannel"])
+    not_channel = write(f"{kind}.json", docs[kind])
+    code, out = run_cli(capsys, "apply", sup, not_channel)
+    assert code == 2
+    assert out == f"status: invalid-input\nerror: {not_channel} holds a {kind} object, not channel\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_validate_superchannel_near_the_float_maximum_reports_a_status(paths, capsys):
+    # finite entries whose sum overflows used to escape as an EigensolverError
+    tmp, write = paths
+    m = np.array(identity_superchannel(2, 2).choi.mat)
+    m[0, 0] = m[5, 5] = 1.7e308
+    path = write("huge.json", jsonio.superchannel_to_json(super_choi(m, (2, 2, 2, 2))))
+    code, out = run_cli(capsys, "validate", "superchannel", path)
+    assert code in (2, 3)
+    assert out.startswith("status: ")
 
 
 def test_apply_dimension_mismatch(paths, capsys):
@@ -451,6 +481,46 @@ def test_example_pauli_names_a_non_finite_weight(capsys):
     assert code == 2
     assert out == ("status: invalid-input\nerror: [nan  0.  0.  1.] is not a probability "
                    "vector: non-finite entries (NaN or Inf)\n")
+
+
+def test_cached_parser_answers_every_call_as_a_fresh_one(paths, capsys):
+    # build_parser() is built once per process: no call may leave state in it
+    # that changes the answer to a later one
+    tmp, write = paths
+    local = np.random.default_rng(11)
+    du = write("du.json", jsonio.params_to_json(random_valid_du_params(local, 2)))
+    chan = write("c.json", jsonio.channel_to_json(bit_flip(0.3)))
+    ops = [
+        ("example", "bit-flip"),
+        ("example", "bit-flip", "--p", "0.4"),
+        ("example", "pauli", "--p", "0.7", "0.1", "0.1", "0.1"),
+        ("example", "pauli"),  # the one-entry default is refused: exit 2
+        ("example", "bit-flip", "--tol", "nan"),  # malformed flag: exit 2
+        ("validate", "nonsense", du),  # argparse error: SystemExit 2
+        ("validate", "du", du),
+        ("apply", du, chan),
+        ("compose", "du", du, du),
+    ]
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = f"SystemExit {exc.code}"
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = {}
+    for argv in ops:
+        cli.build_parser.cache_clear()
+        fresh[argv] = run(argv)
+    assert fresh[ops[3]][0] == fresh[ops[4]][0] == 2
+    assert fresh[ops[5]][0] == "SystemExit 2"
+    parser = cli.build_parser()
+    for k in np.concatenate([local.permutation(len(ops)) for _ in range(4)]):
+        assert run(ops[k]) == fresh[ops[k]], ops[k]
+    assert cli.build_parser() is parser
+    assert parser.parse_args(["example", "bit-flip"]).p == (0.2,)
 
 
 def test_validate_superchannel_and_do_build_one_trace_verdict(paths, capsys, monkeypatch):

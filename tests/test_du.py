@@ -99,11 +99,11 @@ def test_du_identity_is_compose_unit():
 
 
 def test_du_identity_tp_witness():
-    verdict, witness = du_tp_check(du_identity(3))
+    verdict = du_tp_check(du_identity(3))
     assert verdict.ok
-    assert np.array_equal(witness.alpha, np.eye(3))
+    assert np.array_equal(verdict.alpha, np.eye(3))
     ones_off = np.ones((3, 3)) - np.eye(3)
-    assert np.array_equal(witness.gamma, ones_off)
+    assert np.array_equal(verdict.gamma, ones_off)
 
 
 def test_support_masks_enforced():
@@ -173,9 +173,9 @@ def test_du_tp_check_constructed_instance():
     a = np.einsum("ij,ab->iajb", alpha, w).reshape(d * d, d * d)
     z = np.zeros((d * d, d * d))
     p = DUSuperParams.masked(d, a, z, z, z)
-    verdict, witness = du_tp_check(p)
+    verdict = du_tp_check(p)
     assert verdict.ok
-    assert np.allclose(witness.alpha, alpha, atol=1e-13)
+    assert np.allclose(verdict.alpha, alpha, atol=1e-13)
 
 
 def test_du_tp_check_detects_perturbation():
@@ -184,7 +184,7 @@ def test_du_tp_check_detects_perturbation():
     a = np.array(p.A)
     a[0, 1] += 0.1  # pair (i,a)=(0,0), (j,b)=(0,1)
     perturbed = DUSuperParams(d, a, p.B, p.C, p.D)
-    verdict, _ = du_tp_check(perturbed)
+    verdict = du_tp_check(perturbed)
     assert not verdict.ok
     assert verdict.alpha_fiber_deviation >= 0.04
     assert verdict.worst_fiber[:2] == (0, 0)
@@ -197,7 +197,7 @@ def test_du_tp_equivalence_with_choi_level_check():
                 p = random_hermitian_du_params(rng, d)
             else:
                 p = random_valid_du_params(rng, d)
-            v_params, _ = du_tp_check(p)
+            v_params = du_tp_check(p)
             v_choi = tp_preserving_check(build_choi(p))
             assert v_params.ok == v_choi.ok
 
@@ -301,7 +301,7 @@ def test_validity_equivalence_with_generic_superchannel_checks():
         for k in range(200):
             p = random_valid_du_params(rng, d) if k % 3 == 0 else random_hermitian_du_params(rng, d)
             cp = du_cp_check(p)
-            param_ok = du_tp_check(p)[0].ok and cp.ok
+            param_ok = du_tp_check(p).ok and cp.ok
             choi_ok = validate_superchannel(build_choi(p)).ok
             assert param_ok == choi_ok
             assert cp.closed_form == full_eigvalsh_psd(build_choi(p).choi.mat)

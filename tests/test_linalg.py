@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from superchan.linalg import (
     NonHermitianMatrixError,
+    hermitian_eigenvalues,
     hermiticity_deviation,
     identity_operator,
     is_hermitian,
@@ -259,6 +260,17 @@ def test_hermiticity_deviation():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert hermiticity_deviation(m) == 1.0
     assert hermiticity_deviation(np.eye(3)) == 0.0
+
+
+def test_hermitian_eigenvalues_halve_before_adding():
+    # (m + m^dag) / 2 overflows for finite entries near the float maximum
+    big = np.diag([1.7e308, 1.7e308, 1.0])
+    assert np.array_equal(hermitian_eigenvalues(big), [1.0, 1.7e308, 1.7e308])
+    # on ordinary entries halving first is exact, so the bytes do not move
+    local = np.random.default_rng(5)
+    m = local.normal(size=(6, 5, 5)) + 1j * local.normal(size=(6, 5, 5))
+    expected = np.linalg.eigvalsh((m + m.conj().transpose(0, 2, 1)) / 2)
+    assert hermitian_eigenvalues(m).tobytes() == expected.tobytes()
 
 
 def sector_labels(d, pairs):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from superchan import pauli
 from superchan.channels import depolarizing, identity_channel, pauli_channel
 from superchan.covariance import covariance_sampler_tuple, superchannel_covariance_check
 from superchan.do import DOSuperParams
@@ -21,6 +22,8 @@ from superchan.superchannels import (
     tp_preserving_check,
     validate_superchannel,
 )
+
+from helpers import loop_pauli_super_choi
 
 rng = np.random.default_rng(41)
 
@@ -133,6 +136,34 @@ def test_choi_blocks_match_transcribed_structure():
             if r != c:
                 mirror = mat[4 * c : 4 * c + 4, 4 * r : 4 * r + 4]
                 assert np.abs(mirror - expected.conj().T).max() <= 1e-15
+
+
+def test_super_choi_matches_the_kron_loop_byte_for_byte():
+    # the cached terms must give the reference's float64 bytes: zero and
+    # -0.0 weights included, and every term added in the same order
+    local = np.random.default_rng(2024)
+    tables = [np.diag([1.0, 0.0, 0.0, 0.0]), np.full((4, 4), 1 / 16)]
+    for _ in range(40):
+        pi = local.dirichlet(np.ones(16)).reshape(4, 4)
+        zeros = local.random((4, 4)) < 0.4
+        pi[zeros] = 0.0
+        pi = pi / pi.sum()
+        pi[zeros & (local.random((4, 4)) < 0.5)] = -0.0
+        tables.append(pi)
+    assert any(np.signbit(pi[pi == 0]).any() for pi in tables)
+    for pi in tables:
+        p = PauliSuperParams(pi)
+        got = pauli_super_choi(p).choi.mat
+        assert got.dtype == np.complex128
+        assert got.tobytes() == loop_pauli_super_choi(p.pi).tobytes()
+
+
+def test_conjugation_terms_are_cached_and_read_only():
+    terms = pauli._conjugation_terms()
+    assert terms is pauli._conjugation_terms()
+    assert terms.shape == (16, 16, 16) and not terms.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        terms[0, 0, 0] = 1.0
 
 
 def test_every_table_gives_valid_superchannel():
