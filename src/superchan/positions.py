@@ -356,8 +356,10 @@ def composition_plan(cls: type[TableParams]) -> tuple:
     def join(**roles):  # find() of the label classes, None if a support pair is forced equal
         parent = {}
 
-        def find(k):
-            return find(parent[k]) if k in parent else k
+        def find(k):  # a loop, not a recursion: a self-calling closure is a cycle
+            while k in parent:
+                k = parent[k]
+            return k
 
         for side in (0, 1):
             p, q, r = ([x + c for c in pos[roles[x]][side]] if x in roles else [] for x in "PQR")

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -228,16 +229,19 @@ def test_apply_channel_must_hold_a_channel(paths, capsys, kind):
     assert out == f"status: invalid-input\nerror: {not_channel} holds a {kind} object, not channel\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_superchannel_near_the_float_maximum_reports_a_status(paths, capsys):
-    # finite entries whose sum overflows used to escape as an EigensolverError
+    # finite entries whose B1 partial trace overflows: a named error, no numpy warning
     tmp, write = paths
     m = np.array(identity_superchannel(2, 2).choi.mat)
     m[0, 0] = m[5, 5] = 1.7e308
     path = write("huge.json", jsonio.superchannel_to_json(super_choi(m, (2, 2, 2, 2))))
-    code, out = run_cli(capsys, "validate", "superchannel", path)
-    assert code in (2, 3)
-    assert out.startswith("status: ")
+    code = main(["validate", "superchannel", path])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ("status: invalid-input\n"
+                   "error: the partial trace over B1 overflows the float range\n")
+    assert err == ""
 
 
 def test_apply_dimension_mismatch(paths, capsys):
@@ -573,6 +577,95 @@ def test_example_outputs_match_committed_goldens(paths, capsys):
         code, _ = run_cli(capsys, *argv, "--out", str(out_path))
         assert code == 0
         assert out_path.read_bytes() == (golden_dir / golden_name).read_bytes()
+
+
+@pytest.fixture
+def collector():
+    """Put the cyclic collector back as it was after a test that switches it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state(paths, capsys, monkeypatch, collector, enabled):
+    tmp, write = paths
+    du = write("du.json", jsonio.params_to_json(du_identity(2)))
+    pi = np.zeros((4, 4))
+    pi[0, 0] = pi[0, 1] = 0.5
+    pauli = write("pi.json", jsonio.pauli_to_json(PauliSuperParams(pi)))
+    (gc.enable if enabled else gc.disable)()
+    for code, argv in (
+        (0, ["validate", "du", du]),
+        (3, ["covariance", pauli, "--group", "du"]),
+        (2, ["validate", "du", str(tmp / "missing.json")]),
+        (2, ["example", "bit-flip", "--out", str(tmp)]),  # a directory: unwritable
+    ):
+        assert main(argv) == code, argv
+        assert gc.isenabled() is enabled, argv
+    with pytest.raises(SystemExit):  # argparse refuses before the pause
+        main(["validate", "nonsense", du])
+    assert gc.isenabled() is enabled
+
+    seen = []
+    real_load = cli._load
+
+    def probe(*args):
+        seen.append(gc.isenabled())
+        return real_load(*args)
+
+    monkeypatch.setattr(cli, "_load", probe)
+    assert main(["validate", "du", du]) == 0
+    assert seen == [False] and gc.isenabled() is enabled
+
+    def broken(*args):
+        raise RuntimeError("broken command")
+
+    monkeypatch.setattr(cli, "_load", broken)
+    with pytest.raises(RuntimeError, match="broken command"):
+        main(["validate", "du", du])
+    assert gc.isenabled() is enabled
+    capsys.readouterr()
+
+
+def test_commands_leave_no_cyclic_garbage(paths, capsys, collector):
+    # main pauses the collector, so a cycle made by a command would stay in
+    # memory until main returns: no command may make one
+    tmp, write = paths
+    local = np.random.default_rng(29)
+    du = random_valid_du_params(local, 2)
+    files = {
+        "channel": jsonio.channel_to_json(random_channel(local, 2)),
+        "superchannel": jsonio.superchannel_to_json(build_choi(du)),
+        "du": jsonio.params_to_json(du),
+        "do": jsonio.params_to_json(random_do_params(local, 2)),
+        "dephasing": jsonio.params_to_json(
+            dephasing_from_realization(*random_realization(local, 2, 2))),
+        "pauli": jsonio.pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))),
+    }
+    path = {kind: write(f"{kind}.json", doc) for kind, doc in files.items()}
+    out = str(tmp / "out.json")
+    ops = [(3 if kind == "do" else 0, ["validate", kind, path[kind]]) for kind in files]
+    ops += [  # the random do tables are the check-failed case
+        (0, ["apply", path["du"], path["channel"], "--out", out]),
+        (0, ["apply", path["superchannel"], path["channel"], "--out", out]),
+        (0, ["compose", "du", path["du"], path["du"], "--out", out]),
+        (0, ["compose", "superchannel", path["superchannel"], path["superchannel"]]),
+        (0, ["covariance", path["du"], "--group", "du"]),
+        (0, ["example", "amplitude-damping", "--super", path["du"], "--out", out]),
+        (2, ["apply", path["du"], path["pauli"]]),  # not a channel: schema error
+    ]
+    # once per process, outside any command's own work: argparse leaves cycles
+    # while it builds the parser (before the pause), and numpy's first
+    # np.unique imports numpy.ma, whose set-up leaves cycles too
+    cli.build_parser()
+    np.unique([0])
+    gc.disable()
+    gc.collect()
+    for code, argv in ops:
+        assert main(argv) == code, argv
+        assert gc.collect() == 0, argv
+    capsys.readouterr()
 
 
 def test_console_entry_point_runs():
