@@ -13,7 +13,11 @@ Out-of-support entries are stored as exact zeros and rejected on ingest.
 Everything here is for square superchannels (dA0 = dA1 = dB0 = dB1 = d).
 Composition is positions.compose_tables, whose plan derives the paper's rule
 from the positions: A multiplies as a matrix over the pair index, B and C
-contract over one label each, and D multiplies entrywise.
+contract over one label each, and D multiplies entrywise.  The same plan
+gives the action on the tables of DUC, CDUC and DOC channels, so a DU
+superchannel maps each of those families into itself by construction; on
+DOC tables (A, B, C) it is the paper's three displayed maps: A through A,
+B_mn scaled by D_{mm,nn} and C_mn by D_{nm,mn}.
 """
 
 from __future__ import annotations
@@ -22,16 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChoiChannel, DOChannelParams, choi_channel, identity_channel, table_channel
+from .channels import ChoiChannel, du_identity_channel_params, table_channel
 from .linalg import DEFAULT_TOL, MultipartiteOperator
 from .positions import (
     TableParams,
     apply_tables,
     choi_from_tables,
+    compose_tables,
     extraction_residual,
-    off_pattern_weight,
     sector_spectrum,
-    table_positions,
     tables_from_choi,
 )
 from .superchannels import SuperChoi, super_choi
@@ -246,71 +249,8 @@ def du_block_action(p: DUSuperParams, x) -> MultipartiteOperator:
 def du_action_on_identity(p: DUSuperParams) -> ChoiChannel:
     """The channel produced by acting on the identity channel (its Choi is Omega).
 
-    It is a DU channel with tables S_ij = sum_k A_{ji,kk} (column stochastic
+    It is the DU channel of p acting on the identity's tables
+    (positions.compose_tables): S_ij = sum_k A_{ji,kk} (column stochastic
     for valid params) and the off-diagonal slice D_{ii,jj}.
     """
-    return choi_channel(du_block_action(p, identity_channel(p.d).choi).mat, p.d, p.d)
-
-
-@dataclass(frozen=True)
-class DOPreservationVerdict:
-    """Result of probing the action on sign-symmetric (diagonal-orthogonal
-    invariant) Choi patterns."""
-
-    off_pattern_max: float
-    coefficient_deviation: float
-    samples: int
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return self.off_pattern_max <= self.tol and self.coefficient_deviation <= self.tol
-
-    def report(self) -> dict:
-        return {
-            "preserves_do_pattern": self.ok,
-            "off_pattern_max": self.off_pattern_max,
-            "coefficient_deviation": self.coefficient_deviation,
-        }
-
-
-def random_do_invariant(d: int, rng: np.random.Generator) -> MultipartiteOperator:
-    """Random Hermitian operator with the sign-symmetric invariant pattern:
-    the Choi of a DO channel, weight on e_mm (x) e_nn (all m, n), e_mn (x)
-    e_mn and e_mn (x) e_nm (m != n)."""
-    pt = rng.normal(size=(d, d))
-    qt = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rt = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    off = table_positions(d, "B", "channel").mask
-    ch = table_channel(DOChannelParams(d, pt.T, np.where(off, qt, 0.0), np.where(off, rt.T, 0.0)))
-    mat = ch.choi.mat
-    return MultipartiteOperator((d, d), (mat + mat.conj().T) / 2)
-
-
-def du_preserves_do_check(
-    p: DUSuperParams, n: int = 20, tol: float = DEFAULT_TOL, seed: int = 0
-) -> DOPreservationVerdict:
-    """Verify the image of sign-symmetric Chois keeps the pattern, with the
-    three displayed coefficient maps on the DO channel tables read off input
-    and output: the diagonal weights A^T through A, the e_mn (x) e_mn weights
-    B scaled by D_{mm,nn}, and the e_mn (x) e_nm weights C^T by D_{mn,nm}."""
-    d = p.d
-    rng = np.random.default_rng(seed)
-    d4 = p.t4("D")
-    i, j = np.ogrid[:d, :d]  # B and C are zero on i = j, so the diagonal adds 0
-    worst_off = 0.0
-    worst_coeff = 0.0
-    for _ in range(n):
-        x = random_do_invariant(d, rng)
-        t_in = tables_from_choi(x.mat, d, DOChannelParams)
-        y = du_block_action(p, x).mat
-        t_out = tables_from_choi(y, d, DOChannelParams)
-        worst_off = max(worst_off, off_pattern_weight(y, d, DOChannelParams))
-        expect_a = (p.A @ t_in["A"].T.reshape(-1)).reshape(d, d).T
-        worst_coeff = max(
-            worst_coeff,
-            float(np.abs(t_out["A"] - expect_a).max()),
-            float(np.abs(t_out["B"] - d4[i, i, j, j] * t_in["B"]).max()),
-            float(np.abs(t_out["C"] - d4[j, i, i, j] * t_in["C"]).max()),
-        )
-    return DOPreservationVerdict(worst_off, worst_coeff, n, tol)
+    return table_channel(compose_tables(p, du_identity_channel_params(p.d)))

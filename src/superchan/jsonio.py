@@ -106,15 +106,12 @@ def params_to_json(p: TableParams) -> dict:
 
 
 def params_from_json(obj: dict, kind: str) -> TableParams:
-    """Parameters of the table kind (a key of TABLE_KINDS); a table A must be real."""
+    """Parameters of the table kind (a key of TABLE_KINDS); the class checks
+    the tables, a table A being real among them."""
     cls = TABLE_KINDS[kind]
     _require(obj, ("d", *cls.NAMES), f"{kind} parameters")
     d = _int(obj["d"], "d")
     tables = {name: _table(obj[name], d, f"table {name}") for name in cls.NAMES}
-    if "A" in tables:
-        if np.abs(tables["A"].imag).max() > 0:
-            raise SchemaError("table A must be real")
-        tables["A"] = tables["A"].real
     try:
         return cls(d, **tables)
     except ValueError as exc:

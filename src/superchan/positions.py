@@ -25,7 +25,8 @@ assembling a Choi is one scatter per table, reading the tables off it one
 gather, its spectrum one batched eigensolve per sector size, the action of
 the assembled map one gather-multiply-add per table, and composing two sets
 of tables one product (matrix, entrywise or einsum) per table triple of
-composition_plan.
+composition_plan.  The same plan composes superchannel tables with channel
+tables, giving the tables of the transformed channel.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class TableParams:
         given = {**dict(zip(cls.NAMES, tables)), **named}
         out = {}
         for name in cls.NAMES:
-            t = np.asarray(given.get(name, 0.0), dtype=float if name == "A" else complex)
+            t = np.asarray(given.get(name, 0.0), dtype=complex)
             out[name] = np.where(table_positions(d, name, cls.FAMILY).mask, t, 0.0)
         return cls(d, **out)
 
@@ -132,17 +133,22 @@ class TableParams:
 def init_tables(p: TableParams) -> None:
     """Set each table of the frozen dataclass p to a read-only copy, real for
     A and complex otherwise, after checking d >= 1 and each table's shape and
-    entries: non-finite entries and nonzero entries outside the support are
-    rejected.  The caller's arrays stay writable."""
+    entries: non-finite entries, a nonzero imaginary part of A and nonzero
+    entries outside the support are rejected.  The caller's arrays stay
+    writable."""
     if p.d < 1:
         raise ValueError(f"dimension d must be positive, got {p.d}")
     side = p.d ** (len(FAMILIES[p.FAMILY][0]) // 2)
     for name in p.NAMES:
-        t = np.array(getattr(p, name), dtype=float if name == "A" else complex)
+        t = np.array(getattr(p, name), dtype=complex)
         if t.shape != (side, side):
             raise ValueError(f"{name} must be {side}x{side}")
         if not np.isfinite(t).all():
             raise ValueError(f"table {name} has non-finite entries (NaN or Inf)")
+        if name == "A":
+            if t.imag.any():
+                raise ValueError("table A must be real")
+            t = t.real.copy()
         off = t[~table_positions(p.d, name, p.FAMILY).mask]
         if off.size and np.abs(off).max() > 0:
             raise ValueError(f"table {name} has nonzero entries outside its support")
@@ -339,19 +345,25 @@ def b1_partial_trace(p: TableParams) -> tuple[float, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def composition_plan(cls: type[TableParams]) -> tuple:
+def composition_plan(pcls: type[TableParams], qcls: type[TableParams]) -> tuple:
     """(R, P, Q, einsum labels of P, Q and R) for each table triple through
-    which compose_tables feeds table R of cls from P of p and Q of q.
+    which compose_tables feeds table R of qcls from P of p and Q of q.
 
     p after q is the link product of the Chois (Chiribella, D'Ariano &
-    Perinotti, arXiv:0804.0180): q's out-digits meet p's in-digits, and the
-    result sits on q's in-digits and p's out-digits, rows and columns alike.
-    The labels ("Pi" is label i of P) are unified under those equalities; a
-    triple that forces a support pair equal adds nothing.  Raises ValueError
-    if the terms of a (P, Q) pair feed no table: cls is not closed.
+    Perinotti, arXiv:0804.0180): q's last digits, as many as p has
+    in-digits, meet p's in-digits, and the result sits on q's other digits
+    and p's out-digits, rows and columns alike.  Within one class those are
+    q's out- and in-digits; for superchannel tables after channel tables
+    they are all of q's (in, out) and none, so p acts on q's Choi
+    (apply_tables) and the result sits on (B0, B1).  The labels ("Pi" is
+    label i of P) are unified under those equalities; a triple that forces
+    a support pair equal adds nothing.  Raises ValueError if the terms of a
+    (P, Q) pair feed no table of qcls: the result is not of q's class.
     """
-    labels, pos = FAMILIES[cls.FAMILY]
-    half = len(labels) // 2  # digits per side: A0 A1 | B0 B1, or in | out
+    (plabels, ppos), (qlabels, qpos) = FAMILIES[pcls.FAMILY], FAMILIES[qcls.FAMILY]
+    labels, pos = {"P": plabels, "Q": qlabels, "R": qlabels}, {"P": ppos, "Q": qpos, "R": qpos}
+    half = len(plabels) // 2  # p's in-digits: A0 A1 (of A0 A1 | B0 B1) or in (of in | out)
+    rest = len(qlabels) - half  # q's digits p does not meet: its in-digits, or none
 
     def join(**roles):  # find() of the label classes, None if a support pair is forced equal
         parent = {}
@@ -362,43 +374,45 @@ def composition_plan(cls: type[TableParams]) -> tuple:
             return k
 
         for side in (0, 1):
-            p, q, r = ([x + c for c in pos[roles[x]][side]] if x in roles else [] for x in "PQR")
-            for a, b in [*zip(q[half:], p[:half]), *zip(r, q[:half] + p[half:])]:
+            p, q, r = ([x + c for c in pos[x][roles[x]][side]] if x in roles else [] for x in "PQR")
+            for a, b in [*zip(q[rest:], p[:half]), *zip(r, q[:rest] + p[half:])]:
                 if find(a) != find(b):
                     parent[find(a)] = find(b)
         support = [(x + s, x + t) for x, n in roles.items()
-                   for s, t in zip(pos[n][2][::2], pos[n][2][1::2])]
+                   for s, t in zip(pos[x][n][2][::2], pos[x][n][2][1::2])]
         return None if any(find(s) == find(t) for s, t in support) else find
 
     plan = []
-    for pn, qn in product(cls.NAMES, repeat=2):
+    for pn, qn in product(pcls.NAMES, qcls.NAMES):
         if not join(P=pn, Q=qn):
             continue  # no entry of p's table meets one of q's
-        fed = [(rn, find) for rn in cls.NAMES if (find := join(P=pn, Q=qn, R=rn))]
+        fed = [(rn, find) for rn in qcls.NAMES if (find := join(P=pn, Q=qn, R=rn))]
         if not fed:
-            raise ValueError(f"{cls.__name__} is not closed under composition: "
+            raise ValueError(f"{pcls.__name__} after {qcls.__name__} is not a {qcls.__name__}: "
                              f"{pn} after {qn} lands on none of its tables")
         for rn, find in fed:
             letter = {}  # label class -> einsum letter
             subs = ("".join(letter.setdefault(find(x + c), "klmnopqrstuv"[len(letter)])
-                            for c in labels) for x in "PQR")
+                            for c in labels[x]) for x in "PQR")
             plan.append((rn, pn, qn, *subs))
     return tuple(plan)
 
 
 def compose_tables(p: TableParams, q: TableParams) -> TableParams:
-    """The tables of p after q, one product per triple of composition_plan
-    (O(d^6) time, O(d^4) memory), each table started from its first term.
-    A matrix product over the pair index is x @ y; a term with no summed
-    label is the product of transposed views, so an entrywise rule (D,
-    M_big, channel B) keeps its bits and a -0.0 stays -0.0, as in apply_tables.
+    """The tables of p after q, of q's class: one product per triple of
+    composition_plan (O(d^6) time, O(d^4) memory), each table started from
+    its first term.  p and q are of one class, or p holds superchannel
+    tables and q channel tables (p acting on q's channel).  A matrix
+    product over the pair index is x @ y; a term with no summed label is the
+    product of transposed views, so an entrywise rule (D, M_big, channel B)
+    keeps its bits and a -0.0 stays -0.0, as in apply_tables.
     """
-    if type(p) is not type(q):
+    if type(p) is not type(q) and (p.FAMILY, q.FAMILY) != ("super", "channel"):
         raise ValueError(f"cannot compose {type(p).__name__} with {type(q).__name__}")
     if p.d != q.d:
         raise ValueError(f"dimension mismatch: {p.d} vs {q.d}")
     out = {}
-    for rn, pn, qn, sp, sq, sr in composition_plan(type(p)):
+    for rn, pn, qn, sp, sq, sr in composition_plan(type(p), type(q)):
         h = len(sr) // 2
         if sp[:h] + sq[h:] == sr and sp[h:] == sq[:h]:
             term = getattr(p, pn) @ getattr(q, qn)
@@ -407,4 +421,4 @@ def compose_tables(p: TableParams, q: TableParams) -> TableParams:
         else:
             term = np.einsum(f"{sp},{sq}->{sr}", p.t4(pn), q.t4(qn))
         out[rn] = out[rn] + term if rn in out else term
-    return type(p).masked(p.d, **{n: t.reshape(getattr(p, n).shape) for n, t in out.items()})
+    return type(q).masked(q.d, **{n: t.reshape(getattr(q, n).shape) for n, t in out.items()})

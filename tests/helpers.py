@@ -11,6 +11,7 @@ import numpy as np
 from superchan.channels import (
     PAULI,
     ChoiChannel,
+    DOChannelParams,
     DUChannelParams,
     choi_from_kraus,
     table_channel,
@@ -580,42 +581,20 @@ def loop_du_action_on_identity(p: DUSuperParams) -> ChoiChannel:
     return table_channel(DUChannelParams(d, s, b))
 
 
-def loop_du_preserves_do(p: DUSuperParams, n: int = 20, seed: int = 0):
-    """(off_pattern_max, coefficient_deviation) of du_preserves_do_check, with
-    the pattern placed and split by hand, the action taken by the scatter
-    reference and the coefficient maps compared one (i, j) at a time."""
+def random_doc_params(rng: np.random.Generator, d: int) -> DOChannelParams:
+    """Random DOC channel tables on their supports (A real, B and C complex)."""
+    b, c = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2))
+    return DOChannelParams.masked(d, rng.normal(size=(d, d)), b, c)
+
+
+def scatter_doc_action(p: DUSuperParams, q: DOChannelParams) -> tuple[dict, float]:
+    """The DOC tables (A, B, C) of the image of q's channel under p, and the
+    image's largest off-pattern magnitude: the action taken by the scatter
+    reference on the assembled Choi, the image split by a hand-built mask."""
     d = p.d
-    rng = np.random.default_rng(seed)
-    d4 = p.t4("D")
-    worst_off = 0.0
-    worst_coeff = 0.0
-    for _ in range(n):
-        x = loop_random_do_invariant(d, rng)
-        pin, qin, rin, _ = loop_do_pattern_split(x.reshape(d, d, d, d))
-        y = scatter_block_action(p, x)
-        pout, qout, rout, off = loop_do_pattern_split(y.reshape(d, d, d, d))
-        worst_off = max(worst_off, off)
-        expect_p = (p.A @ pin.reshape(-1)).reshape(d, d)
-        worst_coeff = max(worst_coeff, float(np.abs(pout - expect_p).max()))
-        for i, j in product(range(d), repeat=2):
-            if i != j:
-                worst_coeff = max(worst_coeff, abs(qout[i, j] - d4[i, i, j, j] * qin[i, j]))
-                worst_coeff = max(worst_coeff, abs(rout[i, j] - d4[i, j, j, i] * rin[i, j]))
-    return worst_off, worst_coeff
-
-
-def loop_random_do_invariant(d: int, rng: np.random.Generator) -> np.ndarray:
-    """random_do_invariant's matrix, each pattern component placed by hand."""
-    pt = rng.normal(size=(d, d))
-    qt = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rt = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m, n = np.ogrid[:d, :d]
-    x4 = np.zeros((d, d, d, d), dtype=complex)
-    x4[m, n, m, n] += pt
-    x4[m, m, n, n] += np.where(m != n, qt, 0.0)
-    x4[m, n, n, m] += np.where(m != n, rt, 0.0)
-    mat = x4.reshape(d * d, d * d)
-    return (mat + mat.conj().T) / 2
+    y = scatter_block_action(p, table_channel(q).choi.mat)
+    pt, qt, rt, off = loop_do_pattern_split(y.reshape(d, d, d, d))
+    return {"A": pt.T, "B": qt, "C": rt.T}, off
 
 
 def loop_do_pattern_split(x4: np.ndarray):

@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from superchan.channels import (
+    DOChannelParams,
     amplitude_damping,
     bit_flip,
     dephasing_channel,
@@ -36,12 +37,11 @@ from superchan.du import (
     build_choi,
     du_block_action,
     du_cp_check,
-    du_preserves_do_check,
     du_tp_check,
     from_choi,
 )
 from superchan.linalg import is_psd
-from superchan.positions import compose_tables
+from superchan.positions import compose_tables, composition_plan
 from superchan.pauli import (
     PauliSuperParams,
     bell_weights,
@@ -66,8 +66,10 @@ from helpers import (
     random_hermitian_du_params,
     random_realization,
     random_covariance_matrix,
+    random_doc_params,
     random_valid_du_params,
     random_valid_superchoi,
+    scatter_doc_action,
     unitary_conjugation,
 )
 from test_du import PATTERN_D2, SENTINELS as DU_SENTINELS
@@ -410,17 +412,24 @@ def test_criterion_09_dephasing_pipeline():
 
 
 def test_criterion_10_sign_symmetric_preservation():
+    # a DU superchannel maps DOC tables to DOC tables through the paper's
+    # displayed maps: A through A, B scaled by D_{mm,nn}, C by D_{nm,mn}
+    plan = [t[:3] for t in composition_plan(DUSuperParams, DOChannelParams)]
+    maps_ok = plan == [("A", "A", "A"), ("B", "D", "B"), ("C", "D", "C")]
     rng = np.random.default_rng(110)
     worst_off = worst_coeff = 0.0
-    for k in range(50):
-        p = random_valid_du_params(rng, 2)
-        verdict = du_preserves_do_check(p, n=20, tol=1e-12, seed=k)
-        worst_off = max(worst_off, verdict.off_pattern_max)
-        worst_coeff = max(worst_coeff, verdict.coefficient_deviation)
+    for _ in range(50):
+        p, q = random_valid_du_params(rng, 2), random_doc_params(rng, 2)
+        got = compose_tables(p, q)
+        ref, off = scatter_doc_action(p, q)
+        worst_off = max(worst_off, off)
+        for name in "ABC":
+            dev = np.abs(getattr(got, name) - ref[name]).max() / np.abs(ref[name]).max()
+            worst_coeff = max(worst_coeff, dev)
     record(
         10,
-        worst_off <= 1e-12 and worst_coeff <= 1e-12,
-        f"off-pattern {worst_off:.2e}, coefficient deviation {worst_coeff:.2e}",
+        maps_ok and worst_off == 0.0 and worst_coeff <= 1e-12,
+        f"maps {plan}, off-pattern {worst_off:.2e}, relative deviation {worst_coeff:.2e}",
     )
 
 

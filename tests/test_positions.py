@@ -21,9 +21,11 @@ from superchan.du import (
 from superchan.positions import (
     FAMILIES,
     apply_tables,
+    choi_from_tables,
     compose_tables,
     composition_plan,
     extraction_residual,
+    off_pattern_weight,
     sectors,
     table_positions,
 )
@@ -257,16 +259,74 @@ def test_compose_tables_matches_the_choi_link_product(cls, dims):
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+# (R, P, Q, einsum labels of P, Q and R) of every triple of each closed class
+PLANS = {
+    DUSuperParams: """A A A klmn mnop klop | B B B klmn mlon klon | C C C klmn knmo klmo
+        | D D D klmn klmn klmn""",
+    DOSuperParams: """A A A klmn mnop klop | B B B klmn mlon klon | R B R klmn onml onkl
+        | C C C klmn knmo klmo | E C E klmn mokn mokl | D D D klmn klmn klmn
+        | P D P klmn mlkn mlkn | Q D Q klmn mnkl mnkl | S D S klmn knml knml
+        | E E C klmn klmo komn | C E E klmn mokl mnko | P P D klmn klmn klmn
+        | D P P klmn mlkn mlkn | S P Q klmn mnkl mnkl | Q P S klmn knml knml
+        | Q Q D klmn klmn klmn | S Q P klmn mlkn mlkn | D Q Q klmn mnkl mnkl
+        | P Q S klmn knml knml | R R B klmn klon olmn | B R R klmn onkl mnol
+        | S S D klmn klmn klmn | Q S P klmn mlkn mlkn | P S Q klmn mnkl mnkl
+        | D S S klmn knml knml""",
+    DephasingSuperParams: "M_big M_big M_big klmn klmn klmn",
+    DUChannelParams: "A A A kl lm km | B B B kl kl kl",
+    DOChannelParams: """A A A kl lm km | B B B kl kl kl | C B C kl kl kl | C C B kl lk kl
+        | B C C kl lk kl""",
+}
+
+
 def test_composition_plan_derives_the_papers_table_rules():
-    rules = {cls: [t[:3] for t in composition_plan(cls)] for cls in (
-        DUSuperParams, DOSuperParams, DephasingSuperParams, DUChannelParams, DOChannelParams)}
     # DU: A.A, B.B, C.C, D.D; dephasing: the Schur product; DUC: A @ A and B o B
-    assert rules[DUSuperParams] == [(n, n, n) for n in "ABCD"]
-    assert rules[DephasingSuperParams] == [("M_big",) * 3]
-    assert rules[DUChannelParams] == [("A", "A", "A"), ("B", "B", "B")]
-    assert len(rules[DOSuperParams]) == 25 and len(rules[DOChannelParams]) == 5
+    for cls, plan in PLANS.items():
+        assert composition_plan(cls, cls) == tuple(tuple(t.split()) for t in plan.split("|"))
     # every (P, Q) pair of sign-symmetric tables whose entries meet feeds one table
-    assert len({t[1:] for t in rules[DOSuperParams]}) == 25
+    assert len({t[1:3] for t in composition_plan(DOSuperParams, DOSuperParams)}) == 25
+    with pytest.raises(ValueError, match="C after C lands on none of its tables"):
+        composition_plan(ConjDUChannelParams, ConjDUChannelParams)
+
+
+@pytest.mark.parametrize("pcls, qcls", [
+    (DUSuperParams, DUChannelParams), (DUSuperParams, ConjDUChannelParams),
+    (DUSuperParams, DOChannelParams), (DOSuperParams, DOChannelParams),
+    (DephasingSuperParams, DUChannelParams), (DephasingSuperParams, ConjDUChannelParams),
+    (DephasingSuperParams, DOChannelParams),
+], ids=["du-duc", "du-cduc", "du-doc", "do-doc", "dephasing-duc", "dephasing-cduc",
+        "dephasing-doc"])
+def test_compose_tables_acts_on_channel_tables_as_on_their_choi(pcls, qcls):
+    for d in (2, 3, 4, 5):
+        if pcls is DephasingSuperParams:  # Hermitian: the diagonal that feeds A is real
+            p = DephasingSuperParams(d, random_hermitian(rng, d * d))
+        else:
+            p = _random_tables(pcls, d)
+        q = _random_tables(qcls, d)
+        got = compose_tables(p, q)
+        assert type(got) is qcls
+        ref = apply_tables(p, choi_from_tables(q))
+        assert np.abs(choi_from_tables(got) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("qcls, first", [(DUChannelParams, "P after B"),
+                                         (ConjDUChannelParams, "P after C")])
+def test_sign_symmetric_tables_leave_the_unitary_channel_classes(qcls, first):
+    # the plan refuses, and the Choi route lands off q's pattern
+    for d in (2, 3, 4, 5):
+        p, q = _random_tables(DOSuperParams, d), _random_tables(qcls, d)
+        with pytest.raises(ValueError, match=f"is not a {qcls.__name__}: {first} lands"):
+            compose_tables(p, q)
+        assert off_pattern_weight(apply_tables(p, choi_from_tables(q)), d, qcls) > 1e-3
+
+
+def test_compose_tables_takes_a_complex_a_as_an_error():
+    # a non-Hermitian multiplier table has a complex diagonal, so channel A is complex
+    d = 2
+    m = np.ones((d * d, d * d), dtype=complex)
+    m[0, 0] = 1j
+    with pytest.raises(ValueError, match="table A must be real"):
+        compose_tables(DephasingSuperParams(d, m), _random_tables(DUChannelParams, d))
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -294,9 +354,19 @@ def test_compose_tables_keeps_a_negative_zero_of_an_entrywise_rule():
 def test_compose_tables_refuses_a_class_it_cannot_close():
     # conjugate-covariant after conjugate-covariant is covariant: C o C lands on B
     p = _random_tables(ConjDUChannelParams, 3)
-    with pytest.raises(ValueError, match="not closed under composition: C after C"):
+    with pytest.raises(ValueError, match="ConjDUChannelParams after ConjDUChannelParams is not "
+                       "a ConjDUChannelParams: C after C lands on none of its tables"):
         compose_tables(p, p)
     with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
         compose_tables(_random_tables(DUSuperParams, 2), _random_tables(DUSuperParams, 3))
     with pytest.raises(ValueError, match="cannot compose DUSuperParams with DOSuperParams"):
         compose_tables(_random_tables(DUSuperParams, 2), _random_tables(DOSuperParams, 2))
+    with pytest.raises(ValueError, match="cannot compose DOSuperParams with DUSuperParams"):
+        compose_tables(_random_tables(DOSuperParams, 2), _random_tables(DUSuperParams, 2))
+    with pytest.raises(ValueError, match="cannot compose DUChannelParams with DOChannelParams"):
+        compose_tables(_random_tables(DUChannelParams, 2), _random_tables(DOChannelParams, 2))
+    # a channel after a superchannel is neither class
+    with pytest.raises(ValueError, match="cannot compose DOChannelParams with DUSuperParams"):
+        compose_tables(_random_tables(DOChannelParams, 2), _random_tables(DUSuperParams, 2))
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        compose_tables(_random_tables(DUSuperParams, 2), _random_tables(DOChannelParams, 3))
