@@ -76,6 +76,8 @@ def _read(path) -> dict:
         raise SchemaError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}")
+    except RecursionError:  # json, on a file orjson refuses, nested past its limit
+        raise SchemaError(f"{path}: nested too deeply to parse")
     return obj
 
 

@@ -1,11 +1,12 @@
 """JSON schemas and file handling for every object the toolbox exchanges.
 
 All matrices use one format: {"dims": [d1, ..., dn], "data": [[re, im], ...]}
-with data row-major over the flattened index.  Serialization uses Python's
-shortest round-trip float printing, so dump -> load is exact.  dump_json's
-output equals ``json.dumps(obj, indent=2)`` byte for byte; it renders each
-list of [float, float] pairs in bulk instead of through the pure-Python
-encoder that ``json`` falls back to whenever ``indent`` is set.
+with data row-major over the flattened index.  Files are decoded by orjson,
+and by json for what orjson refuses (see load_json).  Serialization uses
+Python's shortest round-trip float printing, so dump -> load is exact.
+dump_json's output equals ``json.dumps(obj, indent=2)`` byte for byte; it
+renders each list of [float, float] pairs in bulk instead of through the
+pure-Python encoder that ``json`` falls back to whenever ``indent`` is set.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .channels import ChoiChannel
 from .dephasing import DephasingSuperParams
@@ -179,9 +181,17 @@ def from_json(obj: dict, kind: str):
 
 
 def load_json(path) -> dict:
-    """Parse a JSON file; decode errors carry line/column positions."""
-    text = Path(path).read_text()
-    return json.loads(text)
+    """Parse a JSON file; decode errors carry line/column positions.
+
+    orjson decodes the bytes, with floats equal to json's.  What orjson
+    refuses goes to json: its NaN and Infinity literals, numbers beyond the
+    float range, lone surrogates, a byte order mark, and every malformed
+    file, whose error then carries json's line and column.
+    """
+    try:
+        return orjson.loads(Path(path).read_bytes())
+    except orjson.JSONDecodeError:
+        return json.loads(Path(path).read_text())
 
 
 def dump_json(obj: dict, path=None) -> str:

@@ -262,22 +262,27 @@ def matrix_to_json(x: MultipartiteOperator) -> dict:
 
 def matrix_from_json(obj: dict) -> MultipartiteOperator:
     """Inverse of matrix_to_json; every malformed input raises ValueError or
-    TypeError, including numbers too large for a float or an int."""
+    TypeError, including numbers too large for a float.  Dims must be JSON
+    integers and data entries [re, im] pairs of JSON numbers: booleans and
+    strings are rejected, not converted."""
     if not isinstance(obj, dict) or "dims" not in obj or "data" not in obj:
         raise ValueError("matrix JSON must contain 'dims' and 'data'")
+    dims = tuple(obj["dims"])
+    if not {int}.issuperset(map(type, dims)):
+        raise ValueError("matrix JSON dims must be integers")
+    side = math.prod(dims)
+    data = obj["data"]
+    if len(data) != side * side:
+        raise ValueError(f"matrix JSON data has {len(data)} entries, expected {side * side}")
+    if set(map(len, data)) - {2}:
+        raise ValueError("matrix JSON data entries must be [re, im] pairs")
+    # a 2-character string or a 2-key object passes the length test, but
+    # its characters or keys are strings, which the type test refuses
+    values = list(itertools.chain.from_iterable(data))
+    if not {int, float}.issuperset(map(type, values)):
+        raise ValueError("matrix JSON data entries must be [re, im] pairs of numbers")
     try:
-        dims = tuple(int(d) for d in obj["dims"])
-        side = math.prod(dims)
-        data = obj["data"]
-        if len(data) != side * side:
-            raise ValueError(
-                f"matrix JSON data has {len(data)} entries, expected {side * side}"
-            )
-        if set(map(len, data)) - {2}:
-            raise ValueError("matrix JSON data entries must be [re, im] pairs")
-        flat = np.fromiter(
-            map(float, itertools.chain.from_iterable(data)), np.float64, count=2 * len(data)
-        )
+        flat = np.fromiter(values, np.float64, count=len(values))
     except OverflowError as exc:
         raise ValueError(f"matrix JSON number out of range: {exc}") from exc
     return MultipartiteOperator(dims, flat.view(np.complex128).reshape(side, side))

@@ -137,6 +137,21 @@ def test_validate_parse_error_reports_position(paths, capsys):
     assert code == 2 and "line" in out
 
 
+_DEEP = 100_000  # past json's recursion limit; orjson's reader has none
+
+
+@pytest.mark.parametrize("body, message", [
+    ("[" * _DEEP + "NaN" + "]" * _DEEP, "nested too deeply to parse"),  # json reads it
+    ("[" * _DEEP + "]" * _DEEP, "expected a JSON object"),  # orjson reads it
+    ('{"pi": ' + "[" * _DEEP + "]" * _DEEP + "}", "error: "),  # orjson reads it, numpy refuses it
+])
+def test_validate_deeply_nested_file_is_invalid_input(tmp_path, capsys, body, message):
+    path = tmp_path / "deep.json"
+    path.write_text(body)
+    code, out = run_cli(capsys, "validate", "pauli", str(path))
+    assert code == 2 and "status: invalid-input" in out and message in out
+
+
 # integer fields must be JSON integers: these used to read as d=2 or d=1
 NON_INTEGER_D = {
     "du-fractional-d": 2.7,

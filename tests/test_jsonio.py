@@ -1,20 +1,30 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from superchan import jsonio
 from superchan.channels import amplitude_damping
+from superchan.cli import main
 from superchan.dephasing import dephasing_from_realization
 from superchan.do import from_du_params
+from superchan.du import du_identity
 from superchan.jsonio import SchemaError
 from superchan.linalg import MultipartiteOperator, matrix_from_json
 from superchan.pauli import PauliSuperParams
 from superchan.superchannels import identity_superchannel, super_choi
 
-from helpers import random_channel, random_hermitian_du_params, random_realization
+from helpers import (
+    random_channel,
+    random_do_params,
+    random_hermitian_du_params,
+    random_realization,
+)
 
 rng = np.random.default_rng(43)
 
@@ -240,16 +250,29 @@ def test_dump_rejects_what_json_rejects():
             jsonio.dump_json(doc)
 
 
+def _strict(value, types):
+    if type(value) not in types:  # type(True) is bool, not int
+        raise ValueError(f"not a JSON {types}: {value!r}")
+    return value
+
+
 def _per_entry_matrix_from_json(obj):
-    """The per-entry parser that matrix_from_json replaced, kept as its oracle."""
+    """The per-entry parser that matrix_from_json replaced, kept as its oracle,
+    made strict: dims are JSON integers and each entry a list of two JSON
+    numbers, so booleans, strings and objects are rejected, not converted."""
     if not isinstance(obj, dict) or "dims" not in obj or "data" not in obj:
         raise ValueError("matrix JSON must contain 'dims' and 'data'")
-    dims = tuple(int(d) for d in obj["dims"])
+    dims = tuple(_strict(d, (int,)) for d in obj["dims"])
     side = math.prod(dims)
     data = obj["data"]
     if len(data) != side * side:
         raise ValueError("wrong entry count")
-    flat = np.array([complex(float(re), float(im)) for re, im in data], dtype=complex)
+    pairs = [_strict(entry, (list,)) for entry in data]
+    number = (int, float)
+    flat = np.array(
+        [complex(float(_strict(re, number)), float(_strict(im, number))) for re, im in pairs],
+        dtype=complex,
+    )
     return MultipartiteOperator(dims, flat.reshape(side, side))
 
 
@@ -300,6 +323,10 @@ _DOCUMENT_CORPUS = (
 )
 
 
+# the strict oracle rejects cases 8, 12, 13, 19, 24 and 27-29, which the
+# lenient one accepted: "12" as 1+2j, booleans, numeric strings, an object's
+# keys, and dims "2", 2.7 and true ("nan", case 14, was read and then refused
+# as not finite)
 @pytest.mark.parametrize("doc", _DOCUMENT_CORPUS, ids=range(len(_DOCUMENT_CORPUS)))
 def test_matrix_from_json_accepts_exactly_what_the_per_entry_parser_did(doc):
     try:
@@ -326,3 +353,103 @@ def test_matrix_to_json_matches_per_entry_floats():
     data = jsonio.matrix_to_json(x)["data"]
     assert json.dumps(data) == json.dumps(per_entry)
     assert all(type(v) is float for pair in data for v in pair)
+
+
+# -- the reader: orjson, and json for what orjson refuses ---------------------
+
+
+def _json_reader(path):
+    """The reader load_json replaced: json alone, on the text."""
+    return json.loads(Path(path).read_text())
+
+
+def _assert_reads_like_json(path, expected=None):
+    if expected is None:
+        expected = _json_reader(path)
+    # repr tells 1 from 1.0 and -0.0 from 0.0, and spells every float exactly
+    assert repr(jsonio.load_json(path)) == repr(expected)
+
+
+def _beyond_64_bits(v) -> bool:
+    return type(v) is int and not -(2**63) <= v < 2**64
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0,
+                       1.7976931348623157e308, -1.7976931348623157e308]),
+    min_size=1, max_size=8,
+))
+def test_load_json_reads_every_finite_float_as_json_does(values):
+    spellings = [spell % v for v in values for spell in ("%r", "%.17e", "%.25g")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "floats.json"
+        path.write_text("[" + ", ".join(spellings) + "]")
+        # %.25g spells a large integral float as an integer token; beyond
+        # 64 bits orjson reads it as the nearest float, not as an int
+        expected = [float(v) if _beyond_64_bits(v) else v for v in _json_reader(path)]
+        _assert_reads_like_json(path, expected)
+
+
+def test_load_json_reads_written_files_as_json_does(tmp_path):
+    for path in sorted(Path(__file__).parent.joinpath("data").rglob("*.json")):
+        _assert_reads_like_json(path)
+    choi = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    docs = {
+        "choi_d4.json": jsonio.superchannel_to_json(super_choi(choi, (4, 4, 4, 4))),
+        "do_d6.json": jsonio.params_to_json(random_do_params(rng, 6)),
+    }
+    for name, doc in docs.items():
+        jsonio.dump_json(doc, tmp_path / name)
+        _assert_reads_like_json(tmp_path / name)
+
+
+def test_integers_beyond_64_bits_read_as_floats(tmp_path, capsys):
+    path = tmp_path / "ints.json"
+    path.write_text("[18446744073709551615, 18446744073709551616,"
+                    " -9223372036854775808, -9223372036854775809]")
+    got = jsonio.load_json(path)
+    assert [type(v) for v in got] == [int, float, int, float]
+    assert got == [2**64 - 1, 2.0**64, -(2**63), -(2.0**63)]
+    doc = jsonio.params_to_json(du_identity(2))
+    doc["d"] = 2**64
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "du", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines()[1] == "error: d must be a JSON integer, not float"
+
+
+_CRLF_SYNTAX_ERROR = b'{\r\n  "pi": [\r\n    [1, 0,, 0]\r\n  ]\r\n}\r\n'
+# inputs orjson refuses, each read by json as before
+_REFUSED_BY_ORJSON = {
+    "nan": b'{"pi": [[NaN, 0], [0, 1]]}',
+    "infinity": b'{"pi": [[Infinity, 0], [0, -Infinity]]}',
+    "overflow": b'{"pi": [[1e400, 0], [0, 1]]}',
+    "lone-surrogate": b'{"pi": "\\ud800"}',
+    "bom": b'\xef\xbb\xbf{"pi": [[1, 0], [0, 1]]}',
+    "bad-utf8": b'{"pi": "\xff"}',
+    "empty": b"",
+    "trailing-data": b'{"pi": [[1, 0], [0, 1]]} []',
+    "crlf-syntax-error": _CRLF_SYNTAX_ERROR,
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSED_BY_ORJSON))
+def test_cli_reports_what_orjson_refuses_as_json_alone_did(name, tmp_path, capsys, monkeypatch):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(_REFUSED_BY_ORJSON[name])
+    with pytest.raises(orjson.JSONDecodeError):
+        orjson.loads(path.read_bytes())
+    code = main(["validate", "pauli", str(path)])
+    out = capsys.readouterr().out
+    monkeypatch.setattr(jsonio, "load_json", _json_reader)
+    assert (code, out) == (main(["validate", "pauli", str(path)]), capsys.readouterr().out)
+
+
+def test_crlf_parse_error_keeps_json_line_and_column(tmp_path, capsys):
+    path = tmp_path / "crlf.json"
+    path.write_bytes(_CRLF_SYNTAX_ERROR)
+    assert main(["validate", "pauli", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines()[1] == (
+        f"error: {path}: parse error at line 3, column 11"
+    )
