@@ -50,14 +50,13 @@ def choi_channel(mat, d_in: int, d_out: int) -> ChoiChannel:
     return ChoiChannel(d_in, d_out, MultipartiteOperator((d_in, d_out), np.asarray(mat, dtype=complex)))
 
 
-def choi_from_kraus(kraus_ops, d_in: int | None = None, d_out: int | None = None) -> ChoiChannel:
-    """Assemble the Choi matrix of X -> sum_k K X K^dag from Kraus operators."""
+def choi_from_kraus(kraus_ops) -> ChoiChannel:
+    """Assemble the Choi matrix of X -> sum_k K X K^dag from Kraus operators,
+    each d_out x d_in."""
     ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
     if not ops:
         raise ValueError("at least one Kraus operator is required")
-    rows, cols = ops[0].shape
-    d_in = cols if d_in is None else d_in
-    d_out = rows if d_out is None else d_out
+    d_out, d_in = ops[0].shape
     c = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
     for k in ops:
         # vec_r(K) vec_r(K)^dag with row-major vec matches C = sum e_ij (x) K e_ij K^dag

@@ -22,7 +22,6 @@ from . import jsonio
 from .channels import (
     amplitude_damping,
     bit_flip,
-    choi_channel,
     classical_channel_extract,
     compose_channels,
     holevo_werner,
@@ -32,10 +31,10 @@ from .channels import (
 from .covariance import covariance_sampler_tuple, superchannel_covariance_check
 from .dephasing import dephasing_validate
 from .do import do_validate
-from .du import du_block_action, du_cp_check, du_tp_check, hermiticity_violation
+from .du import du_cp_check, du_tp_check
 from .jsonio import SchemaError
 from .linalg import DEFAULT_TOL
-from .positions import TableParams, apply_tables, compose_tables
+from .positions import TableParams, compose_tables
 from .pauli import pauli_du_check, pauli_induced_bistochastic, pauli_super_choi
 from .superchannels import apply_to_channel, compose_superchannels, validate_superchannel
 
@@ -118,13 +117,11 @@ def cmd_validate(args) -> CommandResult:
         report.update(verdict.tp.report())
         ok = verdict.ok
     elif kind == "du":
-        herm = hermiticity_violation(p)
-        report["hermiticity_violation"] = herm
-        if herm > tol:
-            ok = False
-        else:
+        cp_verdict = du_cp_check(p, tol)
+        report["hermiticity_violation"] = cp_verdict.hermiticity_deviation
+        ok = cp_verdict.hermiticity_deviation <= tol  # the tables are finite: never NaN
+        if ok:
             tp_verdict = du_tp_check(p, tol)
-            cp_verdict = du_cp_check(p, tol)
             report.update(tp_verdict.report())
             report.update(cp_verdict.report())
             ok = tp_verdict.ok and cp_verdict.ok
@@ -154,18 +151,7 @@ def cmd_apply(args) -> CommandResult:
     kind, parsed = _load(args.superchannel)
     s = pauli_super_choi(parsed) if kind == "pauli" else parsed
     ch = _load(args.channel, "channel")[1]
-    # table kinds act straight from their positions, without assembling the Choi
-    tables = isinstance(s, TableParams)
-    pair = (s.d, s.d) if tables else (s.dA0, s.dA1)
-    if (ch.d_in, ch.d_out) != pair:
-        raise SchemaError(
-            f"channel dims ({ch.d_in}, {ch.d_out}) do not match superchannel "
-            f"input pair {pair}"
-        )
-    if tables:
-        out = choi_channel(apply_tables(s, ch.choi.mat), s.d, s.d)
-    else:
-        out = apply_to_channel(s, ch)
+    out = apply_to_channel(s, ch)
     report = {"superchannel_kind": kind}
     for label, c in (("input", ch), ("output", out)):
         table = classical_channel_extract(c)
@@ -255,8 +241,8 @@ def cmd_example(args) -> CommandResult:
 
     if args.name == "amplitude-damping":
         gamma = args.gamma
-        ch = amplitude_damping(gamma)
-        out4 = du_block_action(params, ch.choi).mat.reshape(2, 2, 2, 2)
+        out = apply_to_channel(params, amplitude_damping(gamma))
+        out4 = out.choi4()
         a_vals = [out4[0, 0, 0, 0].real, out4[0, 1, 0, 1].real,
                   out4[1, 0, 1, 0].real, out4[1, 1, 1, 1].real]
         for k, v in zip(("a1", "a2", "a3", "a4"), a_vals):
@@ -284,7 +270,8 @@ def cmd_example(args) -> CommandResult:
             w_id, w_x, w_corner, w_center = p0 + p3, p1 + p2, p0 - p3, p1 - p2
             report["input_corner"] = w_corner
             report["input_center"] = w_center
-        out4 = du_block_action(params, ch.choi).mat.reshape(2, 2, 2, 2)
+        out = apply_to_channel(params, ch)
+        out4 = out.choi4()
         ok = True
         for i in range(2):
             for j in range(2):
@@ -304,7 +291,6 @@ def cmd_example(args) -> CommandResult:
             and abs(report["center"] - report["center_expected"]) <= tol
         )
 
-    out = choi_channel(out4.reshape(4, 4), 2, 2)
     report["output_is_channel"] = validate_channel(out, tol).ok
     ok = report["output_is_channel"] and ok
     if args.out:

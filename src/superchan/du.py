@@ -27,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChoiChannel, du_identity_channel_params, table_channel
-from .linalg import DEFAULT_TOL, MultipartiteOperator
+from .linalg import DEFAULT_TOL
 from .positions import (
     TableParams,
-    apply_tables,
     choi_from_tables,
     compose_tables,
     extraction_residual,
@@ -57,7 +56,7 @@ class DUSuperParams(TableParams):
 
     A is real; B, C, D are complex.  Hermiticity of the assembled Choi holds
     iff B_{ia,jb} = conj(B_{ib,ja}), C_{ia,jb} = conj(C_{ja,ib}) and
-    D_{ia,jb} = conj(D_{jb,ia}); see hermiticity_violation.
+    D_{ia,jb} = conj(D_{jb,ia}); du_cp_check's verdict carries the deviation.
     """
 
     NAMES = ("A", "B", "C", "D")
@@ -75,25 +74,9 @@ def du_identity(d: int) -> DUSuperParams:
     """Tables whose assembled Choi is the identity map on M_{d^2}."""
     if d < 2:
         raise ValueError("du_identity requires d >= 2")
-    i, a, j, b = np.ogrid[:d, :d, :d, :d]
-    eye_ij = (i == j).astype(float)
-    eye_ab = (a == b).astype(float)
-    A = (eye_ij * eye_ab).reshape(d * d, d * d)
-    B = np.broadcast_to(eye_ij * (1.0 - eye_ab), (d, d, d, d)).reshape(d * d, d * d)
-    C = np.broadcast_to((1.0 - eye_ij) * eye_ab, (d, d, d, d)).reshape(d * d, d * d)
-    D = np.broadcast_to((1.0 - eye_ij) * (1.0 - eye_ab), (d, d, d, d)).reshape(
-        d * d, d * d
-    )
-    return DUSuperParams(d, A, B.astype(complex), C.astype(complex), D.astype(complex))
-
-
-def hermiticity_violation(p: DUSuperParams) -> float:
-    """Worst deviation from the table symmetries that make the Choi Hermitian."""
-    b4, c4, d4 = p.t4("B"), p.t4("C"), p.t4("D")
-    dev = float(np.abs(b4 - b4.transpose(0, 3, 2, 1).conj()).max())
-    dev = max(dev, float(np.abs(c4 - c4.transpose(2, 1, 0, 3).conj()).max()))
-    dev = max(dev, float(np.abs(d4 - d4.transpose(2, 3, 0, 1).conj()).max()))
-    return dev
+    row, col = np.ogrid[:d * d, :d * d]  # the pair indices (i, a) and (j, b)
+    same_i, same_a = row // d == col // d, row % d == col % d
+    return DUSuperParams.masked(d, same_i & same_a, same_i, same_a, 1.0)
 
 
 def build_choi(p: TableParams) -> SuperChoi:
@@ -181,10 +164,14 @@ def du_tp_check(p: DUSuperParams, tol: float = DEFAULT_TOL) -> DUTPVerdict:
 
 @dataclass(frozen=True)
 class DUCPVerdict:
+    """Complete positivity from the sector spectrum, which also gives the
+    Choi's Hermiticity deviation (left out of report())."""
+
     closed_form: bool
     offdiag_min_eigenvalue: float
     block_min_eigenvalue: float
     choi_min_eigenvalue: float
+    hermiticity_deviation: float
     tol: float
     offdiag_witness: tuple[int, int] | None = None  # (a, b) of the M_ab holding the min
 
@@ -228,22 +215,7 @@ def du_cp_check(p: DUSuperParams, tol: float = DEFAULT_TOL) -> DUCPVerdict:
         ab = (b1 * d + q)[off][tied].min()
         witness = (int(ab // d), int(ab % d))
     return DUCPVerdict(s.is_psd, off_min, float(s.minimum[~off].min()),
-                       float(s.evals.min()), tol, witness)
-
-
-def du_block_action(p: DUSuperParams, x) -> MultipartiteOperator:
-    """The representing map of build_choi(p) applied to X = sum e_ij (x) X_ij,
-    read straight off the tables (positions.apply_tables).
-
-    Diagonal blocks mix through A (their diagonals) and B (their off-diagonal
-    entries); off-diagonal blocks mix through C (diagonals) and scale through
-    D (entrywise).
-    """
-    d = p.d
-    m = x.mat if isinstance(x, MultipartiteOperator) else np.asarray(x, dtype=complex)
-    if m.shape != (d * d, d * d):
-        raise ValueError(f"input side {m.shape} does not match d^2={d * d}")
-    return MultipartiteOperator((d, d), apply_tables(p, m))
+                       float(s.evals.min()), float(s.hermiticity.max()), tol, witness)
 
 
 def du_action_on_identity(p: DUSuperParams) -> ChoiChannel:

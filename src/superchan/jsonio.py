@@ -24,7 +24,7 @@ from .channels import ChoiChannel
 from .dephasing import DephasingSuperParams
 from .do import DOSuperParams
 from .du import DUSuperParams
-from .linalg import MultipartiteOperator, matrix_from_json, matrix_to_json
+from .linalg import MultipartiteOperator, json_floats, matrix_from_json, matrix_to_json
 from .pauli import PauliSuperParams
 from .positions import TableParams
 from .superchannels import SuperChoi, super_choi
@@ -54,6 +54,19 @@ def _matrix(obj, what: str) -> MultipartiteOperator:
         return matrix_from_json(obj)
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"bad matrix for {what}: {exc}") from exc
+
+
+def _numbers(rows, shape: tuple[int, int], message: str) -> np.ndarray:
+    """A JSON list of shape[0] lists of shape[1] numbers as a float64 array,
+    under matrix_from_json's rule: booleans and strings are not numbers.
+    Anything else raises SchemaError(message)."""
+    if not (isinstance(rows, list) and len(rows) == shape[0]
+            and all(isinstance(r, list) and len(r) == shape[1] for r in rows)):
+        raise SchemaError(message)
+    try:
+        return json_floats(chain.from_iterable(rows), message).reshape(shape)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _table(obj, d: int, what: str) -> np.ndarray:
@@ -129,13 +142,8 @@ def realization_from_json(obj: dict):
     for w in (*us, *vs):
         if w.shape != (e, e):
             raise SchemaError(f"realization unitaries must be {e}x{e}")
-    try:
-        psi = np.array([complex(re, im) for re, im in obj["psi"]])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"bad psi: {exc}") from exc
-    if psi.shape != (e,):
-        raise SchemaError(f"psi must have {e} entries")
-    return us, vs, psi
+    psi = _numbers(obj["psi"], (e, 2), f"psi must be {e} [re, im] pairs of numbers")
+    return us, vs, psi.view(np.complex128).reshape(e)
 
 
 def pauli_to_json(p: PauliSuperParams) -> dict:
@@ -144,9 +152,10 @@ def pauli_to_json(p: PauliSuperParams) -> dict:
 
 def pauli_from_json(obj: dict) -> PauliSuperParams:
     _require(obj, ("pi",), "pauli parameters")
+    pi = _numbers(obj["pi"], (4, 4), "pi must be a 4x4 table of numbers")
     try:
-        return PauliSuperParams(np.asarray(obj["pi"], dtype=float))
-    except (TypeError, ValueError, OverflowError) as exc:
+        return PauliSuperParams(pi)
+    except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 

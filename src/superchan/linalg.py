@@ -181,7 +181,8 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 def hermiticity_deviation(x) -> float:
     """Max-norm distance between a matrix (or a stack) and its conjugate transpose."""
     m = _as_matrix(x)
-    return float(np.abs(m - _adjoint(m)).max()) if m.size else 0.0
+    with np.errstate(over="ignore"):  # a difference past the float maximum is inf
+        return float(np.abs(m - _adjoint(m)).max()) if m.size else 0.0
 
 
 def hermitian_eigenvalues(x) -> np.ndarray:
@@ -278,11 +279,19 @@ def matrix_from_json(obj: dict) -> MultipartiteOperator:
         raise ValueError("matrix JSON data entries must be [re, im] pairs")
     # a 2-character string or a 2-key object passes the length test, but
     # its characters or keys are strings, which the type test refuses
-    values = list(itertools.chain.from_iterable(data))
-    if not {int, float}.issuperset(map(type, values)):
-        raise ValueError("matrix JSON data entries must be [re, im] pairs of numbers")
-    try:
-        flat = np.fromiter(values, np.float64, count=len(values))
-    except OverflowError as exc:
-        raise ValueError(f"matrix JSON number out of range: {exc}") from exc
+    flat = json_floats(itertools.chain.from_iterable(data),
+                       "matrix JSON data entries must be [re, im] pairs of numbers")
     return MultipartiteOperator(dims, flat.view(np.complex128).reshape(side, side))
+
+
+def json_floats(values, message: str) -> np.ndarray:
+    """The JSON numbers in values as a float64 array.  Only int and float are
+    numbers: anything else (a boolean or a string among them) raises
+    ValueError(message), and so does an int beyond the float range."""
+    values = list(values)
+    if not {int, float}.issuperset(map(type, values)):
+        raise ValueError(message)
+    try:
+        return np.fromiter(values, np.float64, count=len(values))
+    except OverflowError as exc:
+        raise ValueError(f"JSON number out of range: {exc}") from exc

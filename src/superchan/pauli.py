@@ -15,7 +15,6 @@ from itertools import product
 import numpy as np
 
 from .channels import PARAM_EDGE_TOL, PAULI, ChoiChannel, check_probability_vector, pauli_channel
-from .du import NotDUCovariantError, from_choi
 from .linalg import DEFAULT_TOL, MultipartiteOperator, max_entangled_projector
 from .superchannels import SuperChoi, super_choi
 
@@ -71,24 +70,16 @@ class PauliDUVerdict:
     """Diagonal-unitary covariance test for a Pauli superchannel.
 
     The table must have equal middle columns (pi[:, 1] == pi[:, 2]) and equal
-    middle rows; the verdict carries the worst violation together with the
-    outcome of the independent pattern-extraction cross-check.
+    middle rows; the verdict carries the worst violation of either, read off
+    the table in closed form.
     """
 
     max_violation: float
-    extraction_ok: bool
     tol: float
 
     @property
     def ok(self) -> bool:
         return self.max_violation <= self.tol
-
-    def report(self) -> dict:
-        return {
-            "du_covariant": self.ok,
-            "max_violation": self.max_violation,
-            "extraction_ok": self.extraction_ok,
-        }
 
 
 def pauli_du_check(p: PauliSuperParams, tol: float = DEFAULT_TOL) -> PauliDUVerdict:
@@ -96,12 +87,7 @@ def pauli_du_check(p: PauliSuperParams, tol: float = DEFAULT_TOL) -> PauliDUVerd
         float(np.abs(p.pi[:, 1] - p.pi[:, 2]).max()),
         float(np.abs(p.pi[1, :] - p.pi[2, :]).max()),
     )
-    try:
-        from_choi(pauli_super_choi(p), tol)
-        extraction_ok = True
-    except NotDUCovariantError:
-        extraction_ok = False
-    return PauliDUVerdict(violation, extraction_ok, tol)
+    return PauliDUVerdict(violation, tol)
 
 
 def pauli_induced_bistochastic(p: PauliSuperParams) -> np.ndarray:

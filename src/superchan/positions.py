@@ -227,9 +227,12 @@ def apply_tables(p: TableParams, x: np.ndarray) -> np.ndarray:
     (row, col) reads x at (row // d^2, col // d^2) and its product is added
     into y at (row % d^2, col % d^2), in O(d^4) time and memory.  Sums start
     from +0.0, and an entry of y fed by one product alone is that product, so
-    a -0.0 from an entrywise scaling (table D) stays -0.0.
+    a -0.0 from an entrywise scaling (table D) stays -0.0.  Raises
+    ValueError unless x is d^2 x d^2.
     """
     n = p.d * p.d
+    if x.shape != (n, n):
+        raise ValueError(f"input side {x.shape} does not match d^2={n}")
     rows, cols, vals = _entries(p)
     terms = vals * x[rows // n, cols // n]
     out = (rows % n) * n + cols % n
@@ -312,7 +315,8 @@ def sector_spectrum(p: TableParams, tol: float) -> SectorSpectrum:
         evals.append(e.reshape(-1))
         first.append(rows[:, 0])
         minimum.append(e[:, 0])
-        herm.append(np.abs(stack - stack.transpose(0, 2, 1).conj()).max(axis=(1, 2)))
+        with np.errstate(over="ignore"):  # a difference past the float maximum is inf
+            herm.append(np.abs(stack - stack.transpose(0, 2, 1).conj()).max(axis=(1, 2)))
         max_entry = max(max_entry, float(np.abs(stack).max()))
     evals, herm = np.concatenate(evals), np.concatenate(herm)
     return SectorSpectrum(psd_accepts(evals, max_entry, float(herm.max()), tol), evals,
@@ -324,24 +328,22 @@ def b1_partial_trace(p: TableParams) -> tuple[float, np.ndarray]:
     diag[i, j, a, p, r] = images[i, j, a, a, p, r]), with images as in
     superchannels.tp_preserving_check, in O(d^5) memory.  The terms are the
     table entries whose row and column B1 digits agree, summed in increasing
-    q from zero as the einsum there does, so both are bit-identical to it
-    (the nine positions put every such term at a = b).
+    q from zero as the einsum there does, so diag is bit-identical to it.
+    In every POSITIONS entry, equal B1 digits force equal A1 digits, so
+    every term sits at a = b and the first value is 0.0.
     """
     d = p.d
     rows, cols, vals = _entries(p)
     keep = rows % d == cols % d
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    # A0, A1, B0 digits: (i, a, p) of each row and (j, b, r) of each column
-    (i, a, pr), (j, b, pc) = (np.unravel_index(x // d, (d,) * 3) for x in (rows, cols))
-    key = np.ravel_multi_index((i, j, a, b, pr, pc), (d,) * 6)
+    # A0, A1, B0 digits: (i, a, p) of each row and (j, r) of each column
+    (i, a, pr), (j, _, pc) = (np.unravel_index(x // d, (d,) * 3) for x in (rows, cols))
     diag_index = np.ravel_multi_index((i, j, a, pr, pc), (d,) * 5)
-    order = np.lexsort((rows % d, key))  # by image, then by q
-    on, key, diag_index, vals = (x[order] for x in (a == b, key, diag_index, vals))
-    diag = np.bincount(diag_index[on], vals[on].real, d**5)
-    diag = diag + 1j * np.bincount(diag_index[on], vals[on].imag, d**5)
-    k, v = key[~on], vals[~on]
-    leak = np.abs(np.add.reduceat(v, np.flatnonzero(np.diff(k, prepend=-1)))).max(initial=0.0)
-    return float(leak), diag.reshape((d,) * 5)
+    order = np.lexsort((rows % d, diag_index))  # by image, then by q
+    diag_index, vals = diag_index[order], vals[order]
+    diag = np.bincount(diag_index, vals.real, d**5)
+    diag = diag + 1j * np.bincount(diag_index, vals.imag, d**5)
+    return 0.0, diag.reshape((d,) * 5)
 
 
 @functools.lru_cache(maxsize=None)

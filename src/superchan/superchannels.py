@@ -20,6 +20,7 @@ from .linalg import (
     permute_subsystems,
     psd_report,
 )
+from .positions import TableParams, apply_tables
 
 
 @dataclass(frozen=True)
@@ -75,14 +76,20 @@ def representing_apply(s: SuperChoi, x) -> MultipartiteOperator:
     return MultipartiteOperator((s.dB0, s.dB1), out)
 
 
-def apply_to_channel(s: SuperChoi, ch: ChoiChannel) -> ChoiChannel:
-    """Convenience wrapper: superchannel acting on a channel, Choi to Choi."""
-    if (ch.d_in, ch.d_out) != (s.dA0, s.dA1):
+def apply_to_channel(s: SuperChoi | TableParams, ch: ChoiChannel) -> ChoiChannel:
+    """The superchannel s acting on the channel ch, Choi to Choi: a SuperChoi
+    through representing_apply, tables straight from their positions
+    (positions.apply_tables), without assembling the Choi."""
+    tables = isinstance(s, TableParams)
+    pair = (s.d, s.d) if tables else (s.dA0, s.dA1)
+    if (ch.d_in, ch.d_out) != pair:
         raise ValueError(
-            f"channel dims ({ch.d_in}, {ch.d_out}) do not match ({s.dA0}, {s.dA1})"
+            f"channel dims ({ch.d_in}, {ch.d_out}) do not match superchannel "
+            f"input pair {pair}"
         )
-    out = representing_apply(s, ch.choi)
-    return choi_channel(out.mat, s.dB0, s.dB1)
+    if tables:
+        return choi_channel(apply_tables(s, ch.choi.mat), s.d, s.d)
+    return choi_channel(representing_apply(s, ch.choi).mat, s.dB0, s.dB1)
 
 
 def compose_superchannels(s2: SuperChoi, s1: SuperChoi) -> SuperChoi:

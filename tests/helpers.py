@@ -22,7 +22,7 @@ from superchan.dephasing import (
     dephasing_from_realization,
 )
 from superchan.do import DOSuperParams
-from superchan.du import DUSuperParams, from_choi
+from superchan.du import DUSuperParams, NotDUCovariantError, from_choi
 from superchan.linalg import (
     MultipartiteOperator,
     hermitian_eigenvalues,
@@ -611,8 +611,17 @@ def loop_do_pattern_split(x4: np.ndarray):
     return p, q, r, float(np.abs(x4[~on]).max(initial=0.0))
 
 
+def du_extraction_ok(s: SuperChoi, tol: float = 1e-10) -> bool:
+    """Whether du.from_choi reads DU tables off the Choi s within tol."""
+    try:
+        from_choi(s, tol)
+    except NotDUCovariantError:
+        return False
+    return True
+
+
 def scatter_block_action(p: DUSuperParams, x: np.ndarray) -> np.ndarray:
-    """du_block_action by three einsum contractions and three scatters."""
+    """apply_tables on DU tables by three einsum contractions and three scatters."""
     d = p.d
     x4 = np.asarray(x, dtype=complex).reshape(d, d, d, d)
     a4, b4, c4, d4 = (p.t4(n) for n in "ABCD")

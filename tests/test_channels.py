@@ -75,6 +75,17 @@ def test_amplitude_damping_kraus_oracle():
         assert np.allclose(amplitude_damping(gamma).choi.mat, oracle.choi.mat)
 
 
+def test_choi_from_kraus_reads_the_dims_off_the_operators():
+    # a 3 x 2 isometry embeds C^2 in C^3: a channel with dims (2, 3)
+    v = np.eye(3, 2)
+    ch = choi_from_kraus([v])
+    assert (ch.d_in, ch.d_out) == (2, 3)
+    units = [np.eye(2)[:, [i]] @ np.eye(2)[[j], :] for i in range(2) for j in range(2)]
+    oracle = sum(np.kron(e, v @ e @ v.conj().T) for e in units)
+    assert np.array_equal(ch.choi.mat, oracle)
+    assert validate_channel(ch).ok
+
+
 def test_amplitude_damping_full_decay_sends_excited_to_ground():
     out = apply_channel(amplitude_damping(1.0), np.diag([0.0, 1.0]))
     assert np.allclose(out.mat, np.diag([1.0, 0.0]))

@@ -122,6 +122,63 @@ def test_validate_pauli_reports_covariance(paths, capsys):
     assert report_value(out, "du_covariant") == "true"
 
 
+_PI_ROWS = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]  # JSON integers are numbers
+
+
+@pytest.mark.parametrize("pi", [
+    pytest.param(_PI_ROWS, id="integers"),
+    pytest.param([["1", 0, 0, 0], *_PI_ROWS[1:]], id="string-entry"),
+    pytest.param([[True, False, False, False], *_PI_ROWS[1:]], id="boolean-entry"),
+    pytest.param([[1, 0, 0, 0], [0, 0, 0], *_PI_ROWS[2:]], id="ragged"),
+])
+def test_validate_pauli_reads_numbers_only(tmp_path, capsys, pi):
+    # a string or a boolean used to convert to 1.0, and such a table read ok
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps({"pi": pi}))
+    code, out = run_cli(capsys, "validate", "pauli", str(path))
+    if pi is _PI_ROWS:
+        assert code == 0 and report_value(out, "du_covariant") == "true"
+    else:
+        assert code == 2
+        assert out == "status: invalid-input\nerror: pi must be a 4x4 table of numbers\n"
+
+
+def _planted_overflow(mat):
+    """mat with 1.7e308 at (0, 1) and -1.7e308 at (1, 0): finite entries
+    whose Hermiticity deviation lies past the float range."""
+    mat = np.array(mat)
+    mat[0, 1], mat[1, 0] = 1.7e308, -1.7e308
+    return mat
+
+
+_OVERFLOW_TAIL = (
+    "hermiticity_deviation: inf\ntp_preserving: true\noffdiagonal_leak: 0.0\n"
+    "fiber_deviation: 0.0\nunitality_deviation: 0.0\n"
+)
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("superchannel", "is_cp: false\nis_tp: true\nmin_eig: -2.2204460492503136e-16\n"
+                     "factorization_deviation: 0.0\nmarginal_deviation: 0.0\n" + _OVERFLOW_TAIL),
+    ("du", "hermiticity_violation: inf\n"),
+    ("do", "is_cp: false\nis_tp: true\nmin_eig: -0.5615528128088304\n"
+           "factorization_deviation: 0.0\nmarginal_deviation: 0.0\n" + _OVERFLOW_TAIL),
+], ids=["superchannel", "du", "do"])
+def test_hermiticity_deviation_past_the_float_range_is_inf(paths, capsys, kind, expected):
+    # no RuntimeWarning (an error under pytest) on the way to the inf
+    _, write = paths
+    unit = du_identity(2)
+    if kind == "superchannel":
+        doc = jsonio.superchannel_to_json(
+            super_choi(_planted_overflow(build_choi(unit).choi.mat), (2,) * 4))
+    else:
+        p = DUSuperParams(2, unit.A, _planted_overflow(unit.B), unit.C, unit.D)
+        doc = jsonio.params_to_json(p if kind == "du" else from_du_params(p))
+    code, out = run_cli(capsys, "validate", kind, write(f"{kind}.json", doc))
+    assert code == 3
+    assert out == f"status: check-failed\nkind: {kind}\n" + expected
+
+
 def test_validate_kind_mismatch_is_invalid_input(paths, capsys):
     tmp, write = paths
     path = write("du.json", jsonio.params_to_json(du_identity(2)))

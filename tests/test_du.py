@@ -16,17 +16,16 @@ from superchan.du import (
     NotDUCovariantError,
     build_choi,
     du_action_on_identity,
-    du_block_action,
     du_cp_check,
     du_identity,
     du_tp_check,
     from_choi,
-    hermiticity_violation,
 )
 from superchan import du as du_module, positions
-from superchan.positions import compose_tables, composition_plan
-from superchan.linalg import max_entangled_projector, operator
+from superchan.positions import apply_tables, compose_tables, composition_plan
+from superchan.linalg import hermiticity_deviation, max_entangled_projector
 from superchan.superchannels import (
+    apply_to_channel,
     classical_superchannel_extract,
     compose_superchannels,
     identity_superchannel,
@@ -86,6 +85,21 @@ def test_du_identity_is_identity_superchannel():
         assert np.array_equal(build_choi(p).choi.mat, identity_superchannel(d, d).choi.mat)
         x = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
         assert np.allclose(representing_apply(build_choi(p), x).mat, x)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_du_identity_tables_are_the_four_indicator_tables(d):
+    # A on i = j and a = b, B on i = j, C on a = b, D everywhere, each cut to
+    # its support: real ones in A, complex ones in B, C and D, no -0.0
+    i, a, j, b = (x.reshape(d * d, d * d) for x in np.indices((d,) * 4))
+    expected = {"A": ((i == j) & (a == b)).astype(float),
+                "B": ((i == j) & (a != b)).astype(complex),
+                "C": ((i != j) & (a == b)).astype(complex),
+                "D": ((i != j) & (a != b)).astype(complex)}
+    p = du_identity(d)
+    for name, table in expected.items():
+        got = getattr(p, name)
+        assert got.dtype == table.dtype and got.tobytes() == table.tobytes(), name
 
 
 def test_du_identity_is_compose_unit():
@@ -422,8 +436,8 @@ def test_cp_witness_in_a_side_d_sector():
         a[0 * d + x, 0 * d + y] = a[1 * d + x, 1 * d + y] = 1.0
         c[0 * d + x, 1 * d + y] = c[1 * d + x, 0 * d + y] = 2.0
     q = DUSuperParams(d, a, p.B, c, p.D)
-    assert hermiticity_violation(q) == 0.0
     verdict = du_cp_check(q)
+    assert verdict.hermiticity_deviation == hermiticity_deviation(build_choi(q).choi) == 0.0
     assert not verdict.ok
     assert verdict.offdiag_witness == (1, 2)
     assert abs(verdict.offdiag_min_eigenvalue + 1.0) <= 1e-14
@@ -503,38 +517,37 @@ def test_component_orthogonality():
             assert np.abs(combined.choi.mat).max() <= 1e-14
 
 
-def test_du_block_action_matches_representing_map():
+def test_apply_tables_on_du_tables_matches_representing_map():
     for d in (2, 3):
         for _ in range(50):
             p = random_hermitian_du_params(rng, d)
             x = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-            via_blocks = du_block_action(p, x).mat
+            via_blocks = apply_tables(p, x)
             via_choi = representing_apply(build_choi(p), x).mat
             assert np.abs(via_blocks - via_choi).max() <= 1e-12
 
 
-def test_du_block_action_keeps_block_diagonal_inputs_block_diagonal():
+def test_apply_tables_keeps_block_diagonal_inputs_block_diagonal():
     d = 3
     p = random_hermitian_du_params(rng, d)
     x4 = np.zeros((d, d, d, d), dtype=complex)
     for j in range(d):
         x4[j, :, j, :] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    out = du_block_action(p, operator(x4.reshape(d * d, d * d), (d, d)))
-    out4 = out.mat.reshape(d, d, d, d)
+    out4 = apply_tables(p, x4.reshape(d * d, d * d)).reshape(d, d, d, d)
     for i in range(d):
         for j in range(d):
             if i != j:
                 assert np.abs(out4[i, :, j, :]).max() == 0.0
 
 
-def test_du_block_action_amplitude_damping_entries():
+def test_apply_to_channel_amplitude_damping_entries():
     # the displayed qubit transformation: diagonal entries are A-sums against
     # (1, gamma, 1-gamma), corners scale by the outer D entries
     d = 2
     p = random_valid_du_params(rng, d)
     gamma = 0.3
     root = np.sqrt(1 - gamma)
-    out = du_block_action(p, amplitude_damping(gamma).choi).mat
+    out = apply_to_channel(p, amplitude_damping(gamma)).choi.mat
     a4, d4 = p.t4("A"), p.t4("D")
     a_vals = [
         a4[i, a, 0, 0] + a4[i, a, 1, 0] * gamma + a4[i, a, 1, 1] * (1 - gamma)
@@ -625,7 +638,7 @@ def test_block_action_matches_the_scatter_reference(d):
     generic = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     signed_zeros = np.where(rng.random((n, n)) < 0.5, generic, complex(-0.0, -0.0))
     for x in (random_hermitian(rng, n), generic, signed_zeros):
-        got = du_block_action(p, x).mat
+        got = apply_tables(p, x)
         ref = scatter_block_action(p, x)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
@@ -637,7 +650,7 @@ def test_block_action_is_bit_identical_to_the_scatters_on_the_qubit_examples():
         p = random_hermitian_du_params(rng, 2)
         q = rng.uniform()
         for ch in (amplitude_damping(q), bit_flip(q), pauli_channel(rng.dirichlet(np.ones(4)))):
-            got = du_block_action(p, ch.choi).mat
+            got = apply_to_channel(p, ch).choi.mat
             assert got.tobytes() == scatter_block_action(p, ch.choi.mat).tobytes()
 
 
@@ -645,8 +658,7 @@ def test_pauli_channel_pattern_is_preserved():
     from superchan.channels import pauli_channel
 
     p = random_valid_du_params(rng, 2)
-    choi = pauli_channel((0.4, 0.3, 0.2, 0.1)).choi
-    out4 = du_block_action(p, choi).mat.reshape(2, 2, 2, 2)
+    out4 = apply_to_channel(p, pauli_channel((0.4, 0.3, 0.2, 0.1))).choi4()
     # output keeps the sparsity pattern of a sign-symmetric qubit Choi
     for idx in np.ndindex(2, 2, 2, 2):
         m, n, mm, nn = idx
@@ -668,10 +680,26 @@ def test_classical_extract_equals_table():
         assert cs.normalization_deviation <= 1e-12
 
 
-def test_hermiticity_violation_reports():
+def test_cp_check_reads_the_hermiticity_deviation():
     p = random_hermitian_du_params(rng, 2)
-    assert hermiticity_violation(p) <= 1e-14
+    assert du_cp_check(p).hermiticity_deviation <= 1e-14
     b = np.array(p.B)
     b[0, 1] += 1.0
     tweaked = DUSuperParams(2, p.A, b, p.C, p.D)
-    assert hermiticity_violation(tweaked) >= 0.4
+    assert du_cp_check(tweaked).hermiticity_deviation >= 0.4
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_cp_check_hermiticity_deviation_is_the_dense_one_bit_for_bit(d):
+    # the sectors hold every table entry, and |x - conj(y)| = |y - conj(x)|
+    local = np.random.default_rng(500 + d)
+    n = d * d
+    for _ in range(8):
+        hermitian = random_hermitian_du_params(local, d)
+        generic = DUSuperParams.masked(d, local.normal(size=(n, n)), *(
+            local.normal(size=(n, n)) + 1j * local.normal(size=(n, n)) for _ in "BCD"))
+        perturbed = DUSuperParams.masked(d, hermitian.A, *(
+            getattr(hermitian, t) + 1e-9 * local.normal(size=(n, n)) for t in "BCD"))
+        for p in (hermitian, generic, perturbed):
+            dense = hermiticity_deviation(build_choi(p).choi)
+            assert du_cp_check(p).hermiticity_deviation == dense

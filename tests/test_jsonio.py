@@ -78,6 +78,10 @@ def test_realization_parsing_feeds_the_constructor():
     assert np.array_equal(built.M_big, direct.M_big)
     with pytest.raises(SchemaError):
         jsonio.realization_from_json({"e": 3, "U": [], "V": [], "psi": [[1.0, 0.0]]})
+    for psi in ([[1.0, 0.0], [True, 0.0], [0.0, 0.0]], [[1.0, 0.0], ["0", 0.0], [0.0, 0.0]],
+                [[1.0, 0.0], [0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0]]):
+        with pytest.raises(SchemaError, match="psi must be 3 \\[re, im\\] pairs of numbers"):
+            jsonio.realization_from_json({**doc, "psi": psi})
 
 
 def _wrap(mat):

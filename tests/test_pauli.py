@@ -23,7 +23,7 @@ from superchan.superchannels import (
     validate_superchannel,
 )
 
-from helpers import loop_pauli_super_choi
+from helpers import du_extraction_ok, loop_pauli_super_choi
 
 rng = np.random.default_rng(41)
 
@@ -252,7 +252,7 @@ def test_three_way_diagonal_unitary_agreement():
         sampled = superchannel_covariance_check(
             s, covariance_sampler_tuple("du", 2, 3), n=50
         )
-        assert verdict.ok == verdict.extraction_ok == (sampled.max_deviation <= 1e-10)
+        assert verdict.ok == du_extraction_ok(s) == (sampled.max_deviation <= 1e-10)
 
 
 def test_du_violating_table_fails_all_three_ways():
@@ -261,7 +261,7 @@ def test_du_violating_table_fails_all_three_ways():
     pi[0, 0] = 0.5
     p = PauliSuperParams(pi)
     verdict = pauli_du_check(p)
-    assert not verdict.ok and not verdict.extraction_ok
+    assert not verdict.ok
     with pytest.raises(NotDUCovariantError):
         from_choi(pauli_super_choi(p))
     # conjugation by diag(1, i) is the natural witness

@@ -20,7 +20,9 @@ from superchan.du import (
 )
 from superchan.positions import (
     FAMILIES,
+    POSITIONS,
     apply_tables,
+    b1_partial_trace,
     choi_from_tables,
     compose_tables,
     composition_plan,
@@ -29,7 +31,13 @@ from superchan.positions import (
     sectors,
     table_positions,
 )
-from superchan.superchannels import compose_superchannels, representing_apply, super_choi
+from superchan.superchannels import (
+    compose_superchannels,
+    representing_apply,
+    super_choi,
+    tp_preserving_check,
+    tp_preserving_verdict,
+)
 
 from helpers import (
     charge_sectors,
@@ -243,6 +251,34 @@ def _random_tables(cls, d):
     n = d * d if cls.FAMILY == "super" else d
     t = {name: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for name in cls.NAMES}
     return cls.masked(d, **{n: t[n].real if n == "A" else t[n] for n in t})
+
+
+def test_equal_b1_digits_force_equal_a1_digits():
+    # why Tr_B1 of any table Choi has no image e_ij (x) e_ab with a != b: in
+    # every entry whose row and column B1 digits may be equal (they are one
+    # label, or two labels that no support pair keeps apart), setting them
+    # equal makes the A1 digits equal too
+    for name, (row, col, support) in POSITIONS.items():
+        pairs = {support[k:k + 2] for k in range(0, len(support), 2)}
+        if {row[3] + col[3], col[3] + row[3]} & pairs:
+            continue  # the B1 digits always differ: no term
+        unified = [c.replace(col[3], row[3]) for c in (row[1], col[1])]
+        assert unified[0] == unified[1], name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("cls", [DUSuperParams, DOSuperParams, DephasingSuperParams],
+                         ids=["du", "do", "dephasing"])
+def test_b1_partial_trace_is_the_dense_one_bit_for_bit(d, cls):
+    tol = 1e-10
+    for p in (_random_tables(cls, d), cls(d, **_tables_with_negative_zeros(d, cls.NAMES))):
+        dense = tp_preserving_check(build_choi(p), tol)
+        leak, diag = b1_partial_trace(p)
+        got = tp_preserving_verdict(leak, diag, tol)
+        assert leak == dense.offdiagonal_leak == 0.0
+        for key, value in dense.report().items():
+            assert np.float64(got.report()[key]).tobytes() == np.float64(value).tobytes(), key
+        assert got.induced.choi.mat.tobytes() == dense.induced.choi.mat.tobytes()
 
 
 @pytest.mark.parametrize("cls, dims", [

@@ -22,6 +22,11 @@ from superchan.superchannels import (
     validate_superchannel,
 )
 
+from superchan.dephasing import dephasing_from_realization
+from superchan.du import build_choi, du_identity
+from superchan.jsonio import TABLE_KINDS
+from superchan.positions import apply_tables
+
 from helpers import (
     dense_validate_superchannel,
     haar_unitary,
@@ -29,6 +34,9 @@ from helpers import (
     loop_tp_preserving_parts,
     random_channel,
     random_density,
+    random_do_params,
+    random_hermitian_du_params,
+    random_realization,
     random_valid_superchoi,
     unitary_conjugation,
 )
@@ -300,3 +308,41 @@ def test_representing_apply_dimension_mismatch():
     s = identity_superchannel(2, 2)
     with pytest.raises(ValueError):
         representing_apply(s, np.eye(3))
+
+
+def _random_tables(kind, local, d):
+    if kind == "du":
+        return random_hermitian_du_params(local, d)
+    if kind == "do":
+        return random_do_params(local, d)
+    return dephasing_from_realization(*random_realization(local, d, 3))
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_apply_to_channel_on_tables_is_apply_tables(kind, d):
+    # bit for bit the table action; the Choi route sums in another order
+    local = np.random.default_rng(40 + d)
+    for _ in range(3):
+        p = _random_tables(kind, local, d)
+        ch = random_channel(local, d)
+        out = apply_to_channel(p, ch)
+        assert (out.d_in, out.d_out) == (d, d)
+        assert out.choi.mat.tobytes() == apply_tables(p, ch.choi.mat).tobytes()
+        ref = representing_apply(build_choi(p), ch.choi).mat
+        assert np.abs(out.choi.mat - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_apply_to_channel_checks_the_input_pair_of_either_form():
+    ch = bit_flip(0.2)
+    for s, pair in ((du_identity(3), "(3, 3)"), (identity_superchannel(2, 3), "(2, 3)")):
+        with pytest.raises(ValueError) as err:
+            apply_to_channel(s, ch)
+        assert str(err.value) == f"channel dims (2, 2) do not match superchannel input pair {pair}"
+
+
+def test_apply_tables_rejects_a_wrongly_shaped_operand():
+    p = du_identity(2)
+    for shape in ((4, 3), (9, 9), (16,)):
+        with pytest.raises(ValueError, match="does not match d\\^2=4"):
+            apply_tables(p, np.zeros(shape, dtype=complex))
