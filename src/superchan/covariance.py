@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import (
+    PARAM_EDGE_TOL,
     ChoiChannel,
     compose_channels,
     choi_channel,
@@ -286,7 +287,7 @@ class UUFamilyParams:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not np.isfinite(self.p).all():
             raise ValueError("weights must be finite")
-        if abs(self.p0 + self.p1 + self.p2 + self.p3 - 1.0) > 1e-12:
+        if abs(self.p0 + self.p1 + self.p2 + self.p3 - 1.0) > PARAM_EDGE_TOL:
             raise ValueError("weights must sum to 1")
 
     @property

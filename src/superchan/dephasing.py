@@ -8,8 +8,9 @@ diagonal of the resulting d x d covariance matrix.
 
 M_big is one more table of the position map: M_big[K, L] sits at Choi row
 e_K (x) e_K and column e_L (x) e_L (positions.POSITIONS["M_big"]), so the
-Choi, the table checks, the JSON codec, the fast action and composition
-(positions.compose_tables: the Schur product of the multipliers) are the
+Choi, the table checks, the JSON codec, the action (apply_to_channel), the
+composition and the action on DUC, CDUC and DOC channel tables
+(positions.compose_tables) and the four DU tables (du.from_choi) are the
 shared ones.
 """
 
@@ -18,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .channels import ChoiChannel, check_covariance_matrix, choi_channel
-from .du import DUSuperParams
+from .channels import PARAM_EDGE_TOL
 from .linalg import DEFAULT_TOL, psd_report
 from .positions import TableParams
+from .superchannels import require_finite_b1_trace
 
 
 @dataclass(frozen=True)
@@ -35,20 +36,14 @@ class DephasingSuperParams(TableParams):
     M_big: np.ndarray
 
 
-def dephasing_super_apply(p: DephasingSuperParams, c: ChoiChannel) -> ChoiChannel:
-    """Entrywise product of the multiplier table with the channel Choi."""
-    if (c.d_in, c.d_out) != (p.d, p.d):
-        raise ValueError(f"channel dims ({c.d_in}, {c.d_out}) do not match d={p.d}")
-    return choi_channel(p.M_big * c.choi.mat, p.d, p.d)
-
-
 @dataclass(frozen=True)
 class DephasingVerdict:
     """The three named dephasing validity checks.
 
     psd_ok covers complete positivity; fiber_deviation measures the worst
     a-dependence of M_big[(i,a),(j,a)] with its witness (i, j, a, a');
-    diagonal_deviation measures | M_ii - 1 | of the induced covariance matrix.
+    diagonal_deviation measures | M_ii - 1 | of the induced covariance matrix
+    M[i, j] = mean_a M_big[(i,a),(j,a)] (covariance, left out of report()).
     """
 
     psd_ok: bool
@@ -56,6 +51,7 @@ class DephasingVerdict:
     fiber_deviation: float
     fiber_witness: tuple[int, int, int, int]
     diagonal_deviation: float
+    covariance: np.ndarray  # d x d, unit diagonal when the check passes
     tol: float
 
     @property
@@ -77,32 +73,30 @@ class DephasingVerdict:
         }
 
 
-def covariance_fibers(p: DephasingSuperParams) -> np.ndarray:
-    """The a-averaged covariance matrix M[i, j] = mean_a M_big[(i,a),(j,a)]."""
-    return np.einsum("iaja->ija", p.t4("M_big")).mean(axis=2)
-
-
 def dephasing_validate(p: DephasingSuperParams, tol: float = DEFAULT_TOL) -> DephasingVerdict:
     """Run the three named checks.
 
     Equivalent to the generic Choi-level validation of build_choi(p); the
-    test suite asserts that equivalence rather than this function.
+    test suite asserts that equivalence rather than this function.  The
+    fibers are Tr_B1 entries: require_finite_b1_trace checks their averages.
     """
     psd_ok, min_eig, _ = psd_report(p.M_big, tol)
     fibers = np.einsum("iaja->ija", p.t4("M_big"))
-    m = fibers.mean(axis=2)
-    dev = np.abs(fibers - m[:, :, None])
-    # witness: the first (i, j) in row-major order attaining the maximum, its
-    # first such a, and the a' whose entry is farthest from that one
-    i, j, a = (int(k) for k in np.unravel_index(int(np.argmax(dev)), dev.shape))
-    fiber = fibers[i, j]
-    witness = (i, j, a, int(np.argmax(np.abs(fiber - fiber[a]))))
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float maximum is inf
+        m = fibers.mean(axis=2)
+        require_finite_b1_trace(m)
+        dev = np.abs(fibers - m[:, :, None])
+        # witness: the first (i, j) in row-major order attaining the maximum,
+        # its first such a, and the a' whose entry is farthest from that one
+        i, j, a = (int(k) for k in np.unravel_index(int(np.argmax(dev)), dev.shape))
+        fiber = fibers[i, j]
+        witness = (i, j, a, int(np.argmax(np.abs(fiber - fiber[a]))))
     worst = float(dev[i, j, a])
     diag_dev = float(np.abs(np.diagonal(m) - 1.0).max())
-    return DephasingVerdict(psd_ok, min_eig, worst, witness, diag_dev, tol)
+    return DephasingVerdict(psd_ok, min_eig, worst, witness, diag_dev, m, tol)
 
 
-def dephasing_from_realization(u_list, v_list, psi, tol: float = 1e-12) -> DephasingSuperParams:
+def dephasing_from_realization(u_list, v_list, psi) -> DephasingSuperParams:
     """Multiplier table of the block-diagonal-unitary dilation.
 
     With system-controlled environment unitaries U_i (before) and V_a (after)
@@ -112,7 +106,8 @@ def dephasing_from_realization(u_list, v_list, psi, tol: float = 1e-12) -> Depha
 
     which is always a valid dephasing superchannel: M_big is the conjugate of
     a Gram matrix (hence PSD), its fibers collapse to <psi|U_j^dag U_i|psi>
-    independently of a, and the diagonal is 1.
+    independently of a, and the diagonal is 1.  Symmetrizing the Gram
+    product makes the table exactly Hermitian.
     """
     us = [np.asarray(u, dtype=complex) for u in u_list]
     vs = [np.asarray(v, dtype=complex) for v in v_list]
@@ -123,50 +118,13 @@ def dephasing_from_realization(u_list, v_list, psi, tol: float = 1e-12) -> Depha
     for w in (*us, *vs):
         if w.shape != (e, e):
             raise ValueError("all unitaries must share the environment dimension")
-        if np.abs(w.conj().T @ w - np.eye(e)).max() > tol:
+        if np.abs(w.conj().T @ w - np.eye(e)).max() > PARAM_EDGE_TOL:
             raise ValueError("inputs must be unitary")
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape != (e,):
         raise ValueError(f"psi must have the environment dimension {e}")
-    if abs(np.linalg.norm(psi) - 1.0) > tol:
+    if abs(np.linalg.norm(psi) - 1.0) > PARAM_EDGE_TOL:
         raise ValueError("psi must be normalized")
     flat = np.array([v @ (u @ psi) for u in us for v in vs])  # row j*d + b: V_b U_j psi
-    return DephasingSuperParams(d, flat @ flat.conj().T)
-
-
-def dephasing_on_dephasing(p: DephasingSuperParams, m_chan) -> np.ndarray:
-    """Covariance matrix of the transformed dephasing channel.
-
-    The entrywise action scales the channel covariance matrix fiberwise:
-    out[i, j] = M_big[(i,i),(j,j)] * m_chan[i, j].  This matches the Schur
-    route through the full Choi matrices entry for entry.
-    """
-    m_chan = check_covariance_matrix(m_chan)
-    if m_chan.shape != (p.d, p.d):
-        raise ValueError(f"covariance matrix side {m_chan.shape} does not match d={p.d}")
-    return superdecoherence_matrix(p) * m_chan
-
-
-def superdecoherence_matrix(p: DephasingSuperParams) -> np.ndarray:
-    """Covariance matrix of the channel produced from the identity channel."""
-    k = np.arange(p.d)
-    return p.t4("M_big")[k[:, None], k[:, None], k, k]
-
-
-def dephasing_embed_du(p: DephasingSuperParams) -> DUSuperParams:
-    """Reindex the multiplier table into the four-table parameterization.
-
-    A takes the diagonal fibers, B the i = j fibers, C the a = b fibers and D
-    the rest; assembling the result gives exactly build_choi(p).
-    """
-    d = p.d
-    m4 = p.t4("M_big")
-    i, a, j, b = np.ogrid[:d, :d, :d, :d]
-    # masked cuts B, C and D down to their supports
-    tables = (
-        np.where((i == j) & (a == b), m4.real, 0.0),
-        np.where(i == j, m4, 0.0),
-        np.where(a == b, m4, 0.0),
-        m4,
-    )
-    return DUSuperParams.masked(d, *(t.reshape(d * d, d * d) for t in tables))
+    g = flat @ flat.conj().T
+    return DephasingSuperParams(d, (g + g.conj().T) / 2)

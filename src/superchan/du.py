@@ -26,17 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChoiChannel, du_identity_channel_params, table_channel
 from .linalg import DEFAULT_TOL
 from .positions import (
     TableParams,
     choi_from_tables,
-    compose_tables,
     extraction_residual,
     sector_spectrum,
     tables_from_choi,
 )
-from .superchannels import SuperChoi, super_choi
+from .superchannels import SuperChoi, require_finite_b1_trace, super_choi
 
 
 class NotDUCovariantError(ValueError):
@@ -139,18 +137,22 @@ class DUTPVerdict:
 
 
 def du_tp_check(p: DUSuperParams, tol: float = DEFAULT_TOL) -> DUTPVerdict:
-    """Trace preservation: the a-sums of A and C must not depend on b, and the
-    resulting alpha table must have unit row sums."""
-    a_sums = p.t4("A").sum(axis=1)  # [i, j, b]
-    c_sums = p.t4("C").sum(axis=1)
-    alpha = a_sums.mean(axis=2)
-    gamma = c_sums.mean(axis=2)
-    a_dev = np.abs(a_sums - alpha[:, :, None])
-    g_dev = np.abs(c_sums - gamma[:, :, None])
+    """Trace preservation: the a-sums of A and C, entries of Tr_B1 of the
+    Choi, must not depend on b, and the resulting alpha table must have unit
+    row sums.  Non-finite averages raise require_finite_b1_trace's error."""
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float maximum is inf
+        a_sums = p.t4("A").sum(axis=1)  # [i, j, b]
+        c_sums = p.t4("C").sum(axis=1)
+        alpha = a_sums.mean(axis=2)
+        gamma = c_sums.mean(axis=2)
+        row_sums = alpha.sum(axis=1)
+        require_finite_b1_trace(alpha, gamma, row_sums)
+        a_dev = np.abs(a_sums - alpha[:, :, None])
+        g_dev = np.abs(c_sums - gamma[:, :, None])
     worst = np.unravel_index(int(np.argmax(a_dev)), a_dev.shape)
     if g_dev.size and g_dev.max() > a_dev.max():
         worst = np.unravel_index(int(np.argmax(g_dev)), g_dev.shape)
-    row_dev = float(np.abs(alpha.sum(axis=1) - 1.0).max())
+    row_dev = float(np.abs(row_sums - 1.0).max())
     return DUTPVerdict(
         float(a_dev.max()),
         float(g_dev.max()),
@@ -217,12 +219,3 @@ def du_cp_check(p: DUSuperParams, tol: float = DEFAULT_TOL) -> DUCPVerdict:
     return DUCPVerdict(s.is_psd, off_min, float(s.minimum[~off].min()),
                        float(s.evals.min()), float(s.hermiticity.max()), tol, witness)
 
-
-def du_action_on_identity(p: DUSuperParams) -> ChoiChannel:
-    """The channel produced by acting on the identity channel (its Choi is Omega).
-
-    It is the DU channel of p acting on the identity's tables
-    (positions.compose_tables): S_ij = sum_k A_{ji,kk} (column stochastic
-    for valid params) and the off-diagonal slice D_{ii,jj}.
-    """
-    return table_channel(compose_tables(p, du_identity_channel_params(p.d)))

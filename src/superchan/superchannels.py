@@ -221,17 +221,23 @@ def tp_preserving_check(s: SuperChoi, tol: float = DEFAULT_TOL) -> TPPreservingV
     return tp_preserving_verdict(leak, images[:, :, range(d1), range(d1)], tol)
 
 
+def require_finite_b1_trace(*sums) -> None:
+    """Raise ValueError unless every entry of sums, entries of Tr_B1 of a
+    Choi or sums of them taken under np.errstate, is finite."""
+    if not all(np.isfinite(x).all() for x in sums):
+        raise ValueError("the partial trace over B1 overflows the float range")
+
+
 def tp_preserving_verdict(leak: float, diag: np.ndarray, tol: float) -> TPPreservingVerdict:
     """The verdict of tp_preserving_check from the largest |image| with
     a != b and the images diag[i, j, a, p, r] with a = b.  Raises ValueError
     if their average over a, or its unitality sum, leaves the float range."""
     d0, d1, b0 = diag.shape[0], diag.shape[2], diag.shape[3]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float maximum is inf
         mean = diag.mean(axis=2)
         unital = sum(mean[i, i] for i in range(d0))
-    if not (np.isfinite(mean).all() and np.isfinite(unital).all()):
-        raise ValueError("the partial trace over B1 overflows the float range")
-    fiber = float(np.abs(diag - mean[:, :, None]).max()) if d1 > 1 else 0.0
+        require_finite_b1_trace(mean, unital)
+        fiber = float(np.abs(diag - mean[:, :, None]).max()) if d1 > 1 else 0.0
     unit_dev = float(np.abs(unital - np.eye(b0)).max())
     # the induced Choi's (i, j) block is mean[i, j]
     choi = mean.transpose(0, 2, 1, 3).reshape(d0 * b0, d0 * b0)

@@ -16,13 +16,9 @@ from superchan.channels import (
     choi_from_kraus,
     table_channel,
 )
-from superchan.dephasing import (
-    DephasingSuperParams,
-    dephasing_embed_du,
-    dephasing_from_realization,
-)
+from superchan.dephasing import DephasingSuperParams, dephasing_from_realization
 from superchan.do import DOSuperParams
-from superchan.du import DUSuperParams, NotDUCovariantError, from_choi
+from superchan.du import DUSuperParams, NotDUCovariantError, build_choi, from_choi
 from superchan.linalg import (
     MultipartiteOperator,
     hermitian_eigenvalues,
@@ -237,7 +233,8 @@ def du_sandwich_params(rng: np.random.Generator, d: int) -> DUSuperParams:
 
 
 def dephasing_du_params(rng: np.random.Generator, d: int, e: int = 3) -> DUSuperParams:
-    return dephasing_embed_du(dephasing_from_realization(*random_realization(rng, d, e)))
+    """The four DU tables of a random realization's multiplier table."""
+    return from_choi(build_choi(dephasing_from_realization(*random_realization(rng, d, e))))
 
 
 def random_valid_du_params(rng: np.random.Generator, d: int) -> DUSuperParams:
@@ -566,7 +563,8 @@ def loop_classical_table(s: SuperChoi) -> np.ndarray:
 
 
 def loop_du_action_on_identity(p: DUSuperParams) -> ChoiChannel:
-    """du_action_on_identity, reading the tables one entry at a time."""
+    """The channel of p acting on the identity channel, reading the tables one
+    entry at a time: S_ij = sum_k A_{ji,kk} and the off-diagonal D_{ii,jj}."""
     d = p.d
     a4, d4 = p.t4("A"), p.t4("D")
     s = np.empty((d, d))

@@ -10,6 +10,7 @@ import numpy as np
 
 from superchan.channels import (
     DOChannelParams,
+    DUChannelParams,
     amplitude_damping,
     bit_flip,
     dephasing_channel,
@@ -25,10 +26,7 @@ from superchan.covariance import (
 )
 from superchan.dephasing import (
     DephasingSuperParams,
-    dephasing_embed_du,
     dephasing_from_realization,
-    dephasing_on_dephasing,
-    dephasing_super_apply,
     dephasing_validate,
 )
 from superchan.do import DOSuperParams
@@ -390,15 +388,19 @@ def test_criterion_09_dephasing_pipeline():
             p = dephasing_from_realization(*random_realization(rng, d, e))
             validity_ok &= dephasing_validate(p).ok
             m_chan = random_covariance_matrix(rng, d)
-            out = dephasing_on_dephasing(p, m_chan)
-            c4 = dephasing_super_apply(p, dephasing_channel(m_chan)).choi4()
+            # the action on the dephasing channel's DUC tables: its B table and
+            # A's diagonal are the transformed covariance matrix
+            q = compose_tables(p, DUChannelParams(
+                d, np.diag(m_chan.diagonal().real), m_chan * (1 - np.eye(d))))
+            out = q.B + np.diag(np.diagonal(q.A))
+            c4 = apply_to_channel(p, dephasing_channel(m_chan)).choi4()
             schur_m = np.array([[c4[i, i, j, j] for j in range(d)] for i in range(d)])
             dual_ok &= np.abs(out - schur_m).max() <= 1e-14
     for d in (2, 3):
         p1 = dephasing_from_realization(*random_realization(rng, d, 3))
         p2 = dephasing_from_realization(*random_realization(rng, d, 2))
-        composed = compose_tables(dephasing_embed_du(p1), dephasing_embed_du(p2))
-        product = dephasing_embed_du(DephasingSuperParams(d, p1.M_big * p2.M_big))
+        composed = compose_tables(from_choi(build_choi(p1)), from_choi(build_choi(p2)))
+        product = from_choi(build_choi(DephasingSuperParams(d, p1.M_big * p2.M_big)))
         for name in "ABCD":
             closure_ok &= (
                 np.abs(getattr(composed, name) - getattr(product, name)).max() <= 1e-12

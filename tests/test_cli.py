@@ -11,11 +11,7 @@ from superchan import do as do_module, superchannels as superchannels_module
 from superchan import jsonio, positions
 from superchan.channels import amplitude_damping, bit_flip, choi_channel
 from superchan.cli import default_du_params, main
-from superchan.dephasing import (
-    DephasingSuperParams,
-    dephasing_from_realization,
-    dephasing_super_apply,
-)
+from superchan.dephasing import DephasingSuperParams, dephasing_from_realization
 from superchan.do import from_du_params
 from superchan.du import DUSuperParams, build_choi, du_cp_check, du_identity, du_tp_check
 from superchan.pauli import PauliSuperParams
@@ -325,6 +321,56 @@ def test_validate_superchannel_near_the_float_maximum_reports_a_status(paths, ca
     assert err == ""
 
 
+_B1_OVERFLOW = ("status: invalid-input\n"
+                "error: the partial trace over B1 overflows the float range\n")
+
+
+@pytest.mark.parametrize("kind, probe, code, expected", [
+    ("du", "a", 2, _B1_OVERFLOW),
+    ("du", "b", 3, "status: check-failed\nkind: du\nhermiticity_violation: 0.0\ntp: false\n"
+                   "alpha_fiber_deviation: inf\ngamma_fiber_deviation: 0.0\n"
+                   "row_sum_deviation: 5.666666666666667e+307\nworst_fiber: (0, 0, 1)\n"
+                   "cp: false\noffdiag_min_eig: -1.7e+308\noffdiag_witness: (0, 1)\n"
+                   "block_min_eig: -6.299336984475898e-16\nchoi_min_eig: -1.7e+308\n"),
+    ("do", "a", 2, _B1_OVERFLOW),
+    ("do", "b", 3, "status: check-failed\nkind: do\nis_cp: false\nis_tp: false\n"
+                   "min_eig: -1.7e+308\nfactorization_deviation: inf\n"
+                   "marginal_deviation: 5.666666666666666e+307\nhermiticity_deviation: 0.0\n"
+                   "tp_preserving: false\noffdiagonal_leak: 0.0\nfiber_deviation: inf\n"
+                   "unitality_deviation: 5.666666666666666e+307\n"),
+    ("dephasing", "a", 2, _B1_OVERFLOW),
+    ("dephasing", "b", 3, "status: check-failed\nkind: dephasing\nvalid: false\npsd: false\n"
+                          "min_eig: -1.6999999999999995e+308\nfiber_deviation: inf\n"
+                          "fiber_witness: (0, 0, 1, 0)\n"
+                          "diagonal_deviation: 5.666666666666666e+307\n"),
+], ids=["du-a", "du-b", "do-a", "do-b", "dephasing-a", "dephasing-b"])
+def test_trace_checks_near_the_float_maximum(paths, capsys, kind, probe, code, expected):
+    # the identity's tables with finite entries near the float maximum:
+    # (a) the B1 partial trace overflows, an error in every kind; (b) it is
+    # finite but its deviations are not, reported as inf; no numpy warning
+    _, write = paths
+    d = 2 if probe == "a" else 3
+    if kind == "dephasing":
+        m = np.ones((d * d, d * d), dtype=complex)
+        if probe == "a":
+            m[0:2, 0:2] = 1.7e308
+        else:
+            m[range(3), range(3)] = (1.7e308, -1.7e308, 1.7e308)
+        p = DephasingSuperParams(d, m)
+    else:
+        unit = du_identity(d)
+        a = np.array(unit.A)
+        if probe == "a":
+            a[[0, 1], 0] = 1.7e308
+        else:
+            a[0, 0:3] = (1.7e308, -1.7e308, 1.7e308)
+        p = DUSuperParams(d, a, unit.B, unit.C, unit.D)
+        p = p if kind == "du" else from_du_params(p)
+    status = main(["validate", kind, write(f"{kind}.json", jsonio.params_to_json(p))])
+    out, err = capsys.readouterr()
+    assert (status, out, err) == (code, expected, "")
+
+
 def test_apply_dimension_mismatch(paths, capsys):
     tmp, write = paths
     chan = write("c.json", jsonio.channel_to_json(bit_flip(0.1)))
@@ -426,7 +472,8 @@ def test_apply_on_dephasing_is_the_schur_product(paths, capsys):
                           write("c.json", jsonio.channel_to_json(ch)), "--out", str(out_path))
         assert code == 0
         written = jsonio.channel_from_json(json.loads(out_path.read_text()))
-        assert written.choi.mat.tobytes() == dephasing_super_apply(p, ch).choi.mat.tobytes()
+        # the Schur product, entry by entry: no sum, so the bits are fixed
+        assert written.choi.mat.tobytes() == (p.M_big * ch.choi.mat).tobytes()
 
 
 def test_compose_du_with_identity_echoes(paths, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superchan.channels import (
+    PARAM_EDGE_TOL,
     DOChannelParams,
     DUChannelParams,
     amplitude_damping,
@@ -156,6 +157,10 @@ def test_uu_params_normalization_enforced():
         UUFamilyParams("covariant", 0.5, 0.0, 0.0, 0.0, 2)
     with pytest.raises(ValueError):
         UUFamilyParams("sideways", 1.0, 0.0, 0.0, 0.0, 2)
+    # the weights' sum has the channels' edge slack, PARAM_EDGE_TOL
+    UUFamilyParams("covariant", 1.0, 0.0, 0.0, 0.5 * PARAM_EDGE_TOL, 2)
+    with pytest.raises(ValueError, match="sum to 1"):
+        UUFamilyParams("covariant", 1.0, 0.0, 0.0, 2 * PARAM_EDGE_TOL, 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

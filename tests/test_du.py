@@ -4,9 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from superchan.channels import (
     DOChannelParams,
+    DUChannelParams,
     amplitude_damping,
     bit_flip,
+    du_identity_channel_params,
     pauli_channel,
+    table_channel,
     table_channel_validate,
     validate_channel,
 )
@@ -15,7 +18,6 @@ from superchan.du import (
     DUSuperParams,
     NotDUCovariantError,
     build_choi,
-    du_action_on_identity,
     du_cp_check,
     du_identity,
     du_tp_check,
@@ -563,14 +565,17 @@ def test_apply_to_channel_amplitude_damping_entries():
     assert np.isclose(a_vals[2] + a_vals[3], 1.0, atol=1e-12)
 
 
-def test_du_action_on_identity():
-    from superchan.channels import DUChannelParams
+def action_on_identity(p):
+    """The channel of p acting on the identity channel's DUC tables."""
+    return table_channel(compose_tables(p, du_identity_channel_params(p.d)))
 
+
+def test_du_action_on_identity():
     for d in (2, 3):
-        out = du_action_on_identity(du_identity(d))
+        out = action_on_identity(du_identity(d))
         assert np.array_equal(out.choi.mat, max_entangled_projector(d).mat)
         p = random_valid_du_params(rng, d)
-        ch = du_action_on_identity(p)
+        ch = action_on_identity(p)
         direct = representing_apply(build_choi(p), max_entangled_projector(d))
         assert np.abs(ch.choi.mat - direct.mat).max() <= 1e-13
         assert validate_channel(ch).ok
@@ -625,7 +630,7 @@ def test_du_preserves_do_pattern():
 def test_action_on_identity_and_on_do_tables_match_the_per_entry_loops(d):
     # the array forms sum and round in another order: 1e-12 relative
     p = random_hermitian_du_params(np.random.default_rng(200 + d), d)
-    got, ref = du_action_on_identity(p).choi.mat, loop_du_action_on_identity(p).choi.mat
+    got, ref = action_on_identity(p).choi.mat, loop_du_action_on_identity(p).choi.mat
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     _assert_matches_the_do_oracle(p, random_doc_params(np.random.default_rng(d), d))
 

@@ -11,7 +11,9 @@ The tables, dense and qubit plans are the benchmark's own
 `compose do` and `apply` on sign-symmetric tables at d = 2..6; each d has six
 cases: two valid (the two that `compose` takes), not CP, not TP (1.25x),
 non-Hermitian and indefinite Hermitian, and each case is applied to one
-seeded generic channel per d.  examples is every
+seeded generic channel per d.  Both corpora, and dephasing, end with two
+`validate` probes of the identity's tables with finite entries near the
+float maximum (overflow_probes), built from constants.  examples is every
 `example` (holevo-werner at d = 2, 3, 4; bit-flip at p = 0, 0.2, 1, -0.0;
 Pauli weights with zeros; amplitude-damping at gamma = 0, 0.3, 1), each with
 the default and with a seeded `--super` DU table, one `--super` given a
@@ -35,7 +37,8 @@ superchannel, `apply` with each file as the channel, and `compose` of each
 kind on each ordered pair of files.  Each op runs in
 process through ``superchan.cli.main`` from ``--src`` (default: this
 checkout's src), on one BLAS thread, and prints
-{"kind", "argv", "status", "stdout", "artifact_sha256"}.  Inputs are
+{"kind", "argv", "status", "stdout", "artifact_sha256", "warnings"}, the
+last the op's Python warnings as "Category: message" (no file path).  Inputs are
 generated from the seed alone, so running the script with the ``--src`` of
 two checkouts and diffing the two outputs shows every exit status, report
 line and artifact byte that changed between them.
@@ -51,6 +54,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -93,6 +97,38 @@ def apply_ops(b: inputs.InputSet, files: dict) -> list:
     return ops
 
 
+def overflow_probes(b: inputs.InputSet, kind: str) -> list:
+    """`validate` of the identity superchannel's tables (DU, sign-symmetric
+    or dephasing) with finite entries near the float maximum: (a) at d = 2,
+    A[0, 0] = A[1, 0] = 1.7e308 (M_big[0:2, 0:2] for dephasing), whose B1
+    partial trace overflows; (b) at d = 3, A[0, 0:3] (M_big's first three
+    diagonal entries) = 1.7e308, -1.7e308, 1.7e308, whose partial trace is
+    finite but whose deviations from its average are not.  Built from
+    constants, after every seeded draw."""
+    ops = []
+    for label, d in (("overflow-a", 2), ("overflow-b", 3)):
+        n = d * d
+        if kind == "dephasing":
+            m = np.ones((n, n), dtype=complex)
+            if d == 2:
+                m[0:2, 0:2] = 1.7e308
+            else:
+                m[range(3), range(3)] = (1.7e308, -1.7e308, 1.7e308)
+            doc = {"d": d, "M_big": inputs.matrix_json((d, d), m)}
+        else:
+            omega = np.eye(n).reshape(-1)  # the identity's Choi is |omega><omega|
+            names = inputs.DU_TABLES if kind == "du" else inputs.DO_TABLES
+            tables = inputs.tables_from_choi(np.outer(omega, omega), d, names)
+            if d == 2:
+                tables["A"][[0, 1], 0] = 1.7e308
+            else:
+                tables["A"][0, 0:3] = (1.7e308, -1.7e308, 1.7e308)
+            doc = inputs.tables_doc(d, tables)
+        path = b.input(f"{kind}_{label}.json", doc)
+        ops.append(inputs._entry(["validate", kind, path], label=label))
+    return ops
+
+
 def build_du_corpus(b: inputs.InputSet) -> list:
     """validate du, compose du and apply on DU tables at d = 2..6."""
     validate, compose, files = [], [], {}
@@ -111,6 +147,7 @@ def build_du_corpus(b: inputs.InputSet) -> list:
         inputs._kind("validate_du", "op1", 1, validate),
         inputs._kind("compose_du", "op2", 1, compose),
         inputs._kind("apply_du", "op3", 1, apply_ops(b, files)),
+        inputs._kind("validate_du_overflow", "op4", 1, overflow_probes(b, "du")),
     ]
 
 
@@ -132,6 +169,7 @@ def build_do_corpus(b: inputs.InputSet) -> list:
         inputs._kind("validate_do", "op1", 1, validate),
         inputs._kind("compose_do", "op2", 1, compose),
         inputs._kind("apply_do", "op3", 1, apply_ops(b, files)),
+        inputs._kind("validate_do_overflow", "op4", 1, overflow_probes(b, "do")),
     ]
 
 
@@ -198,7 +236,9 @@ def build_dephasing(b: inputs.InputSet) -> list:
     return [inputs._kind("validate_dephasing", "op1", 1, validate),
             inputs._kind("compose_dephasing", "op2", 1, compose),
             inputs._kind("apply_dephasing", "op3", 1, apply),
-            inputs._kind("covariance", "op4", 1, covariance)]
+            inputs._kind("covariance", "op4", 1, covariance),
+            inputs._kind("validate_dephasing_overflow", "op5", 1,
+                         overflow_probes(b, "dephasing"))]
 
 
 def build_covariance(b: inputs.InputSet) -> list:
@@ -282,7 +322,8 @@ def plan(workload: str, seed: int, work: Path) -> list:
 
 def run_op(cli, entry: dict, work: Path) -> dict:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             status = cli.main(list(entry["argv"]))
         except SystemExit as exc:  # argparse rejects the command line
@@ -294,7 +335,8 @@ def run_op(cli, entry: dict, work: Path) -> dict:
             digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
             artifact.unlink()
     return {"argv": entry["argv"], "status": status, "stdout": out.getvalue(),
-            "artifact_sha256": digest}
+            "artifact_sha256": digest,
+            "warnings": [f"{w.category.__name__}: {w.message}" for w in caught]}
 
 
 def main(argv=None) -> int:
