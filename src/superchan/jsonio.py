@@ -2,11 +2,14 @@
 
 All matrices use one format: {"dims": [d1, ..., dn], "data": [[re, im], ...]}
 with data row-major over the flattened index.  Files are decoded by orjson,
-and by json for what orjson refuses (see load_json).  Serialization uses
-Python's shortest round-trip float printing, so dump -> load is exact.
+and by json for what orjson refuses (see load_json).  Serialization writes
+each float in its shortest round-trip digits, so dump -> load is exact.
 dump_json's output equals ``json.dumps(obj, indent=2)`` byte for byte; it
-renders each list of [float, float] pairs in bulk instead of through the
-pure-Python encoder that ``json`` falls back to whenever ``indent`` is set.
+renders each list of finite [float, float] pairs in bulk with orjson's float
+formatter, whose digits are repr's, and respells with repr the few numbers
+that orjson writes in another form (see _pairs).  Everything else goes
+through a pure-Python encoder like the one ``json`` falls back to whenever
+``indent`` is set.
 """
 
 from __future__ import annotations
@@ -204,10 +207,11 @@ def load_json(path) -> dict:
 
 
 def dump_json(obj: dict, path=None) -> str:
-    """Deterministic serialization (fixed key order, shortest-float repr).
+    """Deterministic serialization (fixed key order, shortest round-trip floats).
 
     The text equals ``json.dumps(obj, indent=2)`` byte for byte.  Object keys
-    must be strings, as in every document this package writes.
+    must be strings, as in every document this package writes.  Matrix data
+    is written by _pairs, the rest by _encode.
     """
     chunks: list[str] = []
     _encode(obj, 0, chunks)
@@ -271,20 +275,35 @@ def _scalar(o) -> str:
 
 
 def _pairs(items, level: int, out: list) -> bool:
-    """Append the items of a list of finite [float, float] pairs nested
-    ``level`` deep, in bulk: one repr per float, then two fixed separators
-    joined in C.  For any other list append nothing and return False.
+    """Append the items of a list of [float, float] pairs nested ``level``
+    deep, in bulk, if every number is a finite float; for any other list
+    append nothing and return False.
+
+    orjson prints each float in its shortest round-trip digits (Ryu), the
+    digits repr gives (Gay's dtoa), and only spells some of them differently:
+    it writes 1e-5 <= |x| < 1e-4 positionally, and drops the exponent's "+"
+    and leading zero ("1e-7" and "1e16" where repr writes "1e-07" and
+    "1e+16").  So each nonzero |x| < 1e-4 and each |x| >= 1e16 is respelled
+    with repr, and the tokens are joined with two fixed separators in C.
     """
     if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
         return False
+    flat = list(chain.from_iterable(items))
+    if set(map(type, flat)) != {float}:  # ints, bools and float subclasses
+        return False
+    size = np.abs(np.fromiter(flat, np.float64, len(flat)))
+    if not np.isfinite(size).all():  # orjson writes NaN and infinity as null
+        return False
+    tokens = orjson.dumps(flat)[1:-1].decode().split(",")
+    for i in np.flatnonzero(((size < 1e-4) & (size > 0)) | (size >= 1e16)).tolist():
+        tokens[i] = float.__repr__(flat[i])
+    # the per-float and per-pair strings are the writer's peak memory, so
+    # each list is dropped as soon as the next one is built
+    del flat, size
     pad = "\n" + "  " * level
     inner = pad + "  "
-    reprs = map(float.__repr__, chain.from_iterable(items))
-    try:  # float.__repr__ rejects ints, bools, None, strings and lists
-        body = (pad + "]," + pad + "[" + inner).join(map(("," + inner).join, zip(reprs, reprs)))
-    except TypeError:
-        return False
-    if "n" in body:  # nan or inf, which json spells NaN and Infinity
-        return False
-    out += ("[" + inner, body, pad + "]")
+    it = iter(tokens)
+    rows = list(map(("," + inner).join, zip(it, it)))
+    del tokens, it
+    out += ("[" + inner, (pad + "]," + pad + "[" + inner).join(rows), pad + "]")
     return True

@@ -229,6 +229,59 @@ def test_dump_equals_json_dumps_indent_2(kind, tmp_path):
     assert path.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
+def _float_spelling_cases() -> np.ndarray:
+    gen = np.random.default_rng(2024)
+    bits = gen.integers(0, 2**64, size=220_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    bits = bits[np.isfinite(bits)]
+    scaled = np.concatenate([gen.standard_normal(500) * 10.0**k for k in range(-20, 20)])
+    boundary = []
+    for b in (1e-10, 1e-9, 1e-5, 1e-4, 1e16):
+        for x in (b, -b):
+            below, above = x, x
+            for _ in range(4):
+                below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                boundary += [below, above]
+            boundary.append(x)
+    extremes = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 9999999999999998.0, 0.0, -0.0]
+    values = np.concatenate([bits, -bits, scaled, boundary, extremes])
+    assert len(bits) >= 200_000
+    return values[: len(values) // 2 * 2]
+
+
+def test_bulk_writer_spells_every_float_as_json_does():
+    # orjson's float formatter writes the matrix data; a change to its
+    # spelling in a later orjson release must show here
+    values = _float_spelling_cases()
+    doc = {"dims": [len(values) // 2], "data": values.reshape(-1, 2).tolist()}
+    assert jsonio._pairs(doc["data"], 2, [])
+    ours = jsonio.dump_json(doc).splitlines()
+    theirs = json.dumps(doc, indent=2).splitlines()
+    assert len(ours) == len(theirs)
+    # a handful of differing lines, not a diff of two 10 MB texts
+    assert [(a, b) for a, b in zip(ours, theirs) if a != b][:5] == []
+
+
+def test_matrix_data_takes_the_bulk_path():
+    gen = np.random.default_rng(8)
+    mat = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+    mat.reshape(-1)[:5] = [3e-17 - 1e-17j, 2.5e-5 + 7e-5j, 1e16 - 3.2e17j,
+                           complex(-0.0, 0.0), complex(0.0, -0.0)]
+    doc = jsonio.matrix_to_json(MultipartiteOperator((4,), mat))
+    assert jsonio._pairs(doc["data"], 2, [])
+    assert jsonio.dump_json(doc) == json.dumps(doc, indent=2)
+    assert doc["data"][3] == [-0.0, 0.0] and math.copysign(1, doc["data"][3][0]) < 0
+    edge = _every_document_kind()["edge"]
+    subclass = [[np.float64(1.5), 2.0], [0.5, 1e-7]]
+    for items in (edge["pairs_with_non_finite"], edge["pairs_of_ints"], edge["pairs_mixed"],
+                  edge["tuple_pairs"], subclass):
+        out = []
+        assert not jsonio._pairs(items, 2, out)
+        assert out == []
+    doc = {"dims": [2], "data": subclass}
+    assert jsonio.dump_json(doc) == json.dumps(doc, indent=2)
+
+
 _json_floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
 _json_pair_lists = st.lists(st.lists(_json_floats, min_size=2, max_size=2), max_size=6)
 _json_scalars = st.none() | st.booleans() | st.integers() | _json_floats | st.text(max_size=8)
