@@ -176,6 +176,9 @@ def cmd_compose(args) -> CommandResult:
             f"compose {args.kind}: inputs are {kind1} and {kind2}"
         )
     p1, p2 = (jsonio.from_json(obj, args.kind) for obj in (obj1, obj2))
+    # the parsed trees are the op's largest objects: free them before
+    # compose and the artifact's text take their memory
+    del obj1, obj2
     if args.kind in jsonio.TABLE_KINDS:
         compose, to_json = compose_tables, jsonio.params_to_json
     elif args.kind == "superchannel":

@@ -5,19 +5,16 @@ with data row-major over the flattened index.  Files are decoded by orjson,
 and by json for what orjson refuses (see load_json).  Serialization writes
 each float in its shortest round-trip digits, so dump -> load is exact.
 dump_json's output equals ``json.dumps(obj, indent=2)`` byte for byte; it
-renders each list of finite [float, float] pairs in bulk with orjson's float
-formatter, whose digits are repr's, and respells with repr the few numbers
-that orjson writes in another form (see _pairs).  Everything else goes
-through a pure-Python encoder like the one ``json`` falls back to whenever
-``indent`` is set.
+writes the whole document with orjson, whose float digits are repr's, and
+respells the few numbers orjson writes in another form (see _respell).  What
+orjson refuses, or would write otherwise than json, goes to json itself.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import re
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -209,101 +206,69 @@ def load_json(path) -> dict:
 def dump_json(obj: dict, path=None) -> str:
     """Deterministic serialization (fixed key order, shortest round-trip floats).
 
-    The text equals ``json.dumps(obj, indent=2)`` byte for byte.  Object keys
-    must be strings, as in every document this package writes.  Matrix data
-    is written by _pairs, the rest by _encode.
+    The text equals ``json.dumps(obj, indent=2)`` byte for byte.  orjson
+    writes the document in one call and _respell fixes the few numbers it
+    spells differently.  A document orjson refuses (ints beyond 64 bits,
+    non-str keys, float or other subclasses, dataclasses, dates), or whose
+    text holds ``null`` (None, NaN, infinity), a non-ASCII byte or DEL,
+    which json escapes, is written by ``json.dumps`` itself.  One difference
+    is left: orjson writes an ``enum.Enum`` member as its value and a
+    ``uuid.UUID`` as a string, where json raises TypeError; no document this
+    package builds holds either.  With a path, the text and a newline are
+    written to the file in binary mode.
     """
-    chunks: list[str] = []
-    _encode(obj, 0, chunks)
-    text = "".join(chunks)
+    try:
+        data = orjson.dumps(obj, option=_ORJSON_OPTIONS)
+    except orjson.JSONEncodeError:
+        data = None
+    # b"n" first: a one-byte search runs as memchr, and most texts hold no "n";
+    # the four-byte search is an order of magnitude slower on digit-heavy text
+    if (data is None or (b"n" in data and b"null" in data)
+            or not data.isascii() or b"\x7f" in data):
+        text = json.dumps(obj, indent=2)
+        data = text.encode()
+    else:
+        data = _respell(data)
+        text = data.decode()
     if path is not None:
-        with Path(path).open("w") as f:  # two writes spare a copy of a large text
-            f.write(text)
-            f.write("\n")
+        with Path(path).open("wb") as f:
+            f.write(data)
+            f.write(b"\n")
     return text
 
 
-def _encode(o, level: int, out: list) -> None:
-    """Append json's indent=2 encoding of ``o``, nested ``level`` deep, to out."""
-    newline = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level
-    if isinstance(o, (list, tuple)) and o:
-        out.append("[" + newline)
-        if not _pairs(o, level + 1, out):
-            for i, v in enumerate(o):
-                if i:
-                    out.append("," + newline)
-                _encode(v, level + 1, out)
-        out.append(close + "]")
-    elif isinstance(o, dict) and o:
-        out.append("{" + newline)
-        for i, (k, v) in enumerate(o.items()):
-            if i:
-                out.append("," + newline)
-            out.append(encode_basestring_ascii(k) + ": ")
-            _encode(v, level + 1, out)
-        out.append(close + "}")
-    else:
-        out.append(_scalar(o))
+_ORJSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_PASSTHROUGH_SUBCLASS
+                   | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME)
+# In indent=2 text a number token ends its line, and a string cannot hold a
+# raw newline, so these patterns never match inside a key or a string value.
+_TOKEN_END = rb"(?=,?\n|\Z)"
+_EXPONENT = re.compile(rb"e(?:-(\d)|(\d+))" + _TOKEN_END)
+_POSITIONAL = re.compile(
+    rb"\.0000(?:(?<=[^0-9]0\.0000)|(?<=\A0\.0000))([1-9])(\d*)" + _TOKEN_END
+)
 
 
-def _scalar(o) -> str:
-    """json's spelling of a scalar or an empty list or object."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    if isinstance(o, (list, tuple)):
-        return "[]"
-    if isinstance(o, dict):
-        return "{}"
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _pairs(items, level: int, out: list) -> bool:
-    """Append the items of a list of [float, float] pairs nested ``level``
-    deep, in bulk, if every number is a finite float; for any other list
-    append nothing and return False.
+def _respell(data: bytes) -> bytes:
+    """orjson's text with each number respelled as repr spells it.
 
     orjson prints each float in its shortest round-trip digits (Ryu), the
-    digits repr gives (Gay's dtoa), and only spells some of them differently:
-    it writes 1e-5 <= |x| < 1e-4 positionally, and drops the exponent's "+"
-    and leading zero ("1e-7" and "1e16" where repr writes "1e-07" and
-    "1e+16").  So each nonzero |x| < 1e-4 and each |x| >= 1e16 is respelled
-    with repr, and the tokens are joined with two fixed separators in C.
+    digits repr gives, and spells three ranges differently: it drops the
+    exponent's leading zero for 1e-9 <= |x| < 1e-5 ("1e-7" for "1e-07") and
+    its "+" for |x| >= 1e16 ("1e16" for "1e+16"), and writes
+    1e-5 <= |x| < 1e-4 positionally ("0.0000123" for "1.23e-05").  The
+    edits are collected from both scans and applied in one join.
     """
-    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
-        return False
-    flat = list(chain.from_iterable(items))
-    if set(map(type, flat)) != {float}:  # ints, bools and float subclasses
-        return False
-    size = np.abs(np.fromiter(flat, np.float64, len(flat)))
-    if not np.isfinite(size).all():  # orjson writes NaN and infinity as null
-        return False
-    tokens = orjson.dumps(flat)[1:-1].decode().split(",")
-    for i in np.flatnonzero(((size < 1e-4) & (size > 0)) | (size >= 1e16)).tolist():
-        tokens[i] = float.__repr__(flat[i])
-    # the per-float and per-pair strings are the writer's peak memory, so
-    # each list is dropped as soon as the next one is built
-    del flat, size
-    pad = "\n" + "  " * level
-    inner = pad + "  "
-    it = iter(tokens)
-    rows = list(map(("," + inner).join, zip(it, it)))
-    del tokens, it
-    out += ("[" + inner, (pad + "]," + pad + "[" + inner).join(rows), pad + "]")
-    return True
+    edits = [(m.start(), m.end(), b"e-0" + m[1] if m[1] else b"e+" + m[2])
+             for m in _EXPONENT.finditer(data)]
+    edits += [(m.start() - 1, m.end(), m[1] + (b"." + m[2] if m[2] else b"") + b"e-05")
+              for m in _POSITIONAL.finditer(data)]  # from the "0" before the "."
+    if not edits:
+        return data
+    edits.sort()
+    view = memoryview(data)  # slices of a view copy nothing
+    parts, last = [], 0
+    for start, end, token in edits:
+        parts += (view[last:start], token)
+        last = end
+    parts.append(view[last:])
+    return b"".join(parts)

@@ -1,7 +1,12 @@
+import enum
+import functools
 import json
 import math
 import tempfile
+import uuid
+from collections import OrderedDict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import orjson
@@ -249,37 +254,118 @@ def _float_spelling_cases() -> np.ndarray:
     return values[: len(values) // 2 * 2]
 
 
-def test_bulk_writer_spells_every_float_as_json_does():
-    # orjson's float formatter writes the matrix data; a change to its
-    # spelling in a later orjson release must show here
+def _dump_and_path(doc, monkeypatch) -> tuple[str, bool]:
+    """dump_json's text for doc, and whether its json.dumps fallback wrote it."""
+    calls = []
+
+    def dumps(*args, **kwargs):
+        calls.append(args)
+        return json.dumps(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(jsonio, "json", SimpleNamespace(dumps=dumps))
+        text = jsonio.dump_json(doc)
+    return text, bool(calls)
+
+
+def test_bulk_writer_spells_every_float_as_json_does(monkeypatch):
+    # orjson writes the document and _respell fixes its spelling; a change
+    # to orjson's float spelling in a later release must show here
     values = _float_spelling_cases()
     doc = {"dims": [len(values) // 2], "data": values.reshape(-1, 2).tolist()}
-    assert jsonio._pairs(doc["data"], 2, [])
-    ours = jsonio.dump_json(doc).splitlines()
+    text, fell_back = _dump_and_path(doc, monkeypatch)
+    assert not fell_back
+    ours = text.splitlines()
     theirs = json.dumps(doc, indent=2).splitlines()
     assert len(ours) == len(theirs)
     # a handful of differing lines, not a diff of two 10 MB texts
     assert [(a, b) for a, b in zip(ours, theirs) if a != b][:5] == []
 
 
-def test_matrix_data_takes_the_bulk_path():
+def test_matrix_data_takes_the_bulk_path(monkeypatch):
     gen = np.random.default_rng(8)
     mat = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
     mat.reshape(-1)[:5] = [3e-17 - 1e-17j, 2.5e-5 + 7e-5j, 1e16 - 3.2e17j,
                            complex(-0.0, 0.0), complex(0.0, -0.0)]
     doc = jsonio.matrix_to_json(MultipartiteOperator((4,), mat))
-    assert jsonio._pairs(doc["data"], 2, [])
-    assert jsonio.dump_json(doc) == json.dumps(doc, indent=2)
+    assert _dump_and_path(doc, monkeypatch) == (json.dumps(doc, indent=2), False)
     assert doc["data"][3] == [-0.0, 0.0] and math.copysign(1, doc["data"][3][0]) < 0
     edge = _every_document_kind()["edge"]
     subclass = [[np.float64(1.5), 2.0], [0.5, 1e-7]]
-    for items in (edge["pairs_with_non_finite"], edge["pairs_of_ints"], edge["pairs_mixed"],
-                  edge["tuple_pairs"], subclass):
-        out = []
-        assert not jsonio._pairs(items, 2, out)
-        assert out == []
-    doc = {"dims": [2], "data": subclass}
-    assert jsonio.dump_json(doc) == json.dumps(doc, indent=2)
+    # ints and tuples are orjson's to write; null, NaN and float subclasses are json's
+    for items, fallback in ((edge["pairs_with_non_finite"], True), (edge["pairs_of_ints"], False),
+                            (edge["pairs_mixed"], True), (edge["tuple_pairs"], False),
+                            (subclass, True)):
+        doc = {"dims": [2], "data": items}
+        assert _dump_and_path(doc, monkeypatch) == (json.dumps(doc, indent=2), fallback)
+
+
+# Strings that read like the numbers _respell rewrites, as keys and values:
+# a string holds no raw newline, so none of them ends a line as a number does.
+_NUMBER_LIKE_STRINGS = ["1e-7", " 0.00001,", "10.00001", "x 1e5", "1e16", "-0.0000123",
+                        "0.00001", "x 1e-7\n", " 0.00001\n", "e-7", "e16,", ".00001"]
+
+
+def test_dump_leaves_number_like_strings_alone(monkeypatch):
+    docs = [
+        {s: s for s in _NUMBER_LIKE_STRINGS},
+        {s: [1e-7, s, [2.5e-5, s], {s: 1e16}] for s in _NUMBER_LIKE_STRINGS},
+        _NUMBER_LIKE_STRINGS + [1e-7, 2.5e-5, 1e16, 10.00001, -0.00001],
+        *_NUMBER_LIKE_STRINGS,
+    ]
+    for doc in docs:
+        assert _dump_and_path(doc, monkeypatch) == (json.dumps(doc, indent=2), False)
+
+
+# a top-level scalar in each spelling: unchanged (< 1e-9, >= 1e-4 and
+# < 1e16, signed zero), exponent zero-padded (1e-9 <= |x| < 1e-5), signed
+# exponent (>= 1e16) and positional to exponent (1e-5 <= |x| < 1e-4)
+_SPELLING_FORMS = [3e-17, 1e-10, 9.99e-10, 1e-9, 1e-7, 3.25e-6, 9.999e-6, 1e-5, 2.5e-5,
+                   1.234567e-5, 9.99e-5, 1e-4, 0.5, 10.00001, 1e15, 9999999999999998.0,
+                   1e16, 1.5e17, 1.7976931348623157e308, 5e-324, 0.0, -0.0, 7, -3, True]
+
+
+@pytest.mark.parametrize("x", _SPELLING_FORMS + [-x for x in _SPELLING_FORMS if isinstance(x, float)])
+def test_dump_spells_top_level_scalars_as_json_does(x, monkeypatch, tmp_path):
+    assert _dump_and_path(x, monkeypatch) == (json.dumps(x, indent=2), False)
+    path = tmp_path / "x.json"
+    jsonio.dump_json(x, path)
+    assert path.read_bytes() == json.dumps(x, indent=2).encode() + b"\n"
+
+
+# documents orjson refuses, or writes otherwise than json: each goes to json
+_FALLBACK_DOCUMENTS = {
+    "nan": [1.0, math.nan], "infinity": {"x": [math.inf, -math.inf]}, "none": {"x": None},
+    "non-ascii": {"name": "d\u00fcr"}, "non-ascii key": {"\u03c8": 1.0},
+    "astral": ["\U0001d4aa"], "del": ["a\x7fb"], "lone surrogate": ["\ud800"],
+    "int 2**64": [2**64], "int below -2**63": [-(2**63) - 1], "np.float64": [np.float64(2.5e-5)],
+    "float subclass": {"x": type("F", (float,), {})(1e-7)},
+    "int subclass": [type("I", (int,), {})(7)], "str subclass": [type("S", (str,), {})("a")],
+    "dict subclass": [OrderedDict(x=1e-7)], "list subclass": {"x": type("L", (list,), {})([1e16])},
+    "int keys": {1: 1e-7, 2: 2.5e-5},
+    "float and bool keys": {1.5: 1e16, True: 0.0, None: 1.0}, "nested None": [[[[[[[[[[None]]]]]]]]]],
+    "nested past orjson's limit": functools.reduce(lambda x, _: [x], range(300), 1e-7),
+    "top-level nan": math.nan, "top-level none": None, "top-level non-ascii": "\u00e9",
+}
+
+
+@pytest.mark.parametrize("name", list(_FALLBACK_DOCUMENTS))
+def test_dump_sends_what_orjson_cannot_write_to_json(name, monkeypatch, tmp_path):
+    doc = _FALLBACK_DOCUMENTS[name]
+    assert _dump_and_path(doc, monkeypatch) == (json.dumps(doc, indent=2), True)
+    path = tmp_path / "doc.json"
+    jsonio.dump_json(doc, path)
+    assert path.read_bytes() == json.dumps(doc, indent=2).encode() + b"\n"
+
+
+def test_dump_writes_enum_and_uuid_members_json_rejects():
+    # the one declared difference from json.dumps: orjson writes these
+    Color = enum.Enum("Color", {"RED": 1e-7})
+    for doc, text in (({"x": Color.RED}, '{\n  "x": 1e-07\n}'),
+                      ([uuid.UUID(int=5)], '[\n  "00000000-0000-0000-0000-000000000005"\n]')):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        assert jsonio.dump_json(doc) == text
 
 
 _json_floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)

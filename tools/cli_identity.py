@@ -34,7 +34,10 @@ side, an object of no kind, a JSON list, a file that does not parse and a
 missing path.  It runs `validate` of each kind on each file, `apply`,
 `covariance --group du` and `example bit-flip --super` with each file as the
 superchannel, `apply` with each file as the channel, and `compose` of each
-kind on each ordered pair of files.  Each op runs in
+kind on each ordered pair of files; it ends with
+spelling_probe, `apply` of the d = 2 identity's DU and dephasing tables to a
+channel holding one number of each spelling the artifact writer treats
+apart, built from constants.  Each op runs in
 process through ``superchan.cli.main`` from ``--src`` (default: this
 checkout's src), on one BLAS thread, and prints
 {"kind", "argv", "status", "stdout", "artifact_sha256", "warnings"}, the
@@ -306,7 +309,34 @@ def build_kinds(b: inputs.InputSet) -> list:
                     for kind in ("du", "do", "dephasing", "superchannel", "channel")
                     for g in files.values()]
     return [inputs._kind("validate", "op1", 1, validate), inputs._kind("apply", "op2", 1, apply),
-            inputs._kind("compose", "op3", 1, compose), inputs._kind("other", "op4", 1, other)]
+            inputs._kind("compose", "op3", 1, compose), inputs._kind("other", "op4", 1, other),
+            inputs._kind("spelling", "op4", 1, spelling_probe(b))]
+
+
+def spelling_probe(b: inputs.InputSet) -> list:
+    """`apply` of the d = 2 identity's DU tables, and of its dephasing table
+    (all ones), to a channel whose Choi holds one number of each spelling the
+    artifact writer treats apart: below 1e-9, in [1e-9, 1e-5), in
+    [1e-5, 1e-4), at least 1e16, and -0.0, with both signs.  The identity
+    gives the channel back, so the artifacts hold them all (-0.0 only the
+    dephasing one: the DU action sums its terms onto +0.0).  Built from
+    constants, after every seeded draw.  No command writes a non-finite
+    artifact: every matrix and table refuses NaN and infinity."""
+    d = 2
+    omega = np.eye(d * d).reshape(-1)  # the identity's Choi is |omega><omega|
+    tables = inputs.tables_from_choi(np.outer(omega, omega), d, inputs.DU_TABLES)
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    choi.reshape(-1)[:10] = [3e-17 - 2.5e-10j, 1e-9 + 7.25e-6j, -9.999e-6 - 1e-5j,
+                             2.5e-5 + 9.99e-5j, -1.234567e-5 + 0.0001j, 1e16 - 1.5e17j,
+                             -1.7976931348623157e308 + 5e-324j, complex(-0.0, 0.0),
+                             complex(0.0, -0.0), 0.25 + 10.00001j]
+    channel = b.input("spelling_channel.json",
+                      {"d_in": d, "d_out": d, "choi": inputs.matrix_json((d, d), choi)})
+    supers = [b.input("spelling_identity_du.json", inputs.tables_doc(d, tables)),
+              b.input("spelling_identity_dephasing.json",
+                      {"d": d, "M_big": inputs.matrix_json((d, d), np.ones((d * d, d * d)))})]
+    return [inputs._entry(["apply", s, channel, "--out", "out/spelling.json"],
+                          out="out/spelling.json") for s in supers]
 
 
 CORPORA = {"du-corpus": build_du_corpus, "do-corpus": build_do_corpus,
