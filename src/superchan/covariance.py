@@ -30,7 +30,13 @@ from .channels import (
     transpose_map,
 )
 from .linalg import DEFAULT_TOL, max_entangled_projector, swap_operator
-from .positions import TableParams, _entries, choi_from_tables
+from .positions import (
+    TableParams,
+    choi_from_tables,
+    require_super_family,
+    sector_blocks,
+    sectors,
+)
 from .superchannels import SuperChoi, super_choi
 
 DIAGONAL_KINDS = ("diagonal-unitary", "diagonal-orthogonal")
@@ -131,8 +137,8 @@ def _diagonal_draws(samplers, n: int) -> list:
 
 def _rephasing_deviations(w, x, rows, cols) -> np.ndarray:
     """max |w_r x_rc conj(w_c) - x_rc| for each row w of the stack w, over
-    the entries x at (rows, cols), or over every entry of the matrix x when
-    rows is None."""
+    the entries x at (rows, cols), index arrays broadcast against x, or over
+    every entry of the matrix x when rows is None."""
     if rows is None:
         t = w[:, :, None] * x
         t *= w.conj()[:, None, :]
@@ -151,11 +157,12 @@ def _sampled_check(x, samplers, combine, n, tol) -> CovarianceVerdict:
     sampler is diagonal, W is diagonal and conjugation only rephases each
     entry, (W X W^dag)_rc = w_r x_rc conj(w_c).  All n diagonals are then
     drawn at once, combined row-wise (combine with _row_kron), and applied in
-    chunks of samples to the entries x holds: its table entries, the nonzero
-    entries of a sparse Choi, or every entry of a dense one, which spares the
-    gathers.  A zero entry cannot deviate, so skipping it is exact, and the
-    products are those of one sample at a time, so the verdict is too.  Any
-    other sampler makes W dense, and it is conjugated as a matrix.
+    chunks of samples to the entries x holds: the sector stacks of its
+    tables (positions.sector_blocks), the nonzero entries of a sparse Choi,
+    or every entry of a dense one, which spares the gathers.  A zero entry
+    cannot deviate, so skipping or including it is exact, and the products
+    are those of one sample at a time, so the verdict is too.  Any other
+    sampler makes W dense, and it is conjugated as a matrix.
     """
     if n < 1:  # a verdict over no samples would pass vacuously
         raise ValueError(f"the number of samples must be positive, got {n}")
@@ -169,21 +176,23 @@ def _sampled_check(x, samplers, combine, n, tol) -> CovarianceVerdict:
                 worst, worst_idx = dev, k
         return CovarianceVerdict(worst, worst_idx, n, tol)
     size = x.size if isinstance(x, np.ndarray) else 0
-    if isinstance(x, TableParams):
-        rows, cols, x = _entries(x)
+    if isinstance(x, TableParams):  # entry (b, i, j) of a stack is at (rows[b, i], rows[b, j])
+        parts = [(stack, rows[:, :, None], rows[:, None, :])
+                 for rows, stack in zip(sectors(x.d, type(x)), sector_blocks(x))]
     elif 2 * np.count_nonzero(x) < size:
         rows, cols = np.nonzero(x)
-        x = x[rows, cols]
+        parts = [(x[rows, cols], rows, cols)]
     else:
-        rows = cols = None
-    # a sample's temporaries are about three arrays of x's size
-    chunk = max(1, max(size, x.size, _CHUNK_ENTRIES) // max(1, 3 * x.size))
+        parts = [(x, None, None)]
+    # a sample's temporaries are about three arrays of the entries' size
+    entries = sum(part[0].size for part in parts)
+    chunk = max(1, max(size, entries, _CHUNK_ENTRIES) // max(1, 3 * entries))
     draws = _diagonal_draws(samplers, n)
-    devs = np.concatenate([
-        _rephasing_deviations(combine(_row_kron, *(a[lo:lo + chunk] for a in draws)),
-                              x, rows, cols)
-        for lo in range(0, n, chunk)
-    ])
+    devs = []
+    for lo in range(0, n, chunk):
+        w = combine(_row_kron, *(a[lo:lo + chunk] for a in draws))
+        devs.append(np.max([_rephasing_deviations(w, *part) for part in parts], axis=0))
+    devs = np.concatenate(devs)
     devs[np.isnan(devs)] = 0.0  # a NaN sample never beats a running maximum
     k = int(devs.argmax())  # the first worst sample
     return CovarianceVerdict(float(devs[k]), k, n, tol)
@@ -222,9 +231,11 @@ def superchannel_covariance_check(
     s is a SuperChoi, or the tables of a superchannel (DU, sign-symmetric or
     dephasing), whose Choi only the Haar groups assemble.  Diagonal groups
     rephase the entries s holds, Haar groups conjugate the Choi densely (see
-    _sampled_check).
+    _sampled_check).  Raises ValueError for channel tables.
     """
     tables = isinstance(s, TableParams)
+    if tables:
+        require_super_family(type(s))
     dims, got = (s.d,) * 4 if tables else s.choi.dims, tuple(u.d for u in samplers)
     if got != dims:
         raise ValueError(f"sampler dims {got} do not match {dims}")

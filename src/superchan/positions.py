@@ -22,11 +22,18 @@ NAMES) are pairwise disjoint; tables of different classes may share
 positions.  They also give the block structure of the Choi (the charge
 sectors of Singh & Nechita, arXiv:2010.07898, derived by sectors), so
 assembling a Choi is one scatter per table, reading the tables off it one
-gather, its spectrum one batched eigensolve per sector size, the action of
-the assembled map one gather-multiply-add per table, and composing two sets
-of tables one product (matrix, entrywise or einsum) per table triple of
-composition_plan.  The same plan composes superchannel tables with channel
-tables, giving the tables of the transformed channel.
+gather, its spectrum one batched eigensolve per sector size, and composing
+two sets of tables one product (matrix, entrywise or einsum) per table
+triple of composition_plan.  The same plan composes superchannel tables
+with channel tables, giving the tables of the transformed channel.
+
+The index arrays that depend only on (d, class) are built once, as cached
+read-only plans over the class's in-support entries in one order
+(_values): where each lands among the sector stacks (sector_plan), and, for
+superchannel tables only, the terms of the partial trace over B1
+(trace_plan) and where each entry meets an operator under the assembled
+map (action_plan).  A call then gathers the table values once and scatters,
+bincounts or multiplies them by the plan.
 """
 
 from __future__ import annotations
@@ -62,6 +69,12 @@ CHANNEL_POSITIONS = {
 FAMILIES = {"super": ("iajb", POSITIONS), "channel": ("ij", CHANNEL_POSITIONS)}
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 class TablePositions(NamedTuple):
     mask: np.ndarray  # support of the table, in its shape
     flat: np.ndarray  # flat table indices inside the support
@@ -88,15 +101,12 @@ def table_positions(d: int, name: str, family: str = "super") -> TablePositions:
         return idx
 
     side = d ** (len(labels) // 2)
-    out = TablePositions(
+    return TablePositions(*_read_only(
         mask.reshape(side, side),
         np.flatnonzero(mask),
         choi_index(row_digits),
         choi_index(col_digits),
-    )
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    ))
 
 
 class TableParams:
@@ -156,12 +166,24 @@ def init_tables(p: TableParams) -> None:
         object.__setattr__(p, name, t)
 
 
-def _entries(p: TableParams):
-    """(Choi rows, Choi columns, values) of every table entry of p."""
-    pos = [table_positions(p.d, name, p.FAMILY) for name in p.NAMES]
-    rows, cols = (np.concatenate([getattr(x, f) for x in pos]) for f in ("rows", "cols"))
-    vals = np.concatenate([getattr(p, n).reshape(-1)[x.flat] for n, x in zip(p.NAMES, pos)])
-    return rows, cols, vals
+def _values(p: TableParams) -> np.ndarray:
+    """Every in-support entry of the tables of p, table by table in NAMES
+    order and in flat order within each, as complex: the order the plans
+    below index."""
+    return np.concatenate([getattr(p, n).reshape(-1)[table_positions(p.d, n, p.FAMILY).flat]
+                           for n in p.NAMES], dtype=complex)
+
+
+def _choi_indices(d: int, cls: type[TableParams]) -> tuple[np.ndarray, np.ndarray]:
+    """The Choi rows and columns of the entries _values gives, in its order."""
+    pos = [table_positions(d, name, cls.FAMILY) for name in cls.NAMES]
+    return tuple(np.concatenate([getattr(x, f) for x in pos]) for f in ("rows", "cols"))
+
+
+def require_super_family(cls: type[TableParams]) -> None:
+    """Raise ValueError, naming cls, unless it holds superchannel tables."""
+    if cls.FAMILY != "super":
+        raise ValueError(f"{cls.__name__} holds channel tables, not superchannel tables")
 
 
 def choi_from_tables(p: TableParams) -> np.ndarray:
@@ -218,6 +240,21 @@ def extraction_residual(mat: np.ndarray, d: int, cls: type[TableParams]) -> floa
     return float(np.max([off_pattern_weight(mat, d, cls), imag]))
 
 
+@functools.lru_cache(maxsize=16)
+def action_plan(d: int, cls: type[TableParams]) -> tuple[np.ndarray, ...]:
+    """(gather, out, single) of apply_tables for cls at dimension d,
+    read-only: for each entry of _values, the flat index into x of the entry
+    it multiplies, the flat index into y its product is added to, and
+    whether that product is the only one added there.  Raises ValueError for
+    channel tables, which act on no operator."""
+    require_super_family(cls)
+    n = d * d
+    rows, cols = _choi_indices(d, cls)
+    out = (rows % n) * n + cols % n
+    single = np.bincount(out, minlength=n * n)[out] == 1
+    return _read_only((rows // n) * n + cols // n, out, single)
+
+
 def apply_tables(p: TableParams, x: np.ndarray) -> np.ndarray:
     """The representing map of choi_from_tables(p) applied to the
     d^2 x d^2 operator x, without assembling the Choi.
@@ -225,21 +262,23 @@ def apply_tables(p: TableParams, x: np.ndarray) -> np.ndarray:
     As superchannels.representing_apply, y[a, b] = sum_ij x[i, j] C[ia, jb]
     over the pair indices of (A0, A1) and (B0, B1): each table entry at Choi
     (row, col) reads x at (row // d^2, col // d^2) and its product is added
-    into y at (row % d^2, col % d^2), in O(d^4) time and memory.  Sums start
-    from +0.0, and an entry of y fed by one product alone is that product, so
-    a -0.0 from an entrywise scaling (table D) stays -0.0.  Raises
-    ValueError unless x is d^2 x d^2.
+    into y at (row % d^2, col % d^2) (action_plan), in O(d^4) time and
+    memory.  Sums start from +0.0, and an entry of y fed by one product
+    alone is that product, so a -0.0 from an entrywise scaling (table D)
+    stays -0.0.  Raises ValueError for channel tables, or unless x is
+    d^2 x d^2.
     """
+    gather, out, single = action_plan(p.d, type(p))
     n = p.d * p.d
     if x.shape != (n, n):
         raise ValueError(f"input side {x.shape} does not match d^2={n}")
-    rows, cols, vals = _entries(p)
-    terms = vals * x[rows // n, cols // n]
-    out = (rows % n) * n + cols % n
+    vals = _values(p)
+    # numpy may compute a product in a temporary operand's buffer, swapping the factors,
+    # and under FMA the swapped product's imaginary part rounds otherwise: keep this form
+    terms = vals * np.take(x, gather)
     y = np.empty(n * n, dtype=complex)
     y.real = np.bincount(out, terms.real, n * n)
     y.imag = np.bincount(out, terms.imag, n * n)
-    single = np.bincount(out, minlength=n * n)[out] == 1
     y[out[single]] = terms[single]
     return y.reshape(n, n)
 
@@ -253,7 +292,7 @@ def sectors(d: int, cls: type[TableParams]) -> tuple[np.ndarray, ...]:
 
     The positions fill their blocks, so each index's least partner (one
     np.minimum.at per table) is its block's first index.  Raises ValueError
-    if a position joins two blocks so found; principal_blocks would drop it.
+    if a position joins two blocks so found: no sector stack would hold it.
     """
     root = np.arange(d ** len(FAMILIES[cls.FAMILY][0]))
     pos = [table_positions(d, name, cls.FAMILY) for name in cls.NAMES]
@@ -271,22 +310,41 @@ def sectors(d: int, cls: type[TableParams]) -> tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-def principal_blocks(p: TableParams, basis: np.ndarray) -> np.ndarray:
-    """Principal blocks of choi_from_tables(p), read straight off the tables.
+@functools.lru_cache(maxsize=16)
+def sector_plan(d: int, cls: type[TableParams]) -> np.ndarray:
+    """Where each entry of _values lands in one buffer that holds the sector
+    stacks of sectors(d, cls) in turn, each (count, side, side) and
+    row-major (read-only)."""
+    start, slot, side = (np.empty(d ** len(FAMILIES[cls.FAMILY][0]), dtype=np.intp)
+                         for _ in range(3))
+    offset = 0
+    for rows in sectors(d, cls):
+        flat = rows.reshape(-1)
+        start[flat], slot[flat], side[flat] = offset, np.arange(flat.size), rows.shape[1]
+        offset += flat.size * rows.shape[1]
+    rows, cols = _choi_indices(d, cls)
+    # row and col are rows[b, i] and rows[b, j] of one stack, at slots b * side + i
+    # and b * side + j; entry (b, i, j) of the stack is at (b * side + i) * side + j
+    dest = start[rows] + slot[rows] * side[rows] + slot[cols] % side[cols]
+    dest.setflags(write=False)
+    return dest
 
-    ``basis`` has shape (blocks, side): row k lists the Choi basis indices of
-    block k in order, and no index appears twice.  Returns (blocks, side, side).
-    """
-    blocks, side = basis.shape
-    slot = np.full(p.d ** len(FAMILIES[p.FAMILY][0]), -1)
-    slot[basis.reshape(-1)] = np.arange(basis.size)
-    out = np.zeros(basis.size * side, dtype=complex)
-    for name in p.NAMES:
-        pos = table_positions(p.d, name, p.FAMILY)
-        r, c = slot[pos.rows], slot[pos.cols]
-        keep = (r >= 0) & (c >= 0) & (r // side == c // side)
-        out[r[keep] * side + c[keep] % side] += getattr(p, name).reshape(-1)[pos.flat[keep]]
-    return out.reshape(blocks, side, side)
+
+def sector_blocks(p: TableParams) -> list[np.ndarray]:
+    """The principal blocks of choi_from_tables(p) on its sectors, one
+    (count, side, side) stack per sector size in the order of
+    sectors(p.d, type(p)), read off the tables by one scatter (sector_plan)
+    into zeros; a -0.0 table entry lands as +0.0, as in choi_from_tables."""
+    blocks = sectors(p.d, type(p))
+    buf = np.zeros(sum(rows.size * rows.shape[1] for rows in blocks), dtype=complex)
+    vals = _values(p)
+    vals += 0.0  # no position repeats: this is adding each value into zeros
+    buf[sector_plan(p.d, type(p))] = vals
+    out, offset = [], 0
+    for count, side in (rows.shape for rows in blocks):
+        out.append(buf[offset:offset + count * side * side].reshape(count, side, side))
+        offset += count * side * side
+    return out
 
 
 class SectorSpectrum(NamedTuple):
@@ -309,8 +367,7 @@ def sector_spectrum(p: TableParams, tol: float) -> SectorSpectrum:
     """
     evals, first, minimum, herm = [], [], [], []
     max_entry = 0.0
-    for rows in sectors(p.d, type(p)):
-        stack = principal_blocks(p, rows)
+    for rows, stack in zip(sectors(p.d, type(p)), sector_blocks(p)):
         e = stack[:, :, 0].real if rows.shape[1] == 1 else hermitian_eigenvalues(stack)
         evals.append(e.reshape(-1))
         first.append(rows[:, 0])
@@ -323,26 +380,39 @@ def sector_spectrum(p: TableParams, tol: float) -> SectorSpectrum:
                           np.concatenate(first), np.concatenate(minimum), herm, max_entry)
 
 
+@functools.lru_cache(maxsize=16)
+def trace_plan(d: int, cls: type[TableParams]) -> tuple[np.ndarray, np.ndarray]:
+    """(image, source) of b1_partial_trace for cls at dimension d, read-only:
+    the flat index into diag of each term, ascending, and the index into
+    _values of its table entry, terms of one image in increasing q.  Raises
+    ValueError for channel tables, which have no B1."""
+    require_super_family(cls)
+    rows, cols = _choi_indices(d, cls)
+    source = np.flatnonzero(rows % d == cols % d)
+    rows, cols = rows[source], cols[source]
+    # A0, A1, B0 digits: (i, a, p) of each row and (j, r) of each column
+    (i, a, pr), (j, _, pc) = (np.unravel_index(x // d, (d,) * 3) for x in (rows, cols))
+    image = np.ravel_multi_index((i, j, a, pr, pc), (d,) * 5)
+    order = np.lexsort((rows % d, image))  # by image, then by q
+    return _read_only(image[order], source[order])
+
+
 def b1_partial_trace(p: TableParams) -> tuple[float, np.ndarray]:
     """Tr_B1 of choi_from_tables(p) as (largest |images| with a != b,
     diag[i, j, a, p, r] = images[i, j, a, a, p, r]), with images as in
     superchannels.tp_preserving_check, in O(d^5) memory.  The terms are the
     table entries whose row and column B1 digits agree, summed in increasing
-    q from zero as the einsum there does, so diag is bit-identical to it.
-    In every POSITIONS entry, equal B1 digits force equal A1 digits, so
-    every term sits at a = b and the first value is 0.0.
+    q from zero as the einsum there does (trace_plan), so diag is
+    bit-identical to it.  In every POSITIONS entry, equal B1 digits force
+    equal A1 digits, so every term sits at a = b and the first value is 0.0.
+    Raises ValueError for channel tables.
     """
     d = p.d
-    rows, cols, vals = _entries(p)
-    keep = rows % d == cols % d
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    # A0, A1, B0 digits: (i, a, p) of each row and (j, r) of each column
-    (i, a, pr), (j, _, pc) = (np.unravel_index(x // d, (d,) * 3) for x in (rows, cols))
-    diag_index = np.ravel_multi_index((i, j, a, pr, pc), (d,) * 5)
-    order = np.lexsort((rows % d, diag_index))  # by image, then by q
-    diag_index, vals = diag_index[order], vals[order]
-    diag = np.bincount(diag_index, vals.real, d**5)
-    diag = diag + 1j * np.bincount(diag_index, vals.imag, d**5)
+    image, source = trace_plan(d, type(p))
+    vals = _values(p)[source]
+    diag = np.empty(d**5, dtype=complex)
+    diag.real = np.bincount(image, vals.real, d**5)
+    diag.imag = np.bincount(image, vals.imag, d**5)
     return 0.0, diag.reshape((d,) * 5)
 
 

@@ -30,7 +30,7 @@ from superchan.linalg import (
     psd_accepts,
     psd_report,
 )
-from superchan.positions import principal_blocks, tables_from_choi
+from superchan.positions import FAMILIES, table_positions, tables_from_choi
 from superchan.superchannels import (
     SuperChoi,
     sandwich_superchannel,
@@ -394,6 +394,25 @@ def cp_bases(d: int):
         (((x * d + b) * d + y) * d + a).reshape(d * d, d * d),
         (((x3 * d + k) * d + y3) * d + k).reshape(1, d**3),
     )
+
+
+def principal_blocks(p, basis: np.ndarray) -> np.ndarray:
+    """Principal blocks of choi_from_tables(p), read straight off the tables
+    by one masked scatter per table: the reference for positions.sector_blocks.
+
+    ``basis`` has shape (blocks, side): row k lists the Choi basis indices of
+    block k in order, and no index appears twice.  Returns (blocks, side, side).
+    """
+    blocks, side = basis.shape
+    slot = np.full(p.d ** len(FAMILIES[p.FAMILY][0]), -1)
+    slot[basis.reshape(-1)] = np.arange(basis.size)
+    out = np.zeros(basis.size * side, dtype=complex)
+    for name in p.NAMES:
+        pos = table_positions(p.d, name, p.FAMILY)
+        r, c = slot[pos.rows], slot[pos.cols]
+        keep = (r >= 0) & (c >= 0) & (r // side == c // side)
+        out[r[keep] * side + c[keep] % side] += getattr(p, name).reshape(-1)[pos.flat[keep]]
+    return out.reshape(blocks, side, side)
 
 
 def _tables_only(p: DUSuperParams, names: str) -> SimpleNamespace:

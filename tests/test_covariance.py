@@ -57,6 +57,14 @@ from helpers import (
 rng = np.random.default_rng(19)
 
 
+
+def test_superchannel_covariance_check_refuses_channel_tables():
+    # DOC tables index a d^2 x d^2 channel Choi, not the superchannel's d^4 x d^4
+    p = DOChannelParams.masked(2, A=np.eye(2), B=np.ones((2, 2)), C=0)
+    for group in ("du", "haar"):
+        with pytest.raises(ValueError, match="DOChannelParams holds channel tables, not "):
+            superchannel_covariance_check(p, covariance_sampler_tuple(group, 2))
+
 def random_uu_params(variant, d, rng):
     while True:
         p = rng.uniform(-0.75, 1.25, size=4)

@@ -1,5 +1,7 @@
 """The table position map against the per-entry reference and the charge sectors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,16 +13,18 @@ from superchan.channels import (
     table_channel,
 )
 from superchan.dephasing import DephasingSuperParams
-from superchan.do import DOSuperParams, NotDOCovariantError
+from superchan.do import DOSuperParams, NotDOCovariantError, do_validate
 from superchan.du import (
     DUSuperParams,
     NotDUCovariantError,
     build_choi,
     from_choi,
 )
+from superchan.linalg import hermitian_eigenvalues
 from superchan.positions import (
     FAMILIES,
     POSITIONS,
+    action_plan,
     apply_tables,
     b1_partial_trace,
     choi_from_tables,
@@ -28,8 +32,12 @@ from superchan.positions import (
     composition_plan,
     extraction_residual,
     off_pattern_weight,
+    sector_blocks,
+    sector_plan,
+    sector_spectrum,
     sectors,
     table_positions,
+    trace_plan,
 )
 from superchan.superchannels import (
     compose_superchannels,
@@ -48,6 +56,7 @@ from helpers import (
     loop_cp_blocks,
     loop_do_build_choi,
     loop_do_tables,
+    principal_blocks,
     random_do_params,
     random_hermitian,
     random_hermitian_du_params,
@@ -279,6 +288,143 @@ def test_b1_partial_trace_is_the_dense_one_bit_for_bit(d, cls):
         for key, value in dense.report().items():
             assert np.float64(got.report()[key]).tobytes() == np.float64(value).tobytes(), key
         assert got.induced.choi.mat.tobytes() == dense.induced.choi.mat.tobytes()
+
+
+def test_b1_partial_trace_refuses_channel_tables():
+    p = DOChannelParams.masked(2, A=np.eye(2), B=np.ones((2, 2)), C=0)
+    with pytest.raises(ValueError, match="DOChannelParams holds channel tables, not superchannel"):
+        b1_partial_trace(p)
+
+
+EDGES = (-0.0, 5e-324, 1e308, -1e308)
+ALL_TABLE_CLASSES = [DUSuperParams, DOSuperParams, DephasingSuperParams, DUChannelParams,
+                     ConjDUChannelParams, DOChannelParams]
+ALL_IDS = ["du", "do", "dephasing", "duc", "cduc", "doc"]
+SUPER_CLASSES = [DUSuperParams, DOSuperParams, DephasingSuperParams]
+
+
+def _edge_tables(cls, d):
+    """Random tables of cls, A real, with -0.0, 5e-324 and +-1e308 planted in
+    real and imaginary parts.  DU and sign-symmetric tables at d >= 2 also
+    get two pairs of 1e308 whose terms of Tr_B1 meet: A[0, 0] and A[1, 0]
+    (a real sum) and C[0, d] and C[1, d] (an imaginary one)."""
+    n = d * d if cls.FAMILY == "super" else d
+    t = {}
+    for name in cls.NAMES:
+        a = rng.normal(size=(n, n)) + (0 if name == "A" else 1j * rng.normal(size=(n, n)))
+        k = rng.integers(0, n * n, size=2 * n)
+        a.real.reshape(-1)[k] = rng.choice(EDGES, size=k.size)
+        if name != "A":
+            a.imag.reshape(-1)[k] = rng.choice(EDGES, size=k.size)
+        t[name] = a
+    if cls.FAMILY == "super" and "C" in t and d > 1:
+        t["A"][[0, 1], 0] = 1e308
+        t["C"][[0, 1], d] = 1e308j
+    return cls.masked(d, **t)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cls", ALL_TABLE_CLASSES, ids=ALL_IDS)
+def test_sector_spectrum_reads_the_dense_choi_bit_for_bit_at_the_edges(d, cls):
+    # the oracle: the principal submatrices of the assembled Choi on each sector
+    for _ in range(3):
+        p = _edge_tables(cls, d)
+        choi = choi_from_tables(p)
+        evals, minimum, herm, max_entry = [], [], [], 0.0
+        for rows, stack in zip(sectors(d, cls), sector_blocks(p)):
+            ref = np.stack([choi[np.ix_(r, r)] for r in rows])
+            assert stack.tobytes() == ref.tobytes()
+            e = ref[:, :, 0].real if rows.shape[1] == 1 else hermitian_eigenvalues(ref)
+            evals.append(e.reshape(-1))
+            minimum.append(e[:, 0])
+            with np.errstate(over="ignore"):
+                herm.append(np.abs(ref - ref.transpose(0, 2, 1).conj()).max(axis=(1, 2)))
+            max_entry = max(max_entry, float(np.abs(ref).max()))
+        got = sector_spectrum(p, 1e-10)
+        for key, value in (("evals", evals), ("minimum", minimum), ("hermiticity", herm)):
+            assert getattr(got, key).tobytes() == np.concatenate(value).tobytes(), key
+        assert np.float64(got.max_entry).tobytes() == np.float64(max_entry).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cls", SUPER_CLASSES, ids=["du", "do", "dephasing"])
+def test_trace_and_action_plans_match_the_dense_choi_bit_for_bit_at_the_edges(d, cls):
+    n = d * d
+    saw_inf = False
+    for _ in range(3):
+        p = _edge_tables(cls, d)
+        s = build_choi(p)
+        with np.errstate(over="ignore", invalid="ignore"):  # sums past the float maximum
+            images = np.einsum("iapqjbrq->ijabpr", s.choi.mat.reshape((d,) * 8))
+        leak, diag = b1_partial_trace(p)
+        assert leak == 0.0 and not images[:, :, ~np.eye(d, dtype=bool)].any()
+        assert diag.tobytes() == images[:, :, range(d), range(d)].tobytes()
+        saw_inf |= bool(np.isinf(diag.real).any() and np.isinf(diag.imag).any())
+        if cls is DOSuperParams and d > 1:
+            with pytest.raises(ValueError, match="the partial trace over B1 overflows"):
+                do_validate(p)
+        # x with one nonzero entry, real or imaginary: each entry of the image is
+        # one product, the same in any summation or factor order; the assembled
+        # Choi holds +0.0 where a table holds -0.0, so zeros compare unsigned
+        for k in rng.choice(n * n, size=min(n * n, 12), replace=False):
+            x = np.zeros(n * n, dtype=complex)
+            (x.real, x.imag)[int(rng.integers(2))][k] = rng.choice((*EDGES, 1.0, -2.5))
+            x = x.reshape(n, n)
+            with np.errstate(over="ignore"):  # representing_apply's contraction, inf allowed
+                got, ref = apply_tables(p, x), np.einsum("ij,iajb->ab", x, s.choi4())
+            assert (got + 0.0).tobytes() == (ref + 0.0).tobytes()
+    assert saw_inf == (cls is not DephasingSuperParams and d > 1)
+
+
+def test_sector_blocks_are_the_reference_scatter_up_to_d8():
+    for d in (6, 7, 8):
+        for cls in ALL_TABLE_CLASSES:
+            p = _random_tables(cls, d) if cls is not DephasingSuperParams else (
+                DephasingSuperParams(d, random_hermitian(rng, d * d)))
+            for rows, stack in zip(sectors(d, cls), sector_blocks(p)):
+                assert stack.tobytes() == principal_blocks(p, rows).tobytes()
+
+
+INDEX_PLANS = {"sector": sector_plan, "trace": trace_plan, "action": action_plan}
+
+
+def _plan_arrays(plan):
+    return [plan] if isinstance(plan, np.ndarray) else list(plan)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("cls", ALL_TABLE_CLASSES, ids=ALL_IDS)
+def test_plans_are_cached_read_only_and_per_family(d, cls):
+    for kind, build in INDEX_PLANS.items():
+        if cls.FAMILY == "channel" and kind != "sector":
+            with pytest.raises(ValueError, match=f"{cls.__name__} holds channel tables"):
+                build(d, cls)
+            continue
+        plan = build(d, cls)
+        assert build(d, cls) is plan
+        for arr in _plan_arrays(plan):
+            assert not arr.flags.writeable and arr.dtype in (np.intp, np.bool_)
+    # one position map, two families: the super and channel plans at one d differ
+    other = DOChannelParams if cls.FAMILY == "super" else DOSuperParams
+    assert sector_plan(d, cls) is not sector_plan(d, other)
+    assert sector_plan(d, cls).size != sector_plan(d, other).size
+
+
+def test_the_plans_of_d16_sign_symmetric_tables_fit_in_20_mb():
+    d, cls = 16, DOSuperParams
+    for name in cls.NAMES:  # cached apart, and not part of the plans
+        table_positions(d, name, cls.FAMILY)
+    sectors(d, cls)
+    for build in INDEX_PLANS.values():
+        build.cache_clear()
+    tracemalloc.start()
+    try:
+        plans = [build(d, cls) for build in INDEX_PLANS.values()]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(arr.nbytes for plan in plans for arr in _plan_arrays(plan)) <= held
+    assert held <= 20 * 2**20
 
 
 @pytest.mark.parametrize("cls, dims", [

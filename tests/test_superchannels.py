@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from superchan.channels import (
+    DOChannelParams,
+    amplitude_damping,
     apply_channel,
     bit_flip,
     classical_channel_extract,
@@ -339,6 +341,13 @@ def test_apply_to_channel_checks_the_input_pair_of_either_form():
         with pytest.raises(ValueError) as err:
             apply_to_channel(s, ch)
         assert str(err.value) == f"channel dims (2, 2) do not match superchannel input pair {pair}"
+
+
+def test_apply_to_channel_refuses_channel_tables():
+    # DOC tables hold a channel, not a superchannel: there is no map to apply
+    p = DOChannelParams.masked(2, A=np.eye(2), B=np.ones((2, 2)), C=0)
+    with pytest.raises(ValueError, match="DOChannelParams holds channel tables, not superchannel"):
+        apply_to_channel(p, amplitude_damping(0.3))
 
 
 def test_apply_tables_rejects_a_wrongly_shaped_operand():

@@ -2,7 +2,7 @@
 
     python3 tools/cli_identity.py
         --workload {tables,dense,qubit,du-corpus,do-corpus,examples,dephasing,
-                    covariance,kinds}
+                    covariance,kinds,large-tables}
         --seed N [--src DIR]
 
 The tables, dense and qubit plans are the benchmark's own
@@ -37,7 +37,11 @@ superchannel, `apply` with each file as the channel, and `compose` of each
 kind on each ordered pair of files; it ends with
 spelling_probe, `apply` of the d = 2 identity's DU and dephasing tables to a
 channel holding one number of each spelling the artifact writer treats
-apart, built from constants.  Each op runs in
+apart, built from constants.  large-tables is `validate`, `compose` and `apply` on DU and
+on sign-symmetric tables at d = 7 and 8, one valid, one not-CP and one
+not-TP set per d, drawn as in the du and do corpora but read straight off
+the table positions (superchannel_tables), and `compose` of the valid set
+with itself.  Each op runs in
 process through ``superchan.cli.main`` from ``--src`` (default: this
 checkout's src), on one BLAS thread, and prints
 {"kind", "argv", "status", "stdout", "artifact_sha256", "warnings"}, the
@@ -85,6 +89,25 @@ def corpus_cases(b: inputs.InputSet, d: int, names: str) -> dict:
         "hermitian": inputs.tables_from_choi(g + g.conj().T, d, names),
         "non-hermitian": inputs.tables_from_choi(g, d, names),
     }
+
+
+def superchannel_tables(rng, d: int, names: str, terms: int = 3) -> dict:
+    """inputs.tables_from_choi(inputs.random_superchannel(rng, d), d, names),
+    bit for bit and from the same draws, evaluated at the table positions
+    only, so no d^4 x d^4 Choi is stored."""
+    n = d * d
+    eps = rng.uniform(0.1, 0.3)
+    pos = {name: inputs.table_positions(d, name) for name in names}
+    out = {name: np.where(rows == cols, eps / n, 0.0).astype(complex)
+           for name, (rows, cols, _) in pos.items()}
+    for w in rng.dirichlet(np.ones(terms)):
+        v = np.kron(inputs.haar_unitary(rng, d).T, inputs.haar_unitary(rng, d)).T.reshape(-1)
+        for name, (rows, cols, _) in pos.items():
+            out[name] += ((1 - eps) * w) * (v[rows] * v.conj()[cols])
+    for name, (_, _, mask) in pos.items():
+        out[name] = np.where(mask, out[name], 0)
+    out["A"] = out["A"].real.astype(complex)
+    return out
 
 
 def apply_ops(b: inputs.InputSet, files: dict) -> list:
@@ -339,9 +362,34 @@ def spelling_probe(b: inputs.InputSet) -> list:
                           out="out/spelling.json") for s in supers]
 
 
+def build_large_tables(b: inputs.InputSet) -> list:
+    """validate, compose and apply on DU and sign-symmetric tables at d = 7, 8."""
+    kinds = []
+    for kind, names in (("du", inputs.DU_TABLES), ("do", inputs.DO_TABLES)):
+        validate, compose, files = [], [], {}
+        for d in (7, 8):
+            valid = superchannel_tables(b.rng, d, names)
+            cases = {"valid": valid, "not-cp": inputs._not_cp(b, valid),
+                     "not-tp": inputs._not_tp(valid)}
+            files[d] = {label: b.input(f"{kind}{d}_{label}.json", inputs.tables_doc(d, t))
+                        for label, t in cases.items()}
+            validate += [inputs._entry(["validate", kind, f], label=lb)
+                         for lb, f in files[d].items()]
+            compose.append(inputs._entry(
+                ["compose", kind, files[d]["valid"], files[d]["valid"],
+                 "--out", f"out/compose_{kind}.json"],
+                out=f"out/compose_{kind}.json",
+            ))
+        kinds += [inputs._kind(f"validate_{kind}", "op1", 1, validate),
+                  inputs._kind(f"compose_{kind}", "op2", 1, compose),
+                  inputs._kind(f"apply_{kind}", "op3", 1, apply_ops(b, files))]
+    return kinds
+
+
 CORPORA = {"du-corpus": build_du_corpus, "do-corpus": build_do_corpus,
            "examples": build_examples, "dephasing": build_dephasing,
-           "covariance": build_covariance, "kinds": build_kinds}
+           "covariance": build_covariance, "kinds": build_kinds,
+           "large-tables": build_large_tables}
 
 
 def plan(workload: str, seed: int, work: Path) -> list:

@@ -1,0 +1,117 @@
+"""Time the table engine layer by layer, in library calls, one JSON line per layer.
+
+    python3 tools/engine_timing.py [--src DIR] [--runs N]
+
+Each run starts a fresh interpreter (multiprocessing's spawn method), which
+imports superchan from ``--src`` (default: this checkout's src), draws seeded
+random DU and sign-symmetric tables at d = 6, 8, 12 and 16 (every table
+entry normal on its support, A real), and times, at each d,
+
+* sector_spectrum, b1_partial_trace and apply_tables (on one seeded generic
+  d^2 x d^2 operator) on the DU and on the sign-symmetric tables;
+* do_validate on the sign-symmetric tables and du_cp_check on the DU ones.
+
+The first call of each layer is timed on its own (``first_ms``: it builds
+whatever the layer caches per d).  Then the call is repeated for about
+0.2 s, at least 5 times, and the median taken.  Last, with tracemalloc on,
+one more call gives the peak of the memory it allocates (``peak_mb``).
+Each line is {"layer", "tables", "d", "runs", "median_ms", "first_ms",
+"peak_mb"}, with medians over the runs.  Running it with the ``--src`` of
+two checkouts compares them; BLAS runs on one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import multiprocessing
+import os
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DIMS = (6, 8, 12, 16)
+SEED = 2300
+
+
+def _random_tables(rng, cls, d):
+    n = d * d
+    t = {name: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for name in cls.NAMES}
+    return cls.masked(d, **{k: v.real if k == "A" else v for k, v in t.items()})
+
+
+def _time(call) -> tuple[float, float, float]:
+    """(first call, median of the repeats, tracemalloc peak of one call):
+    milliseconds, milliseconds, MB."""
+    start = time.perf_counter()
+    call()
+    first = time.perf_counter() - start
+    times = []
+    while len(times) < 5 or sum(times) < 0.2:
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    tracemalloc.start()
+    call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return 1e3 * first, 1e3 * statistics.median(times), peak / 2**20
+
+
+def measure(src: str) -> list[dict]:
+    """One run: every (layer, tables, d) in this interpreter."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, src)
+    import numpy as np
+
+    from superchan.do import DOSuperParams, do_validate
+    from superchan.du import DUSuperParams, du_cp_check
+    from superchan.positions import apply_tables, b1_partial_trace, sector_spectrum
+
+    out = []
+    for d in DIMS:
+        rng = np.random.default_rng([SEED, d])
+        tables = {"du": _random_tables(rng, DUSuperParams, d),
+                  "do": _random_tables(rng, DOSuperParams, d)}
+        x = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        calls = [(layer, kind, lambda f=f, p=p: f(p))
+                 for layer, f in (("sector_spectrum", lambda p: sector_spectrum(p, 1e-10)),
+                                  ("b1_partial_trace", b1_partial_trace),
+                                  ("apply_tables", lambda p: apply_tables(p, x)))
+                 for kind, p in tables.items()]
+        calls += [("do_validate", "do", lambda: do_validate(tables["do"])),
+                  ("du_cp_check", "du", lambda: du_cp_check(tables["du"]))]
+        for layer, kind, call in calls:
+            first, median, peak = _time(call)
+            out.append({"layer": layer, "tables": kind, "d": d,
+                        "first_ms": first, "median_ms": median, "peak_mb": peak})
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the src directory of the checkout to time")
+    parser.add_argument("--runs", type=int, default=3, help="fresh interpreters to run")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be positive")
+    ctx = multiprocessing.get_context("spawn")
+    runs = []
+    for _ in range(args.runs):
+        with ctx.Pool(1) as pool:
+            runs.append(pool.apply(measure, (str(args.src.resolve()),)))
+    for lines in zip(*runs):
+        head = {k: lines[0][k] for k in ("layer", "tables", "d")}
+        stats = {k: statistics.median(line[k] for line in lines)
+                 for k in ("median_ms", "first_ms", "peak_mb")}
+        print(json.dumps({**head, "runs": len(lines), **stats}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
