@@ -8,10 +8,10 @@ diagonal of the resulting d x d covariance matrix.
 
 M_big is one more table of the position map: M_big[K, L] sits at Choi row
 e_K (x) e_K and column e_L (x) e_L (positions.POSITIONS["M_big"]), so the
-Choi, the table checks, the JSON codec, the action (apply_to_channel), the
-composition and the action on DUC, CDUC and DOC channel tables
-(positions.compose_tables) and the four DU tables (du.from_choi) are the
-shared ones.
+Choi, the table checks, the partial trace over B1, the JSON codec, the
+action (apply_to_channel), the composition and the action on DUC, CDUC and
+DOC channel tables (positions.compose_tables) and the four DU tables
+(du.from_choi) are the shared ones.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 
 from .channels import PARAM_EDGE_TOL
 from .linalg import DEFAULT_TOL, psd_report
-from .positions import TableParams
-from .superchannels import require_finite_b1_trace
+from .positions import TableParams, b1_partial_trace
+from .superchannels import TPPreservingVerdict, tp_preserving_verdict
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,11 @@ class DephasingVerdict:
     diagonal_deviation: float
     covariance: np.ndarray  # d x d, unit diagonal when the check passes
     tol: float
+    tp: TPPreservingVerdict  # the trace verdict the last four are read off
 
     @property
     def ok(self) -> bool:
-        return (
-            self.psd_ok
-            and self.fiber_deviation <= self.tol
-            and self.diagonal_deviation <= self.tol
-        )
+        return self.psd_ok and self.tp.ok
 
     def report(self) -> dict:
         return {
@@ -74,26 +71,14 @@ class DephasingVerdict:
 
 
 def dephasing_validate(p: DephasingSuperParams, tol: float = DEFAULT_TOL) -> DephasingVerdict:
-    """Run the three named checks.
-
-    Equivalent to the generic Choi-level validation of build_choi(p); the
-    test suite asserts that equivalence rather than this function.  The
-    fibers are Tr_B1 entries: require_finite_b1_trace checks their averages.
-    """
+    """The three named checks: psd_report of M_big, and the trace half read
+    off tp_preserving_verdict of the partial trace over B1, whose images are
+    the fibers' entries, with covariance[i, j] = mean[i, j, i, j].  The test
+    suite asserts that they are the generic checks of build_choi(p)."""
     psd_ok, min_eig, _ = psd_report(p.M_big, tol)
-    fibers = np.einsum("iaja->ija", p.t4("M_big"))
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float maximum is inf
-        m = fibers.mean(axis=2)
-        require_finite_b1_trace(m)
-        dev = np.abs(fibers - m[:, :, None])
-        # witness: the first (i, j) in row-major order attaining the maximum,
-        # its first such a, and the a' whose entry is farthest from that one
-        i, j, a = (int(k) for k in np.unravel_index(int(np.argmax(dev)), dev.shape))
-        fiber = fibers[i, j]
-        witness = (i, j, a, int(np.argmax(np.abs(fiber - fiber[a]))))
-    worst = float(dev[i, j, a])
-    diag_dev = float(np.abs(np.diagonal(m) - 1.0).max())
-    return DephasingVerdict(psd_ok, min_eig, worst, witness, diag_dev, m, tol)
+    tp = tp_preserving_verdict(0.0, *b1_partial_trace(p), (p.d,) * 3, tol)
+    return DephasingVerdict(psd_ok, min_eig, tp.fiber_deviation, (*tp.witness[:3], tp.witness[5]),
+                            tp.unitality_deviation, np.einsum("ijij->ij", tp.mean), tol, tp)
 
 
 def dephasing_from_realization(u_list, v_list, psi) -> DephasingSuperParams:

@@ -58,8 +58,8 @@ def from_du_params(p: DUSuperParams) -> DOSuperParams:
 
 def do_validate(p: DOSuperParams, tol: float = DEFAULT_TOL) -> SuperchannelVerdict:
     """validate_superchannel on the Choi of p, with the same values, read off
-    the tables in O(d^6) time and O(d^5) memory.
+    the tables in O(d^6) time and O(d^4) memory.
     """
     s = sector_spectrum(p, tol)
-    tp = tp_preserving_verdict(*b1_partial_trace(p), tol)
+    tp = tp_preserving_verdict(0.0, *b1_partial_trace(p), (p.d,) * 3, tol)
     return SuperchannelVerdict(s.is_psd, float(s.evals.min()), float(s.hermiticity.max()), tp)

@@ -29,12 +29,13 @@ import numpy as np
 from .linalg import DEFAULT_TOL
 from .positions import (
     TableParams,
+    b1_partial_trace,
     choi_from_tables,
     extraction_residual,
     sector_spectrum,
     tables_from_choi,
 )
-from .superchannels import SuperChoi, require_finite_b1_trace, super_choi
+from .superchannels import SuperChoi, TPPreservingVerdict, super_choi, tp_preserving_verdict
 
 
 class NotDUCovariantError(ValueError):
@@ -113,18 +114,15 @@ class DUTPVerdict:
     alpha_fiber_deviation: float
     gamma_fiber_deviation: float
     row_sum_deviation: float
-    worst_fiber: tuple[int, int, int]  # (i, j, b) with the largest fiber deviation
+    worst_fiber: tuple[int, int, int]  # (i, j, b) of the witness fiber, sum_a T[i, a, j, b]
     alpha: np.ndarray  # real d x d, rows sum to 1 when the check passes
     gamma: np.ndarray  # complex d x d, off-diagonal support
     tol: float
+    tp: TPPreservingVerdict  # the trace verdict all of the above is read off
 
     @property
     def ok(self) -> bool:
-        return (
-            self.alpha_fiber_deviation <= self.tol
-            and self.gamma_fiber_deviation <= self.tol
-            and self.row_sum_deviation <= self.tol
-        )
+        return self.tp.ok
 
     def report(self) -> dict:
         return {
@@ -137,31 +135,18 @@ class DUTPVerdict:
 
 
 def du_tp_check(p: DUSuperParams, tol: float = DEFAULT_TOL) -> DUTPVerdict:
-    """Trace preservation: the a-sums of A and C, entries of Tr_B1 of the
-    Choi, must not depend on b, and the resulting alpha table must have unit
-    row sums.  Non-finite averages raise require_finite_b1_trace's error."""
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float maximum is inf
-        a_sums = p.t4("A").sum(axis=1)  # [i, j, b]
-        c_sums = p.t4("C").sum(axis=1)
-        alpha = a_sums.mean(axis=2)
-        gamma = c_sums.mean(axis=2)
-        row_sums = alpha.sum(axis=1)
-        require_finite_b1_trace(alpha, gamma, row_sums)
-        a_dev = np.abs(a_sums - alpha[:, :, None])
-        g_dev = np.abs(c_sums - gamma[:, :, None])
-    worst = np.unravel_index(int(np.argmax(a_dev)), a_dev.shape)
-    if g_dev.size and g_dev.max() > a_dev.max():
-        worst = np.unravel_index(int(np.argmax(g_dev)), g_dev.shape)
-    row_dev = float(np.abs(row_sums - 1.0).max())
-    return DUTPVerdict(
-        float(a_dev.max()),
-        float(g_dev.max()),
-        row_dev,
-        tuple(int(w) for w in worst),
-        alpha,
-        gamma,
-        tol,
-    )
+    """Trace preservation, read off tp_preserving_verdict of the partial
+    trace over B1: A's entries are its images with i = j (the alpha fibers)
+    and C's those with i != j (gamma).  alpha[i, j] = mean[j, j, i, i],
+    gamma[i, j] = mean[i, j, i, j] (i != j), the row sums are the unitality
+    and worst_fiber is (p, j, a) of the witness."""
+    d = p.d
+    tp = tp_preserving_verdict(0.0, *b1_partial_trace(p), (d,) * 3, tol)
+    on = tp.image // d**3 % (d + 1) == 0  # i == j: the alpha images
+    return DUTPVerdict(float(tp.deviation[on].max(initial=0.0)),
+                       float(tp.deviation[~on].max(initial=0.0)), tp.unitality_deviation,
+                       (tp.witness[3], *tp.witness[1:3]), np.einsum("jjii->ij", tp.mean).real,
+                       np.where(np.eye(d, dtype=bool), 0, np.einsum("ijij->ij", tp.mean)), tol, tp)
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,12 @@ triple of composition_plan.  The same plan composes superchannel tables
 with channel tables, giving the tables of the transformed channel.
 
 The index arrays that depend only on (d, class) are built once, as cached
-read-only plans over the class's in-support entries in one order
-(_values): where each lands among the sector stacks (sector_plan), and, for
-superchannel tables only, the terms of the partial trace over B1
-(trace_plan) and where each entry meets an operator under the assembled
-map (action_plan).  A call then gathers the table values once and scatters,
-bincounts or multiplies them by the plan.
+read-only plans: where each in-support entry, in the order of _values,
+lands among the sector stacks (sector_plan), and, for superchannel tables
+only, where it meets an operator under the assembled map (action_plan) and
+the terms of the partial trace over B1, with their images (trace_plan).  A
+call then gathers the table values and scatters, bincounts or multiplies
+them by the plan.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class TablePositions(NamedTuple):
 
 
 @functools.lru_cache(maxsize=128)
-def table_positions(d: int, name: str, family: str = "super") -> TablePositions:
+def table_positions(d: int, name: str, family: str) -> TablePositions:
     """Support and Choi positions of table ``name`` at dimension d (read-only)."""
     if d < 1:
         raise ValueError(f"dimension d must be positive, got {d}")
@@ -381,39 +381,44 @@ def sector_spectrum(p: TableParams, tol: float) -> SectorSpectrum:
 
 
 @functools.lru_cache(maxsize=16)
-def trace_plan(d: int, cls: type[TableParams]) -> tuple[np.ndarray, np.ndarray]:
-    """(image, source) of b1_partial_trace for cls at dimension d, read-only:
-    the flat index into diag of each term, ascending, and the index into
-    _values of its table entry, terms of one image in increasing q.  Raises
-    ValueError for channel tables, which have no B1."""
+def trace_plan(d: int, cls: type[TableParams]) -> tuple:
+    """(image, slot, terms) of b1_partial_trace for cls at dimension d, read-only:
+    the images that have terms, ascending; each term's index into image, terms
+    by image and then by q; and per table with terms, (name, their flat table
+    indices, their places in that order).  Raises ValueError for channel tables."""
     require_super_family(cls)
-    rows, cols = _choi_indices(d, cls)
-    source = np.flatnonzero(rows % d == cols % d)
-    rows, cols = rows[source], cols[source]
+    pos = [(name, table_positions(d, name, cls.FAMILY)) for name in cls.NAMES]
+    keep = [x.rows % d == x.cols % d for _, x in pos]
+    rows, cols = (np.concatenate([getattr(x, f)[k] for (_, x), k in zip(pos, keep)])
+                  for f in ("rows", "cols"))
     # A0, A1, B0 digits: (i, a, p) of each row and (j, r) of each column
     (i, a, pr), (j, _, pc) = (np.unravel_index(x // d, (d,) * 3) for x in (rows, cols))
     image = np.ravel_multi_index((i, j, a, pr, pc), (d,) * 5)
     order = np.lexsort((rows % d, image))  # by image, then by q
-    return _read_only(image[order], source[order])
+    image, slot = np.unique(image[order], return_inverse=True)
+    places = np.split(np.argsort(order), np.cumsum([k.sum() for k in keep])[:-1])
+    terms = tuple((name, *_read_only(x.flat[k], at))
+                  for (name, x), k, at in zip(pos, keep, places) if k.any())
+    return (*_read_only(image, slot), terms)
 
 
-def b1_partial_trace(p: TableParams) -> tuple[float, np.ndarray]:
-    """Tr_B1 of choi_from_tables(p) as (largest |images| with a != b,
-    diag[i, j, a, p, r] = images[i, j, a, a, p, r]), with images as in
-    superchannels.tp_preserving_check, in O(d^5) memory.  The terms are the
-    table entries whose row and column B1 digits agree, summed in increasing
-    q from zero as the einsum there does (trace_plan), so diag is
-    bit-identical to it.  In every POSITIONS entry, equal B1 digits force
-    equal A1 digits, so every term sits at a = b and the first value is 0.0.
-    Raises ValueError for channel tables.
-    """
-    d = p.d
-    image, source = trace_plan(d, type(p))
-    vals = _values(p)[source]
-    diag = np.empty(d**5, dtype=complex)
-    diag.real = np.bincount(image, vals.real, d**5)
-    diag.imag = np.bincount(image, vals.imag, d**5)
-    return 0.0, diag.reshape((d,) * 5)
+def b1_partial_trace(p: TableParams) -> tuple[np.ndarray, np.ndarray]:
+    """Tr_B1 of choi_from_tables(p) as (image, sums), in O(d^4) memory: the
+    images[i, j, a, a, p, r] of superchannels.tp_preserving_check that have
+    terms, as ascending flat indices into (i, j, a, p, r), and their values,
+    bit-identical to the einsum's there: the terms, entries whose row and
+    column B1 digits agree, are summed in increasing q from zero
+    (trace_plan).  Equal B1 digits force equal A1 digits in every POSITIONS
+    entry, so images with a != b are zero; each fiber (i, j, p, r) holds d
+    images or none.  Raises ValueError for channel tables."""
+    image, slot, terms = trace_plan(p.d, type(p))
+    vals = np.empty(slot.size, dtype=complex)
+    for name, flat, at in terms:
+        vals[at] = getattr(p, name).reshape(-1)[flat]
+    sums = np.empty(image.size, dtype=complex)
+    sums.real = np.bincount(slot, vals.real, image.size)
+    sums.imag = np.bincount(slot, vals.imag, image.size)
+    return image, sums
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,6 +7,8 @@ operator on subsystems (A0, A1, B0, B1) in that fixed order.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,14 +125,24 @@ class TPPreservingVerdict:
     """Result of the induced-map test for trace-preservation of outputs.
 
     The supermap preserves trace iff tracing the output pair factors through
-    tracing the input pair via a map on (A0 -> B0) that is unital.
+    tracing the input pair via a map on (A0 -> B0) that is unital.  It keeps
+    the images of Tr_B1 it read, their deviations and the worst as a witness.
     """
 
     offdiagonal_leak: float
     fiber_deviation: float
     unitality_deviation: float
-    induced: ChoiChannel
+    mean: np.ndarray  # mean[i, j, p, r]: the average over a of the images (i, j, a, p, r)
     tol: float
+    image: np.ndarray
+    deviation: np.ndarray
+    witness: tuple[int, int, int, int, int, int]  # (i, j, a, p, r, a'): tp_preserving_verdict
+
+    @functools.cached_property
+    def induced(self) -> ChoiChannel:
+        """The induced map on (A0 -> B0), whose Choi's (i, j) block is mean[i, j]."""
+        d0, b0 = self.mean.shape[1:3]
+        return choi_channel(self.mean.transpose(0, 2, 1, 3).reshape(d0 * b0, d0 * b0), d0, b0)
 
     @property
     def ok(self) -> bool:
@@ -156,8 +168,7 @@ class SuperchannelVerdict:
     The reduced operator C0 on (A0, B0) is tp's induced Choi, so the
     factorization residual || Tr_B1 C - C0 (x) I_A1 ||_max is
     max(offdiagonal_leak, fiber_deviation) and the marginal residual the
-    unitality deviation.  ok requires tp.ok, which is stricter than is_tp
-    only where a residual is NaN: max() can drop a NaN, tp.ok cannot.
+    unitality deviation, and is_tp is tp.ok: a fiber deviation is never NaN.
     """
 
     is_cp: bool
@@ -179,10 +190,7 @@ class SuperchannelVerdict:
 
     @property
     def is_tp(self) -> bool:
-        return (
-            self.factorization_deviation <= self.tol
-            and self.marginal_deviation <= self.tol
-        )
+        return self.tp.ok
 
     @property
     def ok(self) -> bool:
@@ -218,30 +226,46 @@ def tp_preserving_check(s: SuperChoi, tol: float = DEFAULT_TOL) -> TPPreservingV
     # Delta(e_ij (x) e_ab)[pq, rs] = choi[(i,a,p,q), (j,b,r,s)]; trace q = s
     images = np.einsum("iapqjbrq->ijabpr", c6)
     leak = float(np.abs(images[:, :, ~np.eye(d1, dtype=bool)]).max(initial=0.0))
-    return tp_preserving_verdict(leak, images[:, :, range(d1), range(d1)], tol)
+    diag = images[:, :, range(d1), range(d1)].reshape(-1)
+    return tp_preserving_verdict(leak, np.arange(diag.size), diag, (d0, d1, s.dB0), tol)
 
 
-def require_finite_b1_trace(*sums) -> None:
-    """Raise ValueError unless every entry of sums, entries of Tr_B1 of a
-    Choi or sums of them taken under np.errstate, is finite."""
-    if not all(np.isfinite(x).all() for x in sums):
-        raise ValueError("the partial trace over B1 overflows the float range")
-
-
-def tp_preserving_verdict(leak: float, diag: np.ndarray, tol: float) -> TPPreservingVerdict:
-    """The verdict of tp_preserving_check from the largest |image| with
-    a != b and the images diag[i, j, a, p, r] with a = b.  Raises ValueError
-    if their average over a, or its unitality sum, leaves the float range."""
-    d0, d1, b0 = diag.shape[0], diag.shape[2], diag.shape[3]
+def tp_preserving_verdict(leak: float, image: np.ndarray, sums: np.ndarray,
+                          dims: tuple[int, int, int], tol: float) -> TPPreservingVerdict:
+    """The verdict of tp_preserving_check from the largest |image| with a != b
+    and the images with a = b: sums, at the ascending flat indices image into
+    (i, j, a, p, r) of shape (d0, d0, d1, b0, b0), dims = (d0, d1, b0).  An
+    image left out is zero and each fiber (i, j, p, r) holds d1 or none; its
+    average is one bincount over them divided by d1.  The witness is the first
+    image within slack = tol * max(1, largest real or imaginary part of an
+    image) of the largest deviation, then the first a' of its fiber as far
+    from it, so roundoff among ties does not move it.  Raises ValueError if
+    an average, or its unitality sum, leaves the float range."""
+    d0, d1, b0 = dims
+    fiber = image // (d1 * b0 * b0) * b0 * b0 + image % (b0 * b0)
+    mean = np.empty(d0 * d0 * b0 * b0, dtype=complex)
+    mean.real = np.bincount(fiber, sums.real, mean.size)
+    mean.imag = np.bincount(fiber, sums.imag, mean.size)
+    mean4 = mean.reshape(d0, d0, b0, b0)
     with np.errstate(over="ignore", invalid="ignore"):  # past the float maximum is inf
-        mean = diag.mean(axis=2)
-        unital = sum(mean[i, i] for i in range(d0))
-        require_finite_b1_trace(mean, unital)
-        fiber = float(np.abs(diag - mean[:, :, None]).max()) if d1 > 1 else 0.0
+        mean /= d1
+        unital = sum(mean4[i, i] for i in range(d0))
+        if not (np.isfinite(mean).all() and np.isfinite(unital).all()):
+            raise ValueError("the partial trace over B1 overflows the float range")
+        dev = np.abs(sums - mean[fiber])
+        slack = tol * max(1.0, np.abs(sums.real).max(), np.abs(sums.imag).max())
+        k = _first_near_max(dev, slack)
+        far = _first_near_max(np.abs(sums[fiber == fiber[k]] - sums[k]), slack)
+    witness = (*(int(x) for x in np.unravel_index(image[k], (d0, d0, d1, b0, b0))), far)
     unit_dev = float(np.abs(unital - np.eye(b0)).max())
-    # the induced Choi's (i, j) block is mean[i, j]
-    choi = mean.transpose(0, 2, 1, 3).reshape(d0 * b0, d0 * b0)
-    return TPPreservingVerdict(leak, fiber, unit_dev, choi_channel(choi, d0, b0), tol)
+    return TPPreservingVerdict(leak, float(dev.max(initial=0.0)), unit_dev, mean4, tol,
+                               image, dev, witness)
+
+
+def _first_near_max(x: np.ndarray, slack: float) -> int:
+    """The first index of x within slack of its maximum, or its first inf."""
+    top = x.max()
+    return int(np.argmax(x == top if math.isinf(top) else x >= top - slack))
 
 
 @dataclass(frozen=True)

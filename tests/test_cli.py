@@ -329,7 +329,7 @@ _B1_OVERFLOW = ("status: invalid-input\n"
     ("du", "a", 2, _B1_OVERFLOW),
     ("du", "b", 3, "status: check-failed\nkind: du\nhermiticity_violation: 0.0\ntp: false\n"
                    "alpha_fiber_deviation: inf\ngamma_fiber_deviation: 0.0\n"
-                   "row_sum_deviation: 5.666666666666667e+307\nworst_fiber: (0, 0, 1)\n"
+                   "row_sum_deviation: 5.666666666666666e+307\nworst_fiber: (0, 0, 1)\n"
                    "cp: false\noffdiag_min_eig: -1.7e+308\noffdiag_witness: (0, 1)\n"
                    "block_min_eig: -6.299336984475898e-16\nchoi_min_eig: -1.7e+308\n"),
     ("do", "a", 2, _B1_OVERFLOW),

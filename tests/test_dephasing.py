@@ -17,6 +17,7 @@ from superchan.dephasing import (
     dephasing_validate,
 )
 from superchan.du import build_choi, du_identity, from_choi
+from superchan.linalg import DEFAULT_TOL
 from superchan.positions import compose_tables
 from superchan.superchannels import (
     apply_to_channel,
@@ -168,21 +169,22 @@ def test_validator_fiber_witness():
     assert verdict.fiber_witness[:2] == (0, 1)
 
 
-def _loop_fiber_witness(p):
-    """Reference fiber scan: row-major over (i, j), replaced only on a strictly
-    larger deviation."""
+def _loop_fiber_witness(p, tol=DEFAULT_TOL):
+    """Reference fiber scan: the largest deviation, then the first (i, j, a)
+    in row-major order whose deviation is within tol * max(1, scale) of it,
+    scale the largest real or imaginary part of a fiber entry, and the first
+    a' whose entry is within the same slack of the farthest from that one."""
     d, m4 = p.d, p.t4("M_big")
-    m = dephasing_validate(p).covariance
-    worst, witness = 0.0, (0, 0, 0, 0)
-    for i in range(d):
-        for j in range(d):
-            fiber = np.array([m4[i, aa, j, aa] for aa in range(d)])
-            dev = np.abs(fiber - m[i, j])
-            if dev.max() > worst:
-                worst = float(dev.max())
-                a = int(np.argmax(dev))
-                witness = (i, j, a, int(np.argmax(np.abs(fiber - fiber[a]))))
-    return worst, witness
+    m = dephasing_validate(p, tol).covariance
+    fibers = {(i, j): np.array([m4[i, aa, j, aa] for aa in range(d)])
+              for i in range(d) for j in range(d)}
+    worst = max(float(np.abs(f - m[ij]).max()) for ij, f in fibers.items())
+    scale = max(1.0, *(float(np.abs(x).max()) for f in fibers.values() for x in (f.real, f.imag)))
+    for (i, j), fiber in fibers.items():
+        for a, dev in enumerate(np.abs(fiber - m[i, j])):
+            if dev >= worst - tol * scale:
+                far = np.abs(fiber - fiber[a])
+                return worst, (i, j, a, int(np.flatnonzero(far >= far.max() - tol * scale)[0]))
 
 
 def test_fiber_witness_is_the_first_of_tied_fibers():
@@ -201,6 +203,35 @@ def test_fiber_witness_is_the_first_of_tied_fibers():
     m4[1, :, 0, :] = m4[1, :, 2, :] = 0
     verdict = dephasing_validate(DephasingSuperParams(d, m4.reshape(d * d, d * d)))
     assert verdict.fiber_witness == (0, 2, 0, 1)
+
+
+def test_fiber_witness_of_tied_fibers_and_of_an_inf_deviation():
+    d = 3
+    m = np.ones((d * d, d * d), dtype=complex)
+    m[1 * d, 2 * d] = m[2 * d, 1 * d] = 1.5  # fibers (1, 2) and (2, 1) fail alike at a = 0
+    verdict = dephasing_validate(DephasingSuperParams(d, m))
+    assert verdict.fiber_deviation == pytest.approx(1 / 3)
+    assert verdict.fiber_witness == (1, 2, 0, 1)
+    m[2 * d, 1 * d] += 1e-12  # within the tolerance scale of the first: still tied
+    assert dephasing_validate(DephasingSuperParams(d, m)).fiber_witness == (1, 2, 0, 1)
+    m = np.ones((d * d, d * d), dtype=complex)
+    m[range(3), range(3)] = (1.7e308, -1.7e308, 1.7e308)  # a finite average, inf deviations
+    verdict = dephasing_validate(DephasingSuperParams(d, m))
+    assert verdict.fiber_deviation == np.inf and verdict.fiber_witness == (0, 0, 1, 0)
+
+
+def test_fiber_witness_of_a_valid_table_ignores_the_summation_order():
+    # relabelling a reorders each fiber's average, and so its roundoff
+    moved = 0
+    for d in (3, 4, 5):
+        for _ in range(4):
+            p = dephasing_from_realization(*random_realization(rng, d, 2))
+            perm = rng.permutation(d)
+            q = DephasingSuperParams(d, p.t4("M_big")[:, perm][:, :, :, perm].reshape(d * d, d * d))
+            vp, vq = dephasing_validate(p), dephasing_validate(q)
+            assert vp.ok and vq.ok and vp.fiber_witness == vq.fiber_witness == (0, 0, 0, 0)
+            moved += vp.fiber_deviation != vq.fiber_deviation
+    assert moved  # the roundoff did move
 
 
 def test_fiber_witness_matches_the_per_fiber_scan():

@@ -219,6 +219,50 @@ def test_du_tp_check_detects_perturbation():
     assert verdict.worst_fiber[:2] == (0, 0)
 
 
+def test_du_tp_witness_is_the_first_of_tied_fibers():
+    # images in (i, j, a, p, r) order: the alpha fiber (i, j, b) of A is the
+    # image (j, j, b, i, i), the gamma fiber of C the image (i, j, b, i, j)
+    d = 3
+    unit = du_identity(d)
+    a = np.array(unit.A)
+    a[0 * d + 0, 1 * d + 0] = a[1 * d + 0, 0 * d + 0] = 0.5  # fibers (0, 1, 0), (1, 0, 0)
+    v = du_tp_check(DUSuperParams(d, a, unit.B, unit.C, unit.D))
+    assert v.alpha_fiber_deviation == pytest.approx(1 / 3) and v.worst_fiber == (1, 0, 0)
+    a = np.array(unit.A)
+    a[1 * d, 1 * d] = 1.5  # the alpha fiber (1, 1, 0) reads [1.5, 1, 1]
+    c = np.array(unit.C)
+    c[0, d] = c[d, 0] = 1.5  # so do the gamma fibers (0, 1, 0) and (1, 0, 0)
+    v = du_tp_check(DUSuperParams(d, a, unit.B, c, unit.D))
+    assert v.alpha_fiber_deviation == v.gamma_fiber_deviation > 0.3
+    assert v.worst_fiber == (0, 1, 0)
+
+
+def test_du_tp_witness_of_a_valid_table_ignores_the_summation_order():
+    # relabelling the summed index a reorders every fiber sum, and so its
+    # roundoff; the deviations stay within tolerance and the witness stays put
+    moved = 0
+    for d in (3, 4, 5, 6):
+        for _ in range(4):
+            p = random_valid_du_params(rng, d)
+            perm = rng.permutation(d)
+            q = DUSuperParams(d, p.t4("A")[:, perm].reshape(p.A.shape), p.B,
+                              p.t4("C")[:, perm].reshape(p.C.shape), p.D)
+            vp, vq = du_tp_check(p), du_tp_check(q)
+            assert vp.ok and vq.ok and vp.worst_fiber == vq.worst_fiber == (0, 0, 0)
+            moved += vp.alpha_fiber_deviation != vq.alpha_fiber_deviation
+    assert moved  # the roundoff did move
+
+
+def test_du_tp_witness_names_an_inf_deviation():
+    # a finite partial trace whose deviation from its average is not: the first inf
+    d = 3
+    unit = du_identity(d)
+    a = np.array(unit.A)
+    a[0, 0:3] = (1.7e308, -1.7e308, 1.7e308)
+    v = du_tp_check(DUSuperParams(d, a, unit.B, unit.C, unit.D))
+    assert v.alpha_fiber_deviation == np.inf and v.worst_fiber == (0, 0, 1)
+
+
 def test_du_tp_equivalence_with_choi_level_check():
     for d in (2, 3):
         for k in range(40):

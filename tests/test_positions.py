@@ -12,12 +12,13 @@ from superchan.channels import (
     compose_channels,
     table_channel,
 )
-from superchan.dephasing import DephasingSuperParams
+from superchan.dephasing import DephasingSuperParams, dephasing_validate
 from superchan.do import DOSuperParams, NotDOCovariantError, do_validate
 from superchan.du import (
     DUSuperParams,
     NotDUCovariantError,
     build_choi,
+    du_tp_check,
     from_choi,
 )
 from superchan.linalg import hermitian_eigenvalues
@@ -76,7 +77,7 @@ def _tables_with_negative_zeros(d, names):
         t = rng.normal(size=(n, n))
         if name != "A":
             t = t + 1j * rng.normal(size=(n, n))
-        t = np.where(table_positions(d, name).mask, t, 0.0)
+        t = np.where(table_positions(d, name, "super").mask, t, 0.0)
         t[rng.random(size=(n, n)) < 0.3] = -0.0
         out[name] = t
     return out
@@ -144,7 +145,7 @@ def test_dephasing_map_is_bit_identical_to_the_scatter_reference(d):
 def test_positions_are_disjoint_and_fill_the_charge_sectors(d, names, pairs, count):
     owner = np.full((d**4, d**4), -1)
     for k, name in enumerate(names):
-        pos = table_positions(d, name)
+        pos = table_positions(d, name, "super")
         assert (owner[pos.rows, pos.cols] == -1).all(), f"{name} overlaps an earlier table"
         owner[pos.rows, pos.cols] = k
         assert len(set(zip(pos.rows, pos.cols))) == pos.flat.size
@@ -282,12 +283,72 @@ def test_b1_partial_trace_is_the_dense_one_bit_for_bit(d, cls):
     tol = 1e-10
     for p in (_random_tables(cls, d), cls(d, **_tables_with_negative_zeros(d, cls.NAMES))):
         dense = tp_preserving_check(build_choi(p), tol)
-        leak, diag = b1_partial_trace(p)
-        got = tp_preserving_verdict(leak, diag, tol)
-        assert leak == dense.offdiagonal_leak == 0.0
+        image, sums = b1_partial_trace(p)
+        got = tp_preserving_verdict(0.0, image, sums, (d,) * 3, tol)
+        assert dense.offdiagonal_leak == 0.0
         for key, value in dense.report().items():
             assert np.float64(got.report()[key]).tobytes() == np.float64(value).tobytes(), key
         assert got.induced.choi.mat.tobytes() == dense.induced.choi.mat.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("cls", [DUSuperParams, DOSuperParams, DephasingSuperParams],
+                         ids=["du", "do", "dephasing"])
+def test_b1_images_ascend_and_fill_their_fibers(d, cls):
+    # what tp_preserving_verdict asks of its images: ascending, and every
+    # fiber (i, j, p, r) touched holds all d of its images
+    image, _ = b1_partial_trace(_random_tables(cls, d))
+    assert (np.diff(image) > 0).all()
+    fiber = image // d**3 * d**2 + image % d**2
+    assert set(np.bincount(fiber)) <= {0, d}
+
+
+def _trace_cases(cls, d):
+    yield _random_tables(cls, d)
+    yield cls(d, **_tables_with_negative_zeros(d, cls.NAMES))
+    for _ in range(2):
+        yield _edge_tables(cls, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("cls", [DUSuperParams, DephasingSuperParams], ids=["du", "dephasing"])
+def test_du_and_dephasing_trace_checks_are_the_choi_route_bit_for_bit(d, cls):
+    # the oracle: tp_preserving_check on the assembled Choi, its deviations
+    # taken from the einsum's images and the induced Choi's averages
+    bits = np.float64
+    k = np.arange(d) * (d + 1)  # induced Choi index (i, i)
+    for p in _trace_cases(cls, d):
+        s = build_choi(p)
+        check = du_tp_check if cls is DUSuperParams else dephasing_validate
+        with np.errstate(over="ignore", invalid="ignore"):  # sums past the float maximum
+            try:
+                dense = tp_preserving_check(s)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    check(p)
+                continue
+            images = np.einsum("iapqjbrq->ijabpr", s.choi.mat.reshape((d,) * 8))
+            choi = dense.induced.choi.mat
+            mean = choi.reshape((d,) * 4).transpose(0, 2, 1, 3)  # mean[i, j, p, r]
+            dev = np.abs(images[:, :, range(d), range(d)] - mean[:, :, None])
+        got = check(p)
+        if cls is DUSuperParams:
+            on = np.eye(d, dtype=bool)  # i == j: the alpha images
+            assert bits(got.alpha_fiber_deviation).tobytes() == bits(dev[on].max()).tobytes()
+            assert (bits(got.gamma_fiber_deviation).tobytes()
+                    == bits(dev[~on].max(initial=0.0)).tobytes())
+            assert (bits(got.row_sum_deviation).tobytes()
+                    == bits(dense.unitality_deviation).tobytes())
+            assert got.alpha.tobytes() == np.diagonal(choi).reshape(d, d).T.real.tobytes()
+            gamma = choi[np.ix_(k, k)]
+            gamma[range(d), range(d)] = 0.0
+            assert got.gamma.tobytes() == gamma.tobytes()
+        else:
+            assert bits(got.fiber_deviation).tobytes() == bits(dev.max()).tobytes()
+            assert (bits(got.diagonal_deviation).tobytes()
+                    == bits(dense.unitality_deviation).tobytes())
+            assert got.covariance.tobytes() == choi[np.ix_(k, k)].tobytes()
+        assert bits(dense.fiber_deviation).tobytes() == bits(dev.max()).tobytes()
 
 
 def test_b1_partial_trace_refuses_channel_tables():
@@ -356,8 +417,10 @@ def test_trace_and_action_plans_match_the_dense_choi_bit_for_bit_at_the_edges(d,
         s = build_choi(p)
         with np.errstate(over="ignore", invalid="ignore"):  # sums past the float maximum
             images = np.einsum("iapqjbrq->ijabpr", s.choi.mat.reshape((d,) * 8))
-        leak, diag = b1_partial_trace(p)
-        assert leak == 0.0 and not images[:, :, ~np.eye(d, dtype=bool)].any()
+        image, sums = b1_partial_trace(p)
+        assert not images[:, :, ~np.eye(d, dtype=bool)].any()
+        diag = np.zeros(d**5, dtype=complex)  # the images left out are zeros
+        diag[image] = sums
         assert diag.tobytes() == images[:, :, range(d), range(d)].tobytes()
         saw_inf |= bool(np.isinf(diag.real).any() and np.isinf(diag.imag).any())
         if cls is DOSuperParams and d > 1:
@@ -389,7 +452,10 @@ INDEX_PLANS = {"sector": sector_plan, "trace": trace_plan, "action": action_plan
 
 
 def _plan_arrays(plan):
-    return [plan] if isinstance(plan, np.ndarray) else list(plan)
+    """Every array of a plan, nested tuples included (the names between them left out)."""
+    if isinstance(plan, np.ndarray):
+        return [plan]
+    return [arr for part in plan if not isinstance(part, str) for arr in _plan_arrays(part)]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

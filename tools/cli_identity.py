@@ -13,7 +13,9 @@ cases: two valid (the two that `compose` takes), not CP, not TP (1.25x),
 non-Hermitian and indefinite Hermitian, and each case is applied to one
 seeded generic channel per d.  Both corpora, and dephasing, end with two
 `validate` probes of the identity's tables with finite entries near the
-float maximum (overflow_probes), built from constants.  examples is every
+float maximum (overflow_probes), built from constants; du-corpus and
+dephasing then end with two `validate` probes at d = 3 whose failing trace
+fibers tie (trace_tie_probes).  examples is every
 `example` (holevo-werner at d = 2, 3, 4; bit-flip at p = 0, 0.2, 1, -0.0;
 Pauli weights with zeros; amplitude-damping at gamma = 0, 0.3, 1), each with
 the default and with a seeded `--super` DU table, one `--super` given a
@@ -155,6 +157,34 @@ def overflow_probes(b: inputs.InputSet, kind: str) -> list:
     return ops
 
 
+def trace_tie_probes(b: inputs.InputSet, kind: str) -> list:
+    """`validate` of the d = 3 identity's DU or dephasing tables with failing
+    fibers of the partial trace over B1 that tie, which pin the witness
+    rule.  DU: (a) the A fibers (i, j, b) = (0, 1, 0) and (1, 0, 0), set to
+    [0.5, 0, 0]; (b) the A fiber (1, 1, 0) and the C fibers (0, 1, 0) and
+    (1, 0, 0), set to [1.5, 1, 1].  Dephasing: the fibers (1, 2) and (2, 1)
+    set to [1.5, 1, 1], (a) exactly and (b) the second 1e-12 higher.  Built
+    from constants, after every seeded draw."""
+    d, ops = 3, []
+    for label in ("tie-a", "tie-b"):
+        if kind == "dephasing":
+            m = np.ones((d * d, d * d), dtype=complex)
+            m[d, 2 * d] = 1.5
+            m[2 * d, d] = 1.5 if label == "tie-a" else 1.5 + 1e-12
+            doc = {"d": d, "M_big": inputs.matrix_json((d, d), m)}
+        else:
+            omega = np.eye(d * d).reshape(-1)  # the identity's Choi is |omega><omega|
+            tables = inputs.tables_from_choi(np.outer(omega, omega), d, inputs.DU_TABLES)
+            if label == "tie-a":
+                tables["A"][0, d] = tables["A"][d, 0] = 0.5
+            else:
+                tables["A"][d, d] = tables["C"][0, d] = tables["C"][d, 0] = 1.5
+            doc = inputs.tables_doc(d, tables)
+        path = b.input(f"{kind}_{label}.json", doc)
+        ops.append(inputs._entry(["validate", kind, path], label=label))
+    return ops
+
+
 def build_du_corpus(b: inputs.InputSet) -> list:
     """validate du, compose du and apply on DU tables at d = 2..6."""
     validate, compose, files = [], [], {}
@@ -174,6 +204,7 @@ def build_du_corpus(b: inputs.InputSet) -> list:
         inputs._kind("compose_du", "op2", 1, compose),
         inputs._kind("apply_du", "op3", 1, apply_ops(b, files)),
         inputs._kind("validate_du_overflow", "op4", 1, overflow_probes(b, "du")),
+        inputs._kind("validate_du_trace_tie", "op5", 1, trace_tie_probes(b, "du")),
     ]
 
 
@@ -264,7 +295,9 @@ def build_dephasing(b: inputs.InputSet) -> list:
             inputs._kind("apply_dephasing", "op3", 1, apply),
             inputs._kind("covariance", "op4", 1, covariance),
             inputs._kind("validate_dephasing_overflow", "op5", 1,
-                         overflow_probes(b, "dephasing"))]
+                         overflow_probes(b, "dephasing")),
+            inputs._kind("validate_dephasing_trace_tie", "op6", 1,
+                         trace_tie_probes(b, "dephasing"))]
 
 
 def build_covariance(b: inputs.InputSet) -> list:

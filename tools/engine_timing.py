@@ -4,12 +4,13 @@
 
 Each run starts a fresh interpreter (multiprocessing's spawn method), which
 imports superchan from ``--src`` (default: this checkout's src), draws seeded
-random DU and sign-symmetric tables at d = 6, 8, 12 and 16 (every table
-entry normal on its support, A real), and times, at each d,
+random DU, sign-symmetric and dephasing tables at d = 6, 8, 12 and 16 (every
+table entry normal on its support, A real), and times, at each d,
 
 * sector_spectrum, b1_partial_trace and apply_tables (on one seeded generic
-  d^2 x d^2 operator) on the DU and on the sign-symmetric tables;
-* do_validate on the sign-symmetric tables and du_cp_check on the DU ones.
+  d^2 x d^2 operator) on each of the three;
+* do_validate on the sign-symmetric tables, du_cp_check and du_tp_check on
+  the DU ones and dephasing_validate on the dephasing ones.
 
 The first call of each layer is timed on its own (``first_ms``: it builds
 whatever the layer caches per d).  Then the call is repeated for about
@@ -68,8 +69,9 @@ def measure(src: str) -> list[dict]:
     sys.path.insert(0, src)
     import numpy as np
 
+    from superchan.dephasing import DephasingSuperParams, dephasing_validate
     from superchan.do import DOSuperParams, do_validate
-    from superchan.du import DUSuperParams, du_cp_check
+    from superchan.du import DUSuperParams, du_cp_check, du_tp_check
     from superchan.positions import apply_tables, b1_partial_trace, sector_spectrum
 
     out = []
@@ -78,13 +80,17 @@ def measure(src: str) -> list[dict]:
         tables = {"du": _random_tables(rng, DUSuperParams, d),
                   "do": _random_tables(rng, DOSuperParams, d)}
         x = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        tables["dephasing"] = _random_tables(rng, DephasingSuperParams, d)
         calls = [(layer, kind, lambda f=f, p=p: f(p))
                  for layer, f in (("sector_spectrum", lambda p: sector_spectrum(p, 1e-10)),
                                   ("b1_partial_trace", b1_partial_trace),
                                   ("apply_tables", lambda p: apply_tables(p, x)))
                  for kind, p in tables.items()]
         calls += [("do_validate", "do", lambda: do_validate(tables["do"])),
-                  ("du_cp_check", "du", lambda: du_cp_check(tables["du"]))]
+                  ("du_cp_check", "du", lambda: du_cp_check(tables["du"])),
+                  ("du_tp_check", "du", lambda: du_tp_check(tables["du"])),
+                  ("dephasing_validate", "dephasing",
+                   lambda: dephasing_validate(tables["dephasing"]))]
         for layer, kind, call in calls:
             first, median, peak = _time(call)
             out.append({"layer": layer, "tables": kind, "d": d,
