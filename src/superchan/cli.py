@@ -28,7 +28,6 @@ from .channels import (
     pauli_channel,
     validate_channel,
 )
-from .covariance import covariance_sampler_tuple, superchannel_covariance_check
 from .dephasing import dephasing_validate
 from .do import do_validate
 from .du import du_cp_check, du_tp_check
@@ -199,6 +198,9 @@ def cmd_compose(args) -> CommandResult:
 
 
 def cmd_covariance(args) -> CommandResult:
+    # imported here, as in cmd_example: only the sampling commands pay for it
+    from .covariance import covariance_sampler_tuple, superchannel_covariance_check
+
     kind, parsed = _load(args.superchannel)
     # table kinds go as they are: diagonal groups rephase their entries
     s = pauli_super_choi(parsed) if kind == "pauli" else parsed

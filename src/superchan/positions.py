@@ -303,7 +303,7 @@ def sectors(d: int, cls: type[TableParams]) -> tuple[np.ndarray, ...]:
     order = np.argsort(root, kind="stable")
     _, starts, counts = np.unique(root[order], return_index=True, return_counts=True)
     blocks = []
-    for size in np.unique(counts):
+    for size in sorted(set(counts.tolist())):  # np.unique(counts) would import numpy.ma
         rows = order[starts[counts == size][:, None] + np.arange(size)]
         rows.setflags(write=False)
         blocks.append(rows)

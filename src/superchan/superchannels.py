@@ -233,10 +233,10 @@ def tp_preserving_check(s: SuperChoi, tol: float = DEFAULT_TOL) -> TPPreservingV
 def tp_preserving_verdict(leak: float, image: np.ndarray, sums: np.ndarray,
                           dims: tuple[int, int, int], tol: float) -> TPPreservingVerdict:
     """The verdict of tp_preserving_check from the largest |image| with a != b
-    and the images with a = b: sums, at the ascending flat indices image into
-    (i, j, a, p, r) of shape (d0, d0, d1, b0, b0), dims = (d0, d1, b0).  An
-    image left out is zero and each fiber (i, j, p, r) holds d1 or none; its
-    average is one bincount over them divided by d1.  The witness is the first
+    and the images with a = b: sums (complex), at the ascending flat indices
+    image into (i, j, a, p, r) of shape (d0, d0, d1, b0, b0), dims = (d0, d1,
+    b0).  An image left out is zero and each fiber (i, j, p, r) holds d1 or
+    none; its average is one bincount over them divided by d1.  The witness is the first
     image within slack = tol * max(1, largest real or imaginary part of an
     image) of the largest deviation, then the first a' of its fiber as far
     from it, so roundoff among ties does not move it.  Raises ValueError if
@@ -253,19 +253,23 @@ def tp_preserving_verdict(leak: float, image: np.ndarray, sums: np.ndarray,
         if not (np.isfinite(mean).all() and np.isfinite(unital).all()):
             raise ValueError("the partial trace over B1 overflows the float range")
         dev = np.abs(sums - mean[fiber])
-        slack = tol * max(1.0, np.abs(sums.real).max(), np.abs(sums.imag).max())
-        k = _first_near_max(dev, slack)
-        far = _first_near_max(np.abs(sums[fiber == fiber[k]] - sums[k]), slack)
-    witness = (*(int(x) for x in np.unravel_index(image[k], (d0, d0, d1, b0, b0))), far)
-    unit_dev = float(np.abs(unital - np.eye(b0)).max())
-    return TPPreservingVerdict(leak, float(dev.max(initial=0.0)), unit_dev, mean4, tol,
-                               image, dev, witness)
+        slack = tol * max(1.0, np.abs(sums.view(float)).max())  # real and imaginary parts
+        top, k = _first_near_max(dev, slack)
+        far = _first_near_max(np.abs(sums[fiber == fiber[k]] - sums[k]), slack)[1]
+    witness, flat = [far], int(image[k])
+    for size in (b0, b0, d1, d0, d0):  # (i, j, a, p, r) from the last digit
+        flat, digit = divmod(flat, size)
+        witness.insert(0, digit)
+    unital.reshape(-1)[:: b0 + 1] -= 1  # less the identity
+    return TPPreservingVerdict(leak, float(top), float(np.abs(unital).max()), mean4, tol,
+                               image, dev, tuple(witness))
 
 
-def _first_near_max(x: np.ndarray, slack: float) -> int:
-    """The first index of x within slack of its maximum, or its first inf."""
+def _first_near_max(x: np.ndarray, slack: float) -> tuple[float, int]:
+    """The maximum of x and the first index within slack of it, or of its
+    first inf."""
     top = x.max()
-    return int(np.argmax(x == top if math.isinf(top) else x >= top - slack))
+    return top, int(np.argmax(x == top if math.isinf(top) else x >= top - slack))
 
 
 @dataclass(frozen=True)

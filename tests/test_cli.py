@@ -2,6 +2,7 @@ import gc
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -784,16 +785,71 @@ def test_commands_leave_no_cyclic_garbage(paths, capsys, collector):
         (2, ["apply", path["du"], path["pauli"]]),  # not a channel: schema error
     ]
     # once per process, outside any command's own work: argparse leaves cycles
-    # while it builds the parser (before the pause), and numpy's first
-    # np.unique imports numpy.ma, whose set-up leaves cycles too
+    # while it builds the parser (before the pause)
     cli.build_parser()
-    np.unique([0])
     gc.disable()
     gc.collect()
     for code, argv in ops:
         assert main(argv) == code, argv
         assert gc.collect() == 0, argv
     capsys.readouterr()
+
+
+IMPORT_PROBE = r"""
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from superchan import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(sys.argv[2:])
+print(json.dumps([status, [m for m in ("numpy.ma", "superchan.covariance") if m in sys.modules]]))
+"""
+
+
+@pytest.fixture(scope="module")
+def kind_files(tmp_path_factory):
+    """One small file of each kind the CLI reads, by kind."""
+    tmp = tmp_path_factory.mktemp("kinds")
+    local = np.random.default_rng(31)
+    du = random_valid_du_params(local, 2)
+    docs = {
+        "channel": jsonio.channel_to_json(random_channel(local, 2)),
+        "superchannel": jsonio.superchannel_to_json(build_choi(du)),
+        "du": jsonio.params_to_json(du),
+        "do": jsonio.params_to_json(from_du_params(du)),
+        "dephasing": jsonio.params_to_json(
+            dephasing_from_realization(*random_realization(local, 2, 2))),
+        "pauli": jsonio.pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))),
+    }
+    path = {}
+    for kind, doc in docs.items():
+        path[kind] = str(tmp / f"{kind}.json")
+        jsonio.dump_json(doc, path[kind])
+    path["out"] = str(tmp / "out.json")
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    *(["validate", kind, "{%s}" % kind]
+      for kind in ("du", "do", "dephasing", "pauli", "superchannel", "channel")),
+    ["compose", "du", "{du}", "{du}", "--out", "{out}"],
+    ["apply", "{du}", "{channel}", "--out", "{out}"],
+    ["apply", "{superchannel}", "{channel}", "--out", "{out}"],
+    ["example", "bit-flip", "--super", "{du}", "--out", "{out}"],
+    ["covariance", "{du}", "--group", "du"],
+    ["example", "holevo-werner"],
+], ids="-".join)
+def test_commands_import_only_what_they_use(kind_files, argv):
+    # a fresh interpreter per command: no command imports numpy.ma, and only
+    # the sampling commands import covariance
+    argv = [arg.format(**kind_files) for arg in argv]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, src, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    status, modules = json.loads(proc.stdout)
+    assert status == 0
+    sampling = argv[0] == "covariance" or argv[:2] == ["example", "holevo-werner"]
+    assert modules == (["superchan.covariance"] if sampling else [])
 
 
 def test_console_entry_point_runs():

@@ -1,6 +1,6 @@
 """Time the table engine layer by layer, in library calls, one JSON line per layer.
 
-    python3 tools/engine_timing.py [--src DIR] [--runs N]
+    python3 tools/engine_timing.py [--src DIR [--src DIR]] [--runs N]
 
 Each run starts a fresh interpreter (multiprocessing's spawn method), which
 imports superchan from ``--src`` (default: this checkout's src), draws seeded
@@ -17,8 +17,14 @@ whatever the layer caches per d).  Then the call is repeated for about
 0.2 s, at least 5 times, and the median taken.  Last, with tracemalloc on,
 one more call gives the peak of the memory it allocates (``peak_mb``).
 Each line is {"layer", "tables", "d", "runs", "median_ms", "first_ms",
-"peak_mb"}, with medians over the runs.  Running it with the ``--src`` of
-two checkouts compares them; BLAS runs on one thread.
+"peak_mb"}, with medians over the runs.  BLAS runs on one thread.
+
+Given ``--src`` twice, it compares two checkouts, a and b, as the benchmark's
+pairs do: each run is one fresh interpreter per checkout, a first in even
+runs and b first in odd ones.  It prints {"a": DIR, "b": DIR}, then per
+(layer, tables, d) the medians of each ("a" and "b") and "ratio", the median
+over the runs of b's time over a's in the same run (``median_ms`` and
+``first_ms``), so host drift between runs does not read as a change.
 """
 
 from __future__ import annotations
@@ -100,22 +106,34 @@ def measure(src: str) -> list[dict]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="the src directory of the checkout to time")
+    parser.add_argument("--src", type=Path, action="append",
+                        help="the src directory of a checkout to time (default: this "
+                             "checkout's src); give it twice to compare two")
     parser.add_argument("--runs", type=int, default=3, help="fresh interpreters to run")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be positive")
+    srcs = [str(src.resolve()) for src in args.src or [ROOT / "src"]]
+    if args.runs < 1 or len(srcs) > 2:
+        parser.error("--runs must be positive and --src given at most twice")
     ctx = multiprocessing.get_context("spawn")
-    runs = []
-    for _ in range(args.runs):
-        with ctx.Pool(1) as pool:
-            runs.append(pool.apply(measure, (str(args.src.resolve()),)))
-    for lines in zip(*runs):
-        head = {k: lines[0][k] for k in ("layer", "tables", "d")}
-        stats = {k: statistics.median(line[k] for line in lines)
-                 for k in ("median_ms", "first_ms", "peak_mb")}
-        print(json.dumps({**head, "runs": len(lines), **stats}), flush=True)
+    runs = [[] for _ in srcs]  # runs[side][run]: that interpreter's lines
+    for run in range(args.runs):
+        for side in (range(len(srcs)) if run % 2 == 0 else reversed(range(len(srcs)))):
+            with ctx.Pool(1) as pool:
+                runs[side].append(pool.apply(measure, (srcs[side],)))
+    if len(srcs) == 2:
+        print(json.dumps(dict(zip("ab", srcs))), flush=True)
+    keys = ("median_ms", "first_ms", "peak_mb")
+    for lines in zip(*(zip(*side) for side in runs)):  # lines[side][run], one layer
+        head = {k: lines[0][0][k] for k in ("layer", "tables", "d")}
+        stats = [{k: statistics.median(line[k] for line in side) for k in keys}
+                 for side in lines]
+        if len(stats) == 1:
+            print(json.dumps({**head, "runs": args.runs, **stats[0]}), flush=True)
+            continue
+        ratio = {k: statistics.median(b[k] / a[k] for a, b in zip(*lines))
+                 for k in ("median_ms", "first_ms")}
+        print(json.dumps({**head, "runs": args.runs, "a": stats[0], "b": stats[1],
+                          "ratio": ratio}), flush=True)
     return 0
 
 
