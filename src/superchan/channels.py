@@ -9,12 +9,13 @@ at construction, so invalid Chois can be carried around for diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    Frozen,
     MultipartiteOperator,
     max_entangled_projector,
     partial_trace,
@@ -26,19 +27,17 @@ from .positions import TableParams, choi_from_tables, sector_spectrum, table_pos
 PARAM_EDGE_TOL = 1e-12  # slack for closed parameter intervals
 
 
-@dataclass(frozen=True)
-class ChoiChannel:
+class ChoiChannel(Frozen):
     """A linear map between matrix algebras, held as its Choi matrix."""
 
-    d_in: int
-    d_out: int
-    choi: MultipartiteOperator
+    __slots__ = ("d_in", "d_out", "choi")
 
-    def __post_init__(self) -> None:
-        if self.choi.dims != (self.d_in, self.d_out):
-            raise ValueError(
-                f"choi dims {self.choi.dims} do not match ({self.d_in}, {self.d_out})"
-            )
+    def __init__(self, d_in: int, d_out: int, choi: MultipartiteOperator) -> None:
+        if choi.dims != (d_in, d_out):
+            raise ValueError(f"choi dims {choi.dims} do not match ({d_in}, {d_out})")
+        object.__setattr__(self, "d_in", d_in)
+        object.__setattr__(self, "d_out", d_out)
+        object.__setattr__(self, "choi", choi)
 
     def choi4(self) -> np.ndarray:
         """Choi as a 4-tensor [in, out, in', out']."""
@@ -96,8 +95,7 @@ def compose_choi4(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return out.reshape(k * a, k * a)
 
 
-@dataclass(frozen=True)
-class ChannelVerdict:
+class ChannelVerdict(NamedTuple):
     """Diagnostic result of a channel validity check."""
 
     is_cp: bool
@@ -296,7 +294,6 @@ def orthogonal_covariant(alpha: float, beta: float, d: int) -> ChoiChannel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DUChannelParams(TableParams):
     """Tables (A, B) of a diagonal-unitary covariant map.
 
@@ -308,12 +305,7 @@ class DUChannelParams(TableParams):
     NAMES = ("A", "B")
     FAMILY = "channel"
 
-    d: int
-    A: np.ndarray
-    B: np.ndarray
 
-
-@dataclass(frozen=True)
 class ConjDUChannelParams(TableParams):
     """Tables (A, C) of a conjugate diagonal-unitary covariant map.
 
@@ -323,22 +315,12 @@ class ConjDUChannelParams(TableParams):
     NAMES = ("A", "C")
     FAMILY = "channel"
 
-    d: int
-    A: np.ndarray
-    C: np.ndarray
 
-
-@dataclass(frozen=True)
 class DOChannelParams(TableParams):
     """Tables (A, B, C) of a diagonal-orthogonal covariant map (both terms)."""
 
     NAMES = ("A", "B", "C")
     FAMILY = "channel"
-
-    d: int
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
 
 
 def du_identity_channel_params(d: int) -> DUChannelParams:
@@ -352,8 +334,7 @@ def table_channel(params: TableParams) -> ChoiChannel:
     return choi_channel(choi_from_tables(params), params.d, params.d)
 
 
-@dataclass(frozen=True)
-class DUChannelVerdict:
+class DUChannelVerdict(NamedTuple):
     """Named closed-form checks for table-parameterized channels."""
 
     is_cp: bool

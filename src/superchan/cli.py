@@ -13,8 +13,8 @@ import gc
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,11 +41,10 @@ OK, INVALID_INPUT, CHECK_FAILED = 0, 2, 3
 _STATUS = {OK: "ok", INVALID_INPUT: "invalid-input", CHECK_FAILED: "check-failed"}
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     status: int
-    report: dict = field(default_factory=dict)
-    artifacts: list = field(default_factory=list)  # (path, json-dict) pairs
+    report: dict
+    artifacts: list | tuple = ()  # (path, json-dict) pairs
 
 
 def _fmt(value) -> str:

@@ -15,8 +15,8 @@ at a time, and assemble the Choi of a TableParams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .channels import (
     identity_channel,
     transpose_map,
 )
-from .linalg import DEFAULT_TOL, max_entangled_projector, swap_operator
+from .linalg import DEFAULT_TOL, Frozen, max_entangled_projector, swap_operator
 from .positions import (
     TableParams,
     choi_from_tables,
@@ -43,7 +43,6 @@ DIAGONAL_KINDS = ("diagonal-unitary", "diagonal-orthogonal")
 SAMPLER_KINDS = (*DIAGONAL_KINDS, "haar-unitary")
 
 
-@dataclass
 class GroupSampler:
     """Seeded stream of unitaries from one of the supported groups.
 
@@ -52,15 +51,13 @@ class GroupSampler:
     are expressed.  ``conjugate=True`` emits the entrywise conjugate stream.
     """
 
-    kind: str
-    d: int
-    seed: int
-    conjugate: bool = False
+    __slots__ = ("kind", "d", "seed", "conjugate", "_rng")
 
-    def __post_init__(self) -> None:
-        if self.kind not in SAMPLER_KINDS:
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
-        self._rng = np.random.default_rng(self.seed)
+    def __init__(self, kind: str, d: int, seed: int, conjugate: bool = False) -> None:
+        if kind not in SAMPLER_KINDS:
+            raise ValueError(f"unknown sampler kind {kind!r}")
+        self.kind, self.d, self.seed, self.conjugate = kind, d, seed, conjugate
+        self._rng = np.random.default_rng(seed)
 
     def conjugated(self) -> "GroupSampler":
         """Fresh sampler emitting the conjugates of this sampler's stream."""
@@ -89,8 +86,7 @@ class GroupSampler:
         return u.conj() if self.conjugate else u
 
 
-@dataclass(frozen=True)
-class CovarianceVerdict:
+class CovarianceVerdict(NamedTuple):
     """Maximum conjugation deviation over the sampled group elements."""
 
     max_deviation: float
@@ -277,8 +273,7 @@ def covariance_sampler_tuple(group: str, d: int, seed: int = 0):
 UU_VARIANTS = ("covariant", "conjugate", "mixed")
 
 
-@dataclass(frozen=True)
-class UUFamilyParams:
+class UUFamilyParams(Frozen):
     """Mixing weights of a four-component unitary-covariant superchannel.
 
     The representing map is a weighted sum of tensor products of identity,
@@ -286,19 +281,16 @@ class UUFamilyParams:
     weights must sum to 1 (trace-preservation normalization, enforced here).
     """
 
-    variant: str
-    p0: float
-    p1: float
-    p2: float
-    p3: float
-    d: int
+    __slots__ = ("variant", "p0", "p1", "p2", "p3", "d")
 
-    def __post_init__(self) -> None:
-        if self.variant not in UU_VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+    def __init__(self, variant: str, p0: float, p1: float, p2: float, p3: float, d: int) -> None:
+        if variant not in UU_VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        for name, value in zip(self.__slots__, (variant, p0, p1, p2, p3, d)):
+            object.__setattr__(self, name, value)
         if not np.isfinite(self.p).all():
             raise ValueError("weights must be finite")
-        if abs(self.p0 + self.p1 + self.p2 + self.p3 - 1.0) > PARAM_EDGE_TOL:
+        if abs(p0 + p1 + p2 + p3 - 1.0) > PARAM_EDGE_TOL:
             raise ValueError("weights must sum to 1")
 
     @property

@@ -16,7 +16,8 @@ DOC channel tables (positions.compose_tables) and the four DU tables
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .channels import PARAM_EDGE_TOL
@@ -25,19 +26,14 @@ from .positions import TableParams, b1_partial_trace
 from .superchannels import TPPreservingVerdict, tp_preserving_verdict
 
 
-@dataclass(frozen=True)
 class DephasingSuperParams(TableParams):
     """The Schur-multiplier table of a dephasing superchannel."""
 
     NAMES = ("M_big",)
     FAMILY = "super"
 
-    d: int
-    M_big: np.ndarray
 
-
-@dataclass(frozen=True)
-class DephasingVerdict:
+class DephasingVerdict(NamedTuple):
     """The three named dephasing validity checks.
 
     psd_ok covers complete positivity; fiber_deviation measures the worst

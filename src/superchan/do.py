@@ -11,10 +11,6 @@ tables sector by sector, and every marginal is one partial trace over B1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .du import DUSuperParams, NotDUCovariantError
 from .linalg import DEFAULT_TOL
 from .positions import TableParams, b1_partial_trace, sector_spectrum
@@ -26,7 +22,6 @@ class NotDOCovariantError(NotDUCovariantError):
     outside the diagonal-unitary one too."""
 
 
-@dataclass(frozen=True)
 class DOSuperParams(TableParams):
     """Nine coefficient tables of a sign-symmetric superchannel.
 
@@ -38,17 +33,6 @@ class DOSuperParams(TableParams):
     NAMES = ("A", "B", "C", "D", "E", "P", "Q", "R", "S")
     FAMILY = "super"
     OFF_PATTERN_ERROR = NotDOCovariantError  # raised by from_choi
-
-    d: int
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    E: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    S: np.ndarray
 
 
 def from_du_params(p: DUSuperParams) -> DOSuperParams:

@@ -22,7 +22,7 @@ B_mn scaled by D_{mm,nn} and C_mn by D_{nm,mn}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class NotDUCovariantError(ValueError):
         )
 
 
-@dataclass(frozen=True)
 class DUSuperParams(TableParams):
     """Coefficient tables of a diagonal-unitary covariant superchannel.
 
@@ -61,12 +60,6 @@ class DUSuperParams(TableParams):
     NAMES = ("A", "B", "C", "D")
     FAMILY = "super"
     OFF_PATTERN_ERROR = NotDUCovariantError  # raised by from_choi
-
-    d: int
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
 
 
 def du_identity(d: int) -> DUSuperParams:
@@ -106,8 +99,7 @@ def from_choi(s: SuperChoi, tol: float = DEFAULT_TOL,
     return params
 
 
-@dataclass(frozen=True)
-class DUTPVerdict:
+class DUTPVerdict(NamedTuple):
     """Result of the DU trace-preservation check, with the b-averaged fiber
     sums it found."""
 
@@ -149,8 +141,7 @@ def du_tp_check(p: DUSuperParams, tol: float = DEFAULT_TOL) -> DUTPVerdict:
                        np.where(np.eye(d, dtype=bool), 0, np.einsum("ijij->ij", tp.mean)), tol, tp)
 
 
-@dataclass(frozen=True)
-class DUCPVerdict:
+class DUCPVerdict(NamedTuple):
     """Complete positivity from the sector spectrum, which also gives the
     Choi's Hermiticity deviation (left out of report())."""
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,8 +25,21 @@ class EigensolverError(RuntimeError):
     """Raised when the Hermitian eigensolver fails to converge."""
 
 
-@dataclass(frozen=True)
-class MultipartiteOperator:
+class Frozen:
+    """Base of the package's immutable classes: their __init__ sets each
+    field with object.__setattr__, after which assigning or deleting any
+    attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+class MultipartiteOperator(Frozen):
     """A square complex matrix tagged with an ordered list of subsystem dims.
 
     The matrix side must equal the product of ``dims``.  Instances are
@@ -35,14 +47,13 @@ class MultipartiteOperator:
     across threads.
     """
 
-    dims: tuple[int, ...]
-    mat: np.ndarray
+    __slots__ = ("dims", "mat")
 
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+    def __init__(self, dims: tuple[int, ...], mat: np.ndarray) -> None:
+        dims = tuple(int(d) for d in dims)
         if any(d <= 0 for d in dims):
             raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-        mat = np.array(self.mat, dtype=np.complex128, order="C")
+        mat = np.array(mat, dtype=np.complex128, order="C")
         side = math.prod(dims)
         if mat.shape != (side, side):
             raise ValueError(

@@ -9,24 +9,23 @@ two-bit XOR of Pauli labels acting on the Bell-diagonal probability vector.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .channels import PARAM_EDGE_TOL, PAULI, ChoiChannel, check_probability_vector, pauli_channel
-from .linalg import DEFAULT_TOL, MultipartiteOperator, max_entangled_projector
+from .linalg import DEFAULT_TOL, Frozen, MultipartiteOperator, max_entangled_projector
 from .superchannels import SuperChoi, super_choi
 
 
-@dataclass(frozen=True)
-class PauliSuperParams:
+class PauliSuperParams(Frozen):
     """Nonnegative 4x4 probability table over pairs of Pauli labels."""
 
-    pi: np.ndarray
+    __slots__ = ("pi",)
 
-    def __post_init__(self) -> None:
-        pi = np.asarray(self.pi, dtype=float)
+    def __init__(self, pi: np.ndarray) -> None:
+        pi = np.asarray(pi, dtype=float)
         if pi.shape != (4, 4):
             raise ValueError("pi must be a 4x4 table")
         if not np.isfinite(pi).all():
@@ -65,8 +64,7 @@ def pauli_super_choi(p: PauliSuperParams) -> SuperChoi:
     return super_choi(acc, (2, 2, 2, 2))
 
 
-@dataclass(frozen=True)
-class PauliDUVerdict:
+class PauliDUVerdict(NamedTuple):
     """Diagonal-unitary covariance test for a Pauli superchannel.
 
     The table must have equal middle columns (pi[:, 1] == pi[:, 2]) and equal

@@ -44,7 +44,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, psd_accepts
+from .linalg import Frozen, hermitian_eigenvalues, psd_accepts
 
 POSITIONS = {
     "A": ("jbia", "jbia", ""),
@@ -109,19 +109,26 @@ def table_positions(d: int, name: str, family: str) -> TablePositions:
     ))
 
 
-class TableParams:
-    """Base of the frozen dataclasses that hold one family's coefficient tables.
+class TableParams(Frozen):
+    """Base of the immutable classes that hold one family's coefficient tables.
 
-    NAMES lists the tables in field order and FAMILY ("super" or "channel")
-    selects their positions; every helper below that takes such an object,
-    or its class, reads both from it.  Construction checks the tables
-    (init_tables).
+    NAMES lists the tables and FAMILY ("super" or "channel") selects their
+    positions; every helper below that takes such an object, or its class,
+    reads both from it.  An instance holds d and one attribute per name.
+    Construction takes d, then the tables in NAMES order or by name, and
+    checks them (init_tables).
     """
 
     NAMES: ClassVar[tuple[str, ...]]
     FAMILY: ClassVar[str]
 
-    def __post_init__(self) -> None:
+    def __init__(self, d: int, *tables, **named) -> None:
+        given = dict(zip(self.NAMES, tables), **named)
+        if len(tables) + len(named) != len(self.NAMES) or given.keys() != set(self.NAMES):
+            raise TypeError(f"{type(self).__name__} takes d, then each of the tables "
+                            f"{', '.join(self.NAMES)} once, in this order or by name; got "
+                            f"{len(tables)} in order and {sorted(named)} by name")
+        vars(self).update(given, d=d)
         init_tables(self)
 
     @classmethod
@@ -141,7 +148,7 @@ class TableParams:
 
 
 def init_tables(p: TableParams) -> None:
-    """Set each table of the frozen dataclass p to a read-only copy, real for
+    """Set each table of p, a TableParams, to a read-only copy, real for
     A and complex otherwise, after checking d >= 1 and each table's shape and
     entries: non-finite entries, a nonzero imaginary part of A and nonzero
     entries outside the support are rejected.  The caller's arrays stay
@@ -385,7 +392,8 @@ def trace_plan(d: int, cls: type[TableParams]) -> tuple:
     """(image, slot, terms) of b1_partial_trace for cls at dimension d, read-only:
     the images that have terms, ascending; each term's index into image, terms
     by image and then by q; and per table with terms, (name, their flat table
-    indices, their places in that order).  Raises ValueError for channel tables."""
+    indices, their places in that order).  Raises ValueError for channel
+    tables, and for a class whose images fill a fiber (i, j, p, r) in part."""
     require_super_family(cls)
     pos = [(name, table_positions(d, name, cls.FAMILY)) for name in cls.NAMES]
     keep = [x.rows % d == x.cols % d for _, x in pos]
@@ -396,6 +404,11 @@ def trace_plan(d: int, cls: type[TableParams]) -> tuple:
     image = np.ravel_multi_index((i, j, a, pr, pc), (d,) * 5)
     order = np.lexsort((rows % d, image))  # by image, then by q
     image, slot = np.unique(image[order], return_inverse=True)
+    # tp_preserving_verdict averages each fiber (i, j, p, r) over all d images
+    fiber = image // d**3 * d**2 + image % d**2
+    if (np.bincount(fiber)[fiber] != d).any():
+        raise ValueError(f"{cls.__name__} at d={d} holds some but not all images "
+                         "of a fiber of the partial trace over B1")
     places = np.split(np.argsort(order), np.cumsum([k.sum() for k in keep])[:-1])
     terms = tuple((name, *_read_only(x.flat[k], at))
                   for (name, x), k, at in zip(pos, keep, places) if k.any())

@@ -7,15 +7,15 @@ operator on subsystems (A0, A1, B0, B1) in that fixed order.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channels import ChoiChannel, choi_channel, compose_choi4
 from .linalg import (
     DEFAULT_TOL,
+    Frozen,
     MultipartiteOperator,
     kron,
     max_entangled_projector,
@@ -25,20 +25,20 @@ from .linalg import (
 from .positions import TableParams, apply_tables
 
 
-@dataclass(frozen=True)
-class SuperChoi:
+class SuperChoi(Frozen):
     """Choi matrix of a supermap on subsystems (A0, A1, B0, B1)."""
 
-    dA0: int
-    dA1: int
-    dB0: int
-    dB1: int
-    choi: MultipartiteOperator
+    __slots__ = ("dA0", "dA1", "dB0", "dB1", "choi")
 
-    def __post_init__(self) -> None:
-        expected = (self.dA0, self.dA1, self.dB0, self.dB1)
-        if self.choi.dims != expected:
-            raise ValueError(f"choi dims {self.choi.dims} do not match {expected}")
+    def __init__(self, dA0: int, dA1: int, dB0: int, dB1: int, choi: MultipartiteOperator) -> None:
+        expected = (dA0, dA1, dB0, dB1)
+        if choi.dims != expected:
+            raise ValueError(f"choi dims {choi.dims} do not match {expected}")
+        object.__setattr__(self, "dA0", dA0)
+        object.__setattr__(self, "dA1", dA1)
+        object.__setattr__(self, "dB0", dB0)
+        object.__setattr__(self, "dB1", dB1)
+        object.__setattr__(self, "choi", choi)
 
     @property
     def d_in(self) -> int:
@@ -120,8 +120,7 @@ def sandwich_superchannel(n0: ChoiChannel, n1: ChoiChannel) -> SuperChoi:
     return super_choi(arranged.mat, (n0.d_in, n1.d_in, n0.d_out, n1.d_out))
 
 
-@dataclass(frozen=True)
-class TPPreservingVerdict:
+class TPPreservingVerdict(NamedTuple):
     """Result of the induced-map test for trace-preservation of outputs.
 
     The supermap preserves trace iff tracing the output pair factors through
@@ -138,7 +137,7 @@ class TPPreservingVerdict:
     deviation: np.ndarray
     witness: tuple[int, int, int, int, int, int]  # (i, j, a, p, r, a'): tp_preserving_verdict
 
-    @functools.cached_property
+    @property
     def induced(self) -> ChoiChannel:
         """The induced map on (A0 -> B0), whose Choi's (i, j) block is mean[i, j]."""
         d0, b0 = self.mean.shape[1:3]
@@ -161,8 +160,7 @@ class TPPreservingVerdict:
         }
 
 
-@dataclass(frozen=True)
-class SuperchannelVerdict:
+class SuperchannelVerdict(NamedTuple):
     """The superchannel conditions: the Choi spectrum and the trace check tp.
 
     The reduced operator C0 on (A0, B0) is tp's induced Choi, so the
@@ -272,8 +270,7 @@ def _first_near_max(x: np.ndarray, slack: float) -> tuple[float, int]:
     return top, int(np.argmax(x == top if math.isinf(top) else x >= top - slack))
 
 
-@dataclass(frozen=True)
-class ClassicalSuperchannel:
+class ClassicalSuperchannel(NamedTuple):
     """Diagonal part of a superchannel Choi: the table acting on stochastic matrices.
 
     T[(j, b), (i, a)] reads the diagonal Choi entry at (i, a, j, b); for a valid

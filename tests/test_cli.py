@@ -801,7 +801,8 @@ sys.path.insert(0, sys.argv[1])
 from superchan import cli
 with contextlib.redirect_stdout(io.StringIO()):
     status = cli.main(sys.argv[2:])
-print(json.dumps([status, [m for m in ("numpy.ma", "superchan.covariance") if m in sys.modules]]))
+print(json.dumps([status, [m for m in ("numpy.ma", "dataclasses", "superchan.covariance")
+                           if m in sys.modules]]))
 """
 
 
@@ -839,8 +840,8 @@ def kind_files(tmp_path_factory):
     ["example", "holevo-werner"],
 ], ids="-".join)
 def test_commands_import_only_what_they_use(kind_files, argv):
-    # a fresh interpreter per command: no command imports numpy.ma, and only
-    # the sampling commands import covariance
+    # a fresh interpreter per command: no command imports numpy.ma or
+    # dataclasses, and only the sampling commands import covariance
     argv = [arg.format(**kind_files) for arg in argv]
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, src, *argv],

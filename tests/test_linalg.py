@@ -5,6 +5,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superchan import cli
+from superchan.channels import (
+    ConjDUChannelParams,
+    DOChannelParams,
+    DUChannelParams,
+    du_identity_channel_params,
+    table_channel_validate,
+    validate_channel,
+)
+from superchan.covariance import (
+    GroupSampler,
+    UUFamilyParams,
+    covariance_sampler_tuple,
+    superchannel_covariance_check,
+)
+from superchan.dephasing import DephasingSuperParams, dephasing_from_realization, dephasing_validate
+from superchan.do import DOSuperParams
+from superchan.du import DUSuperParams, build_choi, du_cp_check, du_tp_check
 from superchan.linalg import (
     NonHermitianMatrixError,
     hermitian_eigenvalues,
@@ -25,8 +43,18 @@ from superchan.linalg import (
     schur_product,
     swap_operator,
 )
+from superchan.pauli import PauliSuperParams, pauli_du_check
+from superchan.superchannels import classical_superchannel_extract, validate_superchannel
 
-from helpers import charge_sectors, random_hermitian, sector_eigenvalues, sector_psd_report
+from helpers import (
+    charge_sectors,
+    random_channel,
+    random_hermitian,
+    random_realization,
+    random_valid_du_params,
+    sector_eigenvalues,
+    sector_psd_report,
+)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -44,6 +72,71 @@ def test_operator_immutable():
     x = operator(np.eye(2), (2,))
     with pytest.raises(ValueError):
         x.mat[0, 0] = 5.0
+    assert repr(operator(np.eye(6), (2, 3))) == "MultipartiteOperator(dims=(2, 3), side=6)"
+    assert not hasattr(x, "__dict__")  # built once per matrix: no dict per instance
+
+
+def _one_of_each_frozen_class():
+    """name -> one instance of every immutable class of the package: the
+    records (tuples) and the value and table classes (linalg.Frozen)."""
+    local = np.random.default_rng(41)
+    du = random_valid_du_params(local, 2)
+    pauli = PauliSuperParams(np.full((4, 4), 1 / 16))
+    s = build_choi(du)
+    ch = random_channel(local, 2)
+    tp = du_tp_check(du)
+    out = {
+        "ChannelVerdict": validate_channel(ch),
+        "DUChannelVerdict": table_channel_validate(du_identity_channel_params(2)),
+        "DephasingVerdict": dephasing_validate(
+            dephasing_from_realization(*random_realization(local, 2, 2))),
+        "DUTPVerdict": tp,
+        "TPPreservingVerdict": tp.tp,
+        "DUCPVerdict": du_cp_check(du),
+        "PauliDUVerdict": pauli_du_check(pauli),
+        "SuperchannelVerdict": validate_superchannel(s),
+        "ClassicalSuperchannel": classical_superchannel_extract(s),
+        "CovarianceVerdict": superchannel_covariance_check(
+            du, covariance_sampler_tuple("du", 2), 3),
+        "CommandResult": cli.CommandResult(0, {}),
+        "MultipartiteOperator": s.choi,
+        "ChoiChannel": ch,
+        "SuperChoi": s,
+        "PauliSuperParams": pauli,
+        "UUFamilyParams": UUFamilyParams("covariant", 1.0, 0.0, 0.0, 0.0, 2),
+    }
+    for cls in (DUSuperParams, DOSuperParams, DephasingSuperParams, DUChannelParams,
+                ConjDUChannelParams, DOChannelParams):
+        side = 4 if cls.FAMILY == "super" else 2
+        out[cls.__name__] = cls.masked(2, **{n: np.eye(side) for n in cls.NAMES})
+    return out
+
+
+def test_frozen_classes_refuse_assignment_and_deletion():
+    objs = _one_of_each_frozen_class()
+    for name, obj in objs.items():
+        assert type(obj).__name__ == name
+        fields = getattr(obj, "_fields", None) or getattr(obj, "__slots__", None) or ("d", *obj.NAMES)
+        for field in (fields[0], fields[-1]):
+            value = getattr(obj, field)
+            with pytest.raises(AttributeError):
+                setattr(obj, field, value)
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+            assert getattr(obj, field) is value, (name, field)
+        with pytest.raises(AttributeError):
+            obj.unknown_field = 0
+        if isinstance(obj, tuple):  # a record unpacks in field order
+            assert len(obj) == len(obj._fields)
+            assert all(v is getattr(obj, f) for v, f in zip(obj, obj._fields)), name
+    # the mutable sampler keeps its fields assignable, and only those
+    sampler = GroupSampler("diagonal-unitary", 2, 7)
+    sampler.seed = 8
+    assert sampler.seed == 8
+    with pytest.raises(AttributeError):
+        sampler.unknown_field = 0
+    status, report, artifacts = cli.CommandResult(3, {"x": 1})
+    assert (status, report, artifacts) == (3, {"x": 1}, ())
 
 
 def test_kron_matrix_unit_against_identity():

@@ -25,6 +25,7 @@ from superchan.linalg import hermitian_eigenvalues
 from superchan.positions import (
     FAMILIES,
     POSITIONS,
+    TableParams,
     action_plan,
     apply_tables,
     b1_partial_trace,
@@ -303,6 +304,20 @@ def test_b1_images_ascend_and_fill_their_fibers(d, cls):
     assert set(np.bincount(fiber)) <= {0, d}
 
 
+def test_trace_plan_rejects_a_class_that_fills_a_fiber_in_part(monkeypatch):
+    # A's positions less those with b = i: the fiber (j, j, i, i) of Tr_B1
+    # then holds the d - 1 images with b != i, not all d
+    monkeypatch.setitem(POSITIONS, "A_partial", ("jbia", "jbia", "bi"))
+
+    class PartialFibers(TableParams):
+        NAMES = ("A_partial",)
+        FAMILY = "super"
+
+    for d in (2, 3):
+        with pytest.raises(ValueError, match=f"PartialFibers at d={d} holds some but not all"):
+            trace_plan(d, PartialFibers)
+
+
 def _trace_cases(cls, d):
     yield _random_tables(cls, d)
     yield cls(d, **_tables_with_negative_zeros(d, cls.NAMES))
@@ -446,6 +461,32 @@ def test_sector_blocks_are_the_reference_scatter_up_to_d8():
                 DephasingSuperParams(d, random_hermitian(rng, d * d)))
             for rows, stack in zip(sectors(d, cls), sector_blocks(p)):
                 assert stack.tobytes() == principal_blocks(p, rows).tobytes()
+
+
+@pytest.mark.parametrize("cls", ALL_TABLE_CLASSES, ids=ALL_IDS)
+def test_table_classes_take_d_then_each_table_once_in_order_or_by_name(cls):
+    d = 3
+    tables = [getattr(_random_tables(cls, d), n) for n in cls.NAMES]
+    named = dict(zip(cls.NAMES, tables))
+    last = cls.NAMES[-1]
+    for p in (cls(d, *tables), cls(d, **named), cls(d=d, **named),
+              cls(d, *tables[:-1], **{last: tables[-1]})):
+        assert p.d == d
+        for name, t in named.items():
+            assert getattr(p, name).tobytes() == t.tobytes() and not getattr(p, name).flags.writeable
+    wrong = {
+        "missing": ((d, *tables[:-1]), {}),
+        "missing by name": ((d,), {n: t for n, t in named.items() if n != last}),
+        "unknown": ((d, *tables), {"Z": tables[0]}),
+        "unknown in place of one": ((d, *tables[:-1]), {"Z": tables[-1]}),
+        "doubled": ((d, *tables), {cls.NAMES[0]: tables[0]}),
+        "one too many in order": ((d, *tables, tables[0]), {}),
+    }
+    for label, (args, kwargs) in wrong.items():
+        with pytest.raises(TypeError, match=f"{cls.__name__} takes d, then each of the tables"):
+            cls(*args, **kwargs)
+    with pytest.raises(TypeError):
+        cls(**named)  # no d
 
 
 INDEX_PLANS = {"sector": sector_plan, "trace": trace_plan, "action": action_plan}
