@@ -9,13 +9,11 @@ from .linalg import (
     is_hermitian,
     is_psd,
     kron,
-    operator,
     partial_trace,
     partial_transpose,
     permute_subsystems,
-    schur_product,
 )
-from .channels import ChoiChannel, apply_channel, compose_channels, validate_channel
+from .channels import ChoiChannel, compose_channels, validate_channel
 from .superchannels import (
     SuperChoi,
     apply_to_channel,
@@ -34,12 +32,9 @@ __all__ = [
     "is_hermitian",
     "is_psd",
     "kron",
-    "operator",
     "partial_trace",
     "partial_transpose",
     "permute_subsystems",
-    "schur_product",
-    "apply_channel",
     "compose_channels",
     "validate_channel",
     "apply_to_channel",

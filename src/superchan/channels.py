@@ -17,7 +17,6 @@ from .linalg import (
     DEFAULT_TOL,
     Frozen,
     MultipartiteOperator,
-    max_entangled_projector,
     partial_trace,
     psd_report,
     swap_operator,
@@ -62,15 +61,6 @@ def choi_from_kraus(kraus_ops) -> ChoiChannel:
         v = k.T.reshape(-1, 1)
         c += v @ v.conj().T
     return choi_channel(c, d_in, d_out)
-
-
-def apply_channel(ch: ChoiChannel, rho) -> MultipartiteOperator:
-    """Apply the channel: Phi(rho) = Tr_in[(rho^T (x) I) C]."""
-    r = rho.mat if isinstance(rho, MultipartiteOperator) else np.asarray(rho, dtype=complex)
-    if r.shape != (ch.d_in, ch.d_in):
-        raise ValueError(f"state side {r.shape} does not match d_in={ch.d_in}")
-    out = np.einsum("ij,iajb->ab", r, ch.choi4())
-    return MultipartiteOperator((ch.d_out,), out)
 
 
 def compose_channels(f: ChoiChannel, g: ChoiChannel) -> ChoiChannel:
@@ -154,20 +144,6 @@ def _check_unit_interval(name: str, value: float) -> float:
     return float(value)
 
 
-def identity_channel(d: int) -> ChoiChannel:
-    return ChoiChannel(d, d, max_entangled_projector(d))
-
-
-def depolarizing(d: int) -> ChoiChannel:
-    """Completely depolarizing channel X -> Tr(X) I/d."""
-    return choi_channel(np.eye(d * d, dtype=complex) / d, d, d)
-
-
-def transpose_map(d: int) -> ChoiChannel:
-    """The transposition map (not CP); its Choi is the swap matrix."""
-    return ChoiChannel(d, d, swap_operator(d))
-
-
 def amplitude_damping(gamma: float) -> ChoiChannel:
     g = _check_unit_interval("gamma", gamma)
     s = math.sqrt(max(0.0, 1.0 - g))
@@ -228,7 +204,9 @@ def check_covariance_matrix(m, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def dephasing_channel(m) -> ChoiChannel:
-    """Schur-product channel X -> M o X for a covariance matrix M."""
+    """Schur-product channel X -> M o X for a covariance matrix M.
+
+    Kept for acceptance criterion 09, which applies superchannels to it."""
     m = check_covariance_matrix(m)
     d = m.shape[0]
     c = np.zeros((d * d, d * d), dtype=complex)
@@ -237,56 +215,12 @@ def dephasing_channel(m) -> ChoiChannel:
     return choi_channel(c, d, d)
 
 
-# ---------------------------------------------------------------------------
-# Covariant channel families (group-symmetric one-parameter mixtures)
-# ---------------------------------------------------------------------------
-
-
-def _mix(coeffs_channels, d: int) -> ChoiChannel:
-    c = sum(w * ch.choi.mat for w, ch in coeffs_channels)
-    return choi_channel(c, d, d)
-
-
-def unitary_covariant(lam: float, d: int) -> ChoiChannel:
-    """lam * id + (1 - lam) * depolarizing; CP for lam in [-1/(d^2-1), 1]."""
-    lo = -1.0 / (d * d - 1)
-    if not lo - PARAM_EDGE_TOL <= lam <= 1.0 + PARAM_EDGE_TOL:
-        raise ValueError(f"lambda={lam} outside CP range [{lo}, 1] for d={d}")
-    return _mix([(lam, identity_channel(d)), (1 - lam, depolarizing(d))], d)
-
-
-def conjugate_covariant(mu: float, d: int) -> ChoiChannel:
-    """mu * transpose + (1 - mu) * depolarizing; CP for mu in [-1/(d-1), 1/(d+1)]."""
-    lo, hi = -1.0 / (d - 1), 1.0 / (d + 1)
-    if not lo - PARAM_EDGE_TOL <= mu <= hi + PARAM_EDGE_TOL:
-        raise ValueError(f"mu={mu} outside CP range [{lo}, {hi}] for d={d}")
-    return _mix([(mu, transpose_map(d)), (1 - mu, depolarizing(d))], d)
-
-
 def holevo_werner(d: int) -> ChoiChannel:
     """rho -> (Tr(rho) I - rho^T)/(d-1), the extreme conjugate-covariant channel."""
     if d < 2:
         raise ValueError("holevo_werner requires d >= 2")
     c = (np.eye(d * d, dtype=complex) - swap_operator(d).mat) / (d - 1)
     return choi_channel(c, d, d)
-
-
-def orthogonal_covariant(alpha: float, beta: float, d: int) -> ChoiChannel:
-    """(1-a-b) id + a D + b T; CP for a >= d|b| and d(1-a-b) + a/d + b >= 0."""
-    if alpha < d * abs(beta) - PARAM_EDGE_TOL:
-        raise ValueError(f"need alpha >= d|beta|: alpha={alpha}, beta={beta}, d={d}")
-    if d * (1 - alpha - beta) + alpha / d + beta < -PARAM_EDGE_TOL:
-        raise ValueError(
-            f"need d(1-a-b) + a/d + b >= 0: alpha={alpha}, beta={beta}, d={d}"
-        )
-    return _mix(
-        [
-            (1 - alpha - beta, identity_channel(d)),
-            (alpha, depolarizing(d)),
-            (beta, transpose_map(d)),
-        ],
-        d,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +255,6 @@ class DOChannelParams(TableParams):
 
     NAMES = ("A", "B", "C")
     FAMILY = "channel"
-
-
-def du_identity_channel_params(d: int) -> DUChannelParams:
-    ones = np.ones((d, d)) - np.eye(d)
-    return DUChannelParams(d, np.eye(d), ones.astype(complex))
 
 
 def table_channel(params: TableParams) -> ChoiChannel:

@@ -20,15 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import (
-    PARAM_EDGE_TOL,
-    ChoiChannel,
-    compose_channels,
-    choi_channel,
-    depolarizing,
-    identity_channel,
-    transpose_map,
-)
+from .channels import PARAM_EDGE_TOL
 from .linalg import DEFAULT_TOL, Frozen, max_entangled_projector, swap_operator
 from .positions import (
     TableParams,
@@ -145,20 +137,26 @@ def _rephasing_deviations(w, x, rows, cols) -> np.ndarray:
     return np.abs(t).reshape(len(w), -1).max(axis=1, initial=0.0)
 
 
-def _sampled_check(x, samplers, combine, n, tol) -> CovarianceVerdict:
-    """Worst deviation |W X W^dag - X| over n samples, W = combine(kron,
-    draws), for X the Choi matrix x or the Choi of the TableParams x.
+def _four_fold(kron, u, v, up, vp):
+    """U (x) conj(V) (x) conj(U') (x) V' under the Kronecker product kron."""
+    return kron(kron(u, v.conj()), kron(up.conj(), vp))
 
-    Each sample draws one element from every sampler, in order.  When every
-    sampler is diagonal, W is diagonal and conjugation only rephases each
-    entry, (W X W^dag)_rc = w_r x_rc conj(w_c).  All n diagonals are then
-    drawn at once, combined row-wise (combine with _row_kron), and applied in
-    chunks of samples to the entries x holds: the sector stacks of its
-    tables (positions.sector_blocks), the nonzero entries of a sparse Choi,
-    or every entry of a dense one, which spares the gathers.  A zero entry
-    cannot deviate, so skipping or including it is exact, and the products
-    are those of one sample at a time, so the verdict is too.  Any other
-    sampler makes W dense, and it is conjugated as a matrix.
+
+def _sampled_check(x, samplers, n, tol) -> CovarianceVerdict:
+    """Worst deviation |W X W^dag - X| over n samples, W = U (x) conj(V) (x)
+    conj(U') (x) V' with (U, V, U', V') one draw from each of the four
+    samplers in order, for X the Choi matrix x or the Choi of the
+    TableParams x.
+
+    When every sampler is diagonal, W is diagonal and conjugation only
+    rephases each entry, (W X W^dag)_rc = w_r x_rc conj(w_c).  All n
+    diagonals are then drawn at once, combined row-wise by _row_kron, and
+    applied in chunks of samples to the entries x holds: the sector stacks of
+    its tables (positions.sector_blocks), the nonzero entries of a sparse
+    Choi, or every entry of a dense one, which spares the gathers.  A zero
+    entry cannot deviate, so skipping or including it is exact, and the
+    products are those of one sample at a time, so the verdict is too.  Any
+    other sampler makes W dense, and it is conjugated as a matrix.
     """
     if n < 1:  # a verdict over no samples would pass vacuously
         raise ValueError(f"the number of samples must be positive, got {n}")
@@ -166,7 +164,7 @@ def _sampled_check(x, samplers, combine, n, tol) -> CovarianceVerdict:
         mat = choi_from_tables(x) if isinstance(x, TableParams) else x
         worst, worst_idx = 0.0, 0
         for k in range(n):
-            w = combine(np.kron, *(s.draw() for s in samplers))
+            w = _four_fold(np.kron, *(s.draw() for s in samplers))
             dev = float(np.abs(w @ mat @ w.conj().T - mat).max())
             if dev > worst:
                 worst, worst_idx = dev, k
@@ -186,33 +184,12 @@ def _sampled_check(x, samplers, combine, n, tol) -> CovarianceVerdict:
     draws = _diagonal_draws(samplers, n)
     devs = []
     for lo in range(0, n, chunk):
-        w = combine(_row_kron, *(a[lo:lo + chunk] for a in draws))
+        w = _four_fold(_row_kron, *(a[lo:lo + chunk] for a in draws))
         devs.append(np.max([_rephasing_deviations(w, *part) for part in parts], axis=0))
     devs = np.concatenate(devs)
     devs[np.isnan(devs)] = 0.0  # a NaN sample never beats a running maximum
     k = int(devs.argmax())  # the first worst sample
     return CovarianceVerdict(float(devs[k]), k, n, tol)
-
-
-def channel_covariance_check(
-    ch: ChoiChannel,
-    u_sampler: GroupSampler,
-    v_sampler: GroupSampler,
-    n: int = 50,
-    tol: float = DEFAULT_TOL,
-) -> CovarianceVerdict:
-    """Test invariance of the channel Choi under conj(U) (x) V conjugation.
-
-    U and V are drawn in lockstep from the two samplers; construct them with
-    the same seed to realize two representations of the same group element.
-    Diagonal groups rephase the Choi's nonzero entries, Haar groups conjugate
-    it densely (see _sampled_check).
-    """
-    if u_sampler.d != ch.d_in or v_sampler.d != ch.d_out:
-        raise ValueError("sampler dimensions do not match the channel")
-    return _sampled_check(
-        ch.choi.mat, (u_sampler, v_sampler), lambda kron, u, v: kron(u.conj(), v), n, tol
-    )
 
 
 def superchannel_covariance_check(
@@ -227,7 +204,8 @@ def superchannel_covariance_check(
     s is a SuperChoi, or the tables of a superchannel (DU, sign-symmetric or
     dephasing), whose Choi only the Haar groups assemble.  Diagonal groups
     rephase the entries s holds, Haar groups conjugate the Choi densely (see
-    _sampled_check).  Raises ValueError for channel tables.
+    _sampled_check).  Raises ValueError for channel tables and for samplers
+    whose dimensions do not match s.
     """
     tables = isinstance(s, TableParams)
     if tables:
@@ -235,11 +213,7 @@ def superchannel_covariance_check(
     dims, got = (s.d,) * 4 if tables else s.choi.dims, tuple(u.d for u in samplers)
     if got != dims:
         raise ValueError(f"sampler dims {got} do not match {dims}")
-
-    def combine(kron, u, v, up, vp):
-        return kron(kron(u, v.conj()), kron(up.conj(), vp))
-
-    return _sampled_check(s if tables else s.choi.mat, samplers, combine, n, tol)
+    return _sampled_check(s if tables else s.choi.mat, samplers, n, tol)
 
 
 def covariance_sampler_tuple(group: str, d: int, seed: int = 0):
@@ -348,43 +322,6 @@ def uu_cp_closed_form(params: UUFamilyParams, tol: float = DEFAULT_TOL) -> bool:
     return all(v >= -tol for v in vals)
 
 
-def uu_closed_form_action(params: UUFamilyParams, ch: ChoiChannel) -> ChoiChannel:
-    """Channel-level evaluation of the mixture by explicit composition.
-
-    Must agree with representing_apply on the assembled Choi; the two routes
-    are kept independent on purpose.
-    """
-    d = params.d
-    if (ch.d_in, ch.d_out) != (d, d):
-        raise ValueError(f"channel dims do not match d={d}")
-    dep = depolarizing(d)
-    trans = transpose_map(d)
-    if params.variant == "covariant":
-        terms = [
-            ch,
-            compose_channels(dep, ch),
-            compose_channels(ch, dep),
-            compose_channels(dep, compose_channels(ch, dep)),
-        ]
-    elif params.variant == "conjugate":
-        sandwich_t = compose_channels(trans, compose_channels(ch, trans))
-        terms = [
-            sandwich_t,
-            compose_channels(dep, compose_channels(ch, trans)),
-            compose_channels(trans, compose_channels(ch, dep)),
-            compose_channels(dep, compose_channels(ch, dep)),
-        ]
-    else:  # mixed
-        terms = [
-            compose_channels(trans, ch),
-            compose_channels(dep, ch),
-            compose_channels(trans, compose_channels(ch, dep)),
-            compose_channels(dep, compose_channels(ch, dep)),
-        ]
-    acc = sum(w * t.choi.mat for w, t in zip(params.p, terms))
-    return choi_channel(acc, d, d)
-
-
 def holevo_werner_superchannel_params(d: int) -> UUFamilyParams:
     """Weights of the extreme conjugate-covariant superchannel."""
     denom = d * d - 1.0
@@ -394,13 +331,3 @@ def holevo_werner_superchannel_params(d: int) -> UUFamilyParams:
 def holevo_werner_superchannel(d: int) -> SuperChoi:
     return uu_superchannel(holevo_werner_superchannel_params(d))
 
-
-def uu_induced_map(params: UUFamilyParams) -> ChoiChannel:
-    """The map the mixture induces on input marginals (identity-or-transpose
-    with weight p0+p1, depolarizing with weight p2+p3)."""
-    d = params.d
-    first = transpose_map(d) if params.variant == "conjugate" else identity_channel(d)
-    acc = (params.p0 + params.p1) * first.choi.mat + (
-        params.p2 + params.p3
-    ) * depolarizing(d).choi.mat
-    return choi_channel(acc, d, d)

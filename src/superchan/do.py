@@ -11,7 +11,7 @@ tables sector by sector, and every marginal is one partial trace over B1.
 
 from __future__ import annotations
 
-from .du import DUSuperParams, NotDUCovariantError
+from .du import NotDUCovariantError
 from .linalg import DEFAULT_TOL
 from .positions import TableParams, b1_partial_trace, sector_spectrum
 from .superchannels import SuperchannelVerdict, tp_preserving_verdict
@@ -33,11 +33,6 @@ class DOSuperParams(TableParams):
     NAMES = ("A", "B", "C", "D", "E", "P", "Q", "R", "S")
     FAMILY = "super"
     OFF_PATTERN_ERROR = NotDOCovariantError  # raised by from_choi
-
-
-def from_du_params(p: DUSuperParams) -> DOSuperParams:
-    """Embed a diagonal-unitary covariant parameter set (extra tables zero)."""
-    return DOSuperParams.masked(p.d, A=p.A, B=p.B, C=p.C, D=p.D)
 
 
 def do_validate(p: DOSuperParams, tol: float = DEFAULT_TOL) -> SuperchannelVerdict:

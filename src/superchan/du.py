@@ -62,15 +62,6 @@ class DUSuperParams(TableParams):
     OFF_PATTERN_ERROR = NotDUCovariantError  # raised by from_choi
 
 
-def du_identity(d: int) -> DUSuperParams:
-    """Tables whose assembled Choi is the identity map on M_{d^2}."""
-    if d < 2:
-        raise ValueError("du_identity requires d >= 2")
-    row, col = np.ogrid[:d * d, :d * d]  # the pair indices (i, a) and (j, b)
-    same_i, same_a = row // d == col // d, row % d == col % d
-    return DUSuperParams.masked(d, same_i & same_a, same_i, same_a, 1.0)
-
-
 def build_choi(p: TableParams) -> SuperChoi:
     """Assemble the superchannel Choi matrix of DU or sign-symmetric tables
     on subsystems (A0, A1, B0, B1).

@@ -133,23 +133,6 @@ def params_from_json(obj: dict, kind: str) -> TableParams:
         raise SchemaError(str(exc)) from exc
 
 
-def realization_from_json(obj: dict):
-    """Block-unitary dilation data: environment unitaries and state."""
-    _require(obj, ("e", "U", "V", "psi"), "realization")
-    e = _int(obj["e"], "e")
-    us = [_matrix(u, "U").mat for u in obj["U"]]
-    vs = [_matrix(v, "V").mat for v in obj["V"]]
-    for w in (*us, *vs):
-        if w.shape != (e, e):
-            raise SchemaError(f"realization unitaries must be {e}x{e}")
-    psi = _numbers(obj["psi"], (e, 2), f"psi must be {e} [re, im] pairs of numbers")
-    return us, vs, psi.view(np.complex128).reshape(e)
-
-
-def pauli_to_json(p: PauliSuperParams) -> dict:
-    return {"pi": [[float(v) for v in row] for row in p.pi]}
-
-
 def pauli_from_json(obj: dict) -> PauliSuperParams:
     _require(obj, ("pi",), "pauli parameters")
     pi = _numbers(obj["pi"], (4, 4), "pi must be a 4x4 table of numbers")

@@ -80,23 +80,6 @@ class MultipartiteOperator(Frozen):
         return f"MultipartiteOperator(dims={self.dims}, side={self.side})"
 
 
-def operator(mat, dims: Sequence[int]) -> MultipartiteOperator:
-    """Wrap an array-like square matrix as a MultipartiteOperator."""
-    return MultipartiteOperator(tuple(dims), np.asarray(mat, dtype=complex))
-
-
-def identity_operator(dims: Sequence[int]) -> MultipartiteOperator:
-    side = math.prod(dims)
-    return MultipartiteOperator(tuple(dims), np.eye(side, dtype=complex))
-
-
-def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
-    """The matrix unit e_ij of size d (1 at row i, column j)."""
-    m = np.zeros((d, d), dtype=complex)
-    m[i, j] = 1.0
-    return m
-
-
 def max_entangled_projector(d: int) -> MultipartiteOperator:
     """Unnormalized projector sum_ij e_ij (x) e_ij on dims (d, d)."""
     psi = np.eye(d, dtype=complex).reshape(d * d)
@@ -164,15 +147,6 @@ def permute_subsystems(
     return MultipartiteOperator(dims, t.reshape(x.side, x.side))
 
 
-def schur_product(
-    a: MultipartiteOperator, b: MultipartiteOperator
-) -> MultipartiteOperator:
-    """Entrywise (Hadamard) product of two operators with identical dims."""
-    if a.dims != b.dims:
-        raise ValueError(f"dims mismatch: {a.dims} vs {b.dims}")
-    return MultipartiteOperator(a.dims, a.mat * b.mat)
-
-
 def _as_matrix(x) -> np.ndarray:
     """The square matrix, or stack of square matrices on the last two axes."""
     if isinstance(x, MultipartiteOperator):
@@ -209,11 +183,6 @@ def hermitian_eigenvalues(x) -> np.ndarray:
         return np.linalg.eigvalsh(h + _adjoint(h))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise EigensolverError(f"Hermitian eigensolver failed: {exc}") from exc
-
-
-def min_eigenvalue(x) -> float:
-    """Smallest eigenvalue of the symmetrized matrix."""
-    return float(hermitian_eigenvalues(x)[0])
 
 
 def is_hermitian(x, tol: float = DEFAULT_TOL) -> bool:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import PARAM_EDGE_TOL, PAULI, ChoiChannel, check_probability_vector, pauli_channel
+from .channels import PARAM_EDGE_TOL, PAULI, check_probability_vector
 from .linalg import DEFAULT_TOL, Frozen, MultipartiteOperator, max_entangled_projector
 from .superchannels import SuperChoi, super_choi
 
@@ -25,7 +25,7 @@ class PauliSuperParams(Frozen):
     __slots__ = ("pi",)
 
     def __init__(self, pi: np.ndarray) -> None:
-        pi = np.asarray(pi, dtype=float)
+        pi = np.array(pi, dtype=float)  # a copy: the caller's array stays writable
         if pi.shape != (4, 4):
             raise ValueError("pi must be a 4x4 table")
         if not np.isfinite(pi).all():
@@ -99,7 +99,8 @@ def pauli_induced_bistochastic(p: PauliSuperParams) -> np.ndarray:
 
 
 def pauli_apply(p: PauliSuperParams, q_in) -> np.ndarray:
-    """Image of a Pauli-channel probability vector under the superchannel."""
+    """Image of a Pauli-channel probability vector under the superchannel.
+    Kept for acceptance criterion 08 (the Pauli pipeline)."""
     q = np.asarray(q_in, dtype=float)
     if q.shape != (4,):
         raise ValueError("expected a probability 4-vector")
@@ -115,12 +116,8 @@ def bell_vectors() -> list[np.ndarray]:
 
 def bell_weights(choi) -> np.ndarray:
     """Read Bell-diagonal weights q_alpha = <B_alpha|C|B_alpha> / 4 off a
-    4x4 qubit-channel Choi matrix (each Bell vector has norm sqrt(2))."""
+    4x4 qubit-channel Choi matrix (each Bell vector has norm sqrt(2)).
+    Kept for acceptance criterion 08, as pauli_apply's oracle."""
     mat = choi.mat if isinstance(choi, MultipartiteOperator) else np.asarray(choi)
     return np.array([np.vdot(b, mat @ b).real / 4.0 for b in bell_vectors()])
 
-
-def pauli_marginal_channel(p: PauliSuperParams) -> ChoiChannel:
-    """The qubit Pauli channel induced on input marginals, with weights the
-    row sums of the table."""
-    return pauli_channel(p.pi.sum(axis=1))

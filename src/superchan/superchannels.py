@@ -18,7 +18,6 @@ from .linalg import (
     Frozen,
     MultipartiteOperator,
     kron,
-    max_entangled_projector,
     permute_subsystems,
     psd_report,
 )
@@ -56,12 +55,6 @@ class SuperChoi(Frozen):
 def super_choi(mat, dims) -> SuperChoi:
     dims = tuple(int(d) for d in dims)
     return SuperChoi(*dims, MultipartiteOperator(dims, np.asarray(mat, dtype=complex)))
-
-
-def identity_superchannel(d0: int, d1: int) -> SuperChoi:
-    """Choi of the identity map on M_{d0 d1}, refined to dims (d0, d1, d0, d1)."""
-    p = max_entangled_projector(d0 * d1)
-    return super_choi(p.mat, (d0, d1, d0, d1))
 
 
 def representing_apply(s: SuperChoi, x) -> MultipartiteOperator:
@@ -285,6 +278,7 @@ class ClassicalSuperchannel(NamedTuple):
 
 
 def classical_superchannel_extract(s: SuperChoi) -> ClassicalSuperchannel:
+    """The diagonal part of s; kept for acceptance criterion 12 (the classical layer)."""
     d0, d1, b0, b1 = s.dA0, s.dA1, s.dB0, s.dB1
     # the diagonal Choi entry at (i, a, j, b) is T[(j, b), (i, a)]
     T = s.choi.mat.diagonal().real.reshape(d0 * d1, b0 * b1).T.copy()

@@ -13,9 +13,13 @@ from superchan.channels import (
     ChoiChannel,
     DOChannelParams,
     DUChannelParams,
+    choi_channel,
     choi_from_kraus,
+    compose_channels,
+    pauli_channel,
     table_channel,
 )
+from superchan.covariance import UUFamilyParams
 from superchan.dephasing import DephasingSuperParams, dephasing_from_realization
 from superchan.do import DOSuperParams
 from superchan.du import DUSuperParams, NotDUCovariantError, build_choi, from_choi
@@ -29,6 +33,7 @@ from superchan.linalg import (
     permute_subsystems,
     psd_accepts,
     psd_report,
+    swap_operator,
 )
 from superchan.positions import FAMILIES, table_positions, tables_from_choi
 from superchan.superchannels import (
@@ -509,15 +514,11 @@ def dense_validate_superchannel(s: SuperChoi, tol: float) -> DenseSuperchannelVe
 
 def dense_covariance_reference(mat: np.ndarray, samplers, n: int):
     """(max deviation, worst sample) of |W X W^dag - X| over n samples, with W
-    formed densely: conj(U) (x) V for two samplers, U (x) conj(V) (x) conj(U')
-    (x) V' for four."""
+    = U (x) conj(V) (x) conj(U') (x) V' formed densely from four samplers."""
     worst, worst_idx = 0.0, 0
     for k in range(n):
-        f = [s.draw() for s in samplers]
-        if len(f) == 2:
-            w = np.kron(f[0].conj(), f[1])
-        else:
-            w = np.kron(np.kron(f[0], f[1].conj()), np.kron(f[2].conj(), f[3]))
+        u, v, up, vp = (s.draw() for s in samplers)
+        w = np.kron(np.kron(u, v.conj()), np.kron(up.conj(), vp))
         dev = float(np.abs(w @ mat @ w.conj().T - mat).max())
         if dev > worst:
             worst, worst_idx = dev, k
@@ -532,11 +533,8 @@ def rephasing_covariance_reference(mat: np.ndarray, samplers, n: int):
     products of +-1 are certain to agree with the dense reference bit for bit."""
     worst, worst_idx = 0.0, 0
     for k in range(n):
-        f = [np.diagonal(s.draw()) for s in samplers]
-        if len(f) == 2:
-            w = np.kron(f[0].conj(), f[1])
-        else:
-            w = np.kron(np.kron(f[0], f[1].conj()), np.kron(f[2].conj(), f[3]))
+        u, v, up, vp = (np.diagonal(s.draw()) for s in samplers)
+        w = np.kron(np.kron(u, v.conj()), np.kron(up.conj(), vp))
         dev = float(np.abs(w[:, None] * mat * w.conj()[None, :] - mat).max())
         if dev > worst:
             worst, worst_idx = dev, k
@@ -733,3 +731,121 @@ def loop_pauli_super_choi(pi: np.ndarray) -> np.ndarray:
             w = np.kron(np.eye(4), np.kron(PAULI[mu], PAULI[nu]))
             acc += pi[mu, nu] * (w @ p_plus @ w.conj().T)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# oracles and fixtures that no command needs
+# ---------------------------------------------------------------------------
+
+
+def operator(mat, dims) -> MultipartiteOperator:
+    """Wrap an array-like square matrix as a MultipartiteOperator."""
+    return MultipartiteOperator(tuple(dims), np.asarray(mat, dtype=complex))
+
+
+def apply_channel(ch: ChoiChannel, rho) -> MultipartiteOperator:
+    """Apply the channel: Phi(rho) = Tr_in[(rho^T (x) I) C]."""
+    r = rho.mat if isinstance(rho, MultipartiteOperator) else np.asarray(rho, dtype=complex)
+    if r.shape != (ch.d_in, ch.d_in):
+        raise ValueError(f"state side {r.shape} does not match d_in={ch.d_in}")
+    out = np.einsum("ij,iajb->ab", r, ch.choi4())
+    return MultipartiteOperator((ch.d_out,), out)
+
+
+def identity_channel(d: int) -> ChoiChannel:
+    return ChoiChannel(d, d, max_entangled_projector(d))
+
+
+def depolarizing(d: int) -> ChoiChannel:
+    """Completely depolarizing channel X -> Tr(X) I/d."""
+    return choi_channel(np.eye(d * d, dtype=complex) / d, d, d)
+
+
+def transpose_map(d: int) -> ChoiChannel:
+    """The transposition map (not CP); its Choi is the swap matrix."""
+    return ChoiChannel(d, d, swap_operator(d))
+
+
+def identity_superchannel(d0: int, d1: int) -> SuperChoi:
+    """Choi of the identity map on M_{d0 d1}, refined to dims (d0, d1, d0, d1)."""
+    p = max_entangled_projector(d0 * d1)
+    return super_choi(p.mat, (d0, d1, d0, d1))
+
+
+def du_identity(d: int) -> DUSuperParams:
+    """Tables whose assembled Choi is the identity map on M_{d^2}."""
+    if d < 2:
+        raise ValueError("du_identity requires d >= 2")
+    row, col = np.ogrid[:d * d, :d * d]  # the pair indices (i, a) and (j, b)
+    same_i, same_a = row // d == col // d, row % d == col % d
+    return DUSuperParams.masked(d, same_i & same_a, same_i, same_a, 1.0)
+
+
+def du_identity_channel_params(d: int) -> DUChannelParams:
+    """DUC tables of the identity channel."""
+    ones = np.ones((d, d)) - np.eye(d)
+    return DUChannelParams(d, np.eye(d), ones.astype(complex))
+
+
+def from_du_params(p: DUSuperParams) -> DOSuperParams:
+    """Embed a diagonal-unitary covariant parameter set (extra tables zero)."""
+    return DOSuperParams.masked(p.d, A=p.A, B=p.B, C=p.C, D=p.D)
+
+
+def pauli_to_json(p) -> dict:
+    """The JSON form of a PauliSuperParams that jsonio.pauli_from_json reads."""
+    return {"pi": [[float(v) for v in row] for row in p.pi]}
+
+
+def pauli_marginal_channel(p) -> ChoiChannel:
+    """The qubit Pauli channel induced on input marginals, with weights the
+    row sums of the table."""
+    return pauli_channel(p.pi.sum(axis=1))
+
+
+def uu_closed_form_action(params: UUFamilyParams, ch: ChoiChannel) -> ChoiChannel:
+    """Channel-level evaluation of the mixture by explicit composition.
+
+    Must agree with representing_apply on the assembled Choi; the two routes
+    are kept independent on purpose.
+    """
+    d = params.d
+    if (ch.d_in, ch.d_out) != (d, d):
+        raise ValueError(f"channel dims do not match d={d}")
+    dep = depolarizing(d)
+    trans = transpose_map(d)
+    if params.variant == "covariant":
+        terms = [
+            ch,
+            compose_channels(dep, ch),
+            compose_channels(ch, dep),
+            compose_channels(dep, compose_channels(ch, dep)),
+        ]
+    elif params.variant == "conjugate":
+        sandwich_t = compose_channels(trans, compose_channels(ch, trans))
+        terms = [
+            sandwich_t,
+            compose_channels(dep, compose_channels(ch, trans)),
+            compose_channels(trans, compose_channels(ch, dep)),
+            compose_channels(dep, compose_channels(ch, dep)),
+        ]
+    else:  # mixed
+        terms = [
+            compose_channels(trans, ch),
+            compose_channels(dep, ch),
+            compose_channels(trans, compose_channels(ch, dep)),
+            compose_channels(dep, compose_channels(ch, dep)),
+        ]
+    acc = sum(w * t.choi.mat for w, t in zip(params.p, terms))
+    return choi_channel(acc, d, d)
+
+
+def uu_induced_map(params: UUFamilyParams) -> ChoiChannel:
+    """The map the mixture induces on input marginals (identity-or-transpose
+    with weight p0+p1, depolarizing with weight p2+p3)."""
+    d = params.d
+    first = transpose_map(d) if params.variant == "conjugate" else identity_channel(d)
+    acc = (params.p0 + params.p1) * first.choi.mat + (
+        params.p2 + params.p3
+    ) * depolarizing(d).choi.mat
+    return choi_channel(acc, d, d)

@@ -6,30 +6,26 @@ from superchan.channels import (
     DOChannelParams,
     DUChannelParams,
     amplitude_damping,
-    apply_channel,
     bit_flip,
     choi_channel,
     choi_from_kraus,
     classical_channel_extract,
     compose_channels,
     dephasing_channel,
-    depolarizing,
-    du_identity_channel_params,
     holevo_werner,
-    identity_channel,
-    orthogonal_covariant,
     pauli_channel,
     table_channel,
     table_channel_validate,
-    transpose_map,
-    unitary_covariant,
     validate_channel,
-    conjugate_covariant,
 )
 from superchan.linalg import DEFAULT_TOL, is_psd, max_entangled_projector, swap_operator
 from superchan.positions import compose_tables, off_pattern_weight, tables_from_choi
 
 from helpers import (
+    apply_channel,
+    depolarizing,
+    du_identity_channel_params,
+    identity_channel,
     loop_channel_choi,
     loop_classical_channel_extract,
     loop_dephasing_choi,
@@ -38,6 +34,7 @@ from helpers import (
     random_channel,
     random_covariance_matrix,
     random_density,
+    transpose_map,
 )
 
 
@@ -184,55 +181,12 @@ def _random_matrix(side):
     return rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
 
 
-def test_unitary_covariant_family():
-    assert np.allclose(unitary_covariant(1.0, 3).choi.mat, identity_channel(3).choi.mat)
-    assert np.allclose(unitary_covariant(0.0, 3).choi.mat, depolarizing(3).choi.mat)
-    for d in (2, 3, 4):
-        for lam in (-1.0 / (d * d - 1), 0.3, 1.0):
-            assert validate_channel(unitary_covariant(lam, d)).ok
-    with pytest.raises(ValueError):
-        unitary_covariant(1.1, 2)
-    with pytest.raises(ValueError):
-        unitary_covariant(-1.0 / 3 - 1e-6, 2)
-
-
-def test_conjugate_covariant_family():
-    for d in (2, 3, 4):
-        for mu in (-1.0 / (d - 1), 0.0, 1.0 / (d + 1)):
-            assert validate_channel(conjugate_covariant(mu, d)).ok
-    with pytest.raises(ValueError):
-        conjugate_covariant(1.0 / 3 + 1e-6, 2)
-    with pytest.raises(ValueError):
-        conjugate_covariant(-1.0 - 1e-6, 2)
-
-
 def test_holevo_werner_choi_and_validity():
     for d in (2, 3, 4):
         hw = holevo_werner(d)
         expected = (np.eye(d * d) - swap_operator(d).mat) / (d - 1)
         assert np.allclose(hw.choi.mat, expected)
         assert validate_channel(hw).ok
-        # equals the extreme conjugate-covariant member
-        assert np.allclose(hw.choi.mat, conjugate_covariant(-1.0 / (d - 1), d).choi.mat)
-
-
-def test_orthogonal_covariant_family():
-    # spectral oracle: CP whenever the two stated inequalities hold
-    oracle_hits = 0
-    for _ in range(200):
-        alpha, beta = rng.uniform(-1, 2), rng.uniform(-1, 1)
-        d = int(rng.integers(2, 5))
-        stated = alpha >= d * abs(beta) and d * (1 - alpha - beta) + alpha / d + beta >= 0
-        try:
-            ch = orthogonal_covariant(alpha, beta, d)
-            built = True
-        except ValueError:
-            built = False
-        assert built == stated
-        if built:
-            oracle_hits += 1
-            assert is_psd(ch.choi.mat)
-    assert oracle_hits > 10
 
 
 def test_du_channel_identity_and_validation():

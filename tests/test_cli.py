@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +14,15 @@ from superchan import jsonio, positions
 from superchan.channels import amplitude_damping, bit_flip, choi_channel
 from superchan.cli import default_du_params, main
 from superchan.dephasing import DephasingSuperParams, dephasing_from_realization
-from superchan.do import from_du_params
-from superchan.du import DUSuperParams, build_choi, du_cp_check, du_identity, du_tp_check
+from superchan.du import DUSuperParams, build_choi, du_cp_check, du_tp_check
 from superchan.pauli import PauliSuperParams
-from superchan.superchannels import compose_superchannels, identity_superchannel, super_choi
+from superchan.superchannels import compose_superchannels, super_choi
 
 from helpers import (
+    du_identity,
+    from_du_params,
+    identity_superchannel,
+    pauli_to_json,
     random_channel,
     random_do_params,
     random_hermitian_du_params,
@@ -113,7 +117,7 @@ def test_malformed_tolerance_is_invalid_input(paths, capsys, tol):
 
 def test_validate_pauli_reports_covariance(paths, capsys):
     tmp, write = paths
-    path = write("pauli.json", jsonio.pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))))
+    path = write("pauli.json", pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))))
     code, out = run_cli(capsys, "validate", "pauli", path)
     assert code == 0
     assert report_value(out, "du_covariant") == "true"
@@ -234,7 +238,7 @@ def _malformed_number_text(case):
         doc = jsonio.channel_to_json(amplitude_damping(0.3))
         doc["d_in"] = 2.5
     else:
-        doc = jsonio.pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16)))
+        doc = pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16)))
         doc["pi"][0][0] = huge
     return case.split("-")[0], json.dumps(doc)
 
@@ -298,7 +302,7 @@ def test_apply_channel_must_hold_a_channel(paths, capsys, kind):
         "do": jsonio.params_to_json(from_du_params(du_identity(2))),
         "dephasing": jsonio.params_to_json(dephasing_from_realization(
             *random_realization(np.random.default_rng(3), 2, 2))),
-        "pauli": jsonio.pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))),
+        "pauli": pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))),
         "superchannel": jsonio.superchannel_to_json(identity_superchannel(2, 2)),
     }
     sup = write("s.json", docs["superchannel"])
@@ -520,7 +524,7 @@ def test_table_dimension_below_one_is_invalid_input(paths, capsys, kind):
 def test_compose_kind_mismatch(paths, capsys):
     tmp, write = paths
     du = write("du.json", jsonio.params_to_json(du_identity(2)))
-    pauli = write("pi.json", jsonio.pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))))
+    pauli = write("pi.json", pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))))
     code, _ = run_cli(capsys, "compose", "du", du, pauli)
     assert code == 2
 
@@ -535,7 +539,7 @@ def test_covariance_command(paths, capsys):
     pi = np.zeros((4, 4))
     pi[0, 1] = 0.5
     pi[0, 0] = 0.5
-    pauli = write("pi.json", jsonio.pauli_to_json(PauliSuperParams(pi)))
+    pauli = write("pi.json", pauli_to_json(PauliSuperParams(pi)))
     code, out = run_cli(capsys, "covariance", pauli, "--group", "du")
     assert code == 3
     assert float(report_value(out, "max_deviation")) > 1e-3
@@ -722,7 +726,7 @@ def test_main_restores_the_collector_state(paths, capsys, monkeypatch, collector
     du = write("du.json", jsonio.params_to_json(du_identity(2)))
     pi = np.zeros((4, 4))
     pi[0, 0] = pi[0, 1] = 0.5
-    pauli = write("pi.json", jsonio.pauli_to_json(PauliSuperParams(pi)))
+    pauli = write("pi.json", pauli_to_json(PauliSuperParams(pi)))
     (gc.enable if enabled else gc.disable)()
     for code, argv in (
         (0, ["validate", "du", du]),
@@ -770,7 +774,7 @@ def test_commands_leave_no_cyclic_garbage(paths, capsys, collector):
         "do": jsonio.params_to_json(random_do_params(local, 2)),
         "dephasing": jsonio.params_to_json(
             dephasing_from_realization(*random_realization(local, 2, 2))),
-        "pauli": jsonio.pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))),
+        "pauli": pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))),
     }
     path = {kind: write(f"{kind}.json", doc) for kind, doc in files.items()}
     out = str(tmp / "out.json")
@@ -819,7 +823,7 @@ def kind_files(tmp_path_factory):
         "do": jsonio.params_to_json(from_du_params(du)),
         "dephasing": jsonio.params_to_json(
             dephasing_from_realization(*random_realization(local, 2, 2))),
-        "pauli": jsonio.pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))),
+        "pauli": pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))),
     }
     path = {}
     for kind, doc in docs.items():
@@ -854,10 +858,21 @@ def test_commands_import_only_what_they_use(kind_files, argv):
 
 
 def test_console_entry_point_runs():
+    # the child finds the package under test first, whatever PYTHONPATH it inherits
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "superchan.cli", "example", "bit-flip", "--p", "0.1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "status: ok" in proc.stdout
+
+
+def test_readme_quick_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A quick example:", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick example", "exec"), {})
+    assert "[[" in capsys.readouterr().out  # it prints the output channel's Choi matrix

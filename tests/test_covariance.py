@@ -5,31 +5,20 @@ from hypothesis import given, settings, strategies as st
 from superchan.channels import (
     PARAM_EDGE_TOL,
     DOChannelParams,
-    DUChannelParams,
     amplitude_damping,
     bit_flip,
-    choi_channel,
-    depolarizing,
-    holevo_werner,
-    identity_channel,
     pauli_channel,
-    table_channel,
-    transpose_map,
-    unitary_covariant,
     validate_channel,
 )
 from superchan import covariance
 from superchan.covariance import (
     GroupSampler,
     UUFamilyParams,
-    channel_covariance_check,
     covariance_sampler_tuple,
     holevo_werner_superchannel,
     holevo_werner_superchannel_params,
     superchannel_covariance_check,
-    uu_closed_form_action,
     uu_cp_closed_form,
-    uu_induced_map,
     uu_superchannel,
 )
 from superchan.dephasing import DephasingSuperParams
@@ -37,7 +26,6 @@ from superchan.du import build_choi
 from superchan.linalg import DEFAULT_TOL, is_psd
 from superchan.superchannels import (
     apply_to_channel,
-    identity_superchannel,
     sandwich_superchannel,
     super_choi,
     tp_preserving_check,
@@ -46,16 +34,21 @@ from superchan.superchannels import (
 
 from helpers import (
     dense_covariance_reference,
+    depolarizing,
     haar_unitary,
+    identity_channel,
+    identity_superchannel,
     random_channel,
     random_do_params,
     random_hermitian_du_params,
     rephasing_covariance_reference,
+    transpose_map,
     unitary_conjugation,
+    uu_closed_form_action,
+    uu_induced_map,
 )
 
 rng = np.random.default_rng(19)
-
 
 
 def test_superchannel_covariance_check_refuses_channel_tables():
@@ -113,45 +106,6 @@ def test_diagonals_are_the_stream_of_successive_draws(kind, conjugate):
 def test_haar_sampler_has_no_diagonals():
     with pytest.raises(ValueError, match="not diagonal"):
         GroupSampler("haar-unitary", 2, 0).diagonals(3)
-
-
-def test_channel_covariance_families():
-    # fully covariant family is invariant when both representations coincide
-    ch = unitary_covariant(0.4, 3)
-    v = channel_covariance_check(
-        ch, GroupSampler("haar-unitary", 3, 1), GroupSampler("haar-unitary", 3, 1), n=20
-    )
-    assert v.max_deviation <= 1e-12
-
-    # amplitude damping is diagonal-unitary covariant but not fully covariant
-    ad = amplitude_damping(0.3)
-    v = channel_covariance_check(
-        ad, GroupSampler("diagonal-unitary", 2, 2), GroupSampler("diagonal-unitary", 2, 2), n=20
-    )
-    assert v.max_deviation <= 1e-12
-    v = channel_covariance_check(
-        ad, GroupSampler("haar-unitary", 2, 3), GroupSampler("haar-unitary", 2, 3), n=20
-    )
-    assert v.max_deviation > 1e-3
-
-    # the extreme conjugate-covariant channel needs the conjugate partner
-    hw = holevo_werner(3)
-    v = channel_covariance_check(
-        hw,
-        GroupSampler("haar-unitary", 3, 4),
-        GroupSampler("haar-unitary", 3, 4).conjugated(),
-        n=20,
-    )
-    assert v.max_deviation <= 1e-12
-
-
-def test_channel_covariance_dimension_mismatch():
-    with pytest.raises(ValueError):
-        channel_covariance_check(
-            amplitude_damping(0.1),
-            GroupSampler("haar-unitary", 3, 0),
-            GroupSampler("haar-unitary", 2, 0),
-        )
 
 
 def test_uu_superchannel_trivial_points():
@@ -265,8 +219,9 @@ def test_holevo_werner_superchannel_on_identity():
     # at mixing weight -1/(d^2 - 1)
     for d in (2, 3):
         out = apply_to_channel(holevo_werner_superchannel(d), identity_channel(d))
-        expected = unitary_covariant(-1.0 / (d * d - 1), d)
-        assert np.abs(out.choi.mat - expected.choi.mat).max() <= 1e-12
+        lam = -1.0 / (d * d - 1)
+        expected = lam * identity_channel(d).choi.mat + (1 - lam) * depolarizing(d).choi.mat
+        assert np.abs(out.choi.mat - expected).max() <= 1e-12
         assert validate_channel(out).ok
 
 
@@ -296,36 +251,20 @@ def test_covariance_verdict_reporting():
 # diagonal groups: rephasing the nonzero entries against dense conjugation
 # ---------------------------------------------------------------------------
 
-KIND = {"du": "diagonal-unitary", "do": "diagonal-orthogonal"}
-
-
 def _complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def _covariant_choi(rng, group, d, channel):
-    """A Choi matrix invariant under the group, with generic nonzero entries."""
-    if channel:
-        off = np.where(np.eye(d, dtype=bool), 0.0, _complex(rng, (d, d)))
-        if group == "du":
-            return table_channel(DUChannelParams(d, rng.normal(size=(d, d)), off)).choi.mat
-        c = np.where(np.eye(d, dtype=bool), 0.0, _complex(rng, (d, d)))
-        return table_channel(DOChannelParams(d, rng.normal(size=(d, d)), off, c)).choi.mat
+def _covariant_choi(rng, group, d):
+    """A superchannel Choi matrix invariant under the group, with generic
+    nonzero entries."""
     if group == "du":
         return build_choi(random_hermitian_du_params(rng, d)).choi.mat
     return build_choi(random_do_params(rng, d)).choi.mat
 
 
-def _samplers(group, d, seed, channel):
-    if channel:  # two representations of the same group element
-        return tuple(GroupSampler(KIND[group], d, seed) for _ in range(2))
-    return covariance_sampler_tuple(group, d, seed)
-
-
-def _check(mat, group, d, seed, channel, n):
-    samplers = _samplers(group, d, seed, channel)
-    if channel:
-        return channel_covariance_check(choi_channel(mat, d, d), *samplers, n=n)
+def _check(mat, group, d, seed, n):
+    samplers = covariance_sampler_tuple(group, d, seed)
     return superchannel_covariance_check(super_choi(mat, (d,) * 4), samplers, n=n)
 
 
@@ -333,14 +272,13 @@ def _check(mat, group, d, seed, channel, n):
 @given(
     group=st.sampled_from(["du", "do"]),
     d=st.integers(2, 4),
-    channel=st.booleans(),
     kind=st.sampled_from(["covariant", "generic", "planted"]),
     scale=st.floats(0.5, 2.0),
     seed=st.integers(0, 2**16),
 )
-def test_diagonal_route_matches_dense_conjugation(group, d, channel, kind, scale, seed):
+def test_diagonal_route_matches_dense_conjugation(group, d, kind, scale, seed):
     rng = np.random.default_rng(seed)
-    mat = _covariant_choi(rng, group, d, channel).copy()
+    mat = _covariant_choi(rng, group, d).copy()
     if kind == "generic":
         mat = _complex(rng, mat.shape)
     elif kind == "planted":  # off-pattern weight at the tolerance boundary
@@ -348,8 +286,8 @@ def test_diagonal_route_matches_dense_conjugation(group, d, channel, kind, scale
         r, c = zeros[rng.integers(len(zeros))]
         mat[r, c] = scale * DEFAULT_TOL * np.exp(1j * rng.uniform(0, 2 * np.pi))
     n = 8
-    v = _check(mat, group, d, seed, channel, n)
-    ref, ref_idx = dense_covariance_reference(mat, _samplers(group, d, seed, channel), n)
+    v = _check(mat, group, d, seed, n)
+    ref, ref_idx = dense_covariance_reference(mat, covariance_sampler_tuple(group, d, seed), n)
     assert v.ok == (ref <= DEFAULT_TOL)
     if group == "do":  # products of +-1 are exact, so both routes agree bit for bit
         assert (v.max_deviation, v.worst_sample) == (ref, ref_idx)
@@ -360,11 +298,10 @@ def test_diagonal_route_matches_dense_conjugation(group, d, channel, kind, scale
 
 
 @pytest.mark.parametrize("group", ["du", "do"])
-@pytest.mark.parametrize("channel", [True, False])
-def test_diagonal_route_on_an_all_zero_choi(group, channel):
-    d = 3
-    mat = np.zeros((d**2, d**2) if channel else (d**4, d**4), dtype=complex)
-    v = _check(mat, group, d, 5, channel, 4)
+@pytest.mark.parametrize("d", [2, 3])
+def test_diagonal_route_on_an_all_zero_choi(group, d):
+    mat = np.zeros((d**4, d**4), dtype=complex)
+    v = _check(mat, group, d, 5, 4)
     assert (v.ok, v.max_deviation, v.worst_sample) == (True, 0.0, 0)
 
 
@@ -379,20 +316,12 @@ def test_mixed_diagonal_and_haar_samplers_take_the_dense_route():
     v = superchannel_covariance_check(super_choi(mat, (d,) * 4), samplers(), n=6)
     assert (v.max_deviation, v.worst_sample) == dense_covariance_reference(mat, samplers(), 6)
 
-    def pair():
-        return GroupSampler("diagonal-unitary", 4, 1), GroupSampler("haar-unitary", 4, 1)
-
-    v = channel_covariance_check(choi_channel(mat[:16, :16], 4, 4), *pair(), n=6)
-    assert (v.max_deviation, v.worst_sample) == dense_covariance_reference(mat[:16, :16], pair(), 6)
-
 
 @pytest.mark.parametrize("group", ["du", "do"])
-@pytest.mark.parametrize("channel", [True, False])
 @pytest.mark.parametrize("kind", ["covariant", "generic", "planted", "zeros40", "zeros70"])
 @pytest.mark.parametrize("floor", [True, False])
-def test_batched_route_is_bit_identical_to_per_sample_conjugation(
-    monkeypatch, group, channel, kind, floor
-):
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_route_is_bit_identical_to_per_sample_conjugation(monkeypatch, group, kind, floor, d):
     """n runs from one sample to several chunks.  With the chunk floor a
     generic d=3 superchannel Choi takes three samples per chunk; without it
     the chunks of every input shrink to a few samples, so most n split them
@@ -400,31 +329,32 @@ def test_batched_route_is_bit_identical_to_per_sample_conjugation(
     zeroing 70 % takes the gathers."""
     if not floor:
         monkeypatch.setattr(covariance, "_CHUNK_ENTRIES", 0)
-    r = np.random.default_rng(5)
-    for d in (2, 3):
-        mat = _covariant_choi(r, group, d, channel).copy()
-        if kind != "covariant":
-            mat = _complex(r, mat.shape) if kind != "planted" else mat
-        if kind == "planted":
-            zeros = np.argwhere(mat == 0)
-            mat[tuple(zeros[r.integers(len(zeros))])] = DEFAULT_TOL * np.exp(1j * r.uniform(0, 6))
-        elif kind.startswith("zeros"):
-            mat[r.random(mat.shape) < int(kind[5:]) / 100] = 0.0
-        for n in (1, 2, 5, 8, 31):
-            seed = 100 + n
-            v = _check(mat, group, d, seed, channel, n)
-            got = (v.max_deviation, v.worst_sample)
-            assert got == rephasing_covariance_reference(mat, _samplers(group, d, seed, channel), n)
-            if group == "do":  # products of +-1 are exact, so the matrix product agrees too
-                assert got == dense_covariance_reference(mat, _samplers(group, d, seed, channel), n)
+    r = np.random.default_rng((5, d))
+    mat = _covariant_choi(r, group, d).copy()
+    if kind != "covariant":
+        mat = _complex(r, mat.shape) if kind != "planted" else mat
+    if kind == "planted":
+        zeros = np.argwhere(mat == 0)
+        mat[tuple(zeros[r.integers(len(zeros))])] = DEFAULT_TOL * np.exp(1j * r.uniform(0, 6))
+    elif kind.startswith("zeros"):
+        mat[r.random(mat.shape) < int(kind[5:]) / 100] = 0.0
+    for n in (1, 2, 5, 8, 31):
+        seed = 100 + n
+        v = _check(mat, group, d, seed, n)
+        got = (v.max_deviation, v.worst_sample)
+        assert got == rephasing_covariance_reference(mat, covariance_sampler_tuple(group, d, seed), n)
+        if group == "do":  # products of +-1 are exact, so the matrix product agrees too
+            assert got == dense_covariance_reference(mat, covariance_sampler_tuple(group, d, seed), n)
 
 
 def test_a_sampler_passed_twice_alternates_its_stream():
-    mat = _complex(rng, (9, 9))
-    s, t = (GroupSampler("diagonal-unitary", 3, 4) for _ in range(2))
-    v = channel_covariance_check(choi_channel(mat, 3, 3), s, s, n=6)
-    assert (v.max_deviation, v.worst_sample) == rephasing_covariance_reference(mat, (t, t), 6)
+    mat = _complex(rng, (16, 16))
+    s, t = (GroupSampler("diagonal-unitary", 2, 4) for _ in range(2))
+    u, w = (GroupSampler("diagonal-unitary", 2, 5) for _ in range(2))
+    v = superchannel_covariance_check(super_choi(mat, (2,) * 4), (s, u, s, u), n=6)
+    assert (v.max_deviation, v.worst_sample) == rephasing_covariance_reference(mat, (t, w, t, w), 6)
     assert np.array_equal(s.draw(), t.draw())
+    assert np.array_equal(u.draw(), w.draw())
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -7,8 +7,6 @@ from superchan.channels import (
     DUChannelParams,
     amplitude_damping,
     dephasing_channel,
-    du_identity_channel_params,
-    identity_channel,
     table_channel,
 )
 from superchan.dephasing import (
@@ -16,7 +14,7 @@ from superchan.dephasing import (
     dephasing_from_realization,
     dephasing_validate,
 )
-from superchan.du import build_choi, du_identity, from_choi
+from superchan.du import build_choi, from_choi
 from superchan.linalg import DEFAULT_TOL
 from superchan.positions import compose_tables
 from superchan.superchannels import (
@@ -26,6 +24,9 @@ from superchan.superchannels import (
 )
 
 from helpers import (
+    du_identity,
+    du_identity_channel_params,
+    identity_channel,
     loop_realization_table,
     random_channel,
     random_covariance_matrix,

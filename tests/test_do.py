@@ -7,9 +7,8 @@ from superchan.do import (
     DOSuperParams,
     NotDOCovariantError,
     do_validate,
-    from_du_params,
 )
-from superchan.du import build_choi, du_identity, from_choi
+from superchan.du import build_choi, from_choi
 from superchan.pauli import PauliSuperParams, pauli_super_choi
 from superchan.superchannels import (
     sandwich_superchannel,
@@ -21,6 +20,8 @@ from superchan.superchannels import (
 from helpers import (
     charge_sectors,
     dense_validate_superchannel,
+    du_identity,
+    from_du_params,
     full_eigvalsh_psd,
     haar_unitary,
     random_hermitian_du_params,

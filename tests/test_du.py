@@ -7,7 +7,6 @@ from superchan.channels import (
     DUChannelParams,
     amplitude_damping,
     bit_flip,
-    du_identity_channel_params,
     pauli_channel,
     table_channel,
     table_channel_validate,
@@ -19,7 +18,6 @@ from superchan.du import (
     NotDUCovariantError,
     build_choi,
     du_cp_check,
-    du_identity,
     du_tp_check,
     from_choi,
 )
@@ -30,7 +28,6 @@ from superchan.superchannels import (
     apply_to_channel,
     classical_superchannel_extract,
     compose_superchannels,
-    identity_superchannel,
     representing_apply,
     sandwich_superchannel,
     tp_preserving_check,
@@ -41,8 +38,11 @@ from helpers import (
     charge_sectors,
     cp_block_matrix,
     cp_blocks,
+    du_identity,
+    du_identity_channel_params,
     full_eigvalsh_psd,
     haar_unitary,
+    identity_superchannel,
     loop_cp_blocks,
     loop_du_action_on_identity,
     random_doc_params,

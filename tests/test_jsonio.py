@@ -17,14 +17,17 @@ from superchan import jsonio
 from superchan.channels import amplitude_damping
 from superchan.cli import main
 from superchan.dephasing import dephasing_from_realization
-from superchan.do import from_du_params
-from superchan.du import du_identity
 from superchan.jsonio import SchemaError
 from superchan.linalg import MultipartiteOperator, matrix_from_json
 from superchan.pauli import PauliSuperParams
-from superchan.superchannels import identity_superchannel, super_choi
+from superchan.superchannels import super_choi
 
 from helpers import (
+    du_identity,
+    from_du_params,
+    identity_superchannel,
+    operator,
+    pauli_to_json,
     random_channel,
     random_do_params,
     random_hermitian_du_params,
@@ -69,35 +72,13 @@ def test_dephasing_round_trip():
     assert np.array_equal(again.M_big, p.M_big)
 
 
-def test_realization_parsing_feeds_the_constructor():
-    us, vs, psi = random_realization(rng, 2, 3)
-    doc = {
-        "e": 3,
-        "U": [jsonio.matrix_to_json(_wrap(u)) for u in us],
-        "V": [jsonio.matrix_to_json(_wrap(v)) for v in vs],
-        "psi": [[float(z.real), float(z.imag)] for z in psi],
-    }
-    parsed_us, parsed_vs, parsed_psi = jsonio.realization_from_json(doc)
-    built = dephasing_from_realization(parsed_us, parsed_vs, parsed_psi)
-    direct = dephasing_from_realization(us, vs, psi)
-    assert np.array_equal(built.M_big, direct.M_big)
-    with pytest.raises(SchemaError):
-        jsonio.realization_from_json({"e": 3, "U": [], "V": [], "psi": [[1.0, 0.0]]})
-    for psi in ([[1.0, 0.0], [True, 0.0], [0.0, 0.0]], [[1.0, 0.0], ["0", 0.0], [0.0, 0.0]],
-                [[1.0, 0.0], [0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0]]):
-        with pytest.raises(SchemaError, match="psi must be 3 \\[re, im\\] pairs of numbers"):
-            jsonio.realization_from_json({**doc, "psi": psi})
-
-
 def _wrap(mat):
-    from superchan.linalg import operator
-
     return operator(mat, (mat.shape[0],))
 
 
 def test_pauli_round_trip_and_validation():
     p = PauliSuperParams(rng.dirichlet(np.ones(16)).reshape(4, 4))
-    again = jsonio.pauli_from_json(jsonio.pauli_to_json(p))
+    again = jsonio.pauli_from_json(pauli_to_json(p))
     assert np.array_equal(again.pi, p.pi)
     with pytest.raises(SchemaError):
         jsonio.pauli_from_json({"pi": [[1.0] * 4] * 4})
@@ -162,7 +143,7 @@ def _with_special_values(doc):
 
 _TO_JSON = {"superchannel": jsonio.superchannel_to_json, "channel": jsonio.channel_to_json,
             "du": jsonio.params_to_json, "do": jsonio.params_to_json,
-            "dephasing": jsonio.params_to_json, "pauli": jsonio.pauli_to_json}
+            "dephasing": jsonio.params_to_json, "pauli": pauli_to_json}
 
 
 @pytest.mark.parametrize("kind", list(_TO_JSON))
@@ -197,7 +178,7 @@ def _every_document_kind():
         "du": jsonio.params_to_json(du),
         "do": jsonio.params_to_json(from_du_params(du)),
         "dephasing": jsonio.params_to_json(dephasing_from_realization(us, vs, psi)),
-        "pauli": jsonio.pauli_to_json(PauliSuperParams(rng.dirichlet(np.ones(16)).reshape(4, 4))),
+        "pauli": pauli_to_json(PauliSuperParams(rng.dirichlet(np.ones(16)).reshape(4, 4))),
         "realization": {
             "e": 3,
             "U": [jsonio.matrix_to_json(_wrap(u)) for u in us],

@@ -10,7 +10,6 @@ from superchan.channels import (
     ConjDUChannelParams,
     DOChannelParams,
     DUChannelParams,
-    du_identity_channel_params,
     table_channel_validate,
     validate_channel,
 )
@@ -27,20 +26,16 @@ from superchan.linalg import (
     NonHermitianMatrixError,
     hermitian_eigenvalues,
     hermiticity_deviation,
-    identity_operator,
     is_hermitian,
     is_psd,
     kron,
     matrix_from_json,
     matrix_to_json,
-    matrix_unit,
     max_entangled_projector,
-    operator,
     partial_trace,
     partial_transpose,
     permute_subsystems,
     psd_report,
-    schur_product,
     swap_operator,
 )
 from superchan.pauli import PauliSuperParams, pauli_du_check
@@ -48,6 +43,8 @@ from superchan.superchannels import classical_superchannel_extract, validate_sup
 
 from helpers import (
     charge_sectors,
+    du_identity_channel_params,
+    operator,
     random_channel,
     random_hermitian,
     random_realization,
@@ -140,8 +137,9 @@ def test_frozen_classes_refuse_assignment_and_deletion():
 
 
 def test_kron_matrix_unit_against_identity():
-    e01 = operator(matrix_unit(2, 0, 1), (2,))
-    out = kron(e01, identity_operator((2,)))
+    e01 = np.zeros((2, 2))
+    e01[0, 1] = 1.0
+    out = kron(operator(e01, (2,)), operator(np.eye(2), (2,)))
     expected = np.zeros((4, 4))
     expected[0, 2] = expected[1, 3] = 1.0
     assert np.array_equal(out.mat, expected)
@@ -149,7 +147,7 @@ def test_kron_matrix_unit_against_identity():
 
 
 def test_kron_identities():
-    out = kron(identity_operator((2,)), identity_operator((3,)))
+    out = kron(operator(np.eye(2), (2,)), operator(np.eye(3), (3,)))
     assert np.array_equal(out.mat, np.eye(6))
 
 
@@ -190,7 +188,7 @@ def test_partial_trace_everything():
 
 def test_partial_trace_bad_subsystem():
     with pytest.raises(ValueError):
-        partial_trace(identity_operator((2, 2)), 2)
+        partial_trace(operator(np.eye(4), (2, 2)), 2)
 
 
 def test_partial_transpose_product_and_involution():
@@ -244,28 +242,7 @@ def test_permute_preserves_spectrum_and_norm():
 
 def test_permute_malformed():
     with pytest.raises(ValueError):
-        permute_subsystems(identity_operator((2, 2)), (0, 0))
-
-
-def test_schur_product():
-    rng = np.random.default_rng(5)
-    x = operator(rng.normal(size=(3, 3)), (3,))
-    ones = operator(np.ones((3, 3)), (3,))
-    eye = identity_operator((3,))
-    assert np.array_equal(schur_product(ones, x).mat, x.mat)
-    assert np.array_equal(schur_product(eye, x).mat, np.diag(np.diagonal(x.mat)))
-    with pytest.raises(ValueError):
-        schur_product(x, identity_operator((2,)))
-
-
-def test_schur_product_of_psd_is_psd():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        g1 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        g2 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        a = operator(g1 @ g1.conj().T, (3,))
-        b = operator(g2 @ g2.conj().T, (3,))
-        assert is_psd(schur_product(a, b))
+        permute_subsystems(operator(np.eye(4), (2, 2)), (0, 0))
 
 
 def test_is_hermitian_and_psd_basics():

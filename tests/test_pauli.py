@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from superchan import pauli
-from superchan.channels import depolarizing, identity_channel, pauli_channel
+from superchan.channels import pauli_channel
 from superchan.covariance import covariance_sampler_tuple, superchannel_covariance_check
 from superchan.do import DOSuperParams
 from superchan.du import NotDUCovariantError, from_choi
@@ -13,17 +13,22 @@ from superchan.pauli import (
     pauli_apply,
     pauli_du_check,
     pauli_induced_bistochastic,
-    pauli_marginal_channel,
     pauli_super_choi,
 )
 from superchan.superchannels import (
     apply_to_channel,
-    identity_superchannel,
     tp_preserving_check,
     validate_superchannel,
 )
 
-from helpers import du_extraction_ok, loop_pauli_super_choi
+from helpers import (
+    depolarizing,
+    du_extraction_ok,
+    identity_channel,
+    identity_superchannel,
+    loop_pauli_super_choi,
+    pauli_marginal_channel,
+)
 
 rng = np.random.default_rng(41)
 
@@ -112,6 +117,14 @@ def test_params_validation():
     bad[0, 1] = 3 / 16
     with pytest.raises(ValueError):
         PauliSuperParams(bad)
+
+
+def test_params_copy_the_callers_table():
+    pi = np.full((4, 4), 1 / 16)
+    p = PauliSuperParams(pi)
+    assert pi.flags.writeable and not p.pi.flags.writeable
+    pi[0, 0] = 0.5
+    assert p.pi[0, 0] == 1 / 16
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

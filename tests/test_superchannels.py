@@ -4,11 +4,8 @@ import pytest
 from superchan.channels import (
     DOChannelParams,
     amplitude_damping,
-    apply_channel,
     bit_flip,
     classical_channel_extract,
-    depolarizing,
-    identity_channel,
     validate_channel,
 )
 from superchan.linalg import DEFAULT_TOL, max_entangled_projector
@@ -16,7 +13,6 @@ from superchan.superchannels import (
     apply_to_channel,
     classical_superchannel_extract,
     compose_superchannels,
-    identity_superchannel,
     representing_apply,
     sandwich_superchannel,
     super_choi,
@@ -25,13 +21,18 @@ from superchan.superchannels import (
 )
 
 from superchan.dephasing import dephasing_from_realization
-from superchan.du import build_choi, du_identity
+from superchan.du import build_choi
 from superchan.jsonio import TABLE_KINDS
 from superchan.positions import apply_tables
 
 from helpers import (
+    apply_channel,
     dense_validate_superchannel,
+    depolarizing,
+    du_identity,
     haar_unitary,
+    identity_channel,
+    identity_superchannel,
     loop_classical_table,
     loop_tp_preserving_parts,
     random_channel,
