@@ -187,7 +187,7 @@ def cmd_compose(args) -> CommandResult:
     report = {"kind": args.kind}
     artifacts = [(args.out, doc)] if args.out else []
     if not artifacts:
-        report["result"] = json.dumps(doc)
+        report["result"] = json.dumps(doc, default=jsonio.array_as_list)
     return CommandResult(OK, report, artifacts)
 
 
@@ -394,9 +394,11 @@ def main(argv=None) -> int:
         result = args.func(args)
         for path, doc in result.artifacts:  # written before the report is printed
             jsonio.dump_json(doc, path)
-    except (SchemaError, ValueError, OSError) as exc:  # OSError: unreadable or unwritable path
+    # OSError: an unreadable or unwritable path; MemoryError: a size (such as
+    # --samples) that asks for more memory than there is
+    except (SchemaError, ValueError, OSError, MemoryError) as exc:
         print("status: invalid-input")
-        print(f"error: {exc}")
+        print(f"error: {str(exc) or type(exc).__name__}")
         return INVALID_INPUT
     finally:
         if collecting:

@@ -2,12 +2,16 @@
 
 All matrices use one format: {"dims": [d1, ..., dn], "data": [[re, im], ...]}
 with data row-major over the flattened index.  Files are decoded by orjson,
-and by json for what orjson refuses (see load_json).  Serialization writes
-each float in its shortest round-trip digits, so dump -> load is exact.
-dump_json's output equals ``json.dumps(obj, indent=2)`` byte for byte; it
-writes the whole document with orjson, whose float digits are repr's, and
-respells the few numbers orjson writes in another form (see _respell).  What
-orjson refuses, or would write otherwise than json, goes to json itself.
+and by json for what orjson refuses (see load_json).  The documents built
+here hold each matrix's data as the read-only (side², 2) float64 view of its
+buffer (linalg.matrix_to_json), not as lists.  Serialization writes each
+float in its shortest round-trip digits, so dump -> load is exact.
+dump_json's output equals ``json.dumps(obj, indent=2)`` byte for byte, each
+array read as its list; it writes the whole document with orjson, float64
+arrays straight from their buffers, whose float digits are repr's, and
+respells, one chunk of text at a time, the few numbers orjson writes in
+another form (see _respell).  What orjson refuses, or would write otherwise
+than json, numpy scalars among them, goes to json itself.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from .channels import ChoiChannel
 from .dephasing import DephasingSuperParams
 from .do import DOSuperParams
 from .du import DUSuperParams
-from .linalg import MultipartiteOperator, json_floats, matrix_from_json, matrix_to_json
+from .linalg import (MultipartiteOperator, complex_pairs, json_floats, matrix_from_json,
+                     matrix_to_json)
 from .pauli import PauliSuperParams
 from .positions import TableParams
 from .superchannels import SuperChoi, super_choi
@@ -116,7 +121,7 @@ def params_to_json(p: TableParams) -> dict:
     """du, do or dephasing parameters: d, then each table as a matrix on dims (d, d)."""
     out = {"d": p.d}
     for name in p.NAMES:
-        out[name] = matrix_to_json(MultipartiteOperator((p.d, p.d), getattr(p, name)))
+        out[name] = {"dims": [p.d, p.d], "data": complex_pairs(getattr(p, name))}
     return out
 
 
@@ -189,26 +194,35 @@ def load_json(path) -> dict:
 def dump_json(obj: dict, path=None) -> str:
     """Deterministic serialization (fixed key order, shortest round-trip floats).
 
-    The text equals ``json.dumps(obj, indent=2)`` byte for byte.  orjson
-    writes the document in one call and _respell fixes the few numbers it
-    spells differently.  A document orjson refuses (ints beyond 64 bits,
-    non-str keys, float or other subclasses, dataclasses, dates), or whose
+    The text equals ``json.dumps(obj, indent=2)`` byte for byte, where a
+    numpy array reads as its list twin, ``arr.tolist()``.  orjson writes the
+    document in one call and _respell, one chunk of text at a time, fixes
+    the few numbers it spells differently; a C-contiguous float64 array of
+    one or more axes, the matrix data of matrix_to_json, is written by
+    orjson from its buffer, with no Python object per number.  A document
+    orjson refuses (ints beyond 64 bits, non-str keys, float or other
+    subclasses, numpy scalars, other arrays, dataclasses, dates), or whose
     text holds ``null`` (None, NaN, infinity), a non-ASCII byte or DEL,
-    which json escapes, is written by ``json.dumps`` itself.  One difference
-    is left: orjson writes an ``enum.Enum`` member as its value and a
-    ``uuid.UUID`` as a string, where json raises TypeError; no document this
-    package builds holds either.  With a path, the text and a newline are
-    written to the file in binary mode.
+    which json escapes, is written by ``json.dumps`` itself, with each array
+    as its list.  One difference is left: orjson writes an ``enum.Enum``
+    member as its value and a ``uuid.UUID`` as a string, where json raises
+    TypeError; no document this package builds holds either.  With a path,
+    the text and a newline are written to the file in binary mode.
     """
     try:
-        data = orjson.dumps(obj, option=_ORJSON_OPTIONS)
+        # float64 arrays are written as null on this pass, which only checks
+        # that the rest holds no numpy scalar: OPT_SERIALIZE_NUMPY would
+        # write those, and int64 or float32 scalars are json's to refuse
+        data = orjson.dumps(obj, option=_ORJSON_OPTIONS, default=_float64_array)
+        if b"n" in data and b"null" in data:  # a float64 array, or json's document
+            data = orjson.dumps(obj, option=_ORJSON_OPTIONS | orjson.OPT_SERIALIZE_NUMPY)
     except orjson.JSONEncodeError:
         data = None
     # b"n" first: a one-byte search runs as memchr, and most texts hold no "n";
     # the four-byte search is an order of magnitude slower on digit-heavy text
     if (data is None or (b"n" in data and b"null" in data)
             or not data.isascii() or b"\x7f" in data):
-        text = json.dumps(obj, indent=2)
+        text = json.dumps(obj, indent=2, default=array_as_list)
         data = text.encode()
     else:
         data = _respell(data)
@@ -220,6 +234,24 @@ def dump_json(obj: dict, path=None) -> str:
     return text
 
 
+def _float64_array(obj) -> None:
+    """orjson's default hook for dump_json's first pass: None for an array
+    that OPT_SERIALIZE_NUMPY writes as json writes its list, TypeError for
+    anything else."""
+    if (type(obj) is np.ndarray and obj.dtype == np.float64 and obj.ndim
+            and obj.flags.c_contiguous):
+        return None
+    raise TypeError
+
+
+def array_as_list(obj) -> list:
+    """json.dumps's default hook: a numpy array as its nested lists; anything
+    else raises the TypeError json raises without the hook."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 _ORJSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_PASSTHROUGH_SUBCLASS
                    | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME)
 # In indent=2 text a number token ends its line, and a string cannot hold a
@@ -229,29 +261,41 @@ _EXPONENT = re.compile(rb"e(?:-(\d)|(\d+))" + _TOKEN_END)
 _POSITIONAL = re.compile(
     rb"\.0000(?:(?<=[^0-9]0\.0000)|(?<=\A0\.0000))([1-9])(\d*)" + _TOKEN_END
 )
+_CHUNK = 1 << 20  # bytes of text _respell scans and rewrites at a time
 
 
-def _respell(data: bytes) -> bytes:
+def _respell(data: bytes) -> bytearray:
     """orjson's text with each number respelled as repr spells it.
 
     orjson prints each float in its shortest round-trip digits (Ryu), the
     digits repr gives, and spells three ranges differently: it drops the
     exponent's leading zero for 1e-9 <= |x| < 1e-5 ("1e-7" for "1e-07") and
     its "+" for |x| >= 1e16 ("1e16" for "1e+16"), and writes
-    1e-5 <= |x| < 1e-4 positionally ("0.0000123" for "1.23e-05").  The
-    edits are collected from both scans and applied in one join.
+    1e-5 <= |x| < 1e-4 positionally ("0.0000123" for "1.23e-05").
+
+    The text is rewritten one chunk of about _CHUNK bytes at a time, each
+    cut just after a newline, so no token spans two chunks: the edits of
+    both scans of a chunk are sorted and copied out with the text between
+    them, and no list of edits spans the whole text.  Each chunk is scanned
+    in place, by finditer's pos and endpos, so the lookbehinds and \\A see
+    the whole text; \\Z matches at a cut, but a cut follows a newline,
+    never a digit.
     """
-    edits = [(m.start(), m.end(), b"e-0" + m[1] if m[1] else b"e+" + m[2])
-             for m in _EXPONENT.finditer(data)]
-    edits += [(m.start() - 1, m.end(), m[1] + (b"." + m[2] if m[2] else b"") + b"e-05")
-              for m in _POSITIONAL.finditer(data)]  # from the "0" before the "."
-    if not edits:
-        return data
-    edits.sort()
     view = memoryview(data)  # slices of a view copy nothing
-    parts, last = [], 0
-    for start, end, token in edits:
-        parts += (view[last:start], token)
-        last = end
-    parts.append(view[last:])
-    return b"".join(parts)
+    out = bytearray()
+    pos, size = 0, len(data)
+    while pos < size:
+        end = data.find(b"\n", pos + _CHUNK) + 1 or size
+        edits = [(m.start(), m.end(), b"e-0" + m[1] if m[1] else b"e+" + m[2])
+                 for m in _EXPONENT.finditer(data, pos, end)]
+        edits += [(m.start() - 1, m.end(), m[1] + (b"." + m[2] if m[2] else b"") + b"e-05")
+                  for m in _POSITIONAL.finditer(data, pos, end)]  # from the "0" before the "."
+        edits.sort()
+        last = pos
+        for start, stop, token in edits:
+            out += view[last:start]
+            out += token
+            last = stop
+        out += view[last:end]
+        pos = end
+    return out

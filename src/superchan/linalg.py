@@ -236,16 +236,28 @@ def psd_report(x, tol: float = DEFAULT_TOL) -> tuple[bool, float, float]:
 
 
 def matrix_to_json(x: MultipartiteOperator) -> dict:
-    """JSON form {"dims": [...], "data": [[re, im], ...]} (row-major)."""
-    pairs = x.mat.reshape(-1).view(np.float64).reshape(-1, 2)
-    return {"dims": list(x.dims), "data": pairs.tolist()}
+    """JSON form {"dims": [...], "data": pairs}, pairs being complex_pairs(x.mat):
+    no Python object per number.  jsonio.dump_json writes the array as
+    json.dumps writes its list twin, [[re, im], ...] row-major."""
+    return {"dims": list(x.dims), "data": complex_pairs(x.mat)}
+
+
+def complex_pairs(mat: np.ndarray) -> np.ndarray:
+    """The entries of a matrix, row-major, as a read-only (size, 2) float64
+    array of [re, im] rows: a view of a C-contiguous complex128 matrix's own
+    buffer, and otherwise of a complex128 copy (a real table among them)."""
+    pairs = np.ascontiguousarray(mat, dtype=np.complex128).reshape(-1)
+    pairs = pairs.view(np.float64).reshape(-1, 2)
+    pairs.setflags(write=False)
+    return pairs
 
 
 def matrix_from_json(obj: dict) -> MultipartiteOperator:
     """Inverse of matrix_to_json; every malformed input raises ValueError or
     TypeError, including numbers too large for a float.  Dims must be JSON
     integers and data entries [re, im] pairs of JSON numbers: booleans and
-    strings are rejected, not converted."""
+    strings are rejected, not converted.  Data given as an array, as
+    matrix_to_json gives it, is read as its list."""
     if not isinstance(obj, dict) or "dims" not in obj or "data" not in obj:
         raise ValueError("matrix JSON must contain 'dims' and 'data'")
     dims = tuple(obj["dims"])
@@ -253,6 +265,8 @@ def matrix_from_json(obj: dict) -> MultipartiteOperator:
         raise ValueError("matrix JSON dims must be integers")
     side = math.prod(dims)
     data = obj["data"]
+    if isinstance(data, np.ndarray):
+        data = data.tolist()
     if len(data) != side * side:
         raise ValueError(f"matrix JSON data has {len(data)} entries, expected {side * side}")
     if set(map(len, data)) - {2}:

@@ -792,6 +792,17 @@ def from_du_params(p: DUSuperParams) -> DOSuperParams:
     return DOSuperParams.masked(p.d, A=p.A, B=p.B, C=p.C, D=p.D)
 
 
+def as_lists(doc):
+    """A copy of a JSON document with every numpy array as its nested lists:
+    the list twin that jsonio.dump_json writes an array document as, and
+    that a test may edit in place (matrix data are read-only arrays)."""
+    if isinstance(doc, dict):
+        return {k: as_lists(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [as_lists(v) for v in doc]
+    return doc.tolist() if isinstance(doc, np.ndarray) else doc
+
+
 def pauli_to_json(p) -> dict:
     """The JSON form of a PauliSuperParams that jsonio.pauli_from_json reads."""
     return {"pi": [[float(v) for v in row] for row in p.pi]}

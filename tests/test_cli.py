@@ -19,6 +19,7 @@ from superchan.pauli import PauliSuperParams
 from superchan.superchannels import compose_superchannels, super_choi
 
 from helpers import (
+    as_lists,
     du_identity,
     from_du_params,
     identity_superchannel,
@@ -85,7 +86,7 @@ def test_validate_du_identity(paths, capsys):
 
 def test_validate_du_with_an_imaginary_a_entry_is_invalid_input(paths, capsys):
     tmp, write = paths
-    doc = jsonio.params_to_json(du_identity(2))
+    doc = as_lists(jsonio.params_to_json(du_identity(2)))
     doc["A"]["data"][5] = [1.0, 1e-300]
     path = write("du.json", doc)
     code, out = run_cli(capsys, "validate", "du", path)
@@ -222,7 +223,7 @@ NON_INTEGER_D = {
 def _malformed_number_text(case):
     huge = 10**400  # a float() or int() of it from JSON overflowed
     if case == "du-huge-table-entry":
-        doc = jsonio.params_to_json(du_identity(2))
+        doc = as_lists(jsonio.params_to_json(du_identity(2)))
         doc["A"]["data"][0][0] = huge
     elif case in ("du-null-d", "du-infinite-d"):
         doc = jsonio.params_to_json(du_identity(2))
@@ -233,14 +234,14 @@ def _malformed_number_text(case):
     elif case == "channel-overflowing-dims":
         doc = jsonio.channel_to_json(amplitude_damping(0.3))
         doc["choi"]["dims"] = [2, "BIG"]
-        return "channel", json.dumps(doc).replace('"BIG"', "1e999")
+        return "channel", json.dumps(as_lists(doc)).replace('"BIG"', "1e999")
     elif case == "channel-fractional-d-in":
         doc = jsonio.channel_to_json(amplitude_damping(0.3))
         doc["d_in"] = 2.5
     else:
         doc = pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16)))
         doc["pi"][0][0] = huge
-    return case.split("-")[0], json.dumps(doc)
+    return case.split("-")[0], json.dumps(as_lists(doc))
 
 
 @pytest.mark.parametrize(
@@ -451,7 +452,7 @@ def test_compose_on_tables_never_assembles_the_choi(paths, capsys, monkeypatch, 
         path, out_path = write(name, doc), tmp / "out.json"
         code, _ = run_cli(capsys, "compose", name.split(".")[0], path, path, "--out", str(out_path))
         assert code == 0
-        assert json.loads(out_path.read_text()) == doc
+        assert json.loads(out_path.read_text()) == as_lists(doc)
 
 
 def test_compose_do_is_the_choi_link_product(paths, capsys):
@@ -554,6 +555,23 @@ def test_covariance_without_samples_is_invalid_input(paths, capsys, samples):
     code, out = run_cli(capsys, "covariance", du, "--group", "du", "--samples", samples)
     assert code == 2 and "status: invalid-input" in out
     assert "covariant" not in out
+
+
+@pytest.mark.parametrize("group, message", [("du", "Unable to allocate 4.37 TiB"),
+                                            ("haar", "Unable to allocate 4.37 TiB"), ("du", "")])
+def test_covariance_samples_beyond_memory_are_invalid_input(paths, capsys, monkeypatch,
+                                                            group, message):
+    # a --samples whose draw cannot be allocated (numpy raises a MemoryError
+    # subclass) is a malformed flag, not a crash; nothing is allocated here
+    def out_of_memory(self, *args):
+        raise MemoryError(message) if message else MemoryError
+
+    for name in ("diagonals", "draw"):
+        monkeypatch.setattr(covariance_module.GroupSampler, name, out_of_memory)
+    tmp, write = paths
+    du = write("du.json", jsonio.params_to_json(du_identity(2)))
+    code, out = run_cli(capsys, "covariance", du, "--group", group, "--samples", "100000000000")
+    assert (code, out) == (2, f"status: invalid-input\nerror: {message or 'MemoryError'}\n")
 
 
 def test_example_amplitude_damping(paths, capsys):

@@ -2,11 +2,14 @@ import enum
 import functools
 import json
 import math
+import os
+import sys
 import tempfile
 import uuid
 from collections import OrderedDict
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -17,12 +20,16 @@ from superchan import jsonio
 from superchan.channels import amplitude_damping
 from superchan.cli import main
 from superchan.dephasing import dephasing_from_realization
+from superchan.do import DOSuperParams
+from superchan.du import DUSuperParams
 from superchan.jsonio import SchemaError
 from superchan.linalg import MultipartiteOperator, matrix_from_json
 from superchan.pauli import PauliSuperParams
+from superchan.positions import compose_tables
 from superchan.superchannels import super_choi
 
 from helpers import (
+    as_lists,
     du_identity,
     from_du_params,
     identity_superchannel,
@@ -60,7 +67,7 @@ def test_du_params_round_trip():
 
 def test_du_params_support_mask_rejected_on_load():
     p = random_hermitian_du_params(rng, 2)
-    doc = jsonio.params_to_json(p)
+    doc = as_lists(jsonio.params_to_json(p))
     doc["B"]["data"][0] = [1.0, 0.0]  # B may not have weight at (0, 0)
     with pytest.raises(SchemaError):
         jsonio.params_from_json(doc, "du")
@@ -187,7 +194,7 @@ def _every_document_kind():
         },
     }
     docs["pauli"]["pi"][0] = SPECIAL_FLOATS[:4]
-    docs = {kind: _with_special_values(doc) for kind, doc in docs.items()}
+    docs = {kind: _with_special_values(as_lists(doc)) for kind, doc in docs.items()}
     docs["edge"] = {
         "empty_object": {},
         "empty_list": [],
@@ -249,18 +256,174 @@ def _dump_and_path(doc, monkeypatch) -> tuple[str, bool]:
     return text, bool(calls)
 
 
-def test_bulk_writer_spells_every_float_as_json_does(monkeypatch):
+@functools.cache
+def _valid_table_params() -> dict:
+    """d = 6 DU and sign-symmetric tables of valid superchannels, drawn by
+    tools/cli_identity.superchannel_tables (seed 5).  Some of their numbers,
+    and thousands of their compositions', lie in 1e-9 <= |x| < 1e-4, which
+    the writer respells."""
+    tools = Path(__file__).resolve().parent.parent / "tools"
+    # the module pins BLAS threads in os.environ and puts perfbench on sys.path
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", [str(tools), *sys.path]):
+        import cli_identity
+        from inputs import DO_TABLES, DU_TABLES
+    gen = np.random.default_rng(5)
+    return {cls.__name__: cls(6, **cli_identity.superchannel_tables(gen, 6, names))
+            for cls, names in ((DUSuperParams, DU_TABLES), (DOSuperParams, DO_TABLES))}
+
+
+def _spelling_document(case: str) -> dict:
+    if case == "random bits":
+        values = _float_spelling_cases()
+        return {"dims": [len(values) // 2], "data": values.reshape(-1, 2)}
+    p = _valid_table_params()[case.split()[0]]
+    # composed with itself, as `compose` writes it: thousands of small numbers
+    return jsonio.params_to_json(compose_tables(p, p) if case.endswith("composed") else p)
+
+
+@pytest.mark.parametrize("case", ["random bits", "DUSuperParams", "DOSuperParams",
+                                  "DUSuperParams composed", "DOSuperParams composed"])
+def test_bulk_writer_spells_every_float_as_json_does(case, monkeypatch):
     # orjson writes the document and _respell fixes its spelling; a change
-    # to orjson's float spelling in a later release must show here
-    values = _float_spelling_cases()
-    doc = {"dims": [len(values) // 2], "data": values.reshape(-1, 2).tolist()}
-    text, fell_back = _dump_and_path(doc, monkeypatch)
-    assert not fell_back
-    ours = text.splitlines()
+    # to orjson's float spelling in a later release must show here.  Each
+    # document is written as lists and as float64 arrays, from their buffer
+    arrays = _spelling_document(case)
+    doc = as_lists(arrays)
+    if case != "random bits":
+        numbers = np.concatenate([m["data"].reshape(-1) for m in arrays.values()
+                                  if isinstance(m, dict)])
+        assert np.count_nonzero((np.abs(numbers) >= 1e-9) & (np.abs(numbers) < 1e-4)) > 50
     theirs = json.dumps(doc, indent=2).splitlines()
-    assert len(ours) == len(theirs)
-    # a handful of differing lines, not a diff of two 10 MB texts
-    assert [(a, b) for a, b in zip(ours, theirs) if a != b][:5] == []
+    for written in (doc, arrays):
+        text, fell_back = _dump_and_path(written, monkeypatch)
+        assert not fell_back
+        ours = text.splitlines()
+        assert len(ours) == len(theirs)
+        # a handful of differing lines, not a diff of two 10 MB texts
+        assert [(a, b) for a, b in zip(ours, theirs) if a != b][:5] == []
+
+
+_ARRAY_SPECIALS = np.array([-0.0, 5e-324, 1e-5, 9.99e-5, 1e16, 1.7976931348623157e308,
+                            -1.7976931348623157e308, 0.0, 1e-7, -2.5e-5, 0.1])
+
+
+@pytest.mark.parametrize("doc", [
+    _ARRAY_SPECIALS,
+    _ARRAY_SPECIALS[:10].reshape(-1, 2),
+    {"dims": [5], "data": _ARRAY_SPECIALS[:10].reshape(-1, 2),
+     "rows": [_ARRAY_SPECIALS[::-1].copy()]},
+    _ARRAY_SPECIALS[:8].reshape(2, 2, 2),
+    np.zeros((0, 2)),
+    np.zeros((3, 0)),
+], ids=["1-d", "pairs", "nested", "3-d", "empty", "empty rows"])
+def test_float64_arrays_dump_as_their_lists(doc, monkeypatch, tmp_path):
+    twin = as_lists(doc) if isinstance(doc, dict) else doc.tolist()
+    assert _dump_and_path(doc, monkeypatch) == (json.dumps(twin, indent=2), False)
+    path = tmp_path / "doc.json"
+    jsonio.dump_json(doc, path)
+    assert path.read_bytes() == json.dumps(twin, indent=2).encode() + b"\n"
+
+
+# arrays that orjson would not write as json writes their lists, or not at
+# all, and numpy scalars: each goes to json, which writes the list twin
+_JSON_ROUTE_ARRAYS = {
+    "nan": np.array([[1.0, np.nan], [-np.inf, 2.5e-5]]),
+    "not contiguous": (np.arange(12.0) * 1e-7).reshape(3, 4)[:, ::2],
+    "0-d": np.array(2.5e-5),
+    "float32": np.array([0.1, 1e-7], dtype=np.float32),
+    "int64": np.array([[1, -2], [3, 2**40]]),
+    "big-endian": np.array([1e-7, 1e16], dtype=">f8"),
+    "subclass": np.array([[1e-7, 1e16]]).view(type("Sub", (np.ndarray,), {})),
+    "beside a numpy scalar": [np.array([1e-7, 1e16]), np.float64(2.5e-5)],
+    "beside None": {"x": np.array([1e-7, 1e16]), "y": None},
+}
+
+
+@pytest.mark.parametrize("name", list(_JSON_ROUTE_ARRAYS))
+def test_arrays_orjson_cannot_write_go_to_json(name, monkeypatch):
+    doc = _JSON_ROUTE_ARRAYS[name]
+    twin = as_lists(doc) if isinstance(doc, (dict, list)) else doc.tolist()
+    assert _dump_and_path(doc, monkeypatch) == (json.dumps(twin, indent=2), True)
+
+
+def test_arrays_keep_what_json_rejects():
+    # json refuses a numpy int beside an array, and the entries of a complex array
+    for doc in ([np.array([1e-7]), np.int64(3)], {"x": np.zeros(2, dtype=complex)}):
+        with pytest.raises(TypeError):
+            jsonio.dump_json(doc)
+
+
+def _chunk_boundary_values() -> tuple[list, list]:
+    """A list of floats whose indent=2 text from orjson spans ten chunks of
+    _respell, with a token of each respelled form (a zero-padded exponent,
+    a "+" exponent, positional to exponent) just after a cut, ending the
+    chunk before a cut (the cut's search starting inside the token or on
+    its newline), and one line before a cut.  Returns the values and
+    the planned (token offset, cut offset) pairs."""
+    short, long = 0.1234567890123456, 0.12345678901234568  # filler lines of k and k + 1 bytes
+    spelling = {short: "0.1234567890123456", long: "0.12345678901234568",
+                1e-7: "1e-7", 1e16: "1e16", 1.23e-5: "0.0000123"}
+    k = len(spelling[short]) + 4
+    values, plan = [], []
+    offset = 2  # after "[\n"
+
+    def line(v):  # "  <token>,\n"
+        return len(spelling[v]) + 4
+
+    def fill_to(start):  # filler lines that end exactly at start
+        nonlocal offset
+        gap = start - offset
+        longs = gap % k
+        values.extend([long] * longs + [short] * ((gap - (k + 1) * longs) // k))
+        offset = start
+
+    def put(v):
+        nonlocal offset
+        values.append(v)
+        offset += line(v)
+        return offset - line(v)
+
+    # whatever rule cuts the text, its first cut is searched for from
+    # _CHUNK, so the first case puts that byte inside a token
+    cases = [(1e-7, "on", 5), (1e-7, "before", 3), (1e-7, "after", 0),
+             (1e16, "before", 3), (1e16, "on", 4), (1e16, "after", 0),
+             (1.23e-5, "before", 3), (1.23e-5, "on", 12), (1.23e-5, "after", 0)]
+    pos = 0
+    for token, where, shift in cases:
+        # the byte at pos + _CHUNK is where the search for the cut's newline starts
+        target = pos + jsonio._CHUNK
+        if where == "before":  # target on the filler line just before the token
+            fill_to(target - shift)
+            put(short)
+            start = cut = put(token)
+        elif where == "on":  # target on byte `shift` of the token's own line
+            fill_to(target - shift)
+            start = put(token)
+            cut = offset
+        else:  # target on the first byte of the line after the token's
+            fill_to(target - line(token))
+            start = put(token)
+            put(short)
+            cut = offset
+        plan.append((start, cut))
+        pos = cut
+    fill_to(offset + jsonio._CHUNK // 2)
+    return values, plan
+
+
+def test_respell_cuts_fall_around_every_form_of_token(monkeypatch):
+    values, plan = _chunk_boundary_values()
+    raw = orjson.dumps(values, option=orjson.OPT_INDENT_2)
+    cuts, pos = [], 0  # the rule _respell cuts by, on the text it is given
+    while pos < len(raw):
+        pos = raw.find(b"\n", pos + jsonio._CHUNK) + 1 or len(raw)
+        cuts.append(pos)
+    assert [cut for _, cut in plan] == cuts[:-1]
+    tokens = [raw[start:raw.index(b"\n", start)] for start, _ in plan]
+    assert tokens == [b"  " + t + b"," for t in (b"1e-7", b"1e16", b"0.0000123") for _ in range(3)]
+    assert _dump_and_path(values, monkeypatch) == (json.dumps(values, indent=2), False)
+    for x in (1e-7, -1e16, 1.23e-5):  # one line, ended by \Z
+        assert _dump_and_path(x, monkeypatch) == (json.dumps(x, indent=2), False)
 
 
 def test_matrix_data_takes_the_bulk_path(monkeypatch):
@@ -269,8 +432,9 @@ def test_matrix_data_takes_the_bulk_path(monkeypatch):
     mat.reshape(-1)[:5] = [3e-17 - 1e-17j, 2.5e-5 + 7e-5j, 1e16 - 3.2e17j,
                            complex(-0.0, 0.0), complex(0.0, -0.0)]
     doc = jsonio.matrix_to_json(MultipartiteOperator((4,), mat))
-    assert _dump_and_path(doc, monkeypatch) == (json.dumps(doc, indent=2), False)
-    assert doc["data"][3] == [-0.0, 0.0] and math.copysign(1, doc["data"][3][0]) < 0
+    twin = as_lists(doc)
+    assert _dump_and_path(doc, monkeypatch) == (json.dumps(twin, indent=2), False)
+    assert twin["data"][3] == [-0.0, 0.0] and math.copysign(1, twin["data"][3][0]) < 0
     edge = _every_document_kind()["edge"]
     subclass = [[np.float64(1.5), 2.0], [0.5, 1e-7]]
     # ints and tuples are orjson's to write; null, NaN and float subclasses are json's
@@ -474,7 +638,7 @@ def test_matrix_to_json_matches_per_entry_floats():
     mat.reshape(-1)[: len(SPECIAL_FLOATS)] = np.array(SPECIAL_FLOATS) * (1 - 1j)
     x = MultipartiteOperator((3, 3), mat)
     per_entry = [[float(v.real), float(v.imag)] for v in x.mat.reshape(-1)]
-    data = jsonio.matrix_to_json(x)["data"]
+    data = jsonio.matrix_to_json(x)["data"].tolist()
     assert json.dumps(data) == json.dumps(per_entry)
     assert all(type(v) is float for pair in data for v in pair)
 
@@ -536,7 +700,7 @@ def test_integers_beyond_64_bits_read_as_floats(tmp_path, capsys):
     got = jsonio.load_json(path)
     assert [type(v) for v in got] == [int, float, int, float]
     assert got == [2**64 - 1, 2.0**64, -(2**63), -(2.0**63)]
-    doc = jsonio.params_to_json(du_identity(2))
+    doc = as_lists(jsonio.params_to_json(du_identity(2)))
     doc["d"] = 2**64
     path.write_text(json.dumps(doc))
     assert main(["validate", "du", str(path)]) == 2
