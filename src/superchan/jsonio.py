@@ -4,14 +4,11 @@ All matrices use one format: {"dims": [d1, ..., dn], "data": [[re, im], ...]}
 with data row-major over the flattened index.  Files are decoded by orjson,
 and by json for what orjson refuses (see load_json).  The documents built
 here hold each matrix's data as the read-only (side², 2) float64 view of its
-buffer (linalg.matrix_to_json), not as lists.  Serialization writes each
-float in its shortest round-trip digits, so dump -> load is exact.
-dump_json's output equals ``json.dumps(obj, indent=2)`` byte for byte, each
-array read as its list; it writes the whole document with orjson, float64
-arrays straight from their buffers, whose float digits are repr's, and
-respells, one chunk of text at a time, the few numbers orjson writes in
-another form (see _respell).  What orjson refuses, or would write otherwise
-than json, numpy scalars among them, goes to json itself.
+buffer (linalg.matrix_to_json), not as lists.  dump_json writes a document of
+ASCII str keys, ints within 64 bits, finite floats, lists, dicts and
+C-contiguous float64 arrays, which is every document built here, as
+``json.dumps(obj, indent=2)`` writes its list twin: each float in its
+shortest round-trip digits, so dump -> load is exact.
 """
 
 from __future__ import annotations
@@ -194,54 +191,22 @@ def load_json(path) -> dict:
 def dump_json(obj: dict, path=None) -> str:
     """Deterministic serialization (fixed key order, shortest round-trip floats).
 
-    The text equals ``json.dumps(obj, indent=2)`` byte for byte, where a
-    numpy array reads as its list twin, ``arr.tolist()``.  orjson writes the
-    document in one call and _respell, one chunk of text at a time, fixes
-    the few numbers it spells differently; a C-contiguous float64 array of
-    one or more axes, the matrix data of matrix_to_json, is written by
-    orjson from its buffer, with no Python object per number.  A document
-    orjson refuses (ints beyond 64 bits, non-str keys, float or other
-    subclasses, numpy scalars, other arrays, dataclasses, dates), or whose
-    text holds ``null`` (None, NaN, infinity), a non-ASCII byte or DEL,
-    which json escapes, is written by ``json.dumps`` itself, with each array
-    as its list.  One difference is left: orjson writes an ``enum.Enum``
-    member as its value and a ``uuid.UUID`` as a string, where json raises
-    TypeError; no document this package builds holds either.  With a path,
-    the text and a newline are written to the file in binary mode.
+    obj holds ASCII str keys and strings (no DEL), ints within 64 bits,
+    finite floats, lists, dicts and C-contiguous float64 arrays of one or
+    more axes, as every document of this module does; its text then equals
+    ``json.dumps(obj, indent=2)`` byte for byte, where an array reads as its
+    list twin, ``arr.tolist()``.  orjson writes the document in one call,
+    each array from its buffer with no Python object per number, and
+    _respell, one chunk of text at a time, fixes the few numbers it spells
+    differently.  With a path, the text and a newline are written to the
+    file in binary mode.
     """
-    try:
-        # float64 arrays are written as null on this pass, which only checks
-        # that the rest holds no numpy scalar: OPT_SERIALIZE_NUMPY would
-        # write those, and int64 or float32 scalars are json's to refuse
-        data = orjson.dumps(obj, option=_ORJSON_OPTIONS, default=_float64_array)
-        if b"n" in data and b"null" in data:  # a float64 array, or json's document
-            data = orjson.dumps(obj, option=_ORJSON_OPTIONS | orjson.OPT_SERIALIZE_NUMPY)
-    except orjson.JSONEncodeError:
-        data = None
-    # b"n" first: a one-byte search runs as memchr, and most texts hold no "n";
-    # the four-byte search is an order of magnitude slower on digit-heavy text
-    if (data is None or (b"n" in data and b"null" in data)
-            or not data.isascii() or b"\x7f" in data):
-        text = json.dumps(obj, indent=2, default=array_as_list)
-        data = text.encode()
-    else:
-        data = _respell(data)
-        text = data.decode()
+    data = _respell(orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY))
     if path is not None:
         with Path(path).open("wb") as f:
             f.write(data)
             f.write(b"\n")
-    return text
-
-
-def _float64_array(obj) -> None:
-    """orjson's default hook for dump_json's first pass: None for an array
-    that OPT_SERIALIZE_NUMPY writes as json writes its list, TypeError for
-    anything else."""
-    if (type(obj) is np.ndarray and obj.dtype == np.float64 and obj.ndim
-            and obj.flags.c_contiguous):
-        return None
-    raise TypeError
+    return data.decode()
 
 
 def array_as_list(obj) -> list:
@@ -252,8 +217,6 @@ def array_as_list(obj) -> list:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-_ORJSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_PASSTHROUGH_SUBCLASS
-                   | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME)
 # In indent=2 text a number token ends its line, and a string cannot hold a
 # raw newline, so these patterns never match inside a key or a string value.
 _TOKEN_END = rb"(?=,?\n|\Z)"

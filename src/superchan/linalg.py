@@ -256,8 +256,8 @@ def matrix_from_json(obj: dict) -> MultipartiteOperator:
     """Inverse of matrix_to_json; every malformed input raises ValueError or
     TypeError, including numbers too large for a float.  Dims must be JSON
     integers and data entries [re, im] pairs of JSON numbers: booleans and
-    strings are rejected, not converted.  Data given as an array, as
-    matrix_to_json gives it, is read as its list."""
+    strings are rejected, not converted.  obj is parsed JSON text, its data
+    a list of lists: matrix_to_json's array data is refused."""
     if not isinstance(obj, dict) or "dims" not in obj or "data" not in obj:
         raise ValueError("matrix JSON must contain 'dims' and 'data'")
     dims = tuple(obj["dims"])
@@ -265,8 +265,6 @@ def matrix_from_json(obj: dict) -> MultipartiteOperator:
         raise ValueError("matrix JSON dims must be integers")
     side = math.prod(dims)
     data = obj["data"]
-    if isinstance(data, np.ndarray):
-        data = data.tolist()
     if len(data) != side * side:
         raise ValueError(f"matrix JSON data has {len(data)} entries, expected {side * side}")
     if set(map(len, data)) - {2}:

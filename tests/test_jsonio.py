@@ -1,14 +1,10 @@
-import enum
 import functools
 import json
 import math
 import os
 import sys
 import tempfile
-import uuid
-from collections import OrderedDict
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -17,16 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superchan import jsonio
-from superchan.channels import amplitude_damping
-from superchan.cli import main
+from superchan.channels import (ChoiChannel, amplitude_damping, bit_flip, compose_channels,
+                                holevo_werner, pauli_channel)
+from superchan.cli import default_du_params, main
 from superchan.dephasing import dephasing_from_realization
 from superchan.do import DOSuperParams
 from superchan.du import DUSuperParams
 from superchan.jsonio import SchemaError
 from superchan.linalg import MultipartiteOperator, matrix_from_json
-from superchan.pauli import PauliSuperParams
-from superchan.positions import compose_tables
-from superchan.superchannels import super_choi
+from superchan.pauli import PauliSuperParams, pauli_super_choi
+from superchan.positions import TableParams, compose_tables
+from superchan.superchannels import SuperChoi, apply_to_channel, compose_superchannels, super_choi
 
 from helpers import (
     as_lists,
@@ -44,23 +41,30 @@ from helpers import (
 rng = np.random.default_rng(43)
 
 
-def test_channel_round_trip():
+def _written(doc, tmp_path):
+    """doc as the CLI reads it back: dump_json's file, parsed."""
+    path = tmp_path / "doc.json"
+    jsonio.dump_json(doc, path)
+    return orjson.loads(path.read_bytes())
+
+
+def test_channel_round_trip(tmp_path):
     ch = amplitude_damping(0.3)
-    again = jsonio.channel_from_json(jsonio.channel_to_json(ch))
+    again = jsonio.channel_from_json(_written(jsonio.channel_to_json(ch), tmp_path))
     assert np.array_equal(again.choi.mat, ch.choi.mat)
     assert (again.d_in, again.d_out) == (2, 2)
 
 
-def test_superchannel_round_trip():
+def test_superchannel_round_trip(tmp_path):
     s = identity_superchannel(2, 3)
-    again = jsonio.superchannel_from_json(jsonio.superchannel_to_json(s))
+    again = jsonio.superchannel_from_json(_written(jsonio.superchannel_to_json(s), tmp_path))
     assert again.choi.dims == (2, 3, 2, 3)
     assert np.array_equal(again.choi.mat, s.choi.mat)
 
 
-def test_du_params_round_trip():
+def test_du_params_round_trip(tmp_path):
     p = random_hermitian_du_params(rng, 2)
-    again = jsonio.params_from_json(jsonio.params_to_json(p), "du")
+    again = jsonio.params_from_json(_written(jsonio.params_to_json(p), tmp_path), "du")
     for name in "ABCD":
         assert np.array_equal(getattr(again, name), getattr(p, name))
 
@@ -73,9 +77,9 @@ def test_du_params_support_mask_rejected_on_load():
         jsonio.params_from_json(doc, "du")
 
 
-def test_dephasing_round_trip():
+def test_dephasing_round_trip(tmp_path):
     p = dephasing_from_realization(*random_realization(rng, 2, 3))
-    again = jsonio.params_from_json(jsonio.params_to_json(p), "dephasing")
+    again = jsonio.params_from_json(_written(jsonio.params_to_json(p), tmp_path), "dephasing")
     assert np.array_equal(again.M_big, p.M_big)
 
 
@@ -118,11 +122,11 @@ def test_dump_is_deterministic_and_exact(tmp_path):
         assert np.array_equal(getattr(again, name), getattr(p, name))
 
 
-def test_schema_errors_carry_context():
+def test_schema_errors_carry_context(tmp_path):
     with pytest.raises(SchemaError, match="missing keys"):
         jsonio.channel_from_json({"d_in": 2})
     with pytest.raises(SchemaError, match="do not match"):
-        doc = jsonio.channel_to_json(amplitude_damping(0.1))
+        doc = _written(jsonio.channel_to_json(amplitude_damping(0.1)), tmp_path)
         doc["d_in"] = 3
         jsonio.channel_from_json(doc)
 
@@ -199,16 +203,12 @@ def _every_document_kind():
         "empty_object": {},
         "empty_list": [],
         "nested_empty": [{}, [], [[]]],
-        "name": "Choi \u03c8 \u2014 d\u00fcr \U0001d4aa \"q\"\\n\t\x00",
-        "\u00e9t\u00e9": None,
+        "name": "Choi \"q\"\\n\t\x00",
         "flags": [True, False],
-        "non_finite": [math.nan, math.inf, -math.inf],
-        "pairs_with_non_finite": [[1.0, math.nan], [math.inf, -math.inf]],
         "pairs_of_ints": [[1, 2], [3, 4]],
-        "pairs_mixed": [[1.0, 2], [True, 0.5], [None, 1.0], ["a", "b"]],
+        "pairs_mixed": [[1.0, 2], [True, 0.5], ["a", "b"]],
         "ragged_pairs": [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]],
-        "tuple_pairs": ((1.0, -0.0), (5e-324, 1e300)),
-        "integer_dims": [2, 3, 10**20],
+        "integer_dims": [2, 3, 2**63 - 1, -(2**63)],
     }
     return docs
 
@@ -242,20 +242,6 @@ def _float_spelling_cases() -> np.ndarray:
     return values[: len(values) // 2 * 2]
 
 
-def _dump_and_path(doc, monkeypatch) -> tuple[str, bool]:
-    """dump_json's text for doc, and whether its json.dumps fallback wrote it."""
-    calls = []
-
-    def dumps(*args, **kwargs):
-        calls.append(args)
-        return json.dumps(*args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(jsonio, "json", SimpleNamespace(dumps=dumps))
-        text = jsonio.dump_json(doc)
-    return text, bool(calls)
-
-
 @functools.cache
 def _valid_table_params() -> dict:
     """d = 6 DU and sign-symmetric tables of valid superchannels, drawn by
@@ -283,7 +269,7 @@ def _spelling_document(case: str) -> dict:
 
 @pytest.mark.parametrize("case", ["random bits", "DUSuperParams", "DOSuperParams",
                                   "DUSuperParams composed", "DOSuperParams composed"])
-def test_bulk_writer_spells_every_float_as_json_does(case, monkeypatch):
+def test_bulk_writer_spells_every_float_as_json_does(case):
     # orjson writes the document and _respell fixes its spelling; a change
     # to orjson's float spelling in a later release must show here.  Each
     # document is written as lists and as float64 arrays, from their buffer
@@ -295,9 +281,7 @@ def test_bulk_writer_spells_every_float_as_json_does(case, monkeypatch):
         assert np.count_nonzero((np.abs(numbers) >= 1e-9) & (np.abs(numbers) < 1e-4)) > 50
     theirs = json.dumps(doc, indent=2).splitlines()
     for written in (doc, arrays):
-        text, fell_back = _dump_and_path(written, monkeypatch)
-        assert not fell_back
-        ours = text.splitlines()
+        ours = jsonio.dump_json(written).splitlines()
         assert len(ours) == len(theirs)
         # a handful of differing lines, not a diff of two 10 MB texts
         assert [(a, b) for a, b in zip(ours, theirs) if a != b][:5] == []
@@ -316,41 +300,12 @@ _ARRAY_SPECIALS = np.array([-0.0, 5e-324, 1e-5, 9.99e-5, 1e16, 1.797693134862315
     np.zeros((0, 2)),
     np.zeros((3, 0)),
 ], ids=["1-d", "pairs", "nested", "3-d", "empty", "empty rows"])
-def test_float64_arrays_dump_as_their_lists(doc, monkeypatch, tmp_path):
+def test_float64_arrays_dump_as_their_lists(doc, tmp_path):
     twin = as_lists(doc) if isinstance(doc, dict) else doc.tolist()
-    assert _dump_and_path(doc, monkeypatch) == (json.dumps(twin, indent=2), False)
+    assert jsonio.dump_json(doc) == json.dumps(twin, indent=2)
     path = tmp_path / "doc.json"
     jsonio.dump_json(doc, path)
     assert path.read_bytes() == json.dumps(twin, indent=2).encode() + b"\n"
-
-
-# arrays that orjson would not write as json writes their lists, or not at
-# all, and numpy scalars: each goes to json, which writes the list twin
-_JSON_ROUTE_ARRAYS = {
-    "nan": np.array([[1.0, np.nan], [-np.inf, 2.5e-5]]),
-    "not contiguous": (np.arange(12.0) * 1e-7).reshape(3, 4)[:, ::2],
-    "0-d": np.array(2.5e-5),
-    "float32": np.array([0.1, 1e-7], dtype=np.float32),
-    "int64": np.array([[1, -2], [3, 2**40]]),
-    "big-endian": np.array([1e-7, 1e16], dtype=">f8"),
-    "subclass": np.array([[1e-7, 1e16]]).view(type("Sub", (np.ndarray,), {})),
-    "beside a numpy scalar": [np.array([1e-7, 1e16]), np.float64(2.5e-5)],
-    "beside None": {"x": np.array([1e-7, 1e16]), "y": None},
-}
-
-
-@pytest.mark.parametrize("name", list(_JSON_ROUTE_ARRAYS))
-def test_arrays_orjson_cannot_write_go_to_json(name, monkeypatch):
-    doc = _JSON_ROUTE_ARRAYS[name]
-    twin = as_lists(doc) if isinstance(doc, (dict, list)) else doc.tolist()
-    assert _dump_and_path(doc, monkeypatch) == (json.dumps(twin, indent=2), True)
-
-
-def test_arrays_keep_what_json_rejects():
-    # json refuses a numpy int beside an array, and the entries of a complex array
-    for doc in ([np.array([1e-7]), np.int64(3)], {"x": np.zeros(2, dtype=complex)}):
-        with pytest.raises(TypeError):
-            jsonio.dump_json(doc)
 
 
 def _chunk_boundary_values() -> tuple[list, list]:
@@ -411,7 +366,7 @@ def _chunk_boundary_values() -> tuple[list, list]:
     return values, plan
 
 
-def test_respell_cuts_fall_around_every_form_of_token(monkeypatch):
+def test_respell_cuts_fall_around_every_form_of_token():
     values, plan = _chunk_boundary_values()
     raw = orjson.dumps(values, option=orjson.OPT_INDENT_2)
     cuts, pos = [], 0  # the rule _respell cuts by, on the text it is given
@@ -421,28 +376,20 @@ def test_respell_cuts_fall_around_every_form_of_token(monkeypatch):
     assert [cut for _, cut in plan] == cuts[:-1]
     tokens = [raw[start:raw.index(b"\n", start)] for start, _ in plan]
     assert tokens == [b"  " + t + b"," for t in (b"1e-7", b"1e16", b"0.0000123") for _ in range(3)]
-    assert _dump_and_path(values, monkeypatch) == (json.dumps(values, indent=2), False)
+    assert jsonio.dump_json(values) == json.dumps(values, indent=2)
     for x in (1e-7, -1e16, 1.23e-5):  # one line, ended by \Z
-        assert _dump_and_path(x, monkeypatch) == (json.dumps(x, indent=2), False)
+        assert jsonio.dump_json(x) == json.dumps(x, indent=2)
 
 
-def test_matrix_data_takes_the_bulk_path(monkeypatch):
+def test_matrix_data_takes_the_bulk_path():
     gen = np.random.default_rng(8)
     mat = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
     mat.reshape(-1)[:5] = [3e-17 - 1e-17j, 2.5e-5 + 7e-5j, 1e16 - 3.2e17j,
                            complex(-0.0, 0.0), complex(0.0, -0.0)]
     doc = jsonio.matrix_to_json(MultipartiteOperator((4,), mat))
     twin = as_lists(doc)
-    assert _dump_and_path(doc, monkeypatch) == (json.dumps(twin, indent=2), False)
+    assert jsonio.dump_json(doc) == json.dumps(twin, indent=2)
     assert twin["data"][3] == [-0.0, 0.0] and math.copysign(1, twin["data"][3][0]) < 0
-    edge = _every_document_kind()["edge"]
-    subclass = [[np.float64(1.5), 2.0], [0.5, 1e-7]]
-    # ints and tuples are orjson's to write; null, NaN and float subclasses are json's
-    for items, fallback in ((edge["pairs_with_non_finite"], True), (edge["pairs_of_ints"], False),
-                            (edge["pairs_mixed"], True), (edge["tuple_pairs"], False),
-                            (subclass, True)):
-        doc = {"dims": [2], "data": items}
-        assert _dump_and_path(doc, monkeypatch) == (json.dumps(doc, indent=2), fallback)
 
 
 # Strings that read like the numbers _respell rewrites, as keys and values:
@@ -451,7 +398,7 @@ _NUMBER_LIKE_STRINGS = ["1e-7", " 0.00001,", "10.00001", "x 1e5", "1e16", "-0.00
                         "0.00001", "x 1e-7\n", " 0.00001\n", "e-7", "e16,", ".00001"]
 
 
-def test_dump_leaves_number_like_strings_alone(monkeypatch):
+def test_dump_leaves_number_like_strings_alone():
     docs = [
         {s: s for s in _NUMBER_LIKE_STRINGS},
         {s: [1e-7, s, [2.5e-5, s], {s: 1e16}] for s in _NUMBER_LIKE_STRINGS},
@@ -459,7 +406,7 @@ def test_dump_leaves_number_like_strings_alone(monkeypatch):
         *_NUMBER_LIKE_STRINGS,
     ]
     for doc in docs:
-        assert _dump_and_path(doc, monkeypatch) == (json.dumps(doc, indent=2), False)
+        assert jsonio.dump_json(doc) == json.dumps(doc, indent=2)
 
 
 # a top-level scalar in each spelling: unchanged (< 1e-9, >= 1e-4 and
@@ -471,71 +418,161 @@ _SPELLING_FORMS = [3e-17, 1e-10, 9.99e-10, 1e-9, 1e-7, 3.25e-6, 9.999e-6, 1e-5, 
 
 
 @pytest.mark.parametrize("x", _SPELLING_FORMS + [-x for x in _SPELLING_FORMS if isinstance(x, float)])
-def test_dump_spells_top_level_scalars_as_json_does(x, monkeypatch, tmp_path):
-    assert _dump_and_path(x, monkeypatch) == (json.dumps(x, indent=2), False)
+def test_dump_spells_top_level_scalars_as_json_does(x, tmp_path):
+    assert jsonio.dump_json(x) == json.dumps(x, indent=2)
     path = tmp_path / "x.json"
     jsonio.dump_json(x, path)
     assert path.read_bytes() == json.dumps(x, indent=2).encode() + b"\n"
 
 
-# documents orjson refuses, or writes otherwise than json: each goes to json
-_FALLBACK_DOCUMENTS = {
-    "nan": [1.0, math.nan], "infinity": {"x": [math.inf, -math.inf]}, "none": {"x": None},
-    "non-ascii": {"name": "d\u00fcr"}, "non-ascii key": {"\u03c8": 1.0},
-    "astral": ["\U0001d4aa"], "del": ["a\x7fb"], "lone surrogate": ["\ud800"],
-    "int 2**64": [2**64], "int below -2**63": [-(2**63) - 1], "np.float64": [np.float64(2.5e-5)],
-    "float subclass": {"x": type("F", (float,), {})(1e-7)},
-    "int subclass": [type("I", (int,), {})(7)], "str subclass": [type("S", (str,), {})("a")],
-    "dict subclass": [OrderedDict(x=1e-7)], "list subclass": {"x": type("L", (list,), {})([1e16])},
-    "int keys": {1: 1e-7, 2: 2.5e-5},
-    "float and bool keys": {1.5: 1e16, True: 0.0, None: 1.0}, "nested None": [[[[[[[[[[None]]]]]]]]]],
-    "nested past orjson's limit": functools.reduce(lambda x, _: [x], range(300), 1e-7),
-    "top-level nan": math.nan, "top-level none": None, "top-level non-ascii": "\u00e9",
-}
-
-
-@pytest.mark.parametrize("name", list(_FALLBACK_DOCUMENTS))
-def test_dump_sends_what_orjson_cannot_write_to_json(name, monkeypatch, tmp_path):
-    doc = _FALLBACK_DOCUMENTS[name]
-    assert _dump_and_path(doc, monkeypatch) == (json.dumps(doc, indent=2), True)
-    path = tmp_path / "doc.json"
-    jsonio.dump_json(doc, path)
-    assert path.read_bytes() == json.dumps(doc, indent=2).encode() + b"\n"
-
-
-def test_dump_writes_enum_and_uuid_members_json_rejects():
-    # the one declared difference from json.dumps: orjson writes these
-    Color = enum.Enum("Color", {"RED": 1e-7})
-    for doc, text in (({"x": Color.RED}, '{\n  "x": 1e-07\n}'),
-                      ([uuid.UUID(int=5)], '[\n  "00000000-0000-0000-0000-000000000005"\n]')):
-        with pytest.raises(TypeError):
-            json.dumps(doc, indent=2)
-        assert jsonio.dump_json(doc) == text
-
-
-_json_floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
-_json_pair_lists = st.lists(st.lists(_json_floats, min_size=2, max_size=2), max_size=6)
-_json_scalars = st.none() | st.booleans() | st.integers() | _json_floats | st.text(max_size=8)
+# a document of dump_json's contract: finite floats, ints within 64 bits,
+# booleans, printable-ASCII strings and keys, lists, dicts, and (n, 2)
+# float64 arrays, which orjson writes from their buffers
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS)
+_ascii = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e), max_size=8)
+_pairs = st.lists(st.lists(_finite_floats, min_size=2, max_size=2), max_size=6)
+_pair_arrays = _pairs.map(lambda rows: np.array(rows, dtype=np.float64).reshape(-1, 2))
+_scalars = st.booleans() | st.integers(-(2**63), 2**63 - 1) | _finite_floats | _ascii
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.recursive(
-        _json_scalars | _json_pair_lists,
-        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        _scalars | _pairs | _pair_arrays,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_ascii, inner, max_size=4),
         max_leaves=24,
     )
 )
 def test_dump_equals_json_dumps_on_random_documents(doc):
-    assert jsonio.dump_json(doc) == json.dumps(doc, indent=2)
+    assert jsonio.dump_json(doc) == json.dumps(as_lists(doc), indent=2)
 
 
-def test_dump_rejects_what_json_rejects():
-    for doc in ({"x": np.int64(3)}, {(1, 2): 1.0}, [object()], {"x": {1j: 0}}):
-        with pytest.raises(TypeError):
-            json.dumps(doc, indent=2)
-        with pytest.raises(TypeError):
-            jsonio.dump_json(doc)
+def _cli_outputs() -> dict:
+    """What each command that writes an artifact builds it from: every
+    compose route, apply on the Choi route (a Choi file, a Pauli table) and
+    on the table route, and the example channels."""
+    gen = np.random.default_rng(17)
+    du = random_hermitian_du_params(gen, 2)
+    do = from_du_params(du)
+    dephasing = dephasing_from_realization(*random_realization(gen, 2, 3))
+    s = super_choi(gen.normal(size=(16, 16)) + 1j * gen.normal(size=(16, 16)), (2, 2, 2, 2))
+    pauli = pauli_super_choi(PauliSuperParams(gen.dirichlet(np.ones(16)).reshape(4, 4)))
+    ch = random_channel(gen, 2)
+    default = default_du_params()
+    return {
+        "compose du": compose_tables(du, du),
+        "compose do": compose_tables(do, do),
+        "compose dephasing": compose_tables(dephasing, dephasing),
+        "compose superchannel": compose_superchannels(s, s),
+        "compose channel": compose_channels(ch, ch),
+        "apply choi": apply_to_channel(s, ch),
+        "apply pauli": apply_to_channel(pauli, ch),
+        "apply du": apply_to_channel(du, ch),
+        "apply do": apply_to_channel(do, ch),
+        "apply dephasing": apply_to_channel(dephasing, ch),
+        "example holevo-werner": holevo_werner(3),
+        "example amplitude-damping": apply_to_channel(default, amplitude_damping(0.3)),
+        "example bit-flip": apply_to_channel(default, bit_flip(0.2)),
+        "example pauli": apply_to_channel(default, pauli_channel([0.4, 0.3, 0.2, 0.1])),
+    }
+
+
+def _leaves(doc):
+    if isinstance(doc, dict):
+        assert all(type(k) is str and k.isascii() for k in doc), list(doc)
+        for value in doc.values():
+            yield from _leaves(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _leaves(value)
+    else:
+        yield doc
+
+
+def _document(out) -> dict:
+    """The artifact document a command writes for out."""
+    if isinstance(out, TableParams):
+        return jsonio.params_to_json(out)
+    return {ChoiChannel: jsonio.channel_to_json, SuperChoi: jsonio.superchannel_to_json}[type(out)](out)
+
+
+@pytest.mark.parametrize("name", list(_cli_outputs()))
+def test_cli_documents_hold_only_what_dump_json_writes(name):
+    # dump_json's contract: a numpy scalar or a None here would be written
+    # as a number or as null, not refused
+    doc = _document(_cli_outputs()[name])
+    leaves = list(_leaves(doc))
+    arrays = [v for v in leaves if type(v) is np.ndarray]
+    assert arrays
+    for a in arrays:
+        assert a.dtype == np.float64 and a.ndim and a.flags.c_contiguous
+        assert np.isfinite(a).all()
+    ints = [v for v in leaves if type(v) is not np.ndarray]
+    assert all(type(v) is int and -(2**63) <= v < 2**63 for v in ints), ints
+
+
+@pytest.mark.parametrize("name", list(_cli_outputs()))
+def test_cli_documents_round_trip_through_their_files(name, tmp_path):
+    # written, read back and parsed as the CLI does, each artifact gives back
+    # the same object: the same kind, and the same bytes when written again
+    out = _cli_outputs()[name]
+    path = tmp_path / "artifact.json"
+    text = jsonio.dump_json(_document(out), path)
+    back = jsonio.load_json(path)
+    kind = "channel" if isinstance(out, ChoiChannel) else "superchannel"
+    if isinstance(out, TableParams):
+        kind = next(k for k, cls in jsonio.TABLE_KINDS.items() if type(out) is cls)
+    assert jsonio.detect_kind(back) == kind
+    again = jsonio.from_json(back, kind)
+    assert type(again) is type(out)
+    assert jsonio.dump_json(_document(again)) == text
+    assert path.read_bytes() == text.encode() + b"\n"
+
+
+@pytest.mark.parametrize("kind", ["channel", "superchannel", "du", "do", "dephasing"])
+def test_readers_refuse_array_data_not_read_from_text(kind):
+    # a document as built, its matrix data float64 arrays, is not parsed
+    # JSON: its entries are numpy floats, not JSON numbers
+    gen = np.random.default_rng(3)
+    du = random_hermitian_du_params(gen, 2)
+    obj = {
+        "channel": random_channel(gen, 2),
+        "superchannel": identity_superchannel(2, 2),
+        "du": du,
+        "do": from_du_params(du),
+        "dephasing": dephasing_from_realization(*random_realization(gen, 2, 3)),
+    }[kind]
+    doc = _document(obj)
+    assert jsonio.detect_kind(doc) == kind
+    with pytest.raises(SchemaError, match="pairs of numbers"):
+        jsonio.from_json(doc, kind)
+    assert type(jsonio.from_json(orjson.loads(jsonio.dump_json(doc)), kind)) is type(obj)
+
+
+# documents outside dump_json's contract that orjson refuses: each raises
+# TypeError before the file is opened, so an existing artifact is kept
+_REFUSED_DOCUMENTS = {
+    "int keys": {1: 1e-7, 2: 2.5e-5},
+    "tuple key": {(1, 2): 1.0},
+    "int 2**64": [2**64],
+    "int below -2**63": [-(2**63) - 1],
+    "lone surrogate": ["\ud800"],
+    "object": [object()],
+    "complex array": {"x": np.zeros(2, dtype=complex)},
+    "not contiguous": (np.arange(12.0) * 1e-7).reshape(3, 4)[:, ::2],
+    "0-d array": np.array(2.5e-5),
+    "nested past orjson's limit": functools.reduce(lambda x, _: [x], range(300), 1e-7),
+    "set": {"x": {1.0}},
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSED_DOCUMENTS))
+def test_dump_refuses_what_orjson_cannot_write_and_keeps_the_file(name, tmp_path):
+    path = tmp_path / "artifact.json"
+    path.write_bytes(b"{}\n")
+    with pytest.raises(TypeError):
+        jsonio.dump_json(_REFUSED_DOCUMENTS[name], path)
+    assert path.read_bytes() == b"{}\n"
 
 
 def _strict(value, types):

@@ -39,7 +39,8 @@ superchannel, `apply` with each file as the channel, and `compose` of each
 kind on each ordered pair of files; it ends with
 spelling_probe, `apply` of the d = 2 identity's DU and dephasing tables to a
 channel holding one number of each spelling the artifact writer treats
-apart, built from constants.  large-tables is `validate`, `compose` and `apply` on DU and
+apart, and `compose dephasing` of the identity's table with a table holding
+the same numbers, built from constants.  large-tables is `validate`, `compose` and `apply` on DU and
 on sign-symmetric tables at d = 7 and 8, one valid, one not-CP and one
 not-TP set per d, drawn as in the du and do corpora but read straight off
 the table positions (superchannel_tables), and `compose` of the valid set
@@ -375,9 +376,12 @@ def spelling_probe(b: inputs.InputSet) -> list:
     artifact writer treats apart: below 1e-9, in [1e-9, 1e-5), in
     [1e-5, 1e-4), at least 1e16, and -0.0, with both signs.  The identity
     gives the channel back, so the artifacts hold them all (-0.0 only the
-    dephasing one: the DU action sums its terms onto +0.0).  Built from
-    constants, after every seeded draw.  No command writes a non-finite
-    artifact: every matrix and table refuses NaN and infinity."""
+    dephasing one: the DU action sums its terms onto +0.0).  Then
+    `compose dephasing` of the all-ones table with a table holding the same
+    numbers: each entry of the composition is 1 * x, so the table artifact
+    holds them all too.  Built from constants, after every seeded draw.  No
+    command writes a non-finite artifact: every matrix and table refuses NaN
+    and infinity."""
     d = 2
     omega = np.eye(d * d).reshape(-1)  # the identity's Choi is |omega><omega|
     tables = inputs.tables_from_choi(np.outer(omega, omega), d, inputs.DU_TABLES)
@@ -391,8 +395,11 @@ def spelling_probe(b: inputs.InputSet) -> list:
     supers = [b.input("spelling_identity_du.json", inputs.tables_doc(d, tables)),
               b.input("spelling_identity_dephasing.json",
                       {"d": d, "M_big": inputs.matrix_json((d, d), np.ones((d * d, d * d)))})]
-    return [inputs._entry(["apply", s, channel, "--out", "out/spelling.json"],
-                          out="out/spelling.json") for s in supers]
+    spelled = b.input("spelling_dephasing.json", {"d": d, "M_big": inputs.matrix_json((d, d), choi)})
+    return [*(inputs._entry(["apply", s, channel, "--out", "out/spelling.json"],
+                            out="out/spelling.json") for s in supers),
+            inputs._entry(["compose", "dephasing", supers[1], spelled, "--out", "out/spelling.json"],
+                          out="out/spelling.json")]
 
 
 def build_large_tables(b: inputs.InputSet) -> list:
