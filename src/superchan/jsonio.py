@@ -6,15 +6,18 @@ and by json for what orjson refuses (see load_json).  The documents built
 here hold each matrix's data as the read-only (side², 2) float64 view of its
 buffer (linalg.matrix_to_json), not as lists.  dump_json writes a document of
 ASCII str keys, ints within 64 bits, finite floats, lists, dicts and
-C-contiguous float64 arrays, which is every document built here, as
+C-contiguous native float64 arrays, which is every document built here, as
 ``json.dumps(obj, indent=2)`` writes its list twin: each float in its
-shortest round-trip digits, so dump -> load is exact.
+shortest round-trip digits, so dump -> load is exact.  orjson writes the
+text; the few numbers it spells otherwise than repr are known by their
+values, marked before it writes and spelled apart.  NaN, None and arrays of
+another dtype, byte order or layout raise TypeError, as they would
+otherwise be written wrong.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from itertools import chain
 from pathlib import Path
 
@@ -192,16 +195,32 @@ def dump_json(obj: dict, path=None) -> str:
     """Deterministic serialization (fixed key order, shortest round-trip floats).
 
     obj holds ASCII str keys and strings (no DEL), ints within 64 bits,
-    finite floats, lists, dicts and C-contiguous float64 arrays of one or
-    more axes, as every document of this module does; its text then equals
-    ``json.dumps(obj, indent=2)`` byte for byte, where an array reads as its
-    list twin, ``arr.tolist()``.  orjson writes the document in one call,
-    each array from its buffer with no Python object per number, and
-    _respell, one chunk of text at a time, fixes the few numbers it spells
-    differently.  With a path, the text and a newline are written to the
-    file in binary mode.
+    finite floats, lists, dicts and C-contiguous native float64 arrays of
+    one or more axes, as every document of this module does; its text then
+    equals ``json.dumps(obj, indent=2)`` byte for byte, where an array reads
+    as its list twin, ``arr.tolist()``.  A NaN, an infinity, None, or an
+    array of another dtype, byte order or layout raises TypeError.
+
+    The numbers orjson spells otherwise than repr are known by their values
+    (_EDGES), so _mark swaps them for markers that orjson writes as null,
+    and orjson writes the document in one call, each array from its buffer
+    with no Python object per number.  _spell writes the marked values as
+    repr does, in a few bulk passes per spelling class, and _splice puts
+    them in at the null tokens.  With a path, the text and a newline are
+    written to the file in binary mode; whatever raises does so before the
+    file is opened.
     """
-    data = _respell(orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY))
+    marked, strings = [], []
+    try:  # the marked copies of the arrays are freed once orjson has written them
+        data = orjson.dumps(_mark(obj, marked, strings),
+                            option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
+    except RecursionError as exc:  # in _mark, far past orjson's own nesting limit
+        raise TypeError("dump_json: document nested too deeply") from exc
+    if marked:
+        values = np.concatenate(marked)
+        if not np.isfinite(values).all():  # every NaN and infinity is marked
+            raise TypeError("dump_json writes finite floats only")
+        data = _splice(data, values, any("null" in s for s in strings))
     if path is not None:
         with Path(path).open("wb") as f:
             f.write(data)
@@ -217,48 +236,150 @@ def array_as_list(obj) -> list:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-# In indent=2 text a number token ends its line, and a string cannot hold a
-# raw newline, so these patterns never match inside a key or a string value.
-_TOKEN_END = rb"(?=,?\n|\Z)"
-_EXPONENT = re.compile(rb"e(?:-(\d)|(\d+))" + _TOKEN_END)
-_POSITIONAL = re.compile(
-    rb"\.0000(?:(?<=[^0-9]0\.0000)|(?<=\A0\.0000))([1-9])(\d*)" + _TOKEN_END
-)
-_CHUNK = 1 << 20  # bytes of text _respell scans and rewrites at a time
+def _dumps(values: np.ndarray) -> bytes:
+    return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
 
 
-def _respell(data: bytes) -> bytearray:
-    """orjson's text with each number respelled as repr spells it.
+def _positional(values: np.ndarray) -> bytes:
+    """The text [D.Re-05,...] of floats with 1e-5 <= |x| < 1e-4, with their
+    signs, from orjson's text of |x|, [0.0000DR,...]: D is the first
+    significant digit and R the rest.
 
-    orjson prints each float in its shortest round-trip digits (Ryu), the
-    digits repr gives, and spells three ranges differently: it drops the
-    exponent's leading zero for 1e-9 <= |x| < 1e-5 ("1e-7" for "1e-07") and
-    its "+" for |x| >= 1e16 ("1e16" for "1e+16"), and writes
-    1e-5 <= |x| < 1e-4 positionally ("0.0000123" for "1.23e-05").
-
-    The text is rewritten one chunk of about _CHUNK bytes at a time, each
-    cut just after a newline, so no token spans two chunks: the edits of
-    both scans of a chunk are sorted and copied out with the text between
-    them, and no list of edits spans the whole text.  Each chunk is scanned
-    in place, by finditer's pos and endpos, so the lookbehinds and \\A see
-    the whole text; \\Z matches at a cut, but a cut follows a newline,
-    never a digit.
+    Each token is rewritten right-aligned in its own span, so the commas
+    stay put: "0.0000DR" is one byte longer than "D.Re-05" (two longer than
+    "De-05", whose dot is dropped), which leaves room for the sign.  Moving
+    the whole text four bytes left puts R in place.
     """
-    view = memoryview(data)  # slices of a view copy nothing
+    old = np.frombuffer(_dumps(np.abs(values)), np.uint8)
+    dots = np.flatnonzero(old == ord("."))  # one per token, after its "0"
+    ends = np.append(dots[1:] - 2, len(old) - 1)  # each token's "," and the last one's "]"
+    new = np.empty_like(old)
+    new[:-4] = old[4:]
+    new[dots] = old[dots + 5]
+    new[dots + 1] = ord(".")
+    for k, byte in enumerate(b"e-05"):
+        new[ends - 4 + k] = byte
+    new[0], new[ends] = old[0], old[ends]
+    new[dots - 1] = ord("-")
+    keep = np.ones(len(old), dtype=bool)
+    keep[(dots - 1)[values >= 0]] = False
+    keep[(dots + 1)[ends - dots == 6]] = False
+    return new[keep].tobytes()
+
+
+# orjson prints each float in its shortest round-trip digits (Ryu), the digits
+# repr prints, and spells them otherwise in three ranges of |x|, which the
+# value alone decides.  The spelling class of x is the number of _EDGES that
+# |x| reaches, and _SPELLINGS[class] writes floats of that class as
+# [token,...] in repr's spelling: orjson spells classes 0 and 3 as repr does.
+_EDGES = (1e-9, 1e-5, 1e-4, 1e16)
+_SPELLINGS = (
+    _dumps,
+    lambda values: _dumps(values).replace(b"e-", b"e-0"),  # "1e-7" for "1e-07"
+    _positional,  # "0.0000123" for "1.23e-05"
+    _dumps,
+    lambda values: _dumps(values).replace(b"e", b"e+"),  # "1e16" for "1e+16"
+)
+_CHUNK = 1 << 20  # bytes of text _splice splits and joins at a time
+_SPARSE = 256  # bytes of text per null token above which _splice finds them by numpy
+_FEW = 64  # values below which repr's cost per number is less than numpy's per call
+
+
+def _mark(obj, marked: list, strings: list):
+    """obj rebuilt with each float outside an array, and each array value
+    of a class orjson spells otherwise, swapped for a marker orjson writes
+    as null (None, and NaN in a copy of the array).  The swapped values are
+    appended to marked in the order of the text, and the keys and strings
+    to strings.  An array orjson would write wrong, or None, raises
+    TypeError; what else orjson cannot write is left for it to refuse."""
+    if isinstance(obj, dict):
+        strings += obj
+        return {key: _mark(value, marked, strings) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_mark(value, marked, strings) for value in obj]
+    if isinstance(obj, float):
+        marked.append((obj,))
+        return None
+    if type(obj) is np.ndarray:
+        if obj.dtype != np.float64 or not obj.flags.c_contiguous:
+            raise TypeError(f"dump_json writes C-contiguous native float64 arrays, not "
+                            f"{'non-contiguous ' * (not obj.flags.c_contiguous)}{obj.dtype.str}")
+        a = np.abs(obj)
+        kept = (a < _EDGES[0]) | (a >= _EDGES[2]) & (a < _EDGES[3])  # classes 0 and 3
+        if np.count_nonzero(kept) < kept.size:  # and NaN is marked, to be refused
+            marked.append(obj[~kept])
+            return np.where(kept, obj, np.nan)
+        return obj
+    if isinstance(obj, str):
+        strings.append(obj)
+    elif obj is None:
+        raise TypeError("dump_json writes no None: a null in its text is a marker")
+    return obj
+
+
+def _spell(values: np.ndarray):
+    """The token of each value as repr spells it, as bytes: one compact
+    orjson pass per spelling class, respelled in bulk, in an object array;
+    or, for fewer than _FEW values, by repr itself."""
+    if len(values) < _FEW:
+        return [repr(x).encode() for x in values.tolist()]
+    a = np.abs(values)
+    classes = sum((a >= edge).view(np.int8) for edge in _EDGES)
+    tokens = np.empty(len(values), dtype=object)
+    for cls in np.flatnonzero(np.bincount(classes, minlength=len(_SPELLINGS))):
+        members = classes == cls
+        tokens[members] = _SPELLINGS[cls](values[members])[1:-1].split(b",")
+    return tokens
+
+
+def _splice(data: bytes, values: np.ndarray, strings_hold_null: bool) -> bytes | bytearray:
+    """orjson's text with its null tokens replaced in order by the tokens of
+    values.
+
+    A text longer than a chunk with more than _SPARSE bytes per token is
+    scanned faster by numpy than by bytes.split: _null_tokens finds the
+    tokens, and the text between them is joined from a view.  Any other
+    text is split at its nulls and joined one chunk of about _CHUNK bytes
+    at a time, each cut just after a newline, so no token spans two chunks
+    and no list of parts spans the whole text.  There, where no string
+    holds "null", every "null" is a token; else the null tokens are first
+    swapped for NUL, which no string holds raw (orjson writes "\\u0000").
+    """
+    if len(data) > max(_CHUNK, _SPARSE * len(values)):
+        view, parts, last = memoryview(data), [], 0
+        for start, token in zip(_null_tokens(data).tolist(), _spell(values), strict=True):
+            parts += (view[last:start], token)
+            last = start + 4
+        parts.append(view[last:])
+        return b"".join(parts)
+    marker = b"null"
+    if strings_hold_null:
+        data = data.replace(b"null,\n", b"\0,\n").replace(b"null\n", b"\0\n")
+        marker = b"\0"
     out = bytearray()
-    pos, size = 0, len(data)
+    pos, size, spliced = 0, len(data), 0
     while pos < size:
         end = data.find(b"\n", pos + _CHUNK) + 1 or size
-        edits = [(m.start(), m.end(), b"e-0" + m[1] if m[1] else b"e+" + m[2])
-                 for m in _EXPONENT.finditer(data, pos, end)]
-        edits += [(m.start() - 1, m.end(), m[1] + (b"." + m[2] if m[2] else b"") + b"e-05")
-                  for m in _POSITIONAL.finditer(data, pos, end)]  # from the "0" before the "."
-        edits.sort()
-        last = pos
-        for start, stop, token in edits:
-            out += view[last:start]
-            out += token
-            last = stop
-        out += view[last:end]
+        pieces = data[pos:end].split(marker)
+        parts = [None] * (2 * len(pieces) - 1)
+        parts[::2] = pieces
+        parts[1::2] = _spell(values[spliced:spliced + len(pieces) - 1])
+        out += b"".join(parts)
+        spliced += len(pieces) - 1
         pos = end
     return out
+
+
+def _null_tokens(data: bytes) -> np.ndarray:
+    """Where each null token of orjson's indent=2 text of a container starts.
+
+    A token ends its line, and a string holds no raw newline, so a null
+    token is a "null" followed by "\\n" or ",\\n", and then by more text: a
+    container's text ends in ] or }.
+    """
+    text = np.frombuffer(data, np.uint8)
+    at = np.flatnonzero(text == ord("u")) - 1
+    at = at[(at >= 0) & (at + 5 < len(text))]
+    after = text[at + 4]
+    return at[(text[at] == ord("n")) & (text[at + 2] == ord("l")) & (text[at + 3] == ord("l"))
+              & ((after == ord("\n")) | (after == ord(",")) & (text[at + 5] == ord("\n")))]

@@ -258,43 +258,68 @@ def _valid_table_params() -> dict:
             for cls, names in ((DUSuperParams, DU_TABLES), (DOSuperParams, DO_TABLES))}
 
 
+def _class_boundaries() -> np.ndarray:
+    """Each edge of the writer's spelling classes, 1e-9, 1e-5, 1e-4 and
+    1e16, with both signs, beside its two neighbouring floats: a class bound
+    one ulp off, or a mask that leaves one of them out, spells one of them
+    otherwise than json does."""
+    edges = np.array([1e-9, 1e-5, 1e-4, 1e16])
+    edges = np.concatenate([edges, -edges])
+    return np.stack([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)], 1).ravel()
+
+
 def _spelling_document(case: str) -> dict:
     if case == "random bits":
         values = _float_spelling_cases()
         return {"dims": [len(values) // 2], "data": values.reshape(-1, 2)}
+    if case == "class boundaries":  # repeated, so they are spelled in bulk, not by repr
+        values = np.tile(_class_boundaries(), 5)
+        a = np.abs(values)
+        assert np.count_nonzero((a >= 1e-9) & (a < 1e-4) | (a >= 1e16)) > jsonio._FEW
+        return {"dims": [len(values) // 2], "data": values.reshape(-1, 2), "row": values.copy()}
     p = _valid_table_params()[case.split()[0]]
     # composed with itself, as `compose` writes it: thousands of small numbers
     return jsonio.params_to_json(compose_tables(p, p) if case.endswith("composed") else p)
 
 
-@pytest.mark.parametrize("case", ["random bits", "DUSuperParams", "DOSuperParams",
-                                  "DUSuperParams composed", "DOSuperParams composed"])
+def _line_differences(ours: str, theirs: str) -> list:
+    """The first few differing lines of two texts, and their line counts if
+    they differ: a handful of lines, not a diff of two 10 MB texts."""
+    ours, theirs = ours.splitlines(), theirs.splitlines()
+    counts = [(len(ours), len(theirs))] if len(ours) != len(theirs) else []
+    return [(a, b) for a, b in zip(ours, theirs) if a != b][:5] + counts
+
+
+@pytest.mark.parametrize("case", ["random bits", "class boundaries", "DUSuperParams",
+                                  "DOSuperParams", "DUSuperParams composed",
+                                  "DOSuperParams composed"])
 def test_bulk_writer_spells_every_float_as_json_does(case):
-    # orjson writes the document and _respell fixes its spelling; a change
-    # to orjson's float spelling in a later release must show here.  Each
-    # document is written as lists and as float64 arrays, from their buffer
+    # the writer spells each number by the class of its value, and orjson
+    # writes the rest; a change to orjson's float spelling in a later
+    # release must show here.  Each document is written as lists and as
+    # float64 arrays, from their buffer
     arrays = _spelling_document(case)
     doc = as_lists(arrays)
-    if case != "random bits":
+    if case not in ("random bits", "class boundaries"):
         numbers = np.concatenate([m["data"].reshape(-1) for m in arrays.values()
                                   if isinstance(m, dict)])
         assert np.count_nonzero((np.abs(numbers) >= 1e-9) & (np.abs(numbers) < 1e-4)) > 50
-    theirs = json.dumps(doc, indent=2).splitlines()
+    theirs = json.dumps(doc, indent=2)
     for written in (doc, arrays):
-        ours = jsonio.dump_json(written).splitlines()
-        assert len(ours) == len(theirs)
-        # a handful of differing lines, not a diff of two 10 MB texts
-        assert [(a, b) for a, b in zip(ours, theirs) if a != b][:5] == []
+        assert _line_differences(jsonio.dump_json(written), theirs) == []
 
 
-_ARRAY_SPECIALS = np.array([-0.0, 5e-324, 1e-5, 9.99e-5, 1e16, 1.7976931348623157e308,
-                            -1.7976931348623157e308, 0.0, 1e-7, -2.5e-5, 0.1])
+_ARRAY_SPECIALS = np.concatenate([
+    [-0.0, 5e-324, 1e-5, 9.99e-5, 1e16, 1.7976931348623157e308, -1.7976931348623157e308,
+     0.0, 1e-7, -2.5e-5, 0.1],
+    _class_boundaries(),
+])
 
 
 @pytest.mark.parametrize("doc", [
     _ARRAY_SPECIALS,
-    _ARRAY_SPECIALS[:10].reshape(-1, 2),
-    {"dims": [5], "data": _ARRAY_SPECIALS[:10].reshape(-1, 2),
+    _ARRAY_SPECIALS[:-1].reshape(-1, 2),
+    {"dims": [17], "data": _ARRAY_SPECIALS[:-1].reshape(-1, 2),
      "rows": [_ARRAY_SPECIALS[::-1].copy()]},
     _ARRAY_SPECIALS[:8].reshape(2, 2, 2),
     np.zeros((0, 2)),
@@ -308,22 +333,31 @@ def test_float64_arrays_dump_as_their_lists(doc, tmp_path):
     assert path.read_bytes() == json.dumps(twin, indent=2).encode() + b"\n"
 
 
-def _chunk_boundary_values() -> tuple[list, list]:
-    """A list of floats whose indent=2 text from orjson spans ten chunks of
-    _respell, with a token of each respelled form (a zero-padded exponent,
-    a "+" exponent, positional to exponent) just after a cut, ending the
-    chunk before a cut (the cut's search starting inside the token or on
-    its newline), and one line before a cut.  Returns the values and
-    the planned (token offset, cut offset) pairs."""
-    short, long = 0.1234567890123456, 0.12345678901234568  # filler lines of k and k + 1 bytes
-    spelling = {short: "0.1234567890123456", long: "0.12345678901234568",
-                1e-7: "1e-7", 1e16: "1e16", 1.23e-5: "0.0000123"}
-    k = len(spelling[short]) + 4
+# fillers of lines k and k + 1 bytes long: numbers the writer leaves alone,
+# so the text holds a few nulls and the splice finds them by numpy; or
+# mostly respelled ones, whose lines read "  null,\n", so the splice splits
+# the text chunk by chunk
+_FILLERS = {"sparse": (0.1234567890123456, 0.12345678901234568), "dense": (3e-7, 0.125)}
+_RESPELLED = [1e-7, 1e16, 1.23e-5, 3e-7]  # the probes, and the dense filler
+
+
+def _chunk_boundary_values(layout: str) -> tuple[np.ndarray, list]:
+    """A float64 array whose indent=2 text, with the numbers the writer
+    respells written as null, spans ten chunks of the splice: a number of
+    each respelled class (a zero-padded exponent, a "+" exponent, positional
+    to exponent) just after a cut, ending the chunk before a cut (the cut's
+    search starting inside its null or on its newline), and one line before
+    a cut.  Returns the values and the planned (null offset, cut offset)
+    pairs."""
+    short, long = _FILLERS[layout]
     values, plan = [], []
     offset = 2  # after "[\n"
 
-    def line(v):  # "  <token>,\n"
-        return len(spelling[v]) + 4
+    def line(v):  # "  <token>,\n", the token of a respelled number being null
+        return len("null" if v in _RESPELLED else repr(v)) + 4
+
+    k = line(short)
+    assert line(long) == k + 1
 
     def fill_to(start):  # filler lines that end exactly at start
         nonlocal offset
@@ -339,46 +373,52 @@ def _chunk_boundary_values() -> tuple[list, list]:
         return offset - line(v)
 
     # whatever rule cuts the text, its first cut is searched for from
-    # _CHUNK, so the first case puts that byte inside a token
-    cases = [(1e-7, "on", 5), (1e-7, "before", 3), (1e-7, "after", 0),
-             (1e16, "before", 3), (1e16, "on", 4), (1e16, "after", 0),
-             (1.23e-5, "before", 3), (1.23e-5, "on", 12), (1.23e-5, "after", 0)]
+    # _CHUNK, so the first case puts that byte inside a null
+    cases = [(1e-7, "on", 4), (1e-7, "before", 3), (1e-7, "after", 0),
+             (1e16, "before", 3), (1e16, "on", 2), (1e16, "after", 0),
+             (1.23e-5, "before", 3), (1.23e-5, "on", 7), (1.23e-5, "after", 0)]
     pos = 0
-    for token, where, shift in cases:
+    for number, where, shift in cases:
         # the byte at pos + _CHUNK is where the search for the cut's newline starts
         target = pos + jsonio._CHUNK
-        if where == "before":  # target on the filler line just before the token
+        if where == "before":  # target on the filler line just before the number
             fill_to(target - shift)
-            put(short)
-            start = cut = put(token)
-        elif where == "on":  # target on byte `shift` of the token's own line
+            put(long)
+            start = cut = put(number)
+        elif where == "on":  # target on byte `shift` of the number's own line
             fill_to(target - shift)
-            start = put(token)
+            start = put(number)
             cut = offset
-        else:  # target on the first byte of the line after the token's
-            fill_to(target - line(token))
-            start = put(token)
-            put(short)
+        else:  # target on the first byte of the line after the number's
+            fill_to(target - line(number))
+            start = put(number)
+            put(long)
             cut = offset
         plan.append((start, cut))
         pos = cut
     fill_to(offset + jsonio._CHUNK // 2)
-    return values, plan
+    return np.array(values), plan
 
 
-def test_respell_cuts_fall_around_every_form_of_token():
-    values, plan = _chunk_boundary_values()
-    raw = orjson.dumps(values, option=orjson.OPT_INDENT_2)
-    cuts, pos = [], 0  # the rule _respell cuts by, on the text it is given
+@pytest.mark.parametrize("layout", list(_FILLERS))
+def test_splice_cuts_fall_around_every_spelling_class(layout):
+    values, plan = _chunk_boundary_values(layout)
+    marked = np.where(np.isin(values, _RESPELLED), np.nan, values)
+    raw = orjson.dumps(marked, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
+    cuts, pos = [], 0  # the rule the splice cuts by, on the text orjson writes
     while pos < len(raw):
         pos = raw.find(b"\n", pos + jsonio._CHUNK) + 1 or len(raw)
         cuts.append(pos)
     assert [cut for _, cut in plan] == cuts[:-1]
-    tokens = [raw[start:raw.index(b"\n", start)] for start, _ in plan]
-    assert tokens == [b"  " + t + b"," for t in (b"1e-7", b"1e16", b"0.0000123") for _ in range(3)]
-    assert jsonio.dump_json(values) == json.dumps(values, indent=2)
-    for x in (1e-7, -1e16, 1.23e-5):  # one line, ended by \Z
-        assert jsonio.dump_json(x) == json.dumps(x, indent=2)
+    assert [raw[start:raw.index(b"\n", start)] for start, _ in plan] == [b"  null,"] * 9
+    # one null per 8 to 9 bytes, or fewer than one per 100,000
+    assert (len(raw) < 9 * np.isnan(marked).sum()) == (layout == "dense")
+    twin = values.tolist()
+    assert _line_differences(jsonio.dump_json(values), json.dumps(twin, indent=2)) == []
+    # where a string holds "null", the nulls are told apart first; and a
+    # "u" in the text's last bytes starts no null
+    doc = {"null": values, "menu": "nu"}
+    assert _line_differences(jsonio.dump_json(doc), json.dumps({**doc, "null": twin}, indent=2)) == []
 
 
 def test_matrix_data_takes_the_bulk_path():
@@ -392,8 +432,7 @@ def test_matrix_data_takes_the_bulk_path():
     assert twin["data"][3] == [-0.0, 0.0] and math.copysign(1, twin["data"][3][0]) < 0
 
 
-# Strings that read like the numbers _respell rewrites, as keys and values:
-# a string holds no raw newline, so none of them ends a line as a number does.
+# Strings that read like the numbers the writer respells, as keys and values.
 _NUMBER_LIKE_STRINGS = ["1e-7", " 0.00001,", "10.00001", "x 1e5", "1e16", "-0.0000123",
                         "0.00001", "x 1e-7\n", " 0.00001\n", "e-7", "e16,", ".00001"]
 
@@ -415,6 +454,21 @@ def test_dump_leaves_number_like_strings_alone():
 _SPELLING_FORMS = [3e-17, 1e-10, 9.99e-10, 1e-9, 1e-7, 3.25e-6, 9.999e-6, 1e-5, 2.5e-5,
                    1.234567e-5, 9.99e-5, 1e-4, 0.5, 10.00001, 1e15, 9999999999999998.0,
                    1e16, 1.5e17, 1.7976931348623157e308, 5e-324, 0.0, -0.0, 7, -3, True]
+
+
+def test_dump_cuts_only_at_null_tokens():
+    # keys and strings that hold "null", beside respelled numbers: the
+    # splice cuts only at the null tokens it wrote
+    arrays = {
+        "null": "a null, b",
+        "null,": ["null", 1e-7, "null,", 2.5e-5, "x null", 1e16, "nullnull\n", -3e-6],
+        "data": np.array([[1e-5, 0.5], [-7.5e-7, 1.5e17], [0.25, -9.99e-5]]),
+        "nested": [{"null": 2.5e-5, "\x00null": "\x00"}, {"a": [1e-7, "null"]}],
+        "last": "null",
+    }
+    doc = as_lists(arrays)
+    for written in (doc, arrays):
+        assert jsonio.dump_json(written) == json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize("x", _SPELLING_FORMS + [-x for x in _SPELLING_FORMS if isinstance(x, float)])
@@ -549,8 +603,8 @@ def test_readers_refuse_array_data_not_read_from_text(kind):
     assert type(jsonio.from_json(orjson.loads(jsonio.dump_json(doc)), kind)) is type(obj)
 
 
-# documents outside dump_json's contract that orjson refuses: each raises
-# TypeError before the file is opened, so an existing artifact is kept
+# documents outside dump_json's contract: each raises TypeError before the
+# file is opened, so an existing artifact is kept
 _REFUSED_DOCUMENTS = {
     "int keys": {1: 1e-7, 2: 2.5e-5},
     "tuple key": {(1, 2): 1.0},
@@ -562,7 +616,17 @@ _REFUSED_DOCUMENTS = {
     "not contiguous": (np.arange(12.0) * 1e-7).reshape(3, 4)[:, ::2],
     "0-d array": np.array(2.5e-5),
     "nested past orjson's limit": functools.reduce(lambda x, _: [x], range(300), 1e-7),
+    "nested past Python's recursion limit": functools.reduce(lambda x, _: [x], range(5000), 1.0),
     "set": {"x": {1.0}},
+    "big-endian": {"data": np.array([[1e-7, 0.5]], dtype=">f8")},
+    "float32": {"data": np.array([[0.1, 2.5e-5]], dtype=np.float32)},
+    "int64": {"dims": np.array([2, 2])},
+    "F-ordered": np.asfortranarray(np.arange(6.0).reshape(3, 2)),
+    "NaN": [0.5, float("nan")],
+    "NaN in an array": np.array([0.5, np.nan]),
+    "infinity": {"x": -math.inf},
+    "infinity in an array": np.array([[1.0, np.inf]]),
+    "None": {"d": None},
 }
 
 

@@ -12,6 +12,12 @@ table entry normal on its support, A real), and times, at each d,
 * do_validate on the sign-symmetric tables, du_cp_check and du_tp_check on
   the DU ones and dephasing_validate on the dephasing ones.
 
+Last it times the artifact writer, jsonio.dump_json (no path), on three
+documents the CLI writes: ``compose du`` at d = 6 and ``compose do`` at
+d = 16 of valid tables (cli_identity.superchannel_tables, seed 5, each set
+composed with itself; "du composed" and "do composed"), and the Choi of a
+valid d = 4 superchannel (inputs.random_superchannel, seed 5; "dense").
+
 The first call of each layer is timed on its own (``first_ms``: it builds
 whatever the layer caches per d).  Then the call is repeated for about
 0.2 s, at least 5 times, and the median taken.  Last, with tracemalloc on,
@@ -68,6 +74,29 @@ def _time(call) -> tuple[float, float, float]:
     return 1e3 * first, 1e3 * statistics.median(times), peak / 2**20
 
 
+def _artifacts() -> list:
+    """(tables, d, document) for the dump_json layer, built by the superchan
+    on sys.path."""
+    import cli_identity
+    import inputs
+    import numpy as np
+
+    from superchan.do import DOSuperParams
+    from superchan.du import DUSuperParams
+    from superchan.jsonio import params_to_json, superchannel_to_json
+    from superchan.positions import compose_tables
+    from superchan.superchannels import super_choi
+
+    out = []
+    for cls, names, d in ((DUSuperParams, inputs.DU_TABLES, 6),
+                          (DOSuperParams, inputs.DO_TABLES, 16)):
+        p = cls(d, **cli_identity.superchannel_tables(np.random.default_rng(5), d, names))
+        out.append((f"{cls.__name__[:2].lower()} composed", d, params_to_json(compose_tables(p, p))))
+    choi = inputs.random_superchannel(np.random.default_rng(5), 4)
+    out.append(("dense", 4, superchannel_to_json(super_choi(choi, (4, 4, 4, 4)))))
+    return out
+
+
 def measure(src: str) -> list[dict]:
     """One run: every (layer, tables, d) in this interpreter."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -78,6 +107,7 @@ def measure(src: str) -> list[dict]:
     from superchan.dephasing import DephasingSuperParams, dephasing_validate
     from superchan.do import DOSuperParams, do_validate
     from superchan.du import DUSuperParams, du_cp_check, du_tp_check
+    from superchan.jsonio import dump_json
     from superchan.positions import apply_tables, b1_partial_trace, sector_spectrum
 
     out = []
@@ -101,6 +131,10 @@ def measure(src: str) -> list[dict]:
             first, median, peak = _time(call)
             out.append({"layer": layer, "tables": kind, "d": d,
                         "first_ms": first, "median_ms": median, "peak_mb": peak})
+    for kind, d, doc in _artifacts():
+        first, median, peak = _time(lambda doc=doc: dump_json(doc))
+        out.append({"layer": "dump_json", "tables": kind, "d": d,
+                    "first_ms": first, "median_ms": median, "peak_mb": peak})
     return out
 
 
