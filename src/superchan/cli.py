@@ -33,7 +33,7 @@ from .do import do_validate
 from .du import du_cp_check, du_tp_check
 from .jsonio import SchemaError
 from .linalg import DEFAULT_TOL
-from .positions import TableParams, compose_tables
+from .positions import compose_tables
 from .pauli import pauli_du_check, pauli_induced_bistochastic, pauli_super_choi
 from .superchannels import apply_to_channel, compose_superchannels, validate_superchannel
 
@@ -198,16 +198,13 @@ def cmd_compose(args) -> CommandResult:
 
 def cmd_covariance(args) -> CommandResult:
     # imported here, as in cmd_example: only the sampling commands pay for it
-    from .covariance import covariance_sampler_tuple, superchannel_covariance_check
+    from .covariance import superchannel_covariance_check
 
     kind, parsed = _load(args.superchannel)
     # table kinds go as they are: diagonal groups rephase their entries
     s = pauli_super_choi(parsed) if kind == "pauli" else parsed
-    dims = (s.d,) * 4 if isinstance(s, TableParams) else s.choi.dims
-    if len(set(dims)) > 1:
-        raise SchemaError("covariance groups are defined for equal subsystem dims")
-    samplers = covariance_sampler_tuple(args.group, dims[0], args.seed)
-    verdict = superchannel_covariance_check(s, samplers, n=args.samples, tol=args.tol)
+    verdict = superchannel_covariance_check(s, args.group, n=args.samples, seed=args.seed,
+                                            tol=args.tol)
     report = {"superchannel_kind": kind, "group": args.group}
     report.update(verdict.report())
     return CommandResult(OK if verdict.ok else CHECK_FAILED, report)

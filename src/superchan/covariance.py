@@ -4,8 +4,7 @@ conditions.
 
 Covariance is linear in the Choi matrix, so violations are generic: a small
 number of seeded samples suffices, and the verdict is reproducible from the
-seed.  Samplers own their generator and are not meant to be shared across
-threads.  Conjugation by a diagonal group element only rephases each entry of
+seed.  Conjugation by a diagonal group element only rephases each entry of
 the Choi, so the diagonal groups (du, do) are tested on the entries the input
 already holds: the nonzero entries of a Choi matrix, or the table entries of
 a TableParams, whose Choi is never assembled.  All samples are drawn and
@@ -25,57 +24,21 @@ from .linalg import DEFAULT_TOL, Frozen, max_entangled_projector, swap_operator
 from .positions import (
     TableParams,
     choi_from_tables,
+    choi_indices,
     require_super_family,
-    sector_blocks,
-    sectors,
+    table_values,
 )
 from .superchannels import SuperChoi, super_choi
 
-DIAGONAL_KINDS = ("diagonal-unitary", "diagonal-orthogonal")
-SAMPLER_KINDS = (*DIAGONAL_KINDS, "haar-unitary")
-
-
-class GroupSampler:
-    """Seeded stream of unitaries from one of the supported groups.
-
-    Two samplers with equal (kind, d, seed) emit identical streams, which is
-    how correlated representations (same group element on several subsystems)
-    are expressed.  ``conjugate=True`` emits the entrywise conjugate stream.
-    """
-
-    __slots__ = ("kind", "d", "seed", "conjugate", "_rng")
-
-    def __init__(self, kind: str, d: int, seed: int, conjugate: bool = False) -> None:
-        if kind not in SAMPLER_KINDS:
-            raise ValueError(f"unknown sampler kind {kind!r}")
-        self.kind, self.d, self.seed, self.conjugate = kind, d, seed, conjugate
-        self._rng = np.random.default_rng(seed)
-
-    def conjugated(self) -> "GroupSampler":
-        """Fresh sampler emitting the conjugates of this sampler's stream."""
-        return GroupSampler(self.kind, self.d, self.seed, not self.conjugate)
-
-    def diagonals(self, n: int) -> np.ndarray:
-        """The diagonals of the next n elements of a diagonal group, as an
-        (n, d) array: the stream of n successive draw() calls."""
-        if self.kind == "diagonal-unitary":
-            u = np.exp(1j * self._rng.uniform(0.0, 2.0 * np.pi, (n, self.d)))
-        elif self.kind == "diagonal-orthogonal":
-            u = (self._rng.integers(0, 2, (n, self.d)) * 2 - 1).astype(complex)
-        else:
-            raise ValueError(f"{self.kind} elements are not diagonal")
-        return u.conj() if self.conjugate else u
-
-    def draw(self) -> np.ndarray:
-        if self.kind in DIAGONAL_KINDS:
-            return np.diag(self.diagonals(1)[0])
-        # haar-unitary: QR of a complex Gaussian with phase-fixed diagonal
-        z = self._rng.normal(size=(self.d, self.d)) + 1j * self._rng.normal(
-            size=(self.d, self.d)
-        )
-        q, r = np.linalg.qr(z / np.sqrt(2.0))
-        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        return u.conj() if self.conjugate else u
+# group -> (what U and V are drawn as, U' = conj(U) rather than U, V' = conj(V)
+# rather than V): phases and signs are diagonal elements, haar is Haar-random
+GROUPS = {
+    "du": ("phases", False, False),
+    "do": ("signs", False, False),
+    "haar": ("haar", False, False),  # identity/depolarizing mixtures
+    "conj-haar": ("haar", True, True),  # transpose/depolarizing mixtures
+    "mixed": ("haar", False, True),  # identity on the input pair, transpose on the output
+}
 
 
 class CovarianceVerdict(NamedTuple):
@@ -104,140 +67,110 @@ class CovarianceVerdict(NamedTuple):
 _CHUNK_ENTRIES = 1 << 16
 
 
+def _diagonals(rng: np.random.Generator, kind: str, n: int, d: int) -> np.ndarray:
+    """The diagonals of n elements of a diagonal group, as an (n, d) array."""
+    if kind == "phases":
+        return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, d)))
+    return (rng.integers(0, 2, (n, d)) * 2 - 1).astype(complex)
+
+
+def _haar(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A Haar-random unitary: QR of a complex Gaussian with phase-fixed diagonal."""
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def _row_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Kronecker product of two stacks of vectors."""
     return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
-def _diagonal_draws(samplers, n: int) -> list:
-    """Per sampler, the (n, d) diagonals it yields in n rounds of one draw
-    from each sampler in turn; a sampler passed twice alternates its stream."""
-    slots: dict[int, list[int]] = {}
-    for k, s in enumerate(samplers):
-        slots.setdefault(id(s), []).append(k)
-    out = [None] * len(samplers)
-    for ks in slots.values():
-        batch = samplers[ks[0]].diagonals(n * len(ks)).reshape(n, len(ks), -1)
-        for t, k in enumerate(ks):
-            out[k] = batch[:, t]
-    return out
+def _four_fold(kron, u, v, conj_u: bool, conj_v: bool):
+    """U (x) conj(V) (x) conj(U') (x) V' under the Kronecker product kron,
+    with U' = conj(U) if conj_u, else U, and V' = conj(V) if conj_v, else V."""
+    return kron(kron(u, v.conj()), kron(u if conj_u else u.conj(), v.conj() if conj_v else v))
 
 
 def _rephasing_deviations(w, x, rows, cols) -> np.ndarray:
     """max |w_r x_rc conj(w_c) - x_rc| for each row w of the stack w, over
-    the entries x at (rows, cols), index arrays broadcast against x, or over
-    every entry of the matrix x when rows is None."""
+    the entries x at (rows, cols), or over every entry of the matrix x when
+    rows is None."""
     if rows is None:
         t = w[:, :, None] * x
         t *= w.conj()[:, None, :]
-    else:
-        t = w[:, rows] * x
-        t *= w[:, cols].conj()
+    else:  # take gathers faster than fancy indexing; conj(w) is smaller than a gather
+        t = w.take(rows, axis=1)
+        t *= x
+        t *= w.conj().take(cols, axis=1)
     t -= x
     return np.abs(t).reshape(len(w), -1).max(axis=1, initial=0.0)
 
 
-def _four_fold(kron, u, v, up, vp):
-    """U (x) conj(V) (x) conj(U') (x) V' under the Kronecker product kron."""
-    return kron(kron(u, v.conj()), kron(up.conj(), vp))
+def superchannel_covariance_check(
+    s: SuperChoi | TableParams,
+    group: str,
+    n: int = 50,
+    seed: int = 0,
+    tol: float = DEFAULT_TOL,
+) -> CovarianceVerdict:
+    """Worst deviation |W X W^dag - X| over n samples of the named group
+    (GROUPS), W = U (x) conj(V) (x) conj(U') (x) V', for X the Choi matrix of
+    s: a SuperChoi, or the tables of a superchannel (DU, sign-symmetric or
+    dephasing).  Each sample draws U from default_rng(seed) and V from
+    default_rng(seed + 1); U' and V' are those draws or their conjugates.
 
-
-def _sampled_check(x, samplers, n, tol) -> CovarianceVerdict:
-    """Worst deviation |W X W^dag - X| over n samples, W = U (x) conj(V) (x)
-    conj(U') (x) V' with (U, V, U', V') one draw from each of the four
-    samplers in order, for X the Choi matrix x or the Choi of the
-    TableParams x.
-
-    When every sampler is diagonal, W is diagonal and conjugation only
-    rephases each entry, (W X W^dag)_rc = w_r x_rc conj(w_c).  All n
-    diagonals are then drawn at once, combined row-wise by _row_kron, and
-    applied in chunks of samples to the entries x holds: the sector stacks of
-    its tables (positions.sector_blocks), the nonzero entries of a sparse
-    Choi, or every entry of a dense one, which spares the gathers.  A zero
-    entry cannot deviate, so skipping or including it is exact, and the
-    products are those of one sample at a time, so the verdict is too.  Any
-    other sampler makes W dense, and it is conjugated as a matrix.
+    For du and do, W is diagonal and conjugation only rephases each entry,
+    (W X W^dag)_rc = w_r x_rc conj(w_c).  All n diagonals are then drawn at
+    once, combined row-wise by _row_kron, and applied in chunks of samples to
+    the entries s holds: its table entries at their Choi positions, the
+    nonzero entries of a sparse Choi, or every entry of a dense one, which
+    spares the gathers.  A zero entry cannot deviate, so skipping or
+    including it is exact, and the products are those of one sample at a
+    time, so the verdict is too.  The Haar groups conjugate the Choi as a
+    matrix, assembling it from tables.  Raises ValueError for an unknown
+    group, channel tables, unequal subsystem dims and n < 1.
     """
+    if group not in GROUPS:
+        raise ValueError(f"unknown covariance group {group!r}")
+    kind, conj_u, conj_v = GROUPS[group]
+    tables = isinstance(s, TableParams)
+    if tables:
+        require_super_family(type(s))
+    dims = (s.d,) * 4 if tables else s.choi.dims
+    if len(set(dims)) > 1:
+        raise ValueError("covariance groups are defined for equal subsystem dims")
     if n < 1:  # a verdict over no samples would pass vacuously
         raise ValueError(f"the number of samples must be positive, got {n}")
-    if not all(s.kind in DIAGONAL_KINDS for s in samplers):
-        mat = choi_from_tables(x) if isinstance(x, TableParams) else x
+    d = dims[0]
+    rng_u, rng_v = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    if kind == "haar":
+        mat = choi_from_tables(s) if tables else s.choi.mat
         worst, worst_idx = 0.0, 0
         for k in range(n):
-            w = _four_fold(np.kron, *(s.draw() for s in samplers))
+            w = _four_fold(np.kron, _haar(rng_u, d), _haar(rng_v, d), conj_u, conj_v)
             dev = float(np.abs(w @ mat @ w.conj().T - mat).max())
             if dev > worst:
                 worst, worst_idx = dev, k
         return CovarianceVerdict(worst, worst_idx, n, tol)
-    size = x.size if isinstance(x, np.ndarray) else 0
-    if isinstance(x, TableParams):  # entry (b, i, j) of a stack is at (rows[b, i], rows[b, j])
-        parts = [(stack, rows[:, :, None], rows[:, None, :])
-                 for rows, stack in zip(sectors(x.d, type(x)), sector_blocks(x))]
-    elif 2 * np.count_nonzero(x) < size:
-        rows, cols = np.nonzero(x)
-        parts = [(x[rows, cols], rows, cols)]
+    size = 0 if tables else s.choi.mat.size
+    if tables:
+        x, (rows, cols) = table_values(s), choi_indices(d, type(s))
+    elif 2 * np.count_nonzero(s.choi.mat) < size:
+        rows, cols = np.nonzero(s.choi.mat)
+        x = s.choi.mat[rows, cols]
     else:
-        parts = [(x, None, None)]
+        x, rows, cols = s.choi.mat, None, None
     # a sample's temporaries are about three arrays of the entries' size
-    entries = sum(part[0].size for part in parts)
-    chunk = max(1, max(size, entries, _CHUNK_ENTRIES) // max(1, 3 * entries))
-    draws = _diagonal_draws(samplers, n)
-    devs = []
-    for lo in range(0, n, chunk):
-        w = _four_fold(_row_kron, *(a[lo:lo + chunk] for a in draws))
-        devs.append(np.max([_rephasing_deviations(w, *part) for part in parts], axis=0))
-    devs = np.concatenate(devs)
+    chunk = max(1, max(size, x.size, _CHUNK_ENTRIES) // max(1, 3 * x.size))
+    u, v = _diagonals(rng_u, kind, n, d), _diagonals(rng_v, kind, n, d)
+    devs = np.concatenate([
+        _rephasing_deviations(_four_fold(_row_kron, u[lo:lo + chunk], v[lo:lo + chunk],
+                                         conj_u, conj_v), x, rows, cols)
+        for lo in range(0, n, chunk)])
     devs[np.isnan(devs)] = 0.0  # a NaN sample never beats a running maximum
     k = int(devs.argmax())  # the first worst sample
     return CovarianceVerdict(float(devs[k]), k, n, tol)
-
-
-def superchannel_covariance_check(
-    s: SuperChoi | TableParams,
-    samplers,
-    n: int = 50,
-    tol: float = DEFAULT_TOL,
-) -> CovarianceVerdict:
-    """Test invariance of a superchannel Choi under the four-fold conjugation
-    U (x) conj(V) (x) conj(U') (x) V' with (U, V, U', V') drawn per sample.
-
-    s is a SuperChoi, or the tables of a superchannel (DU, sign-symmetric or
-    dephasing), whose Choi only the Haar groups assemble.  Diagonal groups
-    rephase the entries s holds, Haar groups conjugate the Choi densely (see
-    _sampled_check).  Raises ValueError for channel tables and for samplers
-    whose dimensions do not match s.
-    """
-    tables = isinstance(s, TableParams)
-    if tables:
-        require_super_family(type(s))
-    dims, got = (s.d,) * 4 if tables else s.choi.dims, tuple(u.d for u in samplers)
-    if got != dims:
-        raise ValueError(f"sampler dims {got} do not match {dims}")
-    return _sampled_check(s if tables else s.choi.mat, samplers, n, tol)
-
-
-def covariance_sampler_tuple(group: str, d: int, seed: int = 0):
-    """Canonical (U, V, U', V') sampler tuples for the named symmetry groups.
-
-    du / do: all four diagonal, with U' = U and V' = V.
-    haar: U' = U, V' = V (identity/depolarizing mixtures).
-    conj-haar: U' = conj(U), V' = conj(V) (transpose/depolarizing mixtures).
-    mixed: U' = U, V' = conj(V) (identity on the input pair, transpose on the
-    output pair).
-    """
-    if group in ("du", "do"):
-        kind = "diagonal-unitary" if group == "du" else "diagonal-orthogonal"
-    elif group in ("haar", "conj-haar", "mixed"):
-        kind = "haar-unitary"
-    else:
-        raise ValueError(f"unknown covariance group {group!r}")
-
-    def fresh(offset: int, conj: bool) -> GroupSampler:
-        return GroupSampler(kind, d, seed + offset, conjugate=conj)
-
-    conj_u = group == "conj-haar"
-    conj_v = group in ("conj-haar", "mixed")
-    return (fresh(0, False), fresh(1, False), fresh(0, conj_u), fresh(1, conj_v))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ triple of composition_plan.  The same plan composes superchannel tables
 with channel tables, giving the tables of the transformed channel.
 
 The index arrays that depend only on (d, class) are built once, as cached
-read-only plans: where each in-support entry, in the order of _values,
+read-only plans: where each in-support entry, in the order of table_values,
 lands among the sector stacks (sector_plan), and, for superchannel tables
 only, where it meets an operator under the assembled map (action_plan) and
 the terms of the partial trace over B1, with their images (trace_plan).  A
@@ -173,7 +173,7 @@ def init_tables(p: TableParams) -> None:
         object.__setattr__(p, name, t)
 
 
-def _values(p: TableParams) -> np.ndarray:
+def table_values(p: TableParams) -> np.ndarray:
     """Every in-support entry of the tables of p, table by table in NAMES
     order and in flat order within each, as complex: the order the plans
     below index."""
@@ -181,8 +181,8 @@ def _values(p: TableParams) -> np.ndarray:
                            for n in p.NAMES], dtype=complex)
 
 
-def _choi_indices(d: int, cls: type[TableParams]) -> tuple[np.ndarray, np.ndarray]:
-    """The Choi rows and columns of the entries _values gives, in its order."""
+def choi_indices(d: int, cls: type[TableParams]) -> tuple[np.ndarray, np.ndarray]:
+    """The Choi rows and columns of the entries table_values gives, in its order."""
     pos = [table_positions(d, name, cls.FAMILY) for name in cls.NAMES]
     return tuple(np.concatenate([getattr(x, f) for x in pos]) for f in ("rows", "cols"))
 
@@ -250,13 +250,13 @@ def extraction_residual(mat: np.ndarray, d: int, cls: type[TableParams]) -> floa
 @functools.lru_cache(maxsize=16)
 def action_plan(d: int, cls: type[TableParams]) -> tuple[np.ndarray, ...]:
     """(gather, out, single) of apply_tables for cls at dimension d,
-    read-only: for each entry of _values, the flat index into x of the entry
+    read-only: for each entry of table_values, the flat index into x of the entry
     it multiplies, the flat index into y its product is added to, and
     whether that product is the only one added there.  Raises ValueError for
     channel tables, which act on no operator."""
     require_super_family(cls)
     n = d * d
-    rows, cols = _choi_indices(d, cls)
+    rows, cols = choi_indices(d, cls)
     out = (rows % n) * n + cols % n
     single = np.bincount(out, minlength=n * n)[out] == 1
     return _read_only((rows // n) * n + cols // n, out, single)
@@ -279,7 +279,7 @@ def apply_tables(p: TableParams, x: np.ndarray) -> np.ndarray:
     n = p.d * p.d
     if x.shape != (n, n):
         raise ValueError(f"input side {x.shape} does not match d^2={n}")
-    vals = _values(p)
+    vals = table_values(p)
     # numpy may compute a product in a temporary operand's buffer, swapping the factors,
     # and under FMA the swapped product's imaginary part rounds otherwise: keep this form
     terms = vals * np.take(x, gather)
@@ -319,7 +319,7 @@ def sectors(d: int, cls: type[TableParams]) -> tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=16)
 def sector_plan(d: int, cls: type[TableParams]) -> np.ndarray:
-    """Where each entry of _values lands in one buffer that holds the sector
+    """Where each entry of table_values lands in one buffer that holds the sector
     stacks of sectors(d, cls) in turn, each (count, side, side) and
     row-major (read-only)."""
     start, slot, side = (np.empty(d ** len(FAMILIES[cls.FAMILY][0]), dtype=np.intp)
@@ -329,7 +329,7 @@ def sector_plan(d: int, cls: type[TableParams]) -> np.ndarray:
         flat = rows.reshape(-1)
         start[flat], slot[flat], side[flat] = offset, np.arange(flat.size), rows.shape[1]
         offset += flat.size * rows.shape[1]
-    rows, cols = _choi_indices(d, cls)
+    rows, cols = choi_indices(d, cls)
     # row and col are rows[b, i] and rows[b, j] of one stack, at slots b * side + i
     # and b * side + j; entry (b, i, j) of the stack is at (b * side + i) * side + j
     dest = start[rows] + slot[rows] * side[rows] + slot[cols] % side[cols]
@@ -344,7 +344,7 @@ def sector_blocks(p: TableParams) -> list[np.ndarray]:
     into zeros; a -0.0 table entry lands as +0.0, as in choi_from_tables."""
     blocks = sectors(p.d, type(p))
     buf = np.zeros(sum(rows.size * rows.shape[1] for rows in blocks), dtype=complex)
-    vals = _values(p)
+    vals = table_values(p)
     vals += 0.0  # no position repeats: this is adding each value into zeros
     buf[sector_plan(p.d, type(p))] = vals
     out, offset = [], 0

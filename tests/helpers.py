@@ -19,7 +19,7 @@ from superchan.channels import (
     pauli_channel,
     table_channel,
 )
-from superchan.covariance import UUFamilyParams
+from superchan.covariance import UUFamilyParams, uu_superchannel
 from superchan.dephasing import DephasingSuperParams, dephasing_from_realization
 from superchan.do import DOSuperParams
 from superchan.du import DUSuperParams, NotDUCovariantError, build_choi, from_choi
@@ -106,6 +106,24 @@ def full_eigvalsh_psd(mat: np.ndarray, tol: float = 1e-10) -> bool:
     evals = np.linalg.eigvalsh(mat)
     return bool(evals[0] >= -tol * max(1.0, float(np.abs(evals).max())))
 
+
+
+def uu_shared_spectra(variant: str, d: int) -> np.ndarray:
+    """The eigenvalues of the four components of a uu_superchannel variant in
+    one shared eigenbasis, as a (4, d^4) array, so that the mixture with
+    weights p has the spectrum p @ spectra.  Within a variant the components
+    commute, so the eigh of a mixture with generic weights diagonalizes all
+    four; that each is diagonal in its basis is asserted to 1e-12."""
+    units = []
+    for k in range(4):
+        mat = uu_superchannel(UUFamilyParams(variant, *np.eye(4)[k], d)).choi.mat
+        assert not np.any(mat.imag)
+        units.append(mat.real)
+    _, q = np.linalg.eigh(sum(w * c for w, c in zip(np.sqrt([2.0, 3.0, 5.0, 7.0]), units)))
+    rotated = np.stack([q.T @ c @ q for c in units])
+    spectra = np.diagonal(rotated, axis1=1, axis2=2)
+    assert np.abs(rotated - spectra[:, :, None] * np.eye(d**4)).max() <= 1e-12
+    return spectra
 
 @dataclass(frozen=True)
 class ChargeSectors:
@@ -512,12 +530,52 @@ def dense_validate_superchannel(s: SuperChoi, tol: float) -> DenseSuperchannelVe
 # ---------------------------------------------------------------------------
 
 
-def dense_covariance_reference(mat: np.ndarray, samplers, n: int):
-    """(max deviation, worst sample) of |W X W^dag - X| over n samples, with W
-    = U (x) conj(V) (x) conj(U') (x) V' formed densely from four samplers."""
+# group -> (element kind, U' = conj(U), V' = conj(V)), restated apart from
+# covariance.GROUPS so that a change there shows against it
+REFERENCE_GROUPS = {
+    "du": ("diagonal-unitary", False, False),
+    "do": ("diagonal-orthogonal", False, False),
+    "haar": ("haar-unitary", False, False),
+    "conj-haar": ("haar-unitary", True, True),
+    "mixed": ("haar-unitary", False, True),
+}
+
+
+def _reference_draw(rng: np.random.Generator, kind: str, d: int) -> np.ndarray:
+    """One group element as a d x d matrix, asserted unitary, and diagonal
+    (with +-1 entries for the signs) for the diagonal kinds."""
+    if kind == "diagonal-unitary":
+        u = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d)))
+    elif kind == "diagonal-orthogonal":
+        u = np.diag((rng.integers(0, 2, d) * 2 - 1).astype(complex))
+        assert set(np.diagonal(u).tolist()) <= {-1.0, 1.0}
+    else:  # QR of a complex Gaussian with phase-fixed diagonal
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        q, r = np.linalg.qr(z / np.sqrt(2.0))
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    if kind != "haar-unitary":
+        assert np.count_nonzero(u - np.diag(np.diagonal(u))) == 0
+    assert np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-12
+    return u
+
+
+def reference_draws(group: str, d: int, seed: int, n: int):
+    """n samples (U, V, U', V') of the named group, one draw at a time from
+    four generators of their own, seeded seed, seed + 1, seed and seed + 1,
+    with U' and V' conjugated where the group says."""
+    kind, conj_u, conj_v = REFERENCE_GROUPS[group]
+    rngs = [np.random.default_rng(seed + k) for k in (0, 1, 0, 1)]
+    conjugate = (False, False, conj_u, conj_v)
+    for _ in range(n):
+        draws = [_reference_draw(rng, kind, d) for rng in rngs]
+        yield tuple(u.conj() if c else u for u, c in zip(draws, conjugate))
+
+
+def dense_covariance_reference(mat: np.ndarray, group: str, d: int, seed: int, n: int):
+    """(max deviation, worst sample) of |W X W^dag - X| over n samples of
+    reference_draws, with W = U (x) conj(V) (x) conj(U') (x) V' formed densely."""
     worst, worst_idx = 0.0, 0
-    for k in range(n):
-        u, v, up, vp = (s.draw() for s in samplers)
+    for k, (u, v, up, vp) in enumerate(reference_draws(group, d, seed, n)):
         w = np.kron(np.kron(u, v.conj()), np.kron(up.conj(), vp))
         dev = float(np.abs(w @ mat @ w.conj().T - mat).max())
         if dev > worst:
@@ -525,15 +583,15 @@ def dense_covariance_reference(mat: np.ndarray, samplers, n: int):
     return worst, worst_idx
 
 
-def rephasing_covariance_reference(mat: np.ndarray, samplers, n: int):
-    """dense_covariance_reference for diagonal samplers, with W X W^dag
+def rephasing_covariance_reference(mat: np.ndarray, group: str, d: int, seed: int, n: int):
+    """dense_covariance_reference for a diagonal group, with W X W^dag
     formed entrywise from the diagonal w of W, as (w_r x_rc) conj(w_c), one
     sample at a time.  A matrix product may round that triple product
     differently (fused or reordered operations in the BLAS kernel), so only
     products of +-1 are certain to agree with the dense reference bit for bit."""
     worst, worst_idx = 0.0, 0
-    for k in range(n):
-        u, v, up, vp = (np.diagonal(s.draw()) for s in samplers)
+    for k, draws in enumerate(reference_draws(group, d, seed, n)):
+        u, v, up, vp = (np.diagonal(x) for x in draws)
         w = np.kron(np.kron(u, v.conj()), np.kron(up.conj(), vp))
         dev = float(np.abs(w[:, None] * mat * w.conj()[None, :] - mat).max())
         if dev > worst:

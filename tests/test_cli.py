@@ -557,17 +557,28 @@ def test_covariance_without_samples_is_invalid_input(paths, capsys, samples):
     assert "covariant" not in out
 
 
+@pytest.mark.parametrize("flags", [(), ("--samples", "0")])
+@pytest.mark.parametrize("group", ["du", "haar"])
+def test_covariance_of_unequal_dims_is_invalid_input(paths, capsys, flags, group):
+    # the dims are refused before the sample count is read
+    tmp, write = paths
+    s = write("s.json", jsonio.superchannel_to_json(identity_superchannel(2, 3)))
+    code, out = run_cli(capsys, "covariance", s, "--group", group, *flags)
+    assert (code, out) == (
+        2, "status: invalid-input\nerror: covariance groups are defined for equal subsystem dims\n")
+
+
 @pytest.mark.parametrize("group, message", [("du", "Unable to allocate 4.37 TiB"),
                                             ("haar", "Unable to allocate 4.37 TiB"), ("du", "")])
 def test_covariance_samples_beyond_memory_are_invalid_input(paths, capsys, monkeypatch,
                                                             group, message):
     # a --samples whose draw cannot be allocated (numpy raises a MemoryError
     # subclass) is a malformed flag, not a crash; nothing is allocated here
-    def out_of_memory(self, *args):
+    def out_of_memory(*args):
         raise MemoryError(message) if message else MemoryError
 
-    for name in ("diagonals", "draw"):
-        monkeypatch.setattr(covariance_module.GroupSampler, name, out_of_memory)
+    for name in ("_diagonals", "_haar"):
+        monkeypatch.setattr(covariance_module, name, out_of_memory)
     tmp, write = paths
     du = write("du.json", jsonio.params_to_json(du_identity(2)))
     code, out = run_cli(capsys, "covariance", du, "--group", group, "--samples", "100000000000")

@@ -12,9 +12,7 @@ from superchan.channels import (
 )
 from superchan import covariance
 from superchan.covariance import (
-    GroupSampler,
     UUFamilyParams,
-    covariance_sampler_tuple,
     holevo_werner_superchannel,
     holevo_werner_superchannel_params,
     superchannel_covariance_check,
@@ -56,7 +54,7 @@ def test_superchannel_covariance_check_refuses_channel_tables():
     p = DOChannelParams.masked(2, A=np.eye(2), B=np.ones((2, 2)), C=0)
     for group in ("du", "haar"):
         with pytest.raises(ValueError, match="DOChannelParams holds channel tables, not "):
-            superchannel_covariance_check(p, covariance_sampler_tuple(group, 2))
+            superchannel_covariance_check(p, group)
 
 def random_uu_params(variant, d, rng):
     while True:
@@ -65,47 +63,6 @@ def random_uu_params(variant, d, rng):
             break
     p = p / p.sum()
     return UUFamilyParams(variant, *p, d)
-
-
-def test_sampler_unitarity_and_determinism():
-    for kind in ("diagonal-unitary", "diagonal-orthogonal", "haar-unitary"):
-        s1 = GroupSampler(kind, 3, seed=5)
-        s2 = GroupSampler(kind, 3, seed=5)
-        for _ in range(10):
-            u1, u2 = s1.draw(), s2.draw()
-            assert np.array_equal(u1, u2)
-            assert np.abs(u1.conj().T @ u1 - np.eye(3)).max() <= 1e-12
-
-
-def test_conjugated_sampler_tracks_base_stream():
-    base = GroupSampler("haar-unitary", 2, seed=9)
-    conj = GroupSampler("haar-unitary", 2, seed=9).conjugated()
-    assert np.array_equal(base.draw().conj(), conj.draw())
-
-
-def test_diagonal_samplers_are_diagonal():
-    for kind in ("diagonal-unitary", "diagonal-orthogonal"):
-        u = GroupSampler(kind, 4, seed=0).draw()
-        assert np.abs(u - np.diag(np.diagonal(u))).max() == 0.0
-    signs = GroupSampler("diagonal-orthogonal", 4, seed=1).draw()
-    assert set(np.diagonal(signs).real).issubset({-1.0, 1.0})
-
-
-@pytest.mark.parametrize("kind", ["diagonal-unitary", "diagonal-orthogonal"])
-@pytest.mark.parametrize("conjugate", [False, True])
-def test_diagonals_are_the_stream_of_successive_draws(kind, conjugate):
-    for d, n in ((1, 3), (3, 1), (4, 7)):
-        batched = GroupSampler(kind, d, 11, conjugate)
-        single = GroupSampler(kind, d, 11, conjugate)
-        rows = batched.diagonals(n)
-        assert rows.shape == (n, d)
-        assert np.array_equal(rows, [np.diagonal(single.draw()) for _ in range(n)])
-        assert np.array_equal(batched.draw(), single.draw())  # both streams moved on by n
-
-
-def test_haar_sampler_has_no_diagonals():
-    with pytest.raises(ValueError, match="not diagonal"):
-        GroupSampler("haar-unitary", 2, 0).diagonals(3)
 
 
 def test_uu_superchannel_trivial_points():
@@ -147,13 +104,11 @@ def test_uu_families_pass_their_defining_covariance_group():
         p = UUFamilyParams(variant, 0.05, 0.1, 0.1, 0.75, 3)
         s = uu_superchannel(p)
         assert validate_superchannel(s).ok
-        v = superchannel_covariance_check(s, covariance_sampler_tuple(group, 3, 7), n=20)
+        v = superchannel_covariance_check(s, group, seed=7, n=20)
         assert v.max_deviation <= 1e-12, (variant, group, v.max_deviation)
         # and fails the other two groups
         for other in set(groups.values()) - {group}:
-            v = superchannel_covariance_check(
-                s, covariance_sampler_tuple(other, 3, 7), n=20
-            )
+            v = superchannel_covariance_check(s, other, seed=7, n=20)
             assert v.max_deviation > 1e-3, (variant, other)
 
 
@@ -210,7 +165,7 @@ def test_holevo_werner_superchannel():
         p0, p3 = params.p0, params.p3
         assert abs(p3 / d**2 + p0) <= 1e-12
         # covariance under the conjugate group
-        v = superchannel_covariance_check(s, covariance_sampler_tuple("conj-haar", d, 3), n=20)
+        v = superchannel_covariance_check(s, "conj-haar", seed=3, n=20)
         assert v.max_deviation <= 1e-12
 
 
@@ -230,19 +185,27 @@ def test_haar_sandwich_fails_diagonal_unitary_test():
         unitary_conjugation(haar_unitary(rng, 2)),
         unitary_conjugation(haar_unitary(rng, 2)),
     )
-    v = superchannel_covariance_check(s, covariance_sampler_tuple("du", 2, 11), n=20)
+    v = superchannel_covariance_check(s, "du", seed=11, n=20)
     assert v.max_deviation > 1e-3
 
 
-def test_superchannel_covariance_dimension_mismatch():
-    s = identity_superchannel(2, 2)
-    with pytest.raises(ValueError):
-        superchannel_covariance_check(s, covariance_sampler_tuple("du", 3, 0))
+@pytest.mark.parametrize("group", ["du", "haar"])
+@pytest.mark.parametrize("n", [0, 3])
+def test_superchannel_covariance_dimension_mismatch(group, n):
+    # refused before the sample count is read
+    s = identity_superchannel(2, 3)
+    with pytest.raises(ValueError, match="^covariance groups are defined for equal subsystem dims$"):
+        superchannel_covariance_check(s, group, n=n)
+
+
+def test_superchannel_covariance_unknown_group():
+    with pytest.raises(ValueError, match="unknown covariance group 'su2'"):
+        superchannel_covariance_check(identity_superchannel(2, 2), "su2")
 
 
 def test_covariance_verdict_reporting():
     s = identity_superchannel(2, 2)
-    v = superchannel_covariance_check(s, covariance_sampler_tuple("haar", 2, 0), n=5)
+    v = superchannel_covariance_check(s, "haar", seed=0, n=5)
     rep = v.report()
     assert rep["covariant"] and rep["samples"] == 5
 
@@ -264,8 +227,7 @@ def _covariant_choi(rng, group, d):
 
 
 def _check(mat, group, d, seed, n):
-    samplers = covariance_sampler_tuple(group, d, seed)
-    return superchannel_covariance_check(super_choi(mat, (d,) * 4), samplers, n=n)
+    return superchannel_covariance_check(super_choi(mat, (d,) * 4), group, n=n, seed=seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,7 +249,7 @@ def test_diagonal_route_matches_dense_conjugation(group, d, kind, scale, seed):
         mat[r, c] = scale * DEFAULT_TOL * np.exp(1j * rng.uniform(0, 2 * np.pi))
     n = 8
     v = _check(mat, group, d, seed, n)
-    ref, ref_idx = dense_covariance_reference(mat, covariance_sampler_tuple(group, d, seed), n)
+    ref, ref_idx = dense_covariance_reference(mat, group, d, seed, n)
     assert v.ok == (ref <= DEFAULT_TOL)
     if group == "do":  # products of +-1 are exact, so both routes agree bit for bit
         assert (v.max_deviation, v.worst_sample) == (ref, ref_idx)
@@ -305,16 +267,16 @@ def test_diagonal_route_on_an_all_zero_choi(group, d):
     assert (v.ok, v.max_deviation, v.worst_sample) == (True, 0.0, 0)
 
 
-def test_mixed_diagonal_and_haar_samplers_take_the_dense_route():
-    d = 2
-    mat = _complex(rng, (d**4, d**4))
-
-    def samplers():
-        kinds = ("diagonal-unitary", "haar-unitary", "diagonal-orthogonal", "haar-unitary")
-        return tuple(GroupSampler(k, d, 3 + i) for i, k in enumerate(kinds))
-
-    v = superchannel_covariance_check(super_choi(mat, (d,) * 4), samplers(), n=6)
-    assert (v.max_deviation, v.worst_sample) == dense_covariance_reference(mat, samplers(), 6)
+@pytest.mark.parametrize("group", ["haar", "conj-haar", "mixed"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_haar_groups_are_bit_identical_to_four_generator_conjugation(group, d):
+    # the library draws U' and V' as U and V or their conjugates, from two
+    # generators; the reference replays four, as U, V, U' and V' each had
+    mat = _complex(np.random.default_rng((7, d)), (d**4, d**4))
+    for n in (1, 6):
+        v = _check(mat, group, d, 40 + n, n)
+        assert (v.max_deviation, v.worst_sample) == dense_covariance_reference(
+            mat, group, d, 40 + n, n)
 
 
 @pytest.mark.parametrize("group", ["du", "do"])
@@ -342,19 +304,9 @@ def test_batched_route_is_bit_identical_to_per_sample_conjugation(monkeypatch, g
         seed = 100 + n
         v = _check(mat, group, d, seed, n)
         got = (v.max_deviation, v.worst_sample)
-        assert got == rephasing_covariance_reference(mat, covariance_sampler_tuple(group, d, seed), n)
+        assert got == rephasing_covariance_reference(mat, group, d, seed, n)
         if group == "do":  # products of +-1 are exact, so the matrix product agrees too
-            assert got == dense_covariance_reference(mat, covariance_sampler_tuple(group, d, seed), n)
-
-
-def test_a_sampler_passed_twice_alternates_its_stream():
-    mat = _complex(rng, (16, 16))
-    s, t = (GroupSampler("diagonal-unitary", 2, 4) for _ in range(2))
-    u, w = (GroupSampler("diagonal-unitary", 2, 5) for _ in range(2))
-    v = superchannel_covariance_check(super_choi(mat, (2,) * 4), (s, u, s, u), n=6)
-    assert (v.max_deviation, v.worst_sample) == rephasing_covariance_reference(mat, (t, w, t, w), 6)
-    assert np.array_equal(s.draw(), t.draw())
-    assert np.array_equal(u.draw(), w.draw())
+            assert got == dense_covariance_reference(mat, group, d, seed, n)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -366,12 +318,8 @@ def test_table_route_is_bit_identical_to_the_choi_route(d):
     for p in tables:
         for group in ("du", "do") + (("haar", "mixed") if d == 2 else ()):
             on_tables, on_choi = (
-                superchannel_covariance_check(x, covariance_sampler_tuple(group, d, 7), 9)
+                superchannel_covariance_check(x, group, 9, seed=7)
                 for x in (p, build_choi(p))
             )
             assert on_tables == on_choi
 
-
-def test_table_route_checks_the_sampler_dims():
-    with pytest.raises(ValueError, match="do not match"):
-        superchannel_covariance_check(random_do_params(rng, 2), covariance_sampler_tuple("du", 3))

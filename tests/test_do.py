@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from superchan import du as du_module, positions
-from superchan.covariance import covariance_sampler_tuple, superchannel_covariance_check
+from superchan.covariance import superchannel_covariance_check
 from superchan.do import (
     DOSuperParams,
     NotDOCovariantError,
@@ -144,9 +144,9 @@ def test_do_covariance_sampling():
     for d in (2, 3):
         p = random_do_params(d)
         s = build_choi(p)
-        v = superchannel_covariance_check(s, covariance_sampler_tuple("do", d, 17), n=50)
+        v = superchannel_covariance_check(s, "do", seed=17, n=50)
         assert v.max_deviation <= 1e-12
-        v = superchannel_covariance_check(s, covariance_sampler_tuple("du", d, 17), n=20)
+        v = superchannel_covariance_check(s, "du", seed=17, n=20)
         assert v.max_deviation > 1e-3
 
 

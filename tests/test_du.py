@@ -12,7 +12,7 @@ from superchan.channels import (
     table_channel_validate,
     validate_channel,
 )
-from superchan.covariance import covariance_sampler_tuple, superchannel_covariance_check
+from superchan.covariance import superchannel_covariance_check
 from superchan.du import (
     DUSuperParams,
     NotDUCovariantError,
@@ -190,7 +190,7 @@ def test_du_covariance_of_patterned_choi():
     for d in (2, 3):
         p = random_hermitian_du_params(rng, d)
         v = superchannel_covariance_check(
-            build_choi(p), covariance_sampler_tuple("du", d, 13), n=20
+            build_choi(p), "du", seed=13, n=20
         )
         assert v.max_deviation <= 1e-12
 

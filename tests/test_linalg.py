@@ -15,9 +15,7 @@ from superchan.channels import (
     validate_channel,
 )
 from superchan.covariance import (
-    GroupSampler,
     UUFamilyParams,
-    covariance_sampler_tuple,
     superchannel_covariance_check,
 )
 from superchan.dephasing import DephasingSuperParams, dephasing_from_realization, dephasing_validate
@@ -95,7 +93,7 @@ def _one_of_each_frozen_class():
         "SuperchannelVerdict": validate_superchannel(s),
         "ClassicalSuperchannel": classical_superchannel_extract(s),
         "CovarianceVerdict": superchannel_covariance_check(
-            du, covariance_sampler_tuple("du", 2), 3),
+            du, "du", 3),
         "CommandResult": cli.CommandResult(0, {}),
         "MultipartiteOperator": s.choi,
         "ChoiChannel": ch,
@@ -127,12 +125,6 @@ def test_frozen_classes_refuse_assignment_and_deletion():
         if isinstance(obj, tuple):  # a record unpacks in field order
             assert len(obj) == len(obj._fields)
             assert all(v is getattr(obj, f) for v, f in zip(obj, obj._fields)), name
-    # the mutable sampler keeps its fields assignable, and only those
-    sampler = GroupSampler("diagonal-unitary", 2, 7)
-    sampler.seed = 8
-    assert sampler.seed == 8
-    with pytest.raises(AttributeError):
-        sampler.unknown_field = 0
     status, report, artifacts = cli.CommandResult(3, {"x": 1})
     assert (status, report, artifacts) == (3, {"x": 1}, ())
 

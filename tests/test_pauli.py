@@ -3,7 +3,7 @@ import pytest
 
 from superchan import pauli
 from superchan.channels import pauli_channel
-from superchan.covariance import covariance_sampler_tuple, superchannel_covariance_check
+from superchan.covariance import superchannel_covariance_check
 from superchan.do import DOSuperParams
 from superchan.du import NotDUCovariantError, from_choi
 from superchan.pauli import (
@@ -263,7 +263,7 @@ def test_three_way_diagonal_unitary_agreement():
         verdict = pauli_du_check(p)
         s = pauli_super_choi(p)
         sampled = superchannel_covariance_check(
-            s, covariance_sampler_tuple("du", 2, 3), n=50
+            s, "du", seed=3, n=50
         )
         assert verdict.ok == du_extraction_ok(s) == (sampled.max_deviation <= 1e-10)
 
@@ -289,5 +289,5 @@ def test_every_pauli_superchannel_is_sign_symmetric():
         p = random_pi()
         s = pauli_super_choi(p)
         from_choi(s, cls=DOSuperParams)  # extraction must succeed
-        v = superchannel_covariance_check(s, covariance_sampler_tuple("do", 2, 9), n=50)
+        v = superchannel_covariance_check(s, "do", seed=9, n=50)
         assert v.max_deviation <= 1e-12

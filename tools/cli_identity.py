@@ -29,7 +29,8 @@ planted, and `covariance` of both under all five groups.  covariance is
 `covariance` under all five groups, at d = 2..5, on seeded DU,
 sign-symmetric and dephasing tables and on three Choi files: DU-covariant
 (a twirled random superchannel), generic, and covariant with one entry of
-size 1e-10 planted off the pattern.  kinds is every command on every kind
+size 1e-10 planted off the pattern; it ends with 47 samples of du and do on
+the d = 5 DU and sign-symmetric tables, several uneven rephasing chunks.  kinds is every command on every kind
 of file, at d = 2: one seeded channel, superchannel Choi, DU, sign-symmetric,
 dephasing and Pauli table each, one du object with a table of the wrong
 side, an object of no kind, a JSON list, a file that does not parse and a
@@ -322,12 +323,17 @@ def build_covariance(b: inputs.InputSet) -> list:
             "generic": inputs._super_doc(d, generic),
             "planted": inputs._super_doc(d, planted),
         }
+        paths = {label: b.input(f"cov{d}_{label}.json", doc) for label, doc in docs.items()}
         ops += [
-            inputs._entry(["covariance", b.input(f"cov{d}_{label}.json", doc), "--group", group,
-                           "--samples", "10", "--seed", str(d)], label=label)
-            for label, doc in docs.items()
+            inputs._entry(["covariance", path, "--group", group, "--samples", "10",
+                           "--seed", str(d)], label=label)
+            for label, path in paths.items()
             for group in ("du", "do", "haar", "conj-haar", "mixed")
         ]
+    # at d = 5, 47 samples make several rephasing chunks, the last one short
+    ops += [inputs._entry(["covariance", paths[label], "--group", group, "--samples", "47",
+                           "--seed", "5"], label=label)
+            for label in ("du", "do") for group in ("du", "do")]
     return [inputs._kind("covariance", "op1", 1, ops)]
 
 
