@@ -129,7 +129,7 @@ def superchannel_covariance_check(
     including it is exact, and the products are those of one sample at a
     time, so the verdict is too.  The Haar groups conjugate the Choi as a
     matrix, assembling it from tables.  Raises ValueError for an unknown
-    group, channel tables, unequal subsystem dims and n < 1.
+    group, channel tables, unequal subsystem dims, n < 1 and seed < 0.
     """
     if group not in GROUPS:
         raise ValueError(f"unknown covariance group {group!r}")
@@ -142,6 +142,8 @@ def superchannel_covariance_check(
         raise ValueError("covariance groups are defined for equal subsystem dims")
     if n < 1:  # a verdict over no samples would pass vacuously
         raise ValueError(f"the number of samples must be positive, got {n}")
+    if seed < 0:  # default_rng's own error names no seed
+        raise ValueError(f"the seed must be non-negative, got {seed}")
     d = dims[0]
     rng_u, rng_v = np.random.default_rng(seed), np.random.default_rng(seed + 1)
     if kind == "haar":

@@ -55,13 +55,11 @@ def _conjugation_terms() -> np.ndarray:
 def pauli_super_choi(p: PauliSuperParams) -> SuperChoi:
     """16x16 Choi matrix of the two-sided Pauli mixture (dims 2,2,2,2).
 
-    The cached terms are added one at a time in row-major (mu, nu) order; a
-    BLAS product would reorder the sum and move the last digits of the Choi.
+    One reduction adds the weighted cached terms from zeros in row-major
+    (mu, nu) order; a BLAS product would reorder the sum and move the digits.
     """
-    acc = np.zeros((16, 16), dtype=complex)
-    for weight, term in zip(p.pi.reshape(-1), _conjugation_terms()):
-        acc += weight * term
-    return super_choi(acc, (2, 2, 2, 2))
+    weighted = p.pi.reshape(16, 1, 1) * _conjugation_terms()
+    return super_choi(np.add.reduce(weighted, axis=0, initial=0.0), (2, 2, 2, 2))
 
 
 class PauliDUVerdict(NamedTuple):
@@ -88,14 +86,14 @@ def pauli_du_check(p: PauliSuperParams, tol: float = DEFAULT_TOL) -> PauliDUVerd
     return PauliDUVerdict(violation, tol)
 
 
+_XOR = np.array([[[4 * mu + (mu ^ a ^ b) for b in range(4)] for a in range(4)] for mu in range(4)])
+
+
 def pauli_induced_bistochastic(p: PauliSuperParams) -> np.ndarray:
-    """The 4x4 bistochastic matrix M[alpha, beta] = sum of pi over label pairs
-    with mu XOR nu = alpha XOR beta (summed in fixed mu order)."""
-    m = np.zeros((4, 4))
-    for alpha in range(4):
-        for beta in range(4):
-            m[alpha, beta] = sum(p.pi[mu, mu ^ alpha ^ beta] for mu in range(4))
-    return m
+    """The 4x4 bistochastic matrix M[alpha, beta], the sum of pi over label
+    pairs with mu XOR nu = alpha XOR beta: one gather of pi[mu, mu ^ alpha ^
+    beta] at the flat indices _XOR, summed from zero in mu order."""
+    return np.add.reduce(p.pi.take(_XOR), axis=0, initial=0.0)
 
 
 def pauli_apply(p: PauliSuperParams, q_in) -> np.ndarray:

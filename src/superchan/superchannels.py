@@ -7,6 +7,7 @@ operator on subsystems (A0, A1, B0, B1) in that fixed order.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -21,7 +22,7 @@ from .linalg import (
     permute_subsystems,
     psd_report,
 )
-from .positions import TableParams, apply_tables
+from .positions import TableParams, _read_only, apply_tables
 
 
 class SuperChoi(Frozen):
@@ -211,14 +212,23 @@ def tp_preserving_check(s: SuperChoi, tol: float = DEFAULT_TOL) -> TPPreservingV
     a-independent for a = b, and the induced map on (A0 -> B0) is unital.
     The verdict carries the induced map assembled from the a-averaged images.
     """
-    d0, d1 = s.dA0, s.dA1
+    d0, d1, b0 = dims = (s.dA0, s.dA1, s.dB0)
     # L[i, j, a, b] = Tr_B1 Delta(e_ij (x) e_ab), each a b0 x b0 matrix
-    c6 = s.choi.mat.reshape(d0, d1, s.dB0, s.dB1, d0, d1, s.dB0, s.dB1)
+    c6 = s.choi.mat.reshape(d0, d1, b0, s.dB1, d0, d1, b0, s.dB1)
     # Delta(e_ij (x) e_ab)[pq, rs] = choi[(i,a,p,q), (j,b,r,s)]; trace q = s
-    images = np.einsum("iapqjbrq->ijabpr", c6)
-    leak = float(np.abs(images[:, :, ~np.eye(d1, dtype=bool)]).max(initial=0.0))
-    diag = images[:, :, range(d1), range(d1)].reshape(-1)
-    return tp_preserving_verdict(leak, np.arange(diag.size), diag, (d0, d1, s.dB0), tol)
+    images = np.einsum("iapqjbrq->ijabpr", c6).reshape(d0 * d0, d1 * d1, b0 * b0)
+    off, diag, image = _dense_trace_plan(*dims)
+    leak = float(np.abs(images.take(off, axis=1)).max(initial=0.0))
+    return tp_preserving_verdict(leak, image, images.take(diag, axis=1).reshape(-1), dims, tol)
+
+
+@functools.lru_cache(maxsize=16)
+def _dense_trace_plan(d0: int, d1: int, b0: int) -> tuple:
+    """Read-only (a != b slots, a = b slots) of the (a, b) axis of the images
+    as (d0 * d0, d1 * d1, b0 * b0), and every flat image (i, j, a, p, r)."""
+    pairs = np.arange(d1 * d1)
+    return _read_only(pairs[pairs % (d1 + 1) != 0], pairs[:: d1 + 1],
+                      np.arange(d0 * d0 * d1 * b0 * b0))
 
 
 def tp_preserving_verdict(leak: float, image: np.ndarray, sums: np.ndarray,

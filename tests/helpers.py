@@ -24,6 +24,7 @@ from superchan.dephasing import DephasingSuperParams, dephasing_from_realization
 from superchan.do import DOSuperParams
 from superchan.du import DUSuperParams, NotDUCovariantError, build_choi, from_choi
 from superchan.linalg import (
+    DEFAULT_TOL,
     MultipartiteOperator,
     hermitian_eigenvalues,
     hermiticity_deviation,
@@ -604,24 +605,54 @@ def rephasing_covariance_reference(mat: np.ndarray, group: str, d: int, seed: in
 # ---------------------------------------------------------------------------
 
 
-def loop_tp_preserving_parts(s: SuperChoi):
-    """(offdiagonal leak, induced Choi matrix) of tp_preserving_check, by the
-    double loops it used to run."""
+def loop_tp_preserving_parts(s: SuperChoi, tol: float = DEFAULT_TOL):
+    """(offdiagonal leak, induced Choi matrix, fiber deviation, unitality
+    deviation, deviations, witness) of tp_preserving_check, by the double
+    loops it used to run and image by image: each fiber's average is its sum
+    over a divided by d1, and the witness is loop_fiber_witness's."""
     d0, d1, b0 = s.dA0, s.dA1, s.dB0
-    c6 = s.choi.mat.reshape(d0, d1, s.dB0, s.dB1, d0, d1, s.dB0, s.dB1)
+    c6 = s.choi.mat.reshape(d0, d1, b0, s.dB1, d0, d1, b0, s.dB1)
     images = np.einsum("iapqjbrq->ijabpr", c6)
     leak = 0.0
     for a in range(d1):
         for b in range(d1):
             if a != b:
                 leak = max(leak, float(np.abs(images[:, :, a, b]).max()))
-    mean = images[:, :, range(d1), range(d1)].mean(axis=2)
+    fibers = list(product(range(d0), range(d0), range(b0), range(b0)))
+    mean = {(i, j, p, r): sum(images[i, j, a, a, p, r] for a in range(d1)) / d1
+            for i, j, p, r in fibers}
     choi = np.zeros((d0 * b0, d0 * b0), dtype=complex)
     c4 = choi.reshape(d0, b0, d0, b0)
-    for i in range(d0):
-        for j in range(d0):
-            c4[i, :, j, :] = mean[i, j]
-    return leak, choi
+    for i, j, p, r in fibers:
+        c4[i, p, j, r] = mean[i, j, p, r]
+    flat = [((i, j, a, p, r), (i, j, p, r), images[i, j, a, a, p, r])
+            for i, j, a, p, r in product(range(d0), range(d0), range(d1), range(b0), range(b0))]
+    worst, deviation, witness = loop_fiber_witness(flat, mean, tol)
+    unital = [sum(mean[i, i, p, r] for i in range(d0)) - (p == r)
+              for p, r in product(range(b0), repeat=2)]
+    return leak, choi, worst, np.abs(unital).max(), deviation, witness
+
+
+def loop_fiber_witness(images, mean: dict, tol: float):
+    """Reference fiber scan over images, a list of (index, fiber key, value)
+    in row-major order of the index, mean[key] each fiber's average:
+    (the largest deviation |value - mean[key]|, the array of deviations in
+    order, the witness).  The witness is the index of the first image whose
+    deviation is within tol * max(1, scale) of the largest, scale the largest
+    real or imaginary part of a value, then the first position a' in its
+    fiber whose value is within the same slack of the farthest from it.
+    Moduli are taken by np.abs of arrays: numpy's SIMD complex abs rounds
+    otherwise than the scalar one."""
+    fibers: dict = {}
+    for _, key, value in images:
+        fibers.setdefault(key, []).append(value)
+    deviation = np.abs([value - mean[key] for _, key, value in images])
+    worst = deviation.max()
+    slack = tol * max(1.0, *(max(abs(v.real), abs(v.imag)) for _, _, v in images))
+    for (index, key, value), dev in zip(images, deviation):
+        if dev >= worst - slack:
+            far = np.abs(np.array(fibers[key]) - value)
+            return worst, deviation, (*index, int(np.flatnonzero(far >= far.max() - slack)[0]))
 
 
 def loop_classical_table(s: SuperChoi) -> np.ndarray:
@@ -789,6 +820,16 @@ def loop_pauli_super_choi(pi: np.ndarray) -> np.ndarray:
             w = np.kron(np.eye(4), np.kron(PAULI[mu], PAULI[nu]))
             acc += pi[mu, nu] * (w @ p_plus @ w.conj().T)
     return acc
+
+
+def loop_pauli_bistochastic(pi: np.ndarray) -> np.ndarray:
+    """The Pauli bistochastic matrix entry by entry: M[alpha, beta] the sum
+    over mu of pi[mu, mu ^ alpha ^ beta], by Python's sum in mu order."""
+    m = np.zeros((4, 4))
+    for alpha in range(4):
+        for beta in range(4):
+            m[alpha, beta] = sum(pi[mu, mu ^ alpha ^ beta] for mu in range(4))
+    return m
 
 
 # ---------------------------------------------------------------------------

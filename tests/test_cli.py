@@ -557,6 +557,17 @@ def test_covariance_without_samples_is_invalid_input(paths, capsys, samples):
     assert "covariant" not in out
 
 
+@pytest.mark.parametrize("group", ["du", "haar"])
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_covariance_negative_seed_is_invalid_input_that_names_the_seed(paths, capsys, group,
+                                                                       seed):
+    tmp, write = paths
+    du = write("du.json", jsonio.params_to_json(du_identity(2)))
+    code, out = run_cli(capsys, "covariance", du, "--group", group, "--seed", seed)
+    assert (code, out) == (
+        2, f"status: invalid-input\nerror: the seed must be non-negative, got {seed}\n")
+
+
 @pytest.mark.parametrize("flags", [(), ("--samples", "0")])
 @pytest.mark.parametrize("group", ["du", "haar"])
 def test_covariance_of_unequal_dims_is_invalid_input(paths, capsys, flags, group):

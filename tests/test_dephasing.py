@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from helpers import (
     du_identity,
     du_identity_channel_params,
     identity_channel,
+    loop_fiber_witness,
     loop_realization_table,
     random_channel,
     random_covariance_matrix,
@@ -171,21 +174,14 @@ def test_validator_fiber_witness():
 
 
 def _loop_fiber_witness(p, tol=DEFAULT_TOL):
-    """Reference fiber scan: the largest deviation, then the first (i, j, a)
-    in row-major order whose deviation is within tol * max(1, scale) of it,
-    scale the largest real or imaginary part of a fiber entry, and the first
-    a' whose entry is within the same slack of the farthest from that one."""
+    """Reference fiber scan of the entries m4[i, a, j, a] against the
+    verdict's covariance: (the largest deviation, (i, j, a, a'))."""
     d, m4 = p.d, p.t4("M_big")
     m = dephasing_validate(p, tol).covariance
-    fibers = {(i, j): np.array([m4[i, aa, j, aa] for aa in range(d)])
-              for i in range(d) for j in range(d)}
-    worst = max(float(np.abs(f - m[ij]).max()) for ij, f in fibers.items())
-    scale = max(1.0, *(float(np.abs(x).max()) for f in fibers.values() for x in (f.real, f.imag)))
-    for (i, j), fiber in fibers.items():
-        for a, dev in enumerate(np.abs(fiber - m[i, j])):
-            if dev >= worst - tol * scale:
-                far = np.abs(fiber - fiber[a])
-                return worst, (i, j, a, int(np.flatnonzero(far >= far.max() - tol * scale)[0]))
+    images = [((i, j, a), (i, j), m4[i, a, j, a]) for i, j, a in product(range(d), repeat=3)]
+    mean = {(i, j): m[i, j] for i, j in product(range(d), repeat=2)}
+    worst, _, witness = loop_fiber_witness(images, mean, tol)
+    return worst, witness
 
 
 def test_fiber_witness_is_the_first_of_tied_fibers():

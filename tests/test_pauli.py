@@ -26,6 +26,7 @@ from helpers import (
     du_extraction_ok,
     identity_channel,
     identity_superchannel,
+    loop_pauli_bistochastic,
     loop_pauli_super_choi,
     pauli_marginal_channel,
 )
@@ -169,6 +170,27 @@ def test_super_choi_matches_the_kron_loop_byte_for_byte():
         got = pauli_super_choi(p).choi.mat
         assert got.dtype == np.complex128
         assert got.tobytes() == loop_pauli_super_choi(p.pi).tobytes()
+
+
+def test_bistochastic_matches_the_mu_loop_byte_for_byte():
+    # the tables of the Choi test above, and one of -0.0 but a single entry:
+    # each sum starts from +0.0 and adds its four terms in mu order
+    local = np.random.default_rng(2024)
+    signed = np.full((4, 4), -0.0)
+    signed[0, 0] = 1.0
+    tables = [np.diag([1.0, 0.0, 0.0, 0.0]), np.full((4, 4), 1 / 16), signed]
+    for _ in range(40):
+        pi = local.dirichlet(np.ones(16)).reshape(4, 4)
+        zeros = local.random((4, 4)) < 0.4
+        pi[zeros] = 0.0
+        pi = pi / pi.sum()
+        pi[zeros & (local.random((4, 4)) < 0.5)] = -0.0
+        tables.append(pi)
+    for pi in tables:
+        p = PauliSuperParams(pi)
+        got = pauli_induced_bistochastic(p)
+        assert got.dtype == np.float64
+        assert got.tobytes() == loop_pauli_bistochastic(p.pi).tobytes()
 
 
 def test_conjugation_terms_are_cached_and_read_only():

@@ -264,13 +264,34 @@ def _generic_super(dims):
     return super_choi(rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)), dims)
 
 
+def _assert_the_loops_give_the_verdict(s):
+    leak, choi, fiber, unital, deviation, witness = loop_tp_preserving_parts(s)
+    verdict = tp_preserving_check(s)
+    assert verdict.offdiagonal_leak == leak
+    assert verdict.induced.choi.mat.tobytes() == choi.tobytes()
+    assert (verdict.fiber_deviation, verdict.unitality_deviation) == (fiber, unital)
+    assert verdict.deviation.tobytes() == deviation.tobytes()
+    assert verdict.witness == witness
+    return verdict
+
+
 @pytest.mark.parametrize("dims", _UNEQUAL_DIMS)
 def test_tp_preserving_check_is_bit_identical_to_the_loops(dims):
     for s in (_generic_super(dims), random_valid_superchoi(rng, dims[0], dims[1])):
-        leak, choi = loop_tp_preserving_parts(s)
-        verdict = tp_preserving_check(s)
-        assert verdict.offdiagonal_leak == leak
-        assert verdict.induced.choi.mat.tobytes() == choi.tobytes()
+        _assert_the_loops_give_the_verdict(s)
+
+
+def test_tp_preserving_witness_is_the_first_of_tied_fibers():
+    # dims (2, 3, 2, 1): with B1 trivial the Choi entry ((i, a, p), (j, b, r))
+    # is the image (i, j, a, b, p, r).  Fibers (0, 1, 0, 1) and (1, 0, 1, 0)
+    # deviate by 1 at two a each; the first image in (i, j, a, p, r) order is
+    # (0, 1, 0, 0, 1), and the farthest from it in its fiber is at a' = 1
+    images = np.zeros((2, 2, 3, 3, 2, 2))
+    images[0, 1, range(3), range(3), 0, 1] = (1.0, -1.0, 0.0)
+    images[1, 0, range(3), range(3), 1, 0] = (0.0, 1.0, -1.0)
+    s = super_choi(images.transpose(0, 2, 4, 1, 3, 5).reshape(12, 12), (2, 3, 2, 1))
+    verdict = _assert_the_loops_give_the_verdict(s)
+    assert (verdict.fiber_deviation, verdict.witness) == (1.0, (0, 1, 0, 0, 1, 1))
 
 
 @pytest.mark.parametrize("dims", _UNEQUAL_DIMS)

@@ -3,9 +3,14 @@
     python3 tools/engine_timing.py [--src DIR [--src DIR]] [--runs N]
 
 Each run starts a fresh interpreter (multiprocessing's spawn method), which
-imports superchan from ``--src`` (default: this checkout's src), draws seeded
-random DU, sign-symmetric and dephasing tables at d = 6, 8, 12 and 16 (every
-table entry normal on its support, A real), and times, at each d,
+imports superchan from ``--src`` (default: this checkout's src).  First it
+times the qubit kernels of ``validate pauli`` and ``validate dephasing`` at
+d = 2: pauli_super_choi of a seeded random 4x4 probability table,
+validate_superchannel of that Choi and pauli_induced_bistochastic ("pauli"
+tables), and dephasing_validate on seeded random d = 2 dephasing tables.
+Then it draws seeded random DU, sign-symmetric and dephasing tables at
+d = 6, 8, 12 and 16 (every table entry normal on its support, A real), and
+times, at each d,
 
 * sector_spectrum, b1_partial_trace and apply_tables (on one seeded generic
   d^2 x d^2 operator) on each of the three;
@@ -54,6 +59,13 @@ def _random_tables(rng, cls, d):
     n = d * d
     t = {name: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for name in cls.NAMES}
     return cls.masked(d, **{k: v.real if k == "A" else v for k, v in t.items()})
+
+
+def _line(layer: str, tables: str, d: int, call) -> dict:
+    """The output line of one layer: _time(call) under its names."""
+    first, median, peak = _time(call)
+    return {"layer": layer, "tables": tables, "d": d,
+            "first_ms": first, "median_ms": median, "peak_mb": peak}
 
 
 def _time(call) -> tuple[float, float, float]:
@@ -108,9 +120,19 @@ def measure(src: str) -> list[dict]:
     from superchan.do import DOSuperParams, do_validate
     from superchan.du import DUSuperParams, du_cp_check, du_tp_check
     from superchan.jsonio import dump_json
+    from superchan.pauli import PauliSuperParams, pauli_induced_bistochastic, pauli_super_choi
     from superchan.positions import apply_tables, b1_partial_trace, sector_spectrum
+    from superchan.superchannels import validate_superchannel
 
-    out = []
+    rng = np.random.default_rng([SEED, 2])
+    pauli = PauliSuperParams(rng.dirichlet(np.ones(16)).reshape(4, 4))
+    choi = pauli_super_choi(pauli)
+    dephasing = _random_tables(rng, DephasingSuperParams, 2)
+    out = [_line("pauli_super_choi", "pauli", 2, lambda: pauli_super_choi(pauli)),
+           _line("validate_superchannel", "pauli", 2, lambda: validate_superchannel(choi)),
+           _line("pauli_induced_bistochastic", "pauli", 2,
+                 lambda: pauli_induced_bistochastic(pauli)),
+           _line("dephasing_validate", "dephasing", 2, lambda: dephasing_validate(dephasing))]
     for d in DIMS:
         rng = np.random.default_rng([SEED, d])
         tables = {"du": _random_tables(rng, DUSuperParams, d),
@@ -127,14 +149,9 @@ def measure(src: str) -> list[dict]:
                   ("du_tp_check", "du", lambda: du_tp_check(tables["du"])),
                   ("dephasing_validate", "dephasing",
                    lambda: dephasing_validate(tables["dephasing"]))]
-        for layer, kind, call in calls:
-            first, median, peak = _time(call)
-            out.append({"layer": layer, "tables": kind, "d": d,
-                        "first_ms": first, "median_ms": median, "peak_mb": peak})
-    for kind, d, doc in _artifacts():
-        first, median, peak = _time(lambda doc=doc: dump_json(doc))
-        out.append({"layer": "dump_json", "tables": kind, "d": d,
-                    "first_ms": first, "median_ms": median, "peak_mb": peak})
+        out += [_line(layer, kind, d, call) for layer, kind, call in calls]
+    out += [_line("dump_json", kind, d, lambda doc=doc: dump_json(doc))
+            for kind, d, doc in _artifacts()]
     return out
 
 
