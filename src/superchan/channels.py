@@ -15,7 +15,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    Frozen,
     MultipartiteOperator,
     partial_trace,
     psd_report,
@@ -26,26 +25,22 @@ from .positions import TableParams, choi_from_tables, sector_spectrum, table_pos
 PARAM_EDGE_TOL = 1e-12  # slack for closed parameter intervals
 
 
-class ChoiChannel(Frozen):
-    """A linear map between matrix algebras, held as its Choi matrix."""
+class ChoiChannel(MultipartiteOperator):
+    """A linear map between matrix algebras: its Choi matrix on dims (d_in, d_out)."""
 
-    __slots__ = ("d_in", "d_out", "choi")
+    __slots__ = ()
 
-    def __init__(self, d_in: int, d_out: int, choi: MultipartiteOperator) -> None:
-        if choi.dims != (d_in, d_out):
-            raise ValueError(f"choi dims {choi.dims} do not match ({d_in}, {d_out})")
-        object.__setattr__(self, "d_in", d_in)
-        object.__setattr__(self, "d_out", d_out)
-        object.__setattr__(self, "choi", choi)
+    def __init__(self, dims: tuple[int, int], mat: np.ndarray) -> None:
+        if len(dims) != 2:
+            raise ValueError(f"a ChoiChannel has dims (d_in, d_out), got {tuple(dims)}")
+        super().__init__(dims, mat)
+
+    d_in = property(lambda self: self.dims[0])
+    d_out = property(lambda self: self.dims[1])
 
     def choi4(self) -> np.ndarray:
         """Choi as a 4-tensor [in, out, in', out']."""
-        d0, d1 = self.d_in, self.d_out
-        return self.choi.mat.reshape(d0, d1, d0, d1)
-
-
-def choi_channel(mat, d_in: int, d_out: int) -> ChoiChannel:
-    return ChoiChannel(d_in, d_out, MultipartiteOperator((d_in, d_out), np.asarray(mat, dtype=complex)))
+        return self.mat.reshape(self.dims + self.dims)
 
 
 def choi_from_kraus(kraus_ops) -> ChoiChannel:
@@ -60,14 +55,14 @@ def choi_from_kraus(kraus_ops) -> ChoiChannel:
         # vec_r(K) vec_r(K)^dag with row-major vec matches C = sum e_ij (x) K e_ij K^dag
         v = k.T.reshape(-1, 1)
         c += v @ v.conj().T
-    return choi_channel(c, d_in, d_out)
+    return ChoiChannel((d_in, d_out), c)
 
 
 def compose_channels(f: ChoiChannel, g: ChoiChannel) -> ChoiChannel:
     """Choi matrix of f o g, by pushing matrix units through g then f."""
     if g.d_out != f.d_in:
         raise ValueError(f"cannot compose: g.d_out={g.d_out} != f.d_in={f.d_in}")
-    return choi_channel(compose_choi4(g.choi4(), f.choi4()), g.d_in, f.d_out)
+    return ChoiChannel((g.d_in, f.d_out), compose_choi4(g.choi4(), f.choi4()))
 
 
 def compose_choi4(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -110,8 +105,8 @@ class ChannelVerdict(NamedTuple):
 
 def validate_channel(ch: ChoiChannel, tol: float = DEFAULT_TOL) -> ChannelVerdict:
     """CP iff the Choi is PSD; TP iff the output marginal equals the identity."""
-    cp_ok, min_eig, herm = psd_report(ch.choi.mat, tol)
-    marg = partial_trace(ch.choi, 1).mat - np.eye(ch.d_in)
+    cp_ok, min_eig, herm = psd_report(ch, tol)
+    marg = partial_trace(ch, 1).mat - np.eye(ch.d_in)
     marg_dev = float(np.abs(marg).max())
     return ChannelVerdict(cp_ok, marg_dev <= tol, min_eig, marg_dev, herm)
 
@@ -121,7 +116,7 @@ def classical_channel_extract(ch: ChoiChannel) -> np.ndarray:
 
     For a valid channel S is column stochastic (columns indexed by the input).
     """
-    return np.diagonal(ch.choi.mat).real.reshape(ch.d_in, ch.d_out).T.copy()
+    return np.diagonal(ch.mat).real.reshape(ch.d_in, ch.d_out).T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +151,7 @@ def amplitude_damping(gamma: float) -> ChoiChannel:
         ],
         dtype=complex,
     )
-    return choi_channel(c, 2, 2)
+    return ChoiChannel((2, 2), c)
 
 
 def bit_flip(p: float) -> ChoiChannel:
@@ -170,7 +165,7 @@ def bit_flip(p: float) -> ChoiChannel:
         ],
         dtype=complex,
     )
-    return choi_channel(c, 2, 2)
+    return ChoiChannel((2, 2), c)
 
 
 PAULI = (
@@ -212,7 +207,7 @@ def dephasing_channel(m) -> ChoiChannel:
     c = np.zeros((d * d, d * d), dtype=complex)
     k = np.arange(d)
     c.reshape(d, d, d, d)[k[:, None], k[:, None], k, k] = m
-    return choi_channel(c, d, d)
+    return ChoiChannel((d, d), c)
 
 
 def holevo_werner(d: int) -> ChoiChannel:
@@ -220,7 +215,7 @@ def holevo_werner(d: int) -> ChoiChannel:
     if d < 2:
         raise ValueError("holevo_werner requires d >= 2")
     c = (np.eye(d * d, dtype=complex) - swap_operator(d).mat) / (d - 1)
-    return choi_channel(c, d, d)
+    return ChoiChannel((d, d), c)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +255,7 @@ class DOChannelParams(TableParams):
 def table_channel(params: TableParams) -> ChoiChannel:
     """The channel of DUC, CDUC or DOC tables, their entries on the Choi
     positions of positions.CHANNEL_POSITIONS."""
-    return choi_channel(choi_from_tables(params), params.d, params.d)
+    return ChoiChannel((params.d, params.d), choi_from_tables(params))
 
 
 class DUChannelVerdict(NamedTuple):

@@ -28,7 +28,7 @@ from .positions import (
     require_super_family,
     table_values,
 )
-from .superchannels import SuperChoi, super_choi
+from .superchannels import SuperChoi
 
 # group -> (what U and V are drawn as, U' = conj(U) rather than U, V' = conj(V)
 # rather than V): phases and signs are diagonal elements, haar is Haar-random
@@ -107,6 +107,7 @@ def _rephasing_deviations(w, x, rows, cols) -> np.ndarray:
     return np.abs(t).reshape(len(w), -1).max(axis=1, initial=0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a deviation past the float range is inf
 def superchannel_covariance_check(
     s: SuperChoi | TableParams,
     group: str,
@@ -128,8 +129,9 @@ def superchannel_covariance_check(
     spares the gathers.  A zero entry cannot deviate, so skipping or
     including it is exact, and the products are those of one sample at a
     time, so the verdict is too.  The Haar groups conjugate the Choi as a
-    matrix, assembling it from tables.  Raises ValueError for an unknown
-    group, channel tables, unequal subsystem dims, n < 1 and seed < 0.
+    matrix, assembling it from tables.  A NaN deviation (inf - inf) counts
+    as inf, so its sample fails.  Raises ValueError for an unknown group,
+    channel tables, unequal subsystem dims, n < 1 and seed < 0.
     """
     if group not in GROUPS:
         raise ValueError(f"unknown covariance group {group!r}")
@@ -137,7 +139,7 @@ def superchannel_covariance_check(
     tables = isinstance(s, TableParams)
     if tables:
         require_super_family(type(s))
-    dims = (s.d,) * 4 if tables else s.choi.dims
+    dims = (s.d,) * 4 if tables else s.dims
     if len(set(dims)) > 1:
         raise ValueError("covariance groups are defined for equal subsystem dims")
     if n < 1:  # a verdict over no samples would pass vacuously
@@ -147,30 +149,27 @@ def superchannel_covariance_check(
     d = dims[0]
     rng_u, rng_v = np.random.default_rng(seed), np.random.default_rng(seed + 1)
     if kind == "haar":
-        mat = choi_from_tables(s) if tables else s.choi.mat
-        worst, worst_idx = 0.0, 0
-        for k in range(n):
-            w = _four_fold(np.kron, _haar(rng_u, d), _haar(rng_v, d), conj_u, conj_v)
-            dev = float(np.abs(w @ mat @ w.conj().T - mat).max())
-            if dev > worst:
-                worst, worst_idx = dev, k
-        return CovarianceVerdict(worst, worst_idx, n, tol)
-    size = 0 if tables else s.choi.mat.size
-    if tables:
-        x, (rows, cols) = table_values(s), choi_indices(d, type(s))
-    elif 2 * np.count_nonzero(s.choi.mat) < size:
-        rows, cols = np.nonzero(s.choi.mat)
-        x = s.choi.mat[rows, cols]
+        mat = choi_from_tables(s) if tables else s.mat
+        ws = (_four_fold(np.kron, _haar(rng_u, d), _haar(rng_v, d), conj_u, conj_v)
+              for _ in range(n))
+        devs = np.array([np.abs(w @ mat @ w.conj().T - mat).max() for w in ws])
     else:
-        x, rows, cols = s.choi.mat, None, None
-    # a sample's temporaries are about three arrays of the entries' size
-    chunk = max(1, max(size, x.size, _CHUNK_ENTRIES) // max(1, 3 * x.size))
-    u, v = _diagonals(rng_u, kind, n, d), _diagonals(rng_v, kind, n, d)
-    devs = np.concatenate([
-        _rephasing_deviations(_four_fold(_row_kron, u[lo:lo + chunk], v[lo:lo + chunk],
-                                         conj_u, conj_v), x, rows, cols)
-        for lo in range(0, n, chunk)])
-    devs[np.isnan(devs)] = 0.0  # a NaN sample never beats a running maximum
+        size = 0 if tables else s.mat.size
+        if tables:
+            x, (rows, cols) = table_values(s), choi_indices(d, type(s))
+        elif 2 * np.count_nonzero(s.mat) < size:
+            rows, cols = np.nonzero(s.mat)
+            x = s.mat[rows, cols]
+        else:
+            x, rows, cols = s.mat, None, None
+        # a sample's temporaries are about three arrays of the entries' size
+        chunk = max(1, max(size, x.size, _CHUNK_ENTRIES) // max(1, 3 * x.size))
+        u, v = _diagonals(rng_u, kind, n, d), _diagonals(rng_v, kind, n, d)
+        devs = np.concatenate([
+            _rephasing_deviations(_four_fold(_row_kron, u[lo:lo + chunk], v[lo:lo + chunk],
+                                             conj_u, conj_v), x, rows, cols)
+            for lo in range(0, n, chunk)])
+    devs[np.isnan(devs)] = np.inf
     k = int(devs.argmax())  # the first worst sample
     return CovarianceVerdict(float(devs[k]), k, n, tol)
 
@@ -237,7 +236,7 @@ def uu_superchannel(params: UUFamilyParams) -> SuperChoi:
     d = params.d
     components = _component_chois(params.variant, d)
     acc = sum(w * c for w, c in zip(params.p, components))
-    return super_choi(acc, (d, d, d, d))
+    return SuperChoi((d, d, d, d), acc)
 
 
 def uu_cp_closed_form(params: UUFamilyParams, tol: float = DEFAULT_TOL) -> bool:

@@ -35,7 +35,7 @@ from .positions import (
     sector_spectrum,
     tables_from_choi,
 )
-from .superchannels import SuperChoi, TPPreservingVerdict, super_choi, tp_preserving_verdict
+from .superchannels import SuperChoi, TPPreservingVerdict, tp_preserving_verdict
 
 
 class NotDUCovariantError(ValueError):
@@ -68,7 +68,7 @@ def build_choi(p: TableParams) -> SuperChoi:
 
     Table entries land on the disjoint positions of positions.POSITIONS.
     """
-    return super_choi(choi_from_tables(p), (p.d,) * 4)
+    return SuperChoi((p.d,) * 4, choi_from_tables(p))
 
 
 def from_choi(s: SuperChoi, tol: float = DEFAULT_TOL,
@@ -82,9 +82,9 @@ def from_choi(s: SuperChoi, tol: float = DEFAULT_TOL,
     if not (s.dA0 == s.dA1 == s.dB0 == s.dB1):
         raise ValueError("extraction requires equal subsystem dimensions")
     d = s.dA0
-    t = tables_from_choi(s.choi.mat, d, cls)
+    t = tables_from_choi(s.mat, d, cls)
     params = cls(d, **{**t, "A": t["A"].real})
-    residual = extraction_residual(s.choi.mat, d, cls)
+    residual = extraction_residual(s.mat, d, cls)
     if residual > tol:
         raise cls.OFF_PATTERN_ERROR(residual, tol)
     return params

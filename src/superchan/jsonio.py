@@ -28,11 +28,11 @@ from .channels import ChoiChannel
 from .dephasing import DephasingSuperParams
 from .do import DOSuperParams
 from .du import DUSuperParams
-from .linalg import (MultipartiteOperator, complex_pairs, json_floats, matrix_from_json,
-                     matrix_to_json)
+from .linalg import (DimsMismatchError, MultipartiteOperator, complex_pairs, json_floats,
+                     matrix_from_json, matrix_to_json)
 from .pauli import PauliSuperParams
 from .positions import TableParams
-from .superchannels import SuperChoi, super_choi
+from .superchannels import SuperChoi
 
 
 class SchemaError(ValueError):
@@ -54,9 +54,15 @@ def _int(value, what: str) -> int:
     return value
 
 
-def _matrix(obj, what: str) -> MultipartiteOperator:
+def _matrix(obj, what: str, cls: type = MultipartiteOperator,
+            declared: tuple[tuple[int, ...], str] | None = None) -> MultipartiteOperator:
+    """matrix_from_json(obj, cls), its errors as SchemaError naming what;
+    declared is (dims, their wording) for a record whose dims the document
+    states apart from its matrix."""
     try:
-        return matrix_from_json(obj)
+        return matrix_from_json(obj, cls, declared and declared[0])
+    except DimsMismatchError as exc:
+        raise SchemaError(f"choi dims {exc.args[0]} do not match {declared[1]}") from None
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"bad matrix for {what}: {exc}") from exc
 
@@ -82,24 +88,20 @@ def _table(obj, d: int, what: str) -> np.ndarray:
 
 
 def channel_to_json(ch: ChoiChannel) -> dict:
-    return {"d_in": ch.d_in, "d_out": ch.d_out, "choi": matrix_to_json(ch.choi)}
+    return {"d_in": ch.d_in, "d_out": ch.d_out, "choi": matrix_to_json(ch)}
 
 
 def channel_from_json(obj: dict) -> ChoiChannel:
     _require(obj, ("d_in", "d_out", "choi"), "channel")
     d_in, d_out = _int(obj["d_in"], "d_in"), _int(obj["d_out"], "d_out")
-    choi = _matrix(obj["choi"], "channel choi")
-    if choi.dims != (d_in, d_out):
-        raise SchemaError(
-            f"choi dims {choi.dims} do not match d_in={d_in}, d_out={d_out}"
-        )
-    return ChoiChannel(d_in, d_out, choi)
+    return _matrix(obj["choi"], "channel choi", ChoiChannel,
+                   ((d_in, d_out), f"d_in={d_in}, d_out={d_out}"))
 
 
 def superchannel_to_json(s: SuperChoi) -> dict:
     return {
         "dims": {"A0": s.dA0, "A1": s.dA1, "B0": s.dB0, "B1": s.dB1},
-        "choi": matrix_to_json(s.choi),
+        "choi": matrix_to_json(s),
     }
 
 
@@ -107,10 +109,7 @@ def superchannel_from_json(obj: dict) -> SuperChoi:
     _require(obj, ("dims", "choi"), "superchannel")
     _require(obj["dims"], ("A0", "A1", "B0", "B1"), "superchannel dims")
     dims = tuple(_int(obj["dims"][k], f"dims {k}") for k in ("A0", "A1", "B0", "B1"))
-    choi = _matrix(obj["choi"], "superchannel choi")
-    if choi.dims != dims:
-        raise SchemaError(f"choi dims {choi.dims} do not match declared {dims}")
-    return super_choi(choi.mat, dims)
+    return _matrix(obj["choi"], "superchannel choi", SuperChoi, (dims, f"declared {dims}"))
 
 
 # the superchannel table kinds and the parameter class each one holds

@@ -25,6 +25,10 @@ class EigensolverError(RuntimeError):
     """Raised when the Hermitian eigensolver fails to converge."""
 
 
+class DimsMismatchError(ValueError):
+    """matrix_from_json's parsed dims, its argument, differ from those declared."""
+
+
 class Frozen:
     """Base of the package's immutable classes: their __init__ sets each
     field with object.__setattr__, after which assigning or deleting any
@@ -77,7 +81,7 @@ class MultipartiteOperator(Frozen):
         return complex(np.trace(self.mat))
 
     def __repr__(self) -> str:  # keep huge matrices out of tracebacks
-        return f"MultipartiteOperator(dims={self.dims}, side={self.side})"
+        return f"{type(self).__name__}(dims={self.dims}, side={self.side})"
 
 
 def max_entangled_projector(d: int) -> MultipartiteOperator:
@@ -252,12 +256,16 @@ def complex_pairs(mat: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def matrix_from_json(obj: dict) -> MultipartiteOperator:
-    """Inverse of matrix_to_json; every malformed input raises ValueError or
-    TypeError, including numbers too large for a float.  Dims must be JSON
-    integers and data entries [re, im] pairs of JSON numbers: booleans and
-    strings are rejected, not converted.  obj is parsed JSON text, its data
-    a list of lists: matrix_to_json's array data is refused."""
+def matrix_from_json(obj: dict, cls: type = MultipartiteOperator,
+                     declared: tuple[int, ...] | None = None) -> MultipartiteOperator:
+    """Inverse of matrix_to_json, built as one cls(dims, matrix), whose
+    constructor makes the one copy of the parsed numbers.  Every malformed
+    input raises ValueError or TypeError, including numbers too large for a
+    float; parsed dims other than declared (if given) raise
+    DimsMismatchError, after any fault of the matrix itself.  Dims must be
+    JSON integers and data entries [re, im] pairs of JSON numbers: booleans
+    and strings are rejected, not converted.  obj is parsed JSON text, its
+    data a list of lists: matrix_to_json's array data is refused."""
     if not isinstance(obj, dict) or "dims" not in obj or "data" not in obj:
         raise ValueError("matrix JSON must contain 'dims' and 'data'")
     dims = tuple(obj["dims"])
@@ -273,7 +281,11 @@ def matrix_from_json(obj: dict) -> MultipartiteOperator:
     # its characters or keys are strings, which the type test refuses
     flat = json_floats(itertools.chain.from_iterable(data),
                        "matrix JSON data entries must be [re, im] pairs of numbers")
-    return MultipartiteOperator(dims, flat.view(np.complex128).reshape(side, side))
+    mat = flat.view(np.complex128).reshape(side, side)
+    if declared is not None and dims != declared:
+        MultipartiteOperator(dims, mat)  # a fault of the matrix itself is reported first
+        raise DimsMismatchError(dims)
+    return cls(dims, mat)
 
 
 def json_floats(values, message: str) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import PARAM_EDGE_TOL, PAULI, check_probability_vector
 from .linalg import DEFAULT_TOL, Frozen, MultipartiteOperator, max_entangled_projector
-from .superchannels import SuperChoi, super_choi
+from .superchannels import SuperChoi
 
 
 class PauliSuperParams(Frozen):
@@ -59,7 +59,7 @@ def pauli_super_choi(p: PauliSuperParams) -> SuperChoi:
     (mu, nu) order; a BLAS product would reorder the sum and move the digits.
     """
     weighted = p.pi.reshape(16, 1, 1) * _conjugation_terms()
-    return super_choi(np.add.reduce(weighted, axis=0, initial=0.0), (2, 2, 2, 2))
+    return SuperChoi((2, 2, 2, 2), np.add.reduce(weighted, axis=0, initial=0.0))
 
 
 class PauliDUVerdict(NamedTuple):

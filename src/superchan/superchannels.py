@@ -13,10 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ChoiChannel, choi_channel, compose_choi4
+from .channels import ChoiChannel, compose_choi4
 from .linalg import (
     DEFAULT_TOL,
-    Frozen,
     MultipartiteOperator,
     kron,
     permute_subsystems,
@@ -25,37 +24,27 @@ from .linalg import (
 from .positions import TableParams, _read_only, apply_tables
 
 
-class SuperChoi(Frozen):
+class SuperChoi(MultipartiteOperator):
     """Choi matrix of a supermap on subsystems (A0, A1, B0, B1)."""
 
-    __slots__ = ("dA0", "dA1", "dB0", "dB1", "choi")
+    __slots__ = ()
 
-    def __init__(self, dA0: int, dA1: int, dB0: int, dB1: int, choi: MultipartiteOperator) -> None:
-        expected = (dA0, dA1, dB0, dB1)
-        if choi.dims != expected:
-            raise ValueError(f"choi dims {choi.dims} do not match {expected}")
-        object.__setattr__(self, "dA0", dA0)
-        object.__setattr__(self, "dA1", dA1)
-        object.__setattr__(self, "dB0", dB0)
-        object.__setattr__(self, "dB1", dB1)
-        object.__setattr__(self, "choi", choi)
+    def __init__(self, dims: tuple[int, int, int, int], mat: np.ndarray) -> None:
+        if len(dims) != 4:
+            raise ValueError(f"a SuperChoi has dims (A0, A1, B0, B1), got {tuple(dims)}")
+        super().__init__(dims, mat)
 
-    @property
-    def d_in(self) -> int:
-        return self.dA0 * self.dA1
+    dA0 = property(lambda self: self.dims[0])
+    dA1 = property(lambda self: self.dims[1])
+    dB0 = property(lambda self: self.dims[2])
+    dB1 = property(lambda self: self.dims[3])
 
-    @property
-    def d_out(self) -> int:
-        return self.dB0 * self.dB1
+    d_in = property(lambda self: self.dA0 * self.dA1)
+    d_out = property(lambda self: self.dB0 * self.dB1)
 
     def choi4(self) -> np.ndarray:
         """Choi as a 4-tensor [in, out, in', out'] over the grouped pair indices."""
-        return self.choi.mat.reshape(self.d_in, self.d_out, self.d_in, self.d_out)
-
-
-def super_choi(mat, dims) -> SuperChoi:
-    dims = tuple(int(d) for d in dims)
-    return SuperChoi(*dims, MultipartiteOperator(dims, np.asarray(mat, dtype=complex)))
+        return self.mat.reshape(self.d_in, self.d_out, self.d_in, self.d_out)
 
 
 def representing_apply(s: SuperChoi, x) -> MultipartiteOperator:
@@ -77,15 +66,12 @@ def apply_to_channel(s: SuperChoi | TableParams, ch: ChoiChannel) -> ChoiChannel
     through representing_apply, tables straight from their positions
     (positions.apply_tables), without assembling the Choi."""
     tables = isinstance(s, TableParams)
-    pair = (s.d, s.d) if tables else (s.dA0, s.dA1)
-    if (ch.d_in, ch.d_out) != pair:
-        raise ValueError(
-            f"channel dims ({ch.d_in}, {ch.d_out}) do not match superchannel "
-            f"input pair {pair}"
-        )
+    pair = (s.d, s.d) if tables else s.dims[:2]
+    if ch.dims != pair:
+        raise ValueError(f"channel dims {ch.dims} do not match superchannel input pair {pair}")
     if tables:
-        return choi_channel(apply_tables(s, ch.choi.mat), s.d, s.d)
-    return choi_channel(representing_apply(s, ch.choi).mat, s.dB0, s.dB1)
+        return ChoiChannel((s.d, s.d), apply_tables(s, ch.mat))
+    return ChoiChannel((s.dB0, s.dB1), representing_apply(s, ch).mat)
 
 
 def compose_superchannels(s2: SuperChoi, s1: SuperChoi) -> SuperChoi:
@@ -96,7 +82,7 @@ def compose_superchannels(s2: SuperChoi, s1: SuperChoi) -> SuperChoi:
             f"s2 input dims ({s2.dA0}, {s2.dA1})"
         )
     c = compose_choi4(s1.choi4(), s2.choi4())
-    return super_choi(c, (s1.dA0, s1.dA1, s2.dB0, s2.dB1))
+    return SuperChoi((s1.dA0, s1.dA1, s2.dB0, s2.dB1), c)
 
 
 def sandwich_superchannel(n0: ChoiChannel, n1: ChoiChannel) -> SuperChoi:
@@ -107,11 +93,10 @@ def sandwich_superchannel(n0: ChoiChannel, n1: ChoiChannel) -> SuperChoi:
     through the full transpose of the n0 Choi matrix.  The result is a valid
     superchannel whenever n1 is a channel and n0 is a unital CP map.
     """
-    c0 = MultipartiteOperator((n0.d_in, n0.d_out), n0.choi.mat.T)  # Choi of T o n0 o T
-    c1 = n1.choi
-    prod = kron(c0, c1)  # dims (A0, B0, A1, B1)
+    c0 = MultipartiteOperator(n0.dims, n0.mat.T)  # Choi of T o n0 o T
+    prod = kron(c0, n1)  # dims (A0, B0, A1, B1)
     arranged = permute_subsystems(prod, (0, 2, 1, 3))
-    return super_choi(arranged.mat, (n0.d_in, n1.d_in, n0.d_out, n1.d_out))
+    return SuperChoi(arranged.dims, arranged.mat)
 
 
 class TPPreservingVerdict(NamedTuple):
@@ -135,7 +120,7 @@ class TPPreservingVerdict(NamedTuple):
     def induced(self) -> ChoiChannel:
         """The induced map on (A0 -> B0), whose Choi's (i, j) block is mean[i, j]."""
         d0, b0 = self.mean.shape[1:3]
-        return choi_channel(self.mean.transpose(0, 2, 1, 3).reshape(d0 * b0, d0 * b0), d0, b0)
+        return ChoiChannel((d0, b0), self.mean.transpose(0, 2, 1, 3).reshape(d0 * b0, d0 * b0))
 
     @property
     def ok(self) -> bool:
@@ -201,7 +186,7 @@ class SuperchannelVerdict(NamedTuple):
 
 def validate_superchannel(s: SuperChoi, tol: float = DEFAULT_TOL) -> SuperchannelVerdict:
     """Check positivity plus the two marginal conditions of a superchannel Choi."""
-    cp_ok, min_eig, herm = psd_report(s.choi.mat, tol)
+    cp_ok, min_eig, herm = psd_report(s, tol)
     return SuperchannelVerdict(cp_ok, min_eig, herm, tp_preserving_check(s, tol))
 
 
@@ -212,9 +197,9 @@ def tp_preserving_check(s: SuperChoi, tol: float = DEFAULT_TOL) -> TPPreservingV
     a-independent for a = b, and the induced map on (A0 -> B0) is unital.
     The verdict carries the induced map assembled from the a-averaged images.
     """
-    d0, d1, b0 = dims = (s.dA0, s.dA1, s.dB0)
+    d0, d1, b0 = dims = s.dims[:3]
     # L[i, j, a, b] = Tr_B1 Delta(e_ij (x) e_ab), each a b0 x b0 matrix
-    c6 = s.choi.mat.reshape(d0, d1, b0, s.dB1, d0, d1, b0, s.dB1)
+    c6 = s.tensor()
     # Delta(e_ij (x) e_ab)[pq, rs] = choi[(i,a,p,q), (j,b,r,s)]; trace q = s
     images = np.einsum("iapqjbrq->ijabpr", c6).reshape(d0 * d0, d1 * d1, b0 * b0)
     off, diag, image = _dense_trace_plan(*dims)
@@ -289,9 +274,9 @@ class ClassicalSuperchannel(NamedTuple):
 
 def classical_superchannel_extract(s: SuperChoi) -> ClassicalSuperchannel:
     """The diagonal part of s; kept for acceptance criterion 12 (the classical layer)."""
-    d0, d1, b0, b1 = s.dA0, s.dA1, s.dB0, s.dB1
+    d0, d1, b0, b1 = s.dims
     # the diagonal Choi entry at (i, a, j, b) is T[(j, b), (i, a)]
-    T = s.choi.mat.diagonal().real.reshape(d0 * d1, b0 * b1).T.copy()
+    T = s.mat.diagonal().real.reshape(d0 * d1, b0 * b1).T.copy()
     # fiber sums over b must be a-independent; then sum_i t[j, i] = 1
     fibers = T.reshape(b0, b1, d0, d1).sum(axis=1)  # [j, i, a]
     t = fibers.mean(axis=2)

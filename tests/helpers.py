@@ -13,7 +13,6 @@ from superchan.channels import (
     ChoiChannel,
     DOChannelParams,
     DUChannelParams,
-    choi_channel,
     choi_from_kraus,
     compose_channels,
     pauli_channel,
@@ -40,7 +39,6 @@ from superchan.positions import FAMILIES, table_positions, tables_from_choi
 from superchan.superchannels import (
     SuperChoi,
     sandwich_superchannel,
-    super_choi,
 )
 
 
@@ -117,7 +115,7 @@ def uu_shared_spectra(variant: str, d: int) -> np.ndarray:
     four; that each is diagonal in its basis is asserted to 1e-12."""
     units = []
     for k in range(4):
-        mat = uu_superchannel(UUFamilyParams(variant, *np.eye(4)[k], d)).choi.mat
+        mat = uu_superchannel(UUFamilyParams(variant, *np.eye(4)[k], d)).mat
         assert not np.any(mat.imag)
         units.append(mat.real)
     _, q = np.linalg.eigh(sum(w * c for w, c in zip(np.sqrt([2.0, 3.0, 5.0, 7.0]), units)))
@@ -287,14 +285,14 @@ def random_valid_superchoi(rng: np.random.Generator, d0: int, d1: int,
             unitary_conjugation(haar_unitary(rng, d0)),
             random_channel(rng, d1),
         )
-        acc = w * s.choi.mat if acc is None else acc + w * s.choi.mat
-    return super_choi(acc, (d0, d1, d0, d1))
+        acc = w * s.mat if acc is None else acc + w * s.mat
+    return SuperChoi((d0, d1, d0, d1), acc)
 
 
 def random_valid_do_params(rng: np.random.Generator, d: int) -> DOSuperParams:
     """A random valid superchannel averaged over diagonal signs: its nine
     tables read off the Choi of random_valid_superchoi (A taken real)."""
-    t = tables_from_choi(random_valid_superchoi(rng, d, d).choi.mat, d, DOSuperParams)
+    t = tables_from_choi(random_valid_superchoi(rng, d, d).mat, d, DOSuperParams)
     return DOSuperParams(d, **{**t, "A": t["A"].real})
 
 
@@ -511,8 +509,8 @@ def dense_validate_superchannel(s: SuperChoi, tol: float) -> DenseSuperchannelVe
     || Tr_B1 C - C0 (x) I_A1 ||_max with the product formed by kron and
     permute_subsystems, independently of tp_preserving_check, from which
     validate_superchannel and do_validate read both residuals."""
-    cp_ok, min_eig, herm = psd_report(s.choi.mat, tol)
-    reduced = partial_trace(s.choi, 3)  # on (A0, A1, B0)
+    cp_ok, min_eig, herm = psd_report(s.mat, tol)
+    reduced = partial_trace(s, 3)  # on (A0, A1, B0)
     c0 = partial_trace(reduced, 1)      # on (A0, B0), trace over A1
     c0_mat = c0.mat / s.dA1
     target = kron(
@@ -611,7 +609,7 @@ def loop_tp_preserving_parts(s: SuperChoi, tol: float = DEFAULT_TOL):
     loops it used to run and image by image: each fiber's average is its sum
     over a divided by d1, and the witness is loop_fiber_witness's."""
     d0, d1, b0 = s.dA0, s.dA1, s.dB0
-    c6 = s.choi.mat.reshape(d0, d1, b0, s.dB1, d0, d1, b0, s.dB1)
+    c6 = s.mat.reshape(d0, d1, b0, s.dB1, d0, d1, b0, s.dB1)
     images = np.einsum("iapqjbrq->ijabpr", c6)
     leak = 0.0
     for a in range(d1):
@@ -658,7 +656,7 @@ def loop_fiber_witness(images, mean: dict, tol: float):
 def loop_classical_table(s: SuperChoi) -> np.ndarray:
     """T of classical_superchannel_extract, one diagonal Choi entry at a time."""
     d0, d1, b0, b1 = s.dA0, s.dA1, s.dB0, s.dB1
-    c8 = s.choi.mat.reshape(d0, d1, b0, b1, d0, d1, b0, b1)
+    c8 = s.mat.reshape(d0, d1, b0, b1, d0, d1, b0, b1)
     T = np.empty((b0 * b1, d0 * d1))
     for i in range(d0):
         for a in range(d1):
@@ -696,7 +694,7 @@ def scatter_doc_action(p: DUSuperParams, q: DOChannelParams) -> tuple[dict, floa
     image's largest off-pattern magnitude: the action taken by the scatter
     reference on the assembled Choi, the image split by a hand-built mask."""
     d = p.d
-    y = scatter_block_action(p, table_channel(q).choi.mat)
+    y = scatter_block_action(p, table_channel(q).mat)
     pt, qt, rt, off = loop_do_pattern_split(y.reshape(d, d, d, d))
     return {"A": pt.T, "B": qt, "C": rt.T}, off
 
@@ -852,23 +850,23 @@ def apply_channel(ch: ChoiChannel, rho) -> MultipartiteOperator:
 
 
 def identity_channel(d: int) -> ChoiChannel:
-    return ChoiChannel(d, d, max_entangled_projector(d))
+    return ChoiChannel((d, d), max_entangled_projector(d).mat)
 
 
 def depolarizing(d: int) -> ChoiChannel:
     """Completely depolarizing channel X -> Tr(X) I/d."""
-    return choi_channel(np.eye(d * d, dtype=complex) / d, d, d)
+    return ChoiChannel((d, d), np.eye(d * d, dtype=complex) / d)
 
 
 def transpose_map(d: int) -> ChoiChannel:
     """The transposition map (not CP); its Choi is the swap matrix."""
-    return ChoiChannel(d, d, swap_operator(d))
+    return ChoiChannel((d, d), swap_operator(d).mat)
 
 
 def identity_superchannel(d0: int, d1: int) -> SuperChoi:
     """Choi of the identity map on M_{d0 d1}, refined to dims (d0, d1, d0, d1)."""
     p = max_entangled_projector(d0 * d1)
-    return super_choi(p.mat, (d0, d1, d0, d1))
+    return SuperChoi((d0, d1, d0, d1), p.mat)
 
 
 def du_identity(d: int) -> DUSuperParams:
@@ -947,8 +945,8 @@ def uu_closed_form_action(params: UUFamilyParams, ch: ChoiChannel) -> ChoiChanne
             compose_channels(trans, compose_channels(ch, dep)),
             compose_channels(dep, compose_channels(ch, dep)),
         ]
-    acc = sum(w * t.choi.mat for w, t in zip(params.p, terms))
-    return choi_channel(acc, d, d)
+    acc = sum(w * t.mat for w, t in zip(params.p, terms))
+    return ChoiChannel((d, d), acc)
 
 
 def uu_induced_map(params: UUFamilyParams) -> ChoiChannel:
@@ -956,7 +954,7 @@ def uu_induced_map(params: UUFamilyParams) -> ChoiChannel:
     with weight p0+p1, depolarizing with weight p2+p3)."""
     d = params.d
     first = transpose_map(d) if params.variant == "conjugate" else identity_channel(d)
-    acc = (params.p0 + params.p1) * first.choi.mat + (
+    acc = (params.p0 + params.p1) * first.mat + (
         params.p2 + params.p3
-    ) * depolarizing(d).choi.mat
-    return choi_channel(acc, d, d)
+    ) * depolarizing(d).mat
+    return ChoiChannel((d, d), acc)

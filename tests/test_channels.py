@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from superchan.channels import (
+    ChoiChannel,
     ConjDUChannelParams,
     DOChannelParams,
     DUChannelParams,
     amplitude_damping,
     bit_flip,
-    choi_channel,
     choi_from_kraus,
     classical_channel_extract,
     compose_channels,
@@ -59,7 +59,7 @@ def test_amplitude_damping_choi_matches_display():
     expected = np.array(
         [[1, 0, 0, s], [0, 0, 0, 0], [0, 0, gamma, 0], [s, 0, 0, 1 - gamma]]
     )
-    assert np.allclose(amplitude_damping(gamma).choi.mat, expected)
+    assert np.allclose(amplitude_damping(gamma).mat, expected)
 
 
 def test_amplitude_damping_kraus_oracle():
@@ -69,7 +69,7 @@ def test_amplitude_damping_kraus_oracle():
         k1 = np.zeros((2, 2))
         k1[0, 1] = np.sqrt(gamma)
         oracle = choi_from_kraus([k0, k1])
-        assert np.allclose(amplitude_damping(gamma).choi.mat, oracle.choi.mat)
+        assert np.allclose(amplitude_damping(gamma).mat, oracle.mat)
 
 
 def test_choi_from_kraus_reads_the_dims_off_the_operators():
@@ -79,7 +79,7 @@ def test_choi_from_kraus_reads_the_dims_off_the_operators():
     assert (ch.d_in, ch.d_out) == (2, 3)
     units = [np.eye(2)[:, [i]] @ np.eye(2)[[j], :] for i in range(2) for j in range(2)]
     oracle = sum(np.kron(e, v @ e @ v.conj().T) for e in units)
-    assert np.array_equal(ch.choi.mat, oracle)
+    assert np.array_equal(ch.mat, oracle)
     assert validate_channel(ch).ok
 
 
@@ -98,12 +98,12 @@ def test_bit_flip_choi_matches_display():
             [1 - p, 0, 0, 1 - p],
         ]
     )
-    assert np.allclose(bit_flip(p).choi.mat, expected)
+    assert np.allclose(bit_flip(p).mat, expected)
 
 
 def test_pauli_channel_corner_entries():
     p = (0.7, 0.1, 0.1, 0.1)
-    c = pauli_channel(p).choi.mat
+    c = pauli_channel(p).mat
     assert np.isclose(c[0, 0], p[0] + p[3])
     assert np.isclose(c[0, 3], p[0] - p[3])
     assert np.isclose(c[1, 1], p[1] + p[2])
@@ -131,7 +131,7 @@ def test_validate_channel_on_families():
 def test_validate_channel_rejects_negative_choi():
     d = 2
     mat = np.eye(d * d) - 2.0 * max_entangled_projector(d).mat / d
-    verdict = validate_channel(choi_channel(mat, d, d))
+    verdict = validate_channel(ChoiChannel((d, d), mat))
     assert not verdict.is_cp
     assert verdict.min_eigenvalue < -0.5
 
@@ -144,10 +144,10 @@ def test_transpose_map_cp_false_tp_true():
 
 def test_compose_identity_and_depolarizing():
     f = random_channel(rng, 3)
-    assert np.allclose(compose_channels(f, identity_channel(3)).choi.mat, f.choi.mat)
-    assert np.allclose(compose_channels(identity_channel(3), f).choi.mat, f.choi.mat)
+    assert np.allclose(compose_channels(f, identity_channel(3)).mat, f.mat)
+    assert np.allclose(compose_channels(identity_channel(3), f).mat, f.mat)
     dd = compose_channels(depolarizing(3), depolarizing(3))
-    assert np.allclose(dd.choi.mat, depolarizing(3).choi.mat)
+    assert np.allclose(dd.mat, depolarizing(3).mat)
 
 
 def test_compose_matches_pointwise_application():
@@ -169,11 +169,11 @@ def test_compose_matches_pointwise_application():
 )
 def test_compose_channels_matches_the_einsum_contraction(dims):
     d_in, d_mid, d_out = dims
-    g = choi_channel(_random_matrix(d_in * d_mid), d_in, d_mid)
-    f = choi_channel(_random_matrix(d_mid * d_out), d_mid, d_out)
+    g = ChoiChannel((d_in, d_mid), _random_matrix(d_in * d_mid))
+    f = ChoiChannel((d_mid, d_out), _random_matrix(d_mid * d_out))
     ref = np.einsum("kmln,manb->kalb", g.choi4(), f.choi4())  # the former kernel
     ref = ref.reshape(d_in * d_out, d_in * d_out)
-    got = compose_channels(f, g).choi.mat
+    got = compose_channels(f, g).mat
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -185,13 +185,13 @@ def test_holevo_werner_choi_and_validity():
     for d in (2, 3, 4):
         hw = holevo_werner(d)
         expected = (np.eye(d * d) - swap_operator(d).mat) / (d - 1)
-        assert np.allclose(hw.choi.mat, expected)
+        assert np.allclose(hw.mat, expected)
         assert validate_channel(hw).ok
 
 
 def test_du_channel_identity_and_validation():
     params = du_identity_channel_params(3)
-    assert np.allclose(table_channel(params).choi.mat, identity_channel(3).choi.mat)
+    assert np.allclose(table_channel(params).mat, identity_channel(3).mat)
     verdict = table_channel_validate(params)
     assert verdict.ok and verdict.is_cp and verdict.is_tp
 
@@ -204,7 +204,7 @@ def test_amplitude_damping_is_du_channel():
         np.array([[1.0, gamma], [0.0, 1 - gamma]]),
         np.array([[0.0, s], [s, 0.0]], dtype=complex),
     )
-    assert np.allclose(table_channel(params).choi.mat, amplitude_damping(gamma).choi.mat)
+    assert np.allclose(table_channel(params).mat, amplitude_damping(gamma).mat)
     assert table_channel_validate(params).ok
 
 
@@ -213,7 +213,7 @@ def test_dephasing_channel_is_du_channel_with_identity_table():
     b = np.array(m)
     np.fill_diagonal(b, 0.0)
     params = DUChannelParams(3, np.eye(3), b)
-    assert np.allclose(table_channel(params).choi.mat, dephasing_channel(m).choi.mat)
+    assert np.allclose(table_channel(params).mat, dephasing_channel(m).mat)
 
 
 def test_du_channel_cp_closed_form_matches_spectral_oracle():
@@ -225,7 +225,7 @@ def test_du_channel_cp_closed_form_matches_spectral_oracle():
             np.fill_diagonal(b, 0.0)
             params = DUChannelParams(d, a, b)
             closed = table_channel_validate(params).is_cp
-            spectral = is_psd(table_channel(params).choi.mat)
+            spectral = is_psd(table_channel(params).mat)
             assert closed == spectral
 
 
@@ -236,7 +236,7 @@ def test_du_channel_compose_matches_choi_composition():
             q = _random_du_channel_params(d)
             combined = compose_tables(p, q)
             direct = compose_channels(table_channel(p), table_channel(q))
-            assert np.abs(table_channel(combined).choi.mat - direct.choi.mat).max() <= 1e-12
+            assert np.abs(table_channel(combined).mat - direct.mat).max() <= 1e-12
 
 
 def _random_du_channel_params(d):
@@ -256,7 +256,7 @@ def test_du_channel_compose_identity_and_dephasings():
     m1 = random_covariance_matrix(rng, d)
     m2 = random_covariance_matrix(rng, d)
     out = compose_channels(dephasing_channel(m1), dephasing_channel(m2))
-    assert np.allclose(out.choi.mat, dephasing_channel(m1 * m2).choi.mat)
+    assert np.allclose(out.mat, dephasing_channel(m1 * m2).mat)
 
 
 def test_conj_du_channel_closed_form():
@@ -269,12 +269,12 @@ def test_conj_du_channel_closed_form():
             c[j, i] = np.conj(c[i, j])
     params = ConjDUChannelParams(d, a, c)
     assert table_channel_validate(params).is_cp
-    assert is_psd(table_channel(params).choi.mat)
+    assert is_psd(table_channel(params).mat)
     # violating the pair condition breaks positivity
     c_bad = 5.0 * c
     bad = ConjDUChannelParams(d, a, c_bad)
     assert not table_channel_validate(bad).is_cp
-    assert not is_psd(table_channel(bad).choi.mat)
+    assert not is_psd(table_channel(bad).mat)
 
 
 def test_do_channel_closed_form_matches_spectral():
@@ -288,7 +288,7 @@ def test_do_channel_closed_form_matches_spectral():
         c = 0.4 * (g2 + g2.conj().T) / 2
         np.fill_diagonal(c, 0.0)
         params = DOChannelParams(d, a, b, c)
-        assert table_channel_validate(params).is_cp == is_psd(table_channel(params).choi.mat)
+        assert table_channel_validate(params).is_cp == is_psd(table_channel(params).mat)
 
 
 def test_classical_channel_extract():
@@ -350,7 +350,7 @@ def _positive_zeros(x):
 def test_channel_map_is_bit_identical_to_the_per_entry_loops(d, cls, build, names):
     tables = _channel_tables(d, names)
     params = cls(d, **tables)
-    choi = build(params).choi.mat
+    choi = build(params).mat
     ref = loop_channel_choi(d, tables["A"], tables.get("B"), tables.get("C"))
     # scatter-add turns a -0.0 table entry into +0.0; every other bit agrees
     assert choi.tobytes() == _positive_zeros(ref).tobytes()
@@ -525,4 +525,4 @@ def test_classical_extract_and_dephasing_choi_match_the_loops():
         assert classical_channel_extract(ch).tobytes() == loop_classical_channel_extract(ch).tobytes()
     for d in (1, 2, 3, 5):
         m = random_covariance_matrix(rng, d)
-        assert dephasing_channel(m).choi.mat.tobytes() == loop_dephasing_choi(m).tobytes()
+        assert dephasing_channel(m).mat.tobytes() == loop_dephasing_choi(m).tobytes()

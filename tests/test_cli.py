@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,12 @@ import pytest
 from superchan import cli, covariance as covariance_module, du as du_module
 from superchan import do as do_module, superchannels as superchannels_module
 from superchan import jsonio, positions
-from superchan.channels import amplitude_damping, bit_flip, choi_channel
+from superchan.channels import ChoiChannel, amplitude_damping, bit_flip
 from superchan.cli import default_du_params, main
 from superchan.dephasing import DephasingSuperParams, dephasing_from_realization
 from superchan.du import DUSuperParams, build_choi, du_cp_check, du_tp_check
 from superchan.pauli import PauliSuperParams
-from superchan.superchannels import compose_superchannels, super_choi
+from superchan.superchannels import SuperChoi, compose_superchannels
 
 from helpers import (
     as_lists,
@@ -71,7 +72,7 @@ def test_validate_channel_ok_and_failed(paths, capsys):
 
     mat = np.eye(4, dtype=complex)
     mat[3, 3] = -0.01
-    bad = write("bad.json", jsonio.channel_to_json(choi_channel(mat, 2, 2)))
+    bad = write("bad.json", jsonio.channel_to_json(ChoiChannel((2, 2), mat)))
     code, out = run_cli(capsys, "validate", "channel", bad)
     assert code == 3
     assert float(report_value(out, "min_eig")) == pytest.approx(-0.01)
@@ -172,7 +173,7 @@ def test_hermiticity_deviation_past_the_float_range_is_inf(paths, capsys, kind, 
     unit = du_identity(2)
     if kind == "superchannel":
         doc = jsonio.superchannel_to_json(
-            super_choi(_planted_overflow(build_choi(unit).choi.mat), (2,) * 4))
+            SuperChoi((2,) * 4, _planted_overflow(build_choi(unit).mat)))
     else:
         p = DUSuperParams(2, unit.A, _planted_overflow(unit.B), unit.C, unit.D)
         doc = jsonio.params_to_json(p if kind == "du" else from_du_params(p))
@@ -276,7 +277,7 @@ def test_apply_identity_superchannel(paths, capsys):
     code, out = run_cli(capsys, "apply", sup, chan, "--out", out_path)
     assert code == 0
     result = jsonio.channel_from_json(json.loads((tmp / "out.json").read_text()))
-    assert np.allclose(result.choi.mat, bit_flip(0.2).choi.mat)
+    assert np.allclose(result.mat, bit_flip(0.2).mat)
     assert "input_classical" in out and "output_classical" in out
 
 
@@ -292,7 +293,7 @@ def test_apply_accepts_parameter_forms(paths, capsys):
 
     expected = apply_to_channel(build_choi(p), amplitude_damping(0.3))
     written = jsonio.channel_from_json(json.loads((tmp / "out.json").read_text()))
-    assert np.allclose(written.choi.mat, expected.choi.mat)
+    assert np.allclose(written.mat, expected.mat)
 
 
 @pytest.mark.parametrize("kind", ["du", "do", "dephasing", "pauli", "superchannel"])
@@ -316,9 +317,9 @@ def test_apply_channel_must_hold_a_channel(paths, capsys, kind):
 def test_validate_superchannel_near_the_float_maximum_reports_a_status(paths, capsys):
     # finite entries whose B1 partial trace overflows: a named error, no numpy warning
     tmp, write = paths
-    m = np.array(identity_superchannel(2, 2).choi.mat)
+    m = np.array(identity_superchannel(2, 2).mat)
     m[0, 0] = m[5, 5] = 1.7e308
-    path = write("huge.json", jsonio.superchannel_to_json(super_choi(m, (2, 2, 2, 2))))
+    path = write("huge.json", jsonio.superchannel_to_json(SuperChoi((2, 2, 2, 2), m)))
     code = main(["validate", "superchannel", path])
     out, err = capsys.readouterr()
     assert code == 2
@@ -424,7 +425,7 @@ def test_apply_on_tables_never_assembles_the_choi(paths, capsys, monkeypatch, d)
         assert code == 0
         assert report_value(out, "output_classical") == report_value(out, "input_classical")
         written = jsonio.channel_from_json(json.loads(out_path.read_text()))
-        assert np.array_equal(written.choi.mat, ch.choi.mat)
+        assert np.array_equal(written.mat, ch.mat)
 
 
 @pytest.mark.parametrize("d", [8, 12])
@@ -462,8 +463,8 @@ def test_compose_do_is_the_choi_link_product(paths, capsys):
     code, out = run_cli(capsys, "compose", "do", write("p.json", jsonio.params_to_json(p)),
                         write("q.json", jsonio.params_to_json(q)), "--out", str(out_path))
     assert code == 0 and report_value(out, "kind") == "do"
-    got = build_choi(jsonio.params_from_json(json.loads(out_path.read_text()), "do")).choi.mat
-    ref = compose_superchannels(build_choi(p), build_choi(q)).choi.mat
+    got = build_choi(jsonio.params_from_json(json.loads(out_path.read_text()), "do")).mat
+    ref = compose_superchannels(build_choi(p), build_choi(q)).mat
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -479,7 +480,7 @@ def test_apply_on_dephasing_is_the_schur_product(paths, capsys):
         assert code == 0
         written = jsonio.channel_from_json(json.loads(out_path.read_text()))
         # the Schur product, entry by entry: no sum, so the bits are fixed
-        assert written.choi.mat.tobytes() == (p.M_big * ch.choi.mat).tobytes()
+        assert written.mat.tobytes() == (p.M_big * ch.mat).tobytes()
 
 
 def test_compose_du_with_identity_echoes(paths, capsys):
@@ -546,6 +547,29 @@ def test_covariance_command(paths, capsys):
     assert float(report_value(out, "max_deviation")) > 1e-3
     code, _ = run_cli(capsys, "covariance", pauli, "--group", "do")
     assert code == 0
+
+
+@pytest.mark.parametrize("group", ["du", "do", "haar", "conj-haar", "mixed"])
+def test_covariance_past_the_float_range_fails_with_inf_and_no_warning(paths, capsys, group):
+    # finite entries whose conjugates leave the float range: a dense Choi
+    # whose Haar conjugation gives inf - inf = NaN in every sample, which
+    # passed with max_deviation 0.0, and DU tables whose rephasing overflows
+    tmp, write = paths
+    local = np.random.default_rng(0)
+    m = 1.5e308 * (local.uniform(-1, 1, (16, 16)) + 1j * local.uniform(-1, 1, (16, 16)))
+    big = 1.5e308 + 1.5e308j
+    tables = DUSuperParams.masked(2, **{n: np.full((4, 4), big.real if n == "A" else big)
+                                        for n in DUSuperParams.NAMES})
+    files = [write("choi.json", jsonio.superchannel_to_json(SuperChoi((2,) * 4, m)))]
+    if group != "do":  # a sign flip of DU tables is exact
+        files.append(write("du.json", jsonio.params_to_json(tables)))
+    for path in files:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["covariance", path, "--group", group])
+        out, err = capsys.readouterr()
+        assert (code, err, caught) == (3, "", []), (path, out)
+        assert "covariant: false\nmax_deviation: inf\n" in out, (path, out)
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

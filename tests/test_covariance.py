@@ -23,9 +23,9 @@ from superchan.dephasing import DephasingSuperParams
 from superchan.du import build_choi
 from superchan.linalg import DEFAULT_TOL, is_psd
 from superchan.superchannels import (
+    SuperChoi,
     apply_to_channel,
     sandwich_superchannel,
-    super_choi,
     tp_preserving_check,
     validate_superchannel,
 )
@@ -39,6 +39,7 @@ from helpers import (
     random_channel,
     random_do_params,
     random_hermitian_du_params,
+    reference_draws,
     rephasing_covariance_reference,
     transpose_map,
     unitary_conjugation,
@@ -67,7 +68,7 @@ def random_uu_params(variant, d, rng):
 
 def test_uu_superchannel_trivial_points():
     p = UUFamilyParams("covariant", 1.0, 0.0, 0.0, 0.0, 2)
-    assert np.allclose(uu_superchannel(p).choi.mat, identity_superchannel(2, 2).choi.mat)
+    assert np.allclose(uu_superchannel(p).mat, identity_superchannel(2, 2).mat)
     assert uu_cp_closed_form(p)
 
 
@@ -94,7 +95,7 @@ def test_uu_cp_closed_form_matches_spectral_oracle():
             for _ in range(150):
                 p = random_uu_params(variant, d, rng)
                 closed = uu_cp_closed_form(p)
-                spectral = is_psd(uu_superchannel(p).choi.mat)
+                spectral = is_psd(uu_superchannel(p).mat)
                 assert closed == spectral, (variant, d, p.p)
 
 
@@ -125,15 +126,15 @@ def test_uu_closed_form_action_matches_representing_map():
             p = random_uu_params(variant, 2, rng)
             s = uu_superchannel(p)
             for ch in corpus:
-                via_formula = uu_closed_form_action(p, ch).choi.mat
-                via_choi = apply_to_channel(s, ch).choi.mat
+                via_formula = uu_closed_form_action(p, ch).mat
+                via_choi = apply_to_channel(s, ch).mat
                 assert np.abs(via_formula - via_choi).max() <= 1e-12
 
 
 def test_uu_closed_form_action_trivial_point():
     p = UUFamilyParams("covariant", 1.0, 0.0, 0.0, 0.0, 2)
     ad = amplitude_damping(0.35)
-    assert np.allclose(uu_closed_form_action(p, ad).choi.mat, ad.choi.mat)
+    assert np.allclose(uu_closed_form_action(p, ad).mat, ad.mat)
 
 
 def test_uu_induced_map_matches_tp_check():
@@ -142,17 +143,17 @@ def test_uu_induced_map_matches_tp_check():
         s = uu_superchannel(p)
         verdict = tp_preserving_check(s)
         assert verdict.ok
-        assert np.abs(verdict.induced.choi.mat - uu_induced_map(p).choi.mat).max() <= 1e-12
+        assert np.abs(verdict.induced.mat - uu_induced_map(p).mat).max() <= 1e-12
 
 
 def test_uu_induced_map_displayed_mixture():
     # the induced map mixes identity (or transpose) with depolarizing
     p = UUFamilyParams("covariant", 0.3, 0.2, 0.4, 0.1, 2)
-    expected = 0.5 * identity_channel(2).choi.mat + 0.5 * depolarizing(2).choi.mat
-    assert np.allclose(uu_induced_map(p).choi.mat, expected)
+    expected = 0.5 * identity_channel(2).mat + 0.5 * depolarizing(2).mat
+    assert np.allclose(uu_induced_map(p).mat, expected)
     p = UUFamilyParams("conjugate", 0.3, 0.2, 0.4, 0.1, 2)
-    expected = 0.5 * transpose_map(2).choi.mat + 0.5 * depolarizing(2).choi.mat
-    assert np.allclose(uu_induced_map(p).choi.mat, expected)
+    expected = 0.5 * transpose_map(2).mat + 0.5 * depolarizing(2).mat
+    assert np.allclose(uu_induced_map(p).mat, expected)
 
 
 def test_holevo_werner_superchannel():
@@ -175,8 +176,8 @@ def test_holevo_werner_superchannel_on_identity():
     for d in (2, 3):
         out = apply_to_channel(holevo_werner_superchannel(d), identity_channel(d))
         lam = -1.0 / (d * d - 1)
-        expected = lam * identity_channel(d).choi.mat + (1 - lam) * depolarizing(d).choi.mat
-        assert np.abs(out.choi.mat - expected).max() <= 1e-12
+        expected = lam * identity_channel(d).mat + (1 - lam) * depolarizing(d).mat
+        assert np.abs(out.mat - expected).max() <= 1e-12
         assert validate_channel(out).ok
 
 
@@ -203,6 +204,24 @@ def test_superchannel_covariance_unknown_group():
         superchannel_covariance_check(identity_superchannel(2, 2), "su2")
 
 
+def test_a_nan_deviation_fails_its_sample_as_inf():
+    # at this scale some conjugates give inf - inf = NaN, some only inf; the
+    # first sample to leave the float range is the worst, NaN or not
+    local = np.random.default_rng(2)
+    m = 1e308 * (local.uniform(-1, 1, (16, 16)) + 1j * local.uniform(-1, 1, (16, 16)))
+    firsts = []
+    for group in ("du", "do", "haar", "conj-haar", "mixed"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            devs = [np.abs(w @ m @ w.conj().T - m).max() for w in (
+                np.kron(np.kron(u, v.conj()), np.kron(up.conj(), vp))
+                for u, v, up, vp in reference_draws(group, 2, 0, 20))]
+        first = int(np.argmin(np.isfinite(devs)))
+        v = superchannel_covariance_check(SuperChoi((2,) * 4, m), group, n=20)
+        assert (v.max_deviation, v.worst_sample, v.ok) == (np.inf, first, False), group
+        firsts.append(devs[first])
+    assert np.isnan(firsts).any() and np.isinf(firsts).any()
+
+
 def test_covariance_verdict_reporting():
     s = identity_superchannel(2, 2)
     v = superchannel_covariance_check(s, "haar", seed=0, n=5)
@@ -222,12 +241,12 @@ def _covariant_choi(rng, group, d):
     """A superchannel Choi matrix invariant under the group, with generic
     nonzero entries."""
     if group == "du":
-        return build_choi(random_hermitian_du_params(rng, d)).choi.mat
-    return build_choi(random_do_params(rng, d)).choi.mat
+        return build_choi(random_hermitian_du_params(rng, d)).mat
+    return build_choi(random_do_params(rng, d)).mat
 
 
 def _check(mat, group, d, seed, n):
-    return superchannel_covariance_check(super_choi(mat, (d,) * 4), group, n=n, seed=seed)
+    return superchannel_covariance_check(SuperChoi((d,) * 4, mat), group, n=n, seed=seed)
 
 
 @settings(max_examples=60, deadline=None)

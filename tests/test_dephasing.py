@@ -69,7 +69,7 @@ def test_all_ones_is_identity_superchannel():
     p = all_ones_params(2)
     assert dephasing_validate(p).ok
     ch = amplitude_damping(0.4)
-    assert np.array_equal(apply_to_channel(p, ch).choi.mat, ch.choi.mat)
+    assert np.array_equal(apply_to_channel(p, ch).mat, ch.mat)
 
 
 def test_diagonal_multiplier_fully_superdecoheres():
@@ -77,7 +77,7 @@ def test_diagonal_multiplier_fully_superdecoheres():
     p = DephasingSuperParams(d, np.eye(d * d, dtype=complex))
     ch = amplitude_damping(0.4)
     out = apply_to_channel(p, ch)
-    assert np.array_equal(out.choi.mat, np.diag(np.diagonal(ch.choi.mat)))
+    assert np.array_equal(out.mat, np.diag(np.diagonal(ch.mat)))
 
 
 def test_schur_action_preserves_diagonal_scales_corners():
@@ -86,9 +86,9 @@ def test_schur_action_preserves_diagonal_scales_corners():
     gamma = 0.3
     ch = amplitude_damping(gamma)
     out = apply_to_channel(p, ch)
-    assert np.allclose(np.diagonal(out.choi.mat), np.diagonal(ch.choi.mat), atol=1e-12)
+    assert np.allclose(np.diagonal(out.mat), np.diagonal(ch.mat), atol=1e-12)
     m4 = p.t4("M_big")
-    assert np.isclose(out.choi.mat[0, 3], m4[0, 0, 1, 1] * np.sqrt(1 - gamma))
+    assert np.isclose(out.mat[0, 3], m4[0, 0, 1, 1] * np.sqrt(1 - gamma))
 
 
 def test_realizations_always_validate():
@@ -154,12 +154,12 @@ def test_entrywise_diagonal_identity():
         p = random_psd_m_big(d, enforce_fibers=enforce)
         ch = amplitude_damping(0.45)
         out = apply_to_channel(p, ch)
-        expected = np.diagonal(p.M_big) * np.diagonal(ch.choi.mat)
-        assert np.array_equal(np.diagonal(out.choi.mat), expected)
+        expected = np.diagonal(p.M_big) * np.diagonal(ch.mat)
+        assert np.array_equal(np.diagonal(out.mat), expected)
         if enforce:
             assert np.allclose(np.diagonal(p.M_big), 1.0, atol=1e-12)
             assert np.allclose(
-                np.diagonal(out.choi.mat), np.diagonal(ch.choi.mat), atol=1e-12
+                np.diagonal(out.mat), np.diagonal(ch.mat), atol=1e-12
             )
 
 
@@ -262,9 +262,9 @@ def test_dephasing_on_dephasing_matches_schur_route():
             assert np.abs(out - schur_m).max() <= 1e-14
             # the output is again a dephasing channel with that matrix
             assert np.allclose(
-                via_schur.choi.mat, dephasing_channel(out).choi.mat, atol=1e-12
+                via_schur.mat, dephasing_channel(out).mat, atol=1e-12
             )
-            assert np.allclose(table_channel(q).choi.mat, via_schur.choi.mat, atol=1e-14)
+            assert np.allclose(table_channel(q).mat, via_schur.mat, atol=1e-14)
 
 
 def test_superdecoherence_on_identity_channel():
@@ -278,7 +278,7 @@ def test_superdecoherence_on_identity_channel():
     m4 = p.t4("M_big")
     superdecoherence = np.array([[m4[i, i, j, j] for j in range(d)] for i in range(d)])
     assert np.allclose(m_tilde, superdecoherence)
-    assert np.allclose(out.choi.mat, dephasing_channel(m_tilde).choi.mat, atol=1e-12)
+    assert np.allclose(out.mat, dephasing_channel(m_tilde).mat, atol=1e-12)
 
 
 def loop_du_tables(p):
@@ -311,7 +311,7 @@ def test_embed_du_reproduces_superchannel():
     for d in (2, 3):
         p = dephasing_from_realization(*random_realization(rng, d, 3))
         emb = from_choi(build_choi(p))
-        assert np.abs(build_choi(emb).choi.mat - build_choi(p).choi.mat).max() <= 1e-15
+        assert np.abs(build_choi(emb).mat - build_choi(p).mat).max() <= 1e-15
 
 
 def test_embed_all_ones_is_du_identity():
@@ -364,7 +364,7 @@ def test_apply_is_the_schur_product_bit_for_bit(d):
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         p = DephasingSuperParams(d, np.where(rng.random((n, n)) < 0.3, complex(-0.0, -0.0), m))
         ch = random_channel(rng, d)
-        assert apply_to_channel(p, ch).choi.mat.tobytes() == (p.M_big * ch.choi.mat).tobytes()
+        assert apply_to_channel(p, ch).mat.tobytes() == (p.M_big * ch.mat).tobytes()
 
 
 def test_verdict_carries_the_averaged_fibers():
@@ -391,8 +391,8 @@ def test_realization_tables_are_hermitian_and_act_on_channel_tables(d):
     b, c = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2))
     for q in (DUChannelParams.masked(d, a, b), ConjDUChannelParams.masked(d, a, c),
               random_doc_params(rng, d)):
-        got = table_channel(compose_tables(p, q)).choi.mat
-        ref = apply_to_channel(p, table_channel(q)).choi.mat
+        got = table_channel(compose_tables(p, q)).mat
+        ref = apply_to_channel(p, table_channel(q)).mat
         assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
 

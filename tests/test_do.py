@@ -11,8 +11,8 @@ from superchan.do import (
 from superchan.du import build_choi, from_choi
 from superchan.pauli import PauliSuperParams, pauli_super_choi
 from superchan.superchannels import (
+    SuperChoi,
     sandwich_superchannel,
-    super_choi,
     tp_preserving_check,
     validate_superchannel,
 )
@@ -70,13 +70,13 @@ def test_embedded_du_params_build_identically():
     for d in (2, 3):
         for p in (du_identity(d), random_hermitian_du_params(rng, d)):
             emb = from_du_params(p)
-            assert np.array_equal(build_choi(emb).choi.mat, build_choi(p).choi.mat)
+            assert np.array_equal(build_choi(emb).mat, build_choi(p).mat)
 
 
 def test_sentinel_pattern_matches_displayed_grid():
     filled = DOSuperParams.masked(
         2, **{n: np.full((4, 4), SENTINELS[n]) for n in DOSuperParams.NAMES})
-    mat = build_choi(filled).choi.mat
+    mat = build_choi(filled).mat
     expected = np.zeros((16, 16), dtype=complex)
     for r, row in enumerate(PATTERN_DO_D2):
         for c, letter in enumerate(row):
@@ -164,12 +164,12 @@ def test_do_validate():
 def hermitian_do_params(d, psd):
     """Random sign-symmetric tables with a Hermitian Choi; with psd=True the
     Choi is projected onto its positive part, which keeps the pattern."""
-    m = build_choi(random_do_params(d)).choi.mat
+    m = build_choi(random_do_params(d)).mat
     m = (m + m.conj().T) / 2
     if psd:
         evals, vecs = np.linalg.eigh(m)
         m = (vecs * np.clip(evals, 0.0, None)) @ vecs.conj().T
-    return from_choi(super_choi(m, (d, d, d, d)), tol=1e-8, cls=DOSuperParams)
+    return from_choi(SuperChoi((d, d, d, d), m), tol=1e-8, cls=DOSuperParams)
 
 
 def test_do_validate_matches_dense_generic_validation():
@@ -187,7 +187,7 @@ def test_do_validate_matches_dense_generic_validation():
             assert verdict.is_cp == dense.is_cp
             assert verdict.ok == dense.ok
             assert verdict.hermiticity_deviation == dense.hermiticity_deviation
-            assert dense.is_cp == full_eigvalsh_psd(build_choi(p).choi.mat)
+            assert dense.is_cp == full_eigvalsh_psd(build_choi(p).mat)
             outcomes.add((dense.is_cp, verdict.ok))
     assert outcomes == {(True, True), (True, False), (False, False)}
 
@@ -220,7 +220,7 @@ def _do_corpus(gen, d):
         out["noisy"] = (_replace(valid, E=e), (False, False))
     for label, c in (("planted-in", gen.uniform(0.5, 0.95)), ("planted-out", gen.uniform(1.05, 2))):
         p = hermitian_do_params(d, psd=False)
-        evals = np.linalg.eigvalsh(build_choi(p).choi.mat)
+        evals = np.linalg.eigvalsh(build_choi(p).mat)
         t = -evals[0] - c * 1e-10 * max(1.0, evals[-1] - evals[0])
         out[label] = (_replace(p, A=p.A + t), (c < 1, False))
     return out
@@ -242,7 +242,7 @@ def test_do_validate_matches_the_dense_route_byte_for_byte(d):
         dense = dense_validate_superchannel(s, tol)
         tp = tp_preserving_check(s, tol)
         is_psd, min_eig, herm = sector_psd_report(
-            s.choi.mat, tol, charge_sectors(d, "unordered"))
+            s.mat, tol, charge_sectors(d, "unordered"))
         got = {**verdict.report(), **verdict.tp.report()}
         assert got["is_cp"] == is_psd, label
         assert _bytes(got["min_eig"]) == _bytes(min_eig), label
@@ -252,9 +252,9 @@ def test_do_validate_matches_the_dense_route_byte_for_byte(d):
         assert got["is_tp"] == dense.is_tp, label
         for key, value in tp.report().items():
             assert _bytes(got[key]) == _bytes(value), (label, key)
-        assert np.array_equal(verdict.tp.induced.choi.mat, tp.induced.choi.mat), label
+        assert np.array_equal(verdict.tp.induced.mat, tp.induced.mat), label
         if d <= 3 and herm <= tol:
-            assert verdict.is_cp == full_eigvalsh_psd(s.choi.mat, tol), label
+            assert verdict.is_cp == full_eigvalsh_psd(s.mat, tol), label
         if expected is not None:
             assert (verdict.is_cp, verdict.ok) == expected, label
 

@@ -84,7 +84,7 @@ SENTINELS = {"A": 1.0, "B": 2.0, "C": 3.0, "D": 4.0}
 def test_du_identity_is_identity_superchannel():
     for d in (2, 3):
         p = du_identity(d)
-        assert np.array_equal(build_choi(p).choi.mat, identity_superchannel(d, d).choi.mat)
+        assert np.array_equal(build_choi(p).mat, identity_superchannel(d, d).mat)
         x = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
         assert np.allclose(representing_apply(build_choi(p), x).mat, x)
 
@@ -159,7 +159,7 @@ def test_build_choi_sentinel_pattern_matches_displayed_grid():
     filled = DUSuperParams.masked(
         d, *(np.full((4, 4), SENTINELS[n]) for n in "ABCD")
     )
-    mat = build_choi(filled).choi.mat
+    mat = build_choi(filled).mat
     expected = np.zeros((16, 16), dtype=complex)
     for r, row in enumerate(PATTERN_D2):
         for c, letter in enumerate(row):
@@ -307,13 +307,13 @@ def test_du_cp_equivalence_with_spectral_oracle():
         for k in range(40):
             p = random_hermitian_du_params(rng, d)
             if k % 2:
-                evals, vecs = np.linalg.eigh(build_choi(p).choi.mat)
+                evals, vecs = np.linalg.eigh(build_choi(p).mat)
                 psd = (vecs * np.clip(evals, 0.0, None)) @ vecs.conj().T
-                from superchan.superchannels import super_choi
+                from superchan.superchannels import SuperChoi
 
-                p = from_choi(super_choi(psd, (d, d, d, d)), tol=1e-8)
+                p = from_choi(SuperChoi((d, d, d, d), psd), tol=1e-8)
             verdict = du_cp_check(p)
-            assert verdict.closed_form == full_eigvalsh_psd(build_choi(p).choi.mat)
+            assert verdict.closed_form == full_eigvalsh_psd(build_choi(p).mat)
             if k % 2:
                 assert verdict.ok
 
@@ -344,7 +344,7 @@ def test_closed_form_and_oracle_share_the_choi_scale():
     verdict = du_cp_check(q, tol=1e-10)
     assert verdict.closed_form
     assert verdict.offdiag_min_eigenvalue == -1.5e-10
-    assert full_eigvalsh_psd(build_choi(q).choi.mat, tol=1e-10)
+    assert full_eigvalsh_psd(build_choi(q).mat, tol=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,7 +366,7 @@ def test_cp_verdict_at_the_tolerance_boundary(d, c, seed):
     q = DUSuperParams(d, a, p.B, p.C, p.D)
     verdict = du_cp_check(q, tol=tol)
     assert verdict.closed_form == (c < 1.0)
-    assert full_eigvalsh_psd(build_choi(q).choi.mat, tol=tol) == (c < 1.0)
+    assert full_eigvalsh_psd(build_choi(q).mat, tol=tol) == (c < 1.0)
 
 
 def test_validity_equivalence_with_generic_superchannel_checks():
@@ -377,7 +377,7 @@ def test_validity_equivalence_with_generic_superchannel_checks():
             param_ok = du_tp_check(p).ok and cp.ok
             choi_ok = validate_superchannel(build_choi(p)).ok
             assert param_ok == choi_ok
-            assert cp.closed_form == full_eigvalsh_psd(build_choi(p).choi.mat)
+            assert cp.closed_form == full_eigvalsh_psd(build_choi(p).mat)
 
 
 def _cp_corpus(rng, d):
@@ -388,7 +388,7 @@ def _cp_corpus(rng, d):
     out = [random_hermitian_du_params(rng, d), random_valid_du_params(rng, d)]
     for c in (rng.uniform(0.5, 0.95), rng.uniform(1.05, 2.0)):
         p = random_hermitian_du_params(rng, d)
-        evals = np.linalg.eigvalsh(build_choi(p).choi.mat)
+        evals = np.linalg.eigvalsh(build_choi(p).mat)
         t = -evals[0] - c * 1e-10 * max(1.0, evals[-1] - evals[0])
         out.append(DUSuperParams(d, p.A + t, p.B, p.C, p.D))
     return out
@@ -409,7 +409,7 @@ def _assert_block_minima(verdict, m, block):
 def test_cp_check_reads_the_choi_spectrum_off_the_tables(d):
     tol = 1e-10
     for p in _cp_corpus(np.random.default_rng(100 + d), d):
-        choi = build_choi(p).choi.mat
+        choi = build_choi(p).mat
         verdict = du_cp_check(p, tol=tol)
         sector_route = sector_psd_report(choi, tol, charge_sectors(d, "ordered"))
         assert np.float64(verdict.choi_min_eigenvalue).tobytes() == np.float64(
@@ -467,7 +467,7 @@ def test_cp_check_uses_the_choi_hermiticity_and_entry_scale(scaled):
     verdict = du_cp_check(q, tol=tol)
     assert verdict.closed_form == scaled
     assert verdict.closed_form == sector_psd_report(
-        build_choi(q).choi.mat, tol, charge_sectors(d, "ordered"))[0]
+        build_choi(q).mat, tol, charge_sectors(d, "ordered"))[0]
 
 
 def test_cp_witness_in_a_side_d_sector():
@@ -483,14 +483,14 @@ def test_cp_witness_in_a_side_d_sector():
         c[0 * d + x, 1 * d + y] = c[1 * d + x, 0 * d + y] = 2.0
     q = DUSuperParams(d, a, p.B, c, p.D)
     verdict = du_cp_check(q)
-    assert verdict.hermiticity_deviation == hermiticity_deviation(build_choi(q).choi) == 0.0
+    assert verdict.hermiticity_deviation == hermiticity_deviation(build_choi(q)) == 0.0
     assert not verdict.ok
     assert verdict.offdiag_witness == (1, 2)
     assert abs(verdict.offdiag_min_eigenvalue + 1.0) <= 1e-14
     m, _, _ = loop_cp_blocks(q)
     per_ab = np.linalg.eigvalsh(m).min(axis=-1)
     assert abs(per_ab[1, 2] + 1.0) <= 1e-14 and abs(per_ab[2, 1] + 1.0) <= 1e-14
-    assert np.diagonal(build_choi(q).choi.mat).real.min() >= 0.0
+    assert np.diagonal(build_choi(q).mat).real.min() >= 0.0
 
 
 def test_cp_witness_ignores_roundoff_among_tied_minima(monkeypatch):
@@ -529,8 +529,8 @@ def test_du_compose_matches_choi_composition():
         for _ in range(20):
             p = random_hermitian_du_params(rng, d)
             q = random_hermitian_du_params(rng, d)
-            lhs = build_choi(compose_tables(p, q)).choi.mat
-            rhs = compose_superchannels(build_choi(p), build_choi(q)).choi.mat
+            lhs = build_choi(compose_tables(p, q)).mat
+            rhs = compose_superchannels(build_choi(p), build_choi(q)).mat
             assert np.abs(lhs - rhs).max() <= 1e-10
 
 
@@ -560,7 +560,7 @@ def test_component_orthogonality():
             combined = compose_superchannels(
                 build_choi(parts[first]), build_choi(parts[second])
             )
-            assert np.abs(combined.choi.mat).max() <= 1e-14
+            assert np.abs(combined.mat).max() <= 1e-14
 
 
 def test_apply_tables_on_du_tables_matches_representing_map():
@@ -593,7 +593,7 @@ def test_apply_to_channel_amplitude_damping_entries():
     p = random_valid_du_params(rng, d)
     gamma = 0.3
     root = np.sqrt(1 - gamma)
-    out = apply_to_channel(p, amplitude_damping(gamma)).choi.mat
+    out = apply_to_channel(p, amplitude_damping(gamma)).mat
     a4, d4 = p.t4("A"), p.t4("D")
     a_vals = [
         a4[i, a, 0, 0] + a4[i, a, 1, 0] * gamma + a4[i, a, 1, 1] * (1 - gamma)
@@ -617,11 +617,11 @@ def action_on_identity(p):
 def test_du_action_on_identity():
     for d in (2, 3):
         out = action_on_identity(du_identity(d))
-        assert np.array_equal(out.choi.mat, max_entangled_projector(d).mat)
+        assert np.array_equal(out.mat, max_entangled_projector(d).mat)
         p = random_valid_du_params(rng, d)
         ch = action_on_identity(p)
         direct = representing_apply(build_choi(p), max_entangled_projector(d))
-        assert np.abs(ch.choi.mat - direct.mat).max() <= 1e-13
+        assert np.abs(ch.mat - direct.mat).max() <= 1e-13
         assert validate_channel(ch).ok
         # the induced channel is itself of the two-table covariant form
         verdict = table_channel_validate(DUChannelParams(d, _s_table(p), _b_table(p)))
@@ -674,7 +674,7 @@ def test_du_preserves_do_pattern():
 def test_action_on_identity_and_on_do_tables_match_the_per_entry_loops(d):
     # the array forms sum and round in another order: 1e-12 relative
     p = random_hermitian_du_params(np.random.default_rng(200 + d), d)
-    got, ref = action_on_identity(p).choi.mat, loop_du_action_on_identity(p).choi.mat
+    got, ref = action_on_identity(p).mat, loop_du_action_on_identity(p).mat
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     _assert_matches_the_do_oracle(p, random_doc_params(np.random.default_rng(d), d))
 
@@ -699,8 +699,8 @@ def test_block_action_is_bit_identical_to_the_scatters_on_the_qubit_examples():
         p = random_hermitian_du_params(rng, 2)
         q = rng.uniform()
         for ch in (amplitude_damping(q), bit_flip(q), pauli_channel(rng.dirichlet(np.ones(4)))):
-            got = apply_to_channel(p, ch).choi.mat
-            assert got.tobytes() == scatter_block_action(p, ch.choi.mat).tobytes()
+            got = apply_to_channel(p, ch).mat
+            assert got.tobytes() == scatter_block_action(p, ch.mat).tobytes()
 
 
 def test_pauli_channel_pattern_is_preserved():
@@ -750,5 +750,5 @@ def test_cp_check_hermiticity_deviation_is_the_dense_one_bit_for_bit(d):
         perturbed = DUSuperParams.masked(d, hermitian.A, *(
             getattr(hermitian, t) + 1e-9 * local.normal(size=(n, n)) for t in "BCD"))
         for p in (hermitian, generic, perturbed):
-            dense = hermiticity_deviation(build_choi(p).choi)
+            dense = hermiticity_deviation(build_choi(p))
             assert du_cp_check(p).hermiticity_deviation == dense

@@ -23,7 +23,7 @@ from superchan.jsonio import SchemaError
 from superchan.linalg import MultipartiteOperator, matrix_from_json
 from superchan.pauli import PauliSuperParams, pauli_super_choi
 from superchan.positions import TableParams, compose_tables
-from superchan.superchannels import SuperChoi, apply_to_channel, compose_superchannels, super_choi
+from superchan.superchannels import SuperChoi, apply_to_channel, compose_superchannels
 
 from helpers import (
     as_lists,
@@ -51,15 +51,15 @@ def _written(doc, tmp_path):
 def test_channel_round_trip(tmp_path):
     ch = amplitude_damping(0.3)
     again = jsonio.channel_from_json(_written(jsonio.channel_to_json(ch), tmp_path))
-    assert np.array_equal(again.choi.mat, ch.choi.mat)
+    assert np.array_equal(again.mat, ch.mat)
     assert (again.d_in, again.d_out) == (2, 2)
 
 
 def test_superchannel_round_trip(tmp_path):
     s = identity_superchannel(2, 3)
     again = jsonio.superchannel_from_json(_written(jsonio.superchannel_to_json(s), tmp_path))
-    assert again.choi.dims == (2, 3, 2, 3)
-    assert np.array_equal(again.choi.mat, s.choi.mat)
+    assert again.dims == (2, 3, 2, 3)
+    assert np.array_equal(again.mat, s.mat)
 
 
 def test_du_params_round_trip(tmp_path):
@@ -131,6 +131,46 @@ def test_schema_errors_carry_context(tmp_path):
         jsonio.channel_from_json(doc)
 
 
+def _record_doc(kind, dims, entries, declared):
+    matrix = {"dims": list(dims), "data": [[x, 0.0] for x in entries]}
+    if kind == "channel":
+        return {"d_in": declared[0], "d_out": declared[1], "choi": matrix}
+    return {"dims": dict(zip(("A0", "A1", "B0", "B1"), declared)), "choi": matrix}
+
+
+@pytest.mark.parametrize("kind, dims, declared, fault, message", [
+    ("channel", (2, 2), (2, 2), None, None),
+    ("channel", (2, 2), (2, 3), None, "choi dims (2, 2) do not match d_in=2, d_out=3"),
+    ("channel", (2, 2, 1), (2, 2), None, "choi dims (2, 2, 1) do not match d_in=2, d_out=2"),
+    ("channel", (-2, -2), (2, 2), None, "bad matrix for channel choi: subsystem dimensions "
+     "must be positive, got (-2, -2)"),
+    ("channel", (4,), (2, 2), np.inf, "bad matrix for channel choi: matrix entries must be "
+     "finite (no NaN/Inf)"),
+    ("superchannel", (1, 2, 2, 1), (1, 2, 2, 1), None, None),
+    ("superchannel", (2, 1, 1, 2), (1, 2, 2, 1), None,
+     "choi dims (2, 1, 1, 2) do not match declared (1, 2, 2, 1)"),
+    ("superchannel", (2, 2), (1, 2, 2, 1), None,
+     "choi dims (2, 2) do not match declared (1, 2, 2, 1)"),
+    ("superchannel", (2, 1, 1, 2), (1, 2, 2, 1), np.nan, "bad matrix for superchannel choi: "
+     "matrix entries must be finite (no NaN/Inf)"),
+])
+def test_record_documents_report_their_first_fault(kind, dims, declared, fault, message):
+    # the matrix's own faults come before a mismatch of its dims with the
+    # declared ones, which comes before the record's check of its dims length
+    entries = np.arange(16.0)
+    if fault is not None:
+        entries[5] = fault
+    doc = _record_doc(kind, dims, entries.tolist(), declared)
+    if message is None:
+        rec = jsonio.from_json(doc, kind)
+        assert type(rec).__name__ == ("ChoiChannel" if kind == "channel" else "SuperChoi")
+        assert rec.dims == declared and rec.mat.tobytes() == entries.astype(complex).tobytes()
+    else:
+        with pytest.raises(SchemaError) as err:
+            jsonio.from_json(doc, kind)
+        assert str(err.value) == message
+
+
 # Floats whose spelling is easy to get wrong: signed zero, the smallest
 # subnormal, other subnormals, where repr switches to exponent form, and huge.
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-310, -2.5e-320, 1e16, -1e16, 1e300, 0.1, 1 / 3]
@@ -163,7 +203,7 @@ def test_from_json_round_trips_every_detected_kind(kind):
     du = random_hermitian_du_params(gen, 2)
     mat = gen.normal(size=(16, 16)) + 1j * gen.normal(size=(16, 16))
     obj = {
-        "superchannel": super_choi(mat, (2, 2, 2, 2)),
+        "superchannel": SuperChoi((2, 2, 2, 2), mat),
         "channel": random_channel(gen, 2, 3),
         "du": du,
         "do": from_du_params(du),
@@ -184,7 +224,7 @@ def _every_document_kind():
     us, vs, psi = random_realization(rng, d, 3)
     mat = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     docs = {
-        "superchannel": jsonio.superchannel_to_json(super_choi(mat, (2, 2, 2, 2))),
+        "superchannel": jsonio.superchannel_to_json(SuperChoi((2, 2, 2, 2), mat)),
         "channel": jsonio.channel_to_json(random_channel(rng, 2, 3)),
         "du": jsonio.params_to_json(du),
         "do": jsonio.params_to_json(from_du_params(du)),
@@ -509,7 +549,7 @@ def _cli_outputs() -> dict:
     du = random_hermitian_du_params(gen, 2)
     do = from_du_params(du)
     dephasing = dephasing_from_realization(*random_realization(gen, 2, 3))
-    s = super_choi(gen.normal(size=(16, 16)) + 1j * gen.normal(size=(16, 16)), (2, 2, 2, 2))
+    s = SuperChoi((2, 2, 2, 2), gen.normal(size=(16, 16)) + 1j * gen.normal(size=(16, 16)))
     pauli = pauli_super_choi(PauliSuperParams(gen.dirichlet(np.ones(16)).reshape(4, 4)))
     ch = random_channel(gen, 2)
     default = default_du_params()
@@ -786,7 +826,7 @@ def test_load_json_reads_written_files_as_json_does(tmp_path):
         _assert_reads_like_json(path)
     choi = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
     docs = {
-        "choi_d4.json": jsonio.superchannel_to_json(super_choi(choi, (4, 4, 4, 4))),
+        "choi_d4.json": jsonio.superchannel_to_json(SuperChoi((4, 4, 4, 4), choi)),
         "do_d6.json": jsonio.params_to_json(random_do_params(rng, 6)),
     }
     for name, doc in docs.items():

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import product
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from superchan import cli, jsonio
 from superchan.channels import (
+    ChoiChannel,
     ConjDUChannelParams,
     DOChannelParams,
     DUChannelParams,
@@ -22,6 +24,7 @@ from superchan.dephasing import DephasingSuperParams, dephasing_from_realization
 from superchan.do import DOSuperParams
 from superchan.du import DUSuperParams, build_choi, du_cp_check, du_tp_check
 from superchan.linalg import (
+    MultipartiteOperator,
     NonHermitianMatrixError,
     hermitian_eigenvalues,
     hermiticity_deviation,
@@ -38,7 +41,12 @@ from superchan.linalg import (
     swap_operator,
 )
 from superchan.pauli import PauliSuperParams, pauli_du_check
-from superchan.superchannels import classical_superchannel_extract, validate_superchannel
+from superchan.superchannels import (
+    SuperChoi,
+    classical_superchannel_extract,
+    representing_apply,
+    validate_superchannel,
+)
 
 from helpers import (
     charge_sectors,
@@ -48,6 +56,7 @@ from helpers import (
     random_hermitian,
     random_realization,
     random_valid_du_params,
+    random_valid_superchoi,
     sector_eigenvalues,
     sector_psd_report,
 )
@@ -70,6 +79,41 @@ def test_operator_immutable():
         x.mat[0, 0] = 5.0
     assert repr(operator(np.eye(6), (2, 3))) == "MultipartiteOperator(dims=(2, 3), side=6)"
     assert not hasattr(x, "__dict__")  # built once per matrix: no dict per instance
+
+
+@pytest.mark.parametrize("cls, dims, names, wrong", [
+    (ChoiChannel, (2, 3), {"d_in": 2, "d_out": 3}, [(6,), (1, 2, 3), (1, 2, 3, 1)]),
+    (SuperChoi, (2, 1, 3, 1), {"dA0": 2, "dA1": 1, "dB0": 3, "dB1": 1, "d_in": 2, "d_out": 3},
+     [(6,), (2, 3), (2, 3, 1), (2, 1, 3, 1, 1)]),
+])
+def test_choi_records_are_operators_of_their_dims_length(cls, dims, names, wrong):
+    rec = cls(dims, np.eye(6))
+    assert isinstance(rec, MultipartiteOperator) and rec.dims == dims
+    assert {name: getattr(rec, name) for name in names} == names
+    assert repr(rec) == f"{cls.__name__}(dims={dims}, side=6)"
+    assert not hasattr(rec, "choi") and not hasattr(rec, "__dict__")
+    expected = "(d_in, d_out)" if cls is ChoiChannel else "(A0, A1, B0, B1)"
+    for bad in wrong:
+        with pytest.raises(ValueError, match=rf"a {cls.__name__} has dims {re.escape(expected)}, "
+                                             rf"got {re.escape(str(bad))}$"):
+            cls(bad, np.eye(6))
+
+
+def test_choi_records_go_unwrapped_into_the_kernel():
+    local = np.random.default_rng(43)
+    ch, s = random_channel(local, 2), random_valid_superchoi(local, 2, 2)
+    g = local.normal(size=(4, 4)) + 1j * local.normal(size=(4, 4))  # not Hermitian
+    for rec in (ch, s, ChoiChannel((2, 2), g)):
+        plain = MultipartiteOperator(rec.dims, rec.mat)
+        assert psd_report(rec) == psd_report(rec.mat)
+        assert hermiticity_deviation(rec) == hermiticity_deviation(rec.mat)
+        results = [(partial_trace(rec, k), partial_trace(plain, k)) for k in range(len(rec.dims))]
+        results.append((kron(rec, ch), kron(plain, MultipartiteOperator(ch.dims, ch.mat))))
+        for got, ref in results:
+            assert type(got) is MultipartiteOperator and got.dims == ref.dims
+            assert got.mat.tobytes() == ref.mat.tobytes()
+    got, ref = representing_apply(s, ch), representing_apply(s, ch.mat)
+    assert got.dims == ref.dims == (2, 2) and got.mat.tobytes() == ref.mat.tobytes()
 
 
 def _one_of_each_frozen_class():
@@ -95,7 +139,7 @@ def _one_of_each_frozen_class():
         "CovarianceVerdict": superchannel_covariance_check(
             du, "du", 3),
         "CommandResult": cli.CommandResult(0, {}),
-        "MultipartiteOperator": s.choi,
+        "MultipartiteOperator": partial_trace(s, 3),
         "ChoiChannel": ch,
         "SuperChoi": s,
         "PauliSuperParams": pauli,
@@ -110,9 +154,13 @@ def _one_of_each_frozen_class():
 
 def test_frozen_classes_refuse_assignment_and_deletion():
     objs = _one_of_each_frozen_class()
+    assert ChoiChannel.__slots__ == SuperChoi.__slots__ == ()
+    assert not hasattr(objs["SuperChoi"], "choi") and not hasattr(objs["ChoiChannel"], "choi")
     for name, obj in objs.items():
         assert type(obj).__name__ == name
-        fields = getattr(obj, "_fields", None) or getattr(obj, "__slots__", None) or ("d", *obj.NAMES)
+        # a Choi record's own __slots__ is (): its fields are its operator's
+        slots = next((c.__slots__ for c in type(obj).__mro__ if getattr(c, "__slots__", ())), ())
+        fields = getattr(obj, "_fields", None) or slots or ("d", *obj.NAMES)
         for field in (fields[0], fields[-1]):
             value = getattr(obj, field)
             with pytest.raises(AttributeError):

@@ -107,7 +107,7 @@ def test_point_mass_is_identity_superchannel():
     pi = np.zeros((4, 4))
     pi[0, 0] = 1.0
     s = pauli_super_choi(PauliSuperParams(pi))
-    assert np.allclose(s.choi.mat, identity_superchannel(2, 2).choi.mat)
+    assert np.allclose(s.mat, identity_superchannel(2, 2).mat)
 
 
 def test_params_validation():
@@ -142,7 +142,7 @@ def test_params_reject_non_finite_entries(bad):
 def test_choi_blocks_match_transcribed_structure():
     for _ in range(20):
         p = random_pi()
-        mat = pauli_super_choi(p).choi.mat
+        mat = pauli_super_choi(p).mat
         blocks = expected_blocks(p.pi)
         for (r, c), expected in blocks.items():
             actual = mat[4 * r : 4 * r + 4, 4 * c : 4 * c + 4]
@@ -167,7 +167,7 @@ def test_super_choi_matches_the_kron_loop_byte_for_byte():
     assert any(np.signbit(pi[pi == 0]).any() for pi in tables)
     for pi in tables:
         p = PauliSuperParams(pi)
-        got = pauli_super_choi(p).choi.mat
+        got = pauli_super_choi(p).mat
         assert got.dtype == np.complex128
         assert got.tobytes() == loop_pauli_super_choi(p.pi).tobytes()
 
@@ -244,7 +244,7 @@ def test_apply_matches_bell_oracle():
         weights = rng.dirichlet(np.ones(4))
         q = pauli_apply(p, weights)
         out = apply_to_channel(pauli_super_choi(p), pauli_channel(weights))
-        assert np.abs(q - bell_weights(out.choi)).max() <= 1e-14
+        assert np.abs(q - bell_weights(out)).max() <= 1e-14
         assert np.isclose(q.sum(), 1.0)
 
 
@@ -266,15 +266,15 @@ def test_marginal_channel():
     pi = np.zeros((4, 4))
     pi[0, 0] = 1.0
     assert np.allclose(
-        pauli_marginal_channel(PauliSuperParams(pi)).choi.mat,
-        identity_channel(2).choi.mat,
+        pauli_marginal_channel(PauliSuperParams(pi)).mat,
+        identity_channel(2).mat,
     )
     uniform = PauliSuperParams(np.full((4, 4), 1 / 16))
-    assert np.allclose(pauli_marginal_channel(uniform).choi.mat, depolarizing(2).choi.mat)
+    assert np.allclose(pauli_marginal_channel(uniform).mat, depolarizing(2).mat)
     for _ in range(10):
         p = random_pi()
         induced = tp_preserving_check(pauli_super_choi(p)).induced
-        assert np.abs(pauli_marginal_channel(p).choi.mat - induced.choi.mat).max() <= 1e-12
+        assert np.abs(pauli_marginal_channel(p).mat - induced.mat).max() <= 1e-12
 
 
 def test_three_way_diagonal_unitary_agreement():
@@ -302,7 +302,7 @@ def test_du_violating_table_fails_all_three_ways():
     # conjugation by diag(1, i) is the natural witness
     u = np.diag([1.0, 1.0j])
     w = np.kron(np.kron(u, u.conj()), np.kron(u.conj(), u))
-    mat = pauli_super_choi(p).choi.mat
+    mat = pauli_super_choi(p).mat
     assert np.abs(w @ mat @ w.conj().T - mat).max() > 1e-3
 
 

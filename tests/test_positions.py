@@ -42,9 +42,9 @@ from superchan.positions import (
     trace_plan,
 )
 from superchan.superchannels import (
+    SuperChoi,
     compose_superchannels,
     representing_apply,
-    super_choi,
     tp_preserving_check,
     tp_preserving_verdict,
 )
@@ -91,11 +91,11 @@ def _with_negative_zeros(mat):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_du_map_is_bit_identical_to_the_per_entry_reference(d):
     p = DUSuperParams(d, **_tables_with_negative_zeros(d, "ABCD"))
-    choi = build_choi(p).choi.mat
+    choi = build_choi(p).mat
     assert choi.tobytes() == loop_build_choi(p).tobytes()
 
     mat = _with_negative_zeros(choi)
-    q = from_choi(super_choi(mat, (d,) * 4))
+    q = from_choi(SuperChoi((d,) * 4, mat))
     ref = loop_do_tables(mat, d)
     assert q.A.tobytes() == ref["A"].real.tobytes()
     for name in "BCD":
@@ -111,11 +111,11 @@ def test_du_map_is_bit_identical_to_the_per_entry_reference(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_do_map_is_bit_identical_to_the_per_entry_reference(d):
     p = DOSuperParams(d, **_tables_with_negative_zeros(d, DOSuperParams.NAMES))
-    choi = build_choi(p).choi.mat
+    choi = build_choi(p).mat
     assert choi.tobytes() == loop_do_build_choi(p).tobytes()
 
     mat = _with_negative_zeros(choi)
-    q = from_choi(super_choi(mat, (d,) * 4), cls=DOSuperParams)
+    q = from_choi(SuperChoi((d,) * 4, mat), cls=DOSuperParams)
     ref = loop_do_tables(mat, d)
     assert q.A.tobytes() == ref["A"].real.tobytes()
     for name in DOSuperParams.NAMES[1:]:
@@ -127,7 +127,7 @@ def test_dephasing_map_is_bit_identical_to_the_scatter_reference(d):
     m = _tables_with_negative_zeros(d, ("M_big",))["M_big"]
     m[-1, 0] = -0.0
     p = DephasingSuperParams(d, m)
-    choi = build_choi(p).choi.mat
+    choi = build_choi(p).mat
     ref = scatter_dephasing_choi(p)
     assert np.signbit(ref[ref == 0].real).any()
     # the scatter assigns each entry, the map adds it into zeros: a -0.0 lands as +0.0
@@ -214,9 +214,9 @@ def _residual_inputs(d, names):
     shape = (d**4, d**4)
     generic = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     if names == DUSuperParams.NAMES:
-        covariant = build_choi(random_hermitian_du_params(rng, d)).choi.mat
+        covariant = build_choi(random_hermitian_du_params(rng, d)).mat
     else:
-        covariant = build_choi(random_do_params(rng, d)).choi.mat
+        covariant = build_choi(random_do_params(rng, d)).mat
     planted = covariant.copy()
     zeros = np.argwhere(covariant == 0)
     r, c = zeros[rng.choice(len(zeros), size=5, replace=False)].T
@@ -235,7 +235,7 @@ def test_extraction_residual_is_bit_identical_to_rebuild_and_subtract(d, cls):
         assert ref > 0
         assert extraction_residual(mat, d, cls) == ref
         with pytest.raises(error) as info:
-            from_choi(super_choi(mat, (d,) * 4), tol=0.0, cls=cls)
+            from_choi(SuperChoi((d,) * 4, mat), tol=0.0, cls=cls)
         assert info.value.residual == ref
 
 
@@ -289,7 +289,7 @@ def test_b1_partial_trace_is_the_dense_one_bit_for_bit(d, cls):
         assert dense.offdiagonal_leak == 0.0
         for key, value in dense.report().items():
             assert np.float64(got.report()[key]).tobytes() == np.float64(value).tobytes(), key
-        assert got.induced.choi.mat.tobytes() == dense.induced.choi.mat.tobytes()
+        assert got.induced.mat.tobytes() == dense.induced.mat.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
@@ -342,8 +342,8 @@ def test_du_and_dephasing_trace_checks_are_the_choi_route_bit_for_bit(d, cls):
                 with pytest.raises(ValueError, match=str(exc)):
                     check(p)
                 continue
-            images = np.einsum("iapqjbrq->ijabpr", s.choi.mat.reshape((d,) * 8))
-            choi = dense.induced.choi.mat
+            images = np.einsum("iapqjbrq->ijabpr", s.mat.reshape((d,) * 8))
+            choi = dense.induced.mat
             mean = choi.reshape((d,) * 4).transpose(0, 2, 1, 3)  # mean[i, j, p, r]
             dev = np.abs(images[:, :, range(d), range(d)] - mean[:, :, None])
         got = check(p)
@@ -431,7 +431,7 @@ def test_trace_and_action_plans_match_the_dense_choi_bit_for_bit_at_the_edges(d,
         p = _edge_tables(cls, d)
         s = build_choi(p)
         with np.errstate(over="ignore", invalid="ignore"):  # sums past the float maximum
-            images = np.einsum("iapqjbrq->ijabpr", s.choi.mat.reshape((d,) * 8))
+            images = np.einsum("iapqjbrq->ijabpr", s.mat.reshape((d,) * 8))
         image, sums = b1_partial_trace(p)
         assert not images[:, :, ~np.eye(d, dtype=bool)].any()
         diag = np.zeros(d**5, dtype=complex)  # the images left out are zeros
@@ -543,8 +543,8 @@ def test_compose_tables_matches_the_choi_link_product(cls, dims):
                    else (build_choi, compose_superchannels))
     for d in dims:
         p, q = _random_tables(cls, d), _random_tables(cls, d)
-        got = build(compose_tables(p, q)).choi.mat
-        ref = link(build(p), build(q)).choi.mat
+        got = build(compose_tables(p, q)).mat
+        ref = link(build(p), build(q)).mat
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 

@@ -10,12 +10,12 @@ from superchan.channels import (
 )
 from superchan.linalg import DEFAULT_TOL, max_entangled_projector
 from superchan.superchannels import (
+    SuperChoi,
     apply_to_channel,
     classical_superchannel_extract,
     compose_superchannels,
     representing_apply,
     sandwich_superchannel,
-    super_choi,
     tp_preserving_check,
     validate_superchannel,
 )
@@ -60,7 +60,7 @@ def test_post_depolarize_sandwich_erases_everything():
     for _ in range(5):
         ch = random_channel(rng, d)
         out = apply_to_channel(s, ch)
-        assert np.allclose(out.choi.mat, np.eye(d * d) / d, atol=1e-12)
+        assert np.allclose(out.mat, np.eye(d * d) / d, atol=1e-12)
 
 
 def test_sandwich_with_unitaries_matches_direct_evaluation():
@@ -78,7 +78,7 @@ def test_sandwich_with_unitaries_matches_direct_evaluation():
 
 def test_sandwich_identity_is_identity_superchannel():
     s = sandwich_superchannel(identity_channel(2), identity_channel(2))
-    assert np.allclose(s.choi.mat, identity_superchannel(2, 2).choi.mat)
+    assert np.allclose(s.mat, identity_superchannel(2, 2).mat)
 
 
 def test_validate_superchannel_families():
@@ -94,7 +94,7 @@ def test_validate_superchannel_marginal_failures():
     # cut keeps the product form of the first marginal (it is a rescaled
     # identity superchannel) but fails the second marginal condition
     p = max_entangled_projector(4).mat / 4.0
-    s = super_choi(p, (2, 2, 2, 2))
+    s = SuperChoi((2, 2, 2, 2), p)
     verdict = validate_superchannel(s)
     assert verdict.factorization_deviation <= 1e-14
     assert verdict.marginal_deviation > 1e-3
@@ -104,7 +104,7 @@ def test_validate_superchannel_marginal_failures():
     proj = np.zeros((2, 2))
     proj[0, 0] = 1.0
     mat = np.kron(np.eye(2), np.kron(proj, np.eye(4))).astype(complex)
-    verdict = validate_superchannel(super_choi(mat, (2, 2, 2, 2)))
+    verdict = validate_superchannel(SuperChoi((2, 2, 2, 2), mat))
     assert verdict.factorization_deviation > 1e-3
     assert not verdict.ok
 
@@ -127,8 +127,8 @@ def test_tp_preserving_check_matches_marginal_conditions():
             g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
             psd = g @ g.conj().T
             psd /= np.trace(psd).real
-            mat = 0.7 * s.choi.mat + 0.3 * psd * 4
-            s = super_choi(mat, (2, 2, 2, 2))
+            mat = 0.7 * s.mat + 0.3 * psd * 4
+            s = SuperChoi((2, 2, 2, 2), mat)
         v1 = validate_superchannel(s)
         v2 = tp_preserving_check(s)
         assert v1.is_tp == v2.ok
@@ -179,22 +179,22 @@ def test_tp_preserving_check_returns_induced_map():
     s = identity_superchannel(3, 2)
     verdict = tp_preserving_check(s)
     assert verdict.ok
-    assert np.allclose(verdict.induced.choi.mat, identity_channel(3).choi.mat)
+    assert np.allclose(verdict.induced.mat, identity_channel(3).mat)
 
 
 def test_compose_superchannels():
     s1 = random_valid_superchoi(rng, 2, 2)
     ident = identity_superchannel(2, 2)
     same = compose_superchannels(ident, s1)
-    assert np.allclose(same.choi.mat, s1.choi.mat, atol=1e-13)
+    assert np.allclose(same.mat, s1.mat, atol=1e-13)
     same = compose_superchannels(s1, ident)
-    assert np.allclose(same.choi.mat, s1.choi.mat, atol=1e-13)
+    assert np.allclose(same.mat, s1.mat, atol=1e-13)
 
     s2 = random_valid_superchoi(rng, 2, 2)
     ch = bit_flip(0.2)
     via_comp = apply_to_channel(compose_superchannels(s2, s1), ch)
     via_steps = apply_to_channel(s2, apply_to_channel(s1, ch))
-    assert np.allclose(via_comp.choi.mat, via_steps.choi.mat, atol=1e-12)
+    assert np.allclose(via_comp.mat, via_steps.mat, atol=1e-12)
 
 
 def test_compose_superchannels_associative():
@@ -204,7 +204,7 @@ def test_compose_superchannels_associative():
         c = random_valid_superchoi(rng, 2, 2)
         left = compose_superchannels(compose_superchannels(a, b), c)
         right = compose_superchannels(a, compose_superchannels(b, c))
-        assert np.abs(left.choi.mat - right.choi.mat).max() <= 1e-12
+        assert np.abs(left.mat - right.mat).max() <= 1e-12
 
 
 def _einsum_compose(first4, second4):
@@ -219,15 +219,15 @@ def test_compose_superchannels_matches_the_einsum_contraction(d):
     def random_super(dims):
         side = int(np.prod(dims))
         mat = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
-        return super_choi(mat, dims)
+        return SuperChoi(dims, mat)
 
     s1 = random_super((d, d - 1, d, d))
     s2 = random_super((d, d, d - 1, d))
     ref = _einsum_compose(s1.choi4(), s2.choi4())
     got = compose_superchannels(s2, s1)
-    assert got.choi.dims == (d, d - 1, d - 1, d)
+    assert got.dims == (d, d - 1, d - 1, d)
     scale = np.abs(ref).max()
-    assert np.abs(got.choi.mat - ref).max() <= 1e-12 * scale
+    assert np.abs(got.mat - ref).max() <= 1e-12 * scale
 
 
 def test_compose_dimension_mismatch():
@@ -261,14 +261,14 @@ _UNEQUAL_DIMS = [(2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4), (2, 3, 4, 2), (3, 1, 
 
 def _generic_super(dims):
     side = int(np.prod(dims))
-    return super_choi(rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)), dims)
+    return SuperChoi(dims, rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
 
 
 def _assert_the_loops_give_the_verdict(s):
     leak, choi, fiber, unital, deviation, witness = loop_tp_preserving_parts(s)
     verdict = tp_preserving_check(s)
     assert verdict.offdiagonal_leak == leak
-    assert verdict.induced.choi.mat.tobytes() == choi.tobytes()
+    assert verdict.induced.mat.tobytes() == choi.tobytes()
     assert (verdict.fiber_deviation, verdict.unitality_deviation) == (fiber, unital)
     assert verdict.deviation.tobytes() == deviation.tobytes()
     assert verdict.witness == witness
@@ -289,7 +289,7 @@ def test_tp_preserving_witness_is_the_first_of_tied_fibers():
     images = np.zeros((2, 2, 3, 3, 2, 2))
     images[0, 1, range(3), range(3), 0, 1] = (1.0, -1.0, 0.0)
     images[1, 0, range(3), range(3), 1, 0] = (0.0, 1.0, -1.0)
-    s = super_choi(images.transpose(0, 2, 4, 1, 3, 5).reshape(12, 12), (2, 3, 2, 1))
+    s = SuperChoi((2, 3, 2, 1), images.transpose(0, 2, 4, 1, 3, 5).reshape(12, 12))
     verdict = _assert_the_loops_give_the_verdict(s)
     assert (verdict.fiber_deviation, verdict.witness) == (1.0, (0, 1, 0, 0, 1, 1))
 
@@ -303,7 +303,7 @@ def test_validate_and_tp_check_measure_the_same_marginals(dims):
         return {key: np.float64(value).tobytes() for key, value in report.items()}
 
     g = _generic_super(dims)
-    h = super_choi(g.choi.mat + g.choi.mat.conj().T, dims)
+    h = SuperChoi(dims, g.mat + g.mat.conj().T)
     for s in (g, h, random_valid_superchoi(rng, dims[0], dims[1])):
         verdict = validate_superchannel(s)
         ref = dense_validate_superchannel(s, DEFAULT_TOL)
@@ -352,9 +352,9 @@ def test_apply_to_channel_on_tables_is_apply_tables(kind, d):
         ch = random_channel(local, d)
         out = apply_to_channel(p, ch)
         assert (out.d_in, out.d_out) == (d, d)
-        assert out.choi.mat.tobytes() == apply_tables(p, ch.choi.mat).tobytes()
-        ref = representing_apply(build_choi(p), ch.choi).mat
-        assert np.abs(out.choi.mat - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        assert out.mat.tobytes() == apply_tables(p, ch.mat).tobytes()
+        ref = representing_apply(build_choi(p), ch).mat
+        assert np.abs(out.mat - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_apply_to_channel_checks_the_input_pair_of_either_form():

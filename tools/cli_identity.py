@@ -30,7 +30,9 @@ planted, and `covariance` of both under all five groups.  covariance is
 sign-symmetric and dephasing tables and on three Choi files: DU-covariant
 (a twirled random superchannel), generic, and covariant with one entry of
 size 1e-10 planted off the pattern; it ends with 47 samples of du and do on
-the d = 5 DU and sign-symmetric tables, several uneven rephasing chunks.  kinds is every command on every kind
+the d = 5 DU and sign-symmetric tables, several uneven rephasing chunks,
+and then with covariance_overflow_probes, whose conjugates leave the
+float range.  kinds is every command on every kind
 of file, at d = 2: one seeded channel, superchannel Choi, DU, sign-symmetric,
 dephasing and Pauli table each, one du object with a table of the wrong
 side, an object of no kind, a JSON list, a file that does not parse and a
@@ -334,7 +336,25 @@ def build_covariance(b: inputs.InputSet) -> list:
     ops += [inputs._entry(["covariance", paths[label], "--group", group, "--samples", "47",
                            "--seed", "5"], label=label)
             for label in ("du", "do") for group in ("du", "do")]
-    return [inputs._kind("covariance", "op1", 1, ops)]
+    return [inputs._kind("covariance", "op1", 1, ops + covariance_overflow_probes(b))]
+
+
+def covariance_overflow_probes(b: inputs.InputSet) -> list:
+    """`covariance` under all five groups of two d = 2 files whose
+    conjugates leave the float range: a Choi of entries 1.5e308 (x + iy),
+    x and y uniform in [-1, 1) from default_rng(0), whose Haar conjugation
+    gives inf - inf, and DU tables of 1.5e308 (1 + i) on their support (A
+    real), whose rephasing overflows.  Built apart from the seeded draws."""
+    rng = np.random.default_rng(0)
+    choi = 1.5e308 * (rng.uniform(-1, 1, (16, 16)) + 1j * rng.uniform(-1, 1, (16, 16)))
+    big = {name: np.where(inputs.table_positions(2, name)[2], 1.5e308 * (1 + 1j), 0)
+           for name in inputs.DU_TABLES}
+    big["A"] = big["A"].real.astype(complex)
+    paths = {"overflow-choi": b.input("cov_overflow_choi.json", inputs._super_doc(2, choi)),
+             "overflow-du": b.input("cov_overflow_du.json", inputs.tables_doc(2, big))}
+    return [inputs._entry(["covariance", path, "--group", group], label=label)
+            for label, path in paths.items()
+            for group in ("du", "do", "haar", "conj-haar", "mixed")]
 
 
 def build_kinds(b: inputs.InputSet) -> list:

@@ -21,7 +21,9 @@ Last it times the artifact writer, jsonio.dump_json (no path), on three
 documents the CLI writes: ``compose du`` at d = 6 and ``compose do`` at
 d = 16 of valid tables (cli_identity.superchannel_tables, seed 5, each set
 composed with itself; "du composed" and "do composed"), and the Choi of a
-valid d = 4 superchannel (inputs.random_superchannel, seed 5; "dense").
+valid d = 4 superchannel (inputs.random_superchannel, seed 5; "dense"),
+whose document is spelled out from linalg.complex_pairs, so checkouts with
+other Choi record constructors build the same one.
 
 The first call of each layer is timed on its own (``first_ms``: it builds
 whatever the layer caches per d).  Then the call is repeated for about
@@ -95,9 +97,9 @@ def _artifacts() -> list:
 
     from superchan.do import DOSuperParams
     from superchan.du import DUSuperParams
-    from superchan.jsonio import params_to_json, superchannel_to_json
+    from superchan.jsonio import params_to_json
+    from superchan.linalg import complex_pairs
     from superchan.positions import compose_tables
-    from superchan.superchannels import super_choi
 
     out = []
     for cls, names, d in ((DUSuperParams, inputs.DU_TABLES, 6),
@@ -105,7 +107,8 @@ def _artifacts() -> list:
         p = cls(d, **cli_identity.superchannel_tables(np.random.default_rng(5), d, names))
         out.append((f"{cls.__name__[:2].lower()} composed", d, params_to_json(compose_tables(p, p))))
     choi = inputs.random_superchannel(np.random.default_rng(5), 4)
-    out.append(("dense", 4, superchannel_to_json(super_choi(choi, (4, 4, 4, 4)))))
+    dims = {"A0": 4, "A1": 4, "B0": 4, "B1": 4}
+    out.append(("dense", 4, {"dims": dims, "choi": {"dims": [4] * 4, "data": complex_pairs(choi)}}))
     return out
 
 
