@@ -1,12 +1,13 @@
 """JSON schemas and file handling for every object the toolbox exchanges.
 
 All matrices use one format: {"dims": [d1, ..., dn], "data": [[re, im], ...]}
-with data row-major over the flattened index.  Files are decoded by orjson,
+with data row-major over the flattened index, read by _matrix and built by
+_matrix_doc, this package's one codec of it.  Files are decoded by orjson,
 and by json for what orjson refuses (see load_json).  The documents built
 here hold each matrix's data as the read-only (side², 2) float64 view of its
-buffer (linalg.matrix_to_json), not as lists.  dump_json writes a document of
-ASCII str keys, ints within 64 bits, finite floats, lists, dicts and
-C-contiguous native float64 arrays, which is every document built here, as
+buffer, not as lists.  dump_json writes a document of ASCII str keys, ints
+within 64 bits, finite floats, lists, dicts and C-contiguous native float64
+arrays, which is every document built here, as
 ``json.dumps(obj, indent=2)`` writes its list twin: each float in its
 shortest round-trip digits, so dump -> load is exact.  orjson writes the
 text; the few numbers it spells otherwise than repr are known by their
@@ -18,6 +19,7 @@ otherwise be written wrong.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from pathlib import Path
 
@@ -28,8 +30,6 @@ from .channels import ChoiChannel
 from .dephasing import DephasingSuperParams
 from .do import DOSuperParams
 from .du import DUSuperParams
-from .linalg import (DimsMismatchError, MultipartiteOperator, complex_pairs, json_floats,
-                     matrix_from_json, matrix_to_json)
 from .pauli import PauliSuperParams
 from .positions import TableParams
 from .superchannels import SuperChoi
@@ -54,62 +54,108 @@ def _int(value, what: str) -> int:
     return value
 
 
-def _matrix(obj, what: str, cls: type = MultipartiteOperator,
-            declared: tuple[tuple[int, ...], str] | None = None) -> MultipartiteOperator:
-    """matrix_from_json(obj, cls), its errors as SchemaError naming what;
-    declared is (dims, their wording) for a record whose dims the document
-    states apart from its matrix."""
+def _matrix(obj, what: str) -> tuple[tuple[int, ...], np.ndarray]:
+    """The dims and the complex matrix of a matrix object of parsed JSON
+    text, the matrix a view of the one float64 array its numbers are read
+    into.  Dims must be JSON integers and data a list of [re, im] pairs of
+    JSON numbers: booleans, strings and the array data of a built document
+    are refused, not converted.  Each fault raises SchemaError naming what,
+    checked in this order: the keys, integer dims, the entry count, pairs,
+    numbers (an int beyond the float range is a fault), positive dims and
+    finite entries, the last two worded as MultipartiteOperator words them.
+    Dims with a negative product fail the reshape, with numpy's message,
+    before the sign check."""
     try:
-        return matrix_from_json(obj, cls, declared and declared[0])
-    except DimsMismatchError as exc:
-        raise SchemaError(f"choi dims {exc.args[0]} do not match {declared[1]}") from None
+        if not isinstance(obj, dict) or "dims" not in obj or "data" not in obj:
+            raise ValueError("matrix JSON must contain 'dims' and 'data'")
+        dims = tuple(obj["dims"])
+        if not {int}.issuperset(map(type, dims)):
+            raise ValueError("matrix JSON dims must be integers")
+        side = math.prod(dims)
+        data = obj["data"]
+        if len(data) != side * side:
+            raise ValueError(f"matrix JSON data has {len(data)} entries, expected {side * side}")
+        if set(map(len, data)) - {2}:
+            raise ValueError("matrix JSON data entries must be [re, im] pairs")
+        # a 2-character string or a 2-key object passes the length test, but
+        # its characters or keys are strings, which the type test refuses
+        flat = _floats(chain.from_iterable(data),
+                       "matrix JSON data entries must be [re, im] pairs of numbers")
+        mat = flat.view(np.complex128).reshape(side, side)
+        if any(d <= 0 for d in dims):
+            raise ValueError(f"subsystem dimensions must be positive, got {dims}")
+        if not np.isfinite(flat).all():
+            raise ValueError("matrix entries must be finite (no NaN/Inf)")
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"bad matrix for {what}: {exc}") from exc
+    return dims, mat
+
+
+def _matrix_doc(dims, mat: np.ndarray) -> dict:
+    """{"dims": [...], "data": pairs}, the inverse of _matrix: pairs are the
+    entries of mat, row-major, as a read-only (size, 2) float64 array of
+    [re, im] rows, a view of a C-contiguous complex128 matrix's own buffer
+    and otherwise of a complex128 copy (a real table A among them), so no
+    Python object is made per number."""
+    pairs = np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+    pairs.setflags(write=False)
+    return {"dims": list(dims), "data": pairs}
+
+
+def _floats(values, message: str) -> np.ndarray:
+    """The JSON numbers in values as a float64 array.  Only int and float are
+    numbers: anything else (a boolean or a string among them) raises
+    ValueError(message), and so does an int beyond the float range."""
+    values = list(values)
+    if not {int, float}.issuperset(map(type, values)):
+        raise ValueError(message)
+    try:
+        return np.fromiter(values, np.float64, count=len(values))
+    except OverflowError as exc:
+        raise ValueError(f"JSON number out of range: {exc}") from exc
 
 
 def _numbers(rows, shape: tuple[int, int], message: str) -> np.ndarray:
     """A JSON list of shape[0] lists of shape[1] numbers as a float64 array,
-    under matrix_from_json's rule: booleans and strings are not numbers.
-    Anything else raises SchemaError(message)."""
+    under _matrix's rule: booleans and strings are not numbers.  Anything
+    else raises SchemaError(message)."""
     if not (isinstance(rows, list) and len(rows) == shape[0]
             and all(isinstance(r, list) and len(r) == shape[1] for r in rows)):
         raise SchemaError(message)
     try:
-        return json_floats(chain.from_iterable(rows), message).reshape(shape)
+        return _floats(chain.from_iterable(rows), message).reshape(shape)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
-def _table(obj, d: int, what: str) -> np.ndarray:
-    m = _matrix(obj, what)
-    if m.side != d * d:
-        raise SchemaError(f"{what} must have side {d * d}, got {m.side}")
-    return m.mat
-
-
 def channel_to_json(ch: ChoiChannel) -> dict:
-    return {"d_in": ch.d_in, "d_out": ch.d_out, "choi": matrix_to_json(ch)}
+    return {"d_in": ch.d_in, "d_out": ch.d_out, "choi": _matrix_doc(ch.dims, ch.mat)}
 
 
 def channel_from_json(obj: dict) -> ChoiChannel:
     _require(obj, ("d_in", "d_out", "choi"), "channel")
     d_in, d_out = _int(obj["d_in"], "d_in"), _int(obj["d_out"], "d_out")
-    return _matrix(obj["choi"], "channel choi", ChoiChannel,
-                   ((d_in, d_out), f"d_in={d_in}, d_out={d_out}"))
+    dims, mat = _matrix(obj["choi"], "channel choi")
+    if dims != (d_in, d_out):
+        raise SchemaError(f"choi dims {dims} do not match d_in={d_in}, d_out={d_out}")
+    return ChoiChannel(dims, mat)
 
 
 def superchannel_to_json(s: SuperChoi) -> dict:
     return {
         "dims": {"A0": s.dA0, "A1": s.dA1, "B0": s.dB0, "B1": s.dB1},
-        "choi": matrix_to_json(s),
+        "choi": _matrix_doc(s.dims, s.mat),
     }
 
 
 def superchannel_from_json(obj: dict) -> SuperChoi:
     _require(obj, ("dims", "choi"), "superchannel")
     _require(obj["dims"], ("A0", "A1", "B0", "B1"), "superchannel dims")
-    dims = tuple(_int(obj["dims"][k], f"dims {k}") for k in ("A0", "A1", "B0", "B1"))
-    return _matrix(obj["choi"], "superchannel choi", SuperChoi, (dims, f"declared {dims}"))
+    declared = tuple(_int(obj["dims"][k], f"dims {k}") for k in ("A0", "A1", "B0", "B1"))
+    dims, mat = _matrix(obj["choi"], "superchannel choi")
+    if dims != declared:
+        raise SchemaError(f"choi dims {dims} do not match declared {declared}")
+    return SuperChoi(dims, mat)
 
 
 # the superchannel table kinds and the parameter class each one holds
@@ -118,19 +164,21 @@ TABLE_KINDS = {"du": DUSuperParams, "do": DOSuperParams, "dephasing": DephasingS
 
 def params_to_json(p: TableParams) -> dict:
     """du, do or dephasing parameters: d, then each table as a matrix on dims (d, d)."""
-    out = {"d": p.d}
-    for name in p.NAMES:
-        out[name] = {"dims": [p.d, p.d], "data": complex_pairs(getattr(p, name))}
-    return out
+    return {"d": p.d, **{name: _matrix_doc((p.d, p.d), getattr(p, name)) for name in p.NAMES}}
 
 
 def params_from_json(obj: dict, kind: str) -> TableParams:
-    """Parameters of the table kind (a key of TABLE_KINDS); the class checks
-    the tables, a table A being real among them."""
+    """Parameters of the table kind (a key of TABLE_KINDS): each table's
+    matrix, of side d², goes as parsed to the class, which copies and checks
+    it, a table A being real among the checks."""
     cls = TABLE_KINDS[kind]
     _require(obj, ("d", *cls.NAMES), f"{kind} parameters")
     d = _int(obj["d"], "d")
-    tables = {name: _table(obj[name], d, f"table {name}") for name in cls.NAMES}
+    tables = {}
+    for name in cls.NAMES:
+        mat = tables[name] = _matrix(obj[name], f"table {name}")[1]
+        if len(mat) != d * d:
+            raise SchemaError(f"table {name} must have side {d * d}, got {len(mat)}")
     try:
         return cls(d, **tables)
     except ValueError as exc:

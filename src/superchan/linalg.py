@@ -3,12 +3,12 @@
 Operators live on a tensor product of finite-dimensional subsystems.  The
 composite index is big-endian: the leftmost subsystem is the most significant
 digit of the flattened row/column index, which is exactly numpy's C-order
-reshape of ``dims + dims``.
+reshape of ``dims + dims``.  No file format lives here: the functions take
+and return operators and arrays.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -23,10 +23,6 @@ class NonHermitianMatrixError(ValueError):
 
 class EigensolverError(RuntimeError):
     """Raised when the Hermitian eigensolver fails to converge."""
-
-
-class DimsMismatchError(ValueError):
-    """matrix_from_json's parsed dims, its argument, differ from those declared."""
 
 
 class Frozen:
@@ -237,65 +233,3 @@ def psd_report(x, tol: float = DEFAULT_TOL) -> tuple[bool, float, float]:
     herm = hermiticity_deviation(m)
     max_entry = float(np.abs(m).max()) if m.size else 0.0
     return psd_accepts(evals, max_entry, herm, tol), float(evals.min()), herm
-
-
-def matrix_to_json(x: MultipartiteOperator) -> dict:
-    """JSON form {"dims": [...], "data": pairs}, pairs being complex_pairs(x.mat):
-    no Python object per number.  jsonio.dump_json writes the array as
-    json.dumps writes its list twin, [[re, im], ...] row-major."""
-    return {"dims": list(x.dims), "data": complex_pairs(x.mat)}
-
-
-def complex_pairs(mat: np.ndarray) -> np.ndarray:
-    """The entries of a matrix, row-major, as a read-only (size, 2) float64
-    array of [re, im] rows: a view of a C-contiguous complex128 matrix's own
-    buffer, and otherwise of a complex128 copy (a real table among them)."""
-    pairs = np.ascontiguousarray(mat, dtype=np.complex128).reshape(-1)
-    pairs = pairs.view(np.float64).reshape(-1, 2)
-    pairs.setflags(write=False)
-    return pairs
-
-
-def matrix_from_json(obj: dict, cls: type = MultipartiteOperator,
-                     declared: tuple[int, ...] | None = None) -> MultipartiteOperator:
-    """Inverse of matrix_to_json, built as one cls(dims, matrix), whose
-    constructor makes the one copy of the parsed numbers.  Every malformed
-    input raises ValueError or TypeError, including numbers too large for a
-    float; parsed dims other than declared (if given) raise
-    DimsMismatchError, after any fault of the matrix itself.  Dims must be
-    JSON integers and data entries [re, im] pairs of JSON numbers: booleans
-    and strings are rejected, not converted.  obj is parsed JSON text, its
-    data a list of lists: matrix_to_json's array data is refused."""
-    if not isinstance(obj, dict) or "dims" not in obj or "data" not in obj:
-        raise ValueError("matrix JSON must contain 'dims' and 'data'")
-    dims = tuple(obj["dims"])
-    if not {int}.issuperset(map(type, dims)):
-        raise ValueError("matrix JSON dims must be integers")
-    side = math.prod(dims)
-    data = obj["data"]
-    if len(data) != side * side:
-        raise ValueError(f"matrix JSON data has {len(data)} entries, expected {side * side}")
-    if set(map(len, data)) - {2}:
-        raise ValueError("matrix JSON data entries must be [re, im] pairs")
-    # a 2-character string or a 2-key object passes the length test, but
-    # its characters or keys are strings, which the type test refuses
-    flat = json_floats(itertools.chain.from_iterable(data),
-                       "matrix JSON data entries must be [re, im] pairs of numbers")
-    mat = flat.view(np.complex128).reshape(side, side)
-    if declared is not None and dims != declared:
-        MultipartiteOperator(dims, mat)  # a fault of the matrix itself is reported first
-        raise DimsMismatchError(dims)
-    return cls(dims, mat)
-
-
-def json_floats(values, message: str) -> np.ndarray:
-    """The JSON numbers in values as a float64 array.  Only int and float are
-    numbers: anything else (a boolean or a string among them) raises
-    ValueError(message), and so does an int beyond the float range."""
-    values = list(values)
-    if not {int, float}.issuperset(map(type, values)):
-        raise ValueError(message)
-    try:
-        return np.fromiter(values, np.float64, count=len(values))
-    except OverflowError as exc:
-        raise ValueError(f"JSON number out of range: {exc}") from exc

@@ -892,7 +892,7 @@ def from_du_params(p: DUSuperParams) -> DOSuperParams:
 def as_lists(doc):
     """A copy of a document with every numpy array as its nested lists: what
     jsonio.dump_json's text of the document parses back to, and so what
-    matrix_from_json reads, and a copy a test may edit in place (matrix
+    the jsonio readers read, and a copy a test may edit in place (matrix
     data are read-only arrays)."""
     if isinstance(doc, dict):
         return {k: as_lists(v) for k, v in doc.items()}

@@ -20,7 +20,7 @@ from superchan.dephasing import dephasing_from_realization
 from superchan.do import DOSuperParams
 from superchan.du import DUSuperParams
 from superchan.jsonio import SchemaError
-from superchan.linalg import MultipartiteOperator, matrix_from_json
+from superchan.linalg import MultipartiteOperator
 from superchan.pauli import PauliSuperParams, pauli_super_choi
 from superchan.positions import TableParams, compose_tables
 from superchan.superchannels import SuperChoi, apply_to_channel, compose_superchannels
@@ -81,10 +81,6 @@ def test_dephasing_round_trip(tmp_path):
     p = dephasing_from_realization(*random_realization(rng, 2, 3))
     again = jsonio.params_from_json(_written(jsonio.params_to_json(p), tmp_path), "dephasing")
     assert np.array_equal(again.M_big, p.M_big)
-
-
-def _wrap(mat):
-    return operator(mat, (mat.shape[0],))
 
 
 def test_pauli_round_trip_and_validation():
@@ -232,8 +228,8 @@ def _every_document_kind():
         "pauli": pauli_to_json(PauliSuperParams(rng.dirichlet(np.ones(16)).reshape(4, 4))),
         "realization": {
             "e": 3,
-            "U": [jsonio.matrix_to_json(_wrap(u)) for u in us],
-            "V": [jsonio.matrix_to_json(_wrap(v)) for v in vs],
+            "U": [jsonio._matrix_doc(u.shape[:1], u) for u in us],
+            "V": [jsonio._matrix_doc(v.shape[:1], v) for v in vs],
             "psi": [[float(z.real), float(z.imag)] for z in psi],
         },
     }
@@ -466,7 +462,7 @@ def test_matrix_data_takes_the_bulk_path():
     mat = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
     mat.reshape(-1)[:5] = [3e-17 - 1e-17j, 2.5e-5 + 7e-5j, 1e16 - 3.2e17j,
                            complex(-0.0, 0.0), complex(0.0, -0.0)]
-    doc = jsonio.matrix_to_json(MultipartiteOperator((4,), mat))
+    doc = jsonio._matrix_doc((4,), mat)
     twin = as_lists(doc)
     assert jsonio.dump_json(doc) == json.dumps(twin, indent=2)
     assert twin["data"][3] == [-0.0, 0.0] and math.copysign(1, twin["data"][3][0]) < 0
@@ -686,7 +682,7 @@ def _strict(value, types):
 
 
 def _per_entry_matrix_from_json(obj):
-    """The per-entry parser that matrix_from_json replaced, kept as its oracle,
+    """The per-entry parser that jsonio._matrix replaced, kept as its oracle,
     made strict: dims are JSON integers and each entry a list of two JSON
     numbers, so booleans, strings and objects are rejected, not converted."""
     if not isinstance(obj, dict) or "dims" not in obj or "data" not in obj:
@@ -748,6 +744,8 @@ _DOCUMENT_CORPUS = (
         {"dims": 2, "data": _GOOD_ENTRIES},
         {"dims": [2]},
         [[1.0, 0.0]],
+        {"dims": [-2], "data": _GOOD_ENTRIES},
+        {"dims": [-2, -2], "data": _GOOD_ENTRIES * 4},
     ]
 )
 
@@ -757,31 +755,106 @@ _DOCUMENT_CORPUS = (
 # keys, and dims "2", 2.7 and true ("nan", case 14, was read and then refused
 # as not finite)
 @pytest.mark.parametrize("doc", _DOCUMENT_CORPUS, ids=range(len(_DOCUMENT_CORPUS)))
-def test_matrix_from_json_accepts_exactly_what_the_per_entry_parser_did(doc):
+def test_matrix_reader_accepts_exactly_what_the_per_entry_parser_did(doc):
     try:
         expected = _per_entry_matrix_from_json(doc)
     except (ValueError, TypeError, OverflowError):
         expected = None
-    if expected is None:  # rejected, and as an error jsonio turns into SchemaError
-        with pytest.raises((ValueError, TypeError)):
-            matrix_from_json(doc)
+    if expected is None:
         with pytest.raises(SchemaError):
             jsonio._matrix(doc, "corpus")
     else:
-        got = matrix_from_json(doc)
-        assert got.dims == expected.dims
-        assert np.array_equal(got.mat, expected.mat)
-        assert np.array_equal(np.signbit(got.mat.view(float)), np.signbit(expected.mat.view(float)))
+        dims, mat = jsonio._matrix(doc, "corpus")
+        assert dims == expected.dims
+        assert np.array_equal(mat, expected.mat)
+        assert np.array_equal(np.signbit(mat.view(float)), np.signbit(expected.mat.view(float)))
 
 
-def test_matrix_to_json_matches_per_entry_floats():
+def test_matrix_writer_matches_per_entry_floats():
     mat = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     mat.reshape(-1)[: len(SPECIAL_FLOATS)] = np.array(SPECIAL_FLOATS) * (1 - 1j)
     x = MultipartiteOperator((3, 3), mat)
     per_entry = [[float(v.real), float(v.imag)] for v in x.mat.reshape(-1)]
-    data = jsonio.matrix_to_json(x)["data"].tolist()
+    data = jsonio._matrix_doc(x.dims, x.mat)["data"].tolist()
     assert json.dumps(data) == json.dumps(per_entry)
     assert all(type(v) is float for pair in data for v in pair)
+
+
+def test_matrix_json_round_trip():
+    rng = np.random.default_rng(8)
+    x = operator(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)), (2, 3))
+    # read back from the written text, as the CLI reads an artifact
+    dims, mat = jsonio._matrix(orjson.loads(jsonio.dump_json(jsonio._matrix_doc(x.dims, x.mat))),
+                               "round trip")
+    assert dims == x.dims
+    assert np.array_equal(mat, x.mat)
+
+
+def test_matrix_json_errors():
+    with pytest.raises(ValueError):
+        jsonio._matrix({"dims": [2]}, "errors")
+    with pytest.raises(ValueError):
+        jsonio._matrix({"dims": [2], "data": [[1.0, 0.0]]}, "errors")
+
+
+_PAIRS = "matrix JSON data entries must be [re, im] pairs"
+_NUMBERS = "matrix JSON data entries must be [re, im] pairs of numbers"
+_DIMS = "matrix JSON dims must be integers"
+_KEYS = "matrix JSON must contain 'dims' and 'data'"
+# the fault each _DOCUMENT_CORPUS document reports, read as any matrix (None:
+# the document is a valid matrix)
+_CORPUS_FAULTS = [
+    None, _PAIRS, _PAIRS, _PAIRS, "object of type 'NoneType' has no len()",
+    "object of type 'int' has no len()", "object of type 'float' has no len()",
+    "object of type 'bool' has no len()", _NUMBERS, _NUMBERS, _PAIRS, _PAIRS, _NUMBERS,
+    _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS, "matrix entries must be finite (no NaN/Inf)",
+    "JSON number out of range: int too large to convert to float", _NUMBERS, _NUMBERS,
+    _PAIRS, "matrix JSON data has 3 entries, expected 4", _PAIRS, _NUMBERS,
+    "object of type 'int' has no len()", "matrix JSON data has 2 entries, expected 1",
+    _DIMS, _DIMS, _DIMS, "subsystem dimensions must be positive, got (0,)", _DIMS, _DIMS,
+    _DIMS, "'int' object is not iterable", _KEYS, _KEYS,
+    "can only specify one unknown dimension",
+    "subsystem dimensions must be positive, got (-2, -2)",
+]
+_ZEROS = {"dims": [2, 2], "data": [[0.0, 0.0]] * 16}
+
+
+@pytest.mark.parametrize("doc, fault", list(zip(_DOCUMENT_CORPUS, _CORPUS_FAULTS, strict=True)),
+                         ids=range(len(_DOCUMENT_CORPUS)))
+def test_corpus_documents_report_their_exact_schema_error(doc, fault):
+    # each document as the choi of a channel and of a superchannel, and as
+    # table A of DU tables: a fault of the matrix is reported before the
+    # declared dims or the table side are compared
+    reads = {
+        "channel": ({"d_in": 1, "d_out": 2, "choi": doc}, "channel choi",
+                    "choi dims (2,) do not match d_in=1, d_out=2"),
+        "superchannel": ({"dims": {"A0": 1, "A1": 1, "B0": 1, "B1": 2}, "choi": doc},
+                         "superchannel choi", "choi dims (2,) do not match declared (1, 1, 1, 2)"),
+        "du": ({"d": 2, "A": doc, "B": _ZEROS, "C": _ZEROS, "D": _ZEROS}, "table A",
+               "table A must have side 4, got 2"),
+    }
+    for kind, (obj, what, valid_message) in reads.items():
+        with pytest.raises(SchemaError) as err:
+            jsonio.from_json(obj, kind)
+        assert str(err.value) == (valid_message if fault is None else
+                                  f"bad matrix for {what}: {fault}")
+
+
+@pytest.mark.parametrize("name, built", [
+    ("compose du", 0), ("compose do", 0), ("compose dephasing", 0),
+    ("compose channel", 1), ("compose superchannel", 1),
+])
+def test_documents_are_read_with_one_operator_per_record_and_none_per_table(
+        name, built, monkeypatch):
+    # a record is built once from the parsed matrix; tables go straight to
+    # their class, whose constructor makes the one copy of each
+    doc = orjson.loads(jsonio.dump_json(_document(_cli_outputs()[name])))
+    kind = jsonio.detect_kind(doc)
+    calls, init = [], MultipartiteOperator.__init__
+    monkeypatch.setattr(MultipartiteOperator, "__init__",
+                        lambda self, dims, mat: calls.append(type(self)) or init(self, dims, mat))
+    out = jsonio.from_json(doc, kind)
+    assert len(calls) == built and calls == [type(out)] * built
 
 
 # -- the reader: orjson, and json for what orjson refuses ---------------------

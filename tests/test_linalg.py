@@ -3,11 +3,10 @@ from collections import Counter
 from itertools import product
 
 import numpy as np
-import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superchan import cli, jsonio
+from superchan import cli
 from superchan.channels import (
     ChoiChannel,
     ConjDUChannelParams,
@@ -31,8 +30,6 @@ from superchan.linalg import (
     is_hermitian,
     is_psd,
     kron,
-    matrix_from_json,
-    matrix_to_json,
     max_entangled_projector,
     partial_trace,
     partial_transpose,
@@ -350,22 +347,6 @@ def test_partial_trace_linear_and_trace_preserving(da, db, seed):
     lin = partial_trace(oxy, 0).mat
     assert np.allclose(lin, 2.0 * partial_trace(ox, 0).mat - 0.5 * partial_trace(oy, 0).mat)
     assert np.isclose(partial_trace(ox, 1).trace(), ox.trace())
-
-
-def test_matrix_json_round_trip():
-    rng = np.random.default_rng(8)
-    x = operator(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)), (2, 3))
-    # read back from the written text, as the CLI reads an artifact
-    again = matrix_from_json(orjson.loads(jsonio.dump_json(matrix_to_json(x))))
-    assert again.dims == x.dims
-    assert np.array_equal(again.mat, x.mat)
-
-
-def test_matrix_json_errors():
-    with pytest.raises(ValueError):
-        matrix_from_json({"dims": [2]})
-    with pytest.raises(ValueError):
-        matrix_from_json({"dims": [2], "data": [[1.0, 0.0]]})
 
 
 def test_hermiticity_deviation():

@@ -43,7 +43,9 @@ kind on each ordered pair of files; it ends with
 spelling_probe, `apply` of the d = 2 identity's DU and dephasing tables to a
 channel holding one number of each spelling the artifact writer treats
 apart, and `compose dephasing` of the identity's table with a table holding
-the same numbers, built from constants.  large-tables is `validate`, `compose` and `apply` on DU and
+the same numbers, built from constants, and with reader_probes, `validate`
+and `apply` on files the matrix reader refuses, for each fault it reports
+(see reader_probes).  large-tables is `validate`, `compose` and `apply` on DU and
 on sign-symmetric tables at d = 7 and 8, one valid, one not-CP and one
 not-TP set per d, drawn as in the du and do corpora but read straight off
 the table positions (superchannel_tables), and `compose` of the valid set
@@ -393,7 +395,8 @@ def build_kinds(b: inputs.InputSet) -> list:
                     for g in files.values()]
     return [inputs._kind("validate", "op1", 1, validate), inputs._kind("apply", "op2", 1, apply),
             inputs._kind("compose", "op3", 1, compose), inputs._kind("other", "op4", 1, other),
-            inputs._kind("spelling", "op4", 1, spelling_probe(b))]
+            inputs._kind("spelling", "op4", 1, spelling_probe(b)),
+            inputs._kind("reader", "op4", 1, reader_probes(b, files["du"], files["channel"]))]
 
 
 def spelling_probe(b: inputs.InputSet) -> list:
@@ -426,6 +429,44 @@ def spelling_probe(b: inputs.InputSet) -> list:
                             out="out/spelling.json") for s in supers),
             inputs._entry(["compose", "dephasing", supers[1], spelled, "--out", "out/spelling.json"],
                           out="out/spelling.json")]
+
+
+def reader_probes(b: inputs.InputSet, du: str, channel: str) -> list:
+    """`validate` of the matching kind and `apply` (a channel file after
+    the du file, any other before the channel file) on files the matrix
+    reader refuses.  A channel, a superchannel Choi (declared dims all 2)
+    and DU tables (d = 2, each table the same matrix) whose matrix holds a
+    NaN (read by the json fallback), has dims [-2] with 4 entries or dims
+    ["2"], or whose data are triples, not pairs; then a superchannel whose
+    Choi holds an infinity and whose dims (2, 2) do not match the declared
+    (1, 1, 2, 2), and DU tables whose A is of side 3 and holds a NaN.
+    Built from constants and written by json.dumps, which spells NaN and
+    Infinity."""
+    ones = [[1.0, 0.0]] * 16
+    faults = {"nan": {"dims": [2, 2], "data": [[float("nan"), 0.0]] + ones[1:]},
+              "negative-dims": {"dims": [-2], "data": ones[:4]},
+              "string-dims": {"dims": ["2"], "data": ones[:4]},
+              "triples": {"dims": [2, 2], "data": [[1.0, 0.0, 0.0]] * 16}}
+    docs = {}
+    for label, m in faults.items():
+        docs[f"channel-{label}"] = ("channel", {"d_in": 2, "d_out": 2, "choi": m})
+        docs[f"superchannel-{label}"] = ("superchannel", {
+            "dims": {"A0": 2, "A1": 2, "B0": 2, "B1": 2}, "choi": m})
+        docs[f"du-{label}"] = ("du", {"d": 2, **dict.fromkeys("ABCD", m)})
+    docs["fault-order"] = ("superchannel", {
+        "dims": {"A0": 1, "A1": 1, "B0": 2, "B1": 2},
+        "choi": {"dims": [2, 2], "data": [[float("inf"), 0.0]] + ones[1:]}})
+    docs["wrong-side-nan"] = ("du", {"d": 2, **dict.fromkeys("BCD", {"dims": [2, 2], "data": ones}),
+                                     "A": {"dims": [3], "data": [[float("nan"), 0.0]] + ones[:8]}})
+    ops = []
+    for label, (kind, doc) in docs.items():
+        (b.work / "in" / f"reader_{label}.json").write_text(json.dumps(doc))
+        f = f"in/reader_{label}.json"
+        pair = [du, f] if kind == "channel" else [f, channel]
+        ops += [inputs._entry(["validate", kind, f], label=label),
+                inputs._entry(["apply", *pair, "--out", "out/reader.json"], label=label,
+                              out="out/reader.json")]
+    return ops
 
 
 def build_large_tables(b: inputs.InputSet) -> list:

@@ -22,8 +22,9 @@ documents the CLI writes: ``compose du`` at d = 6 and ``compose do`` at
 d = 16 of valid tables (cli_identity.superchannel_tables, seed 5, each set
 composed with itself; "du composed" and "do composed"), and the Choi of a
 valid d = 4 superchannel (inputs.random_superchannel, seed 5; "dense"),
-whose document is spelled out from linalg.complex_pairs, so checkouts with
-other Choi record constructors build the same one.
+whose document is spelled out here, its data the float64 view of the
+complex buffer, so checkouts with other Choi records or matrix codecs build
+the same one.
 
 The first call of each layer is timed on its own (``first_ms``: it builds
 whatever the layer caches per d).  Then the call is repeated for about
@@ -98,7 +99,6 @@ def _artifacts() -> list:
     from superchan.do import DOSuperParams
     from superchan.du import DUSuperParams
     from superchan.jsonio import params_to_json
-    from superchan.linalg import complex_pairs
     from superchan.positions import compose_tables
 
     out = []
@@ -108,7 +108,8 @@ def _artifacts() -> list:
         out.append((f"{cls.__name__[:2].lower()} composed", d, params_to_json(compose_tables(p, p))))
     choi = inputs.random_superchannel(np.random.default_rng(5), 4)
     dims = {"A0": 4, "A1": 4, "B0": 4, "B1": 4}
-    out.append(("dense", 4, {"dims": dims, "choi": {"dims": [4] * 4, "data": complex_pairs(choi)}}))
+    pairs = np.ascontiguousarray(choi, dtype=complex).view(np.float64).reshape(-1, 2)
+    out.append(("dense", 4, {"dims": dims, "choi": {"dims": [4] * 4, "data": pairs}}))
     return out
 
 
