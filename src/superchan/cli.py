@@ -34,7 +34,12 @@ from .du import du_cp_check, du_tp_check
 from .jsonio import SchemaError
 from .linalg import DEFAULT_TOL
 from .positions import compose_tables
-from .pauli import pauli_du_check, pauli_induced_bistochastic, pauli_super_choi
+from .pauli import (
+    pauli_du_check,
+    pauli_induced_bistochastic,
+    pauli_super_choi,
+    pauli_validate,
+)
 from .superchannels import apply_to_channel, compose_superchannels, validate_superchannel
 
 OK, INVALID_INPUT, CHECK_FAILED = 0, 2, 3
@@ -127,8 +132,8 @@ def cmd_validate(args) -> CommandResult:
         verdict = dephasing_validate(p, tol)
         report.update(verdict.report())
         ok = verdict.ok
-    else:  # pauli
-        verdict = validate_superchannel(pauli_super_choi(p), tol)
+    else:  # pauli: the closed forms on the table, no Choi
+        verdict = pauli_validate(p, tol)
         du_verdict = pauli_du_check(p, tol)
         m = pauli_induced_bistochastic(p)
         report.update(verdict.report())

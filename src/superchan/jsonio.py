@@ -63,8 +63,8 @@ def _matrix(obj, what: str) -> tuple[tuple[int, ...], np.ndarray]:
     checked in this order: the keys, integer dims, the entry count, pairs,
     numbers (an int beyond the float range is a fault), positive dims and
     finite entries, the last two worded as MultipartiteOperator words them.
-    Dims with a negative product fail the reshape, with numpy's message,
-    before the sign check."""
+    The sign check comes before the reshape, so dims with a negative product
+    are named by it too."""
     try:
         if not isinstance(obj, dict) or "dims" not in obj or "data" not in obj:
             raise ValueError("matrix JSON must contain 'dims' and 'data'")
@@ -81,9 +81,9 @@ def _matrix(obj, what: str) -> tuple[tuple[int, ...], np.ndarray]:
         # its characters or keys are strings, which the type test refuses
         flat = _floats(chain.from_iterable(data),
                        "matrix JSON data entries must be [re, im] pairs of numbers")
-        mat = flat.view(np.complex128).reshape(side, side)
         if any(d <= 0 for d in dims):
             raise ValueError(f"subsystem dimensions must be positive, got {dims}")
+        mat = flat.view(np.complex128).reshape(side, side)
         if not np.isfinite(flat).all():
             raise ValueError("matrix entries must be finite (no NaN/Inf)")
     except (ValueError, TypeError) as exc:

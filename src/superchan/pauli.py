@@ -4,6 +4,18 @@ A 4x4 probability table pi[mu, nu] defines the representing map
 X -> sum pi[mu, nu] (sigma_mu (x) sigma_nu) X (sigma_mu (x) sigma_nu).
 On Pauli channels the action reduces to a bistochastic matrix built from the
 two-bit XOR of Pauli labels acting on the Bell-diagonal probability vector.
+
+pauli_validate reads the superchannel verdict off the table by two identities:
+
+* The Choi spectrum is exactly {4 pi[mu, nu]}.  The Choi is
+  sum pi[mu, nu] |W>><<W| with W = sigma_mu (x) sigma_nu vectorised, and
+  <<W|W'>> = Tr(W^dag W') = 4 delta_{WW'}, as Pauli products are orthogonal
+  with Tr(1) = 4 on C^2 (x) C^2.
+* Tr_B1 Theta(e_ij (x) e_ab) = delta_ab sum_mu p_mu sigma_mu e_ij sigma_mu^dag,
+  p_mu = sum_nu pi[mu, nu].  The (A1, B1) factor of W_mu,nu is
+  sigma_nu e_ab sigma_nu^dag, of trace Tr(e_ab) = delta_ab.  So the trace
+  factors through the a-independent Pauli channel with weights p_mu, whose
+  unitality residual is |sum_mu p_mu - 1| on the diagonal and zero off it.
 """
 
 from __future__ import annotations
@@ -15,8 +27,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import PARAM_EDGE_TOL, PAULI, check_probability_vector
-from .linalg import DEFAULT_TOL, Frozen, MultipartiteOperator, max_entangled_projector
-from .superchannels import SuperChoi
+from .linalg import (
+    DEFAULT_TOL,
+    Frozen,
+    MultipartiteOperator,
+    max_entangled_projector,
+    psd_accepts,
+)
+from .superchannels import SuperChoi, SuperchannelVerdict
 
 
 class PauliSuperParams(Frozen):
@@ -60,6 +78,46 @@ def pauli_super_choi(p: PauliSuperParams) -> SuperChoi:
     """
     weighted = p.pi.reshape(16, 1, 1) * _conjugation_terms()
     return SuperChoi((2, 2, 2, 2), np.add.reduce(weighted, axis=0, initial=0.0))
+
+
+class PauliVerdict(NamedTuple):
+    """The superchannel conditions of a Pauli table, in closed form.
+
+    The Choi is exactly Hermitian and the trace over B1 factors exactly (the
+    module docstring), so both residuals are zero, and is_tp is the unitality
+    residual within tol.  report() is SuperchannelVerdict's, which reads only
+    the six names both verdicts have.
+    """
+
+    is_cp: bool
+    min_eigenvalue: float
+    marginal_deviation: float
+    tol: float
+
+    factorization_deviation = 0.0
+    hermiticity_deviation = 0.0
+
+    @property
+    def is_tp(self) -> bool:
+        return self.marginal_deviation <= self.tol
+
+    @property
+    def ok(self) -> bool:
+        return self.is_cp and self.is_tp
+
+    report = SuperchannelVerdict.report
+
+
+def pauli_validate(p: PauliSuperParams, tol: float = DEFAULT_TOL) -> PauliVerdict:
+    """validate_superchannel(pauli_super_choi(p), tol) read off the table: CP
+    is psd_accepts on the spectrum 4 pi (x 4 is exact in floating point) at
+    Hermiticity deviation zero, and the marginal residual is
+    |sum_mu p_mu - 1| with p_mu the row sums of pi."""
+    spectrum = 4.0 * p.pi.ravel()
+    marginal = abs(float(p.pi.sum(axis=1).sum()) - 1.0)
+    # an exactly Hermitian matrix passes the Hermiticity half at any entry scale
+    is_cp = psd_accepts(spectrum, 0.0, 0.0, tol)
+    return PauliVerdict(is_cp, float(spectrum.min()), marginal, tol)
 
 
 class PauliDUVerdict(NamedTuple):

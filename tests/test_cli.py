@@ -11,7 +11,7 @@ import pytest
 
 from superchan import cli, covariance as covariance_module, du as du_module
 from superchan import do as do_module, superchannels as superchannels_module
-from superchan import jsonio, positions
+from superchan import jsonio, pauli as pauli_module, positions
 from superchan.channels import ChoiChannel, amplitude_damping, bit_flip
 from superchan.cli import default_du_params, main
 from superchan.dephasing import DephasingSuperParams, dephasing_from_realization
@@ -123,6 +123,38 @@ def test_validate_pauli_reports_covariance(paths, capsys):
     code, out = run_cli(capsys, "validate", "pauli", path)
     assert code == 0
     assert report_value(out, "du_covariant") == "true"
+
+
+_ONE_ZERO = [[1 / 8] + [1 / 16] * 3, [1 / 16] * 4, [1 / 16] * 4, [1 / 16] * 3 + [0.0]]
+
+
+@pytest.mark.parametrize("pi", [
+    pytest.param([[1.0, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4], id="identity"),
+    pytest.param(_ONE_ZERO, id="one-zero-weight"),
+])
+def test_validate_pauli_accepts_zero_weights_at_zero_tolerance(tmp_path, capsys, pi):
+    # the dense eigensolve read a zero weight as about -2e-16 and failed these
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps({"pi": pi}))
+    code, out = run_cli(capsys, "validate", "pauli", str(path), "--tol", "0")
+    assert code == 0
+    assert out.splitlines()[2:8] == [
+        "is_cp: true", "is_tp: true", "min_eig: 0.0", "factorization_deviation: 0.0",
+        "marginal_deviation: 0.0", "hermiticity_deviation: 0.0"]
+
+
+def test_validate_pauli_builds_no_choi(paths, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate pauli reached the dense route")
+
+    for module, name in ((cli, "pauli_super_choi"), (pauli_module, "pauli_super_choi"),
+                         (cli, "validate_superchannel"),
+                         (superchannels_module, "validate_superchannel")):
+        monkeypatch.setattr(module, name, refuse)
+    tmp, write = paths
+    path = write("pauli.json", pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))))
+    code, out = run_cli(capsys, "validate", "pauli", path)
+    assert code == 0 and report_value(out, "min_eig") == "0.25"
 
 
 _PI_ROWS = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]  # JSON integers are numbers

@@ -813,7 +813,7 @@ _CORPUS_FAULTS = [
     "object of type 'int' has no len()", "matrix JSON data has 2 entries, expected 1",
     _DIMS, _DIMS, _DIMS, "subsystem dimensions must be positive, got (0,)", _DIMS, _DIMS,
     _DIMS, "'int' object is not iterable", _KEYS, _KEYS,
-    "can only specify one unknown dimension",
+    "subsystem dimensions must be positive, got (-2,)",
     "subsystem dimensions must be positive, got (-2, -2)",
 ]
 _ZEROS = {"dims": [2, 2], "data": [[0.0, 0.0]] * 16}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from superchan import pauli
-from superchan.channels import pauli_channel
+from superchan.channels import PARAM_EDGE_TOL, pauli_channel
 from superchan.covariance import superchannel_covariance_check
 from superchan.do import DOSuperParams
 from superchan.du import NotDUCovariantError, from_choi
@@ -14,7 +14,9 @@ from superchan.pauli import (
     pauli_du_check,
     pauli_induced_bistochastic,
     pauli_super_choi,
+    pauli_validate,
 )
+from superchan.linalg import DEFAULT_TOL
 from superchan.superchannels import (
     apply_to_channel,
     tp_preserving_check,
@@ -205,6 +207,64 @@ def test_every_table_gives_valid_superchannel():
     for _ in range(20):
         s = pauli_super_choi(random_pi())
         assert validate_superchannel(s).ok
+
+
+def test_closed_form_verdict_matches_the_dense_route_at_the_tolerance_boundaries():
+    # random tables, tables with zero weights and tables with an entry at
+    # -PARAM_EDGE_TOL (its weight moved onto the largest entry); peaked draws
+    # put the largest entry past 1/4, so the spectral radius 4 max|pi| is > 1
+    local = np.random.default_rng(3501)
+    for k in range(240):
+        pi = local.dirichlet(np.full(16, 1.0 if k % 2 else 0.2)).reshape(4, 4)
+        if k % 3 == 1:
+            pi[local.random((4, 4)) < 0.4] = 0.0
+            pi /= pi.sum()
+        elif k % 3 == 2:
+            low, top = local.integers(16), np.argmax(pi)
+            if low == top:
+                low = (top + 1) % 16
+            pi.flat[top] += pi.flat[low] + PARAM_EDGE_TOL
+            pi.flat[low] = -PARAM_EDGE_TOL
+        p = PauliSuperParams(pi)
+        scale = max(1.0, 4 * float(np.abs(p.pi).max()))
+        bound = 1e-14 * scale
+        lowest = 4 * float(p.pi.min())
+        # tolerances whose CP threshold -tol * scale lies within 1e-12 of 4 min pi
+        tols = [DEFAULT_TOL, 0.0] + [max(0.0, -(lowest + u) / scale)
+                                     for u in local.uniform(-1e-12, 1e-12, 4)]
+        for tol in tols:
+            closed = pauli_validate(p, tol)
+            dense = validate_superchannel(pauli_super_choi(p), tol)
+            assert list(closed.report()) == list(dense.report())
+            assert closed.factorization_deviation == dense.factorization_deviation == 0.0
+            assert closed.hermiticity_deviation == dense.hermiticity_deviation == 0.0
+            assert abs(closed.min_eigenvalue - dense.min_eigenvalue) <= bound
+            assert abs(closed.marginal_deviation - dense.marginal_deviation) <= bound
+            cp_margin = abs(closed.min_eigenvalue + tol * scale)
+            tp_margin = abs(closed.marginal_deviation - tol)
+            if cp_margin > bound:
+                assert closed.is_cp == dense.is_cp, (k, tol)
+            if tp_margin > bound:
+                assert closed.is_tp == dense.is_tp, (k, tol)
+            if min(cp_margin, tp_margin) > bound:
+                assert closed.ok == dense.ok, (k, tol)
+
+
+def test_closed_form_verdict_reads_the_table_exactly():
+    e00 = np.zeros((4, 4))
+    e00[0, 0] = 1.0
+    one_zero = np.full((4, 4), 1 / 16)
+    one_zero[3, 3], one_zero[0, 0] = 0.0, 1 / 8
+    for pi in (e00, one_zero, np.full((4, 4), 1 / 16)):
+        v = pauli_validate(PauliSuperParams(pi), 0.0)
+        assert v.ok and v.min_eigenvalue == 4 * pi.min() and v.marginal_deviation == 0.0
+    # below the edge: -4 PARAM_EDGE_TOL against the radius 4 * (0.5 + 1e-12)
+    pi = np.zeros((4, 4))
+    pi[0, 0], pi[1, 1], pi[2, 2] = 0.5 + PARAM_EDGE_TOL, 0.5, -PARAM_EDGE_TOL
+    p = PauliSuperParams(pi)
+    assert pauli_validate(p).min_eigenvalue == -4 * PARAM_EDGE_TOL
+    assert pauli_validate(p, 2.0001 * PARAM_EDGE_TOL).is_cp
+    assert not pauli_validate(p, 1.9999 * PARAM_EDGE_TOL).is_cp
 
 
 def test_bistochastic_matrix():

@@ -45,7 +45,9 @@ channel holding one number of each spelling the artifact writer treats
 apart, and `compose dephasing` of the identity's table with a table holding
 the same numbers, built from constants, and with reader_probes, `validate`
 and `apply` on files the matrix reader refuses, for each fault it reports
-(see reader_probes).  large-tables is `validate`, `compose` and `apply` on DU and
+(see reader_probes), and last with pauli_probes, `validate pauli` of three
+tables with exact zero or uniform weights, at the default tol and at
+--tol 0.  large-tables is `validate`, `compose` and `apply` on DU and
 on sign-symmetric tables at d = 7 and 8, one valid, one not-CP and one
 not-TP set per d, drawn as in the du and do corpora but read straight off
 the table positions (superchannel_tables), and `compose` of the valid set
@@ -396,7 +398,27 @@ def build_kinds(b: inputs.InputSet) -> list:
     return [inputs._kind("validate", "op1", 1, validate), inputs._kind("apply", "op2", 1, apply),
             inputs._kind("compose", "op3", 1, compose), inputs._kind("other", "op4", 1, other),
             inputs._kind("spelling", "op4", 1, spelling_probe(b)),
-            inputs._kind("reader", "op4", 1, reader_probes(b, files["du"], files["channel"]))]
+            inputs._kind("reader", "op4", 1, reader_probes(b, files["du"], files["channel"])),
+            inputs._kind("pauli", "op1", 1, pauli_probes(b))]
+
+
+def pauli_probes(b: inputs.InputSet) -> list:
+    """`validate pauli` of three tables whose smallest weights are exact:
+    the identity supermap (pi = e00), the uniform table with pi[3, 3] = 0
+    and pi[0, 0] = 1/8 (one zero weight), and the uniform table, each at the
+    default tol and at --tol 0.  Every sum is exact in floating point, so
+    each table is valid at --tol 0.  Built from constants, after every
+    seeded draw."""
+    e00 = np.zeros((4, 4))
+    e00[0, 0] = 1.0
+    one_zero = np.full((4, 4), 1 / 16)
+    one_zero[3, 3], one_zero[0, 0] = 0.0, 1 / 8
+    ops = []
+    for label, pi in (("e00", e00), ("one-zero", one_zero), ("uniform", np.full((4, 4), 1 / 16))):
+        path = b.input(f"pauli_{label}.json", {"pi": pi.tolist()})
+        ops += [inputs._entry(["validate", "pauli", path, *tol], label=label)
+                for tol in ([], ["--tol", "0"])]
+    return ops
 
 
 def spelling_probe(b: inputs.InputSet) -> list:

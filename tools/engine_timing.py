@@ -5,9 +5,11 @@
 Each run starts a fresh interpreter (multiprocessing's spawn method), which
 imports superchan from ``--src`` (default: this checkout's src).  First it
 times the qubit kernels of ``validate pauli`` and ``validate dephasing`` at
-d = 2: pauli_super_choi of a seeded random 4x4 probability table,
-validate_superchannel of that Choi and pauli_induced_bistochastic ("pauli"
-tables), and dephasing_validate on seeded random d = 2 dephasing tables.
+d = 2: on a seeded random 4x4 probability table ("pauli" tables),
+pauli_validate (the closed form ``validate pauli`` runs), pauli_super_choi,
+validate_superchannel of that Choi (the dense route, beside it) and
+pauli_induced_bistochastic, and dephasing_validate on seeded random d = 2
+dephasing tables.  A checkout without pauli_validate skips its line.
 Then it draws seeded random DU, sign-symmetric and dephasing tables at
 d = 6, 8, 12 and 16 (every table entry normal on its support, A real), and
 times, at each d,
@@ -38,7 +40,9 @@ pairs do: each run is one fresh interpreter per checkout, a first in even
 runs and b first in odd ones.  It prints {"a": DIR, "b": DIR}, then per
 (layer, tables, d) the medians of each ("a" and "b") and "ratio", the median
 over the runs of b's time over a's in the same run (``median_ms`` and
-``first_ms``), so host drift between runs does not read as a change.
+``first_ms``), so host drift between runs does not read as a change.  A
+layer that only one checkout has prints the other side as null and no
+ratio.
 """
 
 from __future__ import annotations
@@ -124,6 +128,7 @@ def measure(src: str) -> list[dict]:
     from superchan.do import DOSuperParams, do_validate
     from superchan.du import DUSuperParams, du_cp_check, du_tp_check
     from superchan.jsonio import dump_json
+    from superchan import pauli as pauli_module
     from superchan.pauli import PauliSuperParams, pauli_induced_bistochastic, pauli_super_choi
     from superchan.positions import apply_tables, b1_partial_trace, sector_spectrum
     from superchan.superchannels import validate_superchannel
@@ -132,7 +137,9 @@ def measure(src: str) -> list[dict]:
     pauli = PauliSuperParams(rng.dirichlet(np.ones(16)).reshape(4, 4))
     choi = pauli_super_choi(pauli)
     dephasing = _random_tables(rng, DephasingSuperParams, 2)
-    out = [_line("pauli_super_choi", "pauli", 2, lambda: pauli_super_choi(pauli)),
+    validate = getattr(pauli_module, "pauli_validate", None)
+    out = [_line("pauli_validate", "pauli", 2, lambda: validate(pauli))] if validate else []
+    out += [_line("pauli_super_choi", "pauli", 2, lambda: pauli_super_choi(pauli)),
            _line("validate_superchannel", "pauli", 2, lambda: validate_superchannel(choi)),
            _line("pauli_induced_bistochastic", "pauli", 2,
                  lambda: pauli_induced_bistochastic(pauli)),
@@ -170,23 +177,29 @@ def main(argv=None) -> int:
     if args.runs < 1 or len(srcs) > 2:
         parser.error("--runs must be positive and --src given at most twice")
     ctx = multiprocessing.get_context("spawn")
-    runs = [[] for _ in srcs]  # runs[side][run]: that interpreter's lines
+    runs = [[] for _ in srcs]  # runs[side][run]: (layer, tables, d) -> that interpreter's line
     for run in range(args.runs):
         for side in (range(len(srcs)) if run % 2 == 0 else reversed(range(len(srcs)))):
             with ctx.Pool(1) as pool:
-                runs[side].append(pool.apply(measure, (srcs[side],)))
+                lines = pool.apply(measure, (srcs[side],))
+            runs[side].append({(line["layer"], line["tables"], line["d"]): line for line in lines})
     if len(srcs) == 2:
         print(json.dumps(dict(zip("ab", srcs))), flush=True)
     keys = ("median_ms", "first_ms", "peak_mb")
-    for lines in zip(*(zip(*side) for side in runs)):  # lines[side][run], one layer
-        head = {k: lines[0][0][k] for k in ("layer", "tables", "d")}
-        stats = [{k: statistics.median(line[k] for line in side) for k in keys}
+    # every layer of the last checkout, in its order, then those only the first has
+    for head in dict.fromkeys(h for side in reversed(runs) for h in side[0]):
+        lines = [[run[head] for run in side] if head in side[0] else None for side in runs]
+        stats = [None if side is None else
+                 {k: statistics.median(line[k] for line in side) for k in keys}
                  for side in lines]
+        head = dict(zip(("layer", "tables", "d"), head))
         if len(stats) == 1:
             print(json.dumps({**head, "runs": args.runs, **stats[0]}), flush=True)
             continue
-        ratio = {k: statistics.median(b[k] / a[k] for a, b in zip(*lines))
-                 for k in ("median_ms", "first_ms")}
+        # a layer one checkout lacks has that side null and no ratio
+        ratio = None if None in lines else {
+            k: statistics.median(b[k] / a[k] for a, b in zip(*lines))
+            for k in ("median_ms", "first_ms")}
         print(json.dumps({**head, "runs": args.runs, "a": stats[0], "b": stats[1],
                           "ratio": ratio}), flush=True)
     return 0
