@@ -34,12 +34,8 @@ from .du import du_cp_check, du_tp_check
 from .jsonio import SchemaError
 from .linalg import DEFAULT_TOL
 from .positions import compose_tables
-from .pauli import (
-    pauli_du_check,
-    pauli_induced_bistochastic,
-    pauli_super_choi,
-    pauli_validate,
-)
+from .pauli import (pauli_apply_to_channel, pauli_du_check, pauli_induced_bistochastic,
+                    pauli_super_choi, pauli_validate)
 from .superchannels import apply_to_channel, compose_superchannels, validate_superchannel
 
 OK, INVALID_INPUT, CHECK_FAILED = 0, 2, 3
@@ -63,11 +59,10 @@ def _fmt(value) -> str:
 
 
 def _emit(result: CommandResult) -> int:
-    print(f"status: {_STATUS[result.status]}")
-    for key, value in result.report.items():
-        print(f"{key}: {_fmt(value)}")
-    for path, _ in result.artifacts:
-        print(f"wrote: {path}")
+    lines = [f"status: {_STATUS[result.status]}"]
+    lines += [f"{key}: {_fmt(value)}" for key, value in result.report.items()]
+    lines += [f"wrote: {path}" for path, _ in result.artifacts]
+    print("\n".join(lines))
     return result.status
 
 
@@ -151,10 +146,9 @@ def cmd_validate(args) -> CommandResult:
 
 
 def cmd_apply(args) -> CommandResult:
-    kind, parsed = _load(args.superchannel)
-    s = pauli_super_choi(parsed) if kind == "pauli" else parsed
+    kind, s = _load(args.superchannel)
     ch = _load(args.channel, "channel")[1]
-    out = apply_to_channel(s, ch)
+    out = (pauli_apply_to_channel if kind == "pauli" else apply_to_channel)(s, ch)
     report = {"superchannel_kind": kind}
     for label, c in (("input", ch), ("output", out)):
         table = classical_channel_extract(c)

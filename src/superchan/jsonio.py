@@ -224,6 +224,15 @@ def from_json(obj: dict, kind: str):
     return _PARSERS[kind](obj)
 
 
+def _open(path, mode: str):
+    """open(path, mode), or Path(path).open(mode) where the OS refuses the name
+    as written: Path drops a trailing slash and reads "" as "."."""
+    try:
+        return open(path, mode)
+    except OSError:
+        return Path(path).open(mode)
+
+
 def load_json(path) -> dict:
     """Parse a JSON file; decode errors carry line/column positions.
 
@@ -232,8 +241,10 @@ def load_json(path) -> dict:
     float range, lone surrogates, a byte order mark, and every malformed
     file, whose error then carries json's line and column.
     """
+    with _open(path, "rb") as f:
+        data = f.read()
     try:
-        return orjson.loads(Path(path).read_bytes())
+        return orjson.loads(data)
     except orjson.JSONDecodeError:
         return json.loads(Path(path).read_text())
 
@@ -269,7 +280,7 @@ def dump_json(obj: dict, path=None) -> str:
             raise TypeError("dump_json writes finite floats only")
         data = _splice(data, values, any("null" in s for s in strings))
     if path is not None:
-        with Path(path).open("wb") as f:
+        with _open(path, "wb") as f:
             f.write(data)
             f.write(b"\n")
     return data.decode()

@@ -5,6 +5,11 @@ X -> sum pi[mu, nu] (sigma_mu (x) sigma_nu) X (sigma_mu (x) sigma_nu).
 On Pauli channels the action reduces to a bistochastic matrix built from the
 two-bit XOR of Pauli labels acting on the Bell-diagonal probability vector.
 
+Each w = sigma_mu (x) sigma_nu is a phased permutation (a unitary error
+basis): row a holds one entry c_a, in column s_a, so (w X w^dag)[a, b] is
+c_a conj(c_b) X[s_a, s_b], a gather of X times a phase in {1, -1, i, -i}.
+pauli_apply_to_channel and _conjugation_terms read that (gather, phase).
+
 pauli_validate reads the superchannel verdict off the table by two identities:
 
 * The Choi spectrum is exactly {4 pi[mu, nu]}.  The Choi is
@@ -26,14 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import PARAM_EDGE_TOL, PAULI, check_probability_vector
-from .linalg import (
-    DEFAULT_TOL,
-    Frozen,
-    MultipartiteOperator,
-    max_entangled_projector,
-    psd_accepts,
-)
+from .channels import PARAM_EDGE_TOL, PAULI, ChoiChannel, check_probability_vector
+from .linalg import DEFAULT_TOL, Frozen, MultipartiteOperator, psd_accepts
+from .positions import _read_only
 from .superchannels import SuperChoi, SuperchannelVerdict
 
 
@@ -57,17 +57,22 @@ class PauliSuperParams(Frozen):
 
 
 @functools.lru_cache(maxsize=None)
+def _product_table() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (16, 16) gather index and phase whose row 4 mu + nu gives
+    w X w^dag = phase * X.flat[gather] (the module docstring)."""
+    w = np.array([np.kron(s_mu, s_nu) for s_mu, s_nu in product(PAULI, repeat=2)])
+    src, c = np.abs(w).argmax(axis=2), w.sum(axis=2)  # one entry per row
+    gather = (4 * src[:, :, None] + src[:, None, :]).reshape(16, 16)
+    return _read_only(gather, (c[:, :, None] * c[:, None, :].conj()).reshape(16, 16))
+
+
+@functools.lru_cache(maxsize=None)
 def _conjugation_terms() -> np.ndarray:
-    """Read-only (16, 16, 16) stack whose entry 4 mu + nu is w P+ w^dag, with
-    w = 1 (x) sigma_mu (x) sigma_nu and P+ the unnormalized maximally
-    entangled projector on C^4 (x) C^4."""
-    p_plus = max_entangled_projector(4).mat
-    terms = np.empty((16, 16, 16), dtype=complex)
-    for k, (s_mu, s_nu) in enumerate(product(PAULI, repeat=2)):
-        w = np.kron(np.eye(4), np.kron(s_mu, s_nu))
-        terms[k] = w @ p_plus @ w.conj().T
-    terms.setflags(write=False)
-    return terms
+    """Read-only (16, 16, 16) stack whose entry 4 mu + nu is the Choi of
+    X -> w X w^dag, w = sigma_mu (x) sigma_nu, read off _product_table."""
+    gather, phase = _product_table()
+    terms = (np.eye(16)[gather] * phase[:, :, None]).reshape(16, 4, 4, 4, 4)  # [k, a, b, i, j]
+    return _read_only(terms.transpose(0, 3, 1, 4, 2).reshape(16, 16, 16))[0]
 
 
 def pauli_super_choi(p: PauliSuperParams) -> SuperChoi:
@@ -78,6 +83,16 @@ def pauli_super_choi(p: PauliSuperParams) -> SuperChoi:
     """
     weighted = p.pi.reshape(16, 1, 1) * _conjugation_terms()
     return SuperChoi((2, 2, 2, 2), np.add.reduce(weighted, axis=0, initial=0.0))
+
+
+def pauli_apply_to_channel(p: PauliSuperParams, ch: ChoiChannel) -> ChoiChannel:
+    """apply_to_channel(pauli_super_choi(p), ch) from the table: the sum over k
+    of pi_k * (phase_k * X.flat[gather_k]), from zeros in (mu, nu) order."""
+    if ch.dims != (2, 2):
+        raise ValueError(f"channel dims {ch.dims} do not match superchannel input pair (2, 2)")
+    gather, phase = _product_table()
+    terms = p.pi.reshape(16, 1) * (phase * ch.mat.ravel()[gather])
+    return ChoiChannel((2, 2), np.add.reduce(terms, axis=0, initial=0.0).reshape(4, 4))
 
 
 class PauliVerdict(NamedTuple):

@@ -16,8 +16,8 @@ from superchan.channels import ChoiChannel, amplitude_damping, bit_flip
 from superchan.cli import default_du_params, main
 from superchan.dephasing import DephasingSuperParams, dephasing_from_realization
 from superchan.du import DUSuperParams, build_choi, du_cp_check, du_tp_check
-from superchan.pauli import PauliSuperParams
-from superchan.superchannels import SuperChoi, compose_superchannels
+from superchan.pauli import PauliSuperParams, pauli_super_choi
+from superchan.superchannels import SuperChoi, apply_to_channel, compose_superchannels
 
 from helpers import (
     as_lists,
@@ -155,6 +155,51 @@ def test_validate_pauli_builds_no_choi(paths, capsys, monkeypatch):
     path = write("pauli.json", pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))))
     code, out = run_cli(capsys, "validate", "pauli", path)
     assert code == 0 and report_value(out, "min_eig") == "0.25"
+
+
+def test_apply_pauli_never_reaches_the_dense_route(paths, capsys, monkeypatch):
+    tmp, write = paths
+    p = PauliSuperParams(rng.dirichlet(np.ones(16)).reshape(4, 4))
+    ch = random_channel(rng, 2)
+    dense = apply_to_channel(pauli_super_choi(p), ch).mat  # before the patches
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("apply pauli reached the dense route")
+
+    for module, name in ((cli, "pauli_super_choi"), (pauli_module, "pauli_super_choi"),
+                         (cli, "representing_apply"),
+                         (superchannels_module, "representing_apply")):
+        monkeypatch.setattr(module, name, refuse, raising=False)  # cli holds no representing_apply
+    out_path = tmp / "out.json"
+    code, _ = run_cli(capsys, "apply", write("pauli.json", pauli_to_json(p)),
+                      write("c.json", jsonio.channel_to_json(ch)), "--out", str(out_path))
+    assert code == 0
+    written = jsonio.channel_from_json(json.loads(out_path.read_text()))
+    assert np.abs(written.mat - dense).max() <= 1e-15
+
+
+def test_apply_pauli_names_wrong_channel_dims(paths, capsys):
+    # the dense route's text, which the parent printed for the same files
+    tmp, write = paths
+    sup = write("pauli.json", pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))))
+    chan = write("c.json", jsonio.channel_to_json(random_channel(rng, 3)))
+    assert run_cli(capsys, "apply", sup, chan) == (2, "status: invalid-input\nerror: channel "
+                                                   "dims (3, 3) do not match superchannel "
+                                                   "input pair (2, 2)\n")
+
+
+def test_paths_name_the_files_pathlib_names(paths, capsys, monkeypatch):
+    # a trailing slash is dropped, on reading and on writing, and "" reads as "."
+    tmp, write = paths
+    sup = write("pauli.json", pauli_to_json(PauliSuperParams(np.full((4, 4), 1 / 16))))
+    chan = write("c.json", jsonio.channel_to_json(bit_flip(0.1)))
+    out_path = tmp / "out.json"
+    code, out = run_cli(capsys, "apply", f"{sup}/", f"{chan}/", "--out", f"{out_path}/")
+    assert code == 0 and out.endswith(f"wrote: {out_path}/\n")
+    assert jsonio.load_json(out_path) == jsonio.load_json(f"{out_path}/")
+    monkeypatch.chdir(tmp)
+    assert run_cli(capsys, "validate", "pauli", "") == (
+        2, "status: invalid-input\nerror: [Errno 21] Is a directory: '.'\n")
 
 
 _PI_ROWS = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]  # JSON integers are numbers

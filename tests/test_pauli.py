@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from superchan import pauli
-from superchan.channels import PARAM_EDGE_TOL, pauli_channel
+from superchan.channels import PARAM_EDGE_TOL, PAULI, ChoiChannel, pauli_channel
 from superchan.covariance import superchannel_covariance_check
 from superchan.do import DOSuperParams
 from superchan.du import NotDUCovariantError, from_choi
@@ -11,6 +11,7 @@ from superchan.pauli import (
     bell_vectors,
     bell_weights,
     pauli_apply,
+    pauli_apply_to_channel,
     pauli_du_check,
     pauli_induced_bistochastic,
     pauli_super_choi,
@@ -31,6 +32,7 @@ from helpers import (
     loop_pauli_bistochastic,
     loop_pauli_super_choi,
     pauli_marginal_channel,
+    random_channel,
 )
 
 rng = np.random.default_rng(41)
@@ -201,6 +203,61 @@ def test_conjugation_terms_are_cached_and_read_only():
     assert terms.shape == (16, 16, 16) and not terms.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         terms[0, 0, 0] = 1.0
+
+
+def test_product_table_is_cached_and_read_only():
+    table = pauli._product_table()
+    assert table is pauli._product_table()
+    gather, phase = table
+    assert gather.shape == phase.shape == (16, 16)
+    assert not gather.flags.writeable and not phase.flags.writeable
+    # every row permutes the 16 entries, each with a phase in {1, -1, i, -i}
+    assert (np.sort(gather, axis=1) == np.arange(16)).all()
+    assert np.isin(phase, (1, -1, 1j, -1j)).all()
+
+
+def test_table_action_matches_the_dense_route_entry_by_entry():
+    local = np.random.default_rng(3600)
+    one_hot = np.zeros((4, 4))
+    one_hot[2, 1] = 1.0
+    tables = [np.full((4, 4), 1 / 16), one_hot]
+    for k in range(30):
+        pi = local.dirichlet(np.ones(16)).reshape(4, 4)
+        if k % 2:  # exact zero weights
+            pi[local.random((4, 4)) < 0.4] = 0.0
+            pi = pi / pi.sum()
+        tables.append(pi)
+    assert sum((pi == 0).any() for pi in tables) >= 10
+    for pi in tables:
+        p = PauliSuperParams(pi)
+        s = pauli_super_choi(p)
+        scale = 10.0 ** local.uniform(-3, 3)
+        non_hermitian = scale * (local.normal(size=(4, 4)) + 1j * local.normal(size=(4, 4)))
+        for x in (random_channel(local, 2).mat, non_hermitian):
+            ch = ChoiChannel((2, 2), x)
+            got = pauli_apply_to_channel(p, ch)
+            ref = apply_to_channel(s, ch)
+            assert type(got) is ChoiChannel and got.dims == (2, 2)
+            assert np.abs(got.mat - ref.mat).max() <= 1e-15 * max(1.0, np.abs(x).max())
+
+
+def test_table_action_is_the_two_sided_conjugation_sum():
+    # an oracle apart from the (gather, phase) table both routes above read
+    for _ in range(10):
+        p = random_pi()
+        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        ref = sum(p.pi[mu, nu] * w @ x @ w.conj().T
+                  for mu in range(4) for nu in range(4) for w in [np.kron(PAULI[mu], PAULI[nu])])
+        got = pauli_apply_to_channel(p, ChoiChannel((2, 2), x)).mat
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(x).max()
+
+
+def test_table_action_of_the_identity_echoes_the_operator():
+    e00 = np.zeros((4, 4))
+    e00[0, 0] = 1.0
+    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    got = pauli_apply_to_channel(PauliSuperParams(e00), ChoiChannel((2, 2), x))
+    assert np.array_equal(got.mat, x)
 
 
 def test_every_table_gives_valid_superchannel():

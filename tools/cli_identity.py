@@ -47,12 +47,12 @@ the same numbers, built from constants, and with reader_probes, `validate`
 and `apply` on files the matrix reader refuses, for each fault it reports
 (see reader_probes), and last with pauli_probes, `validate pauli` of three
 tables with exact zero or uniform weights, at the default tol and at
---tol 0.  large-tables is `validate`, `compose` and `apply` on DU and
-on sign-symmetric tables at d = 7 and 8, one valid, one not-CP and one
-not-TP set per d, drawn as in the du and do corpora but read straight off
-the table positions (superchannel_tables), and `compose` of the valid set
-with itself.  Each op runs in
-process through ``superchan.cli.main`` from ``--src`` (default: this
+--tol 0, and `apply` of each to one fixed d = 2 channel.  large-tables is
+`validate`, `compose` and `apply` on DU and on sign-symmetric tables at
+d = 7 and 8, one valid, one not-CP and one not-TP set per d, drawn as in
+the du and do corpora but read straight off the table positions
+(superchannel_tables), and `compose` of the valid set with itself.  Each op
+runs in process through ``superchan.cli.main`` from ``--src`` (default: this
 checkout's src), on one BLAS thread, and prints
 {"kind", "argv", "status", "stdout", "artifact_sha256", "warnings"}, the
 last the op's Python warnings as "Category: message" (no file path).  Inputs are
@@ -406,19 +406,25 @@ def pauli_probes(b: inputs.InputSet) -> list:
     """`validate pauli` of three tables whose smallest weights are exact:
     the identity supermap (pi = e00), the uniform table with pi[3, 3] = 0
     and pi[0, 0] = 1/8 (one zero weight), and the uniform table, each at the
-    default tol and at --tol 0.  Every sum is exact in floating point, so
-    each table is valid at --tol 0.  Built from constants, after every
-    seeded draw."""
+    default tol and at --tol 0, and then `apply` of each table to one fixed
+    d = 2 channel (inputs.random_channel of default_rng(0)).  Every sum is
+    exact in floating point, so each table is valid at --tol 0.  Built from
+    constants and default_rng(0), apart from the seeded draws."""
     e00 = np.zeros((4, 4))
     e00[0, 0] = 1.0
     one_zero = np.full((4, 4), 1 / 16)
     one_zero[3, 3], one_zero[0, 0] = 0.0, 1 / 8
-    ops = []
+    choi = inputs.random_channel(np.random.default_rng(0), 2)
+    channel = b.input("pauli_probe_channel.json",
+                      {"d_in": 2, "d_out": 2, "choi": inputs.matrix_json((2, 2), choi)})
+    validate, apply = [], []
     for label, pi in (("e00", e00), ("one-zero", one_zero), ("uniform", np.full((4, 4), 1 / 16))):
         path = b.input(f"pauli_{label}.json", {"pi": pi.tolist()})
-        ops += [inputs._entry(["validate", "pauli", path, *tol], label=label)
-                for tol in ([], ["--tol", "0"])]
-    return ops
+        validate += [inputs._entry(["validate", "pauli", path, *tol], label=label)
+                     for tol in ([], ["--tol", "0"])]
+        apply.append(inputs._entry(["apply", path, channel, "--out", "out/pauli_probe.json"],
+                                   label=label, out="out/pauli_probe.json"))
+    return validate + apply
 
 
 def spelling_probe(b: inputs.InputSet) -> list:

@@ -4,12 +4,14 @@
 
 Each run starts a fresh interpreter (multiprocessing's spawn method), which
 imports superchan from ``--src`` (default: this checkout's src).  First it
-times the qubit kernels of ``validate pauli`` and ``validate dephasing`` at
-d = 2: on a seeded random 4x4 probability table ("pauli" tables),
-pauli_validate (the closed form ``validate pauli`` runs), pauli_super_choi,
-validate_superchannel of that Choi (the dense route, beside it) and
-pauli_induced_bistochastic, and dephasing_validate on seeded random d = 2
-dephasing tables.  A checkout without pauli_validate skips its line.
+times the qubit kernels of ``validate pauli``, ``apply`` and ``validate
+dephasing`` at d = 2: on a seeded random 4x4 probability table ("pauli"
+tables) and a seeded random qubit channel, pauli_validate (the closed form
+``validate pauli`` runs), pauli_apply_to_channel (the table action ``apply``
+runs), pauli_super_choi, validate_superchannel and apply_to_channel of that
+Choi (the dense routes, beside them) and pauli_induced_bistochastic, and
+dephasing_validate on seeded random d = 2 dephasing tables.  A checkout
+without pauli_validate or pauli_apply_to_channel skips that line.
 Then it draws seeded random DU, sign-symmetric and dephasing tables at
 d = 6, 8, 12 and 16 (every table entry normal on its support, A real), and
 times, at each d,
@@ -124,6 +126,7 @@ def measure(src: str) -> list[dict]:
     sys.path.insert(0, src)
     import numpy as np
 
+    from superchan.channels import choi_from_kraus
     from superchan.dephasing import DephasingSuperParams, dephasing_validate
     from superchan.do import DOSuperParams, do_validate
     from superchan.du import DUSuperParams, du_cp_check, du_tp_check
@@ -131,16 +134,21 @@ def measure(src: str) -> list[dict]:
     from superchan import pauli as pauli_module
     from superchan.pauli import PauliSuperParams, pauli_induced_bistochastic, pauli_super_choi
     from superchan.positions import apply_tables, b1_partial_trace, sector_spectrum
-    from superchan.superchannels import validate_superchannel
+    from superchan.superchannels import apply_to_channel, validate_superchannel
 
     rng = np.random.default_rng([SEED, 2])
     pauli = PauliSuperParams(rng.dirichlet(np.ones(16)).reshape(4, 4))
     choi = pauli_super_choi(pauli)
     dephasing = _random_tables(rng, DephasingSuperParams, 2)
-    validate = getattr(pauli_module, "pauli_validate", None)
-    out = [_line("pauli_validate", "pauli", 2, lambda: validate(pauli))] if validate else []
+    isometry = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0]
+    channel = choi_from_kraus(isometry.reshape(2, 2, 2))
+    out = []
+    for layer, args in (("pauli_validate", (pauli,)), ("pauli_apply_to_channel", (pauli, channel))):
+        call = getattr(pauli_module, layer, None)  # a checkout without it skips its line
+        out += [_line(layer, "pauli", 2, lambda call=call, args=args: call(*args))] if call else []
     out += [_line("pauli_super_choi", "pauli", 2, lambda: pauli_super_choi(pauli)),
            _line("validate_superchannel", "pauli", 2, lambda: validate_superchannel(choi)),
+           _line("apply_to_channel", "pauli", 2, lambda: apply_to_channel(choi, channel)),
            _line("pauli_induced_bistochastic", "pauli", 2,
                  lambda: pauli_induced_bistochastic(pauli)),
            _line("dephasing_validate", "dephasing", 2, lambda: dephasing_validate(dephasing))]
