@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: validate, apply, compose, covariance, example.  Exit codes:
+Subcommands: validate, apply, compose, covariance, example, each parsed in
+one argparse pass; compose holds one parsed JSON tree at a time.  Exit codes:
 0 ok, 2 invalid input, 3 a check failed.  All outputs are deterministic
 given the flags (and seed, where sampling is involved).
 """
@@ -165,17 +166,30 @@ def cmd_apply(args) -> CommandResult:
 
 
 def cmd_compose(args) -> CommandResult:
-    # read and identify both files before parsing either, so errors keep their order
-    obj1, obj2 = _read(args.path1), _read(args.path2)
-    kind1, kind2 = jsonio.detect_kind(obj1), jsonio.detect_kind(obj2)
-    if kind1 != args.kind or kind2 != args.kind:
-        raise SchemaError(
-            f"compose {args.kind}: inputs are {kind1} and {kind2}"
-        )
-    p1, p2 = (jsonio.from_json(obj, args.kind) for obj in (obj1, obj2))
-    # the parsed trees are the op's largest objects: free them before
-    # compose and the artifact's text take their memory
-    del obj1, obj2
+    """Compose two objects of kind args.kind, holding one parsed JSON tree at
+    a time.  What detect_kind or from_json raises waits its turn, so errors
+    come as if both files were read first: read errors, identify errors, the
+    kind mismatch, then parse errors, file 1's before file 2's in each."""
+    kinds, parsed = [], []  # per file: kind and object, or what raised instead
+    for path in (args.path1, args.path2):
+        obj = _read(path)
+        found = p = None
+        try:
+            found = jsonio.detect_kind(obj)
+            p = jsonio.from_json(obj, found) if found == args.kind else None
+        except Exception as exc:  # any: it is raised below in its turn
+            import traceback
+            traceback.clear_frames(exc.__traceback__)  # its frames would hold the tree
+            found, p = (exc, None) if found is None else (found, exc)
+        del obj  # the op's largest object: freed before the next file and compose
+        kinds.append(found)
+        parsed.append(p)
+    mismatch = None if kinds == [args.kind] * 2 else SchemaError(
+        f"compose {args.kind}: inputs are {kinds[0]} and {kinds[1]}")
+    for held in (*kinds, mismatch, *parsed):
+        if isinstance(held, Exception):
+            raise held
+    p1, p2 = parsed
     if args.kind in jsonio.TABLE_KINDS:
         compose, to_json = compose_tables, jsonio.params_to_json
     elif args.kind == "superchannel":
@@ -356,7 +370,21 @@ def build_parser() -> argparse.ArgumentParser:
     add_tol(p)
     p.set_defaults(func=cmd_example)
 
+    parser.commands = sub.choices  # each command's name -> its parser, for parse_argv
     return parser
+
+
+def parse_argv(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv) in one pass: after a command, the top
+    parser's only action hands the rest to the command's parser.  Other argvs
+    and leftovers go through the top parser, which writes each error text."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def _check_args(args) -> None:
@@ -376,13 +404,13 @@ def _check_args(args) -> None:
 def main(argv=None) -> int:
     """Run one command and return its exit status.
 
-    After the flags parse, the command runs with Python's cyclic garbage
-    collector paused, and the collector is switched back on when main
-    returns or raises, if it was on when main was called.  A command builds
-    no reference cycles, so a collection during it could free nothing; it
-    would only scan the parsed JSON trees, which are all still alive.
+    After the flags parse in one pass (parse_argv), the command runs with
+    Python's cyclic garbage collector paused, and the collector is switched
+    back on when main returns or raises, if it was on when main was called.
+    A command builds no reference cycles, so a collection during it could
+    free nothing; it would only scan the parsed JSON trees, still alive.
     """
-    args = build_parser().parse_args(argv)
+    args = parse_argv(sys.argv[1:] if argv is None else list(argv))
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -1,9 +1,11 @@
+import argparse
 import gc
 import json
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -608,6 +610,60 @@ def test_compose_kind_mismatch(paths, capsys):
     assert code == 2
 
 
+@pytest.fixture
+def compose_files(tmp_path):
+    """A valid du file, a channel file and two du files whose tables the
+    reader refuses: A of side 3 ("side") and B holding NaN ("nan"), written
+    by json.dumps, which spells NaN."""
+    doc = json.loads(jsonio.dump_json(jsonio.params_to_json(du_identity(2))))
+    channel = json.loads(jsonio.dump_json(jsonio.channel_to_json(bit_flip(0.3))))
+    docs = {"ok": doc, "channel": channel,
+            "side": {**doc, "A": {"dims": [3], "data": [[1.0, 0.0]] * 9}},
+            "nan": {**doc, "B": {"dims": [2, 2], "data": [[float("nan"), 0.0]] * 16}}}
+    for label, d in docs.items():
+        (tmp_path / f"{label}.json").write_text(json.dumps(d))
+    return {label: str(tmp_path / f"{label}.json") for label in (*docs, "missing")}
+
+
+@pytest.mark.parametrize("first, second, error", [
+    ("side", "missing", "no such file: {missing}"),  # file 2's read error comes first
+    ("side", "channel", "compose du: inputs are du and channel"),  # then the kind mismatch
+    ("side", "nan", "table A must have side 4, got 3"),  # then file 1's parse error
+    ("nan", "side", "bad matrix for table B: matrix entries must be finite (no NaN/Inf)"),
+])
+def test_compose_errors_keep_the_order_of_reading_both_files_first(
+        compose_files, capsys, first, second, error):
+    code, out = run_cli(capsys, "compose", "du", compose_files[first], compose_files[second])
+    assert (code, out) == (2, f"status: invalid-input\nerror: {error.format(**compose_files)}\n")
+
+
+@pytest.mark.parametrize("first, code", [("ok", 0), ("side", 2)])
+def test_compose_frees_file_1_before_it_reads_file_2(compose_files, capsys, monkeypatch,
+                                                      first, code):
+    # each tree is a dict subclass, so a weak reference tells whether it is alive;
+    # main pauses the cyclic collector, so only reference counts free it
+    class Tree(dict):
+        pass
+
+    log, alive, read, from_json = [], [], cli._read, jsonio.from_json
+
+    def logged_read(path):
+        log.append(("read", path, sum(ref() is not None for ref in alive)))
+        tree = Tree(read(path))
+        alive.append(weakref.ref(tree))
+        return tree
+
+    def logged_from_json(obj, kind):
+        log.append(("parse", len(alive)))
+        return from_json(obj, kind)
+
+    monkeypatch.setattr(cli, "_read", logged_read)
+    monkeypatch.setattr(jsonio, "from_json", logged_from_json)
+    path1, path2 = compose_files[first], compose_files["ok"]
+    assert run_cli(capsys, "compose", "du", path1, path2)[0] == code
+    assert log == [("read", path1, 0), ("parse", 1), ("read", path2, 0), ("parse", 2)]
+
+
 def test_covariance_command(paths, capsys):
     tmp, write = paths
     du = write("du.json", jsonio.params_to_json(random_hermitian_du_params(rng, 2)))
@@ -799,6 +855,65 @@ def test_cached_parser_answers_every_call_as_a_fresh_one(paths, capsys):
         assert run(ops[k]) == fresh[ops[k]], ops[k]
     assert cli.build_parser() is parser
     assert parser.parse_args(["example", "bit-flip"]).p == (0.2,)
+
+
+PARSE_CORPUS = [
+    # each command's valid forms
+    ["validate", "du", "a.json"],
+    ["validate", "pauli", "a.json", "--tol", "1e-3"],
+    ["apply", "s.json", "c.json"],
+    ["apply", "s.json", "c.json", "--out", "o.json", "--tol", "0"],
+    ["compose", "du", "a.json", "b.json"],
+    ["compose", "channel", "a.json", "b.json", "--out", "o.json"],
+    ["covariance", "s.json", "--group", "du"],
+    ["covariance", "s.json", "--group", "haar", "--samples", "5", "--seed", "3", "--tol", "1e-6"],
+    ["example", "amplitude-damping", "--gamma", "0.4", "--super", "du.json", "--out", "o.json"],
+    ["example", "bit-flip"],
+    ["example", "bit-flip", "--p", "0.1"],
+    ["example", "pauli", "--p", "0.7", "0.1", "0.1", "0.1"],
+    ["example", "holevo-werner", "--d", "3"],
+    # help and no command
+    [], ["-h"], ["--help"], ["validate", "-h"], ["example", "pauli", "--p", "0.5", "-h"],
+    # an unknown or abbreviated command, an option before the command
+    ["nonsense"], ["val", "du", "a.json"], ["--tol", "1", "validate", "du", "a.json"],
+    ["-x", "validate", "du", "a.json"],
+    # leftovers
+    ["validate", "du", "a.json", "b.json"], ["apply", "s.json", "c.json", "d.json"],
+    ["validate", "du", "a.json", "--bogus"], ["example", "bit-flip", "--p", "0.1", "extra"],
+    # spellings of flags and values
+    ["validate", "du", "a.json", "--tol=1e-3"], ["validate", "du", "a.json", "--to", "1e-3"],
+    ["example", "amplitude-damping", "--gam", "0.5"], ["validate", "du", "a.json", "--tol", "-1"],
+    ["example", "bit-flip", "--p", "-0.1"], ["validate", "du", "--", "a.json"],
+    ["apply", "--", "s.json", "c.json"], ["validate", "du", "a.json", "--", "--tol"],
+    ["validate", "du", "a.json", "--tol", "1", "--tol", "2"],
+    ["example", "pauli", "--p", "0.5", "--p", "0.1", "0.2", "0.3", "0.4"],
+    # a bad choice, a bad type, a missing value or argument
+    ["validate", "nonsense", "a.json"], ["covariance", "s.json", "--group", "u"],
+    ["validate", "du", "a.json", "--tol", "abc"],
+    ["covariance", "s.json", "--group", "du", "--samples", "1.5"],
+    ["validate", "du", "a.json", "--tol"], ["validate", "du"], ["covariance", "s.json"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_one_parse_answers_as_the_top_level_parser(argv, capsys, monkeypatch):
+    def outcome(parse):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = f"SystemExit {exc.code}"
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    parser = cli.build_parser()
+    oracle = outcome(parser.parse_args)
+    assert outcome(cli.parse_argv) == oracle
+    if isinstance(oracle[0], argparse.Namespace):  # a command line that parses: one pass
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second argparse pass")
+
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        assert outcome(cli.parse_argv) == oracle
 
 
 def test_validate_superchannel_and_do_build_one_trace_verdict(paths, capsys, monkeypatch):

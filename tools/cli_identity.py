@@ -39,13 +39,15 @@ side, an object of no kind, a JSON list, a file that does not parse and a
 missing path.  It runs `validate` of each kind on each file, `apply`,
 `covariance --group du` and `example bit-flip --super` with each file as the
 superchannel, `apply` with each file as the channel, and `compose` of each
-kind on each ordered pair of files; it ends with
+kind on each ordered pair of files, and then on each ordered pair of these
+files and the NaN superchannel and NaN du files of reader_files in which
+one of those two is first, second or both; it ends with
 spelling_probe, `apply` of the d = 2 identity's DU and dephasing tables to a
 channel holding one number of each spelling the artifact writer treats
 apart, and `compose dephasing` of the identity's table with a table holding
 the same numbers, built from constants, and with reader_probes, `validate`
 and `apply` on files the matrix reader refuses, for each fault it reports
-(see reader_probes), and last with pauli_probes, `validate pauli` of three
+(see reader_files), and last with pauli_probes, `validate pauli` of three
 tables with exact zero or uniform weights, at the default tol and at
 --tol 0, and `apply` of each to one fixed d = 2 channel.  large-tables is
 `validate`, `compose` and `apply` on DU and on sign-symmetric tables at
@@ -395,10 +397,18 @@ def build_kinds(b: inputs.InputSet) -> list:
         compose += [inputs._entry(["compose", kind, f, g, *out], label=label, out=out[1])
                     for kind in ("du", "do", "dephasing", "superchannel", "channel")
                     for g in files.values()]
+    readers = reader_files(b)
+    nan = {label: readers[label][1] for label in ("superchannel-nan", "du-nan")}
+    both = {**files, **nan}
+    # then every pair with a NaN superchannel or du file first, second or both
+    compose += [inputs._entry(["compose", kind, f, g, *out], label=label, out=out[1])
+                for label, f in both.items()
+                for kind in ("du", "do", "dephasing", "superchannel", "channel")
+                for g in both.values() if label in nan or g in nan.values()]
     return [inputs._kind("validate", "op1", 1, validate), inputs._kind("apply", "op2", 1, apply),
             inputs._kind("compose", "op3", 1, compose), inputs._kind("other", "op4", 1, other),
             inputs._kind("spelling", "op4", 1, spelling_probe(b)),
-            inputs._kind("reader", "op4", 1, reader_probes(b, files["du"], files["channel"])),
+            inputs._kind("reader", "op4", 1, reader_probes(readers, files["du"], files["channel"])),
             inputs._kind("pauli", "op1", 1, pauli_probes(b))]
 
 
@@ -459,17 +469,15 @@ def spelling_probe(b: inputs.InputSet) -> list:
                           out="out/spelling.json")]
 
 
-def reader_probes(b: inputs.InputSet, du: str, channel: str) -> list:
-    """`validate` of the matching kind and `apply` (a channel file after
-    the du file, any other before the channel file) on files the matrix
-    reader refuses.  A channel, a superchannel Choi (declared dims all 2)
-    and DU tables (d = 2, each table the same matrix) whose matrix holds a
-    NaN (read by the json fallback), has dims [-2] with 4 entries or dims
-    ["2"], or whose data are triples, not pairs; then a superchannel whose
-    Choi holds an infinity and whose dims (2, 2) do not match the declared
-    (1, 1, 2, 2), and DU tables whose A is of side 3 and holds a NaN.
-    Built from constants and written by json.dumps, which spells NaN and
-    Infinity."""
+def reader_files(b: inputs.InputSet) -> dict:
+    """label -> (kind, path) of files the matrix reader refuses.  A channel,
+    a superchannel Choi (declared dims all 2) and DU tables (d = 2, each
+    table the same matrix) whose matrix holds a NaN (read by the json
+    fallback), has dims [-2] with 4 entries or dims ["2"], or whose data
+    are triples, not pairs; then a superchannel whose Choi holds an
+    infinity and whose dims (2, 2) do not match the declared (1, 1, 2, 2),
+    and DU tables whose A is of side 3 and holds a NaN.  Built from
+    constants and written by json.dumps, which spells NaN and Infinity."""
     ones = [[1.0, 0.0]] * 16
     faults = {"nan": {"dims": [2, 2], "data": [[float("nan"), 0.0]] + ones[1:]},
               "negative-dims": {"dims": [-2], "data": ones[:4]},
@@ -486,10 +494,18 @@ def reader_probes(b: inputs.InputSet, du: str, channel: str) -> list:
         "choi": {"dims": [2, 2], "data": [[float("inf"), 0.0]] + ones[1:]}})
     docs["wrong-side-nan"] = ("du", {"d": 2, **dict.fromkeys("BCD", {"dims": [2, 2], "data": ones}),
                                      "A": {"dims": [3], "data": [[float("nan"), 0.0]] + ones[:8]}})
-    ops = []
+    files = {}
     for label, (kind, doc) in docs.items():
         (b.work / "in" / f"reader_{label}.json").write_text(json.dumps(doc))
-        f = f"in/reader_{label}.json"
+        files[label] = (kind, f"in/reader_{label}.json")
+    return files
+
+
+def reader_probes(files: dict, du: str, channel: str) -> list:
+    """`validate` of the matching kind and `apply` (a channel file after
+    the du file, any other before the channel file) on each of reader_files."""
+    ops = []
+    for label, (kind, f) in files.items():
         pair = [du, f] if kind == "channel" else [f, channel]
         ops += [inputs._entry(["validate", kind, f], label=label),
                 inputs._entry(["apply", *pair, "--out", "out/reader.json"], label=label,

@@ -11,7 +11,10 @@ tables) and a seeded random qubit channel, pauli_validate (the closed form
 runs), pauli_super_choi, validate_superchannel and apply_to_channel of that
 Choi (the dense routes, beside them) and pauli_induced_bistochastic, and
 dephasing_validate on seeded random d = 2 dephasing tables.  A checkout
-without pauli_validate or pauli_apply_to_channel skips that line.
+without pauli_validate or pauli_apply_to_channel skips that line.  Then it
+times the CLI's flag parsing, argv to Namespace ("argv", the tables column
+naming the op), on the four argvs of the benchmark's qubit ops: cli.parse_argv,
+or build_parser().parse_args in a checkout without it.
 Then it draws seeded random DU, sign-symmetric and dephasing tables at
 d = 6, 8, 12 and 16 (every table entry normal on its support, A real), and
 times, at each d,
@@ -62,6 +65,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DIMS = (6, 8, 12, 16)
 SEED = 2300
+# the benchmark's four qubit ops, as perfbench/inputs.py spells them
+QUBIT_ARGVS = {
+    "validate pauli": ["validate", "pauli", "in/pauli_0.json"],
+    "validate dephasing": ["validate", "dephasing", "in/deph_0.json"],
+    "example": ["example", "amplitude-damping", "--gamma", "0.3", "--super", "in/du2_0.json",
+                "--out", "out/example.json"],
+    "apply": ["apply", "in/pauli_0.json", "in/qch_0.json", "--out", "out/apply_pauli.json"],
+}
 
 
 def _random_tables(rng, cls, d):
@@ -131,7 +142,7 @@ def measure(src: str) -> list[dict]:
     from superchan.do import DOSuperParams, do_validate
     from superchan.du import DUSuperParams, du_cp_check, du_tp_check
     from superchan.jsonio import dump_json
-    from superchan import pauli as pauli_module
+    from superchan import cli, pauli as pauli_module
     from superchan.pauli import PauliSuperParams, pauli_induced_bistochastic, pauli_super_choi
     from superchan.positions import apply_tables, b1_partial_trace, sector_spectrum
     from superchan.superchannels import apply_to_channel, validate_superchannel
@@ -152,6 +163,9 @@ def measure(src: str) -> list[dict]:
            _line("pauli_induced_bistochastic", "pauli", 2,
                  lambda: pauli_induced_bistochastic(pauli)),
            _line("dephasing_validate", "dephasing", 2, lambda: dephasing_validate(dephasing))]
+    parse = getattr(cli, "parse_argv", None) or cli.build_parser().parse_args
+    out += [_line("argv", op, 2, lambda argv=argv: parse(list(argv)))
+            for op, argv in QUBIT_ARGVS.items()]
     for d in DIMS:
         rng = np.random.default_rng([SEED, d])
         tables = {"du": _random_tables(rng, DUSuperParams, d),
