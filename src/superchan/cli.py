@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("superchannel")
     p.add_argument("channel")
     p.add_argument("--out", help="write the output channel JSON here")
-    add_tol(p)
     p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("compose", help="compose two objects of the same kind")

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import PARAM_EDGE_TOL
-from .linalg import DEFAULT_TOL, Frozen, max_entangled_projector, swap_operator
+from .linalg import DEFAULT_TOL, Frozen, max_entangled_projector, psd_accepts, swap_operator
 from .positions import (
     TableParams,
     choi_from_tables,
@@ -206,17 +206,19 @@ class UUFamilyParams(Frozen):
         return np.array([self.p0, self.p1, self.p2, self.p3])
 
 
+# variant -> its (A0->B0, A1->B1) factors other than the depolarizing D, whose
+# Choi is I/d: the components are f0(x)f1, f0(x)D, D(x)f1 and D(x)D
+_VARIANT_FACTORS = {"covariant": ("p_plus", "p_plus"),  # id(x)id, id(x)D, D(x)id, D(x)D
+                    "conjugate": ("swap", "swap"),  # T(x)T, T(x)D, D(x)T, D(x)D
+                    "mixed": ("p_plus", "swap")}  # id(x)T, id(x)D, D(x)T, D(x)D
+
+
 def _pair_factors(variant: str, d: int):
     """The (A0->B0, A1->B1) Choi factors of the four components."""
-    p_plus = max_entangled_projector(d).mat
+    mats = {"p_plus": max_entangled_projector(d).mat, "swap": swap_operator(d).mat}
+    f0, f1 = (mats[name] for name in _VARIANT_FACTORS[variant])
     eye = np.eye(d * d, dtype=complex) / d
-    swap = swap_operator(d).mat
-    if variant == "covariant":  # id(x)id, id(x)D, D(x)id, D(x)D
-        return [(p_plus, p_plus), (p_plus, eye), (eye, p_plus), (eye, eye)]
-    if variant == "conjugate":  # T(x)T, T(x)D, D(x)T, D(x)D
-        return [(swap, swap), (swap, eye), (eye, swap), (eye, eye)]
-    # mixed: id(x)T, id(x)D, D(x)T, D(x)D
-    return [(p_plus, swap), (p_plus, eye), (eye, swap), (eye, eye)]
+    return [(f0, f1), (f0, eye), (eye, f1), (eye, eye)]
 
 
 @lru_cache(maxsize=None)
@@ -240,20 +242,22 @@ def uu_superchannel(params: UUFamilyParams) -> SuperChoi:
 
 
 def uu_cp_closed_form(params: UUFamilyParams, tol: float = DEFAULT_TOL) -> bool:
-    """Closed-form complete-positivity test for each variant's weight region."""
+    """Closed-form complete-positivity test: psd_accepts on the exact spectrum
+    of uu_superchannel(params) at Hermiticity deviation zero (its Choi is
+    exactly symmetric), as is_psd judges the assembled Choi.
+
+    The factors of each pair of subsystems share two eigenspaces: P+ is
+    (d, 0) on (Phi+, its complement), the swap (1, -1) on (symmetric,
+    antisymmetric) and I/d is 1/d on both.  Each product of an eigenspace
+    of one pair and one of the other carries one eigenvalue of the Choi.
+    At d = 1 the second eigenspaces are empty.
+    """
+    d = params.d
+    x0, x1 = ({"p_plus": (d, 0.0), "swap": (1.0, -1.0)}[name][:1 if d == 1 else 2]
+              for name in _VARIANT_FACTORS[params.variant])
     p0, p1, p2, p3 = params.p
-    d2 = float(params.d**2)
-    d = float(params.d)
-    if params.variant == "covariant":
-        vals = (p3, p1 + p3 / d2, p2 + p3 / d2, p0 * d2 + p1 + p2 + p3 / d2)
-    elif params.variant == "conjugate":
-        vals = (
-            p3 / d2 + p0 - abs(p1 + p2) / d,
-            p3 / d2 - p0 - abs(p1 - p2) / d,
-        )
-    else:  # mixed
-        vals = (p3 - d * abs(p2), d * p1 + p3 / d - abs(d2 * p0 + p2))
-    return all(v >= -tol for v in vals)
+    evals = [p0 * u * v + p1 * u / d + p2 * v / d + p3 / d**2 for u in x0 for v in x1]
+    return psd_accepts(np.array(evals), 0.0, 0.0, tol)
 
 
 def holevo_werner_superchannel_params(d: int) -> UUFamilyParams:

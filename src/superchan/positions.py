@@ -21,8 +21,8 @@ exact zeros.  The positions of the tables of one TableParams class (its
 NAMES) are pairwise disjoint; tables of different classes may share
 positions.  They also give the block structure of the Choi (the charge
 sectors of Singh & Nechita, arXiv:2010.07898, derived by sectors), so
-assembling a Choi is one scatter per table, reading the tables off it one
-gather, its spectrum one batched eigensolve per sector size, and composing
+assembling a Choi is one scatter, reading the tables off it one gather per
+table, its spectrum one batched eigensolve per sector size, and composing
 two sets of tables one product (matrix, entrywise or einsum) per table
 triple of composition_plan.  The same plan composes superchannel tables
 with channel tables, giving the tables of the transformed channel.
@@ -196,14 +196,12 @@ def require_super_family(cls: type[TableParams]) -> None:
 def choi_from_tables(p: TableParams) -> np.ndarray:
     """The Choi matrix holding the tables of p.
 
-    Each entry is added into zeros, as a sum over tables would, so a -0.0
-    table entry lands as +0.0.
+    One scatter of table_values(p), each value added to +0.0 as a sum over
+    tables into zeros would be, so a -0.0 table entry lands as +0.0.
     """
     side = p.d ** len(FAMILIES[p.FAMILY][0])
     c = np.zeros((side, side), dtype=complex)
-    for name in p.NAMES:
-        pos = table_positions(p.d, name, p.FAMILY)
-        c[pos.rows, pos.cols] += getattr(p, name).reshape(-1)[pos.flat]
+    c[choi_indices(p.d, type(p))] = table_values(p) + 0.0  # no position repeats
     return c
 
 
@@ -217,15 +215,11 @@ def tables_from_choi(mat: np.ndarray, d: int, cls: type[TableParams]) -> dict:
     return out
 
 
-@functools.lru_cache(maxsize=16)
 def off_pattern_mask(d: int, cls: type[TableParams]) -> np.ndarray:
-    """The Choi entries where no table of cls sits (read-only)."""
+    """The Choi entries where no table of cls sits."""
     side = d ** len(FAMILIES[cls.FAMILY][0])
     off = np.ones((side, side), dtype=bool)
-    for name in cls.NAMES:
-        pos = table_positions(d, name, cls.FAMILY)
-        off[pos.rows, pos.cols] = False
-    off.setflags(write=False)
+    off[choi_indices(d, cls)] = False
     return off
 
 
@@ -298,14 +292,14 @@ def sectors(d: int, cls: type[TableParams]) -> tuple[np.ndarray, ...]:
     order and rows ordered by their first index.
 
     The positions fill their blocks, so each index's least partner (one
-    np.minimum.at per table) is its block's first index.  Raises ValueError
-    if a position joins two blocks so found: no sector stack would hold it.
+    np.minimum.at over choi_indices) is its block's first index.  Raises
+    ValueError if a position joins two blocks so found: no sector stack
+    would hold it.
     """
     root = np.arange(d ** len(FAMILIES[cls.FAMILY][0]))
-    pos = [table_positions(d, name, cls.FAMILY) for name in cls.NAMES]
-    for x in pos:
-        np.minimum.at(root, x.rows, x.cols)
-    if any((root[x.rows] != root[x.cols]).any() for x in pos):
+    rows, cols = choi_indices(d, cls)
+    np.minimum.at(root, rows, cols)
+    if (root[rows] != root[cols]).any():
         raise ValueError(f"a position of {cls.__name__} joins two blocks at d={d}")
     order = np.argsort(root, kind="stable")
     _, starts, counts = np.unique(root[order], return_index=True, return_counts=True)
@@ -390,29 +384,32 @@ def sector_spectrum(p: TableParams, tol: float) -> SectorSpectrum:
 @functools.lru_cache(maxsize=16)
 def trace_plan(d: int, cls: type[TableParams]) -> tuple:
     """(image, slot, terms) of b1_partial_trace for cls at dimension d, read-only:
-    the images that have terms, ascending; each term's index into image, terms
-    by image and then by q; and per table with terms, (name, their flat table
-    indices, their places in that order).  Raises ValueError for channel
-    tables, and for a class whose images fill a fiber (i, j, p, r) in part."""
+    the images that have terms, ascending; each term's index into image; and
+    per table with terms, in NAMES order, (name, the flat table indices of
+    its terms, by image and then by q), the order of the slots.  Raises
+    ValueError for channel tables, and for a class whose images fill a fiber
+    (i, j, p, r) in part."""
     require_super_family(cls)
-    pos = [(name, table_positions(d, name, cls.FAMILY)) for name in cls.NAMES]
-    keep = [x.rows % d == x.cols % d for _, x in pos]
-    rows, cols = (np.concatenate([getattr(x, f)[k] for (_, x), k in zip(pos, keep)])
-                  for f in ("rows", "cols"))
-    # A0, A1, B0 digits: (i, a, p) of each row and (j, r) of each column
-    (i, a, pr), (j, _, pc) = (np.unravel_index(x // d, (d,) * 3) for x in (rows, cols))
-    image = np.ravel_multi_index((i, j, a, pr, pc), (d,) * 5)
-    order = np.lexsort((rows % d, image))  # by image, then by q
-    image, slot = np.unique(image[order], return_inverse=True)
+    terms, images = [], []
+    for name in cls.NAMES:
+        x = table_positions(d, name, cls.FAMILY)
+        keep = x.rows % d == x.cols % d
+        if not keep.any():
+            continue
+        rows, cols = x.rows[keep], x.cols[keep]
+        # A0, A1, B0 digits: (i, a, p) of each row and (j, r) of each column
+        (i, a, pr), (j, _, pc) = (np.unravel_index(y // d, (d,) * 3) for y in (rows, cols))
+        image = np.ravel_multi_index((i, j, a, pr, pc), (d,) * 5)
+        order = np.lexsort((rows % d, image))  # by image, then by q
+        terms.append((name, *_read_only(x.flat[keep][order])))
+        images.append(image[order])
+    image, slot = np.unique(np.concatenate(images), return_inverse=True)
     # tp_preserving_verdict averages each fiber (i, j, p, r) over all d images
     fiber = image // d**3 * d**2 + image % d**2
     if (np.bincount(fiber)[fiber] != d).any():
         raise ValueError(f"{cls.__name__} at d={d} holds some but not all images "
                          "of a fiber of the partial trace over B1")
-    places = np.split(np.argsort(order), np.cumsum([k.sum() for k in keep])[:-1])
-    terms = tuple((name, *_read_only(x.flat[k], at))
-                  for (name, x), k, at in zip(pos, keep, places) if k.any())
-    return (*_read_only(image, slot), terms)
+    return (*_read_only(image, slot), tuple(terms))
 
 
 def b1_partial_trace(p: TableParams) -> tuple[np.ndarray, np.ndarray]:
@@ -420,14 +417,15 @@ def b1_partial_trace(p: TableParams) -> tuple[np.ndarray, np.ndarray]:
     images[i, j, a, a, p, r] of superchannels.tp_preserving_check that have
     terms, as ascending flat indices into (i, j, a, p, r), and their values,
     bit-identical to the einsum's there: the terms, entries whose row and
-    column B1 digits agree, are summed in increasing q from zero
-    (trace_plan).  Equal B1 digits force equal A1 digits in every POSITIONS
-    entry, so images with a != b are zero; each fiber (i, j, p, r) holds d
-    images or none.  Raises ValueError for channel tables."""
+    column B1 digits agree, are gathered table by table in the order of
+    trace_plan and summed by bincount from zero.  Every image's terms come
+    from one table, so each image is summed in increasing q.  Equal B1
+    digits force equal A1 digits in every POSITIONS entry, so images with
+    a != b are zero; each fiber (i, j, p, r) holds d images or none.
+    Raises ValueError for channel tables."""
     image, slot, terms = trace_plan(p.d, type(p))
-    vals = np.empty(slot.size, dtype=complex)
-    for name, flat, at in terms:
-        vals[at] = getattr(p, name).reshape(-1)[flat]
+    vals = np.concatenate([getattr(p, name).reshape(-1)[flat] for name, flat in terms],
+                          dtype=complex)
     sums = np.empty(image.size, dtype=complex)
     sums.real = np.bincount(slot, vals.real, image.size)
     sums.imag = np.bincount(slot, vals.imag, image.size)

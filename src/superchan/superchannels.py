@@ -7,7 +7,6 @@ operator on subsystems (A0, A1, B0, B1) in that fixed order.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -21,7 +20,7 @@ from .linalg import (
     permute_subsystems,
     psd_report,
 )
-from .positions import TableParams, _read_only, apply_tables
+from .positions import TableParams, apply_tables
 
 
 class SuperChoi(MultipartiteOperator):
@@ -196,24 +195,19 @@ def tp_preserving_check(s: SuperChoi, tol: float = DEFAULT_TOL) -> TPPreservingV
     Passing requires: images of e_ij (x) e_ab vanish for a != b, are
     a-independent for a = b, and the induced map on (A0 -> B0) is unital.
     The verdict carries the induced map assembled from the a-averaged images.
+    The a = b slots of the (a, b) axis are its every (d1 + 1)-th, and the
+    leak is the largest |image| with those slots zeroed.
     """
     d0, d1, b0 = dims = s.dims[:3]
     # L[i, j, a, b] = Tr_B1 Delta(e_ij (x) e_ab), each a b0 x b0 matrix
     c6 = s.tensor()
     # Delta(e_ij (x) e_ab)[pq, rs] = choi[(i,a,p,q), (j,b,r,s)]; trace q = s
     images = np.einsum("iapqjbrq->ijabpr", c6).reshape(d0 * d0, d1 * d1, b0 * b0)
-    off, diag, image = _dense_trace_plan(*dims)
-    leak = float(np.abs(images.take(off, axis=1)).max(initial=0.0))
-    return tp_preserving_verdict(leak, image, images.take(diag, axis=1).reshape(-1), dims, tol)
-
-
-@functools.lru_cache(maxsize=16)
-def _dense_trace_plan(d0: int, d1: int, b0: int) -> tuple:
-    """Read-only (a != b slots, a = b slots) of the (a, b) axis of the images
-    as (d0 * d0, d1 * d1, b0 * b0), and every flat image (i, j, a, p, r)."""
-    pairs = np.arange(d1 * d1)
-    return _read_only(pairs[pairs % (d1 + 1) != 0], pairs[:: d1 + 1],
-                      np.arange(d0 * d0 * d1 * b0 * b0))
+    sums = images[:, :: d1 + 1].flatten()  # a copy: a view may not be contiguous
+    off = np.abs(images)
+    off[:, :: d1 + 1] = 0.0
+    return tp_preserving_verdict(float(off.max(initial=0.0)), np.arange(sums.size), sums,
+                                 dims, tol)
 
 
 def tp_preserving_verdict(leak: float, image: np.ndarray, sums: np.ndarray,

@@ -862,7 +862,7 @@ PARSE_CORPUS = [
     ["validate", "du", "a.json"],
     ["validate", "pauli", "a.json", "--tol", "1e-3"],
     ["apply", "s.json", "c.json"],
-    ["apply", "s.json", "c.json", "--out", "o.json", "--tol", "0"],
+    ["apply", "s.json", "c.json", "--out", "o.json"],
     ["compose", "du", "a.json", "b.json"],
     ["compose", "channel", "a.json", "b.json", "--out", "o.json"],
     ["covariance", "s.json", "--group", "du"],
@@ -890,6 +890,7 @@ PARSE_CORPUS = [
     # a bad choice, a bad type, a missing value or argument
     ["validate", "nonsense", "a.json"], ["covariance", "s.json", "--group", "u"],
     ["validate", "du", "a.json", "--tol", "abc"],
+    ["apply", "s.json", "c.json", "--out", "o.json", "--tol", "0"],  # apply takes no --tol
     ["covariance", "s.json", "--group", "du", "--samples", "1.5"],
     ["validate", "du", "a.json", "--tol"], ["validate", "du"], ["covariance", "s.json"],
 ]

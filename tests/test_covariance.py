@@ -12,6 +12,7 @@ from superchan.channels import (
 )
 from superchan import covariance
 from superchan.covariance import (
+    UU_VARIANTS,
     UUFamilyParams,
     holevo_werner_superchannel,
     holevo_werner_superchannel_params,
@@ -45,6 +46,7 @@ from helpers import (
     unitary_conjugation,
     uu_closed_form_action,
     uu_induced_map,
+    uu_shared_spectra,
 )
 
 rng = np.random.default_rng(19)
@@ -97,6 +99,47 @@ def test_uu_cp_closed_form_matches_spectral_oracle():
                 closed = uu_cp_closed_form(p)
                 spectral = is_psd(uu_superchannel(p).mat)
                 assert closed == spectral, (variant, d, p.p)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("variant", UU_VARIANTS)
+def test_uu_cp_closed_form_matches_is_psd_at_the_tolerance_boundary(variant, d):
+    # is_psd accepts iff min eig + tol * max(1, spectral radius) >= 0: the
+    # margin, read off the shared spectra to about 1e-12.  Each variant's
+    # unit weights and the covariant (1 + 2e-10, 0, 0, -2e-10), whose least
+    # eigenvalue is -2e-10 / d^2; then, at d >= 2, weights whose margin is
+    # +-0.5, 2 and 5 tol, on segments from D(x)D (every eigenvalue 1/d^2)
+    # to random weights that are not CP.  At d = 1 every mixture is the
+    # 1 x 1 Choi [1], so CP.
+    tol = 1e-10
+    spectra = uu_shared_spectra(variant, d)
+
+    def margin(p):
+        evals = p @ spectra
+        return float(evals.min()) + tol * max(1.0, float(np.abs(evals).max()))
+
+    cases = [*np.eye(4), np.array([1 + 2e-10, 0.0, 0.0, -2e-10])]
+    inside, draw = np.eye(4)[3], np.random.default_rng(10 * d)
+    outs = [q for q in (random_uu_params(variant, d, draw).p for _ in range(40))
+            if margin(q) < -1e-3][:3] if d > 1 else []
+    assert d == 1 or len(outs) == 3
+    for out in outs:
+        for target in (-5, -2, -0.5, 0.5, 2, 5):
+            lo, hi = 0.0, 1.0  # margin - target * tol: positive at lo, negative at hi
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                if margin((1 - mid) * inside + mid * out) > target * tol:
+                    lo = mid
+                else:
+                    hi = mid
+            p = (1 - lo) * inside + lo * out
+            assert (margin(p) >= 0) == (target > 0)
+            cases.append(p)
+    for p in cases:
+        params = UUFamilyParams(variant, *p, d)
+        assert uu_cp_closed_form(params, tol) == is_psd(uu_superchannel(params).mat, tol), p
+        if d == 1:
+            assert uu_cp_closed_form(params, tol)
 
 
 def test_uu_families_pass_their_defining_covariance_group():

@@ -277,7 +277,7 @@ def test_equal_b1_digits_force_equal_a1_digits():
         assert unified[0] == unified[1], name
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("cls", [DUSuperParams, DOSuperParams, DephasingSuperParams],
                          ids=["du", "do", "dephasing"])
 def test_b1_partial_trace_is_the_dense_one_bit_for_bit(d, cls):
@@ -302,6 +302,27 @@ def test_b1_images_ascend_and_fill_their_fibers(d, cls):
     assert (np.diff(image) > 0).all()
     fiber = image // d**3 * d**2 + image % d**2
     assert set(np.bincount(fiber)) <= {0, d}
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("cls", [DUSuperParams, DOSuperParams, DephasingSuperParams],
+                         ids=["du", "do", "dephasing"])
+def test_each_trace_plan_image_is_fed_by_one_table(d, cls):
+    # b1_partial_trace sums the tables' terms in turn, so each image is summed
+    # in increasing q only if all of its terms come from one table
+    image, slot, terms = trace_plan(d, cls)
+    names = [name for name, _ in terms]
+    assert names == sorted(names, key=cls.NAMES.index)
+    sizes = [flat.size for _, flat in terms]
+    assert sum(sizes) == slot.size
+    tables = np.zeros(image.size, dtype=int)
+    for (name, flat), part in zip(terms, np.split(slot, np.cumsum(sizes)[:-1])):
+        pos = table_positions(d, name, cls.FAMILY)
+        q = pos.rows[np.searchsorted(pos.flat, flat)] % d
+        # by image, then by q
+        assert ((np.diff(part) > 0) | ((np.diff(part) == 0) & (np.diff(q) > 0))).all()
+        tables[np.unique(part)] += 1
+    assert (tables == 1).all()
 
 
 def test_trace_plan_rejects_a_class_that_fills_a_fiber_in_part(monkeypatch):

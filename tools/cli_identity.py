@@ -49,7 +49,9 @@ the same numbers, built from constants, and with reader_probes, `validate`
 and `apply` on files the matrix reader refuses, for each fault it reports
 (see reader_files), and last with pauli_probes, `validate pauli` of three
 tables with exact zero or uniform weights, at the default tol and at
---tol 0, and `apply` of each to one fixed d = 2 channel.  large-tables is
+--tol 0, and `apply` of each to one fixed d = 2 channel, and then with
+dims_probes, `validate superchannel` of three generic Chois whose
+subsystem dims differ, one with a trivial A1.  large-tables is
 `validate`, `compose` and `apply` on DU and on sign-symmetric tables at
 d = 7 and 8, one valid, one not-CP and one not-TP set per d, drawn as in
 the du and do corpora but read straight off the table positions
@@ -409,7 +411,24 @@ def build_kinds(b: inputs.InputSet) -> list:
             inputs._kind("compose", "op3", 1, compose), inputs._kind("other", "op4", 1, other),
             inputs._kind("spelling", "op4", 1, spelling_probe(b)),
             inputs._kind("reader", "op4", 1, reader_probes(readers, files["du"], files["channel"])),
-            inputs._kind("pauli", "op1", 1, pauli_probes(b))]
+            inputs._kind("pauli", "op1", 1, pauli_probes(b)),
+            inputs._kind("dims", "op1", 1, dims_probes(b))]
+
+
+def dims_probes(b: inputs.InputSet) -> list:
+    """`validate superchannel` of three generic Hermitian Chois with dims
+    (A0, A1, B0, B1) = (2, 3, 4, 2), (3, 1, 2, 4) and (4, 2, 1, 3), which pin
+    the dense trace route where A1 is trivial and where the dims differ.
+    Drawn after every other seeded draw of the corpus."""
+    ops = []
+    for dims in ((2, 3, 4, 2), (3, 1, 2, 4), (4, 2, 1, 3)):
+        side = int(np.prod(dims))
+        g = b.rng.normal(size=(side, side)) + 1j * b.rng.normal(size=(side, side))
+        label = "dims-" + "".join(map(str, dims))
+        path = b.input(f"{label}.json", {"dims": dict(zip(("A0", "A1", "B0", "B1"), dims)),
+                                         "choi": inputs.matrix_json(dims, g + g.conj().T)})
+        ops.append(inputs._entry(["validate", "superchannel", path], label=label))
+    return ops
 
 
 def pauli_probes(b: inputs.InputSet) -> list:
